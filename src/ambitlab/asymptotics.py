@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, regions
+from . import kernels
 from .errors import QuadratureError
-from .kernels import SingularWeight, TriangleWeight, UniformWeight, GridWeight
-from .regions import HalfPlane, Intersection, Rect, Union, band
+from .kernels import KappaRange
+from .regions import Rect, Union
 
 __all__ = [
     "PROBE_RADII",
@@ -39,6 +39,7 @@ __all__ = [
     "assumption1_probe",
     "assumption2_ratio",
     "first_valid_resolution",
+    "kappa_refusal",
     "region_catalog",
     "region_measures",
     "save_catalog_csv",
@@ -54,75 +55,33 @@ PROBE_RADII = (0.2, 0.1, 0.05)
 # admissible thinning ranges
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KappaRange:
-    """Interval (0, upper) or (0, upper] of valid thinning exponents.
-
-    ``upper <= 0`` encodes the empty range; ``note`` carries the reason
-    (which kernels admit no single-point concentration at all).
-    """
-
-    upper: float
-    upper_inclusive: bool = False
-    note: str = ""
-
-    @property
-    def empty(self):
-        return self.upper <= 0.0
-
-    def contains(self, kappa):
-        kappa = float(kappa)
-        if kappa <= 0.0 or self.empty:
-            return False
-        if self.upper_inclusive:
-            return kappa <= self.upper
-        return kappa < self.upper
-
-    def __str__(self):
-        if self.empty:
-            return "empty"
-        bracket = "]" if self.upper_inclusive else ")"
-        return f"(0, {self.upper:g}{bracket}"
-
-
 def admissible_kappa(spec):
     """Thinning exponents for which both hypotheses are known to hold.
 
-    The range depends on how fast the kernel's singularity spreads mass away
-    from the concentration point:
-
-    * corner-singular, exponent alpha < 1/2: (0, alpha], closed at the top;
-    * corner-singular, alpha >= 1/2: (0, (2*alpha+1)/(2*alpha+3)), open;
-    * cone kernel: (0, (2*alpha-1)/(2*alpha+1)), open.
-
-    The rectangle indicator concentrates on four separated corners, so no
-    single shrinking window can capture the mass: the range is empty.  Grid
-    kernels have no closed-form range; probe them empirically with
-    ``assumption2_ratio``.
+    The range is the weight class's ``kappa_range()``: it depends on how fast
+    the kernel's singularity spreads mass away from the concentration point,
+    and it is empty for the rectangle indicator, whose mass sits on four
+    separated corners.  Grid kernels have no closed-form range (ValueError);
+    probe them empirically with ``assumption2_ratio``.
     """
-    if isinstance(spec, SingularWeight):
-        a = spec.alpha
-        if a < 0.5:
-            return KappaRange(upper=a, upper_inclusive=True)
-        return KappaRange(upper=(2.0 * a + 1.0) / (2.0 * a + 3.0))
-    if isinstance(spec, TriangleWeight):
-        a = spec.alpha
-        return KappaRange(upper=(2.0 * a - 1.0) / (2.0 * a + 1.0))
-    if isinstance(spec, UniformWeight):
-        return KappaRange(
-            upper=0.0,
-            note=(
-                "the rectangle indicator concentrates on four separated "
-                "corner cells, so the single-window decay hypothesis cannot "
-                "hold for any thinning exponent"
-            ),
-        )
-    if isinstance(spec, GridWeight):
-        raise ValueError(
-            "no closed-form thinning range for grid-sampled kernels; "
-            "probe the window ratio empirically with assumption2_ratio"
-        )
-    raise TypeError(f"not a weight spec: {spec!r}")
+    return kernels.require_weight(spec).kappa_range()
+
+
+def kappa_refusal(spec, kappa):
+    """Why kappa fails the admissibility gate for this kernel; None if it passes.
+
+    The one gate behind both ``cli.validate`` and the experiment harnesses;
+    each caller appends its own override hint.
+    """
+    try:
+        rng = admissible_kappa(spec)
+    except ValueError:
+        return "no admissible thinning range is known for this kernel"
+    if rng.contains(kappa):
+        return None
+    if rng.empty:
+        return f"no thinning exponent is admissible for this kernel ({rng.note})"
+    return f"kappa {kappa:g} outside the admissible range {rng} for this kernel"
 
 
 # ---------------------------------------------------------------------------
@@ -161,93 +120,25 @@ class RegionCatalog:
         return self.regions[name]
 
 
-def _slant_band(b, lo, hi):
-    """{lo < 2*s + b*t - 1 < hi}: a band along one edge of the cone."""
-    return Intersection((
-        HalfPlane(-2.0, -b, -(1.0 + lo)),
-        HalfPlane(2.0, b, 1.0 + hi),
-    ))
-
-
 def region_catalog(spec, n, kappa):
     """Build the named-region catalog for one (kernel, resolution, thinning).
 
-    The corner-singular catalog follows the anatomy of the lower half
-    {t < s}: a strip ``B1`` just above the s-axis, a diagonal band ``B2``
-    hugging t = s, the interior ``B3`` between them (where the four kernel
-    copies cancel exactly), and the leftovers ``B4`` beyond s = 1.
-
-    The cone catalog follows the edge anatomy of the differenced cone: at
-    each height the four shifted copies cut six slanted slivers of width
-    (1/n)/2 into the two cone edges -- the fresh edge pair ``B1``, the
-    differenced pair ``B2``, the stale pair ``B3`` -- plus the top band
-    ``B4`` above height 1.  This anatomy needs the cone at the window edge
-    to be wider than the sliver stack, i.e. eps/2 >= 2/n.
+    The regions come from the weight class's ``catalog(n, eps)``, which
+    describes its variant's anatomy.
     """
     if n < 2:
         raise ValueError(f"lattice resolution must be >= 2, got {n}")
     k = kernels.thinning_count(n, kappa)
-    d = 1.0 / n
+    if kernels.require_weight(spec).catalog_min_k is None:
+        raise ValueError(
+            "region catalogs exist for the corner-singular and cone kernels only; "
+            f"got {type(spec).__name__}"
+        )
     eps = k / n
-
-    if isinstance(spec, SingularWeight):
-        lower_half = HalfPlane(-1.0, 1.0, 0.0)          # {t < s}
-        below_diag = HalfPlane(-1.0, 1.0, -d)           # {t < s - 1/n}
-
-        def mirrored(reg):
-            return Union((reg, regions.transpose(reg)))
-
-        catalog = {
-            "E": Rect(0.0, eps, 0.0, eps),
-            "Etilde": Intersection((Rect(0.0, d, 0.0, d), lower_half)),
-            "T": Intersection((Rect(0.0, 1.0 + d, 0.0, 1.0 + d), lower_half)),
-            "B1": mirrored(Rect(eps, 1.0, 0.0, d)),
-            "B2": mirrored(Intersection((Rect(eps, 1.0, 0.0, 1.0), band(0.0, d)))),
-            "B3": mirrored(Intersection((Rect(eps, 1.0 + d, d, 1.0 + d), below_diag))),
-            "B4": mirrored(Union((
-                Rect(1.0, 1.0 + d, 0.0, d),
-                Intersection((Rect(1.0, 1.0 + d, 0.0, 1.0 + d), band(0.0, d))),
-            ))),
-        }
-        return RegionCatalog(
-            variant="singular", n=n, kappa=kappa, k=k, eps=eps,
-            regions=catalog, partition=("E", "B1", "B2", "B3", "B4"),
-        )
-
-    if isinstance(spec, TriangleWeight):
-        if 0.5 * eps < 2.0 * d:
-            raise ValueError(
-                f"cone cross-section at the window edge (height {0.5 * eps:g}) "
-                f"is narrower than the differenced edge bands (depth {2.0 * d:g}); "
-                "increase n or lower kappa"
-            )
-        heights = Rect(0.0, 2.0, 0.5 * eps, 1.0)
-        cone = Intersection((HalfPlane(-2.0, -1.0, -1.0), HalfPlane(2.0, -1.0, 1.0)))
-        catalog = {
-            "E": Rect(0.5 - 0.5 * eps, 0.5 + 0.5 * eps, 0.0, 0.5 * eps),
-            "Etilde": Intersection((cone, Rect(0.0, 1.0, 0.0, d))),
-            # left slivers indexed by 2s+t-1, right slivers by 2s-t-1
-            "B1": Intersection((heights, Union((
-                _slant_band(1.0, 0.0, d), _slant_band(-1.0, d, 2.0 * d))))),
-            "B2": Intersection((heights, Union((
-                _slant_band(1.0, d, 2.0 * d), _slant_band(-1.0, 0.0, d))))),
-            "B3": Intersection((heights, Union((
-                _slant_band(1.0, 2.0 * d, 3.0 * d), _slant_band(-1.0, -d, 0.0))))),
-            "B4": Intersection((Rect(0.0, 2.0, 1.0, 1.0 + d), Union((
-                _slant_band(1.0, d, 3.0 * d), _slant_band(-1.0, -d, d))))),
-        }
-        return RegionCatalog(
-            variant="triangle", n=n, kappa=kappa, k=k, eps=eps,
-            regions=catalog, partition=("E", "B1", "B2", "B3", "B4"),
-        )
-
-    raise ValueError(
-        "region catalogs exist for the corner-singular and cone kernels only; "
-        f"got {type(spec).__name__}"
+    return RegionCatalog(
+        variant=spec.variant, n=n, kappa=kappa, k=k, eps=eps,
+        regions=spec.catalog(n, eps), partition=("E", "B1", "B2", "B3", "B4"),
     )
-
-
-_CATALOG_SPEC_TYPE = {"singular": SingularWeight, "triangle": TriangleWeight}
 
 
 def region_measures(spec, n, catalog, names=None, quadcfg=None):
@@ -258,7 +149,7 @@ def region_measures(spec, n, catalog, names=None, quadcfg=None):
     """
     if catalog.n != n:
         raise ValueError(f"catalog was built for n={catalog.n}, asked to measure n={n}")
-    if not isinstance(spec, _CATALOG_SPEC_TYPE[catalog.variant]):
+    if kernels.require_weight(spec).variant != catalog.variant:
         raise ValueError(
             f"catalog variant {catalog.variant!r} does not match {type(spec).__name__}"
         )
@@ -338,16 +229,15 @@ def first_valid_resolution(spec, kappa, n_max=65536):
     """Smallest resolution at which the catalog anatomy holds.
 
     Scans n >= 4 for the first value where the realized thinning count is at
-    least 2 (at least 4 for the cone kernel, whose edge-band anatomy needs
-    the window taller than the sliver stack) and the slowly-varying factor
+    least the weight class's ``catalog_min_k`` and the slowly-varying factor
     is nonvanishing on (0, 1/n), checked on a dense grid.
     """
-    if not isinstance(spec, (SingularWeight, TriangleWeight)):
+    k_min = kernels.require_weight(spec).catalog_min_k
+    if k_min is None:
         raise ValueError(
             "the resolution threshold applies to the corner-singular and "
             "cone kernels only"
         )
-    k_min = 4 if isinstance(spec, TriangleWeight) else 2
     for n in range(4, n_max + 1):
         k = kernels.thinning_count(n, kappa)
         if k < k_min:

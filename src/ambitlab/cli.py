@@ -2,7 +2,7 @@
 
 Usage::
 
-    ambitlab --config experiment.cfg [--out DIR] [--seed N] [--workers N]
+    ambitlab --config experiment.cfg [--out DIR] [--seed N]
              [--override-admissibility]
 
 The config file is plain ``key = value`` text (``#`` starts a comment).  The
@@ -25,8 +25,6 @@ grid_size, oversample, eval_point, cap, sigma_resolution, trend_batches
                     experiment-specific knobs
 quad.rel_tol,       quadrature tolerances for the kernel-mass integrals
 quad.abs_tol
-workers             accepted for interface compatibility; execution is
-                    serial, so results never depend on it
 override_admissibility
                     run even when the thinning exponent fails the gate
 ==================  =========================================================
@@ -55,21 +53,19 @@ import numpy as np
 from .asymptotics import (
     admissible_kappa,
     assumption2_ratio,
+    kappa_refusal,
     region_catalog,
     region_measures,
     save_measures_csv,
     slope_fit,
 )
-from .errors import AdmissibilityError, ConfigError, QuadratureError
+from .errors import AdmissibilityError, ConfigError, NotPSDError, QuadratureError
 from .gaussian import abs_moment, up_hermite_coeffs
 from .kernels import (
     QuadratureConfig,
-    SingularWeight,
-    TriangleWeight,
-    UniformWeight,
     compute_cn,
     concentration_mass,
-    corner_squares,
+    concentration_point,
     near_region,
     thinning_count,
     weight_from_config,
@@ -96,7 +92,7 @@ EXIT_REFUSED = 4
 KINDS = ("kernel-report", "hermite", "lln", "clt", "asymptotics", "simulate")
 
 _PLAIN_KEYS = {
-    "kind", "p", "n", "kappa", "k", "reps", "seed", "out", "workers",
+    "kind", "p", "n", "kappa", "k", "reps", "seed", "out",
     "grid_size", "oversample", "eval_point", "cap", "sigma_resolution",
     "trend_batches", "override_admissibility",
 }
@@ -147,15 +143,12 @@ class ExperimentConfig:
     def get(self, key, default=None):
         return self.entries.get(key, default)
 
-    def with_overrides(self, seed=None, out=None, workers=None,
-                       override_admissibility=False):
+    def with_overrides(self, seed=None, out=None, override_admissibility=False):
         entries = dict(self.entries)
         if seed is not None:
             entries["seed"] = str(seed)
         if out is not None:
             entries["out"] = str(out)
-        if workers is not None:
-            entries["workers"] = str(workers)
         if override_admissibility:
             entries["override_admissibility"] = "true"
         return ExperimentConfig(entries, self.problems)
@@ -222,10 +215,7 @@ def _validate_parts(config):
         chk.violations.append(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
 
     chk.take("seed", _parse_strict_int, default=0)
-    workers = chk.take("workers", _parse_strict_int, default=1)
-    if workers is not None:
-        chk.require(workers >= 1, f"workers must be >= 1, got {workers}")
-    chk.take("override_admissibility", _parse_bool, default=False)
+    overridden = chk.take("override_admissibility", _parse_bool, default=False)
 
     p_values = chk.take("p", lambda raw: _parse_list(raw, float))
     if p_values is not None:
@@ -301,7 +291,7 @@ def _validate_parts(config):
     if kind == "asymptotics":
         chk.require(kappa is not None, "asymptotics needs the thinning exponent kappa")
         if weight is not None:
-            chk.require(isinstance(weight, (SingularWeight, TriangleWeight)),
+            chk.require(weight.catalog_min_k is not None,
                         "region catalogs exist for the corner-singular and "
                         "cone kernels only")
     if kind == "simulate" and schedule is not None:
@@ -309,30 +299,11 @@ def _validate_parts(config):
                     f"simulate takes a single resolution, got {len(schedule)}")
 
     refusals = []
-    override = config.get("override_admissibility")
-    overridden = False
-    if override is not None:
-        try:
-            overridden = _parse_bool(override)
-        except ValueError:
-            pass
     if (weight is not None and kappa is not None and not overridden
             and kind in ("lln", "clt", "asymptotics")):
-        try:
-            rng = admissible_kappa(weight)
-        except ValueError:
-            refusals.append(
-                "no admissible thinning range is known for this kernel; "
-                "pass --override-admissibility to run anyway")
-        else:
-            if rng.empty:
-                refusals.append(
-                    f"no thinning exponent is admissible for this kernel ({rng.note}); "
-                    "pass --override-admissibility to run anyway")
-            elif not rng.contains(kappa):
-                refusals.append(
-                    f"kappa {kappa:g} outside the admissible range {rng} for "
-                    "this kernel; pass --override-admissibility to run anyway")
+        reason = kappa_refusal(weight, kappa)
+        if reason is not None:
+            refusals.append(f"{reason}; pass --override-admissibility to run anyway")
     return chk.violations, refusals
 
 
@@ -356,7 +327,6 @@ class _Resolved:
         e = config.entries
         self.kind = e["kind"]
         self.seed = int(e.get("seed", 0))
-        self.workers = int(e.get("workers", 1))
         self.out_dir = e.get("out", "reports")
         self.override = _parse_bool(e.get("override_admissibility", "false"))
         self.p_values = tuple(_parse_list(e["p"], float)) if "p" in e else (2.0,)
@@ -425,20 +395,12 @@ def run(config):
     }[res.kind]
     try:
         targets, results, files = runner(res)
-    except QuadratureError as exc:
-        print(f"numerical: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except np.linalg.LinAlgError as exc:
+    except (QuadratureError, np.linalg.LinAlgError, NotPSDError) as exc:
         print(f"numerical: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except AdmissibilityError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except ValueError as exc:
-        if "PSD" in str(exc):
-            print(f"numerical: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        raise
 
     resolved = dict(sorted(config.entries.items()))
     resolved.setdefault("seed", str(res.seed))
@@ -501,10 +463,9 @@ def _run_kernel_report(res):
         cn = compute_cn(res.weight, n, res.quadcfg)
         k = res.thinning_for(n)
         row = {"c_n": float(cn), "k": int(k), "eps": k / n}
-        if isinstance(res.weight, UniformWeight):
-            for name, cell in corner_squares(res.weight, n).items():
-                row[name] = float(concentration_mass(res.weight, n, cell, res.quadcfg))
-        elif isinstance(res.weight, (SingularWeight, TriangleWeight)):
+        for name, cell in res.weight.corner_cells(n).items():
+            row[name] = float(concentration_mass(res.weight, n, cell, res.quadcfg))
+        if concentration_point(res.weight) is not None:
             row["near_mass"] = float(concentration_mass(
                 res.weight, n, near_region(res.weight, k / n), res.quadcfg))
         per_n[str(n)] = row
@@ -535,7 +496,7 @@ def _run_lln(res):
     cfg = dict(weight=res.weight, volatility=res.volatility,
                p_values=res.p_values, n_schedule=res.schedule,
                k=res.k, kappa=res.kappa, grid_size=res.grid_size,
-               oversample=res.oversample, seed=res.seed, workers=res.workers,
+               oversample=res.oversample, seed=res.seed,
                override_admissibility=res.override)
     if res.reps is not None:
         cfg["reps"] = res.reps
@@ -562,7 +523,7 @@ def _run_clt(res):
                p=res.p_values[0], n_schedule=res.schedule, kappa=res.kappa,
                eval_point=res.eval_point, seed=res.seed, cap=res.cap,
                sigma_resolution=res.sigma_resolution,
-               trend_batches=res.trend_batches, workers=res.workers,
+               trend_batches=res.trend_batches,
                override_admissibility=res.override)
     if res.reps is not None:
         cfg["reps"] = res.reps
@@ -670,8 +631,6 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="key = value config file")
     parser.add_argument("--out", help="output directory (overrides the config)")
     parser.add_argument("--seed", type=int, help="master seed (overrides the config)")
-    parser.add_argument("--workers", type=int,
-                        help="worker count; results never depend on it")
     parser.add_argument("--override-admissibility", action="store_true",
                         help="run even if the thinning exponent fails the gate")
     args = parser.parse_args(argv)
@@ -681,7 +640,7 @@ def main(argv=None):
         print(f"config: cannot read {args.config!r}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     config = config.with_overrides(
-        seed=args.seed, out=args.out, workers=args.workers,
+        seed=args.seed, out=args.out,
         override_admissibility=args.override_admissibility,
     )
     return run(config)

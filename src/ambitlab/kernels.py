@@ -19,6 +19,17 @@ Variants
                     {(1-t)/2 < s < (1+t)/2}, singular at the apex (1/2, 0).
 ``GridWeight``      bilinear interpolation of sampled node values.
 
+Each variant's facts live on its class; the module-level functions and the
+other modules only read them.  The class holds the config name ``variant``
+(the registry key), ``evaluate`` and the mass reduction ``mass``, the
+concentration geometry (``concentration_point``, ``window``,
+``corner_cells``, ``limit_atoms``, ``exact_cn``), ``support``, the
+admissible ``kappa_range``, the region ``catalog`` with ``catalog_min_k``,
+the exact routes (``signed_strips`` where ``has_strips``,
+``lattice_autocorrelation`` where ``has_autocorrelation``) and the config
+keys (``config_keys``, ``from_config``).  ``WeightSpec`` holds the defaults
+for the facts a variant lacks.
+
 Integration strategy: never brute-force 2-D quadrature.  Rows of the Uniform,
 Triangle, and Grid kernels have explicit one-dimensional structure (piecewise
 constant, resp. piecewise polynomial, in s for fixed t), so masses reduce to
@@ -42,23 +53,26 @@ from scipy.special import roots_legendre
 from . import regions
 from .errors import QuadratureError
 from .regions import (
-    Difference,
     Everything,
     HalfPlane,
     Intersection,
     Rect,
     Union,
+    band,
 )
 
 __all__ = [
     "SlowFunction",
+    "WeightSpec",
     "UniformWeight",
     "SingularWeight",
     "TriangleWeight",
     "GridWeight",
+    "KappaRange",
     "QuadratureConfig",
     "ConcentrationReport",
     "AmbitSupport",
+    "require_weight",
     "eval_g",
     "eval_h",
     "compute_cn",
@@ -153,176 +167,6 @@ class SlowFunction:
         if not self.ell1_zero and abs(vals[-1]) < 1e-6:
             raise ValueError(f"{self.name!r} declared nonvanishing at 1 but evaluates to ~0")
 
-
-# ---------------------------------------------------------------------------
-# weight specifications
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class UniformWeight:
-    """Indicator of the rectangle [s1, s2] x [t1, t2], optionally scaled."""
-
-    s1: float = 0.25
-    s2: float = 0.75
-    t1: float = 0.25
-    t2: float = 0.75
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.s1 < self.s2 <= 1.0 and 0.0 <= self.t1 < self.t2 <= 1.0):
-            raise ValueError(f"rectangle corners must satisfy 0 <= lo < hi <= 1, got {self!r}")
-        if self.scale <= 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-
-
-@dataclass(frozen=True)
-class SingularWeight:
-    """g(s,t) = (s v t)^(-alpha) ell(s v t) on the unit square, alpha in (0,1)."""
-
-    alpha: float
-    ell: SlowFunction = field(default_factory=SlowFunction)
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"singularity exponent must lie in (0,1), got {self.alpha}")
-        if self.scale <= 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-
-
-@dataclass(frozen=True)
-class TriangleWeight:
-    """g(s,t) = t^(-alpha) ell(t) on the cone {(1-t)/2 < s < (1+t)/2}, alpha in (1/2,1)."""
-
-    alpha: float
-    ell: SlowFunction = field(default_factory=SlowFunction)
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not 0.5 < self.alpha < 1.0:
-            raise ValueError(f"cone exponent must lie in (1/2,1), got {self.alpha}")
-        if self.scale <= 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-
-
-@dataclass(frozen=True, eq=False)
-class GridWeight:
-    """Bilinear interpolation of node samples g(i/M, j/M), zero outside [0,1]^2.
-
-    ``values[i, j]`` is the node value at (i/M, j/M); the array is read-only.
-    Instances hash by identity (the payload is an array), which is what the
-    per-spec caches rely on.
-    """
-
-    values: np.ndarray
-    scale: float = 1.0
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] < 2:
-            raise ValueError(f"grid values must be square (M+1, M+1) with M >= 1, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("grid values must be finite")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        if self.scale <= 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-
-    @property
-    def resolution(self):
-        return self.values.shape[0] - 1
-
-
-# ---------------------------------------------------------------------------
-# kernel evaluation
-# ---------------------------------------------------------------------------
-
-def _f_radial(spec, r):
-    """The profile r^(-alpha) ell(r) for r in (0,1), +inf at 0, 0 outside."""
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    inside = (r > 0.0) & (r < 1.0)
-    ri = r[inside]
-    out[inside] = ri ** (-spec.alpha) * spec.ell(ri)
-    out[r == 0.0] = np.inf
-    return out
-
-
-def eval_g(spec, s, t):
-    """Weight kernel value(s) at (s, t); zero outside the support.
-
-    Points where the kernel diverges (the singular corner of the Singular
-    variant) return +inf -- the value is flagged rather than clamped, and no
-    quadrature rule in this module ever places a node there.
-    """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    s, t = np.broadcast_arrays(s, t)
-    scalar = s.ndim == 0
-    s = np.atleast_1d(s)
-    t = np.atleast_1d(t)
-
-    if isinstance(spec, UniformWeight):
-        out = np.where(
-            (spec.s1 <= s) & (s <= spec.s2) & (spec.t1 <= t) & (t <= spec.t2),
-            spec.scale,
-            0.0,
-        )
-    elif isinstance(spec, SingularWeight):
-        r = np.maximum(s, t)
-        quadrant = (s >= 0.0) & (t >= 0.0)
-        out = np.zeros_like(r)
-        pos = quadrant & (r > 0.0) & (r < 1.0)
-        out[pos] = spec.scale * r[pos] ** (-spec.alpha) * spec.ell(r[pos])
-        out[quadrant & (r == 0.0)] = np.inf
-    elif isinstance(spec, TriangleWeight):
-        inside = (t > 0.0) & (t < 1.0) & (np.abs(2.0 * s - 1.0) < t)
-        out = np.zeros_like(t)
-        ti = t[inside]
-        out[inside] = spec.scale * ti ** (-spec.alpha) * spec.ell(ti)
-    elif isinstance(spec, GridWeight):
-        M = spec.resolution
-        inside = (s >= 0.0) & (s <= 1.0) & (t >= 0.0) & (t <= 1.0)
-        out = np.zeros_like(s)
-        si = np.clip(s[inside] * M, 0.0, M)
-        ti = np.clip(t[inside] * M, 0.0, M)
-        i0 = np.minimum(si.astype(int), M - 1)
-        j0 = np.minimum(ti.astype(int), M - 1)
-        fs = si - i0
-        ft = ti - j0
-        v = spec.values
-        out[inside] = spec.scale * (
-            v[i0, j0] * (1 - fs) * (1 - ft)
-            + v[i0 + 1, j0] * fs * (1 - ft)
-            + v[i0, j0 + 1] * (1 - fs) * ft
-            + v[i0 + 1, j0 + 1] * fs * ft
-        )
-    else:
-        raise TypeError(f"not a weight spec: {spec!r}")
-    return float(out[0]) if scalar else out
-
-
-def eval_h(spec, n, s, t):
-    """Differenced kernel h_n(s,t), supported in [0, 1+1/n]^2."""
-    if n < 1:
-        raise ValueError(f"lattice resolution must be >= 1, got {n}")
-    d = 1.0 / n
-    return (
-        eval_g(spec, s, t)
-        - eval_g(spec, np.asarray(s, dtype=float) - d, t)
-        - eval_g(spec, s, np.asarray(t, dtype=float) - d)
-        + eval_g(spec, np.asarray(s, dtype=float) - d, np.asarray(t, dtype=float) - d)
-    )
-
-
-def thinning_count(n, kappa):
-    """Realized thinning k_n = ceil(n^(1-kappa))."""
-    if not 0.0 < kappa < 1.0:
-        raise ValueError(f"thinning exponent must lie in (0,1), got {kappa}")
-    if n < 1:
-        raise ValueError(f"lattice resolution must be >= 1, got {n}")
-    return int(math.ceil(n ** (1.0 - kappa) - 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -510,36 +354,74 @@ def _crossing_edges(region, struct_lines, axis):
     return out
 
 
+
 # ---------------------------------------------------------------------------
-# squared-kernel masses by dimensional reduction
+# admissible thinning ranges
 # ---------------------------------------------------------------------------
 
-def _profile(spec, r):
-    """The radial/height profile r^(-alpha) ell(r), zero outside (0,1).
+@dataclass(frozen=True)
+class KappaRange:
+    """Interval (0, upper) or (0, upper] of valid thinning exponents.
 
-    Callers guarantee r != 0; accepts scalars or arrays.
+    ``upper <= 0`` encodes the empty range; ``note`` carries the reason
+    (which kernels admit no single-point concentration at all).
     """
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    inside = (r > 0.0) & (r < 1.0)
-    ri = r[inside]
-    out[inside] = spec.scale * ri ** (-spec.alpha) * spec.ell(ri)
-    return out if out.ndim else float(out)
+
+    upper: float
+    upper_inclusive: bool = False
+    note: str = ""
+
+    @property
+    def empty(self):
+        return self.upper <= 0.0
+
+    def contains(self, kappa):
+        kappa = float(kappa)
+        if kappa <= 0.0 or self.empty:
+            return False
+        if self.upper_inclusive:
+            return kappa <= self.upper
+        return kappa < self.upper
+
+    def __str__(self):
+        if self.empty:
+            return "empty"
+        bracket = "]" if self.upper_inclusive else ")"
+        return f"(0, {self.upper:g}{bracket}"
 
 
-def _row_breaks_uniform(spec, n):
-    d = 1.0 / n
-    sb = np.array([spec.s1, spec.s1 + d, spec.s2, spec.s2 + d])
-    tb = [spec.t1, spec.t1 + d, spec.t2, spec.t2 + d]
-    return (lambda t: sb), tb
+# ---------------------------------------------------------------------------
+# weight specifications
+# ---------------------------------------------------------------------------
 
+class WeightSpec:
+    """Base of the weight variants: the defaults for facts a variant lacks.
 
-def _row_breaks_grid(spec, n):
-    d = 1.0 / n
-    M = spec.resolution
-    base = np.arange(M + 1) / M
-    sb = np.unique(np.concatenate([base, base + d]))
-    return (lambda t: sb), list(sb)
+    Every variant also defines ``evaluate``, ``mass``, ``support``,
+    ``kappa_range``, ``limit_atoms``, ``config_keys`` and ``from_config``.
+    """
+
+    variant = None               # config name and registry key
+    concentration_point = None   # single limit point of pi_n, if any
+    catalog_min_k = None         # smallest thinning count catalog() needs;
+                                 # None: the variant has no region catalog
+    has_strips = False           # signed_strips() exists
+    has_autocorrelation = False  # lattice_autocorrelation() exists
+
+    def window(self, eps):
+        """The shrinking neighborhood E carrying the concentration mass."""
+        raise ValueError(
+            f"{type(self).__name__} has no single concentration point; "
+            "pass an explicit center to build a neighborhood"
+        )
+
+    def corner_cells(self, n):
+        """Named cells carrying a multi-atom concentration limit."""
+        return {}
+
+    def exact_cn(self, n):
+        """c_n in closed form, or None where only quadrature knows it."""
+        return None
 
 
 def _mu_rowwise(spec, n, region, quadcfg, piece_nodes):
@@ -551,10 +433,7 @@ def _mu_rowwise(spec, n, region, quadcfg, piece_nodes):
     nodes per piece.  The outer t-integral is adaptive.
     """
     d = 1.0 / n
-    sbreaks_fn, t_edges = {
-        UniformWeight: _row_breaks_uniform,
-        GridWeight: _row_breaks_grid,
-    }[type(spec)](spec, n)
+    sbreaks, t_edges = spec._row_breaks(n)
 
     if piece_nodes:
         xi, wi = _gl(piece_nodes)
@@ -568,9 +447,8 @@ def _mu_rowwise(spec, n, region, quadcfg, piece_nodes):
             secs = regions.clip_intervals(secs, 0.0, 1.0 + d)
             if not secs:
                 continue
-            brks = sbreaks_fn(t)
             for a, b in secs:
-                cuts = [a] + [float(x) for x in brks if a < x < b] + [b]
+                cuts = [a] + [float(x) for x in sbreaks if a < x < b] + [b]
                 for lo, hi in zip(cuts[:-1], cuts[1:]):
                     if hi > lo:
                         mids.append((lo, hi))
@@ -592,237 +470,823 @@ def _mu_rowwise(spec, n, region, quadcfg, piece_nodes):
         np.add.at(out, owners, contrib)
         return out
 
-    struct = [(1.0, 0.0, float(sv)) for sv in sbreaks_fn(0.0)]
+    struct = [(1.0, 0.0, float(sv)) for sv in sbreaks]
     edges = list(t_edges) + regions.t_breakpoints(region)
     edges += _crossing_edges(region, struct, axis=1)
     pieces = _make_pieces(edges, [], 0.0, 1.0 + d)
     return _integrate_pieces(rows, pieces, quadcfg)
 
 
-def _mu_triangle(spec, n, region, quadcfg):
-    """Integral of h_n^2 over a region for the cone kernel.
+@dataclass(frozen=True)
+class _ProfileWeight(WeightSpec):
+    """The variants built on the profile r^(-alpha) ell(r): singular and cone."""
 
-    For fixed t the differenced kernel is piecewise constant in s: a signed
-    combination of the cone cross-section I(t), its 1/n-shift, and the same
-    pair one lattice row down.  Rows are summed exactly from symbolic
-    breakpoints expressed as (multiple of 1/n) + (coefficient) * u, where u
-    is the exact offset of t from the active singular height (0 or 1/n) --
-    keeping piece lengths of order u exact however deep the outer grading
-    goes.  Everything is done in the centered coordinate y = 2s - 1, where
-    the cross-section is just (-t, t).
-    """
-    d = 1.0 / n
+    alpha: float
+    ell: SlowFunction = field(default_factory=SlowFunction)
+    scale: float = 1.0
 
-    def rows(ts, deltas, origin):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if origin is not None and origin == 0.0:
-            us = np.atleast_1d(deltas)           # u == t, exact near zero
-            mode = "zero"
-        elif origin is not None and origin == d:
-            us = np.atleast_1d(deltas)           # u == t - d, exact
-            mode = "shift"
-        else:
-            us = ts - d
-            mode = "shift"
-        out = np.zeros_like(ts)
-        for i, (t, u) in enumerate(zip(ts, us)):
-            if t <= 0.0 or t >= 1.0 + d:
-                continue
-            ft = _profile(spec, t)
-            tau = t - d if mode == "zero" else u
-            ftau = _profile(spec, tau) if tau > 0.0 else 0.0
-            if ft == 0.0 and ftau == 0.0:
-                continue
-            # symbolic y-breakpoints (base, coeff): position = base + coeff*u
-            if mode == "zero":
-                cur = ((0.0, -1.0), (0.0, 1.0))              # (-t, t)
-                curs = ((2.0 * d, -1.0), (2.0 * d, 1.0))     # (2d-t, 2d+t)
-                old = olds = None                            # tau < 0 here
-            else:
-                cur = ((-d, -1.0), (d, 1.0))                 # t = d + u
-                curs = ((d, -1.0), (3.0 * d, 1.0))
-                old = ((0.0, -1.0), (0.0, 1.0))              # (-tau, tau)
-                olds = ((2.0 * d, -1.0), (2.0 * d, 1.0))
-            brks = [*cur, *curs]
-            if ftau != 0.0 and old is not None:
-                brks.extend((*old, *olds))
+    def profile(self, r):
+        """The radial/height profile r^(-alpha) ell(r), zero outside (0,1).
 
-            def pos(bk):
-                return bk[0] + bk[1] * u
+        Callers guarantee r != 0; accepts scalars or arrays.
+        """
+        r = np.asarray(r, dtype=float)
+        out = np.zeros_like(r)
+        inside = (r > 0.0) & (r < 1.0)
+        ri = r[inside]
+        out[inside] = self.scale * ri ** (-self.alpha) * self.ell(ri)
+        return out if out.ndim else float(out)
 
-            def before(m, bk):
-                # is symbolic midpoint m strictly left of breakpoint bk?
-                if m[0] == bk[0]:
-                    return (m[1] - bk[1]) * u < 0.0
-                return pos(m) < pos(bk)
+    def limit_atoms(self):
+        """A unit point mass at the concentration point."""
+        return ((1.0, self.concentration_point),)
 
-            def inside(m, iv):
-                return bool(iv is not None and before(iv[0], m) and before(m, iv[1]))
+    def config_keys(self):
+        return {"weight.alpha": repr(self.alpha), "weight.ell": self.ell.name}
 
-            secs = regions.row_sections(region, t)
-            secs = regions.clip_intervals(secs, 0.0, 1.0 + d)
-            acc = 0.0
-            for a, b in secs:
-                ya, yb = 2.0 * a - 1.0, 2.0 * b - 1.0
-                cuts = [(ya, 0.0)] + sorted(
-                    (bk for bk in brks if before((ya, 0.0), bk) and before(bk, (yb, 0.0))),
-                    key=pos,
-                ) + [(yb, 0.0)]
-                for lo, hi in zip(cuts[:-1], cuts[1:]):
-                    length = (hi[0] - lo[0]) + (hi[1] - lo[1]) * u
-                    if length <= 0.0:
-                        continue
-                    m = (0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1]))
-                    v = 0.0
-                    if ft != 0.0:
-                        v += ft * (inside(m, cur) - inside(m, curs))
-                    if ftau != 0.0:
-                        v -= ftau * (inside(m, old) - inside(m, olds))
-                    acc += length * v * v
-            out[i] = 0.5 * acc  # ds = dy / 2
+    @classmethod
+    def from_config(cls, mapping, scale):
+        if "weight.alpha" not in mapping:
+            raise ValueError(f"missing key weight.alpha for the {cls.variant} variant")
+        ell = SlowFunction.from_catalog(mapping.get("weight.ell", "one_minus_s"))
+        return cls(alpha=float(mapping["weight.alpha"]), ell=ell, scale=scale)
+
+
+@dataclass(frozen=True)
+class UniformWeight(WeightSpec):
+    """Indicator of the rectangle [s1, s2] x [t1, t2], optionally scaled."""
+
+    s1: float = 0.25
+    s2: float = 0.75
+    t1: float = 0.25
+    t2: float = 0.75
+    scale: float = 1.0
+
+    variant = "uniform"
+    has_strips = True
+    has_autocorrelation = True
+
+    def __post_init__(self):
+        if not (0.0 <= self.s1 < self.s2 <= 1.0 and 0.0 <= self.t1 < self.t2 <= 1.0):
+            raise ValueError(f"rectangle corners must satisfy 0 <= lo < hi <= 1, got {self!r}")
+        if self.scale <= 0.0:
+            raise ValueError(f"scale must be positive, got {self.scale}")
+
+    def evaluate(self, s, t):
+        return np.where(
+            (self.s1 <= s) & (s <= self.s2) & (self.t1 <= t) & (t <= self.t2),
+            self.scale,
+            0.0,
+        )
+
+    def _row_breaks(self, n):
+        d = 1.0 / n
+        sb = np.array([self.s1, self.s1 + d, self.s2, self.s2 + d])
+        tb = [self.t1, self.t1 + d, self.t2, self.t2 + d]
+        return sb, tb
+
+    def mass(self, n, region, quadcfg):
+        return _mu_rowwise(self, n, region, quadcfg, piece_nodes=0)
+
+    def exact_cn(self, n):
+        return 4.0 / n ** 2 * self.scale ** 2
+
+    def corner_cells(self, n):
+        """The four corner cells carrying the concentration mass."""
+        d = 1.0 / n
+        return {
+            "corner_11": Rect(self.s1, self.s1 + d, self.t1, self.t1 + d),
+            "corner_21": Rect(self.s2, self.s2 + d, self.t1, self.t1 + d),
+            "corner_12": Rect(self.s1, self.s1 + d, self.t2, self.t2 + d),
+            "corner_22": Rect(self.s2, self.s2 + d, self.t2, self.t2 + d),
+        }
+
+    def limit_atoms(self):
+        """The mass splits evenly over the four window corners."""
+        return (
+            (0.25, (self.s1, self.t1)), (0.25, (self.s1, self.t2)),
+            (0.25, (self.s2, self.t1)), (0.25, (self.s2, self.t2)),
+        )
+
+    def support(self):
+        return Rect(self.s1, self.s2, self.t1, self.t2)
+
+    def kappa_range(self):
+        """Empty: four separated corners, so no single shrinking window fits."""
+        return KappaRange(
+            upper=0.0,
+            note=(
+                "the rectangle indicator concentrates on four separated "
+                "corner cells, so the single-window decay hypothesis cannot "
+                "hold for any thinning exponent"
+            ),
+        )
+
+    def lattice_autocorrelation(self, n, quadcfg):
+        """(i, j) -> int g(x) g(x + (i, j)/n) dx: the overlap of two shifted windows."""
+        d = 1.0 / n
+        len_s = self.s2 - self.s1
+        len_t = self.t2 - self.t1
+
+        def g2s(i, j):
+            ov1 = max(0.0, len_s - abs(i * d))
+            ov2 = max(0.0, len_t - abs(j * d))
+            return self.scale**2 * ov1 * ov2
+
+        return g2s
+
+    def signed_strips(self, n, eps, idx):
+        """Signed u-intervals carrying the s-difference factor for each index.
+
+        The one-axis difference 1[s1,s2](x) - 1[s1,s2](x-d) is +1 on
+        [s1, s1+w) and -1 on [s2+d-w, s2+d) with w = min(d, s2-s1); in the u
+        variable (u = lattice coordinate minus x) both flip and translate.
+        """
+        d = 1.0 / n
+        wid_s = min(d, self.s2 - self.s1)
+        wid_t = min(d, self.t2 - self.t1)
+        out = []
+        for i, j in idx:
+            u_plus = (eps * i - self.s1 - wid_s, eps * i - self.s1)
+            u_minus = (eps * i - self.s2 - d, eps * i - self.s2 - d + wid_s)
+            v_plus = (eps * j - self.t1 - wid_t, eps * j - self.t1)
+            v_minus = (eps * j - self.t2 - d, eps * j - self.t2 - d + wid_t)
+            out.append(((u_plus, 1.0), (u_minus, -1.0), (v_plus, 1.0), (v_minus, -1.0)))
         return out
 
-    # cone edges 2s -+ t = 1 of all four shifted kernel copies
-    struct = [(2.0, -1.0, v) for v in (1.0, 1.0 + 2.0 * d, 1.0 - d, 1.0 + d)]
-    struct += [(2.0, 1.0, v) for v in (1.0, 1.0 + 2.0 * d, 1.0 + d, 1.0 + 3.0 * d)]
-    edges = [0.0, d, 2.0 * d, 3.0 * d, 1.0, 1.0 + d] + regions.t_breakpoints(region)
-    edges += _crossing_edges(region, struct, axis=1)
-    # opposite-family cone edges cross each other at multiples of d/2; rows
-    # kink there even without a region cut (the full-mass pieces happen to
-    # put dyadic panel edges on those heights, arbitrary regions do not)
-    edges += [0.5 * d, 1.5 * d, 2.5 * d]
-    pieces = _make_pieces(edges, [0.0, d], 0.0, 1.0 + d)
-    return _integrate_pieces(rows, pieces, quadcfg)
+    def config_keys(self):
+        return {
+            "weight.s1": repr(self.s1),
+            "weight.s2": repr(self.s2),
+            "weight.t1": repr(self.t1),
+            "weight.t2": repr(self.t2),
+        }
+
+    @classmethod
+    def from_config(cls, mapping, scale):
+        return cls(
+            s1=float(mapping.get("weight.s1", 0.25)),
+            s2=float(mapping.get("weight.s2", 0.75)),
+            t1=float(mapping.get("weight.t1", 0.25)),
+            t2=float(mapping.get("weight.t2", 0.75)),
+            scale=scale,
+        )
 
 
-def _mu_singular_half(spec, n, region, quadcfg):
-    """Integral of h_n^2 over region intersected with the lower triangle {t < s}.
+@dataclass(frozen=True)
+class SingularWeight(_ProfileWeight):
+    """g(s,t) = (s v t)^(-alpha) ell(s v t) on the unit square, alpha in (0,1)."""
 
-    Below the diagonal the differenced kernel at fixed s > 1/n is built from
-    three profile values: with sig = s - 1/n,
+    variant = "singular"
+    concentration_point = (0.0, 0.0)
+    catalog_min_k = 2
+    has_autocorrelation = True
 
-    ========================  =======================
-    t in (0, min(1/n, sig))   f(s) - f(sig)
-    t in (1/n, sig)           0
-    t in (sig, 1/n)           f(s) - f(t)
-    t in (max(1/n, sig), 1)   f(sig) - f(t)
-    t in (1, s)               f(sig)
-    ========================  =======================
+    def __post_init__(self):
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"singularity exponent must lie in (0,1), got {self.alpha}")
+        if self.scale <= 0.0:
+            raise ValueError(f"scale must be positive, got {self.scale}")
 
-    (for s <= 1/n the whole column is the constant f(s)).  Pieces varying
-    through f(t) integrate on panels doubling geometrically in absolute t, so
-    the per-panel relative variation stays bounded however close the lower
-    endpoint sits to the origin.  The offset sig arrives exact from the outer
-    graded layout; the table above never subtracts nearby floats.
-    """
-    d = 1.0 / n
-    inner_nodes = quadcfg.nodes
+    def evaluate(self, s, t):
+        r = np.maximum(s, t)
+        quadrant = (s >= 0.0) & (t >= 0.0)
+        out = np.zeros_like(r)
+        pos = quadrant & (r > 0.0) & (r < 1.0)
+        out[pos] = self.scale * r[pos] ** (-self.alpha) * self.ell(r[pos])
+        out[quadrant & (r == 0.0)] = np.inf
+        return out
 
-    def make_col(nodes, doublings=64):
-        xi, wi = _gl(nodes)
-        growth = 2.0 ** np.arange(doublings, dtype=float)
+    def mass(self, n, region, quadcfg):
+        lower = self._mass_lower(n, region, quadcfg)
+        upper = self._mass_lower(n, regions.transpose(region), quadcfg)
+        return lower + upper
 
-        def col(ss, deltas, origin):
-            ss = np.atleast_1d(np.asarray(ss, dtype=float))
-            if origin is not None and origin == d:
-                sigs = np.atleast_1d(deltas)
-            else:
-                sigs = ss - d
-            out = np.zeros_like(ss)
-            own, los, his, consts = [], [], [], []
-            for i, (s, sig) in enumerate(zip(ss, sigs)):
-                top = min(s, 1.0 + d)
-                secs = regions.col_sections(region, s)
-                secs = regions.clip_intervals(secs, 0.0, top)
-                if not secs:
-                    continue
-                fs = _profile(spec, s)
-                if sig <= 0.0:
-                    # whole column constant: the shifted copies fall outside
+    def _mass_lower(self, n, region, quadcfg):
+        """Integral of h_n^2 over region intersected with the lower triangle {t < s}.
+
+        Below the diagonal the differenced kernel at fixed s > 1/n is built from
+        three profile values: with sig = s - 1/n,
+
+        ========================  =======================
+        t in (0, min(1/n, sig))   f(s) - f(sig)
+        t in (1/n, sig)           0
+        t in (sig, 1/n)           f(s) - f(t)
+        t in (max(1/n, sig), 1)   f(sig) - f(t)
+        t in (1, s)               f(sig)
+        ========================  =======================
+
+        (for s <= 1/n the whole column is the constant f(s)).  Pieces varying
+        through f(t) integrate on panels doubling geometrically in absolute t, so
+        the per-panel relative variation stays bounded however close the lower
+        endpoint sits to the origin.  The offset sig arrives exact from the outer
+        graded layout; the table above never subtracts nearby floats.
+        """
+        d = 1.0 / n
+        inner_nodes = quadcfg.nodes
+
+        def make_col(nodes, doublings=64):
+            xi, wi = _gl(nodes)
+            growth = 2.0 ** np.arange(doublings, dtype=float)
+
+            def col(ss, deltas, origin):
+                ss = np.atleast_1d(np.asarray(ss, dtype=float))
+                if origin is not None and origin == d:
+                    sigs = np.atleast_1d(deltas)
+                else:
+                    sigs = ss - d
+                out = np.zeros_like(ss)
+                own, los, his, consts = [], [], [], []
+                for i, (s, sig) in enumerate(zip(ss, sigs)):
+                    top = min(s, 1.0 + d)
+                    secs = regions.col_sections(region, s)
+                    secs = regions.clip_intervals(secs, 0.0, top)
+                    if not secs:
+                        continue
+                    fs = self.profile(s)
+                    if sig <= 0.0:
+                        # whole column constant: the shifted copies fall outside
+                        for a, b in secs:
+                            out[i] += (b - a) * fs * fs
+                        continue
+                    fsig = self.profile(sig)
+                    if sig < d:
+                        # below 1/n: (0, sig) constant, (sig, 1/n) varying in f(t)
+                        for a, b in regions.clip_intervals(secs, 0.0, d):
+                            local = [a] + ([sig] if a < sig < b else []) + [b]
+                            for lo, hi in zip(local[:-1], local[1:]):
+                                if hi <= lo:
+                                    continue
+                                if 0.5 * (lo + hi) < sig:
+                                    v = fs - fsig
+                                    out[i] += (hi - lo) * v * v
+                                else:
+                                    own.append(i)
+                                    los.append(lo)
+                                    his.append(hi)
+                                    consts.append(fs)
+                        # top band (1/n, s): true width sig, kept as exact offsets
+                        # from 1/n even when s = 1/n + sig rounds back to 1/n and
+                        # the float interval collapses (Sterbenz: a - d is exact);
+                        # f is smooth here, one Gauss panel suffices
+                        if top > d:
+                            trail = [(a - d, sig if b >= top else b - d)
+                                     for a, b in regions.clip_intervals(secs, d, top)]
+                        elif regions.contains(region, s, d):
+                            trail = [(0.0, sig)]
+                        else:
+                            trail = []
+                        for lo_off, hi_off in trail:
+                            w = hi_off - lo_off
+                            if w > 0.0:
+                                tq = d + (lo_off + 0.5 * w * (1.0 + xi))
+                                vals = (fsig - self.profile(tq)) ** 2
+                                out[i] += 0.5 * w * float(vals @ wi)
+                        continue
+                    cuts = sorted({d, sig, 1.0})
                     for a, b in secs:
-                        out[i] += (b - a) * fs * fs
-                    continue
-                fsig = _profile(spec, sig)
-                if sig < d:
-                    # below 1/n: (0, sig) constant, (sig, 1/n) varying in f(t)
-                    for a, b in regions.clip_intervals(secs, 0.0, d):
-                        local = [a] + ([sig] if a < sig < b else []) + [b]
+                        local = [a] + [x for x in cuts if a < x < b] + [b]
                         for lo, hi in zip(local[:-1], local[1:]):
                             if hi <= lo:
                                 continue
-                            if 0.5 * (lo + hi) < sig:
+                            m = 0.5 * (lo + hi)
+                            if m < d:
                                 v = fs - fsig
                                 out[i] += (hi - lo) * v * v
+                            elif m < sig:
+                                pass  # shifted copies cancel exactly
+                            elif m >= 1.0:
+                                out[i] += (hi - lo) * fsig * fsig
                             else:
                                 own.append(i)
                                 los.append(lo)
                                 his.append(hi)
-                                consts.append(fs)
-                    # top band (1/n, s): true width sig, kept as exact offsets
-                    # from 1/n even when s = 1/n + sig rounds back to 1/n and
-                    # the float interval collapses (Sterbenz: a - d is exact);
-                    # f is smooth here, one Gauss panel suffices
-                    if top > d:
-                        trail = [(a - d, sig if b >= top else b - d)
-                                 for a, b in regions.clip_intervals(secs, d, top)]
-                    elif regions.contains(region, s, d):
-                        trail = [(0.0, sig)]
-                    else:
-                        trail = []
-                    for lo_off, hi_off in trail:
-                        w = hi_off - lo_off
-                        if w > 0.0:
-                            tq = d + (lo_off + 0.5 * w * (1.0 + xi))
-                            vals = (fsig - _profile(spec, tq)) ** 2
-                            out[i] += 0.5 * w * float(vals @ wi)
+                                consts.append(fsig)
+                if own:
+                    own = np.asarray(own)
+                    lo = np.asarray(los)
+                    hi = np.asarray(his)
+                    amp = np.asarray(consts)
+                    edges = np.minimum(lo[:, None] * growth, hi[:, None])
+                    edges = np.concatenate([edges, hi[:, None]], axis=1)
+                    a, b = edges[:, :-1], edges[:, 1:]
+                    x = 0.5 * (a + b)[:, :, None] + 0.5 * (b - a)[:, :, None] * xi
+                    hv = (amp[:, None, None] - self.profile(x.ravel()).reshape(x.shape)) ** 2
+                    contrib = np.sum(0.5 * (b - a)[:, :, None] * wi * hv, axis=(1, 2))
+                    np.add.at(out, own, contrib)
+                return out
+
+            return col
+
+        col_lo = make_col(inner_nodes)
+        col_hi = make_col(inner_nodes + 4)
+
+        # inner formula changes on t in {0, 1/n, 1} and on the moving cuts
+        # t = s and t = s - 1/n
+        struct = [(0.0, 1.0, 0.0), (0.0, 1.0, d), (0.0, 1.0, 1.0),
+                  (1.0, -1.0, 0.0), (1.0, -1.0, d)]
+        edges = [0.0, d, 2.0 * d, 1.0, 1.0 + d] + regions.s_breakpoints(region)
+        edges += _crossing_edges(region, struct, axis=0)
+        pieces = _make_pieces(edges, [0.0, d], 0.0, 1.0 + d)
+        return _integrate_pieces(col_lo, pieces, quadcfg, f_check=col_hi)
+
+    def window(self, eps):
+        return Rect(0.0, eps, 0.0, eps)
+
+    def support(self):
+        return Rect(0.0, 1.0, 0.0, 1.0)
+
+    def kappa_range(self):
+        """(0, alpha] for alpha < 1/2, else (0, (2 alpha + 1)/(2 alpha + 3)).
+
+        The range depends on how fast the singularity spreads mass away from
+        the concentration point; the two formulas meet at alpha = 1/2.
+        """
+        a = self.alpha
+        if a < 0.5:
+            return KappaRange(upper=a, upper_inclusive=True)
+        return KappaRange(upper=(2.0 * a + 1.0) / (2.0 * a + 3.0))
+
+    def catalog(self, n, eps):
+        """The anatomy of the lower half {t < s}.
+
+        A strip ``B1`` just above the s-axis, a diagonal band ``B2`` hugging
+        t = s, the interior ``B3`` between them (where the four kernel copies
+        cancel exactly), and the leftovers ``B4`` beyond s = 1, each band
+        with its mirror image across t = s.
+        """
+        d = 1.0 / n
+        lower_half = HalfPlane(-1.0, 1.0, 0.0)          # {t < s}
+        below_diag = HalfPlane(-1.0, 1.0, -d)           # {t < s - 1/n}
+
+        def mirrored(reg):
+            return Union((reg, regions.transpose(reg)))
+
+        return {
+            "E": self.window(eps),
+            "Etilde": Intersection((Rect(0.0, d, 0.0, d), lower_half)),
+            "T": Intersection((Rect(0.0, 1.0 + d, 0.0, 1.0 + d), lower_half)),
+            "B1": mirrored(Rect(eps, 1.0, 0.0, d)),
+            "B2": mirrored(Intersection((Rect(eps, 1.0, 0.0, 1.0), band(0.0, d)))),
+            "B3": mirrored(Intersection((Rect(eps, 1.0 + d, d, 1.0 + d), below_diag))),
+            "B4": mirrored(Union((
+                Rect(1.0, 1.0 + d, 0.0, d),
+                Intersection((Rect(1.0, 1.0 + d, 0.0, 1.0 + d), band(0.0, d))),
+            ))),
+        }
+
+    def _profile_antiderivative(self):
+        """Stable increment y -> F(y + w) - F(y) of the antiderivative F = int f.
+
+        Only slow factors whose profile integrates to a finite power sum admit
+        one; anything else raises ValueError and the caller falls back to the
+        simulation route.
+        """
+        al, sc, name = self.alpha, self.scale, self.ell.name
+        if name == "one":
+            coef = [(1.0, 1.0 - al)]
+        elif name == "one_minus_s":
+            coef = [(1.0, 1.0 - al), (-1.0, 2.0 - al)]
+        elif name == "smooth_cutoff":
+            coef = [(1.0, 1.0 - al), (-2.0, 2.0 - al), (1.0, 3.0 - al)]
+        else:
+            raise ValueError(
+                f"exact covariance needs a closed-form antiderivative; slow factor "
+                f"{name!r} has none (use the simulation route instead)"
+            )
+
+        def fdiff(y, w):
+            """F(y + w) - F(y) for y >= 0, zero where w <= 0.
+
+            Formed per power term as y**e * expm1(e * log1p(w/y)), never as a
+            difference of two antiderivative values: the graded quadrature feeds
+            widths w down to ~1e-17 next to a pinch of the wedge, where
+            F(y + w) - F(y) computed literally is pure rounding staircase.
+            """
+            y = np.asarray(y, dtype=float)
+            w = np.asarray(w, dtype=float)
+            live = w > 0.0
+            at0 = live & (y <= 0.0)
+            safe_y = np.where(y > 0.0, y, 1.0)
+            safe_w = np.where(live, w, 1.0)
+            grow = np.log1p(np.where(live, w, 0.0) / safe_y)
+            out = np.zeros(np.broadcast(y, w).shape, dtype=float)
+            for c, e in coef:
+                term = np.where(at0, safe_w**e, safe_y**e * np.expm1(e * grow))
+                out += (c / e) * term
+            return sc * np.where(live, out, 0.0)
+
+        return fdiff
+
+    def autocorrelation(self, w1, w2, quadcfg):
+        """Autocorrelation of the singular weight: int g(x) g(x + w) dx.
+
+        Splitting along the two max-diagonals x2 = x1 and x2 = x1 + (w1 - w2)
+        leaves wedges where the integrand is constant in one coordinate or a
+        separable product, so everything collapses to 1-D integrals of
+        f(x)f(x+w)*linear and f(x)*(F-difference) with F the profile
+        antiderivative.  Offsets from the singular abscissas {0, -w1, -w2}
+        arrive exact from the graded layout.
+        """
+        a1, b1 = max(0.0, -w1), min(1.0, 1.0 - w1)
+        a2, b2 = max(0.0, -w2), min(1.0, 1.0 - w2)
+        if b1 <= a1 or b2 <= a2:
+            return 0.0
+        c = w1 - w2
+        fdiff = self._profile_antiderivative()
+
+        def offs(x, delta, origin, base):
+            if origin is not None and origin == base:
+                return np.asarray(delta, dtype=float)
+            return np.asarray(x, dtype=float) - base
+
+        def pval(x, delta, origin, base):
+            return self.profile(offs(x, delta, origin, base))
+
+        # Every length/width below is a min over pairwise differences of the
+        # window endpoints, each difference formed at its own best precision
+        # (constants cancel symbolically, moving endpoints go through offs so a
+        # graded origin keeps full relative accuracy).  Subtracting two clipped
+        # endpoint values instead goes to rounding noise exactly where the
+        # grading dives deepest.
+
+        def region_a(x, delta, origin):
+            moving = offs(x, delta, origin, a2 - min(0.0, c))
+            length = np.clip(moving, 0.0, b2 - a2)
+            return pval(x, delta, origin, 0.0) * pval(x, delta, origin, -w1) * length
+
+        def region_b(x, delta, origin):
+            moving = offs(x, delta, origin, a1 + max(0.0, c))
+            length = np.clip(moving, 0.0, b1 - a1)
+            return pval(x, delta, origin, 0.0) * pval(x, delta, origin, -w2) * length
+
+        def region_c(x, delta, origin):
+            width = np.minimum(
+                min(-c, b2 - a2),
+                np.minimum(offs(x, delta, origin, a2), -offs(x, delta, origin, b2 - c)),
+            )
+            low = np.maximum(offs(x, delta, origin, -w1), a2 + w2)
+            return pval(x, delta, origin, 0.0) * fdiff(low, width)
+
+        def region_d(x, delta, origin):
+            width = np.minimum(
+                min(c, b1 - a1),
+                np.minimum(offs(x, delta, origin, a1), -offs(x, delta, origin, b1 + c)),
+            )
+            low = np.maximum(offs(x, delta, origin, -w2), a1 + w1)
+            return pval(x, delta, origin, 0.0) * fdiff(low, width)
+
+        brks = [a1, b1, a2, b2, a2 - c, b2 - c, a1 + c, b1 + c,
+                -w1, -w2, 1.0 - w1, 1.0 - w2, 0.0, 1.0]
+        sing = [0.0, -w1, -w2]
+        total = 0.0
+        plan = [(region_a, a1, b1), (region_b, a2, b2)]
+        if c < 0.0:
+            plan.append((region_c, a1, b1))
+        elif c > 0.0:
+            plan.append((region_d, a2, b2))
+        for fn, lo, hi in plan:
+            pieces = _make_pieces(brks + sing, sing, lo, hi)
+            if pieces:
+                total += _integrate_pieces(fn, pieces, quadcfg)
+        return total
+
+    def lattice_autocorrelation(self, n, quadcfg):
+        """(i, j) -> autocorrelation at the lattice offset (i/n, j/n), memoized."""
+        d = 1.0 / n
+        cache = {}
+
+        def g2s(i, j):
+            # G2(w) = G2(-w) and G2 is swap-symmetric, so the canonical key is
+            # (smaller magnitude, larger magnitude, same-sign flag)
+            same = i == 0 or j == 0 or (i > 0) == (j > 0)
+            ii, jj = min(abs(i), abs(j)), max(abs(i), abs(j))
+            key = (ii, jj, same)
+            if key not in cache:
+                w2 = jj * d if same else -jj * d
+                cache[key] = self.autocorrelation(ii * d, w2, quadcfg)
+            return cache[key]
+
+        return g2s
+
+
+@dataclass(frozen=True)
+class TriangleWeight(_ProfileWeight):
+    """g(s,t) = t^(-alpha) ell(t) on the cone {(1-t)/2 < s < (1+t)/2}, alpha in (1/2,1)."""
+
+    variant = "triangle"
+    concentration_point = (0.5, 0.0)
+    # the edge-band anatomy needs the window taller than the sliver stack
+    catalog_min_k = 4
+
+    def __post_init__(self):
+        if not 0.5 < self.alpha < 1.0:
+            raise ValueError(f"cone exponent must lie in (1/2,1), got {self.alpha}")
+        if self.scale <= 0.0:
+            raise ValueError(f"scale must be positive, got {self.scale}")
+
+    def evaluate(self, s, t):
+        inside = (t > 0.0) & (t < 1.0) & (np.abs(2.0 * s - 1.0) < t)
+        out = np.zeros_like(t)
+        ti = t[inside]
+        out[inside] = self.scale * ti ** (-self.alpha) * self.ell(ti)
+        return out
+
+    def mass(self, n, region, quadcfg):
+        """Integral of h_n^2 over a region for the cone kernel.
+
+        For fixed t the differenced kernel is piecewise constant in s: a signed
+        combination of the cone cross-section I(t), its 1/n-shift, and the same
+        pair one lattice row down.  Rows are summed exactly from symbolic
+        breakpoints expressed as (multiple of 1/n) + (coefficient) * u, where u
+        is the exact offset of t from the active singular height (0 or 1/n) --
+        keeping piece lengths of order u exact however deep the outer grading
+        goes.  Everything is done in the centered coordinate y = 2s - 1, where
+        the cross-section is just (-t, t).
+        """
+        d = 1.0 / n
+
+        def rows(ts, deltas, origin):
+            ts = np.atleast_1d(np.asarray(ts, dtype=float))
+            if origin is not None and origin == 0.0:
+                us = np.atleast_1d(deltas)           # u == t, exact near zero
+                mode = "zero"
+            elif origin is not None and origin == d:
+                us = np.atleast_1d(deltas)           # u == t - d, exact
+                mode = "shift"
+            else:
+                us = ts - d
+                mode = "shift"
+            out = np.zeros_like(ts)
+            for i, (t, u) in enumerate(zip(ts, us)):
+                if t <= 0.0 or t >= 1.0 + d:
                     continue
-                cuts = sorted({d, sig, 1.0})
+                ft = self.profile(t)
+                tau = t - d if mode == "zero" else u
+                ftau = self.profile(tau) if tau > 0.0 else 0.0
+                if ft == 0.0 and ftau == 0.0:
+                    continue
+                # symbolic y-breakpoints (base, coeff): position = base + coeff*u
+                if mode == "zero":
+                    cur = ((0.0, -1.0), (0.0, 1.0))              # (-t, t)
+                    curs = ((2.0 * d, -1.0), (2.0 * d, 1.0))     # (2d-t, 2d+t)
+                    old = olds = None                            # tau < 0 here
+                else:
+                    cur = ((-d, -1.0), (d, 1.0))                 # t = d + u
+                    curs = ((d, -1.0), (3.0 * d, 1.0))
+                    old = ((0.0, -1.0), (0.0, 1.0))              # (-tau, tau)
+                    olds = ((2.0 * d, -1.0), (2.0 * d, 1.0))
+                brks = [*cur, *curs]
+                if ftau != 0.0 and old is not None:
+                    brks.extend((*old, *olds))
+
+                def pos(bk):
+                    return bk[0] + bk[1] * u
+
+                def before(m, bk):
+                    # is symbolic midpoint m strictly left of breakpoint bk?
+                    if m[0] == bk[0]:
+                        return (m[1] - bk[1]) * u < 0.0
+                    return pos(m) < pos(bk)
+
+                def inside(m, iv):
+                    return bool(iv is not None and before(iv[0], m) and before(m, iv[1]))
+
+                secs = regions.row_sections(region, t)
+                secs = regions.clip_intervals(secs, 0.0, 1.0 + d)
+                acc = 0.0
                 for a, b in secs:
-                    local = [a] + [x for x in cuts if a < x < b] + [b]
-                    for lo, hi in zip(local[:-1], local[1:]):
-                        if hi <= lo:
+                    ya, yb = 2.0 * a - 1.0, 2.0 * b - 1.0
+                    cuts = [(ya, 0.0)] + sorted(
+                        (bk for bk in brks if before((ya, 0.0), bk) and before(bk, (yb, 0.0))),
+                        key=pos,
+                    ) + [(yb, 0.0)]
+                    for lo, hi in zip(cuts[:-1], cuts[1:]):
+                        length = (hi[0] - lo[0]) + (hi[1] - lo[1]) * u
+                        if length <= 0.0:
                             continue
-                        m = 0.5 * (lo + hi)
-                        if m < d:
-                            v = fs - fsig
-                            out[i] += (hi - lo) * v * v
-                        elif m < sig:
-                            pass  # shifted copies cancel exactly
-                        elif m >= 1.0:
-                            out[i] += (hi - lo) * fsig * fsig
-                        else:
-                            own.append(i)
-                            los.append(lo)
-                            his.append(hi)
-                            consts.append(fsig)
-            if own:
-                own = np.asarray(own)
-                lo = np.asarray(los)
-                hi = np.asarray(his)
-                amp = np.asarray(consts)
-                edges = np.minimum(lo[:, None] * growth, hi[:, None])
-                edges = np.concatenate([edges, hi[:, None]], axis=1)
-                a, b = edges[:, :-1], edges[:, 1:]
-                x = 0.5 * (a + b)[:, :, None] + 0.5 * (b - a)[:, :, None] * xi
-                hv = (amp[:, None, None] - _profile(spec, x.ravel()).reshape(x.shape)) ** 2
-                contrib = np.sum(0.5 * (b - a)[:, :, None] * wi * hv, axis=(1, 2))
-                np.add.at(out, own, contrib)
+                        m = (0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1]))
+                        v = 0.0
+                        if ft != 0.0:
+                            v += ft * (inside(m, cur) - inside(m, curs))
+                        if ftau != 0.0:
+                            v -= ftau * (inside(m, old) - inside(m, olds))
+                        acc += length * v * v
+                out[i] = 0.5 * acc  # ds = dy / 2
             return out
 
-        return col
+        # cone edges 2s -+ t = 1 of all four shifted kernel copies
+        struct = [(2.0, -1.0, v) for v in (1.0, 1.0 + 2.0 * d, 1.0 - d, 1.0 + d)]
+        struct += [(2.0, 1.0, v) for v in (1.0, 1.0 + 2.0 * d, 1.0 + d, 1.0 + 3.0 * d)]
+        edges = [0.0, d, 2.0 * d, 3.0 * d, 1.0, 1.0 + d] + regions.t_breakpoints(region)
+        edges += _crossing_edges(region, struct, axis=1)
+        # opposite-family cone edges cross each other at multiples of d/2; rows
+        # kink there even without a region cut (the full-mass pieces happen to
+        # put dyadic panel edges on those heights, arbitrary regions do not)
+        edges += [0.5 * d, 1.5 * d, 2.5 * d]
+        pieces = _make_pieces(edges, [0.0, d], 0.0, 1.0 + d)
+        return _integrate_pieces(rows, pieces, quadcfg)
 
-    col_lo = make_col(inner_nodes)
-    col_hi = make_col(inner_nodes + 4)
+    def window(self, eps):
+        return Rect(0.5 - 0.5 * eps, 0.5 + 0.5 * eps, 0.0, 0.5 * eps)
 
-    # inner formula changes on t in {0, 1/n, 1} and on the moving cuts
-    # t = s and t = s - 1/n
-    struct = [(0.0, 1.0, 0.0), (0.0, 1.0, d), (0.0, 1.0, 1.0),
-              (1.0, -1.0, 0.0), (1.0, -1.0, d)]
-    edges = [0.0, d, 2.0 * d, 1.0, 1.0 + d] + regions.s_breakpoints(region)
-    edges += _crossing_edges(region, struct, axis=0)
-    pieces = _make_pieces(edges, [0.0, d], 0.0, 1.0 + d)
-    return _integrate_pieces(col_lo, pieces, quadcfg, f_check=col_hi)
+    def support(self):
+        # closure of the cone: vertices (1/2, 0), (0, 1), (1, 1)
+        return Intersection(
+            (
+                Rect(0.0, 1.0, 0.0, 1.0),
+                HalfPlane(-2.0, -1.0, -1.0),  # 2s + t > 1
+                HalfPlane(2.0, -1.0, 1.0),    # 2s - t < 1
+            )
+        )
 
+    def kappa_range(self):
+        """(0, (2 alpha - 1)/(2 alpha + 1)), open."""
+        a = self.alpha
+        return KappaRange(upper=(2.0 * a - 1.0) / (2.0 * a + 1.0))
+
+    def catalog(self, n, eps):
+        """The edge anatomy of the differenced cone.
+
+        At each height the four shifted copies cut six slanted slivers of
+        width (1/n)/2 into the two cone edges -- the fresh edge pair ``B1``,
+        the differenced pair ``B2``, the stale pair ``B3`` -- plus the top
+        band ``B4`` above height 1.  This anatomy needs the cone at the
+        window edge to be wider than the sliver stack, i.e. eps/2 >= 2/n.
+        """
+        d = 1.0 / n
+        if 0.5 * eps < 2.0 * d:
+            raise ValueError(
+                f"cone cross-section at the window edge (height {0.5 * eps:g}) "
+                f"is narrower than the differenced edge bands (depth {2.0 * d:g}); "
+                "increase n or lower kappa"
+            )
+        heights = Rect(0.0, 2.0, 0.5 * eps, 1.0)
+        cone = Intersection((HalfPlane(-2.0, -1.0, -1.0), HalfPlane(2.0, -1.0, 1.0)))
+        return {
+            "E": self.window(eps),
+            "Etilde": Intersection((cone, Rect(0.0, 1.0, 0.0, d))),
+            # left slivers indexed by 2s+t-1, right slivers by 2s-t-1
+            "B1": Intersection((heights, Union((
+                _slant_band(1.0, 0.0, d), _slant_band(-1.0, d, 2.0 * d))))),
+            "B2": Intersection((heights, Union((
+                _slant_band(1.0, d, 2.0 * d), _slant_band(-1.0, 0.0, d))))),
+            "B3": Intersection((heights, Union((
+                _slant_band(1.0, 2.0 * d, 3.0 * d), _slant_band(-1.0, -d, 0.0))))),
+            "B4": Intersection((Rect(0.0, 2.0, 1.0, 1.0 + d), Union((
+                _slant_band(1.0, d, 3.0 * d), _slant_band(-1.0, -d, d))))),
+        }
+
+
+def _slant_band(b, lo, hi):
+    """{lo < 2*s + b*t - 1 < hi}: a band along one edge of the cone."""
+    return Intersection((
+        HalfPlane(-2.0, -b, -(1.0 + lo)),
+        HalfPlane(2.0, b, 1.0 + hi),
+    ))
+
+
+@dataclass(frozen=True, eq=False)
+class GridWeight(WeightSpec):
+    """Bilinear interpolation of node samples g(i/M, j/M), zero outside [0,1]^2.
+
+    ``values[i, j]`` is the node value at (i/M, j/M); the array is read-only.
+    Instances hash by identity (the payload is an array), which is what the
+    per-spec caches rely on.
+    """
+
+    values: np.ndarray
+    scale: float = 1.0
+
+    variant = "grid"
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=float)
+        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] < 2:
+            raise ValueError(f"grid values must be square (M+1, M+1) with M >= 1, got {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("grid values must be finite")
+        v = v.copy()
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
+        if self.scale <= 0.0:
+            raise ValueError(f"scale must be positive, got {self.scale}")
+
+    @property
+    def resolution(self):
+        return self.values.shape[0] - 1
+
+    def evaluate(self, s, t):
+        M = self.resolution
+        inside = (s >= 0.0) & (s <= 1.0) & (t >= 0.0) & (t <= 1.0)
+        out = np.zeros_like(s)
+        si = np.clip(s[inside] * M, 0.0, M)
+        ti = np.clip(t[inside] * M, 0.0, M)
+        i0 = np.minimum(si.astype(int), M - 1)
+        j0 = np.minimum(ti.astype(int), M - 1)
+        fs = si - i0
+        ft = ti - j0
+        v = self.values
+        out[inside] = self.scale * (
+            v[i0, j0] * (1 - fs) * (1 - ft)
+            + v[i0 + 1, j0] * fs * (1 - ft)
+            + v[i0, j0 + 1] * (1 - fs) * ft
+            + v[i0 + 1, j0 + 1] * fs * ft
+        )
+        return out
+
+    def _row_breaks(self, n):
+        d = 1.0 / n
+        M = self.resolution
+        base = np.arange(M + 1) / M
+        sb = np.unique(np.concatenate([base, base + d]))
+        return sb, list(sb)
+
+    def mass(self, n, region, quadcfg):
+        return _mu_rowwise(self, n, region, quadcfg, piece_nodes=5)
+
+    def limit_atoms(self):
+        raise ValueError(
+            "grid-sampled kernels have no closed-form concentration limit; "
+            "probe a candidate with assumption1_probe"
+        )
+
+    def support(self):
+        return Rect(0.0, 1.0, 0.0, 1.0)
+
+    def kappa_range(self):
+        raise ValueError(
+            "no closed-form thinning range for grid-sampled kernels; "
+            "probe the window ratio empirically with assumption2_ratio"
+        )
+
+    def config_keys(self):
+        raise ValueError("grid-sampled weights serialize through CSV files; store the path instead")
+
+    @classmethod
+    def from_config(cls, mapping, scale):
+        if "weight.path" not in mapping:
+            raise ValueError("missing key weight.path for the grid variant")
+        return cls(values=load_grid_csv(mapping["weight.path"]), scale=scale)
+
+
+_VARIANTS = {cls.variant: cls for cls in (UniformWeight, SingularWeight, TriangleWeight, GridWeight)}
+
+
+def require_weight(spec):
+    """Return ``spec`` if it is a weight variant; raise TypeError otherwise."""
+    if not isinstance(spec, WeightSpec):
+        raise TypeError(f"not a weight spec: {spec!r}")
+    return spec
+
+
+# ---------------------------------------------------------------------------
+# kernel evaluation
+# ---------------------------------------------------------------------------
+
+def eval_g(spec, s, t):
+    """Weight kernel value(s) at (s, t); zero outside the support.
+
+    Points where the kernel diverges (the singular corner of the Singular
+    variant) return +inf -- the value is flagged rather than clamped, and no
+    quadrature rule in this module ever places a node there.
+    """
+    require_weight(spec)
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    s, t = np.broadcast_arrays(s, t)
+    scalar = s.ndim == 0
+    s = np.atleast_1d(s)
+    t = np.atleast_1d(t)
+    out = spec.evaluate(s, t)
+    return float(out[0]) if scalar else out
+
+
+def eval_h(spec, n, s, t):
+    """Differenced kernel h_n(s,t), supported in [0, 1+1/n]^2."""
+    if n < 1:
+        raise ValueError(f"lattice resolution must be >= 1, got {n}")
+    d = 1.0 / n
+    return (
+        eval_g(spec, s, t)
+        - eval_g(spec, np.asarray(s, dtype=float) - d, t)
+        - eval_g(spec, s, np.asarray(t, dtype=float) - d)
+        + eval_g(spec, np.asarray(s, dtype=float) - d, np.asarray(t, dtype=float) - d)
+    )
+
+
+def thinning_count(n, kappa):
+    """Realized thinning k_n = ceil(n^(1-kappa))."""
+    if not 0.0 < kappa < 1.0:
+        raise ValueError(f"thinning exponent must lie in (0,1), got {kappa}")
+    if n < 1:
+        raise ValueError(f"lattice resolution must be >= 1, got {n}")
+    return int(math.ceil(n ** (1.0 - kappa) - 1e-12))
+
+
+# ---------------------------------------------------------------------------
+# squared-kernel masses
+# ---------------------------------------------------------------------------
 
 def mu_mass(spec, n, region=None, quadcfg=None):
     """mu_n(region) = integral of h_n^2 over the region (whole plane if None)."""
@@ -830,17 +1294,7 @@ def mu_mass(spec, n, region=None, quadcfg=None):
         raise ValueError(f"lattice resolution must be >= 2 for mass integrals, got {n}")
     region = Everything() if region is None else region
     quadcfg = quadcfg or _DEFAULT_QUAD
-    if isinstance(spec, UniformWeight):
-        return _mu_rowwise(spec, n, region, quadcfg, piece_nodes=0)
-    if isinstance(spec, TriangleWeight):
-        return _mu_triangle(spec, n, region, quadcfg)
-    if isinstance(spec, GridWeight):
-        return _mu_rowwise(spec, n, region, quadcfg, piece_nodes=5)
-    if isinstance(spec, SingularWeight):
-        lower = _mu_singular_half(spec, n, region, quadcfg)
-        upper = _mu_singular_half(spec, n, regions.transpose(region), quadcfg)
-        return lower + upper
-    raise TypeError(f"not a weight spec: {spec!r}")
+    return require_weight(spec).mass(n, region, quadcfg)
 
 
 @lru_cache(maxsize=4096)
@@ -864,38 +1318,22 @@ def concentration_mass(spec, n, region, quadcfg=None):
 
 def concentration_point(spec):
     """Limit point of the concentration measures, when there is a single one."""
-    if isinstance(spec, SingularWeight):
-        return (0.0, 0.0)
-    if isinstance(spec, TriangleWeight):
-        return (0.5, 0.0)
-    return None
+    return require_weight(spec).concentration_point
 
 
 def near_region(spec, eps):
     """The shrinking neighborhood E carrying the concentration mass."""
     if eps <= 0.0:
         raise ValueError(f"neighborhood size must be positive, got {eps}")
-    if isinstance(spec, SingularWeight):
-        return Rect(0.0, eps, 0.0, eps)
-    if isinstance(spec, TriangleWeight):
-        return Rect(0.5 - 0.5 * eps, 0.5 + 0.5 * eps, 0.0, 0.5 * eps)
-    raise ValueError(
-        f"{type(spec).__name__} has no single concentration point; "
-        "pass an explicit center to build a neighborhood"
-    )
+    return require_weight(spec).window(eps)
 
 
 def corner_squares(spec, n):
     """The four corner cells carrying the Uniform kernel's concentration mass."""
-    if not isinstance(spec, UniformWeight):
+    cells = require_weight(spec).corner_cells(n)
+    if not cells:
         raise ValueError("corner squares exist for the rectangle-indicator kernel only")
-    d = 1.0 / n
-    return {
-        "corner_11": Rect(spec.s1, spec.s1 + d, spec.t1, spec.t1 + d),
-        "corner_21": Rect(spec.s2, spec.s2 + d, spec.t1, spec.t1 + d),
-        "corner_12": Rect(spec.s1, spec.s1 + d, spec.t2, spec.t2 + d),
-        "corner_22": Rect(spec.s2, spec.s2 + d, spec.t2, spec.t2 + d),
-    }
+    return cells
 
 
 @dataclass(frozen=True)
@@ -920,22 +1358,20 @@ def concentration_report(spec, n, kappa=None, quadcfg=None):
     c_n = compute_cn(spec, n, quadcfg)
     notes = []
     masses = {}
-    if isinstance(spec, UniformWeight):
-        for name, reg in corner_squares(spec, n).items():
-            masses[name] = mu_mass(spec, n, reg, quadcfg) / c_n
-        exact = 4.0 / n ** 2 * spec.scale ** 2
-        if abs(c_n - exact) > 1e-8 * exact:
-            notes.append(f"separable mass {c_n!r} deviates from exact-geometry value {exact!r}")
-    else:
-        d = 1.0 / n
-        if concentration_point(spec) is not None:
-            masses["near_cell"] = mu_mass(spec, n, near_region(spec, 2.0 * d), quadcfg) / c_n
+    for name, reg in spec.corner_cells(n).items():
+        masses[name] = mu_mass(spec, n, reg, quadcfg) / c_n
+    exact = spec.exact_cn(n)
+    if exact is not None and abs(c_n - exact) > 1e-8 * exact:
+        notes.append(f"separable mass {c_n!r} deviates from exact-geometry value {exact!r}")
+    d = 1.0 / n
+    if spec.concentration_point is not None:
+        masses["near_cell"] = mu_mass(spec, n, near_region(spec, 2.0 * d), quadcfg) / c_n
 
     k_n = eps_n = ratio = None
     if kappa is not None:
         k_n = thinning_count(n, kappa)
         eps_n = k_n / n
-        if concentration_point(spec) is not None:
+        if spec.concentration_point is not None:
             inside = mu_mass(spec, n, near_region(spec, eps_n), quadcfg) / c_n
             masses["near_eps"] = inside
             ratio = (1.0 - inside) / eps_n ** 2
@@ -971,24 +1407,7 @@ class AmbitSupport:
 
 
 def ambit_support(spec):
-    if isinstance(spec, UniformWeight):
-        return AmbitSupport(Rect(spec.s1, spec.s2, spec.t1, spec.t2))
-    if isinstance(spec, SingularWeight):
-        return AmbitSupport(Rect(0.0, 1.0, 0.0, 1.0))
-    if isinstance(spec, TriangleWeight):
-        # closure of the cone: vertices (1/2, 0), (0, 1), (1, 1)
-        return AmbitSupport(
-            Intersection(
-                (
-                    Rect(0.0, 1.0, 0.0, 1.0),
-                    HalfPlane(-2.0, -1.0, -1.0),  # 2s + t > 1
-                    HalfPlane(2.0, -1.0, 1.0),    # 2s - t < 1
-                )
-            )
-        )
-    if isinstance(spec, GridWeight):
-        return AmbitSupport(Rect(0.0, 1.0, 0.0, 1.0))
-    raise TypeError(f"not a weight spec: {spec!r}")
+    return AmbitSupport(require_weight(spec).support())
 
 
 # ---------------------------------------------------------------------------
@@ -997,30 +1416,7 @@ def ambit_support(spec):
 
 def weight_to_config(spec):
     """Flat key-value representation (values already stringified)."""
-    if isinstance(spec, UniformWeight):
-        out = {
-            "weight.variant": "uniform",
-            "weight.s1": repr(spec.s1),
-            "weight.s2": repr(spec.s2),
-            "weight.t1": repr(spec.t1),
-            "weight.t2": repr(spec.t2),
-        }
-    elif isinstance(spec, SingularWeight):
-        out = {
-            "weight.variant": "singular",
-            "weight.alpha": repr(spec.alpha),
-            "weight.ell": spec.ell.name,
-        }
-    elif isinstance(spec, TriangleWeight):
-        out = {
-            "weight.variant": "triangle",
-            "weight.alpha": repr(spec.alpha),
-            "weight.ell": spec.ell.name,
-        }
-    elif isinstance(spec, GridWeight):
-        raise ValueError("grid-sampled weights serialize through CSV files; store the path instead")
-    else:
-        raise TypeError(f"not a weight spec: {spec!r}")
+    out = {"weight.variant": require_weight(spec).variant, **spec.config_keys()}
     if spec.scale != 1.0:
         out["weight.scale"] = repr(spec.scale)
     return out
@@ -1032,25 +1428,9 @@ def weight_from_config(mapping):
     if variant is None:
         raise ValueError("missing key weight.variant")
     scale = float(mapping.get("weight.scale", 1.0))
-    if variant == "uniform":
-        return UniformWeight(
-            s1=float(mapping.get("weight.s1", 0.25)),
-            s2=float(mapping.get("weight.s2", 0.75)),
-            t1=float(mapping.get("weight.t1", 0.25)),
-            t2=float(mapping.get("weight.t2", 0.75)),
-            scale=scale,
-        )
-    if variant in ("singular", "triangle"):
-        if "weight.alpha" not in mapping:
-            raise ValueError(f"missing key weight.alpha for the {variant} variant")
-        ell = SlowFunction.from_catalog(mapping.get("weight.ell", "one_minus_s"))
-        cls = SingularWeight if variant == "singular" else TriangleWeight
-        return cls(alpha=float(mapping["weight.alpha"]), ell=ell, scale=scale)
-    if variant == "grid":
-        if "weight.path" not in mapping:
-            raise ValueError("missing key weight.path for the grid variant")
-        return GridWeight(values=load_grid_csv(mapping["weight.path"]), scale=scale)
-    raise ValueError(f"unknown weight variant {variant!r}")
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown weight variant {variant!r}")
+    return _VARIANTS[variant].from_config(mapping, scale)
 
 
 def save_grid_csv(path, values):

@@ -23,22 +23,15 @@ overridden.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from .asymptotics import admissible_kappa
+from .asymptotics import kappa_refusal
 from .errors import AdmissibilityError
 from .gaussian import abs_moment
-from .kernels import (
-    GridWeight,
-    SingularWeight,
-    TriangleWeight,
-    UniformWeight,
-    compute_cn,
-    thinning_count,
-)
+from .kernels import compute_cn, require_weight, thinning_count
 from .simulate import (
     increment_covariance,
     increments,
@@ -112,26 +105,15 @@ class DiracMixture:
 def limit_pi(spec):
     """Concentration limit of the squared differenced kernel's mass.
 
-    The rectangle indicator splits its mass evenly over the four window
-    corners; the corner-singular and cone kernels concentrate at a single
-    point.  Grid-sampled kernels have no closed-form limit -- probe them
-    with ``asymptotics.assumption1_probe`` against a candidate instead.
+    The atoms are the weight class's ``limit_atoms()``: one atom makes a
+    ``DiracAt``, several a ``DiracMixture``.  Grid-sampled kernels have no
+    closed-form limit -- probe them with ``asymptotics.assumption1_probe``
+    against a candidate instead.
     """
-    if isinstance(spec, UniformWeight):
-        return DiracMixture(atoms=(
-            (0.25, (spec.s1, spec.t1)), (0.25, (spec.s1, spec.t2)),
-            (0.25, (spec.s2, spec.t1)), (0.25, (spec.s2, spec.t2)),
-        ))
-    if isinstance(spec, SingularWeight):
-        return DiracAt(point=(0.0, 0.0))
-    if isinstance(spec, TriangleWeight):
-        return DiracAt(point=(0.5, 0.0))
-    if isinstance(spec, GridWeight):
-        raise ValueError(
-            "grid-sampled kernels have no closed-form concentration limit; "
-            "probe a candidate with assumption1_probe"
-        )
-    raise TypeError(f"not a weight spec: {spec!r}")
+    atoms = require_weight(spec).limit_atoms()
+    if len(atoms) == 1:
+        return DiracAt(point=atoms[0][1])
+    return DiracMixture(atoms=atoms)
 
 
 def _pi_atoms(pi):
@@ -254,7 +236,6 @@ class LLNConfig:
     seed: int = 0
     pi: object = None
     decompose: bool = True
-    workers: int = 1
     override_admissibility: bool = False
 
     def __post_init__(self):
@@ -275,7 +256,6 @@ class LLNConfig:
         _require(self.reps >= 1, f"need at least one replication, got {self.reps}")
         _require(self.grid_size >= 0, f"grid size must be >= 0, got {self.grid_size}")
         _require(self.oversample >= 1, f"oversample must be >= 1, got {self.oversample}")
-        _require(self.workers >= 1, f"worker count must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -293,7 +273,6 @@ class CLTConfig:
     cap: int = 32
     sigma_resolution: int = 64
     trend_batches: int = 8
-    workers: int = 1
     override_admissibility: bool = False
 
     def __post_init__(self):
@@ -314,7 +293,6 @@ class CLTConfig:
                  f"volatility resolution must be >= 2, got {self.sigma_resolution}")
         _require(self.trend_batches >= 2,
                  f"need >= 2 trend batches, got {self.trend_batches}")
-        _require(self.workers >= 1, f"worker count must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -359,25 +337,12 @@ def _quartiles(xs):
 
 def _gate_kappa(weight, kappa, override, flags):
     """Refuse thinning exponents outside the known-good range unless overridden."""
-    try:
-        rng = admissible_kappa(weight)
-    except ValueError:
-        if not override:
-            raise AdmissibilityError(
-                "no admissible thinning range is known for this kernel; "
-                "pass override_admissibility=True to run anyway"
-            ) from None
-        flags.append("admissibility unknown for this kernel: override accepted")
-        return
-    if rng.contains(kappa):
+    reason = kappa_refusal(weight, kappa)
+    if reason is None:
         return
     if not override:
-        detail = rng.note if rng.empty else f"admissible range is {rng}"
-        raise AdmissibilityError(
-            f"thinning exponent {kappa} is not admissible for this kernel "
-            f"({detail}); pass override_admissibility=True to run anyway"
-        )
-    flags.append(f"inadmissible thinning exponent {kappa} run under override")
+        raise AdmissibilityError(f"{reason}; pass override_admissibility=True to run anyway")
+    flags.append(f"{reason}: run under override")
 
 
 def _redraw_seed(seed, rep):
@@ -415,9 +380,8 @@ def lln_experiment(config):
     atoms = _pi_atoms(pi)
     grid = [i / config.grid_size for i in range(1, config.grid_size + 1)]
     redraw = isinstance(vol, LogGaussianVol)
-    exact_mean_path = isinstance(vol, ConstantVol) or isinstance(weight, UniformWeight)
-    per_rep_mean_path = (config.decompose and exact_mean_path
-                         and (isinstance(vol, ConstantVol) or not redraw))
+    exact_mean_path = isinstance(vol, ConstantVol) or weight.has_strips
+    per_rep_mean_path = config.decompose and exact_mean_path and not redraw
     if config.decompose and exact_mean_path and not per_rep_mean_path:
         flags.append(
             "mean/stochastic split skipped: volatility re-draws per replication "
@@ -467,12 +431,7 @@ def lln_experiment(config):
                 sup_err[p].append(float(np.max(np.abs(svals - target))))
                 raw_v[p].append(float(V.at(1.0, 1.0)))
                 if per_rep_mean_path:
-                    if sigma_shared is not None:
-                        mean_field = mean_field_shared[p]
-                    else:
-                        mean_field = np.array([
-                            [expected_scaled_pv(weight, sigma, n, k, p, s, t)
-                             for t in grid] for s in grid])
+                    mean_field = mean_field_shared[p]  # the path never redraws sigma
                     mean_part[p].append(float(np.max(np.abs(mean_field - target))))
                     stoch_part[p].append(float(np.max(np.abs(svals - mean_field))))
 

@@ -146,10 +146,6 @@ def _difference_two(u, v):
     return out
 
 
-def interval_length(iv):
-    return sum(b - a for a, b in iv)
-
-
 def clip_intervals(iv, lo, hi):
     return _intersect_two(iv, [(lo, hi)])
 

@@ -21,18 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .errors import QuadratureError
-from .kernels import (
-    QuadratureConfig,
-    SingularWeight,
-    UniformWeight,
-    _integrate_pieces,
-    _make_pieces,
-    _profile,
-    compute_cn,
-    eval_g,
-    thinning_count,
-)
+from .errors import NotPSDError, QuadratureError
+from .kernels import QuadratureConfig, compute_cn, eval_g, thinning_count
+from .volatility import rect_integral, squared_prefix_integral
 
 __all__ = [
     "NoiseGrid",
@@ -211,132 +202,6 @@ def increments(fld, k):
 
 # ------------------------------------------------------ exact covariance path
 
-def _profile_antiderivative(spec):
-    """Stable increment y -> F(y + w) - F(y) of the antiderivative F = int f.
-
-    Only slow factors whose profile integrates to a finite power sum admit
-    one; anything else raises ValueError and the caller falls back to the
-    simulation route.
-    """
-    al, sc, name = spec.alpha, spec.scale, spec.ell.name
-    if name == "one":
-        coef = [(1.0, 1.0 - al)]
-    elif name == "one_minus_s":
-        coef = [(1.0, 1.0 - al), (-1.0, 2.0 - al)]
-    elif name == "smooth_cutoff":
-        coef = [(1.0, 1.0 - al), (-2.0, 2.0 - al), (1.0, 3.0 - al)]
-    else:
-        raise ValueError(
-            f"exact covariance needs a closed-form antiderivative; slow factor "
-            f"{name!r} has none (use the simulation route instead)"
-        )
-
-    def fdiff(y, w):
-        """F(y + w) - F(y) for y >= 0, zero where w <= 0.
-
-        Formed per power term as y**e * expm1(e * log1p(w/y)), never as a
-        difference of two antiderivative values: the graded quadrature feeds
-        widths w down to ~1e-17 next to a pinch of the wedge, where
-        F(y + w) - F(y) computed literally is pure rounding staircase.
-        """
-        y = np.asarray(y, dtype=float)
-        w = np.asarray(w, dtype=float)
-        live = w > 0.0
-        at0 = live & (y <= 0.0)
-        safe_y = np.where(y > 0.0, y, 1.0)
-        safe_w = np.where(live, w, 1.0)
-        grow = np.log1p(np.where(live, w, 0.0) / safe_y)
-        out = np.zeros(np.broadcast(y, w).shape, dtype=float)
-        for c, e in coef:
-            term = np.where(at0, safe_w**e, safe_y**e * np.expm1(e * grow))
-            out += (c / e) * term
-        return sc * np.where(live, out, 0.0)
-
-    return fdiff
-
-
-def _g2_singular(spec, w1, w2, quadcfg):
-    """Autocorrelation of the singular weight: int g(x) g(x + w) dx.
-
-    Splitting along the two max-diagonals x2 = x1 and x2 = x1 + (w1 - w2)
-    leaves wedges where the integrand is constant in one coordinate or a
-    separable product, so everything collapses to 1-D integrals of
-    f(x)f(x+w)*linear and f(x)*(F-difference) with F the profile
-    antiderivative.  Offsets from the singular abscissas {0, -w1, -w2}
-    arrive exact from the graded layout.
-    """
-    a1, b1 = max(0.0, -w1), min(1.0, 1.0 - w1)
-    a2, b2 = max(0.0, -w2), min(1.0, 1.0 - w2)
-    if b1 <= a1 or b2 <= a2:
-        return 0.0
-    c = w1 - w2
-    fdiff = _profile_antiderivative(spec)
-
-    def offs(x, delta, origin, base):
-        if origin is not None and origin == base:
-            return np.asarray(delta, dtype=float)
-        return np.asarray(x, dtype=float) - base
-
-    def pval(x, delta, origin, base):
-        return _profile(spec, offs(x, delta, origin, base))
-
-    # Every length/width below is a min over pairwise differences of the
-    # window endpoints, each difference formed at its own best precision
-    # (constants cancel symbolically, moving endpoints go through offs so a
-    # graded origin keeps full relative accuracy).  Subtracting two clipped
-    # endpoint values instead goes to rounding noise exactly where the
-    # grading dives deepest.
-
-    def region_a(x, delta, origin):
-        moving = offs(x, delta, origin, a2 - min(0.0, c))
-        length = np.clip(moving, 0.0, b2 - a2)
-        return pval(x, delta, origin, 0.0) * pval(x, delta, origin, -w1) * length
-
-    def region_b(x, delta, origin):
-        moving = offs(x, delta, origin, a1 + max(0.0, c))
-        length = np.clip(moving, 0.0, b1 - a1)
-        return pval(x, delta, origin, 0.0) * pval(x, delta, origin, -w2) * length
-
-    def region_c(x, delta, origin):
-        width = np.minimum(
-            min(-c, b2 - a2),
-            np.minimum(offs(x, delta, origin, a2), -offs(x, delta, origin, b2 - c)),
-        )
-        low = np.maximum(offs(x, delta, origin, -w1), a2 + w2)
-        return pval(x, delta, origin, 0.0) * fdiff(low, width)
-
-    def region_d(x, delta, origin):
-        width = np.minimum(
-            min(c, b1 - a1),
-            np.minimum(offs(x, delta, origin, a1), -offs(x, delta, origin, b1 + c)),
-        )
-        low = np.maximum(offs(x, delta, origin, -w2), a1 + w1)
-        return pval(x, delta, origin, 0.0) * fdiff(low, width)
-
-    brks = [a1, b1, a2, b2, a2 - c, b2 - c, a1 + c, b1 + c,
-            -w1, -w2, 1.0 - w1, 1.0 - w2, 0.0, 1.0]
-    sing = [0.0, -w1, -w2]
-    total = 0.0
-    plan = [(region_a, a1, b1), (region_b, a2, b2)]
-    if c < 0.0:
-        plan.append((region_c, a1, b1))
-    elif c > 0.0:
-        plan.append((region_d, a2, b2))
-    for fn, lo, hi in plan:
-        pieces = _make_pieces(brks + sing, sing, lo, hi)
-        if pieces:
-            total += _integrate_pieces(fn, pieces, quadcfg)
-    return total
-
-
-def _g2_uniform(spec, w1, w2):
-    len_s = spec.s2 - spec.s1
-    len_t = spec.t2 - spec.t1
-    ov1 = max(0.0, len_s - abs(w1))
-    ov2 = max(0.0, len_t - abs(w2))
-    return spec.scale**2 * ov1 * ov2
-
-
 _G2_QUAD = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16, levels=48, nodes=14,
                             smooth_nodes=20)
 
@@ -349,28 +214,12 @@ def _stationary_gamma(spec, n, k, m, quadcfg):
     of 1/n.  The zero offset is replaced by the independently computed c_n and
     cross-checked against the stencil value.
     """
-    d = 1.0 / n
-    if isinstance(spec, UniformWeight):
-        def g2s(i, j):
-            return _g2_uniform(spec, i * d, j * d)
-    elif isinstance(spec, SingularWeight):
-        cache = {}
-
-        def g2s(i, j):
-            # G2(w) = G2(-w) and G2 is swap-symmetric, so the canonical key is
-            # (smaller magnitude, larger magnitude, same-sign flag)
-            same = i == 0 or j == 0 or (i > 0) == (j > 0)
-            ii, jj = min(abs(i), abs(j)), max(abs(i), abs(j))
-            key = (ii, jj, same)
-            if key not in cache:
-                w2 = jj * d if same else -jj * d
-                cache[key] = _g2_singular(spec, ii * d, w2, quadcfg)
-            return cache[key]
-    else:
+    if not spec.has_autocorrelation:
         raise ValueError(
             f"stationary exact covariance supports uniform and singular weights; "
             f"got {type(spec).__name__} (use the simulation route)"
         )
+    g2s = spec.lattice_autocorrelation(n, quadcfg)
 
     size = 2 * m - 1
     gam = np.zeros((size, size))
@@ -393,61 +242,6 @@ def _stationary_gamma(spec, n, k, m, quadcfg):
         )
     gam[m - 1, m - 1] = cn
     return gam
-
-
-def _prefix_integral(values):
-    """Exact integral of the cell-constant field over [-1,x] x [-1,y], vectorized."""
-    m = values.shape[0]
-    cell = 2.0 / m
-    pref = np.zeros((m + 1, m + 1))
-    pref[1:, 1:] = np.cumsum(np.cumsum(values, axis=0), axis=1)
-    row_pref = np.concatenate([np.zeros((m, 1)), np.cumsum(values, axis=1)], axis=1)
-    col_pref = np.concatenate([np.zeros((1, m)), np.cumsum(values, axis=0)], axis=0)
-
-    def at(x, y):
-        x = np.clip((np.asarray(x, dtype=float) + 1.0) / cell, 0.0, m)
-        y = np.clip((np.asarray(y, dtype=float) + 1.0) / cell, 0.0, m)
-        i = np.minimum(x.astype(int), m - 1)
-        j = np.minimum(y.astype(int), m - 1)
-        fx, fy = x - i, y - j
-        # full cell block + partial strip of row i + partial strip of column j
-        # + the fractional corner cell
-        acc = pref[i, j] + fx * row_pref[i, j] + fy * col_pref[i, j] \
-            + fx * fy * values[i, j]
-        return acc * cell * cell
-
-    return at
-
-
-def _rect_integral(pref, u_iv, v_iv):
-    """Integral under a prefix function over a rectangle, clipped to [-1,1]^2."""
-    (ua, ub), (va, vb) = u_iv, v_iv
-    ua, va = max(ua, -1.0), max(va, -1.0)
-    ub, vb = min(ub, 1.0), min(vb, 1.0)
-    if ub <= ua or vb <= va:
-        return 0.0
-    vals = pref(np.array([ub, ub, ua, ua]), np.array([vb, va, vb, va]))
-    return float(vals[0] - vals[1] - vals[2] + vals[3])
-
-
-def _uniform_strips(spec, n, eps, idx):
-    """Signed u-intervals carrying the s-difference factor for each index.
-
-    The one-axis difference 1[s1,s2](x) - 1[s1,s2](x-d) is +1 on
-    [s1, s1+w) and -1 on [s2+d-w, s2+d) with w = min(d, s2-s1); in the u
-    variable (u = lattice coordinate minus x) both flip and translate.
-    """
-    d = 1.0 / n
-    wid_s = min(d, spec.s2 - spec.s1)
-    wid_t = min(d, spec.t2 - spec.t1)
-    out = []
-    for i, j in idx:
-        u_plus = (eps * i - spec.s1 - wid_s, eps * i - spec.s1)
-        u_minus = (eps * i - spec.s2 - d, eps * i - spec.s2 - d + wid_s)
-        v_plus = (eps * j - spec.t1 - wid_t, eps * j - spec.t1)
-        v_minus = (eps * j - spec.t2 - d, eps * j - spec.t2 - d + wid_t)
-        out.append(((u_plus, 1.0), (u_minus, -1.0), (v_plus, 1.0), (v_minus, -1.0)))
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -510,9 +304,9 @@ def increment_covariance(spec, sigma, n, k, quadcfg=None, cap=32):
     cn = compute_cn(spec, n)
 
     constant_sigma = np.all(sigma.values == sigma.values.flat[0])
-    if isinstance(spec, UniformWeight):
-        strips = _uniform_strips(spec, n, eps, idx)
-        pref = _prefix_integral(sigma.values**2)
+    if spec.has_strips:
+        strips = spec.signed_strips(n, eps, idx)
+        pref = squared_prefix_integral(sigma)
         dim = len(idx)
         mat = np.zeros((dim, dim))
         for a in range(dim):
@@ -530,7 +324,7 @@ def increment_covariance(spec, sigma, n, k, quadcfg=None, cap=32):
                                 vo = (max(viv1[0], viv2[0]), min(viv1[1], viv2[1]))
                                 if vo[1] <= vo[0]:
                                     continue
-                                acc += su1 * su2 * sv1 * sv2 * _rect_integral(pref, lo, vo)
+                                acc += su1 * su2 * sv1 * sv2 * rect_integral(pref, lo, vo)
                 mat[a, b] = mat[b, a] = spec.scale**2 * acc
         engine = "uniform-strips"
     elif constant_sigma:
@@ -559,7 +353,7 @@ def sample_increments_exact(cov, seed, reps):
     w, v = np.linalg.eigh(mat)
     floor = 1e-12 * float(np.trace(mat)) / cov.dim
     if w.min() < -floor:
-        raise ValueError(
+        raise NotPSDError(
             f"covariance is not PSD beyond the eigenvalue floor: min eig {w.min():.3e}"
         )
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T  # symmetric square root

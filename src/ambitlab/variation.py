@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import abs_moment
-from .kernels import UniformWeight, compute_cn
-from .simulate import _prefix_integral, _rect_integral, _uniform_strips
+from .kernels import compute_cn
+from .volatility import rect_integral, squared_prefix_integral
 
 __all__ = [
     "PowerVariationField",
@@ -156,15 +156,15 @@ def _pi_average_sq_uniform(spec, sigma, n, eps, idx):
     measure integrates sigma^2 as four prefix-integral rectangles over
     scale^2 / c_n.
     """
-    strips = _uniform_strips(spec, n, eps, idx)
-    pref = _prefix_integral(sigma.values**2)
+    strips = spec.signed_strips(n, eps, idx)
+    pref = squared_prefix_integral(sigma)
     cn = compute_cn(spec, n)
     out = np.empty(len(idx))
     for a, (up, um, vp, vm) in enumerate(strips):
         acc = 0.0
         for u_iv, _ in (up, um):
             for v_iv, _ in (vp, vm):
-                acc += _rect_integral(pref, u_iv, v_iv)
+                acc += rect_integral(pref, u_iv, v_iv)
         out[a] = spec.scale**2 * acc / cn
     return out
 
@@ -193,7 +193,7 @@ def expected_scaled_pv(spec, sigma, n, k, p, s, t):
     if np.all(sigma.values == sigma.values.flat[0]):
         sigma0 = float(sigma.values.flat[0])
         return mp * sigma0**p * eps**2 * ci * cj
-    if isinstance(spec, UniformWeight):
+    if spec.has_strips:
         idx = np.array([(i, j) for i in range(1, ci + 1) for j in range(1, cj + 1)])
         avg = _pi_average_sq_uniform(spec, sigma, n, eps, idx)
         return float(eps**2 * mp * np.sum(avg ** (p / 2.0)))

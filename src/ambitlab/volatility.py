@@ -10,11 +10,11 @@ the driving noise.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, QuadratureError
+from .errors import ConfigError
 
 __all__ = [
     "ConstantVol",
@@ -23,6 +23,8 @@ __all__ = [
     "SigmaField",
     "sample_volatility",
     "integrated_power",
+    "squared_prefix_integral",
+    "rect_integral",
     "save_sigma_csv",
     "vol_to_config",
     "vol_from_config",
@@ -104,16 +106,13 @@ class SigmaField:
     """Realized volatility values at the midpoints of an M x M cell grid.
 
     values[i, j] = sigma(u_i, v_j) with u_i = -1 + (2i+1)/M; immutable and
-    safe to share.  ``closure`` is kept only when the model is analytic, so
-    integrated powers can refine beyond the grid; grids obtained by scaling
-    drop it and integrate the cached values literally.
+    safe to share.
     """
 
     values: np.ndarray
     resolution: int
     model: object = None
     seed: int | None = None
-    closure: object = field(default=None, repr=False)
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
@@ -203,10 +202,8 @@ def sample_volatility(model, resolution, seed=0):
     u = -1.0 + (2.0 * np.arange(m) + 1.0) / m
     if isinstance(model, ConstantVol):
         vals = np.full((m, m), model.sigma0)
-        closure = lambda uu, vv: np.broadcast_to(model.sigma0, np.broadcast_shapes(np.shape(uu), np.shape(vv))).astype(float)  # noqa: E731
     elif isinstance(model, DeterministicVol):
         vals = model(u[:, None], u[None, :])
-        closure = model
     elif isinstance(model, LogGaussianVol):
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), _VOL_STREAM)))
         z = rng.standard_normal((m, m))
@@ -222,12 +219,10 @@ def sample_volatility(model, resolution, seed=0):
         pad = np.roll(pad, (-r, -r), axis=(0, 1))
         smooth = np.fft.irfft2(np.fft.rfft2(z) * np.fft.rfft2(pad), s=(m, m))
         vals = np.exp(model.mean + np.sqrt(model.variance) * smooth)
-        closure = None
     else:
         raise TypeError(f"not a volatility model: {model!r}")
     _check_realization(model, vals, m)
-    return SigmaField(values=vals, resolution=m, model=model,
-                      seed=int(seed), closure=closure)
+    return SigmaField(values=vals, resolution=m, model=model, seed=int(seed))
 
 
 def _validate_rect(rect):
@@ -252,10 +247,9 @@ def _grid_rect_sum(fieldvals, m, p, rect):
 def integrated_power(sigma, p, rect=(0.0, 1.0, 0.0, 1.0)):
     """integral of sigma(u,v)^p over [a,b] x [c,d], rect inside [-1,1]^2.
 
-    Analytic models refine by doubling a midpoint rule until 1e-6 relative
-    stability; purely grid-backed fields integrate their cells literally
-    (exact for the cell-constant interpretation, no refinement available).
-    Zero-area rectangles integrate to 0 and emit a warning.
+    Reads the realized grid cell-constantly, as the simulation does: partial
+    edge cells count by their overlap, so the value is exact for that
+    reading.  Zero-area rectangles integrate to 0 and emit a warning.
     """
     if not (p > 0.0 and np.isfinite(p)):
         raise ValueError(f"integrated power requires p > 0, got {p}")
@@ -263,21 +257,47 @@ def integrated_power(sigma, p, rect=(0.0, 1.0, 0.0, 1.0)):
     if a == b or c == d:
         warnings.warn("integrated_power over a zero-area rectangle", stacklevel=2)
         return 0.0
-    if sigma.closure is None:
-        return _grid_rect_sum(sigma.values, sigma.resolution, p, (a, b, c, d))
-    f = sigma.closure
-    m = max(2, min(int(sigma.resolution), 512))
-    prev = None
-    for _ in range(14):
-        xu = a + (b - a) * (np.arange(m) + 0.5) / m
-        xv = c + (d - c) * (np.arange(m) + 0.5) / m
-        cur = float(np.sum(f(xu[:, None], xv[None, :]) ** p)) * (b - a) * (d - c) / (m * m)
-        if prev is not None and abs(cur - prev) <= 1e-6 * abs(cur):
-            return cur
-        prev, m = cur, 2 * m
-    raise QuadratureError(
-        f"integrated power did not stabilize to 1e-6 by resolution {m}", estimate=prev
-    )
+    return _grid_rect_sum(sigma.values, sigma.resolution, p, (a, b, c, d))
+
+
+def squared_prefix_integral(sigma):
+    """Exact integral of the cell-constant sigma^2 over [-1,x] x [-1,y], vectorized.
+
+    Returns the function (x, y) -> integral; ``rect_integral`` turns it into
+    integrals over rectangles.
+    """
+    values = sigma.values**2
+    m = values.shape[0]
+    cell = 2.0 / m
+    pref = np.zeros((m + 1, m + 1))
+    pref[1:, 1:] = np.cumsum(np.cumsum(values, axis=0), axis=1)
+    row_pref = np.concatenate([np.zeros((m, 1)), np.cumsum(values, axis=1)], axis=1)
+    col_pref = np.concatenate([np.zeros((1, m)), np.cumsum(values, axis=0)], axis=0)
+
+    def at(x, y):
+        x = np.clip((np.asarray(x, dtype=float) + 1.0) / cell, 0.0, m)
+        y = np.clip((np.asarray(y, dtype=float) + 1.0) / cell, 0.0, m)
+        i = np.minimum(x.astype(int), m - 1)
+        j = np.minimum(y.astype(int), m - 1)
+        fx, fy = x - i, y - j
+        # full cell block + partial strip of row i + partial strip of column j
+        # + the fractional corner cell
+        acc = pref[i, j] + fx * row_pref[i, j] + fy * col_pref[i, j] \
+            + fx * fy * values[i, j]
+        return acc * cell * cell
+
+    return at
+
+
+def rect_integral(pref, u_iv, v_iv):
+    """Integral under a prefix function over a rectangle, clipped to [-1,1]^2."""
+    (ua, ub), (va, vb) = u_iv, v_iv
+    ua, va = max(ua, -1.0), max(va, -1.0)
+    ub, vb = min(ub, 1.0), min(vb, 1.0)
+    if ub <= ua or vb <= va:
+        return 0.0
+    vals = pref(np.array([ub, ub, ua, ua]), np.array([vb, va, vb, va]))
+    return float(vals[0] - vals[1] - vals[2] + vals[3])
 
 
 def save_sigma_csv(sigma, path):

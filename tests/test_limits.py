@@ -106,7 +106,6 @@ def test_mixture_at_p_two_matches_the_shifted_integral_sum():
     # the weight-by-weight sum of plain shifted integrals of sigma^2, which
     # integrated_power computes through an unrelated cell-summation route
     sig = sample_volatility(LogGaussianVol(), 64, seed=7)
-    assert sig.closure is None  # pure grid: both routes read cells exactly
     got = sigma_functional(sig, 2.0, QUARTERS, 0.8, 0.6)
     oracle = sum(
         w * integrated_power(sig, 2.0, (-xi, 0.8 - xi, -tau, 0.6 - tau))

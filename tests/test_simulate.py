@@ -184,9 +184,7 @@ def test_strips_engine_with_varying_volatility_against_cell_sums():
     # on cell edges for these resolutions, so both routes are exact)
     sig = sample_volatility(DeterministicVol("sine_product"), 16, seed=0)
     cov = increment_covariance(UniformWeight(), sig, 8, 4)
-    from ambitlab.simulate import _uniform_strips
-
-    strips = _uniform_strips(UniformWeight(), 8, 0.5, cov.indices)
+    strips = UniformWeight().signed_strips(8, 0.5, cov.indices)
     edges = np.linspace(-1.0, 1.0, 17)
     sq = sig.values**2
     cell = (edges[1] - edges[0]) ** 2
@@ -285,34 +283,34 @@ def test_singular_autocorrelation_frozen_values():
     # frozen from this engine; cross-checked against scipy.integrate.nquad
     # with singular 'points' hints, which agrees within its own reported
     # error estimate at every offset (tightest cases to ~4e-10)
-    from ambitlab.simulate import _G2_QUAD, _g2_singular
+    from ambitlab.simulate import _G2_QUAD
 
     sw = SingularWeight(alpha=0.75)
     d = 1.0 / 128.0
-    assert _g2_singular(sw, 37 * d, 39 * d, _G2_QUAD) == pytest.approx(
+    assert sw.autocorrelation(37 * d, 39 * d, _G2_QUAD) == pytest.approx(
         0.398325244617, rel=1e-9
     )
-    assert _g2_singular(sw, 37 * d, -39 * d, _G2_QUAD) == pytest.approx(
+    assert sw.autocorrelation(37 * d, -39 * d, _G2_QUAD) == pytest.approx(
         0.169111397608, rel=1e-9
     )
-    assert _g2_singular(sw, 5 * d, 0.0, _G2_QUAD) == pytest.approx(
+    assert sw.autocorrelation(5 * d, 0.0, _G2_QUAD) == pytest.approx(
         1.41186467062, rel=1e-9
     )
-    assert _g2_singular(sw, 3 * d, 3 * d, _G2_QUAD) == pytest.approx(
+    assert sw.autocorrelation(3 * d, 3 * d, _G2_QUAD) == pytest.approx(
         1.44353545125, rel=1e-9
     )
 
 
 def test_singular_autocorrelation_symmetries():
-    from ambitlab.simulate import _G2_QUAD, _g2_singular
+    from ambitlab.simulate import _G2_QUAD
 
     sw = SingularWeight(alpha=0.6)
-    base = _g2_singular(sw, 0.1, 0.275, _G2_QUAD)
+    base = sw.autocorrelation(0.1, 0.275, _G2_QUAD)
     # swapping the axes mirrors the kernel across the diagonal; negating the
     # offset is a change of variable in the integral
-    assert _g2_singular(sw, 0.275, 0.1, _G2_QUAD) == pytest.approx(base, rel=1e-11)
-    assert _g2_singular(sw, -0.1, -0.275, _G2_QUAD) == pytest.approx(base, rel=1e-11)
-    assert _g2_singular(sw, 1.0, 0.5, _G2_QUAD) == 0.0
+    assert sw.autocorrelation(0.275, 0.1, _G2_QUAD) == pytest.approx(base, rel=1e-11)
+    assert sw.autocorrelation(-0.1, -0.275, _G2_QUAD) == pytest.approx(base, rel=1e-11)
+    assert sw.autocorrelation(1.0, 0.5, _G2_QUAD) == 0.0
 
 
 # ------------------------------------------------------------- exact sampling
