@@ -6,28 +6,37 @@ Usage::
              [--override-admissibility]
 
 The config file is plain ``key = value`` text (``#`` starts a comment).  The
-``kind`` key picks the experiment; the remaining keys feed it:
+``kind`` key picks the experiment.  Every kind reads ``seed`` (master seed;
+``--seed`` overrides) and ``out`` (output directory; ``--out`` overrides).
+The other keys each kind reads, marked ``!`` where the kind cannot run
+without them and ``(1)`` where they must hold a single value:
 
-==================  =========================================================
-key                 meaning
-==================  =========================================================
-kind                kernel-report | hermite | lln | clt | asymptotics |
-                    simulate
-weight.*            kernel spec (variant, alpha, ell, window corners, path)
-volatility.*        volatility model (variant, sigma0, name, mean, ...)
-p                   power(s), comma separated
-n                   resolution schedule, comma separated
-kappa / k           thinning exponent or constant thinning count (one only)
-reps                replications
-seed                master seed (``--seed`` overrides)
-out                 output directory (``--out`` overrides)
-grid_size, oversample, eval_point, cap, sigma_resolution, trend_batches
-                    experiment-specific knobs
-quad.rel_tol,       quadrature tolerances for the kernel-mass integrals
-quad.abs_tol
-override_admissibility
-                    run even when the thinning exponent fails the gate
-==================  =========================================================
+=============  ==============================================================
+kind           keys read
+=============  ==============================================================
+kernel-report  weight.* !, n !, kappa | k, quad.rel_tol, quad.abs_tol
+hermite        p !
+lln            weight.* !, volatility.* !, p !, n !, kappa | k !, reps,
+               grid_size, oversample, override_admissibility
+clt            weight.* !, volatility.* !, p ! (1), n !, kappa !, reps,
+               eval_point, cap, sigma_resolution, trend_batches,
+               override_admissibility
+asymptotics    weight.* !, n !, kappa !, quad.rel_tol, quad.abs_tol,
+               override_admissibility
+simulate       weight.* !, volatility.* !, p (1), n ! (1), kappa | k,
+               oversample, quad.rel_tol, quad.abs_tol
+=============  ==============================================================
+
+A key that its kind does not read is a config violation, like an unknown
+key.  ``weight.*`` is the kernel spec (variant, alpha, ell, window corners,
+path) and ``volatility.*`` the volatility model (variant, sigma0, name,
+mean, ...); ``p`` and ``n`` are comma-separated powers and resolutions;
+``kappa`` is the thinning exponent and ``k`` a constant thinning count (one
+only); ``quad.*`` are the kernel-mass quadrature tolerances; and
+``override_admissibility`` runs even when the thinning exponent fails the
+gate.  Unset keys take the defaults of ``LLNConfig``/``CLTConfig`` and
+``QuadratureConfig``; ``simulate`` defaults to p = 2 and oversample = 1, and
+unthinned (k = 1) when neither kappa nor k is set, as ``kernel-report`` does.
 
 Every run writes ``report.json`` plus CSV tables into the output directory.
 The JSON embeds the fully resolved config and the master seed; all random
@@ -43,10 +52,12 @@ the known-good range and no override requested).
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +70,7 @@ from .asymptotics import (
     save_measures_csv,
     slope_fit,
 )
-from .errors import AdmissibilityError, ConfigError, NotPSDError, QuadratureError
+from .errors import AdmissibilityError, NotPSDError, QuadratureError
 from .gaussian import abs_moment, up_hermite_coeffs
 from .kernels import (
     QuadratureConfig,
@@ -88,15 +99,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_REFUSED = 4
-
-KINDS = ("kernel-report", "hermite", "lln", "clt", "asymptotics", "simulate")
-
-_PLAIN_KEYS = {
-    "kind", "p", "n", "kappa", "k", "reps", "seed", "out",
-    "grid_size", "oversample", "eval_point", "cap", "sigma_resolution",
-    "trend_batches", "override_admissibility",
-}
-_PREFIX_KEYS = ("weight.", "volatility.", "quad.")
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +142,6 @@ class ExperimentConfig:
         with open(path) as fh:
             return cls.from_text(fh.read())
 
-    def get(self, key, default=None):
-        return self.entries.get(key, default)
-
     def with_overrides(self, seed=None, out=None, override_admissibility=False):
         entries = dict(self.entries)
         if seed is not None:
@@ -176,135 +175,158 @@ def _parse_strict_int(raw):
     return int(raw)
 
 
-class _Checked:
-    """Collects violations while pulling typed values out of the entries."""
+class _KindKeys(NamedTuple):
+    """The keys one experiment kind reads; a config is refused any other.
 
-    def __init__(self, config):
-        self.config = config
-        self.violations = list(config.problems)
+    ``reads`` names keys, or whole groups by their prefix (``weight.``,
+    ``volatility.``): a kind that reads a group builds it and cannot run
+    without it.  ``needs`` lists the keys it cannot run without ("a|b" for
+    either of two), ``single`` the list keys that must hold one value.
+    """
 
-    def take(self, key, convert, default=None, required_for=None):
-        raw = self.config.get(key)
-        if raw is None:
-            if required_for:
-                self.violations.append(f"missing key {key!r} (needed for kind={required_for})")
-            return default
-        try:
-            return convert(raw)
-        except (TypeError, ValueError) as exc:
-            self.violations.append(f"{key}: {exc}")
-            return default
-
-    def require(self, cond, message):
-        if not cond:
-            self.violations.append(message)
-        return cond
+    reads: tuple
+    needs: tuple = ()
+    single: tuple = ()
 
 
-def _validate_parts(config):
-    """(general violations, admissibility refusals) for one config."""
-    chk = _Checked(config)
-    for key in config.entries:
-        if key not in _PLAIN_KEYS and not key.startswith(_PREFIX_KEYS):
-            chk.violations.append(f"unknown key {key!r}")
+_COMMON_KEYS = ("kind", "seed", "out")
+_KINDS = {
+    "kernel-report": _KindKeys(
+        ("weight.", "n", "kappa", "k", "quad.rel_tol", "quad.abs_tol"), needs=("n",)),
+    "hermite": _KindKeys(("p",), needs=("p",)),
+    "lln": _KindKeys(
+        ("weight.", "volatility.", "p", "n", "kappa", "k", "reps", "grid_size",
+         "oversample", "override_admissibility"),
+        needs=("n", "p", "kappa|k")),
+    "clt": _KindKeys(
+        ("weight.", "volatility.", "p", "n", "kappa", "reps", "eval_point", "cap",
+         "sigma_resolution", "trend_batches", "override_admissibility"),
+        needs=("n", "p", "kappa"), single=("p",)),
+    "asymptotics": _KindKeys(
+        ("weight.", "n", "kappa", "quad.rel_tol", "quad.abs_tol",
+         "override_admissibility"),
+        needs=("n", "kappa")),
+    "simulate": _KindKeys(
+        ("weight.", "volatility.", "p", "n", "kappa", "k", "oversample",
+         "quad.rel_tol", "quad.abs_tol"),
+        needs=("n",), single=("p", "n")),
+}
+# A config without a known kind is checked against every key some kind reads.
+_ANY_KIND = _KindKeys(tuple(dict.fromkeys(
+    key for row in _KINDS.values() for key in row.reads)))
+_NEEDED = {
+    "p": "a p list",
+    "n": "an n schedule",
+    "kappa": "the thinning exponent: set kappa",
+    "kappa|k": "a thinning rule: kappa or k",
+}
+_SINGLE = {"p": "power", "n": "resolution"}
 
-    kind = config.get("kind")
+
+def _reads(row, key):
+    return key in _COMMON_KEYS or any(
+        key == read or (read.endswith(".") and key.startswith(read)) for read in row.reads)
+
+
+def _parse(config):
+    """(settings, violations, refusals) for one config, in a single pass.
+
+    Each key the kind reads is parsed once with the strict parsers, and the
+    weight and volatility are built once.  ``settings`` holds ``kind``,
+    ``seed``, ``out`` and ``quad`` (a ``QuadratureConfig`` or None), the built
+    ``weight``/``volatility``, and every other key the config sets with a
+    valid value, under its config key; unset keys keep the defaults of the
+    experiment that reads them.  Never raises.
+    """
+    entries = config.entries
+    violations = list(config.problems)
+    kind = entries.get("kind")
+    row = _KINDS.get(kind, _ANY_KIND)
+    for key in entries:
+        if not _reads(_ANY_KIND, key):
+            violations.append(f"unknown key {key!r}")
+        elif not _reads(row, key):
+            violations.append(f"kind {kind} does not read key {key!r}")
     if kind is None:
-        chk.violations.append("missing key 'kind'")
-    elif kind not in KINDS:
-        chk.violations.append(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
+        violations.append("missing key 'kind'")
+    elif kind not in _KINDS:
+        violations.append(f"unknown kind {kind!r}; expected one of {', '.join(_KINDS)}")
 
-    chk.take("seed", _parse_strict_int, default=0)
-    overridden = chk.take("override_admissibility", _parse_bool, default=False)
+    settings = {"kind": kind, "seed": 0, "out": entries.get("out", "reports")}
 
-    p_values = chk.take("p", lambda raw: _parse_list(raw, float))
-    if p_values is not None:
-        chk.require(all(np.isfinite(p) and p > 0.0 for p in p_values),
-                    f"powers must be positive, got {p_values}")
+    def take(key, convert, *checks):
+        if key not in entries or not _reads(row, key):
+            return
+        try:
+            value = convert(entries[key])
+        except (TypeError, ValueError) as exc:
+            violations.append(f"{key}: {exc}")
+            return
+        failed = [message.format(value) for holds, message in checks if not holds(value)]
+        violations.extend(failed)
+        if not failed:
+            settings[key] = value
 
-    schedule = chk.take("n", lambda raw: _parse_list(raw, _parse_strict_int))
-    if schedule is not None:
-        chk.require(all(n >= 2 for n in schedule),
-                    f"resolutions must be >= 2, got {schedule}")
-        chk.require(all(a < b for a, b in zip(schedule, schedule[1:])),
-                    f"resolution schedule must be strictly increasing, got {schedule}")
-
-    kappa = chk.take("kappa", float)
-    if kappa is not None:
-        chk.require(0.0 < kappa < 1.0,
-                    f"thinning exponent must lie in (0,1), got {kappa}")
-    k_const = chk.take("k", _parse_strict_int)
-    if k_const is not None:
-        chk.require(k_const >= 1, f"constant thinning k must be >= 1, got {k_const}")
-    chk.require(not (kappa is not None and k_const is not None),
-                "set exactly one of kappa and k, not both")
-
-    reps = chk.take("reps", _parse_strict_int)
-    if reps is not None:
-        chk.require(reps >= 1, f"replications must be >= 1, got {reps}")
+    take("seed", _parse_strict_int)
+    take("override_admissibility", _parse_bool)
+    take("p", lambda raw: _parse_list(raw, float),
+         (lambda ps: all(np.isfinite(p) and p > 0.0 for p in ps),
+          "powers must be positive, got {}"))
+    take("n", lambda raw: _parse_list(raw, _parse_strict_int),
+         (lambda ns: all(n >= 2 for n in ns), "resolutions must be >= 2, got {}"),
+         (lambda ns: all(a < b for a, b in zip(ns, ns[1:])),
+          "resolution schedule must be strictly increasing, got {}"))
+    take("kappa", float,
+         (lambda kappa: 0.0 < kappa < 1.0, "thinning exponent must lie in (0,1), got {}"))
+    take("k", _parse_strict_int,
+         (lambda k: k >= 1, "constant thinning k must be >= 1, got {}"))
+    take("reps", _parse_strict_int,
+         (lambda reps: reps >= 1, "replications must be >= 1, got {}"))
     for key, floor in (("grid_size", 0), ("oversample", 1), ("cap", 1),
                        ("sigma_resolution", 2), ("trend_batches", 2)):
-        val = chk.take(key, _parse_strict_int)
-        if val is not None:
-            chk.require(val >= floor, f"{key} must be >= {floor}, got {val}")
-    eval_point = chk.take("eval_point", lambda raw: _parse_list(raw, float))
-    if eval_point is not None:
-        chk.require(len(eval_point) == 2
-                    and all(0.0 < x <= 1.0 for x in eval_point),
-                    f"eval_point must be two coordinates in (0,1], got {eval_point}")
+        take(key, _parse_strict_int,
+             (lambda val, floor=floor: val >= floor, f"{key} must be >= {floor}, got {{}}"))
+    take("eval_point", lambda raw: _parse_list(raw, float),
+         (lambda xs: len(xs) == 2 and all(0.0 < x <= 1.0 for x in xs),
+          "eval_point must be two coordinates in (0,1], got {}"))
     for key in ("quad.rel_tol", "quad.abs_tol"):
-        tol = chk.take(key, float)
-        if tol is not None:
-            chk.require(np.isfinite(tol) and tol > 0.0,
-                        f"{key} must be a positive tolerance, got {tol}")
+        take(key, float, (lambda tol: np.isfinite(tol) and tol > 0.0,
+                          f"{key} must be a positive tolerance, got {{}}"))
+    tolerances = {key[len("quad."):]: settings.pop(key)
+                  for key in ("quad.rel_tol", "quad.abs_tol") if key in settings}
+    settings["quad"] = QuadratureConfig(**tolerances) if tolerances else None
+    if "kappa" in entries and "k" in entries:
+        violations.append("set exactly one of kappa and k, not both")
 
-    weight = None
-    if "weight.variant" in config.entries or kind in (
-            "kernel-report", "lln", "clt", "asymptotics", "simulate"):
-        try:
-            weight = weight_from_config(config.entries)
-        except (ValueError, TypeError, OSError, ConfigError) as exc:
-            chk.violations.append(f"weight: {exc}")
+    for group, build in (("weight", weight_from_config), ("volatility", vol_from_config)):
+        # a known kind that reads the group cannot run without it
+        if (f"{group}.variant" in entries if row is _ANY_KIND
+                else f"{group}." in row.reads):
+            try:
+                settings[group] = build(entries)
+            except (ValueError, TypeError, OSError) as exc:
+                violations.append(f"{group}: {exc}")
 
-    if "volatility.variant" in config.entries or kind in ("lln", "clt", "simulate"):
-        try:
-            vol_from_config(config.entries)
-        except (ConfigError, ValueError, TypeError) as exc:
-            chk.violations.append(f"volatility: {exc}")
-
-    if kind == "hermite":
-        chk.require(p_values is not None, "hermite needs a p list")
-    elif kind in ("kernel-report", "asymptotics", "simulate"):
-        chk.require(schedule is not None, f"{kind} needs an n schedule")
-    elif kind in ("lln", "clt"):
-        chk.require(schedule is not None, f"{kind} needs an n schedule")
-        chk.require(p_values is not None, f"{kind} needs a p list")
-    if kind == "lln":
-        chk.require(kappa is not None or k_const is not None,
-                    "lln needs a thinning rule: kappa or k")
-    if kind == "clt":
-        chk.require(kappa is not None,
-                    "clt thins by an exponent: set kappa, not a constant k")
-        if p_values is not None:
-            chk.require(len(p_values) == 1,
-                        f"clt runs a single power, got {len(p_values)}")
-    if kind == "asymptotics":
-        chk.require(kappa is not None, "asymptotics needs the thinning exponent kappa")
-        if weight is not None:
-            chk.require(weight.catalog_min_k is not None,
-                        "region catalogs exist for the corner-singular and "
-                        "cone kernels only")
-    if kind == "simulate" and schedule is not None:
-        chk.require(len(schedule) == 1,
-                    f"simulate takes a single resolution, got {len(schedule)}")
+    for need in row.needs:
+        if not any(key in entries for key in need.split("|")):
+            violations.append(f"{kind} needs {_NEEDED[need]}")
+    for key in row.single:
+        if key in settings and len(settings[key]) != 1:
+            violations.append(f"{kind} takes a single {_SINGLE[key]}, got "
+                              f"{len(settings[key])}")
+    weight = settings.get("weight")
+    if kind == "asymptotics" and weight is not None and weight.catalog_min_k is None:
+        violations.append("region catalogs exist for the corner-singular and cone "
+                          "kernels only")
 
     refusals = []
-    if (weight is not None and kappa is not None and not overridden
-            and kind in ("lln", "clt", "asymptotics")):
-        reason = kappa_refusal(weight, kappa)
+    if (row is not _ANY_KIND and "override_admissibility" in row.reads
+            and weight is not None and "kappa" in settings
+            and not settings.get("override_admissibility", False)):
+        reason = kappa_refusal(weight, settings["kappa"])
         if reason is not None:
             refusals.append(f"{reason}; pass --override-admissibility to run anyway")
-    return chk.violations, refusals
+    return settings, violations, refusals
 
 
 def validate(config):
@@ -314,55 +336,26 @@ def validate(config):
     is collected so one round trip shows every problem at once.  An empty
     list means ``run`` will accept the config.
     """
-    general, refusals = _validate_parts(config)
-    return general + refusals
+    _, violations, refusals = _parse(config)
+    return violations + refusals
 
 
-# ---------------------------------------------------------------------------
-# resolved settings
-# ---------------------------------------------------------------------------
+def _thinning(settings, n):
+    """The constant k if set, else k_n for the exponent kappa, else 1."""
+    if "k" in settings:
+        return settings["k"]
+    return thinning_count(n, settings["kappa"]) if "kappa" in settings else 1
 
-class _Resolved:
-    def __init__(self, config):
-        e = config.entries
-        self.kind = e["kind"]
-        self.seed = int(e.get("seed", 0))
-        self.out_dir = e.get("out", "reports")
-        self.override = _parse_bool(e.get("override_admissibility", "false"))
-        self.p_values = tuple(_parse_list(e["p"], float)) if "p" in e else (2.0,)
-        self.schedule = tuple(_parse_list(e["n"], int)) if "n" in e else ()
-        self.kappa = float(e["kappa"]) if "kappa" in e else None
-        self.k = int(e["k"]) if "k" in e else None
-        self.reps = int(e["reps"]) if "reps" in e else None
-        self.grid_size = int(e.get("grid_size", 5))
-        self.oversample = int(e.get("oversample", 1))
-        self.cap = int(e.get("cap", 32))
-        self.sigma_resolution = int(e.get("sigma_resolution", 64))
-        self.trend_batches = int(e.get("trend_batches", 8))
-        self.eval_point = (tuple(_parse_list(e["eval_point"], float))
-                           if "eval_point" in e else (1.0, 1.0))
-        if "quad.rel_tol" in e or "quad.abs_tol" in e:
-            base = QuadratureConfig()
-            self.quadcfg = QuadratureConfig(
-                rel_tol=float(e.get("quad.rel_tol", base.rel_tol)),
-                abs_tol=float(e.get("quad.abs_tol", base.abs_tol)),
-            )
-        else:
-            self.quadcfg = None
-        self.weight = (weight_from_config(e)
-                       if "weight.variant" in e or self.kind not in ("hermite",)
-                       else None)
-        self.volatility = (vol_from_config(e)
-                           if "volatility.variant" in e else None)
-        if self.volatility is None and self.kind in ("lln", "clt", "simulate"):
-            self.volatility = vol_from_config({"volatility.variant": "constant"})
 
-    def thinning_for(self, n):
-        if self.k is not None:
-            return self.k
-        if self.kappa is not None:
-            return thinning_count(n, self.kappa)
-        return 1
+def _experiment_fields(settings, cls, **renamed):
+    """The settings ``cls`` has a field for, keyed by field name.
+
+    Only keys the config sets are passed, so every other field keeps the
+    default declared on ``cls``.
+    """
+    fields = {field.name for field in dataclasses.fields(cls)}
+    named = {renamed.get(key, key): value for key, value in settings.items()}
+    return {name: value for name, value in named.items() if name in fields}
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +369,14 @@ def run(config):
     the report lands last, so a ``report.json`` on disk certifies that every
     CSV next to it is complete.
     """
-    general, refusals = _validate_parts(config)
+    settings, general, refusals = _parse(config)
     if general or refusals:
         for message in general + refusals:
             print(f"config: {message}", file=sys.stderr)
         return EXIT_REFUSED if not general else EXIT_CONFIG
 
-    res = _Resolved(config)
-    os.makedirs(res.out_dir, exist_ok=True)
+    out_dir = settings["out"]
+    os.makedirs(out_dir, exist_ok=True)
     t_start = time.perf_counter()
     runner = {
         "hermite": _run_hermite,
@@ -392,9 +385,9 @@ def run(config):
         "clt": _run_clt,
         "asymptotics": _run_asymptotics,
         "simulate": _run_simulate,
-    }[res.kind]
+    }[settings["kind"]]
     try:
-        targets, results, files = runner(res)
+        targets, results, files = runner(settings)
     except (QuadratureError, np.linalg.LinAlgError, NotPSDError) as exc:
         print(f"numerical: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -403,25 +396,25 @@ def run(config):
         return EXIT_REFUSED
 
     resolved = dict(sorted(config.entries.items()))
-    resolved.setdefault("seed", str(res.seed))
-    resolved.setdefault("out", res.out_dir)
+    resolved.setdefault("seed", str(settings["seed"]))
+    resolved.setdefault("out", out_dir)
     report = {
-        "kind": res.kind,
+        "kind": settings["kind"],
         "config": resolved,
-        "seed": res.seed,
+        "seed": settings["seed"],
         "targets": targets,
         "results": results,
         "files": sorted(files),
         "runtime_s": time.perf_counter() - t_start,
     }
-    path = os.path.join(res.out_dir, "report.json")
+    path = os.path.join(out_dir, "report.json")
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return EXIT_OK
 
 
-def _run_hermite(res):
+def _run_hermite(settings):
     targets = {
         "alpha": "coefficients of |x|^p - m_p against He_k/k!; the k=0,1 "
                  "coefficients vanish (rank two), and alpha_2 = 2 at p = 2",
@@ -429,10 +422,10 @@ def _run_hermite(res):
                           "m_2p - m_p^2",
     }
     per_p, files = {}, []
-    for p in res.p_values:
+    for p in settings["p"]:
         exp = up_hermite_coeffs(p)
         sums = exp.partial_sums()
-        path = os.path.join(res.out_dir, f"hermite_p{p:g}.csv")
+        path = os.path.join(settings["out"], f"hermite_p{p:g}.csv")
         with open(path, "w") as fh:
             fh.write("k,alpha,partial_parseval\n")
             for k, (a, s) in enumerate(zip(exp.alpha, sums)):
@@ -449,7 +442,7 @@ def _run_hermite(res):
     return targets, {"per_p": per_p}, files
 
 
-def _run_kernel_report(res):
+def _run_kernel_report(settings):
     targets = {
         "c_n": "squared mass of the differenced kernel; 4/n^2 exactly for "
                "the rectangle indicator",
@@ -457,23 +450,24 @@ def _run_kernel_report(res):
                          "indicator: 1/4 each) or in the shrinking "
                          "neighborhood of the concentration point",
     }
+    weight, quad = settings["weight"], settings["quad"]
     per_n = {}
     extra_cols = []
-    for n in res.schedule:
-        cn = compute_cn(res.weight, n, res.quadcfg)
-        k = res.thinning_for(n)
+    for n in settings["n"]:
+        cn = compute_cn(weight, n, quad)
+        k = _thinning(settings, n)
         row = {"c_n": float(cn), "k": int(k), "eps": k / n}
-        for name, cell in res.weight.corner_cells(n).items():
-            row[name] = float(concentration_mass(res.weight, n, cell, res.quadcfg))
-        if concentration_point(res.weight) is not None:
+        for name, cell in weight.corner_cells(n).items():
+            row[name] = float(concentration_mass(weight, n, cell, quad))
+        if concentration_point(weight) is not None:
             row["near_mass"] = float(concentration_mass(
-                res.weight, n, near_region(res.weight, k / n), res.quadcfg))
+                weight, n, near_region(weight, k / n), quad))
         per_n[str(n)] = row
         extra_cols = [key for key in row if key not in ("c_n", "k", "eps")]
-    path = os.path.join(res.out_dir, "kernel_report.csv")
+    path = os.path.join(settings["out"], "kernel_report.csv")
     with open(path, "w") as fh:
         fh.write("n,c_n,k,eps" + "".join(f",{c}" for c in extra_cols) + "\n")
-        for n in res.schedule:
+        for n in settings["n"]:
             row = per_n[str(n)]
             cells = [str(n), repr(row["c_n"]), str(row["k"]), repr(row["eps"])]
             cells += [repr(row[c]) for c in extra_cols]
@@ -492,21 +486,15 @@ def _lln_targets():
     }
 
 
-def _run_lln(res):
-    cfg = dict(weight=res.weight, volatility=res.volatility,
-               p_values=res.p_values, n_schedule=res.schedule,
-               k=res.k, kappa=res.kappa, grid_size=res.grid_size,
-               oversample=res.oversample, seed=res.seed,
-               override_admissibility=res.override)
-    if res.reps is not None:
-        cfg["reps"] = res.reps
+def _run_lln(settings):
+    cfg = _experiment_fields(settings, LLNConfig, p="p_values", n="n_schedule")
     report = lln_experiment(LLNConfig(**cfg))
-    path = os.path.join(res.out_dir, "lln.csv")
+    path = os.path.join(settings["out"], "lln.csv")
     save_report_csv(report, path)
     return _lln_targets(), report_to_dict(report), [os.path.basename(path)]
 
 
-def _run_clt(res):
+def _run_clt(settings):
     targets = {
         "sample_variance": "Monte Carlo variance of the centered, rescaled "
                            "variation; matches the exact value within "
@@ -519,21 +507,14 @@ def _run_clt(res):
         "shape": "skewness, excess kurtosis and Kolmogorov distance to a "
                  "fitted normal, all decreasing toward 0",
     }
-    cfg = dict(weight=res.weight, volatility=res.volatility,
-               p=res.p_values[0], n_schedule=res.schedule, kappa=res.kappa,
-               eval_point=res.eval_point, seed=res.seed, cap=res.cap,
-               sigma_resolution=res.sigma_resolution,
-               trend_batches=res.trend_batches,
-               override_admissibility=res.override)
-    if res.reps is not None:
-        cfg["reps"] = res.reps
+    cfg = _experiment_fields(dict(settings, p=settings["p"][0]), CLTConfig, n="n_schedule")
     report = clt_experiment(CLTConfig(**cfg))
-    path = os.path.join(res.out_dir, "clt.csv")
+    path = os.path.join(settings["out"], "clt.csv")
     save_report_csv(report, path)
     return targets, report_to_dict(report), [os.path.basename(path)]
 
 
-def _run_asymptotics(res):
+def _run_asymptotics(settings):
     targets = {
         "region_mass": "squared-kernel mass by catalog region; the core "
                        "decays like n^(-2(1-alpha)) for the corner-singular "
@@ -544,26 +525,27 @@ def _run_asymptotics(res):
                              "eps^2; decreasing iff the thinning exponent "
                              "is admissible",
     }
+    weight, kappa, schedule = settings["weight"], settings["kappa"], settings["n"]
     measures, ratios = {}, {}
-    for n in res.schedule:
-        catalog = region_catalog(res.weight, n, res.kappa)
+    for n in schedule:
+        catalog = region_catalog(weight, n, kappa)
         names = tuple(dict.fromkeys(catalog.partition + ("Etilde",)))
-        measures[n] = region_measures(res.weight, n, catalog, names=names,
-                                      quadcfg=res.quadcfg)
-        ratios[str(n)] = float(assumption2_ratio(res.weight, n, res.kappa,
-                                                 quadcfg=res.quadcfg))
-    csv_path = os.path.join(res.out_dir, "region_measures.csv")
+        measures[n] = region_measures(weight, n, catalog, names=names,
+                                      quadcfg=settings["quad"])
+        ratios[str(n)] = float(assumption2_ratio(weight, n, kappa,
+                                                 quadcfg=settings["quad"]))
+    csv_path = os.path.join(settings["out"], "region_measures.csv")
     save_measures_csv(measures, csv_path)
-    ratio_path = os.path.join(res.out_dir, "assumption2.csv")
+    ratio_path = os.path.join(settings["out"], "assumption2.csv")
     with open(ratio_path, "w") as fh:
         fh.write("n,ratio\n")
-        for n in res.schedule:
+        for n in schedule:
             fh.write(f"{n},{ratios[str(n)]!r}\n")
 
     slopes = {}
     region_names = sorted({name for table in measures.values() for name in table})
     for name in region_names:
-        values = {n: measures[n][name] for n in res.schedule}
+        values = {n: measures[n][name] for n in schedule}
         try:
             fit = slope_fit(values)
         except ValueError as exc:
@@ -572,41 +554,41 @@ def _run_asymptotics(res):
             slopes[name] = {"exponent": fit.exponent, "intercept": fit.intercept,
                             "r_squared": fit.r_squared}
     try:
-        admissible = str(admissible_kappa(res.weight))
+        admissible = str(admissible_kappa(weight))
     except ValueError as exc:
         admissible = f"unknown ({exc})"
     results = {
         "admissible_kappa": admissible,
-        "kappa": res.kappa,
+        "kappa": kappa,
         "per_n": {str(n): {name: float(v) for name, v in measures[n].items()}
-                  for n in res.schedule},
+                  for n in schedule},
         "assumption2_ratio": ratios,
         "slopes": slopes,
     }
     return targets, results, [os.path.basename(csv_path), os.path.basename(ratio_path)]
 
 
-def _run_simulate(res):
+def _run_simulate(settings):
     targets = {
         "field": "kernel-smoothed white-noise sheet on the (n+1)^2 lattice",
         "scaled_variation": "scaled power variation of its thinned "
                             "increments; near m_p * Sigma^(p,pi) for "
                             "admissible thinning",
     }
-    n = res.schedule[0]
-    M = 2 * n * res.oversample
-    sigma = sample_volatility(res.volatility, M, seed=res.seed)
-    fld = simulate_lattice(res.weight, sigma, n, M, seed=res.seed, rep=0)
-    k = res.thinning_for(n)
+    n = settings["n"][0]
+    M = 2 * n * settings.get("oversample", 1)
+    sigma = sample_volatility(settings["volatility"], M, seed=settings["seed"])
+    fld = simulate_lattice(settings["weight"], sigma, n, M, seed=settings["seed"], rep=0)
+    k = _thinning(settings, n)
     inc = increments(fld, k)
-    p = res.p_values[0]
-    V = variation_field(inc, p, c_n=compute_cn(res.weight, n, res.quadcfg))
+    p = settings.get("p", [2.0])[0]
+    V = variation_field(inc, p, c_n=compute_cn(settings["weight"], n, settings["quad"]))
     scaled = scaled_power_variation(V)
     files = []
     for name, saver, obj in (("field.csv", save_field_csv, fld),
                              ("sigma.csv", save_sigma_csv, sigma),
                              ("variation.csv", save_variation_csv, scaled)):
-        path = os.path.join(res.out_dir, name)
+        path = os.path.join(settings["out"], name)
         saver(obj, path)
         files.append(name)
     results = {

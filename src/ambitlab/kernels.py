@@ -23,7 +23,7 @@ Each variant's facts live on its class; the module-level functions and the
 other modules only read them.  The class holds the config name ``variant``
 (the registry key), ``evaluate`` and the mass reduction ``mass``, the
 concentration geometry (``concentration_point``, ``window``,
-``corner_cells``, ``limit_atoms``, ``exact_cn``), ``support``, the
+``corner_cells``, ``limit_atoms``), ``support``, the
 admissible ``kappa_range``, the region ``catalog`` with ``catalog_min_k``,
 the exact routes (``signed_strips`` where ``has_strips``,
 ``lattice_autocorrelation`` where ``has_autocorrelation``) and the config
@@ -70,7 +70,6 @@ __all__ = [
     "GridWeight",
     "KappaRange",
     "QuadratureConfig",
-    "ConcentrationReport",
     "AmbitSupport",
     "require_weight",
     "eval_g",
@@ -78,7 +77,6 @@ __all__ = [
     "compute_cn",
     "mu_mass",
     "concentration_mass",
-    "concentration_report",
     "concentration_point",
     "near_region",
     "ambit_support",
@@ -311,7 +309,7 @@ def _integrate_pieces(f, pieces, quadcfg, f_check=None):
     v2 = run(f_check or f, c.levels + 6, c.nodes + 4, c.smooth_nodes + 8)
     if abs(v1 - v2) > c.rel_tol * max(abs(v1), abs(v2)) + c.abs_tol:
         raise QuadratureError(
-            f"kernel-mass quadrature did not stabilize: {v1!r} vs {v2!r}",
+            f"kernel-mass quadrature did not stabilize: {float(v1)!r} vs {float(v2)!r}",
             estimate=v2,
         )
     return v2
@@ -418,10 +416,6 @@ class WeightSpec:
     def corner_cells(self, n):
         """Named cells carrying a multi-atom concentration limit."""
         return {}
-
-    def exact_cn(self, n):
-        """c_n in closed form, or None where only quadrature knows it."""
-        return None
 
 
 def _mu_rowwise(spec, n, region, quadcfg, piece_nodes):
@@ -547,9 +541,6 @@ class UniformWeight(WeightSpec):
 
     def mass(self, n, region, quadcfg):
         return _mu_rowwise(self, n, region, quadcfg, piece_nodes=0)
-
-    def exact_cn(self, n):
-        return 4.0 / n ** 2 * self.scale ** 2
 
     def corner_cells(self, n):
         """The four corner cells carrying the concentration mass."""
@@ -1326,67 +1317,6 @@ def near_region(spec, eps):
     if eps <= 0.0:
         raise ValueError(f"neighborhood size must be positive, got {eps}")
     return require_weight(spec).window(eps)
-
-
-def corner_squares(spec, n):
-    """The four corner cells carrying the Uniform kernel's concentration mass."""
-    cells = require_weight(spec).corner_cells(n)
-    if not cells:
-        raise ValueError("corner squares exist for the rectangle-indicator kernel only")
-    return cells
-
-
-@dataclass(frozen=True)
-class ConcentrationReport:
-    n: int
-    c_n: float
-    kappa: float | None
-    k_n: int | None
-    eps_n: float | None
-    region_masses: dict
-    assumption2_ratio: float | None
-    notes: tuple = ()
-
-
-def concentration_report(spec, n, kappa=None, quadcfg=None):
-    """Masses of the canonical concentration regions at resolution n.
-
-    With a thinning exponent, also reports the escaping-mass ratio
-    pi_n(complement of E_n) / eps_n^2 at the realized eps_n = k_n / n.
-    """
-    quadcfg = quadcfg or _DEFAULT_QUAD
-    c_n = compute_cn(spec, n, quadcfg)
-    notes = []
-    masses = {}
-    for name, reg in spec.corner_cells(n).items():
-        masses[name] = mu_mass(spec, n, reg, quadcfg) / c_n
-    exact = spec.exact_cn(n)
-    if exact is not None and abs(c_n - exact) > 1e-8 * exact:
-        notes.append(f"separable mass {c_n!r} deviates from exact-geometry value {exact!r}")
-    d = 1.0 / n
-    if spec.concentration_point is not None:
-        masses["near_cell"] = mu_mass(spec, n, near_region(spec, 2.0 * d), quadcfg) / c_n
-
-    k_n = eps_n = ratio = None
-    if kappa is not None:
-        k_n = thinning_count(n, kappa)
-        eps_n = k_n / n
-        if spec.concentration_point is not None:
-            inside = mu_mass(spec, n, near_region(spec, eps_n), quadcfg) / c_n
-            masses["near_eps"] = inside
-            ratio = (1.0 - inside) / eps_n ** 2
-        else:
-            notes.append("no single concentration point; escaping-mass ratio undefined")
-    return ConcentrationReport(
-        n=n,
-        c_n=c_n,
-        kappa=kappa,
-        k_n=k_n,
-        eps_n=eps_n,
-        region_masses=masses,
-        assumption2_ratio=ratio,
-        notes=tuple(notes),
-    )
 
 
 # ---------------------------------------------------------------------------

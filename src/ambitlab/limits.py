@@ -234,8 +234,6 @@ class LLNConfig:
     grid_size: int = 5
     oversample: int = 1
     seed: int = 0
-    pi: object = None
-    decompose: bool = True
     override_admissibility: bool = False
 
     def __post_init__(self):
@@ -376,13 +374,12 @@ def lln_experiment(config):
             flags=tuple(flags),
         )
 
-    pi = config.pi if config.pi is not None else limit_pi(weight)
-    atoms = _pi_atoms(pi)
+    atoms = limit_pi(weight).atoms
     grid = [i / config.grid_size for i in range(1, config.grid_size + 1)]
     redraw = isinstance(vol, LogGaussianVol)
     exact_mean_path = isinstance(vol, ConstantVol) or weight.has_strips
-    per_rep_mean_path = config.decompose and exact_mean_path and not redraw
-    if config.decompose and exact_mean_path and not per_rep_mean_path:
+    per_rep_mean_path = exact_mean_path and not redraw
+    if exact_mean_path and redraw:
         flags.append(
             "mean/stochastic split skipped: volatility re-draws per replication "
             "make the exact conditional expectation quadratic in the lattice"

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .errors import NotPSDError, QuadratureError
-from .kernels import QuadratureConfig, compute_cn, eval_g, thinning_count
+from .kernels import QuadratureConfig, compute_cn, eval_g
 from .volatility import rect_integral, squared_prefix_integral
 
 __all__ = [
@@ -369,12 +369,6 @@ def rho_bar(cov):
     corr = np.abs(cov.correlation())
     np.fill_diagonal(corr, 0.0)
     return float(corr.max())
-
-
-def admissible_thinning(n, kappa):
-    """(k_n, eps_n) for the thinning exponent kappa."""
-    k = thinning_count(n, kappa)
-    return k, k / n
 
 
 # ------------------------------------------------------------------ exports

@@ -1,10 +1,11 @@
 import json
 import math
 import os
+import pathlib
 
 import pytest
 
-from ambitlab import limits
+from ambitlab import cli, limits
 from ambitlab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -41,6 +42,9 @@ kappa = 0.4
 reps = 40
 sigma_resolution = 8
 """
+
+BENCH_CONFIGS = sorted(
+    (pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "configs").glob("*.cfg"))
 
 
 def _config(text, **extra):
@@ -138,6 +142,27 @@ def test_kind_specific_requirements():
     sim = ExperimentConfig({"kind": "simulate", "weight.variant": "uniform",
                             "volatility.variant": "constant", "n": "16, 32"})
     assert any("single resolution" in m for m in validate(sim))
+    sim.entries.update(n="16", p="1.0, 2.0")
+    assert any("single power" in m for m in validate(sim))
+
+
+@pytest.mark.parametrize("path", BENCH_CONFIGS, ids=lambda p: p.stem)
+def test_shipped_benchmark_configs_are_valid(path):
+    assert validate(ExperimentConfig.from_file(path)) == []
+
+
+@pytest.mark.parametrize("text, message", [
+    (LLN_TEXT + "quad.rel_tol = 1e-15\n", "kind lln does not read key 'quad.rel_tol'"),
+    ("kind = hermite\np = 2.0\nweight.variant = uniform\n",
+     "kind hermite does not read key 'weight.variant'"),
+    ("kind = hermite\np = 2.0\nquad.max_depth = 60\n", "unknown key 'quad.max_depth'"),
+], ids=["quad-on-lln", "weight-on-hermite", "unknown-quad-key"])
+def test_a_key_the_kind_never_reads_is_a_config_error(tmp_path, text, message):
+    cfg = ExperimentConfig.from_text(text)
+    assert validate(cfg) == [message]
+    out = tmp_path / "never"
+    assert run(cfg.with_overrides(out=out)) == EXIT_CONFIG
+    assert not out.exists()
 
 
 # ------------------------------------------------------------ run: failures
@@ -160,7 +185,7 @@ def test_inadmissible_thinning_is_a_distinct_refusal_exit(tmp_path):
     assert not out.exists()
 
 
-def test_unreachable_quadrature_tolerance_is_a_numerical_exit(tmp_path):
+def test_unreachable_quadrature_tolerance_is_a_numerical_exit(tmp_path, capsys):
     out = tmp_path / "tight"
     cfg = ExperimentConfig({
         "kind": "asymptotics", "weight.variant": "singular",
@@ -171,6 +196,8 @@ def test_unreachable_quadrature_tolerance_is_a_numerical_exit(tmp_path):
     assert run(cfg) == EXIT_NUMERICAL
     # the report lands last: its absence marks the run incomplete
     assert not (out / "report.json").exists()
+    err = capsys.readouterr().err
+    assert "did not stabilize" in err and "np.float64" not in err
 
 
 def test_indefinite_covariance_is_a_numerical_exit(tmp_path, monkeypatch):
@@ -185,6 +212,21 @@ def test_indefinite_covariance_is_a_numerical_exit(tmp_path, monkeypatch):
 
 
 # ------------------------------------------------------------- run: reports
+
+def test_run_builds_the_weight_and_the_volatility_once(tmp_path, monkeypatch):
+    calls = {"weight": 0, "volatility": 0}
+
+    def counted(name, build):
+        def wrapper(entries):
+            calls[name] += 1
+            return build(entries)
+        return wrapper
+
+    monkeypatch.setattr(cli, "weight_from_config", counted("weight", cli.weight_from_config))
+    monkeypatch.setattr(cli, "vol_from_config", counted("volatility", cli.vol_from_config))
+    assert run(_config(LLN_TEXT, n="16", out=str(tmp_path / "once"))) == EXIT_OK
+    assert calls == {"weight": 1, "volatility": 1}
+
 
 def test_hermite_report_carries_the_rank_two_signature(tmp_path):
     out = tmp_path / "herm"

@@ -14,7 +14,6 @@ from ambitlab.kernels import (
     compute_cn,
     concentration_mass,
     concentration_point,
-    concentration_report,
     eval_g,
     eval_h,
     load_grid_csv,
@@ -295,32 +294,6 @@ def test_near_region_shapes():
         near_region(UniformWeight(), 0.2)
     with pytest.raises(ValueError):
         near_region(SingularWeight(alpha=0.3), 0.0)
-
-
-def test_uniform_report_puts_a_quarter_mass_on_each_corner_cell():
-    rep = concentration_report(UniformWeight(), 32)
-    assert rep.c_n == pytest.approx(4.0 / 32**2, rel=1e-12)
-    assert sorted(rep.region_masses) == ["corner_11", "corner_12", "corner_21", "corner_22"]
-    for mass in rep.region_masses.values():
-        assert mass == pytest.approx(0.25, abs=1e-10)
-    assert rep.assumption2_ratio is None
-    assert rep.notes == ()
-
-
-def test_singular_report_tracks_the_thinned_neighborhood():
-    rep = concentration_report(SingularWeight(alpha=0.6), 64, kappa=0.4)
-    assert rep.k_n == thinning_count(64, 0.4)
-    assert rep.eps_n == pytest.approx(rep.k_n / 64)
-    assert 0.0 < rep.region_masses["near_eps"] < 1.0
-    assert rep.assumption2_ratio == pytest.approx(
-        (1.0 - rep.region_masses["near_eps"]) / rep.eps_n**2, rel=1e-12
-    )
-
-
-def test_uniform_report_with_thinning_notes_the_missing_single_point():
-    rep = concentration_report(UniformWeight(), 32, kappa=0.4)
-    assert rep.assumption2_ratio is None
-    assert any("concentration point" in note for note in rep.notes)
 
 
 def test_ambit_support_membership_and_translation():

@@ -258,13 +258,6 @@ def test_lln_is_deterministic_given_the_config():
     assert a == b
 
 
-def test_lln_decompose_switch_drops_the_split():
-    rep = lln_experiment(_lln_uniform_config(reps=2, decompose=False))
-    st = rep.per_n[16]["2.0"]
-    assert st["mean_part_median"] is None and st["stoch_part_median"] is None
-    assert st["sup_error_median"] > 0.0
-
-
 def test_lln_redraw_volatility_skips_the_split_with_a_flag():
     rep = lln_experiment(_lln_uniform_config(
         volatility=LogGaussianVol(), reps=3, n_schedule=(16,), grid_size=2, seed=1))

@@ -8,7 +8,6 @@ from ambitlab.simulate import (
     IncrementField,
     LatticeField,
     NoiseGrid,
-    admissible_thinning,
     increment_covariance,
     increments,
     rho_bar,
@@ -336,12 +335,6 @@ def test_exact_sampler_rejects_indefinite_matrices():
         sample_increments_exact(cov, seed=0, reps=10)
     with pytest.raises(ValueError, match="replication"):
         sample_increments_exact(cov, seed=0, reps=0)
-
-
-def test_thinning_schedule_examples():
-    assert admissible_thinning(600, 0.4) == (47, 47 / 600)
-    assert admissible_thinning(64, 0.5) == (8, 0.125)
-    assert admissible_thinning(64, 0.4) == (13, 13 / 64)
 
 
 # ------------------------------------------------------------------- exports

@@ -3,16 +3,22 @@
 * no module imports another module's private name;
 * only ``kernels`` knows the concrete weight classes: everyone else reads a
   variant's facts off the instance;
-* every imported name is used (a name listed in ``__all__`` counts).
+* every imported name is used (a name listed in ``__all__`` counts);
+* every top-level function and class is referenced somewhere in ``src/``,
+  ``tests/`` or ``perfbench/`` outside its own definition (``__all__`` does
+  not count).
 """
 
 import ast
+import collections
+import functools
 import pathlib
 
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ambitlab"
 MODULES = sorted(SRC.glob("*.py"))
+READERS = (SRC, SRC.parents[1] / "tests", SRC.parents[1] / "perfbench")
 WEIGHT_CLASSES = {"UniformWeight", "SingularWeight", "TriangleWeight", "GridWeight"}
 
 
@@ -84,3 +90,30 @@ def test_every_imported_name_is_used(path):
     unused = sorted(f"line {line}: {name}" for name, line in imported.items()
                     if name not in used)
     assert not unused, unused
+
+
+def _names_read(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+@functools.cache
+def _reads_everywhere():
+    return collections.Counter(name for folder in READERS
+                               for path in folder.glob("*.py")
+                               for name in _names_read(_tree(path)))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_top_level_definition_is_referenced(path):
+    reads = _reads_everywhere()
+    dead = []
+    for node in _tree(path).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own = sum(name == node.name for name in _names_read(node))
+            if reads[node.name] == own:
+                dead.append(f"line {node.lineno}: {node.name}")
+    assert not dead, dead
