@@ -28,15 +28,33 @@ simulate       weight.* !, volatility.* !, p (1), n ! (1), kappa | k,
 =============  ==============================================================
 
 A key that its kind does not read is a config violation, like an unknown
-key.  ``weight.*`` is the kernel spec (variant, alpha, ell, window corners,
-path) and ``volatility.*`` the volatility model (variant, sigma0, name,
-mean, ...); ``p`` and ``n`` are comma-separated powers and resolutions;
-``kappa`` is the thinning exponent and ``k`` a constant thinning count (one
-only); ``quad.*`` are the kernel-mass quadrature tolerances; and
-``override_admissibility`` runs even when the thinning exponent fails the
-gate.  Unset keys take the defaults of ``LLNConfig``/``CLTConfig`` and
-``QuadratureConfig``; ``simulate`` defaults to p = 2 and oversample = 1, and
-unthinned (k = 1) when neither kappa nor k is set, as ``kernel-report`` does.
+key.  ``weight.*`` is the kernel spec and ``volatility.*`` the volatility
+model; within each group only the keys the chosen variant reads are
+accepted, so ``weight.alpha`` on a uniform weight or ``volatility.sigma0`` on
+a deterministic volatility is a violation too:
+
+=============  ==============================================================
+variant        keys read besides ``variant``
+=============  ==============================================================
+uniform        weight.s1, weight.s2, weight.t1, weight.t2, weight.scale
+singular       weight.alpha, weight.ell, weight.scale
+triangle       weight.alpha, weight.ell, weight.scale
+grid           weight.path, weight.scale
+constant       volatility.sigma0
+deterministic  volatility.name
+log_gaussian   volatility.mean, volatility.variance, volatility.smooth_length
+=============  ==============================================================
+
+``clt`` also needs an exact increment covariance: the uniform weight has one
+under any volatility and the singular weight under constant volatility; any
+other pairing is a violation.  ``p`` and ``n`` are comma-separated powers
+and resolutions; ``kappa`` is the thinning exponent and ``k`` a constant
+thinning count (one only); ``quad.*`` are the kernel-mass quadrature
+tolerances; and ``override_admissibility`` runs even when the thinning
+exponent fails the gate.  Unset keys take the defaults of
+``LLNConfig``/``CLTConfig`` and ``QuadratureConfig``; ``simulate`` defaults
+to p = 2 and oversample = 1, and unthinned (k = 1) when neither kappa nor k
+is set, as ``kernel-report`` does.
 
 Every run writes ``report.json`` plus CSV tables into the output directory.
 The JSON embeds the fully resolved config and the master seed; all random
@@ -91,7 +109,13 @@ from .limits import (
 )
 from .simulate import increments, save_field_csv, simulate_lattice
 from .variation import save_variation_csv, scaled_power_variation, variation_field
-from .volatility import sample_volatility, save_sigma_csv, vol_from_config
+from .volatility import (
+    ConstantVol,
+    sample_volatility,
+    save_sigma_csv,
+    vol_from_config,
+    vol_to_config,
+)
 
 __all__ = ["ExperimentConfig", "main", "run", "validate"]
 
@@ -298,7 +322,9 @@ def _parse(config):
     if "kappa" in entries and "k" in entries:
         violations.append("set exactly one of kappa and k, not both")
 
-    for group, build in (("weight", weight_from_config), ("volatility", vol_from_config)):
+    for group, build, names in (
+            ("weight", weight_from_config, lambda weight: weight.config_names()),
+            ("volatility", vol_from_config, vol_to_config)):
         # a known kind that reads the group cannot run without it
         if (f"{group}.variant" in entries if row is _ANY_KIND
                 else f"{group}." in row.reads):
@@ -306,6 +332,11 @@ def _parse(config):
                 settings[group] = build(entries)
             except (ValueError, TypeError, OSError) as exc:
                 violations.append(f"{group}: {exc}")
+                continue
+            read = names(settings[group])
+            violations.extend(
+                f"{group} variant {entries[f'{group}.variant']} does not read key {key!r}"
+                for key in entries if key.startswith(f"{group}.") and key not in read)
 
     for need in row.needs:
         if not any(key in entries for key in need.split("|")):
@@ -314,10 +345,16 @@ def _parse(config):
         if key in settings and len(settings[key]) != 1:
             violations.append(f"{kind} takes a single {_SINGLE[key]}, got "
                               f"{len(settings[key])}")
-    weight = settings.get("weight")
+    weight, vol = settings.get("weight"), settings.get("volatility")
     if kind == "asymptotics" and weight is not None and weight.catalog_min_k is None:
         violations.append("region catalogs exist for the corner-singular and cone "
                           "kernels only")
+    if (kind == "clt" and weight is not None and vol is not None and not weight.has_strips
+            and not (isinstance(vol, ConstantVol) and weight.has_autocorrelation)):
+        # the same routes increment_covariance takes
+        violations.append(
+            f"clt needs an exact increment covariance, which the {weight.variant} weight "
+            f"lacks under {entries['volatility.variant']} volatility")
 
     refusals = []
     if (row is not _ANY_KIND and "override_admissibility" in row.reads

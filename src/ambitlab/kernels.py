@@ -27,8 +27,8 @@ concentration geometry (``concentration_point``, ``window``,
 admissible ``kappa_range``, the region ``catalog`` with ``catalog_min_k``,
 the exact routes (``signed_strips`` where ``has_strips``,
 ``lattice_autocorrelation`` where ``has_autocorrelation``) and the config
-keys (``config_keys``, ``from_config``).  ``WeightSpec`` holds the defaults
-for the facts a variant lacks.
+keys (``config_keys``, ``config_names``, ``from_config``).  ``WeightSpec``
+holds the defaults for the facts a variant lacks.
 
 Integration strategy: never brute-force 2-D quadrature.  Rows of the Uniform,
 Triangle, and Grid kernels have explicit one-dimensional structure (piecewise
@@ -417,6 +417,10 @@ class WeightSpec:
         """Named cells carrying a multi-atom concentration limit."""
         return {}
 
+    def config_names(self):
+        """Every ``weight.*`` key ``from_config`` reads for this variant."""
+        return {"weight.variant", "weight.scale", *self.config_keys()}
+
 
 def _mu_rowwise(spec, n, region, quadcfg, piece_nodes):
     """Integral of h_n^2 over a region for kernels with bounded rows.
@@ -587,23 +591,26 @@ class UniformWeight(WeightSpec):
         return g2s
 
     def signed_strips(self, n, eps, idx):
-        """Signed u-intervals carrying the s-difference factor for each index.
+        """Signed u- and v-intervals carrying the difference factors, per index.
 
         The one-axis difference 1[s1,s2](x) - 1[s1,s2](x-d) is +1 on
         [s1, s1+w) and -1 on [s2+d-w, s2+d) with w = min(d, s2-s1); in the u
         variable (u = lattice coordinate minus x) both flip and translate.
+        ``idx`` is a (N, 2) array of lattice indices (i, j).  Returns
+        ``((u_plus, 1.0), (u_minus, -1.0), (v_plus, 1.0), (v_minus, -1.0))``
+        where each strip is a pair ``(lo, hi)`` of length-N arrays: element
+        a is the strip of index ``idx[a]``.
         """
         d = 1.0 / n
         wid_s = min(d, self.s2 - self.s1)
         wid_t = min(d, self.t2 - self.t1)
-        out = []
-        for i, j in idx:
-            u_plus = (eps * i - self.s1 - wid_s, eps * i - self.s1)
-            u_minus = (eps * i - self.s2 - d, eps * i - self.s2 - d + wid_s)
-            v_plus = (eps * j - self.t1 - wid_t, eps * j - self.t1)
-            v_minus = (eps * j - self.t2 - d, eps * j - self.t2 - d + wid_t)
-            out.append(((u_plus, 1.0), (u_minus, -1.0), (v_plus, 1.0), (v_minus, -1.0)))
-        return out
+        ei = eps * idx[:, 0]
+        ej = eps * idx[:, 1]
+        u_plus = (ei - self.s1 - wid_s, ei - self.s1)
+        u_minus = (ei - self.s2 - d, ei - self.s2 - d + wid_s)
+        v_plus = (ej - self.t1 - wid_t, ej - self.t1)
+        v_minus = (ej - self.t2 - d, ej - self.t2 - d + wid_t)
+        return (u_plus, 1.0), (u_minus, -1.0), (v_plus, 1.0), (v_minus, -1.0)
 
     def config_keys(self):
         return {
@@ -1213,6 +1220,9 @@ class GridWeight(WeightSpec):
 
     def config_keys(self):
         raise ValueError("grid-sampled weights serialize through CSV files; store the path instead")
+
+    def config_names(self):
+        return {"weight.variant", "weight.scale", "weight.path"}
 
     @classmethod
     def from_config(cls, mapping, scale):

@@ -284,9 +284,11 @@ def increment_covariance(spec, sigma, n, k, quadcfg=None, cap=32):
     """Covariance C_ab = int h(eps*i_a - u, eps*j_a - v) h(...b...) sigma^2(u,v).
 
     Engines: uniform weight with any volatility grid (signed strip overlaps
-    against the exact cell-wise integral of sigma^2), or constant volatility
-    with a uniform/singular weight (stationary autocorrelation on the 1/n
-    lattice).  Other combinations have no exact route here and are rejected.
+    against the exact cell-wise integral of sigma^2, batched over the pairs
+    a <= b, each pair's 16 signed terms summed in a fixed order), or
+    constant volatility with a uniform/singular weight (stationary
+    autocorrelation on the 1/n lattice).  Other combinations have no exact
+    route here and are rejected.
     """
     n, k = int(n), int(k)
     if not 1 <= k <= n:
@@ -299,7 +301,7 @@ def increment_covariance(spec, sigma, n, k, quadcfg=None, cap=32):
     if m < 1:
         raise ValueError("thinned lattice is empty")
     eps = k / n
-    idx = np.array([(i, j) for i in range(1, m + 1) for j in range(1, m + 1)])
+    idx = np.indices((m, m)).reshape(2, -1).T + 1  # row-major (i, j)
     quadcfg = quadcfg or _G2_QUAD
     cn = compute_cn(spec, n)
 
@@ -307,25 +309,23 @@ def increment_covariance(spec, sigma, n, k, quadcfg=None, cap=32):
     if spec.has_strips:
         strips = spec.signed_strips(n, eps, idx)
         pref = squared_prefix_integral(sigma)
-        dim = len(idx)
-        mat = np.zeros((dim, dim))
-        for a in range(dim):
-            (upa, uma, vpa, vma) = strips[a]
-            for b in range(a, dim):
-                (upb, umb, vpb, vmb) = strips[b]
-                acc = 0.0
-                for (uiv1, su1) in (upa, uma):
-                    for (uiv2, su2) in (upb, umb):
-                        lo = (max(uiv1[0], uiv2[0]), min(uiv1[1], uiv2[1]))
-                        if lo[1] <= lo[0]:
-                            continue
-                        for (viv1, sv1) in (vpa, vma):
-                            for (viv2, sv2) in (vpb, vmb):
-                                vo = (max(viv1[0], viv2[0]), min(viv1[1], viv2[1]))
-                                if vo[1] <= vo[0]:
-                                    continue
-                                acc += su1 * su2 * sv1 * sv2 * rect_integral(pref, lo, vo)
-                mat[a, b] = mat[b, a] = spec.scale**2 * acc
+        a, b = np.triu_indices(len(idx))
+
+        def overlaps(axis):
+            """Per pair (a, b): the overlap of each strip at a with each at b."""
+            for (lo1, hi1), s1 in strips[axis:axis + 2]:
+                for (lo2, hi2), s2 in strips[axis:axis + 2]:
+                    yield (np.maximum(lo1[a], lo2[b]), np.minimum(hi1[a], hi2[b])), s1 * s2
+
+        v_overlaps = list(overlaps(2))
+        acc = np.zeros(len(a))
+        for (ulo, uhi), su in overlaps(0):
+            for (vlo, vhi), sv in v_overlaps:
+                sel = (uhi > ulo) & (vhi > vlo)
+                acc[sel] = acc[sel] + su * sv * rect_integral(
+                    pref, (ulo[sel], uhi[sel]), (vlo[sel], vhi[sel]))
+        mat = np.zeros((len(idx), len(idx)))
+        mat[a, b] = mat[b, a] = spec.scale**2 * acc
         engine = "uniform-strips"
     elif constant_sigma:
         s0sq = float(sigma.values.flat[0]) ** 2

@@ -154,19 +154,15 @@ def _pi_average_sq_uniform(spec, sigma, n, eps, idx):
     The squared differenced kernel of the window weight is +1 on four
     rectangles (products of two strips per axis), so the concentration
     measure integrates sigma^2 as four prefix-integral rectangles over
-    scale^2 / c_n.
+    scale^2 / c_n.  The 4 N rectangles go through one ``rect_integral`` call.
     """
-    strips = spec.signed_strips(n, eps, idx)
+    (up, _), (um, _), (vp, _), (vm, _) = spec.signed_strips(n, eps, idx)
+    u_iv = [np.concatenate(ends) for ends in zip(up, up, um, um)]
+    v_iv = [np.concatenate(ends) for ends in zip(vp, vm, vp, vm)]
     pref = squared_prefix_integral(sigma)
-    cn = compute_cn(spec, n)
-    out = np.empty(len(idx))
-    for a, (up, um, vp, vm) in enumerate(strips):
-        acc = 0.0
-        for u_iv, _ in (up, um):
-            for v_iv, _ in (vp, vm):
-                acc += rect_integral(pref, u_iv, v_iv)
-        out[a] = spec.scale**2 * acc / cn
-    return out
+    r_pp, r_pm, r_mp, r_mm = rect_integral(pref, u_iv, v_iv).reshape(4, -1)
+    acc = ((r_pp + r_pm) + r_mp) + r_mm
+    return spec.scale**2 * acc / compute_cn(spec, n)
 
 
 def expected_scaled_pv(spec, sigma, n, k, p, s, t):
@@ -194,7 +190,7 @@ def expected_scaled_pv(spec, sigma, n, k, p, s, t):
         sigma0 = float(sigma.values.flat[0])
         return mp * sigma0**p * eps**2 * ci * cj
     if spec.has_strips:
-        idx = np.array([(i, j) for i in range(1, ci + 1) for j in range(1, cj + 1)])
+        idx = np.indices((ci, cj)).reshape(2, -1).T + 1  # row-major (i, j)
         avg = _pi_average_sq_uniform(spec, sigma, n, eps, idx)
         return float(eps**2 * mp * np.sum(avg ** (p / 2.0)))
     raise ValueError(

@@ -290,14 +290,18 @@ def squared_prefix_integral(sigma):
 
 
 def rect_integral(pref, u_iv, v_iv):
-    """Integral under a prefix function over a rectangle, clipped to [-1,1]^2."""
-    (ua, ub), (va, vb) = u_iv, v_iv
-    ua, va = max(ua, -1.0), max(va, -1.0)
-    ub, vb = min(ub, 1.0), min(vb, 1.0)
-    if ub <= ua or vb <= va:
-        return 0.0
-    vals = pref(np.array([ub, ub, ua, ua]), np.array([vb, va, vb, va]))
-    return float(vals[0] - vals[1] - vals[2] + vals[3])
+    """Integrals under a prefix function over rectangles, clipped to [-1,1]^2.
+
+    ``u_iv = (ua, ub)`` and ``v_iv = (va, vb)`` hold scalars or equal-length
+    arrays, one rectangle [ua, ub] x [va, vb] per element; the result has
+    their shape.  A rectangle that is empty once clipped integrates to 0.
+    Each element is the four-corner difference v0 - v1 - v2 + v3 of the
+    prefix values, the same operations in the same order for every batch.
+    """
+    ua, ub = np.maximum(u_iv[0], -1.0), np.minimum(u_iv[1], 1.0)
+    va, vb = np.maximum(v_iv[0], -1.0), np.minimum(v_iv[1], 1.0)
+    vals = pref(ub, vb) - pref(ub, va) - pref(ua, vb) + pref(ua, va)
+    return np.where((ub <= ua) | (vb <= va), 0.0, vals)
 
 
 def save_sigma_csv(sigma, path):

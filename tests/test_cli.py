@@ -165,6 +165,36 @@ def test_a_key_the_kind_never_reads_is_a_config_error(tmp_path, text, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    (LLN_TEXT + "weight.alpha = 0.3\n",
+     "weight variant uniform does not read key 'weight.alpha'"),
+    (LLN_TEXT.replace("volatility.variant = constant",
+                      "volatility.variant = deterministic") + "volatility.sigma0 = 3\n",
+     "volatility variant deterministic does not read key 'volatility.sigma0'"),
+], ids=["alpha-on-uniform", "sigma0-on-deterministic"])
+def test_a_key_the_variant_never_reads_is_a_config_error(tmp_path, text, message):
+    cfg = ExperimentConfig.from_text(text)
+    assert validate(cfg) == [message]
+    out = tmp_path / "never"
+    assert run(cfg.with_overrides(out=out)) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, pairing", [
+    (CLT_TEXT.replace("volatility.variant = constant", "volatility.variant = deterministic"),
+     "the singular weight lacks under deterministic volatility"),
+    (CLT_TEXT.replace("variant = singular", "variant = triangle").replace(
+        "kappa = 0.4", "kappa = 0.1"),
+     "the triangle weight lacks under constant volatility"),
+], ids=["singular-deterministic", "triangle-constant"])
+def test_clt_without_an_exact_covariance_is_a_config_error(tmp_path, text, pairing):
+    cfg = ExperimentConfig.from_text(text)
+    assert validate(cfg) == [f"clt needs an exact increment covariance, which {pairing}"]
+    out = tmp_path / "never"
+    assert run(cfg.with_overrides(out=out)) == EXIT_CONFIG
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ run: failures
 
 def test_invalid_config_exits_nonzero_and_writes_nothing(tmp_path):

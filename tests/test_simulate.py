@@ -182,8 +182,6 @@ def test_strips_engine_with_varying_volatility_against_cell_sums():
     # exact overlap area of each signed strip rectangle (all strip edges sit
     # on cell edges for these resolutions, so both routes are exact)
     sig = sample_volatility(DeterministicVol("sine_product"), 16, seed=0)
-    cov = increment_covariance(UniformWeight(), sig, 8, 4)
-    strips = UniformWeight().signed_strips(8, 0.5, cov.indices)
     edges = np.linspace(-1.0, 1.0, 17)
     sq = sig.values**2
     cell = (edges[1] - edges[0]) ** 2
@@ -191,37 +189,44 @@ def test_strips_engine_with_varying_volatility_against_cell_sums():
     def overlap(iv, lo, hi):
         return max(0.0, min(iv[1], hi) - max(iv[0], lo))
 
-    ref = np.zeros_like(cov.matrix)
-    for a, (upa, uma, vpa, vma) in enumerate(strips):
-        for b, (upb, umb, vpb, vmb) in enumerate(strips):
-            acc = 0.0
-            for i in range(16):
-                for j in range(16):
-                    us = sum(
-                        s1 * s2 * overlap(
-                            (max(iv1[0], iv2[0]), min(iv1[1], iv2[1])),
-                            edges[i],
-                            edges[i + 1],
+    for k in (4, 1):  # dim 4 and dim 64
+        cov = increment_covariance(UniformWeight(), sig, 8, k)
+        arrays = UniformWeight().signed_strips(8, k / 8, cov.indices)
+        # one (up, um, vp, vm) tuple of ((lo, hi), sign) per index
+        strips = [tuple(((lo[a], hi[a]), sign) for (lo, hi), sign in arrays)
+                  for a in range(cov.dim)]
+        ref = np.zeros_like(cov.matrix)
+        for a, (upa, uma, vpa, vma) in enumerate(strips):
+            for b, (upb, umb, vpb, vmb) in enumerate(strips):
+                acc = 0.0
+                for i in range(16):
+                    for j in range(16):
+                        us = sum(
+                            s1 * s2 * overlap(
+                                (max(iv1[0], iv2[0]), min(iv1[1], iv2[1])),
+                                edges[i],
+                                edges[i + 1],
+                            )
+                            for iv1, s1 in (upa, uma)
+                            for iv2, s2 in (upb, umb)
+                            if min(iv1[1], iv2[1]) > max(iv1[0], iv2[0])
                         )
-                        for iv1, s1 in (upa, uma)
-                        for iv2, s2 in (upb, umb)
-                        if min(iv1[1], iv2[1]) > max(iv1[0], iv2[0])
-                    )
-                    if us == 0.0:
-                        continue
-                    vs = sum(
-                        s1 * s2 * overlap(
-                            (max(iv1[0], iv2[0]), min(iv1[1], iv2[1])),
-                            edges[j],
-                            edges[j + 1],
+                        if us == 0.0:
+                            continue
+                        vs = sum(
+                            s1 * s2 * overlap(
+                                (max(iv1[0], iv2[0]), min(iv1[1], iv2[1])),
+                                edges[j],
+                                edges[j + 1],
+                            )
+                            for iv1, s1 in (vpa, vma)
+                            for iv2, s2 in (vpb, vmb)
+                            if min(iv1[1], iv2[1]) > max(iv1[0], iv2[0])
                         )
-                        for iv1, s1 in (vpa, vma)
-                        for iv2, s2 in (vpb, vmb)
-                        if min(iv1[1], iv2[1]) > max(iv1[0], iv2[0])
-                    )
-                    acc += sq[i, j] * us * vs
-            ref[a, b] = acc
-    assert np.allclose(cov.matrix, ref, rtol=1e-12, atol=1e-16)
+                        acc += sq[i, j] * us * vs
+                ref[a, b] = acc
+        assert cov.dim == (8 // k) ** 2
+        assert np.allclose(cov.matrix, ref, rtol=1e-12, atol=1e-16)
     assert cell > 0  # silence linters: cell area folds into the overlaps
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ambitlab.gaussian import abs_moment
-from ambitlab.kernels import SingularWeight, UniformWeight, compute_cn
+from ambitlab.kernels import SingularWeight, UniformWeight, compute_cn, eval_h
 from ambitlab.simulate import IncrementField, increment_covariance, increments, simulate_lattice
 from ambitlab.variation import (
     PowerVariationField,
@@ -14,7 +14,12 @@ from ambitlab.variation import (
     scaled_power_variation,
     variation_field,
 )
-from ambitlab.volatility import ConstantVol, DeterministicVol, sample_volatility
+from ambitlab.volatility import (
+    ConstantVol,
+    DeterministicVol,
+    LogGaussianVol,
+    sample_volatility,
+)
 
 
 def _inc(n, k, values):
@@ -168,6 +173,53 @@ def test_expected_quadrature_path_agrees_with_closed_form():
     quad = eps**2 * abs_moment(p) * np.sum(avg ** (p / 2))
     closed = expected_scaled_pv(UniformWeight(), sig, n, k, p, s, t)
     assert quad == pytest.approx(closed, rel=1e-8)
+
+
+def _expected_by_common_refinement(spec, sigma, n, k, p, s, t):
+    """E[scaled PV | sigma] without prefix integrals.
+
+    For each retained corner, cut the kernel variables at the window breaks
+    and at the volatility cell edges seen from that corner; h_n and sigma are
+    both constant on every piece, so summing h_n^2 sigma^2 times the piece
+    area over the pieces integrates exactly.
+    """
+    eps, d = k / n, 1.0 / n
+    m = sigma.resolution
+    edges = np.linspace(-1.0, 1.0, m + 1)
+    sq = sigma.values**2
+    cn = compute_cn(spec, n)
+
+    def pieces(corner, lo1, lo2):
+        cuts = np.concatenate([[lo1, lo1 + d, lo2, lo2 + d], corner - edges])
+        cuts = np.unique(cuts[(cuts >= lo1) & (cuts <= lo2 + d)])
+        mid = 0.5 * (cuts[1:] + cuts[:-1])
+        cells = np.floor((corner - mid + 1.0) * m / 2.0).astype(int)
+        return mid, np.diff(cuts), cells
+
+    total = 0.0
+    for i in range(1, int(np.floor(s / eps)) + 1):
+        xi, dxi, ci = pieces(eps * i, spec.s1, spec.s2)
+        for j in range(1, int(np.floor(t / eps)) + 1):
+            tau, dtau, cj = pieces(eps * j, spec.t1, spec.t2)
+            h2 = eval_h(spec, n, xi[:, None], tau[None, :]) ** 2
+            avg = np.sum(h2 * sq[np.ix_(ci, cj)] * np.outer(dxi, dtau)) / cn
+            total += avg ** (p / 2.0)
+    return eps**2 * abs_moment(p) * total
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_expected_uniform_path_against_a_common_refinement(k, p):
+    # window corners off the volatility cells and the lattice, so pieces cut
+    # through partial cells; two fields, two evaluation points
+    spec = UniformWeight(0.2, 0.7, 0.3, 0.9, scale=1.5)
+    n = 16
+    for sig in (sample_volatility(DeterministicVol("sine_product"), 40, seed=0),
+                sample_volatility(LogGaussianVol(variance=0.3), 40, seed=5)):
+        for s, t in ((1.0, 1.0), (0.7, 0.45)):
+            got = expected_scaled_pv(spec, sig, n, k, p, s, t)
+            ref = _expected_by_common_refinement(spec, sig, n, k, p, s, t)
+            assert got == pytest.approx(ref, rel=1e-12)
 
 
 def test_expected_trace_identity_against_covariance():

@@ -10,8 +10,10 @@ from ambitlab.volatility import (
     LogGaussianVol,
     SigmaField,
     integrated_power,
+    rect_integral,
     sample_volatility,
     save_sigma_csv,
+    squared_prefix_integral,
     vol_from_config,
     vol_to_config,
 )
@@ -143,6 +145,50 @@ def test_grid_backed_integration_matches_cell_sum():
     assert integrated_power(f, 2.0, (-1.0, 1.0, -1.0, 1.0)) == pytest.approx(
         float(np.sum(f.values**2)) * cell, rel=1e-13
     )
+
+
+def _scalar_rect_integral(pref, u_iv, v_iv):
+    """One rectangle at a time: the definition the batched form must match."""
+    (ua, ub), (va, vb) = u_iv, v_iv
+    ua, va = max(ua, -1.0), max(va, -1.0)
+    ub, vb = min(ub, 1.0), min(vb, 1.0)
+    if ub <= ua or vb <= va:
+        return 0.0
+    vals = pref(np.array([ub, ub, ua, ua]), np.array([vb, va, vb, va]))
+    return float(vals[0] - vals[1] - vals[2] + vals[3])
+
+
+def test_batched_rect_integral_equals_the_scalar_definition_bit_for_bit():
+    f = sample_volatility(LogGaussianVol(variance=0.3, smooth_length=0.3), 12, seed=4)
+    pref = squared_prefix_integral(f)
+    rects = [
+        ((0.2, 0.2), (-0.5, 0.5)),       # empty: zero width
+        ((-0.3, 0.4), (0.7, 0.7)),       # empty: zero height
+        ((0.6, 0.1), (-0.5, 0.5)),       # inverted
+        ((1.2, 1.5), (-0.5, 0.5)),       # inverted once clipped to [-1, 1]
+        ((-0.4, 0.4), (-2.0, -1.1)),     # inverted once clipped, in v
+        ((-1.3, 0.2), (0.1, 1.7)),       # partly outside the domain
+        ((-2.0, 2.0), (-2.0, 2.0)),      # covers the whole domain
+        ((0.013, 0.377), (-0.91, -0.05)),  # edges cut through partial cells
+        ((-1.0, -0.999), (0.999, 1.0)),  # inside one corner cell
+        ((0.0, 1.0 / 6.0), (-1.0 / 3.0, 0.5)),  # edges on cell edges
+    ]
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        u = np.sort(rng.uniform(-1.2, 1.2, 2))
+        v = np.sort(rng.uniform(-1.2, 1.2, 2))
+        rects.append((tuple(u), tuple(v)))
+    ua, ub, va, vb = (np.array([r[axis][end] for r in rects])
+                      for axis in (0, 1) for end in (0, 1))
+    batched = rect_integral(pref, (ua, ub), (va, vb))
+    assert batched.shape == (len(rects),)
+    expected = [_scalar_rect_integral(pref, *r) for r in rects]
+    assert batched.tolist() == expected
+    assert expected[:5] == [0.0] * 5
+    assert expected[6] == pytest.approx(float(np.sum(f.values**2)) * (2.0 / 12) ** 2,
+                                        rel=1e-13)
+    for r, value in zip(rects, expected):
+        assert rect_integral(pref, *r) == value
 
 
 # ---------------------------------------------------------------- plumbing
