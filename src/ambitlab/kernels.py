@@ -682,6 +682,7 @@ class SingularWeight(_ProfileWeight):
         """
         d = 1.0 / n
         inner_nodes = quadcfg.nodes
+        flipped = regions.transpose(region)  # its rows are the region's columns
 
         def make_col(nodes, doublings=64):
             xi, wi = _gl(nodes)
@@ -697,7 +698,7 @@ class SingularWeight(_ProfileWeight):
                 own, los, his, consts = [], [], [], []
                 for i, (s, sig) in enumerate(zip(ss, sigs)):
                     top = min(s, 1.0 + d)
-                    secs = regions.col_sections(region, s)
+                    secs = regions.row_sections(flipped, s)
                     secs = regions.clip_intervals(secs, 0.0, top)
                     if not secs:
                         continue
@@ -783,7 +784,7 @@ class SingularWeight(_ProfileWeight):
         # t = s and t = s - 1/n
         struct = [(0.0, 1.0, 0.0), (0.0, 1.0, d), (0.0, 1.0, 1.0),
                   (1.0, -1.0, 0.0), (1.0, -1.0, d)]
-        edges = [0.0, d, 2.0 * d, 1.0, 1.0 + d] + regions.s_breakpoints(region)
+        edges = [0.0, d, 2.0 * d, 1.0, 1.0 + d] + regions.t_breakpoints(flipped)
         edges += _crossing_edges(region, struct, axis=0)
         pieces = _make_pieces(edges, [0.0, d], 0.0, 1.0 + d)
         return _integrate_pieces(col_lo, pieces, quadcfg, f_check=col_hi)

@@ -249,6 +249,8 @@ class LLNConfig:
                  "n schedule must be strictly increasing")
         _require((self.k is None) != (self.kappa is None),
                  "thinning rule must set exactly one of k and kappa")
+        _require(self.kappa is None or 0.0 < self.kappa < 1.0,
+                 f"thinning exponent must lie in (0,1), got {self.kappa}")
         if self.k is not None:
             _require(self.k >= 1, f"constant thinning k must be >= 1, got {self.k}")
         _require(self.reps >= 1, f"need at least one replication, got {self.reps}")
@@ -278,6 +280,8 @@ class CLTConfig:
         object.__setattr__(self, "eval_point", tuple(float(x) for x in self.eval_point))
         _require(self.p > 0.0, f"power must be positive, got {self.p}")
         _require(len(self.n_schedule) > 0, "need a nonempty n schedule")
+        _require(all(n >= 2 for n in self.n_schedule),
+                 f"resolutions must be >= 2, got {self.n_schedule}")
         _require(all(a < b for a, b in zip(self.n_schedule, self.n_schedule[1:])),
                  "n schedule must be strictly increasing")
         _require(0.0 < self.kappa < 1.0,

@@ -1,27 +1,34 @@
-"""Planar region algebra with per-row interval extraction.
+"""Planar regions as unions of convex half-plane pieces.
 
-Regions are small ASTs built from rectangles and open half-planes
-``{a*s + b*t < c}`` — enough for every triangle and diagonal band — combined
-by union / intersection / difference.  The integrators never rasterize a
-region; they ask for its cross-section at a fixed height ``t``
-(``row_sections``) or fixed abscissa ``s`` (``col_sections``) as a list of
-disjoint open intervals, which keeps one-dimensional reductions of the
-kernel integrals exact.  ``boundary_lines`` exposes the straight lines
-bounding a region so integrators can place outer breakpoints wherever a
-moving cross-section endpoint passes a structural line of the integrand.
+Every region the package measures (windows, cores, diagonal and slanted
+bands, their mirror images, probe balls) is a finite union of convex pieces,
+each an intersection of open half-planes ``{a*s + b*t < c}``.  So one type,
+:class:`Region`, holds a tuple of pieces, each a tuple of ``(a, b, c)``; the
+empty piece is the whole plane.  Every constructor returns it and every
+operation is one loop over the pieces.  Integrators never rasterize a region;
+they ask for its cross-section at a height ``t`` (``row_sections``) as
+disjoint open intervals, which keeps the 1-D reductions of the kernel
+integrals exact: each half-plane cuts the row at ``(c - b*t)/a``, and a
+piece's interval is the max of its lower and the min of its upper cuts.
+Columns are the rows of the ``transpose``.
+``boundary_lines`` lists the lines bounding a region so integrators can place
+outer breakpoints where a moving section endpoint passes a structural line of
+the integrand.
 
-Conventions: coordinates are (s, t); all regions are open; measure-zero
-boundary choices are irrelevant to every consumer.
+Conventions: coordinates are (s, t); all regions are open, a difference
+included; measure-zero boundary choices are irrelevant to every consumer.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "Region",
     "Rect",
     "HalfPlane",
     "Union",
@@ -30,73 +37,68 @@ __all__ = [
     "Everything",
     "band",
     "row_sections",
-    "col_sections",
     "transpose",
     "reflect_translate",
     "contains",
     "t_breakpoints",
-    "s_breakpoints",
     "boundary_lines",
 ]
 
-_INF = math.inf
-_FULL = [(-_INF, _INF)]
-
-
 @dataclass(frozen=True)
-class Rect:
+class Region:
+    """Union of convex pieces; each piece is a tuple of open half-planes (a, b, c)."""
+
+    pieces: tuple
+
+
+def _pieces(region):
+    try:
+        return region.pieces
+    except AttributeError:
+        raise TypeError(f"not a region: {region!r}") from None
+
+
+def Rect(x0, x1, y0, y1):
     """Open axis-aligned rectangle {x0 < s < x1, y0 < t < y1}."""
-
-    x0: float
-    x1: float
-    y0: float
-    y1: float
-
-    def __post_init__(self):
-        if not (self.x0 <= self.x1 and self.y0 <= self.y1):
-            raise ValueError(f"degenerate rectangle bounds {self!r}")
+    if not (x0 <= x1 and y0 <= y1):
+        raise ValueError(f"degenerate rectangle bounds Rect(x0={x0!r}, x1={x1!r}, y0={y0!r}, y1={y1!r})")
+    x0, x1, y0, y1 = float(x0), float(x1), float(y0), float(y1)
+    return Region((((-1.0, 0.0, -x0), (1.0, 0.0, x1), (0.0, -1.0, -y0), (0.0, 1.0, y1)),))
 
 
-@dataclass(frozen=True)
-class HalfPlane:
+def HalfPlane(a, b, c):
     """Open half-plane {a*s + b*t < c}."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        if self.a == 0.0 and self.b == 0.0:
-            raise ValueError("half-plane needs a nonzero normal")
+    if a == 0.0 and b == 0.0:
+        raise ValueError("half-plane needs a nonzero normal")
+    return Region((((float(a), float(b), float(c)),),))
 
 
-@dataclass(frozen=True)
-class Union:
-    parts: tuple
+def Everything():
+    """The whole plane: one piece with no constraint."""
+    return Region(((),))
 
 
-@dataclass(frozen=True)
-class Intersection:
-    parts: tuple
+def Union(parts):
+    return Region(tuple(piece for part in parts for piece in _pieces(part)))
 
 
-@dataclass(frozen=True)
-class Difference:
-    left: object
-    right: object
+def Intersection(parts):
+    """One piece per part, in every combination, concatenated."""
+    combos = itertools.product(*(_pieces(part) for part in parts))
+    return Region(tuple(tuple(h for piece in combo for h in piece) for combo in combos))
 
 
-@dataclass(frozen=True)
-class Everything:
-    pass
+def Difference(left, right):
+    """left minus right: cut left by the complement of each piece of right."""
+    for piece in _pieces(right):
+        left = Intersection((left, Region(tuple(((-a, -b, -c),) for a, b, c in piece))))
+    return left
 
 
 def band(lo, hi):
     """Diagonal band {lo < s - t < hi}."""
     return Intersection((HalfPlane(-1.0, 1.0, -lo), HalfPlane(1.0, -1.0, hi)))
 
-
-# ------------------------------------------------------------- interval algebra
 
 def _normalize(iv):
     iv = [(a, b) for a, b in iv if b > a]
@@ -110,139 +112,63 @@ def _normalize(iv):
     return out
 
 
-def _intersect_two(u, v):
+def clip_intervals(iv, lo, hi):
+    """Intersect sorted disjoint intervals with (lo, hi)."""
     out = []
-    i = j = 0
-    while i < len(u) and j < len(v):
-        a = max(u[i][0], v[j][0])
-        b = min(u[i][1], v[j][1])
+    for a, b in iv:
+        a, b = max(a, lo), min(b, hi)
         if b > a:
             out.append((a, b))
-        if u[i][1] < v[j][1]:
-            i += 1
-        else:
-            j += 1
     return out
 
-
-def _union_two(u, v):
-    return _normalize(list(u) + list(v))
-
-
-def _difference_two(u, v):
-    out = []
-    for a, b in u:
-        lo = a
-        for c, d in v:
-            if d <= lo or c >= b:
-                continue
-            if c > lo:
-                out.append((lo, c))
-            lo = max(lo, d)
-            if lo >= b:
-                break
-        if lo < b:
-            out.append((lo, b))
-    return out
-
-
-def clip_intervals(iv, lo, hi):
-    return _intersect_two(iv, [(lo, hi)])
-
-
-# ------------------------------------------------------------- cross-sections
 
 def row_sections(region, t):
     """Disjoint open s-intervals of the slice {s : (s, t) in region}."""
-    if isinstance(region, Everything):
-        return list(_FULL)
-    if isinstance(region, Rect):
-        return [(region.x0, region.x1)] if region.y0 < t < region.y1 else []
-    if isinstance(region, HalfPlane):
-        rhs = region.c - region.b * t
-        if region.a > 0.0:
-            return [(-_INF, rhs / region.a)]
-        if region.a < 0.0:
-            return [(rhs / region.a, _INF)]
-        return list(_FULL) if rhs > 0.0 else []
-    if isinstance(region, Union):
-        out = []
-        for p in region.parts:
-            out = _union_two(out, row_sections(p, t))
-        return out
-    if isinstance(region, Intersection):
-        out = list(_FULL)
-        for p in region.parts:
-            out = _intersect_two(out, row_sections(p, t))
-            if not out:
-                return []
-        return out
-    if isinstance(region, Difference):
-        return _difference_two(row_sections(region.left, t), row_sections(region.right, t))
-    raise TypeError(f"not a region: {region!r}")
-
-
-def col_sections(region, s):
-    """Disjoint open t-intervals of the slice {t : (s, t) in region}."""
-    return row_sections(transpose(region), s)
+    out = []
+    for piece in _pieces(region):
+        lo, hi = -math.inf, math.inf
+        for a, b, c in piece:
+            rhs = c - b * t
+            if a > 0.0:
+                cut = rhs / a
+                if cut < hi:
+                    hi = cut
+            elif a < 0.0:
+                cut = rhs / a
+                if cut > lo:
+                    lo = cut
+            elif rhs <= 0.0:
+                break  # a horizontal half-plane this row lies outside of
+        else:
+            out.append((lo, hi))
+    if len(out) == 1:
+        # a lone piece's interval needs no merging
+        return out if out[0][1] > out[0][0] else []
+    return _normalize(out)
 
 
 def transpose(region):
     """Region with the roles of s and t swapped."""
-    if isinstance(region, Everything):
-        return region
-    if isinstance(region, Rect):
-        return Rect(region.y0, region.y1, region.x0, region.x1)
-    if isinstance(region, HalfPlane):
-        return HalfPlane(region.b, region.a, region.c)
-    if isinstance(region, Union):
-        return Union(tuple(transpose(p) for p in region.parts))
-    if isinstance(region, Intersection):
-        return Intersection(tuple(transpose(p) for p in region.parts))
-    if isinstance(region, Difference):
-        return Difference(transpose(region.left), transpose(region.right))
-    raise TypeError(f"not a region: {region!r}")
+    return Region(tuple(tuple((b, a, c) for a, b, c in piece) for piece in _pieces(region)))
 
 
 def reflect_translate(region, s, t):
     """Image of the region under (x, y) -> (s - x, t - y)."""
-    if isinstance(region, Everything):
-        return region
-    if isinstance(region, Rect):
-        return Rect(s - region.x1, s - region.x0, t - region.y1, t - region.y0)
-    if isinstance(region, HalfPlane):
-        # a*x + b*y < c  with x = s - u, y = t - v  =>  -a*u - b*v < c - a*s - b*t
-        return HalfPlane(-region.a, -region.b, region.c - region.a * s - region.b * t)
-    if isinstance(region, Union):
-        return Union(tuple(reflect_translate(p, s, t) for p in region.parts))
-    if isinstance(region, Intersection):
-        return Intersection(tuple(reflect_translate(p, s, t) for p in region.parts))
-    if isinstance(region, Difference):
-        return Difference(reflect_translate(region.left, s, t), reflect_translate(region.right, s, t))
-    raise TypeError(f"not a region: {region!r}")
+    # a*x + b*y < c  with x = s - u, y = t - v  =>  -a*u - b*v < c - a*s - b*t
+    return Region(tuple(
+        tuple((-a, -b, c - a * s - b * t) for a, b, c in piece) for piece in _pieces(region)
+    ))
 
 
 def contains(region, s, t):
     """Strict-interior membership; broadcasts over array arguments."""
-    if isinstance(region, Everything):
-        return np.broadcast_to(True, np.broadcast_shapes(np.shape(s), np.shape(t)))[()]
-    if isinstance(region, Rect):
-        return (region.x0 < s) & (s < region.x1) & (region.y0 < t) & (t < region.y1)
-    if isinstance(region, HalfPlane):
-        return region.a * s + region.b * t < region.c
-    if isinstance(region, Union):
-        out = contains(region.parts[0], s, t)
-        for p in region.parts[1:]:
-            out = out | contains(p, s, t)
-        return out
-    if isinstance(region, Intersection):
-        out = contains(region.parts[0], s, t)
-        for p in region.parts[1:]:
-            out = out & contains(p, s, t)
-        return out
-    if isinstance(region, Difference):
-        return contains(region.left, s, t) & ~contains(region.right, s, t)
-    raise TypeError(f"not a region: {region!r}")
+    out = np.zeros(np.broadcast_shapes(np.shape(s), np.shape(t)), dtype=bool)
+    for piece in _pieces(region):
+        inside = True
+        for a, b, c in piece:
+            inside = inside & (a * s + b * t < c)
+        out = out | inside
+    return out[()]
 
 
 def t_breakpoints(region):
@@ -251,22 +177,7 @@ def t_breakpoints(region):
     Half-plane rows vary smoothly (linear endpoints), so only the on/off
     switch of a horizontal half-plane contributes.
     """
-    if isinstance(region, Rect):
-        return [region.y0, region.y1]
-    if isinstance(region, HalfPlane):
-        return [region.c / region.b] if region.a == 0.0 and region.b != 0.0 else []
-    if isinstance(region, Union) or isinstance(region, Intersection):
-        out = []
-        for p in region.parts:
-            out.extend(t_breakpoints(p))
-        return out
-    if isinstance(region, Difference):
-        return t_breakpoints(region.left) + t_breakpoints(region.right)
-    return []
-
-
-def s_breakpoints(region):
-    return t_breakpoints(transpose(region))
+    return [c / b for piece in _pieces(region) for a, b, c in piece if a == 0.0]
 
 
 def boundary_lines(region):
@@ -276,22 +187,4 @@ def boundary_lines(region):
     plane needs an outer breakpoint wherever one of them crosses a structural
     line of its integrand, and computes those crossings from this list.
     """
-    if isinstance(region, Rect):
-        return [
-            (1.0, 0.0, region.x0),
-            (1.0, 0.0, region.x1),
-            (0.0, 1.0, region.y0),
-            (0.0, 1.0, region.y1),
-        ]
-    if isinstance(region, HalfPlane):
-        return [(region.a, region.b, region.c)]
-    if isinstance(region, Union) or isinstance(region, Intersection):
-        out = []
-        for p in region.parts:
-            out.extend(boundary_lines(p))
-        return out
-    if isinstance(region, Difference):
-        return boundary_lines(region.left) + boundary_lines(region.right)
-    if isinstance(region, Everything):
-        return []
-    raise TypeError(f"not a region: {region!r}")
+    return list(dict.fromkeys(h for piece in _pieces(region) for h in piece))

@@ -26,6 +26,7 @@ from ambitlab.kernels import (
     compute_cn,
     eval_g,
 )
+from ambitlab.regions import Rect
 
 
 def singular(alpha, ell="one_minus_s"):
@@ -145,7 +146,7 @@ def test_singular_catalog_geometry():
     assert (cat.k, cat.eps) == (13, 13 / 64)
     assert cat.partition == ("E", "B1", "B2", "B3", "B4")
     E = cat["E"]
-    assert (E.x0, E.x1, E.y0, E.y1) == (0.0, 13 / 64, 0.0, 13 / 64)
+    assert E == Rect(0.0, 13 / 64, 0.0, 13 / 64)
     assert set(cat.regions) == {"E", "Etilde", "T", "B1", "B2", "B3", "B4"}
 
 
@@ -154,8 +155,7 @@ def test_triangle_catalog_geometry():
     assert cat.variant == "triangle"
     assert (cat.k, cat.eps) == (35, 35 / 64)
     E = cat["E"]
-    np.testing.assert_allclose((E.x0, E.x1, E.y0, E.y1),
-                               (0.5 - 35 / 128, 0.5 + 35 / 128, 0.0, 35 / 128))
+    assert E == Rect(0.5 - 35 / 128, 0.5 + 35 / 128, 0.0, 35 / 128)
     assert "T" not in cat.regions
 
 

@@ -270,6 +270,12 @@ def test_empty_region_has_zero_mass():
     assert mu_mass(w, 8, Rect(0.0, 0.0, 0.0, 0.0)) == 0.0
 
 
+@pytest.mark.parametrize("spec", [UniformWeight(), SingularWeight(alpha=0.6)])
+def test_a_non_region_argument_is_a_type_error(spec):
+    with pytest.raises(TypeError, match=r"not a region: \(0, 1, 0, 1\)"):
+        mu_mass(spec, 8, (0, 1, 0, 1))
+
+
 def test_unstable_quadrature_raises_with_estimate():
     cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=0.0, levels=4, nodes=2, smooth_nodes=2, max_depth=2)
     with pytest.raises(QuadratureError) as exc:

@@ -202,6 +202,23 @@ def test_clt_config_rejects_bad_geometry():
         CLTConfig(trend_batches=1, **kw)
 
 
+def test_lln_config_rejects_a_thinning_exponent_outside_the_unit_interval():
+    kw = dict(weight=singular(0.75), volatility=ConstantVol())
+    for kappa in (1.5, 1.0, 0.0, -0.2):
+        with pytest.raises(ValueError, match="thinning exponent must lie in \\(0,1\\)"):
+            LLNConfig(kappa=kappa, **kw)
+    with pytest.raises(ValueError, match="thinning exponent must lie in \\(0,1\\)"):
+        LLNConfig(kappa=1.5, override_admissibility=True, **kw)
+
+
+def test_clt_config_rejects_a_resolution_below_two():
+    kw = dict(weight=singular(0.75), volatility=ConstantVol())
+    with pytest.raises(ValueError, match="resolutions must be >= 2"):
+        CLTConfig(n_schedule=(1, 8), **kw)
+    with pytest.raises(ValueError, match="resolutions must be >= 2"):
+        CLTConfig(n_schedule=(0,), **kw)
+
+
 def test_report_invariants_guard_the_table_shape():
     with pytest.raises(ValueError, match="unknown experiment kind"):
         MonteCarloReport(kind="mcmc", n_schedule=(16,), reps=1, per_n={},
