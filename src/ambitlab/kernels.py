@@ -190,6 +190,8 @@ def _gl(nodes):
     return x, w
 
 
+_gl(_DEFAULT_QUAD.nodes)  # its first call imports scipy.linalg: pay that here, not in a run
+
 def _gl_batch(f, los, his, nodes):
     """Gauss-Legendre estimates for a batch of panels in one integrand call."""
     xi, wi = _gl(nodes)
@@ -440,11 +442,7 @@ def _mu_rowwise(spec, n, region, quadcfg, piece_nodes):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         out = np.zeros_like(ts)
         mids, owners = [], []
-        for i, t in enumerate(ts):
-            secs = regions.row_sections(region, t)
-            secs = regions.clip_intervals(secs, 0.0, 1.0 + d)
-            if not secs:
-                continue
+        for i, secs in enumerate(regions.row_section_lists(region, ts, 0.0, 1.0 + d)):
             for a, b in secs:
                 cuts = [a] + [float(x) for x in sbreaks if a < x < b] + [b]
                 for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -657,8 +655,9 @@ class SingularWeight(_ProfileWeight):
 
     def mass(self, n, region, quadcfg):
         lower = self._mass_lower(n, region, quadcfg)
-        upper = self._mass_lower(n, regions.transpose(region), quadcfg)
-        return lower + upper
+        if regions.transpose_invariant(region):
+            return lower + lower  # the upper half is the same integral
+        return lower + self._mass_lower(n, regions.transpose(region), quadcfg)
 
     def _mass_lower(self, n, region, quadcfg):
         """Integral of h_n^2 over region intersected with the lower triangle {t < s}.
@@ -674,120 +673,89 @@ class SingularWeight(_ProfileWeight):
         t in (1, s)               f(sig)
         ========================  =======================
 
-        (for s <= 1/n the whole column is the constant f(s)).  Pieces varying
-        through f(t) integrate on panels doubling geometrically in absolute t, so
-        the per-panel relative variation stays bounded however close the lower
-        endpoint sits to the origin.  The offset sig arrives exact from the outer
-        graded layout; the table above never subtracts nearby floats.
+        (for s <= 1/n the whole column is the constant f(s)).  The outer
+        integral over s calls the column integrand (``_column``) on all its
+        nodes at once.  The columns' t-sections come from
+        ``row_sections_array`` as segments of shape (pieces, nodes), clipped
+        to (0, min(s, 1 + 1/n)), and split against the table's cuts by
+        clipping: constant pieces sum in closed form; pieces varying through
+        f(t) join one batch of panels doubling geometrically in absolute t
+        from their lower end (as many doublings as the batch's largest hi/lo
+        needs, at most 64), so the per-panel relative variation stays bounded
+        however close that end sits to the origin.
+
+        Exact offsets: where the layout grades toward 1/n, sig is its offset,
+        never s - 1/n.  For 0 < sig < 1/n the top band (1/n, s), where f is
+        smooth, is one Gauss panel per segment in offsets from 1/n (exact by
+        Sterbenz), of true width sig even where s rounds back to 1/n; such a
+        column counts the band when (s, 1/n) lies in the region.
         """
         d = 1.0 / n
-        inner_nodes = quadcfg.nodes
-        flipped = regions.transpose(region)  # its rows are the region's columns
-
-        def make_col(nodes, doublings=64):
-            xi, wi = _gl(nodes)
-            growth = 2.0 ** np.arange(doublings, dtype=float)
-
-            def col(ss, deltas, origin):
-                ss = np.atleast_1d(np.asarray(ss, dtype=float))
-                if origin is not None and origin == d:
-                    sigs = np.atleast_1d(deltas)
-                else:
-                    sigs = ss - d
-                out = np.zeros_like(ss)
-                own, los, his, consts = [], [], [], []
-                for i, (s, sig) in enumerate(zip(ss, sigs)):
-                    top = min(s, 1.0 + d)
-                    secs = regions.row_sections(flipped, s)
-                    secs = regions.clip_intervals(secs, 0.0, top)
-                    if not secs:
-                        continue
-                    fs = self.profile(s)
-                    if sig <= 0.0:
-                        # whole column constant: the shifted copies fall outside
-                        for a, b in secs:
-                            out[i] += (b - a) * fs * fs
-                        continue
-                    fsig = self.profile(sig)
-                    if sig < d:
-                        # below 1/n: (0, sig) constant, (sig, 1/n) varying in f(t)
-                        for a, b in regions.clip_intervals(secs, 0.0, d):
-                            local = [a] + ([sig] if a < sig < b else []) + [b]
-                            for lo, hi in zip(local[:-1], local[1:]):
-                                if hi <= lo:
-                                    continue
-                                if 0.5 * (lo + hi) < sig:
-                                    v = fs - fsig
-                                    out[i] += (hi - lo) * v * v
-                                else:
-                                    own.append(i)
-                                    los.append(lo)
-                                    his.append(hi)
-                                    consts.append(fs)
-                        # top band (1/n, s): true width sig, kept as exact offsets
-                        # from 1/n even when s = 1/n + sig rounds back to 1/n and
-                        # the float interval collapses (Sterbenz: a - d is exact);
-                        # f is smooth here, one Gauss panel suffices
-                        if top > d:
-                            trail = [(a - d, sig if b >= top else b - d)
-                                     for a, b in regions.clip_intervals(secs, d, top)]
-                        elif regions.contains(region, s, d):
-                            trail = [(0.0, sig)]
-                        else:
-                            trail = []
-                        for lo_off, hi_off in trail:
-                            w = hi_off - lo_off
-                            if w > 0.0:
-                                tq = d + (lo_off + 0.5 * w * (1.0 + xi))
-                                vals = (fsig - self.profile(tq)) ** 2
-                                out[i] += 0.5 * w * float(vals @ wi)
-                        continue
-                    cuts = sorted({d, sig, 1.0})
-                    for a, b in secs:
-                        local = [a] + [x for x in cuts if a < x < b] + [b]
-                        for lo, hi in zip(local[:-1], local[1:]):
-                            if hi <= lo:
-                                continue
-                            m = 0.5 * (lo + hi)
-                            if m < d:
-                                v = fs - fsig
-                                out[i] += (hi - lo) * v * v
-                            elif m < sig:
-                                pass  # shifted copies cancel exactly
-                            elif m >= 1.0:
-                                out[i] += (hi - lo) * fsig * fsig
-                            else:
-                                own.append(i)
-                                los.append(lo)
-                                his.append(hi)
-                                consts.append(fsig)
-                if own:
-                    own = np.asarray(own)
-                    lo = np.asarray(los)
-                    hi = np.asarray(his)
-                    amp = np.asarray(consts)
-                    edges = np.minimum(lo[:, None] * growth, hi[:, None])
-                    edges = np.concatenate([edges, hi[:, None]], axis=1)
-                    a, b = edges[:, :-1], edges[:, 1:]
-                    x = 0.5 * (a + b)[:, :, None] + 0.5 * (b - a)[:, :, None] * xi
-                    hv = (amp[:, None, None] - self.profile(x.ravel()).reshape(x.shape)) ** 2
-                    contrib = np.sum(0.5 * (b - a)[:, :, None] * wi * hv, axis=(1, 2))
-                    np.add.at(out, own, contrib)
-                return out
-
-            return col
-
-        col_lo = make_col(inner_nodes)
-        col_hi = make_col(inner_nodes + 4)
-
         # inner formula changes on t in {0, 1/n, 1} and on the moving cuts
         # t = s and t = s - 1/n
         struct = [(0.0, 1.0, 0.0), (0.0, 1.0, d), (0.0, 1.0, 1.0),
                   (1.0, -1.0, 0.0), (1.0, -1.0, d)]
-        edges = [0.0, d, 2.0 * d, 1.0, 1.0 + d] + regions.t_breakpoints(flipped)
+        edges = [0.0, d, 2.0 * d, 1.0, 1.0 + d] + regions.t_breakpoints(regions.transpose(region))
         edges += _crossing_edges(region, struct, axis=0)
         pieces = _make_pieces(edges, [0.0, d], 0.0, 1.0 + d)
-        return _integrate_pieces(col_lo, pieces, quadcfg, f_check=col_hi)
+        return _integrate_pieces(self._column(n, region, quadcfg.nodes), pieces, quadcfg,
+                                 f_check=self._column(n, region, quadcfg.nodes + 4))
+
+    def _column(self, n, region, nodes):
+        """The column integrand of ``_mass_lower``, ``nodes`` Gauss nodes per panel."""
+        d = 1.0 / n
+        xi, wi = _gl(nodes)
+        flipped = regions.transpose(region)  # its rows are the region's columns
+
+        def col(ss, deltas, origin):
+            ss = np.atleast_1d(np.asarray(ss, dtype=float))
+            sig = np.atleast_1d(deltas) if origin is not None and origin == d else ss - d
+            top = np.minimum(ss, 1.0 + d)
+            lo, hi = regions.row_sections_array(flipped, ss)
+            lo, hi = np.maximum(lo, 0.0), np.minimum(hi, top)
+            fs, fsig = self.profile(ss), self.profile(sig)
+            flat = sig <= 0.0  # shifted copies fall outside: f(s) throughout
+            low = ~flat & (sig < d)
+            v = fs - fsig  # f(s) where flat, as f(sig) = 0 there
+            below = np.minimum(hi, np.where(low, sig, d)) - lo
+            beyond = hi - np.maximum(lo, 1.0)
+            out = (np.where(below > 0.0, below * v * v, 0.0)
+                   + np.where(beyond > 0.0, beyond * fsig * fsig, 0.0)).sum(axis=0)
+
+            # top band for low columns, in offsets from 1/n; the last row holds
+            # the columns where s rounded back to 1/n
+            collapsed = low & (top <= d)
+            collapsed[collapsed] = regions.contains(region, ss[collapsed], d)
+            above = np.maximum(lo, d)
+            off_lo = np.vstack([above - d, np.zeros_like(ss)])
+            off_hi = np.vstack([np.where(hi >= top, sig, hi - d), sig])
+            tops = np.vstack([low & (hi > above), collapsed]) & (off_hi > off_lo)
+            own = np.nonzero(tops)[1]
+            w = (off_hi - off_lo)[tops]
+            tq = d + (off_lo[tops][:, None] + 0.5 * w[:, None] * (1.0 + xi))
+            vals = (fsig[own][:, None] - self.profile(tq)) ** 2
+            out += np.bincount(own, 0.5 * w * (vals @ wi), minlength=ss.size)
+
+            # pieces varying through f(t)
+            vlo = np.maximum(lo, sig)
+            vhi = np.minimum(hi, np.where(low, d, 1.0))
+            vary = ~flat & (vhi > vlo)
+            if np.any(vary):
+                own = np.nonzero(vary)[1]
+                vlo, vhi = vlo[vary], vhi[vary]
+                amp = np.where(low, fs, fsig)[own]
+                _, most = np.frexp(np.max(vhi / vlo))
+                growth = 2.0 ** np.arange(min(64, int(most) + 1), dtype=float)
+                edges = np.minimum(vlo[:, None] * growth, vhi[:, None])
+                edges = np.concatenate([edges, vhi[:, None]], axis=1)
+                a, b = edges[:, :-1], edges[:, 1:]
+                x = 0.5 * (a + b)[:, :, None] + 0.5 * (b - a)[:, :, None] * xi
+                hv = (amp[:, None, None] - self.profile(x.ravel()).reshape(x.shape)) ** 2
+                contrib = np.sum(0.5 * (b - a)[:, :, None] * wi * hv, axis=(1, 2))
+                out += np.bincount(own, contrib, minlength=ss.size)
+            return out
+
+        return col
 
     def window(self, eps):
         return Rect(0.0, eps, 0.0, eps)
@@ -1017,6 +985,7 @@ class TriangleWeight(_ProfileWeight):
                 us = ts - d
                 mode = "shift"
             out = np.zeros_like(ts)
+            sections = regions.row_section_lists(region, ts, 0.0, 1.0 + d)
             for i, (t, u) in enumerate(zip(ts, us)):
                 if t <= 0.0 or t >= 1.0 + d:
                     continue
@@ -1051,10 +1020,8 @@ class TriangleWeight(_ProfileWeight):
                 def inside(m, iv):
                     return bool(iv is not None and before(iv[0], m) and before(m, iv[1]))
 
-                secs = regions.row_sections(region, t)
-                secs = regions.clip_intervals(secs, 0.0, 1.0 + d)
                 acc = 0.0
-                for a, b in secs:
+                for a, b in sections[i]:
                     ya, yb = 2.0 * a - 1.0, 2.0 * b - 1.0
                     cuts = [(ya, 0.0)] + sorted(
                         (bk for bk in brks if before((ya, 0.0), bk) and before(bk, (yb, 0.0))),

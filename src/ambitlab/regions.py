@@ -10,7 +10,8 @@ they ask for its cross-section at a height ``t`` (``row_sections``) as
 disjoint open intervals, which keeps the 1-D reductions of the kernel
 integrals exact: each half-plane cuts the row at ``(c - b*t)/a``, and a
 piece's interval is the max of its lower and the min of its upper cuts.
-Columns are the rows of the ``transpose``.
+Columns are the rows of the ``transpose``; ``row_sections_array`` gives the
+sections at many heights at once.
 ``boundary_lines`` lists the lines bounding a region so integrators can place
 outer breakpoints where a moving section endpoint passes a structural line of
 the integrand.
@@ -37,7 +38,10 @@ __all__ = [
     "Everything",
     "band",
     "row_sections",
+    "row_sections_array",
+    "row_section_lists",
     "transpose",
+    "transpose_invariant",
     "reflect_translate",
     "contains",
     "t_breakpoints",
@@ -100,56 +104,73 @@ def band(lo, hi):
     return Intersection((HalfPlane(-1.0, 1.0, -lo), HalfPlane(1.0, -1.0, hi)))
 
 
-def _normalize(iv):
-    iv = [(a, b) for a, b in iv if b > a]
-    iv.sort()
-    out = []
-    for a, b in iv:
-        if out and a <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], b))
-        else:
-            out.append((a, b))
-    return out
+def row_sections_array(region, ts):
+    """The slices {s : (s, t) in region} at every height t of ``ts`` at once.
+
+    Returns ``(lo, hi)`` of shape (pieces, len(ts)): column i holds the slice
+    at ``ts[i]`` as disjoint open intervals (lo, hi), ascending, and (0, 0)
+    in unused entries.  A piece's interval is the max of its lower and the
+    min of its upper cuts.  One sort on the lower cut and a sweep merge the
+    pieces: a piece opens an interval where its lower cut passes the running
+    maximum of the upper cuts before it; the interval ends at that maximum
+    before the next opening.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    pieces = _pieces(region)
+    lo = np.full((len(pieces), ts.size), -math.inf)
+    hi = np.full((len(pieces), ts.size), math.inf)
+    for p, piece in enumerate(pieces):
+        for a, b, c in piece:
+            rhs = c - b * ts
+            if a > 0.0:
+                np.minimum(hi[p], rhs / a, out=hi[p])
+            elif a < 0.0:
+                np.maximum(lo[p], rhs / a, out=lo[p])
+            else:
+                hi[p][rhs <= 0.0] = -math.inf  # rows outside a horizontal half-plane
+    empty = hi <= lo
+    if len(pieces) == 1:  # a lone piece's interval needs no merging
+        return np.where(empty, 0.0, lo), np.where(empty, 0.0, hi)
+    lo[empty], hi[empty] = math.inf, -math.inf  # sort last, never raise the maximum
+    order = np.argsort(lo, axis=0, kind="stable")
+    lo, hi = np.take_along_axis(lo, order, 0), np.take_along_axis(hi, order, 0)
+    reach = np.maximum.accumulate(hi, axis=0)
+    opens = np.ones(lo.shape, dtype=bool)
+    opens[1:] = lo[1:] > reach[:-1]
+    rows = np.where(opens, np.arange(len(pieces))[:, None], len(pieces))
+    last = np.full(lo.shape, len(pieces) - 1)
+    last[:-1] = np.minimum.accumulate(rows[::-1], axis=0)[::-1][1:] - 1
+    hi = np.take_along_axis(reach, last, 0)
+    keep = opens & (hi > lo)
+    return np.where(keep, lo, 0.0), np.where(keep, hi, 0.0)
 
 
-def clip_intervals(iv, lo, hi):
-    """Intersect sorted disjoint intervals with (lo, hi)."""
-    out = []
-    for a, b in iv:
-        a, b = max(a, lo), min(b, hi)
-        if b > a:
-            out.append((a, b))
-    return out
+def row_section_lists(region, ts, lo=-math.inf, hi=math.inf):
+    """Per height of ``ts``, its slice clipped to (lo, hi) as a list of float pairs."""
+    a, b = row_sections_array(region, ts)
+    a, b = np.maximum(a, lo).T.tolist(), np.minimum(b, hi).T.tolist()
+    return [[(x, y) for x, y in zip(ra, rb) if y > x] for ra, rb in zip(a, b)]
 
 
 def row_sections(region, t):
     """Disjoint open s-intervals of the slice {s : (s, t) in region}."""
-    out = []
-    for piece in _pieces(region):
-        lo, hi = -math.inf, math.inf
-        for a, b, c in piece:
-            rhs = c - b * t
-            if a > 0.0:
-                cut = rhs / a
-                if cut < hi:
-                    hi = cut
-            elif a < 0.0:
-                cut = rhs / a
-                if cut > lo:
-                    lo = cut
-            elif rhs <= 0.0:
-                break  # a horizontal half-plane this row lies outside of
-        else:
-            out.append((lo, hi))
-    if len(out) == 1:
-        # a lone piece's interval needs no merging
-        return out if out[0][1] > out[0][0] else []
-    return _normalize(out)
+    return row_section_lists(region, t)[0]
 
 
 def transpose(region):
     """Region with the roles of s and t swapped."""
     return Region(tuple(tuple((b, a, c) for a, b, c in piece) for piece in _pieces(region)))
+
+
+def transpose_invariant(region):
+    """True when the transpose has the same pieces, each compared as a set.
+
+    Equal sets of pieces are equal regions, so True is never wrong; a
+    symmetric region cut into different pieces reads False.
+    """
+    def as_set(r):
+        return frozenset(frozenset(piece) for piece in _pieces(r))
+    return as_set(region) == as_set(transpose(region))
 
 
 def reflect_translate(region, s, t):

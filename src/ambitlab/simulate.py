@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import NotPSDError, QuadratureError
 from .kernels import QuadratureConfig, compute_cn, eval_g
@@ -139,7 +138,8 @@ def simulate_lattice(spec, sigma, n, M, seed=0, rep=0, noise=None, check=True):
     # g sampled at the midpoint offset lattice ((2j+1)/M, (2l+1)/M)
     offs = (2.0 * np.arange(M) + 1.0) / M
     table = eval_g(spec, offs[:, None], offs[None, :])
-    conv = fftconvolve(table, weighted, mode="full")
+    size = (2 * M, 2 * M)  # past the full linear convolution's 2M - 1: no wrap-around
+    conv = np.fft.irfft2(np.fft.rfft2(table, size) * np.fft.rfft2(weighted, size), size)
     q = M // (2 * n)
     pick = np.arange(n + 1) * q + M // 2 - 1
     vals = conv[np.ix_(pick, pick)]

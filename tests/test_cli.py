@@ -2,6 +2,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -402,3 +404,14 @@ def test_main_override_flag_unlocks_a_refused_run(tmp_path):
     unlocked = main(["--config", str(cfg_path), "--out", str(out),
                      "--override-admissibility"])
     assert unlocked == EXIT_OK
+
+
+def test_importing_the_cli_loads_neither_scipy_stats_nor_scipy_signal():
+    # each costs a fresh interpreter most of a second of start-up
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, ambitlab.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.signal'))))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from ambitlab import regions
 from ambitlab.errors import QuadratureError
@@ -281,6 +282,151 @@ def test_unstable_quadrature_raises_with_estimate():
     with pytest.raises(QuadratureError) as exc:
         mu_mass(SingularWeight(alpha=0.9), 8, None, cfg)
     assert exc.value.estimate is not None
+
+
+# ---------------------------------------------------------------- singular column integrand
+
+def _clip(secs, lo, hi):
+    return [(max(a, lo), min(b, hi)) for a, b in secs if min(b, hi) > max(a, lo)]
+
+
+def _scalar_column(spec, n, region, nodes):
+    """The column integrand one node at a time: the definition the batched one must match."""
+    d = 1.0 / n
+    xi, wi = roots_legendre(nodes)
+    growth = 2.0 ** np.arange(64, dtype=float)
+    flipped = regions.transpose(region)
+
+    def col(ss, deltas, origin):
+        ss = np.atleast_1d(np.asarray(ss, dtype=float))
+        sigs = np.atleast_1d(deltas) if origin is not None and origin == d else ss - d
+        out = np.zeros_like(ss)
+        own, los, his, consts = [], [], [], []
+        for i, (s, sig) in enumerate(zip(ss, sigs)):
+            top = min(s, 1.0 + d)
+            secs = _clip(regions.row_sections(flipped, s), 0.0, top)
+            if not secs:
+                continue
+            fs = spec.profile(s)
+            if sig <= 0.0:
+                for a, b in secs:
+                    out[i] += (b - a) * fs * fs
+                continue
+            fsig = spec.profile(sig)
+            if sig < d:
+                for a, b in _clip(secs, 0.0, d):
+                    local = [a] + ([sig] if a < sig < b else []) + [b]
+                    for lo, hi in zip(local[:-1], local[1:]):
+                        if hi <= lo:
+                            continue
+                        if 0.5 * (lo + hi) < sig:
+                            v = fs - fsig
+                            out[i] += (hi - lo) * v * v
+                        else:
+                            own.append(i)
+                            los.append(lo)
+                            his.append(hi)
+                            consts.append(fs)
+                if top > d:
+                    trail = [(a - d, sig if b >= top else b - d) for a, b in _clip(secs, d, top)]
+                elif regions.contains(region, s, d):
+                    trail = [(0.0, sig)]
+                else:
+                    trail = []
+                for lo_off, hi_off in trail:
+                    w = hi_off - lo_off
+                    if w > 0.0:
+                        tq = d + (lo_off + 0.5 * w * (1.0 + xi))
+                        vals = (fsig - spec.profile(tq)) ** 2
+                        out[i] += 0.5 * w * float(vals @ wi)
+                continue
+            cuts = sorted({d, sig, 1.0})
+            for a, b in secs:
+                local = [a] + [x for x in cuts if a < x < b] + [b]
+                for lo, hi in zip(local[:-1], local[1:]):
+                    if hi <= lo:
+                        continue
+                    m = 0.5 * (lo + hi)
+                    if m < d:
+                        v = fs - fsig
+                        out[i] += (hi - lo) * v * v
+                    elif m < sig:
+                        pass
+                    elif m >= 1.0:
+                        out[i] += (hi - lo) * fsig * fsig
+                    else:
+                        own.append(i)
+                        los.append(lo)
+                        his.append(hi)
+                        consts.append(fsig)
+        if own:
+            lo, hi, amp = np.asarray(los), np.asarray(his), np.asarray(consts)
+            edges = np.minimum(lo[:, None] * growth, hi[:, None])
+            edges = np.concatenate([edges, hi[:, None]], axis=1)
+            a, b = edges[:, :-1], edges[:, 1:]
+            x = 0.5 * (a + b)[:, :, None] + 0.5 * (b - a)[:, :, None] * xi
+            hv = (amp[:, None, None] - spec.profile(x.ravel()).reshape(x.shape)) ** 2
+            contrib = np.sum(0.5 * (b - a)[:, :, None] * wi * hv, axis=(1, 2))
+            np.add.at(out, np.asarray(own), contrib)
+        return out
+
+    return col
+
+
+def _column_nodes(n, rng):
+    """Outer nodes in both call forms: plain (s, None, None) and graded toward 1/n."""
+    d = 1.0 / n
+    plain = np.concatenate([
+        rng.uniform(0.0, 1.0 + d, 40),
+        d * rng.uniform(0.0, 3.0, 20),
+        1.0 + d * rng.uniform(-1.0, 1.0, 10),
+        [0.5 * d, d, 2.0 * d, 1.0, 1.0 + 0.5 * d],
+    ])
+    # offsets from 1/n on both sides, down to where d + delta rounds back to d
+    mags = d * 2.0 ** -rng.uniform(0.0, 60.0, 40)
+    deltas = np.concatenate([mags, -mags[:10], [d * 2.0**-54, d * 2.0**-60]])
+    assert np.any(d + deltas == d)
+    return plain, deltas
+
+
+@pytest.mark.parametrize("ell", ["one", "one_minus_s", "smooth_cutoff"])
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.75])
+def test_batched_column_matches_the_scalar_definition(alpha, ell):
+    spec = SingularWeight(alpha=alpha, ell=SlowFunction.from_catalog(ell))
+    rng = np.random.default_rng(int(alpha * 100))
+    for n in (8, 32, 256):
+        d = 1.0 / n
+        plain, deltas = _column_nodes(n, rng)
+        catalog = spec.catalog(n, thinning_count(n, 0.4) / n)
+        for name, region in {**catalog, "everything": Everything()}.items():
+            batched, scalar = spec._column(n, region, 14), _scalar_column(spec, n, region, 14)
+            for args in ((plain, None, None), (d + deltas, deltas, d)):
+                np.testing.assert_allclose(batched(*args), scalar(*args), rtol=1e-13, atol=0.0,
+                                           err_msg=f"{name} at n={n}")
+
+
+def test_transpose_invariant_regions_integrate_one_half(monkeypatch):
+    spec, n = SingularWeight(alpha=0.75), 32
+    catalog = spec.catalog(n, thinning_count(n, 0.4) / n)
+    invariant = {name: catalog[name] for name in ("E", "B1", "B2", "B3", "B4")}
+    invariant["everything"] = Everything()
+    other = {"Etilde": catalog["Etilde"], "band": band(0.1, 0.3),
+             "half-plane": HalfPlane(1.0, -2.0, 0.3)}
+    calls, original, quad = [], SingularWeight._mass_lower, QuadratureConfig()
+
+    def counted(self, n, region, quadcfg):
+        calls.append(region)
+        return original(self, n, region, quadcfg)
+
+    monkeypatch.setattr(SingularWeight, "_mass_lower", counted)
+    for name, region in {**invariant, **other}.items():
+        calls.clear()
+        value = mu_mass(spec, n, region)
+        assert len(calls) == (1 if name in invariant else 2), name
+        if name in invariant:
+            both = (original(spec, n, region, quad)
+                    + original(spec, n, regions.transpose(region), quad))
+            assert value == both, name
 
 
 # ---------------------------------------------------------------- concentration geometry

@@ -87,6 +87,53 @@ def test_row_sections_agree_with_membership(region, seed):
         assert not np.any(regions.contains(region, s[outside], t))
 
 
+def _scalar_row_sections(region, t):
+    """One row, one piece at a time: the definition the array form must match."""
+    out = []
+    for piece in region.pieces:
+        lo, hi = -np.inf, np.inf
+        for a, b, c in piece:
+            rhs = c - b * t
+            if a > 0.0:
+                hi = min(hi, rhs / a)
+            elif a < 0.0:
+                lo = max(lo, rhs / a)
+            elif rhs <= 0.0:
+                break
+        else:
+            if hi > lo:
+                out.append((lo, hi))
+    merged = []
+    for a, b in sorted(out):
+        if merged and a <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
+        else:
+            merged.append((a, b))
+    return merged
+
+
+@given(shapes, seeds)
+def test_array_row_sections_equal_the_scalar_definition(region, seed):
+    rng = np.random.default_rng(seed)
+    ts = np.concatenate([rng.uniform(-0.5, 1.5, 40), rng.choice(np.linspace(-0.25, 1.25, 7), 8)])
+    lo, hi = regions.row_sections_array(region, ts)
+    assert lo.shape == hi.shape == (len(region.pieces), ts.size)
+    for i, t in enumerate(ts):
+        want = _scalar_row_sections(region, t)
+        assert [(a, b) for a, b in zip(lo[:, i], hi[:, i]) if b > a] == want
+        assert regions.row_sections(region, t) == want
+
+
+@given(shapes, seeds)
+def test_transpose_invariance_is_never_claimed_wrongly(region, seed):
+    s, t = _points(seed)
+    mirrored = Union((region, regions.transpose(region)))
+    assert regions.transpose_invariant(mirrored)
+    for r in (region, mirrored):
+        if regions.transpose_invariant(r):
+            np.testing.assert_array_equal(regions.contains(r, s, t), regions.contains(r, t, s))
+
+
 @given(shapes, seeds)
 def test_transpose_swaps_the_coordinates(region, seed):
     s, t = _points(seed)
