@@ -38,11 +38,9 @@ __all__ = [
     "admissible_kappa",
     "assumption1_probe",
     "assumption2_ratio",
-    "first_valid_resolution",
     "kappa_refusal",
     "region_catalog",
     "region_measures",
-    "save_catalog_csv",
     "save_measures_csv",
     "slope_fit",
 ]
@@ -115,9 +113,6 @@ class RegionCatalog:
     eps: float
     regions: dict
     partition: tuple
-
-    def __getitem__(self, name):
-        return self.regions[name]
 
 
 def region_catalog(spec, n, kappa):
@@ -225,30 +220,7 @@ def slope_fit(values):
 # hypothesis probes
 # ---------------------------------------------------------------------------
 
-def first_valid_resolution(spec, kappa, n_max=65536):
-    """Smallest resolution at which the catalog anatomy holds.
-
-    Scans n >= 4 for the first value where the realized thinning count is at
-    least the weight class's ``catalog_min_k`` and the slowly-varying factor
-    is nonvanishing on (0, 1/n), checked on a dense grid.
-    """
-    k_min = kernels.require_weight(spec).catalog_min_k
-    if k_min is None:
-        raise ValueError(
-            "the resolution threshold applies to the corner-singular and "
-            "cone kernels only"
-        )
-    for n in range(4, n_max + 1):
-        k = kernels.thinning_count(n, kappa)
-        if k < k_min:
-            continue
-        x = np.linspace(1.0 / (512.0 * n), 1.0 / n, 512)
-        if np.all(np.abs(spec.ell(x)) > 0.0):
-            return n
-    raise ValueError(f"no valid resolution found up to {n_max}")
-
-
-def assumption2_ratio(spec, n, kappa, center=None, quadcfg=None):
+def assumption2_ratio(spec, n, kappa, quadcfg=None):
     """Mass outside the shrinking window, relative to eps_n^2.
 
     The thinning exponent kappa is realized as k_n = ceil(n^(1-kappa)) and
@@ -257,17 +229,10 @@ def assumption2_ratio(spec, n, kappa, center=None, quadcfg=None):
     fluctuation scaling at this kappa; a flat or growing tail is evidence
     against it (the known ranges are sufficient conditions, so a failure
     outside them is an observation, not a contradiction).
-
-    For kernels without a built-in window shape (grid-sampled ones), pass
-    ``center`` to probe an eps-sided square window centered there.
     """
     k = kernels.thinning_count(n, kappa)
     eps = k / n
-    if center is not None:
-        x0, y0 = center
-        window = Rect(x0 - 0.5 * eps, x0 + 0.5 * eps, y0 - 0.5 * eps, y0 + 0.5 * eps)
-    else:
-        window = kernels.near_region(spec, eps)
+    window = kernels.near_region(spec, eps)
     inside = kernels.concentration_mass(spec, n, window, quadcfg)
     return float((1.0 - inside) / eps**2)
 
@@ -314,15 +279,3 @@ def save_measures_csv(measures, path):
         for n in sorted(measures):
             for name, mass in measures[n].items():
                 fh.write(f"{int(n)},{name},{float(mass)!r}\n")
-
-
-def save_catalog_csv(catalog, path):
-    """Write one catalog's region descriptions as `name,description` rows."""
-    with open(path, "w") as fh:
-        fh.write(
-            f"# region catalog: variant={catalog.variant} n={catalog.n} "
-            f"kappa={float(catalog.kappa)!r} k={catalog.k} eps={float(catalog.eps)!r}\n"
-        )
-        fh.write("name,description\n")
-        for name, reg in catalog.regions.items():
-            fh.write(f'{name},"{reg!r}"\n')

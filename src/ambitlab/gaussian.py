@@ -29,10 +29,8 @@ __all__ = [
     "HermiteExpansion",
     "abs_moment",
     "abs_moment_quadrature",
-    "hermite_poly",
     "up_hermite_coeffs",
     "power_cov_probe",
-    "fourth_moment_probe",
 ]
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -98,28 +96,6 @@ def _he_values(kmax, x):
     return out
 
 
-def hermite_poly(k, x):
-    """Normalized Hermite polynomial H_k(x) = He_k(x)/k!.
-
-    Uses the downscaled recurrence H_{k+1} = (x H_k - H_{k-1})/(k+1), which
-    stays bounded where the raw He_k recurrence would overflow for large k.
-    Accepts scalars or arrays.
-
-    Examples: H_0 = 1, H_1(x) = x, H_2(2) = (4-1)/2 = 1.5.
-    """
-    if k < 0 or k != int(k):
-        raise ValueError(f"Hermite order must be a nonnegative integer, got {k}")
-    k = int(k)
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if k == 0:
-        return h_prev if h_prev.shape else float(h_prev)
-    h = x.copy()
-    for j in range(1, k):
-        h_prev, h = h, (x * h - h_prev) / (j + 1.0)
-    return h if h.shape else float(h)
-
-
 def _abs_power_hermite_moment(q, m, rtol):
     """E[|X|^q He_m(X)] for q > 0, by exact reduction plus half-line quadrature.
 
@@ -174,10 +150,6 @@ class HermiteExpansion:
 
     p: float
     alpha: np.ndarray
-
-    @property
-    def max_order(self):
-        return self.alpha.size - 1
 
     def parseval_target(self):
         return abs_moment(2.0 * self.p) - abs_moment(self.p) ** 2
@@ -296,64 +268,3 @@ def power_cov_probe(rho, p, q=2.0):
     if rho == 0.0:
         return cov, 0.0
     return cov, abs(cov) / abs(rho) ** q
-
-
-def fourth_moment_probe(cov, p, reps=4000, seed=0):
-    """Monte Carlo fourth moment of sum_a (|X_a|^p - m_p) against its bound.
-
-    Parameters
-    ----------
-    cov : (n, n) array
-        Covariance of the Gaussian vector; unit diagonal, PSD, and max
-        off-diagonal correlation below 1/12 (preconditions of the rank-two
-        fourth-moment bound probed here).
-    p : float
-        Power.
-    reps : int
-        Monte Carlo replications, at least 1000.
-    seed : int
-        RNG seed (numpy default bit generator).
-
-    Returns
-    -------
-    (estimate, bound_value) : tuple of float
-        ``bound_value = n^4 rho^4 + n^3 rho^2 + n^2`` with n the dimension and
-        rho the max off-diagonal correlation.
-    """
-    C = np.asarray(cov, dtype=float)
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise ValueError(f"covariance must be square, got shape {C.shape}")
-    n = C.shape[0]
-    if not np.allclose(np.diag(C), 1.0, atol=1e-12):
-        raise ValueError("covariance must have unit diagonal")
-    if not np.allclose(C, C.T, atol=1e-12):
-        raise ValueError("covariance must be symmetric")
-    off = C - np.eye(n)
-    rho = float(np.max(np.abs(off))) if n > 1 else 0.0
-    if rho >= 1.0 / 12.0:
-        raise ValueError(
-            f"max off-diagonal correlation {rho:.4f} is not below 1/12; "
-            "the fourth-moment bound probed here does not apply"
-        )
-    if reps < 1000:
-        raise ValueError(f"need at least 1000 replications, got {reps}")
-
-    eigvals, eigvecs = np.linalg.eigh(C)
-    if eigvals.min() < -1e-10 * max(eigvals.max(), 1.0):
-        raise ValueError(f"covariance is not positive semidefinite (min eigenvalue {eigvals.min():.3e})")
-    root = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 4)))
-    mp = abs_moment(p)
-    total = 0.0
-    chunk = 100_000 // max(n, 1) + 1
-    done = 0
-    while done < reps:
-        m = min(chunk, reps - done)
-        z = rng.standard_normal((m, n))
-        s = np.sum(np.abs(z @ root.T) ** p - mp, axis=1)
-        total += float(np.sum(s ** 4))
-        done += m
-    estimate = total / reps
-    bound_value = float(n) ** 4 * rho ** 4 + float(n) ** 3 * rho ** 2 + float(n) ** 2
-    return estimate, bound_value

@@ -23,12 +23,12 @@ Each variant's facts live on its class; the module-level functions and the
 other modules only read them.  The class holds the config name ``variant``
 (the registry key), ``evaluate`` and the mass reduction ``mass``, the
 concentration geometry (``concentration_point``, ``window``,
-``corner_cells``, ``limit_atoms``), ``support``, the
-admissible ``kappa_range``, the region ``catalog`` with ``catalog_min_k``,
-the exact routes (``signed_strips`` where ``has_strips``,
-``lattice_autocorrelation`` where ``has_autocorrelation``) and the config
-keys (``config_keys``, ``config_names``, ``from_config``).  ``WeightSpec``
-holds the defaults for the facts a variant lacks.
+``corner_cells``, ``limit_atoms``), the admissible ``kappa_range``, the
+region ``catalog`` with ``catalog_min_k``, the exact routes
+(``signed_strips`` where ``has_strips``, ``lattice_autocorrelation`` where
+``has_autocorrelation``) and the config keys (``config_keys``,
+``config_names``, ``from_config``).  ``WeightSpec`` holds the defaults for
+the facts a variant lacks.
 
 Integration strategy: never brute-force 2-D quadrature.  Rows of the Uniform,
 Triangle, and Grid kernels have explicit one-dimensional structure (piecewise
@@ -70,7 +70,6 @@ __all__ = [
     "GridWeight",
     "KappaRange",
     "QuadratureConfig",
-    "AmbitSupport",
     "require_weight",
     "eval_g",
     "eval_h",
@@ -79,7 +78,6 @@ __all__ = [
     "concentration_mass",
     "concentration_point",
     "near_region",
-    "ambit_support",
     "thinning_count",
     "weight_to_config",
     "weight_from_config",
@@ -397,8 +395,8 @@ class KappaRange:
 class WeightSpec:
     """Base of the weight variants: the defaults for facts a variant lacks.
 
-    Every variant also defines ``evaluate``, ``mass``, ``support``,
-    ``kappa_range``, ``limit_atoms``, ``config_keys`` and ``from_config``.
+    Every variant also defines ``evaluate``, ``mass``, ``kappa_range``,
+    ``limit_atoms``, ``config_keys`` and ``from_config``.
     """
 
     variant = None               # config name and registry key
@@ -411,8 +409,8 @@ class WeightSpec:
     def window(self, eps):
         """The shrinking neighborhood E carrying the concentration mass."""
         raise ValueError(
-            f"{type(self).__name__} has no single concentration point; "
-            "pass an explicit center to build a neighborhood"
+            f"{type(self).__name__} has no single concentration point, so "
+            "there is no shrinking window around one"
         )
 
     def corner_cells(self, n):
@@ -560,9 +558,6 @@ class UniformWeight(WeightSpec):
             (0.25, (self.s1, self.t1)), (0.25, (self.s1, self.t2)),
             (0.25, (self.s2, self.t1)), (0.25, (self.s2, self.t2)),
         )
-
-    def support(self):
-        return Rect(self.s1, self.s2, self.t1, self.t2)
 
     def kappa_range(self):
         """Empty: four separated corners, so no single shrinking window fits."""
@@ -759,9 +754,6 @@ class SingularWeight(_ProfileWeight):
 
     def window(self, eps):
         return Rect(0.0, eps, 0.0, eps)
-
-    def support(self):
-        return Rect(0.0, 1.0, 0.0, 1.0)
 
     def kappa_range(self):
         """(0, alpha] for alpha < 1/2, else (0, (2 alpha + 1)/(2 alpha + 3)).
@@ -1056,16 +1048,6 @@ class TriangleWeight(_ProfileWeight):
     def window(self, eps):
         return Rect(0.5 - 0.5 * eps, 0.5 + 0.5 * eps, 0.0, 0.5 * eps)
 
-    def support(self):
-        # closure of the cone: vertices (1/2, 0), (0, 1), (1, 1)
-        return Intersection(
-            (
-                Rect(0.0, 1.0, 0.0, 1.0),
-                HalfPlane(-2.0, -1.0, -1.0),  # 2s + t > 1
-                HalfPlane(2.0, -1.0, 1.0),    # 2s - t < 1
-            )
-        )
-
     def kappa_range(self):
         """(0, (2 alpha - 1)/(2 alpha + 1)), open."""
         a = self.alpha
@@ -1176,9 +1158,6 @@ class GridWeight(WeightSpec):
             "grid-sampled kernels have no closed-form concentration limit; "
             "probe a candidate with assumption1_probe"
         )
-
-    def support(self):
-        return Rect(0.0, 1.0, 0.0, 1.0)
 
     def kappa_range(self):
         raise ValueError(
@@ -1295,27 +1274,6 @@ def near_region(spec, eps):
     if eps <= 0.0:
         raise ValueError(f"neighborhood size must be positive, got {eps}")
     return require_weight(spec).window(eps)
-
-
-# ---------------------------------------------------------------------------
-# supports
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AmbitSupport:
-    """Support A_g of the weight kernel plus the moving sets A(s,t) = (s,t) - A_g."""
-
-    region: object
-
-    def at(self, s, t):
-        return regions.reflect_translate(self.region, s, t)
-
-    def contains(self, s, t):
-        return regions.contains(self.region, s, t)
-
-
-def ambit_support(spec):
-    return AmbitSupport(require_weight(spec).support())
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,6 @@ __all__ = [
     "limit_pi",
     "lln_experiment",
     "save_report_csv",
-    "save_report_json",
     "sigma_functional",
 ]
 
@@ -560,9 +559,8 @@ def clt_experiment(config):
         else:
             exact_var = None
             entry["exact_variance"] = None
-            flags.append(
-                f"exact finite-n variance in closed form needs p=2, got p={p}"
-            ) if n == config.n_schedule[0] else None
+            if n == config.n_schedule[0]:
+                flags.append(f"exact finite-n variance in closed form needs p=2, got p={p}")
 
         if config.reps > 1:
             entry["sample_variance"] = float(np.var(z, ddof=1))
@@ -614,14 +612,6 @@ def report_to_dict(report):
         "flags": list(report.flags),
         "per_n": per_n,
     }
-
-
-def save_report_json(report, path):
-    import json
-
-    with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def save_report_csv(report, path):

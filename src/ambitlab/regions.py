@@ -6,12 +6,12 @@ each an intersection of open half-planes ``{a*s + b*t < c}``.  So one type,
 :class:`Region`, holds a tuple of pieces, each a tuple of ``(a, b, c)``; the
 empty piece is the whole plane.  Every constructor returns it and every
 operation is one loop over the pieces.  Integrators never rasterize a region;
-they ask for its cross-section at a height ``t`` (``row_sections``) as
-disjoint open intervals, which keeps the 1-D reductions of the kernel
-integrals exact: each half-plane cuts the row at ``(c - b*t)/a``, and a
-piece's interval is the max of its lower and the min of its upper cuts.
-Columns are the rows of the ``transpose``; ``row_sections_array`` gives the
-sections at many heights at once.
+they ask for its cross-sections at heights ``t`` (``row_sections_array``, or
+``row_section_lists`` as lists of float pairs) as disjoint open intervals,
+which keeps the 1-D reductions of the kernel integrals exact: each half-plane
+cuts the row at ``(c - b*t)/a``, and a piece's interval is the max of its
+lower and the min of its upper cuts.  Columns are the rows of the
+``transpose``.
 ``boundary_lines`` lists the lines bounding a region so integrators can place
 outer breakpoints where a moving section endpoint passes a structural line of
 the integrand.
@@ -37,12 +37,10 @@ __all__ = [
     "Difference",
     "Everything",
     "band",
-    "row_sections",
     "row_sections_array",
     "row_section_lists",
     "transpose",
     "transpose_invariant",
-    "reflect_translate",
     "contains",
     "t_breakpoints",
     "boundary_lines",
@@ -152,11 +150,6 @@ def row_section_lists(region, ts, lo=-math.inf, hi=math.inf):
     return [[(x, y) for x, y in zip(ra, rb) if y > x] for ra, rb in zip(a, b)]
 
 
-def row_sections(region, t):
-    """Disjoint open s-intervals of the slice {s : (s, t) in region}."""
-    return row_section_lists(region, t)[0]
-
-
 def transpose(region):
     """Region with the roles of s and t swapped."""
     return Region(tuple(tuple((b, a, c) for a, b, c in piece) for piece in _pieces(region)))
@@ -171,14 +164,6 @@ def transpose_invariant(region):
     def as_set(r):
         return frozenset(frozenset(piece) for piece in _pieces(r))
     return as_set(region) == as_set(transpose(region))
-
-
-def reflect_translate(region, s, t):
-    """Image of the region under (x, y) -> (s - x, t - y)."""
-    # a*x + b*y < c  with x = s - u, y = t - v  =>  -a*u - b*v < c - a*s - b*t
-    return Region(tuple(
-        tuple((-a, -b, c - a * s - b * t) for a, b, c in piece) for piece in _pieces(region)
-    ))
 
 
 def contains(region, s, t):

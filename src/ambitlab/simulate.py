@@ -36,7 +36,6 @@ __all__ = [
     "sample_increments_exact",
     "rho_bar",
     "save_field_csv",
-    "save_covariance_csv",
 ]
 
 _NOISE_STREAM = 2
@@ -69,10 +68,6 @@ class NoiseGrid:
             )
         self.values.setflags(write=False)
 
-    @property
-    def cell_area(self):
-        return (2.0 / self.resolution) ** 2
-
 
 def sample_noise(resolution, seed, rep=0):
     """Draw a NoiseGrid; deterministic in (resolution, seed, rep)."""
@@ -102,13 +97,12 @@ class LatticeField:
         self.values.setflags(write=False)
 
 
-def simulate_lattice(spec, sigma, n, M, seed=0, rep=0, noise=None, check=True):
+def simulate_lattice(spec, sigma, n, M, seed=0, rep=0):
     """Moving-average field on the lattice by discrete convolution.
 
     Y(i/n, j/n) = sum over noise cells of g(i/n - u_c, j/n - v_c) sigma(u_c, v_c) W_c
     with (u_c, v_c) the cell midpoints.  Evaluated with one FFT convolution and
-    spot-checked against the direct sum (three lattice points, 1e-10) unless
-    ``check`` is disabled.
+    spot-checked against the direct sum (three lattice points, 1e-10).
     """
     n, M = int(n), int(M)
     if n < 1:
@@ -123,10 +117,7 @@ def simulate_lattice(spec, sigma, n, M, seed=0, rep=0, noise=None, check=True):
             f"volatility grid (resolution {sigma.resolution}) is coarser than the "
             f"noise grid (resolution {M})"
         )
-    if noise is None:
-        noise = sample_noise(M, seed, rep)
-    elif noise.resolution != M:
-        raise ValueError(f"noise grid resolution {noise.resolution} != M = {M}")
+    noise = sample_noise(M, seed, rep)
 
     mid = -1.0 + (2.0 * np.arange(M) + 1.0) / M
     if sigma.resolution == M:
@@ -145,16 +136,15 @@ def simulate_lattice(spec, sigma, n, M, seed=0, rep=0, noise=None, check=True):
     vals = conv[np.ix_(pick, pick)]
 
     err = 0.0
-    if check:
-        for i, j in {(0, 0), (n // 2, n // 2), (n, n)}:
-            direct = float(
-                np.sum(eval_g(spec, i / n - mid[:, None], j / n - mid[None, :]) * weighted)
-            )
-            err = max(err, abs(direct - vals[i, j]) / (1.0 + abs(direct)))
-        if err > 1e-10:
-            raise QuadratureError(
-                f"FFT convolution disagrees with direct summation by {err:.3e}"
-            )
+    for i, j in {(0, 0), (n // 2, n // 2), (n, n)}:
+        direct = float(
+            np.sum(eval_g(spec, i / n - mid[:, None], j / n - mid[None, :]) * weighted)
+        )
+        err = max(err, abs(direct - vals[i, j]) / (1.0 + abs(direct)))
+    if err > 1e-10:
+        raise QuadratureError(
+            f"FFT convolution disagrees with direct summation by {err:.3e}"
+        )
     prov = {
         "weight": repr(spec),
         "n": n,
@@ -275,10 +265,6 @@ class IncrementCovariance:
         sd = np.sqrt(np.diag(self.matrix))
         return self.matrix / np.outer(sd, sd)
 
-    def normalized(self):
-        """C tilde: covariance of increments scaled by c_n^{1/2}."""
-        return self.matrix / self.c_n
-
 
 def increment_covariance(spec, sigma, n, k, quadcfg=None, cap=32):
     """Covariance C_ab = int h(eps*i_a - u, eps*j_a - v) h(...b...) sigma^2(u,v).
@@ -380,13 +366,3 @@ def save_field_csv(fld, path):
             fh.write(f" {key}={val!r}" if isinstance(val, str) else f" {key}={val}")
         fh.write("\n")
         np.savetxt(fh, fld.values, delimiter=",", fmt="%.17g")
-
-
-def save_covariance_csv(cov, path):
-    with open(path, "w") as fh:
-        fh.write(
-            f"# increment covariance: n={cov.n} k={cov.k} eps={float(cov.eps)!r} "
-            f"c_n={float(cov.c_n)!r} engine={cov.engine}\n"
-        )
-        fh.write("# index order: " + " ".join(f"({i},{j})" for i, j in cov.indices) + "\n")
-        np.savetxt(fh, cov.matrix, delimiter=",", fmt="%.17g")

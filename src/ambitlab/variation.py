@@ -3,8 +3,7 @@
 The raw statistic at (s, t) sums |increment|^p over the retained lattice
 cells whose upper corners fall inside [0, s] x [0, t]; the scaled version
 multiplies by eps_n^2 / c_n^(p/2) so that a law-of-large-numbers limit of
-order one emerges, and the relative version divides by the full-square value
-so the kernel constants cancel altogether.
+order one emerges.
 
 Exact conditional expectations (given the volatility path) come in two
 flavours: a closed form for constant volatility, and a quadrature route for
@@ -27,24 +26,20 @@ __all__ = [
     "power_variation",
     "variation_field",
     "scaled_power_variation",
-    "relative_power_variation",
     "expected_scaled_pv",
-    "bias_term",
     "save_variation_csv",
 ]
 
 
-def _floor_frac(x, eps):
-    """Number of whole eps-cells inside [0, x], and the fractional overhang.
+def _whole_cells(x, eps):
+    """Number of whole eps-cells inside [0, x].
 
-    Single rounding point for every floor/fractional-part in this module:
-    the expectation formulas and the bias closed form must floor the same
-    quotient the same way or their algebraic identities break at arguments
-    like 0.55/0.1 that land on rounding boundaries.
+    Single rounding point for every floor in this module: the expectation
+    formula and the variation statistics must floor the same quotient the
+    same way or they count different cells at arguments like 0.55/0.1 that
+    land on rounding boundaries.
     """
-    q = x / eps
-    c = int(np.floor(q))
-    return c, q - c
+    return int(np.floor(x / eps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,8 +79,8 @@ class PowerVariationField:
 
     def at(self, s, t):
         """Step-field evaluation: the value at the last corner inside [0,s]x[0,t]."""
-        i, _ = _floor_frac(float(s), self.eps)
-        j, _ = _floor_frac(float(t), self.eps)
+        i = _whole_cells(float(s), self.eps)
+        j = _whole_cells(float(t), self.eps)
         m = self.values.shape[0] - 1
         return float(self.values[min(i, m), min(j, m)])
 
@@ -98,8 +93,8 @@ def power_variation(inc, p, s, t):
     if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
         raise ValueError(f"evaluation point ({s}, {t}) outside the unit square")
     eps = inc.k / inc.n
-    i, _ = _floor_frac(float(s), eps)
-    j, _ = _floor_frac(float(t), eps)
+    i = _whole_cells(float(s), eps)
+    j = _whole_cells(float(t), eps)
     if i == 0 or j == 0:
         return 0.0
     m = inc.values.shape[0]
@@ -132,19 +127,6 @@ def scaled_power_variation(V):
     factor = V.eps**2 / V.c_n ** (V.p / 2.0)
     return PowerVariationField(
         p=V.p, k=V.k, n=V.n, values=factor * V.values, c_n=V.c_n
-    )
-
-
-def relative_power_variation(V):
-    """Divide by the full-square value; the kernel and power constants cancel."""
-    denom = float(V.values[-1, -1])
-    if denom == 0.0:
-        raise ValueError(
-            "relative variation undefined: the full-square statistic is zero "
-            "for this realization"
-        )
-    return PowerVariationField(
-        p=V.p, k=V.k, n=V.n, values=V.values / denom, c_n=None
     )
 
 
@@ -181,8 +163,8 @@ def expected_scaled_pv(spec, sigma, n, k, p, s, t):
     if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
         raise ValueError(f"evaluation point ({s}, {t}) outside the unit square")
     eps = k / n
-    ci, _ = _floor_frac(float(s), eps)
-    cj, _ = _floor_frac(float(t), eps)
+    ci = _whole_cells(float(s), eps)
+    cj = _whole_cells(float(t), eps)
     if ci == 0 or cj == 0:
         return 0.0
     mp = abs_moment(p)
@@ -198,24 +180,6 @@ def expected_scaled_pv(spec, sigma, n, k, p, s, t):
         "(any weight) or the uniform window weight (any volatility); use the "
         "simulation route for other combinations"
     )
-
-
-def bias_term(sigma0, p, eps_n, s, t):
-    """Closed-form gap between the expected scaled variation and its limit.
-
-    For constant volatility the expectation is m_p sigma^p (eps floor(s/eps))
-    (eps floor(t/eps)) while the limit is m_p sigma^p s t; the difference is
-    -m_p sigma^p eps ({s/eps} t + {t/eps} s - eps {s/eps} {t/eps}), exactly
-    zero when s and t sit on the coarse lattice.
-    """
-    sigma0, p, eps_n = float(sigma0), float(p), float(eps_n)
-    if p <= 0.0:
-        raise ValueError(f"power must be positive, got {p}")
-    if not 0.0 < eps_n <= 1.0:
-        raise ValueError(f"cell width must lie in (0, 1], got {eps_n}")
-    _, fs = _floor_frac(float(s), eps_n)
-    _, ft = _floor_frac(float(t), eps_n)
-    return -abs_moment(p) * sigma0**p * eps_n * (fs * t + ft * s - eps_n * fs * ft)
 
 
 def save_variation_csv(V, path):

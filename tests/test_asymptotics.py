@@ -10,10 +10,8 @@ from ambitlab.asymptotics import (
     admissible_kappa,
     assumption1_probe,
     assumption2_ratio,
-    first_valid_resolution,
     region_catalog,
     region_measures,
-    save_catalog_csv,
     save_measures_csv,
     slope_fit,
 )
@@ -145,7 +143,7 @@ def test_singular_catalog_geometry():
     assert cat.variant == "singular"
     assert (cat.k, cat.eps) == (13, 13 / 64)
     assert cat.partition == ("E", "B1", "B2", "B3", "B4")
-    E = cat["E"]
+    E = cat.regions["E"]
     assert E == Rect(0.0, 13 / 64, 0.0, 13 / 64)
     assert set(cat.regions) == {"E", "Etilde", "T", "B1", "B2", "B3", "B4"}
 
@@ -154,7 +152,7 @@ def test_triangle_catalog_geometry():
     cat = region_catalog(triangle(0.75), 64, 0.15)
     assert cat.variant == "triangle"
     assert (cat.k, cat.eps) == (35, 35 / 64)
-    E = cat["E"]
+    E = cat.regions["E"]
     assert E == Rect(0.5 - 35 / 128, 0.5 + 35 / 128, 0.0, 35 / 128)
     assert "T" not in cat.regions
 
@@ -288,16 +286,13 @@ def test_window_ratio_frozen_value_and_trend():
     assert inadmissible[0] < inadmissible[1] < inadmissible[2]
 
 
-def test_window_ratio_with_explicit_center():
-    # grid-sampled corner kernel: no built-in window shape, center required
+def test_window_ratio_refuses_a_grid_weight():
+    # a grid-sampled kernel has no single concentration point to build E around
     xs = np.linspace(0.0, 1.0, 9)
     vals = eval_g(singular(0.3), *np.meshgrid(xs, xs, indexing="ij"))
     vals[0, 0] = vals[0, 1]  # clip the corner node the sampler cannot hold
-    grid = GridWeight(values=vals)
-    r = assumption2_ratio(grid, 16, 0.4, center=(0.0, 0.0))
-    assert 0.0 < r < 1e3
-    with pytest.raises(ValueError, match="explicit center"):
-        assumption2_ratio(grid, 16, 0.4)
+    with pytest.raises(ValueError, match="no single concentration point"):
+        assumption2_ratio(GridWeight(values=vals), 16, 0.4)
 
 
 def test_corner_atom_probe_masses_vanish():
@@ -342,15 +337,6 @@ def test_probe_validates_atoms():
         assumption1_probe(w, (16,), SimpleNamespace(atoms=((1.0, (0.5, 0.5, 0.5)),)))
 
 
-def test_first_valid_resolution_scans():
-    assert first_valid_resolution(singular(0.75), 0.5) == 4
-    assert first_valid_resolution(triangle(0.75), 0.15) == 4
-    # the cone kernel needs four thinning steps, reached later at kappa=0.5
-    assert first_valid_resolution(triangle(0.75), 0.5) == 10
-    with pytest.raises(ValueError, match="corner-singular and\n?.*cone"):
-        first_valid_resolution(UniformWeight(), 0.4)
-
-
 # ------------------------------------------------------------------ exports
 
 def test_measures_csv_roundtrip(tmp_path):
@@ -361,16 +347,3 @@ def test_measures_csv_roundtrip(tmp_path):
     assert lines[1] == "n,region,mass"
     assert lines[2] == "8,E,1.0"
     assert lines[3:] == ["16,E,0.5", "16,B1,0.25"]
-
-
-def test_catalog_csv_lists_named_regions(tmp_path):
-    spec = singular(0.75)
-    cat = region_catalog(spec, 64, 0.4)
-    path = tmp_path / "catalog.csv"
-    save_catalog_csv(cat, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == ("# region catalog: variant=singular n=64 kappa=0.4 "
-                        "k=13 eps=0.203125")
-    assert lines[1] == "name,description"
-    names = [ln.split(",", 1)[0] for ln in lines[2:]]
-    assert names == list(cat.regions)

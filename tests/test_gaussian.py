@@ -4,10 +4,9 @@ from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import gammaln
 
 from ambitlab.gaussian import (
+    _he_values,
     abs_moment,
     abs_moment_quadrature,
-    fourth_moment_probe,
-    hermite_poly,
     power_cov_probe,
     up_hermite_coeffs,
 )
@@ -45,40 +44,16 @@ def test_even_integer_moments_match_double_factorial():
 
 # ---------------------------------------------------------------- Hermite polynomials
 
-def test_hermite_poly_examples():
-    assert hermite_poly(0, 0.3) == 1.0
-    assert hermite_poly(1, 0.5) == 0.5
-    assert hermite_poly(2, 2.0) == pytest.approx(1.5, abs=1e-15)
-
-
-def test_hermite_poly_matches_classical_small_orders():
-    # He_3 = x^3 - 3x, He_4 = x^4 - 6x^2 + 3, normalized by k!
-    x = np.linspace(-3.0, 3.0, 31)
-    assert np.allclose(hermite_poly(3, x), (x**3 - 3 * x) / 6.0, atol=1e-12)
-    assert np.allclose(hermite_poly(4, x), (x**4 - 6 * x**2 + 3) / 24.0, atol=1e-12)
-
-
-def test_hermite_poly_large_order_stays_finite():
-    vals = hermite_poly(200, np.linspace(-5, 5, 11))
-    assert np.all(np.isfinite(vals))
-
-
-def test_hermite_poly_rejects_bad_order():
-    with pytest.raises(ValueError):
-        hermite_poly(-1, 0.0)
-
-
 def test_hermite_orthogonality_by_quadrature():
-    # k! * H_k * H_m integrates to delta_km against the Gaussian weight;
-    # Gauss-Hermite-e nodes are an independent rule (exact for degree < 128).
+    # E[He_k He_m] = k! delta_km against the Gaussian weight; Gauss-Hermite-e
+    # nodes are an independent rule (exact for degree < 128).
     x, w = hermegauss(64)
     w = w / np.sqrt(2.0 * np.pi)
+    he = _he_values(10, x)
     for k in range(11):
-        hk = hermite_poly(k, x)
         fact_k = np.exp(gammaln(k + 1.0))
         for m in range(11):
-            hm = hermite_poly(m, x)
-            val = fact_k * float(np.dot(w, hk * hm))
+            val = float(np.dot(w, he[k] * he[m])) / fact_k
             assert val == pytest.approx(1.0 if k == m else 0.0, abs=1e-8)
 
 
@@ -178,43 +153,3 @@ def test_power_cov_probe_rejects_bad_input():
         power_cov_probe(1.5, 2.0)
     with pytest.raises(ValueError):
         power_cov_probe(0.5, 0.0)
-
-
-# ---------------------------------------------------------------- fourth-moment probe
-
-def test_fourth_moment_probe_iid_matches_exact_value():
-    # Independent increments, p=2: E[(sum u)^4] = 60 n + 12 n(n-1) exactly.
-    n = 16
-    est, bound = fourth_moment_probe(np.eye(n), 2.0, reps=40000, seed=11)
-    exact = 60.0 * n + 12.0 * n * (n - 1)
-    assert est == pytest.approx(exact, rel=0.1)
-    assert bound == n**2  # rho = 0
-    assert est < 16.0 * bound
-
-
-def test_fourth_moment_probe_determinism():
-    C = np.eye(5)
-    C[0, 1] = C[1, 0] = 0.02
-    a = fourth_moment_probe(C, 1.5, reps=1500, seed=3)
-    b = fourth_moment_probe(C, 1.5, reps=1500, seed=3)
-    assert a == b
-
-
-def test_fourth_moment_probe_preconditions():
-    C = np.eye(4)
-    C[0, 1] = C[1, 0] = 0.2  # above 1/12
-    with pytest.raises(ValueError):
-        fourth_moment_probe(C, 2.0, reps=1500)
-    with pytest.raises(ValueError):
-        fourth_moment_probe(np.eye(4), 2.0, reps=10)
-    bad = np.eye(3)
-    bad[0, 0] = 2.0
-    with pytest.raises(ValueError):
-        fourth_moment_probe(bad, 2.0, reps=1500)
-    # equicorrelation -0.08 at n=20: off-diagonals below 1/12 but min
-    # eigenvalue 1 - 19*0.08 < 0, so the PSD check must fire
-    n = 20
-    nonpsd = np.full((n, n), -0.08)
-    np.fill_diagonal(nonpsd, 1.0)
-    with pytest.raises(ValueError, match="positive semidefinite"):
-        fourth_moment_probe(nonpsd, 2.0, reps=1500)

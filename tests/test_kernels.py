@@ -11,7 +11,6 @@ from ambitlab.kernels import (
     SlowFunction,
     TriangleWeight,
     UniformWeight,
-    ambit_support,
     compute_cn,
     concentration_mass,
     concentration_point,
@@ -304,7 +303,7 @@ def _scalar_column(spec, n, region, nodes):
         own, los, his, consts = [], [], [], []
         for i, (s, sig) in enumerate(zip(ss, sigs)):
             top = min(s, 1.0 + d)
-            secs = _clip(regions.row_sections(flipped, s), 0.0, top)
+            secs = _clip(regions.row_section_lists(flipped, [s])[0], 0.0, top)
             if not secs:
                 continue
             fs = spec.profile(s)
@@ -446,19 +445,6 @@ def test_near_region_shapes():
         near_region(UniformWeight(), 0.2)
     with pytest.raises(ValueError):
         near_region(SingularWeight(alpha=0.3), 0.0)
-
-
-def test_ambit_support_membership_and_translation():
-    sup = ambit_support(TriangleWeight(alpha=0.75))
-    assert sup.contains(0.5, 0.5)
-    assert not sup.contains(0.9, 0.5)
-    moved = sup.at(1.0, 1.0)  # support seen from the lattice point (1,1)
-    assert regions.contains(moved, 0.5, 0.5)
-    assert not regions.contains(moved, 0.05, 0.5)  # reflects near a cone corner
-
-    usup = ambit_support(UniformWeight())
-    assert usup.contains(0.3, 0.3)
-    assert not usup.contains(0.2, 0.3)
 
 
 # ---------------------------------------------------------------- thinning

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -18,7 +17,6 @@ from ambitlab.limits import (
     lln_experiment,
     report_to_dict,
     save_report_csv,
-    save_report_json,
     sigma_functional,
 )
 from ambitlab.volatility import (
@@ -369,16 +367,6 @@ def test_clt_is_deterministic_given_the_config():
 
 
 # ------------------------------------------------------------- serialization
-
-def test_report_json_round_trip(tmp_path):
-    rep = lln_experiment(_lln_uniform_config(reps=2, n_schedule=(16,)))
-    path = tmp_path / "report.json"
-    save_report_json(rep, path)
-    loaded = json.loads(path.read_text())
-    assert loaded == json.loads(json.dumps(report_to_dict(rep)))
-    assert loaded["kind"] == "lln" and loaded["seed"] == 0
-    assert set(loaded["per_n"]) == {"16"}
-
 
 def test_report_csv_is_long_format_and_reproducible(tmp_path):
     rep = lln_experiment(_lln_uniform_config(reps=2, n_schedule=(16,)))

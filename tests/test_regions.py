@@ -73,7 +73,7 @@ def _inner_point(lo, hi):
 def test_row_sections_agree_with_membership(region, seed):
     s, ts = _points(seed, 50)
     for t in ts[:10]:
-        secs = regions.row_sections(region, float(t))
+        secs = regions.row_section_lists(region, [float(t)])[0]
         for (lo, hi), (nxt, _) in zip(secs, secs[1:]):
             assert lo < hi < nxt
         for lo, hi in secs:
@@ -121,7 +121,7 @@ def test_array_row_sections_equal_the_scalar_definition(region, seed):
     for i, t in enumerate(ts):
         want = _scalar_row_sections(region, t)
         assert [(a, b) for a, b in zip(lo[:, i], hi[:, i]) if b > a] == want
-        assert regions.row_sections(region, t) == want
+        assert regions.row_section_lists(region, [t])[0] == want
 
 
 @given(shapes, seeds)
@@ -142,15 +142,6 @@ def test_transpose_swaps_the_coordinates(region, seed):
     np.testing.assert_array_equal(regions.contains(flipped, t, s), regions.contains(region, s, t))
 
 
-@given(shapes, seeds, coords, coords)
-def test_reflect_translate_maps_membership(region, seed, s0, t0):
-    u, v = _points(seed)
-    moved = regions.reflect_translate(region, s0, t0)
-    keep = _off_boundary(region, s0 - u, t0 - v)
-    np.testing.assert_array_equal(regions.contains(moved, u, v)[keep],
-                                  regions.contains(region, s0 - u, t0 - v)[keep])
-
-
 @given(parts, subtrahends, seeds)
 def test_set_operations_are_or_and_and_not(group, right, seed):
     s, t = _points(seed)
@@ -167,8 +158,7 @@ def test_set_operations_are_or_and_and_not(group, right, seed):
 
 
 def test_a_non_region_is_refused_by_every_operation():
-    for op in (lambda r: regions.row_sections(r, 0.5), regions.transpose,
-               lambda r: regions.reflect_translate(r, 0.0, 0.0),
+    for op in (lambda r: regions.row_section_lists(r, [0.5]), regions.transpose,
                lambda r: regions.contains(r, 0.5, 0.5), regions.t_breakpoints,
                regions.boundary_lines, lambda r: Union((r,)), lambda r: Difference(r, r)):
         with pytest.raises(TypeError, match="not a region"):

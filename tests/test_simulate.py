@@ -13,7 +13,6 @@ from ambitlab.simulate import (
     rho_bar,
     sample_increments_exact,
     sample_noise,
-    save_covariance_csv,
     save_field_csv,
     simulate_lattice,
 )
@@ -28,7 +27,6 @@ def test_noise_is_deterministic_per_seed_and_rep():
     c = sample_noise(32, seed=5, rep=1)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
-    assert a.cell_area == (2.0 / 32) ** 2
 
 
 def test_noise_rejects_tiny_resolution():
@@ -67,16 +65,6 @@ def test_simulate_is_deterministic_and_records_provenance():
     assert a.provenance["noise_seed"] == 9 and a.provenance["M"] == 32
 
 
-def test_simulate_accepts_a_presupplied_noise_grid():
-    sig = sample_volatility(ConstantVol(1.0), 32, seed=0)
-    noise = sample_noise(32, seed=9)
-    a = simulate_lattice(UniformWeight(), sig, 4, 32, seed=9)
-    b = simulate_lattice(UniformWeight(), sig, 4, 32, noise=noise)
-    assert np.array_equal(a.values, b.values)
-    with pytest.raises(ValueError, match="noise grid resolution"):
-        simulate_lattice(UniformWeight(), sig, 8, 16, noise=noise)
-
-
 def test_simulate_spot_checks_the_convolution():
     # the FFT path and the direct sum are the same numbers by construction;
     # a finer sigma grid than the noise grid exercises the resampling branch
@@ -91,7 +79,7 @@ def test_simulate_variance_at_center_matches_window_area():
     sig = sample_volatility(ConstantVol(1.0), 16, seed=0)
     reps = 400
     vals = [
-        simulate_lattice(UniformWeight(), sig, 2, 16, seed=21, rep=r, check=False).values[1, 1]
+        simulate_lattice(UniformWeight(), sig, 2, 16, seed=21, rep=r).values[1, 1]
         for r in range(reps)
     ]
     second = np.mean(np.square(vals))
@@ -161,7 +149,6 @@ def test_uniform_covariance_matches_hand_derivation():
     assert rho_bar(cov) == pytest.approx(0.5, abs=1e-14)
     assert cov.c_n == pytest.approx(4.0 / 64, rel=1e-12)
     assert np.allclose(np.diag(cov.correlation()), 1.0)
-    assert np.allclose(cov.normalized(), expected / cov.c_n)
 
 
 def test_strips_engine_agrees_with_stationary_engine():
@@ -353,17 +340,3 @@ def test_field_csv_roundtrip(tmp_path):
     assert lines[0].startswith("# lattice field: n=4 weight='UniformWeight")
     back = np.loadtxt(path, delimiter=",", comments="#")
     assert np.array_equal(back, fld.values)
-
-
-def test_covariance_csv_roundtrip(tmp_path):
-    sig = sample_volatility(ConstantVol(2.0), 16, seed=0)
-    cov = increment_covariance(UniformWeight(), sig, 8, 4)
-    path = tmp_path / "cov.csv"
-    save_covariance_csv(cov, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == (
-        "# increment covariance: n=8 k=4 eps=0.5 c_n=0.0625 engine=uniform-strips"
-    )
-    assert lines[1] == "# index order: (1,1) (1,2) (2,1) (2,2)"
-    back = np.loadtxt(path, delimiter=",", comments="#")
-    assert np.array_equal(back, cov.matrix)

@@ -1,4 +1,6 @@
-"""Architecture guards over the package source, read with ``ast`` only.
+"""Architecture guards over the package source.
+
+Read with ``ast`` only:
 
 * no module imports another module's private name;
 * only ``kernels`` knows the concrete weight classes: everyone else reads a
@@ -7,14 +9,26 @@
 * every top-level function and class is referenced somewhere in ``src/``,
   ``tests/`` or ``perfbench/`` outside its own definition (``__all__`` does
   not count).
+
+Run through the CLI:
+
+* every public function and method is entered by some CLI run, or is the
+  reference a named test checks CLI code against (``ORACLES``).
 """
 
 import ast
 import collections
 import functools
+import importlib
+import inspect
 import pathlib
+import sys
 
+import numpy as np
 import pytest
+
+from ambitlab import cli
+from ambitlab.kernels import save_grid_csv
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ambitlab"
 MODULES = sorted(SRC.glob("*.py"))
@@ -117,3 +131,119 @@ def test_every_top_level_definition_is_referenced(path):
             if reads[node.name] == own:
                 dead.append(f"line {node.lineno}: {node.name}")
     assert not dead, dead
+
+
+# Public names no CLI run enters, each mapped to a test that reads it: as the
+# reference for code the CLI runs, or for the refusal it raises.
+ORACLES = {
+    "asymptotics.assumption1_probe":
+        "test_asymptotics.py::test_point_mass_probe_decays_for_the_corner_kernel",
+    "cli.validate": "test_cli.py::test_well_formed_lln_config_has_no_violations",
+    "gaussian.abs_moment_quadrature":
+        "test_gaussian.py::test_abs_moment_closed_form_vs_quadrature",
+    "gaussian.power_cov_probe": "test_gaussian.py::test_power_cov_probe_matches_hermite_series",
+    "kernels.WeightSpec.window": "test_asymptotics.py::test_window_ratio_refuses_a_grid_weight",
+    "kernels.UniformWeight.lattice_autocorrelation":
+        "test_simulate.py::test_strips_engine_agrees_with_stationary_engine",
+    "kernels.GridWeight.limit_atoms": "test_limits.py::test_grid_kernel_has_no_closed_form_limit",
+    "kernels.GridWeight.kappa_range":
+        "test_asymptotics.py::test_grid_kernel_directed_to_empirical_probe",
+    "kernels.GridWeight.config_keys": "test_kernels.py::test_grid_weight_is_not_inline_serializable",
+    "kernels.weight_to_config": "test_kernels.py::test_weight_config_roundtrip",
+    "kernels.save_grid_csv": "test_kernels.py::test_grid_weight_roundtrips_through_csv",
+    "regions.Difference": "test_regions.py::test_mass_is_additive_across_a_half_plane_cut",
+    "variation.power_variation": "test_variation.py::test_field_matches_pointwise_statistic",
+    "volatility.SigmaField.midpoints":
+        "test_volatility.py::test_deterministic_grid_matches_closure_at_midpoints",
+    "volatility.SigmaField.scaled":
+        "test_limits.py::test_fluctuation_variance_scales_like_sigma_to_the_2p",
+    "volatility.integrated_power":
+        "test_limits.py::test_single_atom_reduces_to_a_shifted_power_integral",
+}
+
+_SINGULAR = "weight.variant = singular\nweight.alpha = 0.6\nweight.ell = one\n"
+_TRIANGLE = "weight.variant = triangle\nweight.alpha = 0.6\nweight.ell = one\n"
+_UNIFORM = "weight.variant = uniform\n"
+_CONSTANT = "volatility.variant = constant\n"
+_SINE = "volatility.variant = deterministic\nvolatility.name = sine_product\n"
+_LOG_GAUSSIAN = "volatility.variant = log_gaussian\n"
+# Every kind, weight variant and volatility variant, at n <= 16.
+REACH_CONFIGS = (
+    "kind = hermite\np = 1, 2\n",
+    "kind = kernel-report\nn = 8, 16\nkappa = 0.4\n" + _UNIFORM,
+    "kind = kernel-report\nn = 8\n" + _SINGULAR,
+    "kind = kernel-report\nn = 8\nweight.variant = grid\nweight.path = {grid}\n",
+    "kind = lln\nn = 8, 16\nk = 2\np = 2\nreps = 2\n" + _UNIFORM + _SINE,
+    "kind = lln\nn = 8\nkappa = 0.4\np = 1, 2\nreps = 2\n" + _SINGULAR + _CONSTANT,
+    "kind = lln\nn = 8\nk = 1\np = 2\nreps = 2\n" + _UNIFORM + _LOG_GAUSSIAN,
+    "kind = clt\nn = 8, 16\nkappa = 0.4\np = 2\nreps = 20\n" + _SINGULAR + _CONSTANT,
+    "kind = clt\nn = 8\nkappa = 0.5\np = 1.5\nreps = 20\n" + _UNIFORM + _LOG_GAUSSIAN,
+    "kind = asymptotics\nn = 4, 8, 16\nkappa = 0.4\n" + _SINGULAR,
+    "kind = asymptotics\nn = 4\nkappa = 0.05\n" + _TRIANGLE,
+    "kind = simulate\nn = 8\n" + _TRIANGLE + _SINE,
+    "kind = simulate\nn = 8\nk = 2\np = 1\nweight.variant = grid\n"
+    "weight.path = {grid}\n" + _LOG_GAUSSIAN,
+)
+
+
+def _public_code(module):
+    """(dotted name, code object) of each function and method ``__all__`` exports.
+
+    Methods count when the module's own source defines them, so the methods a
+    dataclass generates are left out; a cached function counts as the
+    function it wraps.
+    """
+    prefix = module.__name__.split(".")[-1]
+    for name in getattr(module, "__all__", ()):
+        obj = getattr(module, name)
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue  # re-exported from another module, checked there
+        if callable(obj) and not inspect.isclass(obj):
+            yield f"{prefix}.{name}", inspect.unwrap(obj).__code__
+        elif inspect.isclass(obj):
+            for attr_name, attr in vars(obj).items():
+                attr = attr.fget if isinstance(attr, property) else attr
+                attr = getattr(attr, "__func__", attr)  # classmethod, staticmethod
+                if inspect.isfunction(attr) and attr.__code__.co_filename == module.__file__:
+                    yield f"{prefix}.{name}.{attr_name}", attr.__code__
+
+
+def test_every_public_function_is_run_by_the_cli_or_is_a_test_reference(tmp_path):
+    modules = [importlib.import_module(f"ambitlab.{path.stem}")
+               for path in MODULES if path.stem != "__init__"]
+    for module in modules:  # a cached result would hide the calls behind it
+        for obj in vars(module).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+    grid = tmp_path / "grid.csv"
+    save_grid_csv(grid, np.add.outer(np.linspace(1.0, 0.0, 5), np.linspace(1.0, 0.0, 5)) / 2)
+
+    entered = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    statuses = []
+    for i, text in enumerate(REACH_CONFIGS):
+        path = tmp_path / f"{i}.cfg"
+        path.write_text(text.format(grid=grid))
+        argv = ["--config", str(path), "--out", str(tmp_path / f"out{i}")]
+        if cli.validate(cli.ExperimentConfig.from_file(path)):
+            argv.append("--override-admissibility")
+        previous = sys.getprofile()
+        sys.setprofile(record)
+        try:
+            statuses.append(cli.main(argv))
+        finally:
+            sys.setprofile(previous)
+    assert statuses == [cli.EXIT_OK] * len(REACH_CONFIGS)
+
+    public = dict(item for module in modules for item in _public_code(module))
+    unreached = {name for name, code in public.items() if code not in entered}
+    assert sorted(unreached - set(ORACLES)) == [], "neither run by the CLI nor a test reference"
+    assert sorted(set(ORACLES) - unreached) == [], "stale ORACLES entries"
+    tests = SRC.parents[1] / "tests"
+    for test_id in ORACLES.values():
+        file_name, test_name = test_id.split("::")
+        assert f"def {test_name}(" in (tests / file_name).read_text(), test_id

@@ -3,13 +3,11 @@ import pytest
 
 from ambitlab.gaussian import abs_moment
 from ambitlab.kernels import SingularWeight, UniformWeight, compute_cn, eval_h
-from ambitlab.simulate import IncrementField, increment_covariance, increments, simulate_lattice
+from ambitlab.simulate import IncrementField, increment_covariance, simulate_lattice
 from ambitlab.variation import (
     PowerVariationField,
-    bias_term,
     expected_scaled_pv,
     power_variation,
-    relative_power_variation,
     save_variation_csv,
     scaled_power_variation,
     variation_field,
@@ -121,27 +119,16 @@ def test_scaling_requires_cn_and_respects_doubling():
     assert np.all(zero.values == 0.0)
 
 
-def test_relative_field_normalizes_to_one():
-    rng = np.random.default_rng(6)
-    inc = _inc(4, 1, rng.standard_normal((4, 4)))
-    rel = relative_power_variation(variation_field(inc, 2.0))
-    assert rel.values[-1, -1] == 1.0
-    assert np.all(rel.values <= 1.0) and np.all(rel.values >= 0.0)
-    with pytest.raises(ValueError, match="zero"):
-        relative_power_variation(variation_field(_inc(2, 1, np.zeros((2, 2))), 2.0))
-
-
 def test_relative_field_is_exactly_invariant_under_sigma_doubling():
+    # doubling sigma scales every lattice value by exactly 2 (binary exponent
+    # shift through the FFT), so any ratio of the field's values, the
+    # variation relative to its full-square value among them, is bit-identical
     sig1 = sample_volatility(ConstantVol(1.0), 32, seed=0)
     sig2 = sample_volatility(ConstantVol(2.0), 32, seed=0)
-    f1 = simulate_lattice(UniformWeight(), sig1, 4, 32, seed=3)
-    f2 = simulate_lattice(UniformWeight(), sig2, 4, 32, seed=3)
-    r1 = relative_power_variation(variation_field(increments(f1, 1), 2.0))
-    r2 = relative_power_variation(variation_field(increments(f2, 1), 2.0))
-    # doubling sigma scales every increment by exactly 2 (binary exponent
-    # shift through the FFT); squares scale by exactly 4 and the ratio of two
-    # exact-by-4 multiples is bit-identical
-    assert np.array_equal(r1.values, r2.values)
+    for spec in (UniformWeight(), SingularWeight(alpha=0.75)):
+        f1 = simulate_lattice(spec, sig1, 4, 32, seed=3)
+        f2 = simulate_lattice(spec, sig2, 4, 32, seed=3)
+        assert np.array_equal(f2.values, 2.0 * f1.values)
 
 
 # ----------------------------------------------------------- expected values
@@ -244,44 +231,7 @@ def test_expected_rejects_what_it_cannot_do_exactly():
         expected_scaled_pv(UniformWeight(), const, 8, 0, 2.0, 1.0, 1.0)
 
 
-# ----------------------------------------------------------------- bias term
-
-def test_bias_hand_value():
-    # -0.1 * ({5.5} * 1.0 + {10} * 0.55 - 0.1 * {5.5} * {10})
-    assert bias_term(1.0, 2.0, 0.1, 0.55, 1.0) == pytest.approx(-0.05, abs=1e-15)
-
-
-def test_bias_vanishes_on_the_coarse_lattice():
-    # binary-exact eps so the quotients floor cleanly
-    for s in (0.0, 0.125, 0.5, 1.0):
-        for t in (0.25, 0.875):
-            assert bias_term(1.3, 1.5, 0.125, s, t) == 0.0
-
-
-def test_bias_is_bounded_by_the_overhang_envelope():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        s, t = rng.random(2)
-        eps = rng.choice([0.1, 0.125, 0.2, 0.25])
-        p = rng.choice([1.0, 2.0, 3.0])
-        sigma0 = rng.choice([0.5, 1.0, 2.0])
-        b = bias_term(sigma0, p, eps, s, t)
-        assert b <= 0.0 or b < 1e-15
-        assert abs(b) <= abs_moment(p) * sigma0**p * eps * (s + t) + 1e-12
-
-
-def test_bias_matches_expectation_minus_limit():
-    sig = sample_volatility(ConstantVol(1.4), 16, seed=0)
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        s, t = rng.random(2)
-        n, k, p = 16, 2, 2.0
-        lhs = bias_term(1.4, p, k / n, s, t)
-        rhs = expected_scaled_pv(UniformWeight(), sig, n, k, p, s, t) - abs_moment(
-            p
-        ) * 1.4**p * s * t
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
+# ----------------------------------------------------------------- lattice bias
 
 def test_bias_identity_with_floor_product_is_exact():
     sig = sample_volatility(ConstantVol(2.0), 16, seed=0)
@@ -292,13 +242,6 @@ def test_bias_identity_with_floor_product_is_exact():
         ci, cj = int(s / eps), int(t / eps)
         closed = abs_moment(p) * 2.0**p * (eps * ci) * (eps * cj)
         assert expect == pytest.approx(closed, rel=1e-12)
-
-
-def test_bias_validation():
-    with pytest.raises(ValueError, match="positive"):
-        bias_term(1.0, -1.0, 0.1, 0.5, 0.5)
-    with pytest.raises(ValueError, match="cell width"):
-        bias_term(1.0, 2.0, 0.0, 0.5, 0.5)
 
 
 # -------------------------------------------------------------------- export
