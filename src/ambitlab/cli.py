@@ -355,6 +355,12 @@ def _parse(config):
         violations.append(
             f"clt needs an exact increment covariance, which the {weight.variant} weight "
             f"lacks under {entries['volatility.variant']} volatility")
+    if kind == "lln" and weight is not None:
+        try:  # lln_experiment measures against these atoms
+            weight.limit_atoms()
+        except ValueError:
+            violations.append(f"lln needs a closed-form concentration limit, which the "
+                              f"{weight.variant} weight lacks")
 
     refusals = []
     if (row is not _ANY_KIND and "override_admissibility" in row.reads

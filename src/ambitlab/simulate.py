@@ -10,6 +10,10 @@ Two routes to the thinned increments:
   ``sample_increments_exact``).  The second route has no discretization bias,
   which matters when the effect under study is of the same order as that bias.
 
+The end-to-end route convolves at M x M, not 2M x 2M: every weight vanishes
+outside [0,1]^2, so the lattice rows never meet the wrap-around (see
+``simulate_lattice``).  Its kernel spectrum is cached per (weight, n, M).
+
 Random streams are tagged per purpose (volatility=1, noise=2, exact draws=3)
 so the three never overlap for a shared master seed.
 """
@@ -17,6 +21,7 @@ so the three never overlap for a shared master seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -97,12 +102,47 @@ class LatticeField:
         self.values.setflags(write=False)
 
 
+def _midpoints(M):
+    """Midpoints of the M noise cells per axis of [-1,1]."""
+    return -1.0 + (2.0 * np.arange(M) + 1.0) / M
+
+
+# lln_experiment runs every replication of one n before the next n, so one
+# entry serves all of them, and a finished n's arrays are released.
+@lru_cache(maxsize=1)
+def _lattice_plan(spec, n, M):
+    """Read-only (kernel spectrum, spot checks) shared by every replication.
+
+    The spectrum is of g at the offsets ((2j+1)/M, (2l+1)/M), j, l < M/2,
+    padded to M x M.  Each spot check pairs a lattice point with g at its
+    offsets from every noise-cell midpoint, evaluated apart from the table.
+    """
+    offs = (2.0 * np.arange(M // 2) + 1.0) / M
+    spectrum = np.fft.rfft2(eval_g(spec, offs[:, None], offs[None, :]), (M, M))
+    mid = _midpoints(M)
+    checks = tuple(
+        ((i, j), eval_g(spec, i / n - mid[:, None], j / n - mid[None, :]))
+        for i, j in sorted({(0, 0), (n // 2, n // 2), (n, n)}))
+    spectrum.setflags(write=False)
+    for _, g in checks:
+        g.setflags(write=False)
+    return spectrum, checks
+
+
 def simulate_lattice(spec, sigma, n, M, seed=0, rep=0):
     """Moving-average field on the lattice by discrete convolution.
 
     Y(i/n, j/n) = sum over noise cells of g(i/n - u_c, j/n - v_c) sigma(u_c, v_c) W_c
-    with (u_c, v_c) the cell midpoints.  Evaluated with one FFT convolution and
-    spot-checked against the direct sum (three lattice points, 1e-10).
+    with (u_c, v_c) the cell midpoints.  Evaluated with one FFT convolution at
+    M x M and spot-checked against the direct sum (three lattice points, 1e-10).
+
+    The linear convolution of the M/2 x M/2 kernel table with the M x M
+    weighted noise spans indices [0, 3M/2 - 2]; the lattice reads indices
+    [M/2 - 1, M - 1], whose aliases modulo M fall outside that span, so the
+    circular convolution at M is exact there.  That rests on g vanishing at
+    offsets above 1; a weight that breaks it fails the spot check at (n, n),
+    whose direct sum reaches offsets up to 2.  The table's spectrum and the
+    spot-check kernels are cached per (spec, n, M).
     """
     n, M = int(n), int(M)
     if n < 1:
@@ -118,28 +158,23 @@ def simulate_lattice(spec, sigma, n, M, seed=0, rep=0):
             f"noise grid (resolution {M})"
         )
     noise = sample_noise(M, seed, rep)
+    spectrum, checks = _lattice_plan(spec, n, M)
 
-    mid = -1.0 + (2.0 * np.arange(M) + 1.0) / M
     if sigma.resolution == M:
         sig = sigma.values
     else:
+        mid = _midpoints(M)
         sig = sigma.at(mid[:, None], mid[None, :])
     weighted = sig * noise.values
 
-    # g sampled at the midpoint offset lattice ((2j+1)/M, (2l+1)/M)
-    offs = (2.0 * np.arange(M) + 1.0) / M
-    table = eval_g(spec, offs[:, None], offs[None, :])
-    size = (2 * M, 2 * M)  # past the full linear convolution's 2M - 1: no wrap-around
-    conv = np.fft.irfft2(np.fft.rfft2(table, size) * np.fft.rfft2(weighted, size), size)
+    conv = np.fft.irfft2(spectrum * np.fft.rfft2(weighted), (M, M))
     q = M // (2 * n)
     pick = np.arange(n + 1) * q + M // 2 - 1
     vals = conv[np.ix_(pick, pick)]
 
     err = 0.0
-    for i, j in {(0, 0), (n // 2, n // 2), (n, n)}:
-        direct = float(
-            np.sum(eval_g(spec, i / n - mid[:, None], j / n - mid[None, :]) * weighted)
-        )
+    for (i, j), g in checks:
+        direct = float(np.sum(g * weighted))
         err = max(err, abs(direct - vals[i, j]) / (1.0 + abs(direct)))
     if err > 1e-10:
         raise QuadratureError(

@@ -6,7 +6,6 @@ import pytest
 
 from ambitlab.asymptotics import (
     PROBE_RADII,
-    KappaRange,
     admissible_kappa,
     assumption1_probe,
     assumption2_ratio,

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ambitlab import cli, limits
@@ -19,6 +20,7 @@ from ambitlab.cli import (
     validate,
 )
 from ambitlab.errors import NotPSDError
+from ambitlab.kernels import save_grid_csv
 
 LLN_TEXT = """
 kind = lln
@@ -194,6 +196,21 @@ def test_clt_without_an_exact_covariance_is_a_config_error(tmp_path, text, pairi
     assert validate(cfg) == [f"clt needs an exact increment covariance, which {pairing}"]
     out = tmp_path / "never"
     assert run(cfg.with_overrides(out=out)) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_lln_with_a_grid_weight_is_a_config_error(tmp_path):
+    # lln measures against the closed-form concentration limit a grid lacks
+    grid = tmp_path / "grid.csv"
+    save_grid_csv(grid, np.add.outer(np.linspace(1.0, 0.0, 9), np.linspace(1.0, 0.0, 9)))
+    path = tmp_path / "lln.cfg"
+    path.write_text("kind = lln\nweight.variant = grid\nweight.path = {}\n"
+                    "volatility.variant = constant\nn = 8\nk = 1\np = 2\nreps = 2\n"
+                    .format(grid))
+    assert validate(ExperimentConfig.from_file(path)) == [
+        "lln needs a closed-form concentration limit, which the grid weight lacks"]
+    out = tmp_path / "never"
+    assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import roots_legendre
 
 from ambitlab import regions
@@ -63,6 +65,31 @@ def test_grid_kernel_interpolates_bilinearly():
     assert eval_g(w, 0.25, 0.5) == 2.0
     assert eval_g(w, 0.25, 0.25) == 1.0
     assert eval_g(w, 1.2, 0.5) == 0.0
+
+
+# A coordinate outside [0,1], next to one anywhere on [-2,2], in either order.
+_below = st.floats(-2.0, 0.0, exclude_max=True)
+_above = st.floats(1.0, 2.0, exclude_min=True)
+_anywhere = st.floats(-2.0, 2.0)
+_off_square = st.tuples(st.one_of(_below, _above), _anywhere, st.booleans()).map(
+    lambda p: (p[1], p[0]) if p[2] else p[:2])
+
+
+@pytest.mark.parametrize("spec", [
+    UniformWeight(),
+    UniformWeight(s1=0.0, s2=1.0, t1=0.0, t2=1.0),
+    UniformWeight(s1=0.5, s2=1.0, t1=0.25, t2=1.0, scale=3.0),
+    SingularWeight(alpha=0.75, ell=SlowFunction.from_catalog("one")),
+    SingularWeight(alpha=0.3),
+    TriangleWeight(alpha=0.6, ell=SlowFunction.from_catalog("one")),
+    GridWeight(values=1.0 + np.random.default_rng(11).random((5, 5))),
+], ids=["uniform", "uniform-unit-square", "uniform-to-the-edge", "singular-one",
+        "singular", "triangle", "grid"])
+@given(st.lists(_off_square, min_size=1, max_size=20))
+def test_every_weight_vanishes_off_the_unit_square(spec, points):
+    # the lattice simulation's M x M transform drops offsets above 1
+    s, t = np.array(points).T
+    assert np.all(eval_g(spec, s, t) == 0.0)
 
 
 def test_differenced_kernel_is_the_four_term_combination():

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
+from ambitlab import simulate
 from ambitlab.errors import QuadratureError
-from ambitlab.kernels import SingularWeight, SlowFunction, TriangleWeight, UniformWeight, compute_cn
+from ambitlab.kernels import (
+    GridWeight,
+    SingularWeight,
+    SlowFunction,
+    TriangleWeight,
+    UniformWeight,
+    compute_cn,
+    eval_g,
+)
 from ambitlab.simulate import (
     IncrementCovariance,
     IncrementField,
@@ -57,9 +66,11 @@ def test_simulate_requires_aligned_resolutions():
 
 
 def test_simulate_is_deterministic_and_records_provenance():
+    simulate._lattice_plan.cache_clear()
     sig = sample_volatility(ConstantVol(1.0), 32, seed=0)
-    a = simulate_lattice(UniformWeight(), sig, 4, 32, seed=9)
-    b = simulate_lattice(UniformWeight(), sig, 4, 32, seed=9)
+    a = simulate_lattice(UniformWeight(), sig, 4, 32, seed=9)  # builds the plan
+    b = simulate_lattice(UniformWeight(), sig, 4, 32, seed=9)  # reuses it
+    assert simulate._lattice_plan.cache_info().hits == 1
     assert np.array_equal(a.values, b.values)
     assert a.provenance["direct_check_error"] < 1e-10
     assert a.provenance["noise_seed"] == 9 and a.provenance["M"] == 32
@@ -84,6 +95,66 @@ def test_simulate_variance_at_center_matches_window_area():
     ]
     second = np.mean(np.square(vals))
     assert abs(second - 0.25) < 5 * 0.25 * np.sqrt(2 / reps)
+
+
+_ONE = SlowFunction.from_catalog("one")
+_WEIGHTS = {
+    "uniform": UniformWeight(s1=0.25, s2=1.0, t1=0.0, t2=0.75),
+    "singular": SingularWeight(alpha=0.75, ell=_ONE),
+    "triangle": TriangleWeight(alpha=0.6, ell=_ONE),
+    "grid": GridWeight(values=1.0 + np.random.default_rng(4).random((6, 6))),
+}
+
+
+@pytest.mark.parametrize("oversample", [1, 2])
+@pytest.mark.parametrize("name", list(_WEIGHTS))
+def test_every_lattice_value_equals_the_direct_sum(name, oversample):
+    spec, n = _WEIGHTS[name], 4
+    M = 2 * n * oversample
+    sig = sample_volatility(LogGaussianVol(0.0, 0.25, 0.25), 4 * M, seed=2)
+    fld = simulate_lattice(spec, sig, n, M, seed=5, rep=3)
+    mid = -1.0 + (2.0 * np.arange(M) + 1.0) / M
+    weighted = sig.at(mid[:, None], mid[None, :]) * sample_noise(M, seed=5, rep=3).values
+    x = np.arange(n + 1) / n
+    g = eval_g(spec, (x[:, None] - mid[None, :])[:, None, :, None],
+               (x[:, None] - mid[None, :])[None, :, None, :])
+    direct = np.einsum("ijuv,uv->ij", g, weighted)
+    assert np.all(np.abs(fld.values - direct) <= 1e-12 * (1.0 + np.abs(direct)))
+
+
+@pytest.mark.parametrize("spec, n, M", [(_WEIGHTS["triangle"], 4, 16), (_WEIGHTS["singular"], 8, 16),
+                                        (_WEIGHTS["singular"], 4, 32)], ids=["spec", "n", "M"])
+def test_a_different_key_builds_its_own_plan(spec, n, M):
+    sig = sample_volatility(ConstantVol(1.0), 32, seed=0)
+    simulate._lattice_plan.cache_clear()
+    cold = simulate_lattice(spec, sig, n, M).values
+    simulate._lattice_plan.cache_clear()
+    simulate_lattice(_WEIGHTS["singular"], sig, 4, 16)
+    after_another = simulate_lattice(spec, sig, n, M).values
+    assert simulate._lattice_plan.cache_info().misses == 2
+    assert np.array_equal(after_another, cold)
+
+
+def test_cached_plan_arrays_are_read_only():
+    spectrum, checks = simulate._lattice_plan(_WEIGHTS["grid"], 4, 16)
+    assert spectrum.shape == (16, 9)
+    assert [point for point, _ in checks] == [(0, 0), (2, 2), (4, 4)]
+    for arr in [spectrum] + [g for _, g in checks]:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
+
+
+class _Overhanging(UniformWeight):
+    """An indicator reaching past the unit square, which no weight variant does."""
+
+    def evaluate(self, s, t):
+        return np.where((0.0 <= s) & (s <= 1.5) & (0.0 <= t) & (t <= 1.5), 1.0, 0.0)
+
+
+def test_a_kernel_past_the_unit_square_fails_the_spot_check():
+    sig = sample_volatility(ConstantVol(1.0), 16, seed=0)
+    with pytest.raises(QuadratureError, match="direct summation"):
+        simulate_lattice(_Overhanging(), sig, 4, 16)
 
 
 def test_lattice_field_rejects_bad_values():

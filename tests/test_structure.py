@@ -5,7 +5,8 @@ Read with ``ast`` only:
 * no module imports another module's private name;
 * only ``kernels`` knows the concrete weight classes: everyone else reads a
   variant's facts off the instance;
-* every imported name is used (a name listed in ``__all__`` counts);
+* every imported name is used (a name listed in ``__all__`` counts), in the
+  package and in ``tests/``;
 * every top-level function and class is referenced somewhere in ``src/``,
   ``tests/`` or ``perfbench/`` outside its own definition (``__all__`` does
   not count).
@@ -32,7 +33,8 @@ from ambitlab.kernels import save_grid_csv
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ambitlab"
 MODULES = sorted(SRC.glob("*.py"))
-READERS = (SRC, SRC.parents[1] / "tests", SRC.parents[1] / "perfbench")
+TESTS = SRC.parents[1] / "tests"
+READERS = (SRC, TESTS, SRC.parents[1] / "perfbench")
 WEIGHT_CLASSES = {"UniformWeight", "SingularWeight", "TriangleWeight", "GridWeight"}
 
 
@@ -88,7 +90,8 @@ def test_only_kernels_names_a_concrete_weight_class(path):
     assert not bad, bad
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     tree = _tree(path)
     imported = {}
@@ -243,7 +246,6 @@ def test_every_public_function_is_run_by_the_cli_or_is_a_test_reference(tmp_path
     unreached = {name for name, code in public.items() if code not in entered}
     assert sorted(unreached - set(ORACLES)) == [], "neither run by the CLI nor a test reference"
     assert sorted(set(ORACLES) - unreached) == [], "stale ORACLES entries"
-    tests = SRC.parents[1] / "tests"
     for test_id in ORACLES.values():
         file_name, test_name = test_id.split("::")
-        assert f"def {test_name}(" in (tests / file_name).read_text(), test_id
+        assert f"def {test_name}(" in (TESTS / file_name).read_text(), test_id
