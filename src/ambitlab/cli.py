@@ -91,7 +91,6 @@ from .asymptotics import (
 from .errors import AdmissibilityError, NotPSDError, QuadratureError
 from .gaussian import abs_moment, up_hermite_coeffs
 from .kernels import (
-    QuadratureConfig,
     compute_cn,
     concentration_mass,
     concentration_point,
@@ -107,6 +106,7 @@ from .limits import (
     report_to_dict,
     save_report_csv,
 )
+from .quadrature import QuadratureConfig
 from .simulate import increments, save_field_csv, simulate_lattice
 from .variation import save_variation_csv, scaled_power_variation, variation_field
 from .volatility import (

@@ -36,9 +36,10 @@ constant, resp. piecewise polynomial, in s for fixed t), so masses reduce to
 an outer 1-D integral of exact row integrals.  The Singular kernel is
 symmetric, h(s,t) = h(t,s), and below the diagonal its only t-dependence sits
 in a single band, so masses reduce to column integrals over the lower
-triangle.  Outer integrals use fixed graded Gauss-Legendre layouts (geometric
-refinement toward algebraic singularities, 40 dyadic levels) evaluated at two
-resolutions; disagreement raises :class:`~ambitlab.errors.QuadratureError`.
+triangle.  Outer integrals go through the batched engine of
+:mod:`ambitlab.quadrature` (graded Gauss-Legendre layouts toward algebraic
+singularities, adaptive bisection elsewhere, two resolutions); a failed check
+raises :class:`~ambitlab.errors.QuadratureError` naming the integral.
 """
 
 from __future__ import annotations
@@ -48,10 +49,17 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from . import regions
 from .errors import QuadratureError
+from .quadrature import (
+    QuadratureConfig,
+    crossing_edges,
+    gl,
+    integrate_pieces,
+    make_pieces,
+    node_slices,
+)
 from .regions import (
     Everything,
     HalfPlane,
@@ -69,7 +77,6 @@ __all__ = [
     "TriangleWeight",
     "GridWeight",
     "KappaRange",
-    "QuadratureConfig",
     "require_weight",
     "eval_g",
     "eval_h",
@@ -166,194 +173,6 @@ class SlowFunction:
 
 
 # ---------------------------------------------------------------------------
-# 1-D quadrature engine (graded Gauss-Legendre layouts)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-14
-    levels: int = 40          # dyadic grading levels toward a singular endpoint
-    nodes: int = 10           # Gauss-Legendre nodes per graded panel
-    smooth_nodes: int = 16    # Gauss-Legendre nodes per adaptive panel
-    max_depth: int = 48
-
-
-_DEFAULT_QUAD = QuadratureConfig()
-
-
-@lru_cache(maxsize=64)
-def _gl(nodes):
-    x, w = roots_legendre(nodes)
-    return x, w
-
-
-_gl(_DEFAULT_QUAD.nodes)  # its first call imports scipy.linalg: pay that here, not in a run
-
-def _gl_batch(f, los, his, nodes):
-    """Gauss-Legendre estimates for a batch of panels in one integrand call."""
-    xi, wi = _gl(nodes)
-    los = np.asarray(los, dtype=float)
-    his = np.asarray(his, dtype=float)
-    mid = 0.5 * (los + his)[:, None]
-    half = 0.5 * (his - los)[:, None]
-    vals = f((mid + half * xi).ravel(), None, None).reshape(len(los), nodes)
-    return half[:, 0] * (vals @ wi)
-
-
-def _adaptive_quad(f, a, b, nodes, tol, max_depth):
-    """Bisecting Gauss-Legendre with batched evaluation.
-
-    Panels whose two halves disagree with the parent estimate are split; a
-    panel still disagreeing at the depth cap raises.  Integrands here are
-    piecewise smooth (kinks where moving region sections cross kernel
-    breakpoints), which bisection localizes quickly.
-    """
-    total = 0.0
-    work = [(a, b, _gl_batch(f, [a], [b], nodes)[0], 0)]
-    while work:
-        los = [w[0] for w in work]
-        his = [w[1] for w in work]
-        mids = [0.5 * (lo + hi) for lo, hi in zip(los, his)]
-        left = _gl_batch(f, los, mids, nodes)
-        right = _gl_batch(f, mids, his, nodes)
-        nxt = []
-        for (lo, hi, est, depth), m, lv, rv in zip(work, mids, left, right):
-            refined = lv + rv
-            err = abs(refined - est)
-            if err <= tol + 1e-15 * abs(refined):
-                total += refined
-            elif depth >= max_depth:
-                raise QuadratureError(
-                    f"adaptive panel ({lo}, {hi}) failed to converge "
-                    f"(residual {err:.3g} at depth {depth})",
-                    estimate=total + refined,
-                )
-            else:
-                nxt.append((lo, m, lv, depth + 1))
-                nxt.append((m, hi, rv, depth + 1))
-        work = nxt
-    return total
-
-
-def _graded_quad(f, a, b, toward, levels, nodes):
-    """Integrate f over (a,b), panels shrinking geometrically toward one end.
-
-    Nodes are generated as offsets from the singular endpoint and handed to
-    the integrand alongside the absolute positions, so algebraic profiles can
-    be evaluated at full relative precision however deep the grading goes --
-    reconstructing the offset by subtracting nearby floats would destroy it.
-
-    The sliver of relative width 2^-levels next to the singular endpoint is
-    estimated by geometric extrapolation of the innermost panel ratio: for an
-    algebraic singularity the panel masses decay geometrically and the slowly
-    varying factor is flat at that scale, so the extrapolated tail stays far
-    below the layout-agreement tolerance even when the sliver's true mass
-    (which can exceed float resolution to a small power) is not negligible.
-    """
-    xi, wi = _gl(nodes)
-    origin = a if toward == "left" else b
-    offs = (b - a) * 2.0 ** (-np.arange(levels, -1.0, -1.0))  # ascending offsets
-    lo, hi = offs[:-1], offs[1:]
-    mid = 0.5 * (lo + hi)[:, None]
-    half = 0.5 * (hi - lo)[:, None]
-    delta = mid + half * xi
-    if toward == "left":
-        x = origin + delta
-    else:
-        x = origin - delta
-        delta = -delta  # offsets are signed: always x - origin
-    vals = f(x.ravel(), delta.ravel(), origin).reshape(delta.shape)
-    panels = half[:, 0] * (vals @ wi)
-    total = float(np.sum(panels))
-    # innermost two panels estimate the geometric tail in the skipped sliver
-    inner0, inner1 = panels[0], panels[1]
-    if inner0 > 0.0 and inner1 > 0.0:
-        ratio = inner0 / inner1
-        if ratio >= 1.0:
-            raise QuadratureError(
-                f"graded panels toward {toward} endpoint of ({a}, {b}) do not "
-                f"decay (ratio {ratio:.4g}); integrand looks non-integrable",
-                estimate=total,
-            )
-        if ratio > 1e-3:
-            total += float(inner0 * ratio / (1.0 - ratio))
-    return total
-
-
-def _integrate_pieces(f, pieces, quadcfg, f_check=None):
-    """Sum piece integrals at two resolutions; demand agreement.
-
-    ``pieces`` is a list of (a, b, kind), kind in {"smooth", "left", "right"}
-    where left/right mark an algebraic singularity at that endpoint.
-    ``f_check`` substitutes a higher-accuracy integrand for the second run
-    (used when the integrand itself embeds a fixed inner quadrature layout).
-    """
-    c = quadcfg
-
-    def run(g, levels, nodes, smooth_nodes):
-        spans = [(a, b) for a, b, kind in pieces if b > a and kind == "smooth"]
-        scale = float(np.sum(np.abs(_gl_batch(g, *zip(*spans), smooth_nodes)))) if spans else 0.0
-        tol = c.rel_tol * max(scale, c.abs_tol) / 8.0 + c.abs_tol
-        total = 0.0
-        for a, b, kind in pieces:
-            if b <= a:
-                continue
-            if kind == "smooth":
-                total += _adaptive_quad(g, a, b, smooth_nodes, tol, c.max_depth)
-            else:
-                total += _graded_quad(g, a, b, "left" if kind == "left" else "right", levels, nodes)
-        return total
-
-    v1 = run(f, c.levels, c.nodes, c.smooth_nodes)
-    v2 = run(f_check or f, c.levels + 6, c.nodes + 4, c.smooth_nodes + 8)
-    if abs(v1 - v2) > c.rel_tol * max(abs(v1), abs(v2)) + c.abs_tol:
-        raise QuadratureError(
-            f"kernel-mass quadrature did not stabilize: {float(v1)!r} vs {float(v2)!r}",
-            estimate=v2,
-        )
-    return v2
-
-
-def _make_pieces(edges, singular_points, lo, hi):
-    """Panels between sorted edges clipped to (lo, hi), tagged by singularity."""
-    pts = sorted({lo, hi, *(e for e in edges if lo < e < hi)})
-    singular = set(singular_points)
-    pieces = []
-    for a, b in zip(pts[:-1], pts[1:]):
-        if any(abs(a - sp) < 1e-15 for sp in singular):
-            pieces.append((a, b, "left"))
-        elif any(abs(b - sp) < 1e-15 for sp in singular):
-            pieces.append((a, b, "right"))
-        else:
-            pieces.append((a, b, "smooth"))
-    return pieces
-
-
-def _crossing_edges(region, struct_lines, axis):
-    """Outer-axis values where a region boundary meets a structural line.
-
-    The inner 1-D reductions are only piecewise smooth in the outer variable:
-    a kink appears whenever a moving cross-section endpoint (traveling along a
-    region boundary line) passes a line where the integrand itself changes
-    formula.  Returns the s-coordinates (``axis=0``) or t-coordinates
-    (``axis=1``) of all such intersection points so they can join the outer
-    panel edges.
-    """
-    out = []
-    for a1, b1, c1 in regions.boundary_lines(region):
-        for a2, b2, c2 in struct_lines:
-            det = a1 * b2 - a2 * b1
-            if abs(det) < 1e-12:
-                continue
-            s = (c1 * b2 - c2 * b1) / det
-            t = (a1 * c2 - a2 * c1) / det
-            out.append(s if axis == 0 else t)
-    return out
-
-
-
-# ---------------------------------------------------------------------------
 # admissible thinning ranges
 # ---------------------------------------------------------------------------
 
@@ -434,9 +253,9 @@ def _mu_rowwise(spec, n, region, quadcfg, piece_nodes):
     sbreaks, t_edges = spec._row_breaks(n)
 
     if piece_nodes:
-        xi, wi = _gl(piece_nodes)
+        xi, wi = gl(piece_nodes)
 
-    def rows(ts, deltas, origin):
+    def rows(ts, deltas, origin, job):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         out = np.zeros_like(ts)
         mids, owners = [], []
@@ -466,9 +285,9 @@ def _mu_rowwise(spec, n, region, quadcfg, piece_nodes):
 
     struct = [(1.0, 0.0, float(sv)) for sv in sbreaks]
     edges = list(t_edges) + regions.t_breakpoints(region)
-    edges += _crossing_edges(region, struct, axis=1)
-    pieces = _make_pieces(edges, [], 0.0, 1.0 + d)
-    return _integrate_pieces(rows, pieces, quadcfg)
+    edges += crossing_edges(region, struct, axis=1)
+    pieces = make_pieces(edges, [], 0.0, 1.0 + d)
+    return integrate_pieces(rows, [pieces], quadcfg, [f"{spec.variant} mass at n={n}"])[0]
 
 
 @dataclass(frozen=True)
@@ -570,18 +389,14 @@ class UniformWeight(WeightSpec):
             ),
         )
 
-    def lattice_autocorrelation(self, n, quadcfg):
-        """(i, j) -> int g(x) g(x + (i, j)/n) dx: the overlap of two shifted windows."""
+    def lattice_autocorrelation(self, n, quadcfg, offsets):
+        """int g(x) g(x + (i, j)/n) dx at each row (i, j) of ``offsets``: the
+        overlap of two shifted windows, a product of the two axes' overlaps."""
         d = 1.0 / n
-        len_s = self.s2 - self.s1
-        len_t = self.t2 - self.t1
-
-        def g2s(i, j):
-            ov1 = max(0.0, len_s - abs(i * d))
-            ov2 = max(0.0, len_t - abs(j * d))
-            return self.scale**2 * ov1 * ov2
-
-        return g2s
+        i, j = np.asarray(offsets).T
+        ov1 = np.maximum(0.0, (self.s2 - self.s1) - np.abs(i * d))
+        ov2 = np.maximum(0.0, (self.t2 - self.t1) - np.abs(j * d))
+        return self.scale**2 * ov1 * ov2
 
     def signed_strips(self, n, eps, idx):
         """Signed u- and v-intervals carrying the difference factors, per index.
@@ -649,10 +464,19 @@ class SingularWeight(_ProfileWeight):
         return out
 
     def mass(self, n, region, quadcfg):
-        lower = self._mass_lower(n, region, quadcfg)
-        if regions.transpose_invariant(region):
-            return lower + lower  # the upper half is the same integral
-        return lower + self._mass_lower(n, regions.transpose(region), quadcfg)
+        """The lower half's mass plus the upper half's, the lower half of the
+        transposed region; a transpose-invariant region's halves are the same
+        integral, done once.  A quadrature failure names its half."""
+        halves = [("lower half {t < s}", region)]
+        if not regions.transpose_invariant(region):
+            halves.append(("upper half {t > s}", regions.transpose(region)))
+        masses = []
+        for name, part in halves:
+            try:
+                masses.append(self._mass_lower(n, part, quadcfg))
+            except QuadratureError as exc:
+                raise QuadratureError(f"{name}: {exc}", estimate=exc.estimate) from exc
+        return masses[0] + masses[-1]
 
     def _mass_lower(self, n, region, quadcfg):
         """Integral of h_n^2 over region intersected with the lower triangle {t < s}.
@@ -691,20 +515,21 @@ class SingularWeight(_ProfileWeight):
         struct = [(0.0, 1.0, 0.0), (0.0, 1.0, d), (0.0, 1.0, 1.0),
                   (1.0, -1.0, 0.0), (1.0, -1.0, d)]
         edges = [0.0, d, 2.0 * d, 1.0, 1.0 + d] + regions.t_breakpoints(regions.transpose(region))
-        edges += _crossing_edges(region, struct, axis=0)
-        pieces = _make_pieces(edges, [0.0, d], 0.0, 1.0 + d)
-        return _integrate_pieces(self._column(n, region, quadcfg.nodes), pieces, quadcfg,
-                                 f_check=self._column(n, region, quadcfg.nodes + 4))
+        edges += crossing_edges(region, struct, axis=0)
+        pieces = make_pieces(edges, [0.0, d], 0.0, 1.0 + d)
+        return integrate_pieces(self._column(n, region, quadcfg.nodes), [pieces], quadcfg,
+                                [f"singular mass at n={n}"],
+                                f_check=self._column(n, region, quadcfg.nodes + 4))[0]
 
     def _column(self, n, region, nodes):
         """The column integrand of ``_mass_lower``, ``nodes`` Gauss nodes per panel."""
         d = 1.0 / n
-        xi, wi = _gl(nodes)
+        xi, wi = gl(nodes)
         flipped = regions.transpose(region)  # its rows are the region's columns
 
-        def col(ss, deltas, origin):
+        def col(ss, deltas, origin, job=None):
             ss = np.atleast_1d(np.asarray(ss, dtype=float))
-            sig = np.atleast_1d(deltas) if origin is not None and origin == d else ss - d
+            sig = ss - d if origin is None else np.where(origin == d, deltas, ss - d)
             top = np.minimum(ss, 1.0 + d)
             lo, hi = regions.row_sections_array(flipped, ss)
             lo, hi = np.maximum(lo, 0.0), np.minimum(hi, top)
@@ -714,8 +539,9 @@ class SingularWeight(_ProfileWeight):
             v = fs - fsig  # f(s) where flat, as f(sig) = 0 there
             below = np.minimum(hi, np.where(low, sig, d)) - lo
             beyond = hi - np.maximum(lo, 1.0)
-            out = (np.where(below > 0.0, below * v * v, 0.0)
-                   + np.where(beyond > 0.0, beyond * fsig * fsig, 0.0)).sum(axis=0)
+            with np.errstate(over="ignore"):  # a branch np.where drops may overflow
+                out = (np.where(below > 0.0, below * v * v, 0.0)
+                       + np.where(beyond > 0.0, beyond * fsig * fsig, 0.0)).sum(axis=0)
 
             # top band for low columns, in offsets from 1/n; the last row holds
             # the columns where s rounded back to 1/n
@@ -741,12 +567,14 @@ class SingularWeight(_ProfileWeight):
                 amp = np.where(low, fs, fsig)[own]
                 _, most = np.frexp(np.max(vhi / vlo))
                 growth = 2.0 ** np.arange(min(64, int(most) + 1), dtype=float)
-                edges = np.minimum(vlo[:, None] * growth, vhi[:, None])
-                edges = np.concatenate([edges, vhi[:, None]], axis=1)
-                a, b = edges[:, :-1], edges[:, 1:]
-                x = 0.5 * (a + b)[:, :, None] + 0.5 * (b - a)[:, :, None] * xi
-                hv = (amp[:, None, None] - self.profile(x.ravel()).reshape(x.shape)) ** 2
-                contrib = np.sum(0.5 * (b - a)[:, :, None] * wi * hv, axis=(1, 2))
+                contrib = np.empty(own.size)
+                for part in node_slices(own.size, growth.size * xi.size):
+                    edges = np.minimum(vlo[part, None] * growth, vhi[part, None])
+                    edges = np.concatenate([edges, vhi[part, None]], axis=1)
+                    a, b = edges[:, :-1], edges[:, 1:]
+                    x = 0.5 * (a + b)[:, :, None] + 0.5 * (b - a)[:, :, None] * xi
+                    hv = (amp[part, None, None] - self.profile(x.ravel()).reshape(x.shape)) ** 2
+                    contrib[part] = np.sum(0.5 * (b - a)[:, :, None] * wi * hv, axis=(1, 2))
                 out += np.bincount(own, contrib, minlength=ss.size)
             return out
 
@@ -838,29 +666,52 @@ class SingularWeight(_ProfileWeight):
         return fdiff
 
     def autocorrelation(self, w1, w2, quadcfg):
-        """Autocorrelation of the singular weight: int g(x) g(x + w) dx.
+        """Autocorrelation of the singular weight: int g(x) g(x + w) dx, w = (w1, w2).
+
+        ``w1`` and ``w2`` broadcast against each other and the result has
+        their shape; two scalars give a 0-d result.
 
         Splitting along the two max-diagonals x2 = x1 and x2 = x1 + (w1 - w2)
         leaves wedges where the integrand is constant in one coordinate or a
         separable product, so everything collapses to 1-D integrals of
         f(x)f(x+w)*linear and f(x)*(F-difference) with F the profile
-        antiderivative.  Offsets from the singular abscissas {0, -w1, -w2}
-        arrive exact from the graded layout.
+        antiderivative.  Wedges a and b are the products, over the windows
+        of x1 and x2; wedge c (w1 < w2) or d (w1 > w2) is the F-difference.
+
+        Each wedge of each offset is one job, and all of them go through one
+        :func:`~ambitlab.quadrature.integrate_pieces` call: a job's window
+        ends, wedge and singular abscissas {0, -w1, -w2} are read per node
+        from its job index.  An offset's value adds its wedges in the order
+        a, b, c/d.  Offsets from the singular abscissas arrive exact from the
+        graded layout.  A quadrature failure names the offset and the wedge.
         """
-        a1, b1 = max(0.0, -w1), min(1.0, 1.0 - w1)
-        a2, b2 = max(0.0, -w2), min(1.0, 1.0 - w2)
-        if b1 <= a1 or b2 <= a2:
-            return 0.0
-        c = w1 - w2
+        w1, w2 = np.broadcast_arrays(np.asarray(w1, dtype=float), np.asarray(w2, dtype=float))
         fdiff = self._profile_antiderivative()
-
-        def offs(x, delta, origin, base):
-            if origin is not None and origin == base:
-                return np.asarray(delta, dtype=float)
-            return np.asarray(x, dtype=float) - base
-
-        def pval(x, delta, origin, base):
-            return self.profile(offs(x, delta, origin, base))
+        jobs, labels, owner, params = [], [], [], []
+        for k, (x1, x2) in enumerate(zip(w1.ravel().tolist(), w2.ravel().tolist())):
+            a1, b1 = max(0.0, -x1), min(1.0, 1.0 - x1)
+            a2, b2 = max(0.0, -x2), min(1.0, 1.0 - x2)
+            if b1 <= a1 or b2 <= a2:
+                continue
+            c = x1 - x2
+            # (name, window, product?, shift, base, cap, far, floor): see the integrand
+            wedges = [("a", a1, b1, True, -x1, a2 - min(0.0, c), b2 - a2, 0.0, 0.0),
+                      ("b", a2, b2, True, -x2, a1 + max(0.0, c), b1 - a1, 0.0, 0.0)]
+            if c < 0.0:
+                wedges.append(("c", a1, b1, False, -x1, a2, min(-c, b2 - a2), b2 - c, a2 + x2))
+            elif c > 0.0:
+                wedges.append(("d", a2, b2, False, -x2, a1, min(c, b1 - a1), b1 + c, a1 + x1))
+            brks = [a1, b1, a2, b2, a2 - c, b2 - c, a1 + c, b1 + c,
+                    -x1, -x2, 1.0 - x1, 1.0 - x2, 0.0, 1.0]
+            sing = [0.0, -x1, -x2]
+            for name, lo, hi, *rest in wedges:
+                jobs.append(make_pieces(brks + sing, sing, lo, hi))
+                labels.append(f"autocorrelation at w = ({x1!r}, {x2!r}), wedge {name}")
+                owner.append(k)
+                params.append(rest)
+        if not jobs:
+            return np.zeros(w1.shape)[()]
+        product, shift, base, cap, far, floor = (np.array(col) for col in zip(*params))
 
         # Every length/width below is a min over pairwise differences of the
         # window endpoints, each difference formed at its own best precision
@@ -869,64 +720,46 @@ class SingularWeight(_ProfileWeight):
         # endpoint values instead goes to rounding noise exactly where the
         # grading dives deepest.
 
-        def region_a(x, delta, origin):
-            moving = offs(x, delta, origin, a2 - min(0.0, c))
-            length = np.clip(moving, 0.0, b2 - a2)
-            return pval(x, delta, origin, 0.0) * pval(x, delta, origin, -w1) * length
+        def integrand(x, delta, origin, job):
+            def offs(at, point):
+                """x - point at the nodes ``at``, exact where the layout grades toward point."""
+                moved = x[at] - point
+                return moved if origin is None else np.where(origin[at] == point, delta[at], moved)
 
-        def region_b(x, delta, origin):
-            moving = offs(x, delta, origin, a1 + max(0.0, c))
-            length = np.clip(moving, 0.0, b1 - a1)
-            return pval(x, delta, origin, 0.0) * pval(x, delta, origin, -w2) * length
+            out = self.profile(offs(slice(None), 0.0))  # f(x)
+            # a, b: f(x) f(x + shift) times the clipped length of the other window
+            at = np.flatnonzero(product[job])
+            j = job[at]
+            out[at] = (out[at] * self.profile(offs(at, shift[j]))
+                       * np.clip(offs(at, base[j]), 0.0, cap[j]))
+            # c, d: f(x) times F over the other window from its moving floor
+            at = np.flatnonzero(~product[job])
+            j = job[at]
+            width = np.minimum(cap[j], np.minimum(offs(at, base[j]), -offs(at, far[j])))
+            low = np.maximum(offs(at, shift[j]), floor[j])
+            out[at] = out[at] * fdiff(low, width)
+            return out
 
-        def region_c(x, delta, origin):
-            width = np.minimum(
-                min(-c, b2 - a2),
-                np.minimum(offs(x, delta, origin, a2), -offs(x, delta, origin, b2 - c)),
-            )
-            low = np.maximum(offs(x, delta, origin, -w1), a2 + w2)
-            return pval(x, delta, origin, 0.0) * fdiff(low, width)
+        total = [0.0] * w1.size
+        for k, value in zip(owner, integrate_pieces(integrand, jobs, quadcfg, labels).tolist()):
+            total[k] += value
+        return np.array(total).reshape(w1.shape)[()]
 
-        def region_d(x, delta, origin):
-            width = np.minimum(
-                min(c, b1 - a1),
-                np.minimum(offs(x, delta, origin, a1), -offs(x, delta, origin, b1 + c)),
-            )
-            low = np.maximum(offs(x, delta, origin, -w2), a1 + w1)
-            return pval(x, delta, origin, 0.0) * fdiff(low, width)
+    def lattice_autocorrelation(self, n, quadcfg, offsets):
+        """Autocorrelation at each lattice offset (i/n, j/n), one row (i, j) of ``offsets``.
 
-        brks = [a1, b1, a2, b2, a2 - c, b2 - c, a1 + c, b1 + c,
-                -w1, -w2, 1.0 - w1, 1.0 - w2, 0.0, 1.0]
-        sing = [0.0, -w1, -w2]
-        total = 0.0
-        plan = [(region_a, a1, b1), (region_b, a2, b2)]
-        if c < 0.0:
-            plan.append((region_c, a1, b1))
-        elif c > 0.0:
-            plan.append((region_d, a2, b2))
-        for fn, lo, hi in plan:
-            pieces = _make_pieces(brks + sing, sing, lo, hi)
-            if pieces:
-                total += _integrate_pieces(fn, pieces, quadcfg)
-        return total
-
-    def lattice_autocorrelation(self, n, quadcfg):
-        """(i, j) -> autocorrelation at the lattice offset (i/n, j/n), memoized."""
+        G2(w) = G2(-w) and G2 is swap-symmetric, so each offset maps to the
+        canonical key (smaller magnitude, larger magnitude, same-sign flag).
+        Each distinct key is integrated once, all of them in one
+        ``autocorrelation`` call.
+        """
         d = 1.0 / n
-        cache = {}
-
-        def g2s(i, j):
-            # G2(w) = G2(-w) and G2 is swap-symmetric, so the canonical key is
-            # (smaller magnitude, larger magnitude, same-sign flag)
-            same = i == 0 or j == 0 or (i > 0) == (j > 0)
-            ii, jj = min(abs(i), abs(j)), max(abs(i), abs(j))
-            key = (ii, jj, same)
-            if key not in cache:
-                w2 = jj * d if same else -jj * d
-                cache[key] = self.autocorrelation(ii * d, w2, quadcfg)
-            return cache[key]
-
-        return g2s
+        i, j = np.asarray(offsets).T
+        same = (i == 0) | (j == 0) | ((i > 0) == (j > 0))
+        keys = np.stack([np.minimum(abs(i), abs(j)), np.maximum(abs(i), abs(j)), same])
+        keys, inverse = np.unique(keys, axis=1, return_inverse=True)
+        w2 = np.where(keys[2] == 1, keys[1] * d, -keys[1] * d)
+        return self.autocorrelation(keys[0] * d, w2, quadcfg)[inverse.ravel()]
 
 
 @dataclass(frozen=True)
@@ -965,29 +798,26 @@ class TriangleWeight(_ProfileWeight):
         """
         d = 1.0 / n
 
-        def rows(ts, deltas, origin):
+        def rows(ts, deltas, origin, job):
             ts = np.atleast_1d(np.asarray(ts, dtype=float))
-            if origin is not None and origin == 0.0:
-                us = np.atleast_1d(deltas)           # u == t, exact near zero
-                mode = "zero"
-            elif origin is not None and origin == d:
-                us = np.atleast_1d(deltas)           # u == t - d, exact
-                mode = "shift"
+            if origin is None:
+                us, zero = ts - d, np.zeros(ts.size, dtype=bool)
             else:
-                us = ts - d
-                mode = "shift"
+                # graded toward 0: u == t, exact near zero; toward d: u == t - d
+                zero = origin == 0.0
+                us = np.where(zero | (origin == d), deltas, ts - d)
             out = np.zeros_like(ts)
             sections = regions.row_section_lists(region, ts, 0.0, 1.0 + d)
-            for i, (t, u) in enumerate(zip(ts, us)):
+            for i, (t, u, at_zero) in enumerate(zip(ts, us, zero)):
                 if t <= 0.0 or t >= 1.0 + d:
                     continue
                 ft = self.profile(t)
-                tau = t - d if mode == "zero" else u
+                tau = t - d if at_zero else u
                 ftau = self.profile(tau) if tau > 0.0 else 0.0
                 if ft == 0.0 and ftau == 0.0:
                     continue
                 # symbolic y-breakpoints (base, coeff): position = base + coeff*u
-                if mode == "zero":
+                if at_zero:
                     cur = ((0.0, -1.0), (0.0, 1.0))              # (-t, t)
                     curs = ((2.0 * d, -1.0), (2.0 * d, 1.0))     # (2d-t, 2d+t)
                     old = olds = None                            # tau < 0 here
@@ -1037,13 +867,13 @@ class TriangleWeight(_ProfileWeight):
         struct = [(2.0, -1.0, v) for v in (1.0, 1.0 + 2.0 * d, 1.0 - d, 1.0 + d)]
         struct += [(2.0, 1.0, v) for v in (1.0, 1.0 + 2.0 * d, 1.0 + d, 1.0 + 3.0 * d)]
         edges = [0.0, d, 2.0 * d, 3.0 * d, 1.0, 1.0 + d] + regions.t_breakpoints(region)
-        edges += _crossing_edges(region, struct, axis=1)
+        edges += crossing_edges(region, struct, axis=1)
         # opposite-family cone edges cross each other at multiples of d/2; rows
         # kink there even without a region cut (the full-mass pieces happen to
         # put dyadic panel edges on those heights, arbitrary regions do not)
         edges += [0.5 * d, 1.5 * d, 2.5 * d]
-        pieces = _make_pieces(edges, [0.0, d], 0.0, 1.0 + d)
-        return _integrate_pieces(rows, pieces, quadcfg)
+        pieces = make_pieces(edges, [0.0, d], 0.0, 1.0 + d)
+        return integrate_pieces(rows, [pieces], quadcfg, [f"triangle mass at n={n}"])[0]
 
     def window(self, eps):
         return Rect(0.5 - 0.5 * eps, 0.5 + 0.5 * eps, 0.0, 0.5 * eps)
@@ -1235,6 +1065,9 @@ def thinning_count(n, kappa):
 # ---------------------------------------------------------------------------
 # squared-kernel masses
 # ---------------------------------------------------------------------------
+
+_DEFAULT_QUAD = QuadratureConfig()
+
 
 def mu_mass(spec, n, region=None, quadcfg=None):
     """mu_n(region) = integral of h_n^2 over the region (whole plane if None)."""

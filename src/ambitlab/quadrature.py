@@ -1,0 +1,319 @@
+r"""One batched quadrature engine for the kernel integrals.
+
+Every mass and autocorrelation in the package reduces to 1-D integrals of
+piecewise smooth integrands with algebraic singularities at known points.
+:func:`integrate_pieces` integrates many of them in one pass.
+
+Jobs
+----
+A *job* is one integral: a list of pieces ``(a, b, kind)`` built by
+:func:`make_pieces`.  ``kind`` is ``"graded"`` when the integrand is
+singular as x falls to a toward the piece's left end, else ``"smooth"``.
+One integrand ``f(x, delta, origin, job)`` serves every job of a call.  It
+gets 1-D node arrays: the nodes ``x`` and ``job``, the index of the job each
+node belongs to.  On graded pieces it also gets ``origin``, the piece's left
+end a for each node, and ``delta``, the exact offset x - a of each node,
+which a profile singular at a needs at full relative precision.  On smooth
+pieces ``delta`` and ``origin`` are None.
+
+Each resolution makes, for all jobs together:
+
+* one scale pass: one Gauss-Legendre panel on each smooth piece, which sets
+  each job's tolerance and seeds its adaptive pieces;
+* one graded pass: every graded piece split into ``levels`` panels
+  shrinking geometrically toward its left end;
+* one adaptive pass: every smooth piece bisected, with one integrand call per
+  bisection level for the open panels of all jobs.
+
+Per-job checks
+--------------
+Batching changes no decision.  Each job has its own tolerance,
+``rel_tol * scale / 8 + abs_tol``, where ``scale`` is the sum of its own
+span estimates.  Each graded piece must show decaying inner panels.  Each
+adaptive panel must converge before ``max_depth``.  Each job's two
+resolutions must agree.  A :class:`~ambitlab.errors.QuadratureError` names
+the job that failed, by the label the caller gave it.
+
+Summation order
+---------------
+A job's result is independent of the jobs batched with it, bit for bit, as
+long as the integrand is pointwise.  The Gauss dot products of one job's
+panels are formed as one matrix-vector product per piece and half, with the
+shapes a lone job would use.  BLAS rounds a row differently depending on
+its neighbours, so grouping rows across jobs would break that.  Converged
+panels add up in bisection order, and piece totals add up in piece order.
+
+Node cap
+--------
+No integrand call gets more than ``_NODE_CAP`` nodes.  Larger batches are
+split at job or piece boundaries.  This bounds the temporaries an integrand
+makes at a fixed size, whatever the number of jobs.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
+from scipy.special import roots_legendre
+
+from . import regions
+from .errors import QuadratureError
+
+__all__ = [
+    "QuadratureConfig",
+    "gl",
+    "integrate_pieces",
+    "make_pieces",
+    "crossing_edges",
+    "node_slices",
+]
+
+_NODE_CAP = 1 << 15  # most nodes per integrand call
+
+
+@dataclass(frozen=True)
+class QuadratureConfig:
+    rel_tol: float = 1e-8
+    abs_tol: float = 1e-14
+    levels: int = 40          # dyadic grading levels toward a singular endpoint
+    nodes: int = 10           # Gauss-Legendre nodes per graded panel
+    smooth_nodes: int = 16    # Gauss-Legendre nodes per adaptive panel
+    max_depth: int = 48
+
+
+@lru_cache(maxsize=64)
+def gl(nodes):
+    """Gauss-Legendre nodes and weights on [-1, 1]."""
+    x, w = roots_legendre(nodes)
+    return x, w
+
+
+gl(QuadratureConfig().nodes)  # its first call imports scipy.linalg: pay that here, not in a run
+
+
+def _runs_by_size(counts):
+    """(size, run indices, first rows) for each nonzero run length in ``counts``."""
+    counts = np.asarray(counts, dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    for size in np.unique(counts):
+        if size:
+            runs = np.flatnonzero(counts == size)
+            yield int(size), runs, starts[runs]
+
+
+def _gauss_sums(f, lo, hi, job, nodes, groupings, origin=None):
+    """Gauss-Legendre estimate of each panel (lo, hi), once per grouping.
+
+    The panels lie in consecutive runs.  Each grouping lists run lengths
+    that add up to the panel count, and each run's dot products are one
+    matrix-vector product.  Every run end of ``groupings[0]`` must be a run
+    end of each other grouping.  The integrand gets whole runs of
+    ``groupings[0]``, at most ``_NODE_CAP`` nodes a call unless one run alone
+    is larger.
+    """
+    xi, wi = gl(nodes)
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    groupings = [np.asarray(g, dtype=np.intp) for g in groupings]
+    ends = np.cumsum(groupings[0])
+    step = max(1, _NODE_CAP // nodes)  # panels a call
+    dots = [np.empty(lo.size) for _ in groupings]
+    start = 0
+    while start < lo.size:
+        # the last run end within the cap, else the first beyond it
+        fits = ends[(ends > start) & (ends <= start + step)]
+        stop = int(fits[-1]) if fits.size else int(ends[ends > start][0])
+        pts = mid[start:stop, None] + half[start:stop, None] * xi
+        ids = np.repeat(job[start:stop], nodes)
+        if origin is None:
+            vals = f(pts.ravel(), None, None, ids)
+        else:
+            at = origin[start:stop, None]
+            vals = f((at + pts).ravel(), pts.ravel(), np.repeat(origin[start:stop], nodes), ids)
+        vals = vals.reshape(stop - start, nodes)
+        for counts, out in zip(groupings, dots):
+            for size, _, first in _runs_by_size(counts):
+                first = first[(first >= start) & (first < stop)]
+                rows = first[:, None] - start + np.arange(size)
+                out[start + rows] = vals[rows] @ wi
+        start = stop
+    return [half * d for d in dots]
+
+
+def _graded_pass(f, job, a, b, levels, nodes, labels):
+    """Each graded piece's integral, panels shrinking geometrically toward a.
+
+    The sliver of relative width 2^-levels next to the singular end is
+    estimated by geometric extrapolation of the innermost panel ratio: for an
+    algebraic singularity the panel masses decay geometrically and the slowly
+    varying factor is flat at that scale, so the extrapolated tail stays far
+    below the layout-agreement tolerance even when the sliver's true mass
+    (which can exceed float resolution to a small power) is not negligible.
+    """
+    offs = (b - a)[:, None] * 2.0 ** (-np.arange(levels, -1.0, -1.0))  # ascending
+    (panels,) = _gauss_sums(
+        f, offs[:, :-1].ravel(), offs[:, 1:].ravel(), np.repeat(job, levels), nodes,
+        [np.full(a.size, levels)], origin=np.repeat(a, levels))
+    panels = panels.reshape(a.size, levels)
+    totals = np.sum(panels, axis=1)
+    inner0, inner1 = panels[:, 0], panels[:, 1]
+    both = (inner0 > 0.0) & (inner1 > 0.0)
+    ratio = np.zeros(a.size)
+    ratio[both] = inner0[both] / inner1[both]
+    rising = np.flatnonzero(both & (ratio >= 1.0))
+    if rising.size:
+        i = rising[0]
+        raise QuadratureError(
+            f"{labels[job[i]]}: graded panels toward the left end of ({a[i]!r}, {b[i]!r}) "
+            f"do not decay (ratio {ratio[i]:.4g}); integrand looks non-integrable",
+            estimate=float(totals[i]),
+        )
+    tail = both & (ratio > 1e-3)
+    totals[tail] += inner0[tail] * ratio[tail] / (1.0 - ratio[tail])
+    return totals.tolist()
+
+
+def _adaptive_pass(f, job, a, b, est, tol, nodes, max_depth, labels):
+    """Each smooth piece's integral by bisecting Gauss-Legendre panels.
+
+    Panels whose two halves disagree with the parent estimate are split; a
+    panel still disagreeing at the depth cap raises.  Integrands here are
+    piecewise smooth (kinks where moving region sections cross kernel
+    breakpoints), which bisection localizes quickly.  The open panels of
+    all pieces are kept grouped by piece, in bisection order.
+    """
+    totals = [0.0] * a.size
+    lo, hi, depth, piece = a, b, np.zeros(a.size, dtype=np.intp), np.arange(a.size)
+    while lo.size:
+        mid = 0.5 * (lo + hi)
+        counts = np.bincount(piece, minlength=a.size)
+        # each piece evaluates its left halves, then its right halves
+        left = (np.cumsum(counts) - counts)[piece] + np.arange(lo.size)
+        right = left + counts[piece]
+        elo, ehi = np.empty(2 * lo.size), np.empty(2 * lo.size)
+        elo[left], ehi[left], elo[right], ehi[right] = lo, mid, mid, hi
+        owner = np.empty(2 * lo.size, dtype=np.intp)
+        owner[left] = owner[right] = job[piece]
+        (sums,) = _gauss_sums(f, elo, ehi, owner, nodes, [np.repeat(counts[counts > 0], 2)])
+        lv, rv = sums[left], sums[right]
+        refined = lv + rv
+        err = np.abs(refined - est)
+        done = err <= tol[piece] + 1e-15 * np.abs(refined)
+        for p, value in zip(piece[done].tolist(), refined[done].tolist()):
+            totals[p] += value
+        stuck = np.flatnonzero(~done & (depth >= max_depth))
+        if stuck.size:
+            i = stuck[0]
+            raise QuadratureError(
+                f"{labels[job[piece[i]]]}: adaptive panel ({lo[i]!r}, {hi[i]!r}) failed "
+                f"to converge (residual {err[i]:.3g} at depth {depth[i]})",
+                estimate=totals[piece[i]] + float(refined[i]),
+            )
+        split = ~done
+        lo = np.stack([lo[split], mid[split]], axis=1).ravel()
+        hi = np.stack([mid[split], hi[split]], axis=1).ravel()
+        est = np.stack([lv[split], rv[split]], axis=1).ravel()
+        depth = np.repeat(depth[split] + 1, 2)
+        piece = np.repeat(piece[split], 2)
+    return totals
+
+
+def _integrate_once(f, jobs, quadcfg, levels, nodes, smooth_nodes, labels):
+    """Every job's integral at one resolution."""
+    c = quadcfg
+    pieces = [(k, a, b, kind) for k, job in enumerate(jobs) for a, b, kind in job if b > a]
+    owner = np.array([p[0] for p in pieces], dtype=np.intp)
+    a = np.array([p[1] for p in pieces], dtype=float)
+    b = np.array([p[2] for p in pieces], dtype=float)
+    smooth = np.array([p[3] == "smooth" for p in pieces], dtype=bool)
+    value = np.empty(len(pieces))
+
+    # scale pass: each job's span estimates set its tolerance; each span's
+    # estimate alone seeds its bisection
+    sm = np.flatnonzero(smooth)
+    spans = np.bincount(owner[sm], minlength=len(jobs))
+    per_job, seeds = _gauss_sums(f, a[sm], b[sm], owner[sm], smooth_nodes,
+                                 [spans, np.ones(sm.size, dtype=np.intp)])
+    scale = np.zeros(len(jobs))
+    for size, runs, first in _runs_by_size(spans):
+        scale[runs] = np.sum(np.abs(per_job[first[:, None] + np.arange(size)]), axis=1)
+    tol = c.rel_tol * np.maximum(scale, c.abs_tol) / 8.0 + c.abs_tol
+
+    gr = np.flatnonzero(~smooth)
+    value[gr] = _graded_pass(f, owner[gr], a[gr], b[gr], levels, nodes, labels)
+    value[sm] = _adaptive_pass(f, owner[sm], a[sm], b[sm], seeds, tol[owner[sm]],
+                               smooth_nodes, c.max_depth, labels)
+    totals = [0.0] * len(jobs)
+    for k, v in zip(owner.tolist(), value.tolist()):
+        totals[k] += v
+    return totals
+
+
+def integrate_pieces(f, jobs, quadcfg, labels=None, f_check=None):
+    """Every job's integral at two resolutions; each job's two must agree.
+
+    ``jobs`` is a list of piece lists from :func:`make_pieces`; ``f`` is
+    the integrand ``f(x, delta, origin, job)`` described in the module
+    docstring.  ``labels`` names each job in error messages (default
+    ``job <index>``).  ``f_check`` substitutes a higher-accuracy integrand
+    for the second run (used when the integrand itself embeds a fixed inner
+    quadrature layout).  Returns the second-resolution values as an array.
+    """
+    c = quadcfg
+    labels = labels or [f"job {k}" for k in range(len(jobs))]
+    first = _integrate_once(f, jobs, c, c.levels, c.nodes, c.smooth_nodes, labels)
+    second = _integrate_once(f_check or f, jobs, c, c.levels + 6, c.nodes + 4,
+                             c.smooth_nodes + 8, labels)
+    for label, v1, v2 in zip(labels, first, second):
+        if abs(v1 - v2) > c.rel_tol * max(abs(v1), abs(v2)) + c.abs_tol:
+            raise QuadratureError(
+                f"{label}: quadrature did not stabilize: {v1!r} vs {v2!r}", estimate=v2)
+    return np.array(second)
+
+
+def make_pieces(edges, singular_points, lo, hi):
+    """Panels between sorted edges clipped to (lo, hi), tagged by singularity.
+
+    A panel whose left end is a singular point is ``"graded"`` toward it:
+    every integrand here is singular only as its argument falls to a
+    singular point from the right (the profile r^-alpha as r -> 0+), so the
+    panel to the left of that point stays ``"smooth"``.
+    """
+    pts = sorted({lo, hi, *(e for e in edges if lo < e < hi)})
+    return [(a, b, "graded" if any(abs(a - sp) < 1e-15 for sp in singular_points) else "smooth")
+            for a, b in zip(pts[:-1], pts[1:])]
+
+
+def crossing_edges(region, struct_lines, axis):
+    """Outer-axis values where a region boundary meets a structural line.
+
+    The inner 1-D reductions are only piecewise smooth in the outer variable:
+    a kink appears whenever a moving cross-section endpoint (traveling along a
+    region boundary line) passes a line where the integrand itself changes
+    formula.  Returns the s-coordinates (``axis=0``) or t-coordinates
+    (``axis=1``) of all such intersection points so they can join the outer
+    panel edges.
+    """
+    out = []
+    for a1, b1, c1 in regions.boundary_lines(region):
+        for a2, b2, c2 in struct_lines:
+            det = a1 * b2 - a2 * b1
+            if abs(det) < 1e-12:
+                continue
+            s = (c1 * b2 - c2 * b1) / det
+            t = (a1 * c2 - a2 * c1) / det
+            out.append(s if axis == 0 else t)
+    return out
+
+
+def node_slices(count, width):
+    """Slices of range(count) for items of ``width`` nodes each, at most
+    ``_NODE_CAP`` nodes a slice (one item where a single item is larger).
+
+    For integrands that expand each outer node into an inner layout of their
+    own: evaluated one slice at a time, their temporaries stay bounded too.
+    """
+    step = max(1, _NODE_CAP // width)
+    return [slice(at, at + step) for at in range(0, count, step)]

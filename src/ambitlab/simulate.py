@@ -26,7 +26,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NotPSDError, QuadratureError
-from .kernels import QuadratureConfig, compute_cn, eval_g
+from .kernels import compute_cn, eval_g
+from .quadrature import QuadratureConfig
 from .volatility import rect_integral, squared_prefix_integral
 
 __all__ = [
@@ -236,7 +237,11 @@ def _stationary_gamma(spec, n, k, m, quadcfg):
 
     Uses Gamma(w) = sum of the 3x3 difference stencil applied to the plain
     weight autocorrelation at lattice points, every argument an exact multiple
-    of 1/n.  The zero offset is replaced by the independently computed c_n and
+    of 1/n.  The lattice offsets of every stencil term of the half-grid
+    di > 0 or (di = 0, dj >= 0) go to one ``lattice_autocorrelation`` call,
+    which integrates each distinct one once; the stencil then adds the nine
+    terms in a fixed order, and Gamma(-w) = Gamma(w) fills the other half.
+    The zero offset is replaced by the independently computed c_n and
     cross-checked against the stencil value.
     """
     if not spec.has_autocorrelation:
@@ -244,20 +249,21 @@ def _stationary_gamma(spec, n, k, m, quadcfg):
             f"stationary exact covariance supports uniform and singular weights; "
             f"got {type(spec).__name__} (use the simulation route)"
         )
-    g2s = spec.lattice_autocorrelation(n, quadcfg)
-
-    size = 2 * m - 1
-    gam = np.zeros((size, size))
-    for di in range(-(m - 1), m):
-        for dj in range(-(m - 1), m):
-            if di < 0 or (di == 0 and dj < 0):
-                continue  # fill by symmetry below
-            acc = 0.0
-            for k1 in (-1, 0, 1):
-                for k2 in (-1, 0, 1):
-                    acc += _DIFF_STENCIL[k1 + 1, k2 + 1] * g2s(k * di + k1, k * dj + k2)
-            gam[di + m - 1, dj + m - 1] = acc
-            gam[m - 1 - di, m - 1 - dj] = acc
+    di, dj = np.meshgrid(np.arange(m), np.arange(-(m - 1), m), indexing="ij")
+    half = (di > 0) | (dj >= 0)
+    di, dj = di[half], dj[half]
+    shift = np.arange(-1, 2)
+    i = np.broadcast_to((k * di)[:, None, None] + shift[:, None], (di.size, 3, 3))
+    j = np.broadcast_to((k * dj)[:, None, None] + shift, (di.size, 3, 3))
+    g2 = spec.lattice_autocorrelation(n, quadcfg, np.stack([i.ravel(), j.ravel()], axis=1))
+    g2 = g2.reshape(di.size, 3, 3)
+    acc = np.zeros(di.size)
+    for k1 in range(3):
+        for k2 in range(3):
+            acc += _DIFF_STENCIL[k1, k2] * g2[:, k1, k2]
+    gam = np.zeros((2 * m - 1, 2 * m - 1))
+    gam[di + m - 1, dj + m - 1] = acc
+    gam[m - 1 - di, m - 1 - dj] = acc
     cn = compute_cn(spec, n)
     stencil_cn = gam[m - 1, m - 1]
     if abs(stencil_cn - cn) > 1e-6 * cn:

@@ -8,7 +8,6 @@ from ambitlab import regions
 from ambitlab.errors import QuadratureError
 from ambitlab.kernels import (
     GridWeight,
-    QuadratureConfig,
     SingularWeight,
     SlowFunction,
     TriangleWeight,
@@ -26,6 +25,7 @@ from ambitlab.kernels import (
     weight_from_config,
     weight_to_config,
 )
+from ambitlab.quadrature import QuadratureConfig
 from ambitlab.regions import Difference, Everything, HalfPlane, Intersection, Rect, band
 
 
@@ -241,6 +241,19 @@ def test_singular_diagonal_band_mass_matches_quadrature_reference():
     w = SingularWeight(alpha=0.6)
     got = mu_mass(w, 16, band(-0.05, 0.05))
     assert got == pytest.approx(0.3598440935416495, rel=1e-9)
+
+
+@pytest.mark.parametrize("ell,below,above", [("one", 0.50439, 0.68609),
+                                              ("one_minus_s", 0.48039, 0.65586)])
+def test_singular_cut_just_past_the_corner_lies_between_its_neighbours(ell, below, above):
+    # {s - t < 0.01} cuts the column piece (0.01, 1/n) next to the s^(1 - 2 alpha)
+    # singularity at 0; grading that piece toward 1/n used to fail the
+    # two-resolution check there
+    w = SingularWeight(alpha=0.6, ell=SlowFunction.from_catalog(ell))
+    low, mid, high = (mu_mass(w, 8, HalfPlane(1.0, -1.0, c)) for c in (0.0, 0.01, 0.02))
+    assert low == pytest.approx(below, rel=1e-5)
+    assert high == pytest.approx(above, rel=1e-5)
+    assert low < mid < high
 
 
 def test_triangle_apex_rectangle_mass_matches_quadrature_reference():

@@ -1,0 +1,86 @@
+"""The batched quadrature engine: per-job results, per-job checks, named failures."""
+
+import re
+
+import numpy as np
+import pytest
+
+from ambitlab import quadrature
+from ambitlab.errors import QuadratureError
+from ambitlab.kernels import SingularWeight, mu_mass
+from ambitlab.quadrature import QuadratureConfig, integrate_pieces, make_pieces
+from ambitlab.regions import HalfPlane
+from ambitlab.simulate import _G2_QUAD
+
+
+def _power_integrand(points, alphas, sizes=None):
+    """(x - p)^-alpha right of p, zero left of it; p and alpha read per node by job."""
+
+    def f(x, delta, origin, job):
+        if sizes is not None:
+            sizes.append(x.size)
+        p = points[job]
+        r = x - p if origin is None else np.where(origin == p, delta, x - p)
+        return np.where(r > 0.0, np.where(r > 0.0, r, 1.0) ** -alphas[job], 0.0)
+
+    return f
+
+
+def _power_jobs(count, seed=7):
+    rng = np.random.default_rng(seed)
+    points, alphas = rng.uniform(0.0, 1.0, count), rng.uniform(0.1, 0.9, count)
+    jobs = [make_pieces([p, 0.3, 0.7], [p], 0.0, 1.5) for p in points]
+    return points, alphas, jobs
+
+
+def test_a_job_integrates_the_same_alone_as_in_a_batch():
+    points, alphas, jobs = _power_jobs(80)
+    sizes = []
+    together = integrate_pieces(_power_integrand(points, alphas, sizes), jobs, _G2_QUAD)
+    # the batch outgrows one call, and no call outgrows the cap
+    assert sum(sizes) > 4 * quadrature._NODE_CAP
+    assert max(sizes) <= quadrature._NODE_CAP
+    for k, job in enumerate(jobs):
+        alone = integrate_pieces(_power_integrand(points[k:k + 1], alphas[k:k + 1]), [job], _G2_QUAD)
+        assert alone[0] == together[k], k
+    exact = (1.5 - points) ** (1.0 - alphas) / (1.0 - alphas)
+    np.testing.assert_allclose(together, exact, rtol=1e-11)
+
+
+def test_a_singular_point_grades_only_the_piece_to_its_right():
+    assert make_pieces([0.25, 0.5, 2.0], [0.5], 0.0, 1.0) == [
+        (0.0, 0.25, "smooth"), (0.25, 0.5, "smooth"), (0.5, 1.0, "graded")]
+
+
+def test_autocorrelation_of_an_offset_array_equals_its_scalar_calls():
+    spec, d = SingularWeight(alpha=0.75), 1.0 / 40.0
+    i, j = np.meshgrid(np.arange(-13, 44, 8), np.arange(-41, 42, 9), indexing="ij")
+    w1, w2 = i * d, j * d
+    batch = spec.autocorrelation(w1, w2, _G2_QUAD)
+    assert batch.shape == w1.shape
+    scalar = [[spec.autocorrelation(a, b, _G2_QUAD) for a, b in zip(ra, rb)]
+              for ra, rb in zip(w1.tolist(), w2.tolist())]
+    np.testing.assert_array_equal(batch, scalar)
+    assert np.all(batch[np.abs(w1) >= 1.0] == 0.0) and np.any(np.abs(w1) >= 1.0)
+
+
+def test_a_failing_autocorrelation_names_its_offset_and_wedge():
+    cfg = QuadratureConfig(rel_tol=1e-18, abs_tol=0.0)
+    with pytest.raises(QuadratureError, match=re.escape("w = (0.25, -0.3), wedge a: ")):
+        SingularWeight(alpha=0.75).autocorrelation(np.array([0.25, 0.5]), np.array([-0.3, 0.1]), cfg)
+
+
+def test_a_failing_mass_names_its_n_and_half():
+    cfg = QuadratureConfig(rel_tol=1e-18, abs_tol=0.0)
+    with pytest.raises(QuadratureError, match=re.escape("lower half {t < s}: singular mass at n=8: ")):
+        mu_mass(SingularWeight(alpha=0.75), 8, HalfPlane(1.0, -2.0, 0.3), cfg)
+
+
+def test_a_non_integrable_job_fails_by_name_beside_a_good_one():
+    points, alphas = np.array([0.2, 0.4]), np.array([0.5, 1.5])
+    jobs = [make_pieces([p], [p], 0.0, 1.0) for p in points]
+    with pytest.raises(QuadratureError, match=r"^steep: graded panels .* do not decay"):
+        integrate_pieces(_power_integrand(points, alphas), jobs, QuadratureConfig(),
+                         labels=["mild", "steep"])
+    good = integrate_pieces(_power_integrand(points[:1], alphas[:1]), jobs[:1], QuadratureConfig())
+    assert good[0] == pytest.approx(0.8**0.5 / 0.5, rel=1e-8)

@@ -9,7 +9,9 @@ Read with ``ast`` only:
   package and in ``tests/``;
 * every top-level function and class is referenced somewhere in ``src/``,
   ``tests/`` or ``perfbench/`` outside its own definition (``__all__`` does
-  not count).
+  not count);
+* one quadrature engine: only ``quadrature`` (and the ``gaussian`` test
+  oracles) builds Gauss-Legendre, adaptive or graded rules.
 
 Run through the CLI:
 
@@ -23,6 +25,7 @@ import functools
 import importlib
 import inspect
 import pathlib
+import re
 import sys
 
 import numpy as np
@@ -134,6 +137,34 @@ def test_every_top_level_definition_is_referenced(path):
             if reads[node.name] == own:
                 dead.append(f"line {node.lineno}: {node.name}")
     assert not dead, dead
+
+
+# The modules that may build quadrature rules: the engine, and the oracles
+# that tests check the engine's callers against.
+QUADRATURE_HOMES = {"quadrature.py", "gaussian.py"}
+_RULE_NAME = re.compile(r"(^|_)(gl|gauss|legendre|adaptive|graded|quad)(_|$)", re.IGNORECASE)
+_RULE_SOURCES = {"leggauss", "quad", "dblquad", "nquad", "fixed_quad", "quadrature"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in QUADRATURE_HOMES],
+                         ids=lambda p: p.name)
+def test_only_the_quadrature_module_builds_quadrature_rules(path):
+    bad = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+            bad += [f"line {node.lineno}: imports {alias.name} from {node.module}"
+                    for alias in node.names
+                    if alias.name.startswith("roots_") or alias.name == "integrate"
+                    or node.module.startswith("scipy.integrate")]
+        elif isinstance(node, ast.Import):
+            bad += [f"line {node.lineno}: imports {alias.name}" for alias in node.names
+                    if alias.name.startswith("scipy.integrate")]
+        elif isinstance(node, ast.Attribute) and (
+                node.attr.startswith("roots_") or node.attr in _RULE_SOURCES):
+            bad.append(f"line {node.lineno}: uses .{node.attr}")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _RULE_NAME.search(node.name):
+            bad.append(f"line {node.lineno}: defines {node.name}")
+    assert not bad, bad
 
 
 # Public names no CLI run enters, each mapped to a test that reads it: as the
