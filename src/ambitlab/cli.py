@@ -488,7 +488,7 @@ def _run_hermite(settings):
 def _run_kernel_report(settings):
     targets = {
         "c_n": "squared mass of the differenced kernel; 4/n^2 exactly for "
-               "the rectangle indicator",
+               "a rectangle indicator whose sides are at least 1/n",
         "concentration": "share of that mass in the corner cells (rectangle "
                          "indicator: 1/4 each) or in the shrinking "
                          "neighborhood of the concentration point",

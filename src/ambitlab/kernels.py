@@ -12,7 +12,8 @@ what the limit theory runs on.
 Variants
 --------
 ``UniformWeight``   indicator of a rectangle; h_n is a separable product of
-                    four signed cell indicators, c_n = 4/n^2 exactly.
+                    signed strips, so c_n = 4 w_s w_t with w the smaller of
+                    1/n and the side: 4/n^2 once both sides are >= 1/n.
 ``SingularWeight``  g(s,t) = (s \vee t)^{-alpha} ell(s \vee t) on the unit
                     square, algebraically singular along the axes' corner.
 ``TriangleWeight``  g(s,t) = t^{-alpha} ell(t) on the cone
@@ -122,6 +123,9 @@ _ELL_CATALOG = {
 }
 
 
+_SCAN_POINTS = 4096  # grid on which SlowFunction.validate checks the declared flags
+
+
 @dataclass(frozen=True)
 class SlowFunction:
     """A named slowly-varying factor on [0, 1] with declared boundary flags.
@@ -152,8 +156,8 @@ class SlowFunction:
     def __call__(self, x):
         return _ELL_CATALOG[self.name][0](x)
 
-    def validate(self, gridsize=4096):
-        x = np.linspace(1.0 / gridsize, 1.0 - 1.0 / gridsize, gridsize)
+    def validate(self):
+        x = np.linspace(1.0 / _SCAN_POINTS, 1.0 - 1.0 / _SCAN_POINTS, _SCAN_POINTS)
         vals = np.asarray(self(x), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"slow function {self.name!r} is not finite on (0,1)")
@@ -241,47 +245,44 @@ class WeightSpec:
         return {"weight.variant", "weight.scale", *self.config_keys()}
 
 
+def _row_sections(region, ts, top):
+    """The nonempty slices of ``region`` at heights ``ts``, clipped to (0, top).
+
+    Returns flat arrays ``(row, lo, hi)``, one entry per slice: rows in
+    order and each row's slices ascending, the order a per-row loop visits.
+    """
+    lo, hi = regions.row_sections_array(region, ts)
+    lo, hi = np.maximum(lo.T, 0.0), np.minimum(hi.T, top)
+    keep = hi > lo
+    return np.nonzero(keep)[0], lo[keep], hi[keep]
+
+
 def _mu_rowwise(spec, n, region, quadcfg, piece_nodes):
     """Integral of h_n^2 over a region for kernels with bounded rows.
 
-    Rows of the rectangle-indicator kernel are piecewise constant in s
-    (``piece_nodes = 0``: the midpoint value is exact on each piece); grid
-    kernels have piecewise-bilinear rows, integrated exactly with a few Gauss
-    nodes per piece.  The outer t-integral is adaptive.
+    Each row of h_n is a polynomial in s between the sorted s-breakpoints of
+    ``spec._row_breaks``: constant for the rectangle indicator, bilinear for
+    grid kernels.  Every section is cut at those breakpoints and each
+    nonempty piece integrated exactly with ``piece_nodes`` Gauss nodes; one
+    node is the midpoint rule.  The outer t-integral is adaptive.
     """
     d = 1.0 / n
     sbreaks, t_edges = spec._row_breaks(n)
-
-    if piece_nodes:
-        xi, wi = gl(piece_nodes)
+    sbreaks = np.sort(sbreaks)
+    xi, wi = gl(piece_nodes)
 
     def rows(ts, deltas, origin, job):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.zeros_like(ts)
-        mids, owners = [], []
-        for i, secs in enumerate(regions.row_section_lists(region, ts, 0.0, 1.0 + d)):
-            for a, b in secs:
-                cuts = [a] + [float(x) for x in sbreaks if a < x < b] + [b]
-                for lo, hi in zip(cuts[:-1], cuts[1:]):
-                    if hi > lo:
-                        mids.append((lo, hi))
-                        owners.append(i)
-        if not mids:
-            return out
-        bounds = np.asarray(mids)
-        owners = np.asarray(owners)
-        lo, hi = bounds[:, 0], bounds[:, 1]
-        if piece_nodes:
-            x = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * xi
-            tt = np.broadcast_to(ts[owners][:, None], x.shape)
-            vals = eval_h(spec, n, x.ravel(), tt.ravel()) ** 2
-            contrib = 0.5 * (hi - lo) * (vals.reshape(x.shape) @ wi)
-        else:
-            x = 0.5 * (lo + hi)
-            vals = eval_h(spec, n, x, ts[owners]) ** 2
-            contrib = (hi - lo) * vals
-        np.add.at(out, owners, contrib)
-        return out
+        row, a, b = _row_sections(region, ts, 1.0 + d)
+        a, b = a[:, None], b[:, None]
+        cuts = np.concatenate([a, np.clip(sbreaks, a, b), b], axis=1)
+        lo, hi = cuts[:, :-1], cuts[:, 1:]
+        keep = hi > lo
+        lo, hi, row = lo[keep], hi[keep], np.broadcast_to(row[:, None], keep.shape)[keep]
+        x = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * xi
+        vals = eval_h(spec, n, x.ravel(), np.repeat(ts[row], piece_nodes)) ** 2
+        contrib = 0.5 * (hi - lo) * (vals.reshape(x.shape) @ wi)
+        return np.bincount(row, weights=contrib, minlength=ts.size)
 
     struct = [(1.0, 0.0, float(sv)) for sv in sbreaks]
     edges = list(t_edges) + regions.t_breakpoints(region)
@@ -359,7 +360,7 @@ class UniformWeight(WeightSpec):
         return sb, tb
 
     def mass(self, n, region, quadcfg):
-        return _mu_rowwise(self, n, region, quadcfg, piece_nodes=0)
+        return _mu_rowwise(self, n, region, quadcfg, piece_nodes=1)
 
     def corner_cells(self, n):
         """The four corner cells carrying the concentration mass."""
@@ -784,19 +785,27 @@ class TriangleWeight(_ProfileWeight):
         out[inside] = self.scale * ti ** (-self.alpha) * self.ell(ti)
         return out
 
-    def mass(self, n, region, quadcfg):
-        """Integral of h_n^2 over a region for the cone kernel.
+    def _rows(self, n, region):
+        """The row integral of h_n^2 over ``region`` at each height t.
 
         For fixed t the differenced kernel is piecewise constant in s: a signed
         combination of the cone cross-section I(t), its 1/n-shift, and the same
-        pair one lattice row down.  Rows are summed exactly from symbolic
-        breakpoints expressed as (multiple of 1/n) + (coefficient) * u, where u
-        is the exact offset of t from the active singular height (0 or 1/n) --
-        keeping piece lengths of order u exact however deep the outer grading
-        goes.  Everything is done in the centered coordinate y = 2s - 1, where
-        the cross-section is just (-t, t).
+        pair one lattice row down.  In the centered coordinate y = 2s - 1 the
+        eight ends of those cross-sections sit at base + coeff*u, where u is
+        the exact offset of t from the active singular height (0 or 1/n) and
+        base a multiple of 1/n; keeping u apart keeps piece lengths of order u
+        exact however deep the outer grading goes.  Each row section is cut at
+        the ends strictly inside it, the cuts sorted by position (ties by
+        coeff*u), and each piece's value read off at its symbolic midpoint:
+        all nodes and sections in one array pass.
         """
         d = 1.0 / n
+        coeff = np.array([-1.0, 1.0] * 4)
+        # t = d + u: (-t, t), (2d - t, 2d + t), and one row down (-tau, tau),
+        # (2d - tau, 2d + tau) with tau = u
+        above = np.array([-d, d, d, 3.0 * d, 0.0, 0.0, 2.0 * d, 2.0 * d])
+        # t = u < 1/n: tau < 0, so the lower pair is empty and never cuts
+        below = np.array([0.0, 0.0, 2.0 * d, 2.0 * d, 0.0, 0.0, 2.0 * d, 2.0 * d])
 
         def rows(ts, deltas, origin, job):
             ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -806,63 +815,39 @@ class TriangleWeight(_ProfileWeight):
                 # graded toward 0: u == t, exact near zero; toward d: u == t - d
                 zero = origin == 0.0
                 us = np.where(zero | (origin == d), deltas, ts - d)
-            out = np.zeros_like(ts)
-            sections = regions.row_section_lists(region, ts, 0.0, 1.0 + d)
-            for i, (t, u, at_zero) in enumerate(zip(ts, us, zero)):
-                if t <= 0.0 or t >= 1.0 + d:
-                    continue
-                ft = self.profile(t)
-                tau = t - d if at_zero else u
-                ftau = self.profile(tau) if tau > 0.0 else 0.0
-                if ft == 0.0 and ftau == 0.0:
-                    continue
-                # symbolic y-breakpoints (base, coeff): position = base + coeff*u
-                if at_zero:
-                    cur = ((0.0, -1.0), (0.0, 1.0))              # (-t, t)
-                    curs = ((2.0 * d, -1.0), (2.0 * d, 1.0))     # (2d-t, 2d+t)
-                    old = olds = None                            # tau < 0 here
-                else:
-                    cur = ((-d, -1.0), (d, 1.0))                 # t = d + u
-                    curs = ((d, -1.0), (3.0 * d, 1.0))
-                    old = ((0.0, -1.0), (0.0, 1.0))              # (-tau, tau)
-                    olds = ((2.0 * d, -1.0), (2.0 * d, 1.0))
-                brks = [*cur, *curs]
-                if ftau != 0.0 and old is not None:
-                    brks.extend((*old, *olds))
+            ft, ftau = self.profile(ts), self.profile(np.where(zero, ts - d, us))
+            row, a, b = _row_sections(region, ts, 1.0 + d)
+            u, ft, ftau = us[row, None], ft[row, None], ftau[row, None]
 
-                def pos(bk):
-                    return bk[0] + bk[1] * u
+            def before(x0, x1, y0, y1):
+                # is x0 + x1*u strictly left of y0 + y1*u?
+                return np.where(x0 == y0, (x1 - y1) * u < 0.0, x0 + x1 * u < y0 + y1 * u)
 
-                def before(m, bk):
-                    # is symbolic midpoint m strictly left of breakpoint bk?
-                    if m[0] == bk[0]:
-                        return (m[1] - bk[1]) * u < 0.0
-                    return pos(m) < pos(bk)
+            ya, yb = 2.0 * a[:, None] - 1.0, 2.0 * b[:, None] - 1.0
+            base = np.where(zero[row, None], below, above)
+            cut = before(ya, 0.0, base, coeff) & before(base, coeff, yb, 0.0)
+            cut[:, 4:] &= ftau != 0.0  # a zero lower pair changes no piece's value
+            fixed = np.zeros_like(ya)  # the section ends do not move with u
+            cb = np.concatenate([ya, np.where(cut, base, ya), yb], axis=1)
+            cc = np.concatenate([fixed, np.where(cut, coeff, 0.0), fixed], axis=1)
+            order = np.lexsort((cc * u, cb + cc * u), axis=1)
+            cb, cc = np.take_along_axis(cb, order, 1), np.take_along_axis(cc, order, 1)
+            length = (cb[:, 1:] - cb[:, :-1]) + (cc[:, 1:] - cc[:, :-1]) * u
+            m0, m1 = 0.5 * (cb[:, :-1] + cb[:, 1:]), 0.5 * (cc[:, :-1] + cc[:, 1:])
+            inside = [(before(base[:, [k]], coeff[k], m0, m1)
+                       & before(m0, m1, base[:, [k + 1]], coeff[k + 1])).astype(float)
+                      for k in range(0, 8, 2)]
+            v = ft * (inside[0] - inside[1]) - ftau * (inside[2] - inside[3])
+            pieces = np.where(length > 0.0, length * v * v, 0.0)
+            owner = np.repeat(row, length.shape[1])
+            return 0.5 * np.bincount(owner, weights=pieces.ravel(), minlength=ts.size)  # ds = dy / 2
 
-                def inside(m, iv):
-                    return bool(iv is not None and before(iv[0], m) and before(m, iv[1]))
+        return rows
 
-                acc = 0.0
-                for a, b in sections[i]:
-                    ya, yb = 2.0 * a - 1.0, 2.0 * b - 1.0
-                    cuts = [(ya, 0.0)] + sorted(
-                        (bk for bk in brks if before((ya, 0.0), bk) and before(bk, (yb, 0.0))),
-                        key=pos,
-                    ) + [(yb, 0.0)]
-                    for lo, hi in zip(cuts[:-1], cuts[1:]):
-                        length = (hi[0] - lo[0]) + (hi[1] - lo[1]) * u
-                        if length <= 0.0:
-                            continue
-                        m = (0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1]))
-                        v = 0.0
-                        if ft != 0.0:
-                            v += ft * (inside(m, cur) - inside(m, curs))
-                        if ftau != 0.0:
-                            v -= ftau * (inside(m, old) - inside(m, olds))
-                        acc += length * v * v
-                out[i] = 0.5 * acc  # ds = dy / 2
-            return out
-
+    def mass(self, n, region, quadcfg):
+        """Integral of h_n^2 over a region for the cone kernel: an outer
+        t-integral of the exact row integrals of ``_rows``."""
+        d = 1.0 / n
         # cone edges 2s -+ t = 1 of all four shifted kernel copies
         struct = [(2.0, -1.0, v) for v in (1.0, 1.0 + 2.0 * d, 1.0 - d, 1.0 + d)]
         struct += [(2.0, 1.0, v) for v in (1.0, 1.0 + 2.0 * d, 1.0 + d, 1.0 + 3.0 * d)]
@@ -873,7 +858,8 @@ class TriangleWeight(_ProfileWeight):
         # put dyadic panel edges on those heights, arbitrary regions do not)
         edges += [0.5 * d, 1.5 * d, 2.5 * d]
         pieces = make_pieces(edges, [0.0, d], 0.0, 1.0 + d)
-        return integrate_pieces(rows, [pieces], quadcfg, [f"triangle mass at n={n}"])[0]
+        return integrate_pieces(self._rows(n, region), [pieces], quadcfg,
+                                [f"triangle mass at n={n}"])[0]
 
     def window(self, eps):
         return Rect(0.5 - 0.5 * eps, 0.5 + 0.5 * eps, 0.0, 0.5 * eps)

@@ -6,12 +6,11 @@ each an intersection of open half-planes ``{a*s + b*t < c}``.  So one type,
 :class:`Region`, holds a tuple of pieces, each a tuple of ``(a, b, c)``; the
 empty piece is the whole plane.  Every constructor returns it and every
 operation is one loop over the pieces.  Integrators never rasterize a region;
-they ask for its cross-sections at heights ``t`` (``row_sections_array``, or
-``row_section_lists`` as lists of float pairs) as disjoint open intervals,
-which keeps the 1-D reductions of the kernel integrals exact: each half-plane
-cuts the row at ``(c - b*t)/a``, and a piece's interval is the max of its
-lower and the min of its upper cuts.  Columns are the rows of the
-``transpose``.
+they ask for its cross-sections at many heights ``t`` at once
+(``row_sections_array``) as disjoint open intervals, which keeps the 1-D
+reductions of the kernel integrals exact: each half-plane cuts the row at
+``(c - b*t)/a``, and a piece's interval is the max of its lower and the min
+of its upper cuts.  Columns are the rows of the ``transpose``.
 ``boundary_lines`` lists the lines bounding a region so integrators can place
 outer breakpoints where a moving section endpoint passes a structural line of
 the integrand.
@@ -38,7 +37,6 @@ __all__ = [
     "Everything",
     "band",
     "row_sections_array",
-    "row_section_lists",
     "transpose",
     "transpose_invariant",
     "contains",
@@ -141,13 +139,6 @@ def row_sections_array(region, ts):
     hi = np.take_along_axis(reach, last, 0)
     keep = opens & (hi > lo)
     return np.where(keep, lo, 0.0), np.where(keep, hi, 0.0)
-
-
-def row_section_lists(region, ts, lo=-math.inf, hi=math.inf):
-    """Per height of ``ts``, its slice clipped to (lo, hi) as a list of float pairs."""
-    a, b = row_sections_array(region, ts)
-    a, b = np.maximum(a, lo).T.tolist(), np.minimum(b, hi).T.tolist()
-    return [[(x, y) for x, y in zip(ra, rb) if y > x] for ra, rb in zip(a, b)]
 
 
 def transpose(region):

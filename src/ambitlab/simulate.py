@@ -307,7 +307,7 @@ class IncrementCovariance:
         return self.matrix / np.outer(sd, sd)
 
 
-def increment_covariance(spec, sigma, n, k, quadcfg=None, cap=32):
+def increment_covariance(spec, sigma, n, k, cap=32):
     """Covariance C_ab = int h(eps*i_a - u, eps*j_a - v) h(...b...) sigma^2(u,v).
 
     Engines: uniform weight with any volatility grid (signed strip overlaps
@@ -329,7 +329,6 @@ def increment_covariance(spec, sigma, n, k, quadcfg=None, cap=32):
         raise ValueError("thinned lattice is empty")
     eps = k / n
     idx = np.indices((m, m)).reshape(2, -1).T + 1  # row-major (i, j)
-    quadcfg = quadcfg or _G2_QUAD
     cn = compute_cn(spec, n)
 
     constant_sigma = np.all(sigma.values == sigma.values.flat[0])
@@ -356,7 +355,7 @@ def increment_covariance(spec, sigma, n, k, quadcfg=None, cap=32):
         engine = "uniform-strips"
     elif constant_sigma:
         s0sq = float(sigma.values.flat[0]) ** 2
-        gam = _stationary_gamma(spec, n, k, m, quadcfg)
+        gam = _stationary_gamma(spec, n, k, m, _G2_QUAD)
         di = idx[:, None, 0] - idx[None, :, 0]
         dj = idx[:, None, 1] - idx[None, :, 1]
         mat = s0sq * gam[di + m - 1, dj + m - 1]

@@ -293,6 +293,18 @@ def test_hermite_report_carries_the_rank_two_signature(tmp_path):
     assert report["files"] == ["hermite_p1.csv", "hermite_p2.csv"]
 
 
+def test_lln_with_a_window_narrower_than_a_cell_runs(tmp_path):
+    # the s-strips are 0.02 wide, narrower than a cell, so c_n = 4 * (s2 - s1) * (1/n);
+    # the run divides by it
+    path = tmp_path / "narrow.cfg"
+    path.write_text("kind = lln\nweight.variant = uniform\nweight.s1 = 0.5\nweight.s2 = 0.52\n"
+                    "volatility.variant = constant\nn = 8\nk = 1\np = 2\nreps = 2\n")
+    out = tmp_path / "narrow"
+    assert main(["--config", str(path), "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["results"]["per_n"]["8"]["2.0"]["c_n"] == pytest.approx(4.0 * 0.02 / 8, rel=1e-13)
+
+
 def test_kernel_report_tabulates_the_exact_window_masses(tmp_path):
     out = tmp_path / "kern"
     cfg = ExperimentConfig({"kind": "kernel-report", "weight.variant": "uniform",

@@ -177,6 +177,17 @@ def test_uniform_total_mass_carries_the_squared_scale():
     assert compute_cn(UniformWeight(scale=3.0), 8) == pytest.approx(9.0 * 4.0 / 64.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("corners", [dict(s1=0.5, s2=0.52), dict(t1=0.3, t2=0.31),
+                                     dict(s1=0.5, s2=0.52, t1=0.3, t2=0.31)],
+                         ids=["narrow-s", "narrow-t", "narrow-both"])
+@pytest.mark.parametrize("n", [8, 16])
+def test_uniform_total_mass_of_a_window_narrower_than_a_cell(corners, n):
+    # each axis contributes two signed strips of width min(1/n, side)
+    spec = UniformWeight(scale=1.5, **corners)
+    want = 4.0 * spec.scale**2 * min(1.0 / n, spec.s2 - spec.s1) * min(1.0 / n, spec.t2 - spec.t1)
+    assert compute_cn(spec, n) == pytest.approx(want, rel=1e-13)
+
+
 # references: outer scipy.integrate.quad over exact row/column reductions of
 # h^2, breakpoints at every structural line, tolerance pushed to ~1e-11
 @pytest.mark.parametrize(
@@ -329,6 +340,12 @@ def _clip(secs, lo, hi):
     return [(max(a, lo), min(b, hi)) for a, b in secs if min(b, hi) > max(a, lo)]
 
 
+def _sections(region, t, lo, hi):
+    """The slice of ``region`` at height ``t``, clipped to (lo, hi), as float pairs."""
+    a, b = regions.row_sections_array(region, [t])
+    return _clip(zip(a[:, 0].tolist(), b[:, 0].tolist()), lo, hi)
+
+
 def _scalar_column(spec, n, region, nodes):
     """The column integrand one node at a time: the definition the batched one must match."""
     d = 1.0 / n
@@ -343,7 +360,7 @@ def _scalar_column(spec, n, region, nodes):
         own, los, his, consts = [], [], [], []
         for i, (s, sig) in enumerate(zip(ss, sigs)):
             top = min(s, 1.0 + d)
-            secs = _clip(regions.row_section_lists(flipped, [s])[0], 0.0, top)
+            secs = _sections(flipped, s, 0.0, top)
             if not secs:
                 continue
             fs = spec.profile(s)
@@ -442,6 +459,121 @@ def test_batched_column_matches_the_scalar_definition(alpha, ell):
             for args in ((plain, None, None), (d + deltas, deltas, d)):
                 np.testing.assert_allclose(batched(*args), scalar(*args), rtol=1e-13, atol=0.0,
                                            err_msg=f"{name} at n={n}")
+
+
+# ---------------------------------------------------------------- cone row integrand
+
+def _scalar_rows(spec, n, region):
+    """The cone row integrand one node at a time: the definition the array one must match."""
+    d = 1.0 / n
+
+    def rows(ts, deltas, origin):
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        if origin is None:
+            us, zero = ts - d, np.zeros(ts.size, dtype=bool)
+        else:
+            zero = origin == 0.0
+            us = np.where(zero | (origin == d), deltas, ts - d)
+        out = np.zeros_like(ts)
+        for i, (t, u, at_zero) in enumerate(zip(ts, us, zero)):
+            if t <= 0.0 or t >= 1.0 + d:
+                continue
+            ft = spec.profile(t)
+            tau = t - d if at_zero else u
+            ftau = spec.profile(tau) if tau > 0.0 else 0.0
+            if ft == 0.0 and ftau == 0.0:
+                continue
+            # symbolic y-breakpoints (base, coeff): position = base + coeff*u
+            if at_zero:
+                cur = ((0.0, -1.0), (0.0, 1.0))              # (-t, t)
+                curs = ((2.0 * d, -1.0), (2.0 * d, 1.0))     # (2d-t, 2d+t)
+                old = olds = None                            # tau < 0 here
+            else:
+                cur = ((-d, -1.0), (d, 1.0))                 # t = d + u
+                curs = ((d, -1.0), (3.0 * d, 1.0))
+                old = ((0.0, -1.0), (0.0, 1.0))              # (-tau, tau)
+                olds = ((2.0 * d, -1.0), (2.0 * d, 1.0))
+            brks = [*cur, *curs]
+            if ftau != 0.0 and old is not None:
+                brks.extend((*old, *olds))
+
+            def pos(bk):
+                return bk[0] + bk[1] * u
+
+            def before(m, bk):
+                # is symbolic midpoint m strictly left of breakpoint bk?
+                if m[0] == bk[0]:
+                    return (m[1] - bk[1]) * u < 0.0
+                return pos(m) < pos(bk)
+
+            def inside(m, iv):
+                return bool(iv is not None and before(iv[0], m) and before(m, iv[1]))
+
+            acc = 0.0
+            for a, b in _sections(region, t, 0.0, 1.0 + d):
+                ya, yb = 2.0 * a - 1.0, 2.0 * b - 1.0
+                cuts = [(ya, 0.0)] + sorted(
+                    (bk for bk in brks if before((ya, 0.0), bk) and before(bk, (yb, 0.0))),
+                    key=pos,
+                ) + [(yb, 0.0)]
+                for lo, hi in zip(cuts[:-1], cuts[1:]):
+                    length = (hi[0] - lo[0]) + (hi[1] - lo[1]) * u
+                    if length <= 0.0:
+                        continue
+                    m = (0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1]))
+                    v = 0.0
+                    if ft != 0.0:
+                        v += ft * (inside(m, cur) - inside(m, curs))
+                    if ftau != 0.0:
+                        v -= ftau * (inside(m, old) - inside(m, olds))
+                    acc += length * v * v
+            out[i] = 0.5 * acc  # ds = dy / 2
+        return out
+
+    return rows
+
+
+def _row_nodes(n, rng):
+    """Outer nodes in all three call forms: plain, graded toward 0 and toward 1/n."""
+    d = 1.0 / n
+    plain = np.concatenate([
+        rng.uniform(0.0, 1.0 + d, 40),
+        d * rng.uniform(0.0, 4.0, 30),
+        1.0 + d * rng.uniform(-1.0, 1.0, 10),
+        d * np.array([0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]),
+    ])
+    low = 0.5 * d * 2.0 ** -rng.uniform(0.0, 60.0, 30)
+    # offsets above 1/n, down to where d + delta rounds back to d
+    high = 0.5 * d * 2.0 ** -rng.uniform(0.0, 60.0, 30)
+    high = np.concatenate([high, [d * 2.0**-54, d * 2.0**-60]])
+    assert np.any(d + high == d)
+    return plain, low, high
+
+
+@pytest.mark.parametrize("ell", ["one", "one_minus_s"])
+@pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
+def test_array_cone_rows_match_the_scalar_definition(alpha, ell):
+    spec = TriangleWeight(alpha=alpha, ell=SlowFunction.from_catalog(ell))
+    rng = np.random.default_rng(int(alpha * 100))
+    for n in (8, 64):
+        d = 1.0 / n
+        plain, low, high = _row_nodes(n, rng)
+        cuts = {"edge-cut": HalfPlane(2.0, -1.0, 1.0 + 0.5 * d),
+                "across": HalfPlane(1.0, -0.5, 0.55),
+                "steep": HalfPlane(-2.0, 3.0, 0.1 - d),
+                "wedge": Intersection((HalfPlane(1.0, -1.0, 0.45), HalfPlane(-1.0, -0.7, -0.4)))}
+        catalog = spec.catalog(n, thinning_count(n, 0.15) / n)
+        for name, region in {**catalog, **cuts, "everything": Everything()}.items():
+            array, scalar = spec._rows(n, region), _scalar_rows(spec, n, region)
+            nonzero = 0
+            for ts, deltas, origin in ((plain, None, None),
+                                       (low, low, np.zeros(low.size)),
+                                       (d + high, high, np.full(high.size, d))):
+                want = scalar(ts, deltas, origin)
+                np.testing.assert_allclose(array(ts, deltas, origin, None), want,
+                                           rtol=1e-13, atol=0.0, err_msg=f"{name} at n={n}")
+                nonzero += np.count_nonzero(want)
+            assert nonzero >= 5, f"{name} at n={n}"
 
 
 def test_transpose_invariant_regions_integrate_one_half(monkeypatch):

@@ -72,7 +72,8 @@ def _inner_point(lo, hi):
 def test_row_sections_agree_with_membership(region, seed):
     s, ts = _points(seed, 50)
     for t in ts[:10]:
-        secs = regions.row_section_lists(region, [float(t)])[0]
+        left, right = regions.row_sections_array(region, [t])
+        secs = [(a, b) for a, b in zip(left[:, 0].tolist(), right[:, 0].tolist()) if b > a]
         for (lo, hi), (nxt, _) in zip(secs, secs[1:]):
             assert lo < hi < nxt
         for lo, hi in secs:
@@ -120,7 +121,6 @@ def test_array_row_sections_equal_the_scalar_definition(region, seed):
     for i, t in enumerate(ts):
         want = _scalar_row_sections(region, t)
         assert [(a, b) for a, b in zip(lo[:, i], hi[:, i]) if b > a] == want
-        assert regions.row_section_lists(region, [t])[0] == want
 
 
 @given(shapes, seeds)
@@ -157,7 +157,7 @@ def test_set_operations_are_or_and_and_not(group, right, seed):
 
 
 def test_a_non_region_is_refused_by_every_operation():
-    for op in (lambda r: regions.row_section_lists(r, [0.5]), regions.transpose,
+    for op in (lambda r: regions.row_sections_array(r, [0.5]), regions.transpose,
                lambda r: regions.contains(r, 0.5, 0.5), regions.t_breakpoints,
                regions.boundary_lines, lambda r: Union((r,)), lambda r: Difference(r, r)):
         with pytest.raises(TypeError, match="not a region"):
