@@ -71,6 +71,7 @@ the known-good range and no override requested).
 
 import argparse
 import dataclasses
+import importlib
 import json
 import os
 import sys
@@ -116,6 +117,11 @@ from .volatility import (
     vol_from_config,
     vol_to_config,
 )
+
+# numpy loads these submodules on first use (np.unique touches numpy.ma):
+# load them with the CLI, so that a run imports nothing.
+for _submodule in ("numpy.fft", "numpy.ma", "numpy.random"):
+    importlib.import_module(_submodule)
 
 __all__ = ["ExperimentConfig", "main", "run", "validate"]
 

@@ -18,12 +18,13 @@ and the module computes them rather than hard-coding zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, roots_genlaguerre, roots_legendre
 
 from .errors import QuadratureError
+from .quadrature import gl
 
 __all__ = [
     "HermiteExpansion",
@@ -34,6 +35,53 @@ __all__ = [
 ]
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+
+# Polynomial coefficients of the cephes ``lgam`` approximations, highest first.
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LGAM_A_BIG = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3, 0.0833333333333333333333)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (1.0, -3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LOG_SQRT_2PI = 0.91893853320467274178
+
+
+def _polevl(x, coefs):
+    """The polynomial with ``coefs`` (highest first) at x, by Horner's rule."""
+    acc = 0.0
+    for c in coefs:
+        acc = acc * x + c
+    return acc
+
+
+def _lgam(x):
+    """log Gamma(x) for x > 0: the cephes ``lgam`` algorithm, step for step.
+
+    It rounds exactly as ``scipy.special.gammaln`` does, so the moments built
+    on it are the same floats; ``math.lgamma`` is an ulp or two away.
+    """
+    if x < 13.0:
+        # shift into [2, 3) by the recurrence, then a rational approximation
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        return math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C)
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI  # Stirling's series
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    return q + _polevl(p, _LGAM_A_BIG if x >= 1000.0 else _LGAM_A) / x
 
 
 def abs_moment(q):
@@ -51,7 +99,7 @@ def abs_moment(q):
     """
     if q <= 0.0:
         raise ValueError(f"absolute-moment power must be positive, got q={q}")
-    return float(np.exp(0.5 * q * np.log(2.0) + gammaln(0.5 * (q + 1.0)) - 0.5 * np.log(np.pi)))
+    return float(np.exp(0.5 * q * np.log(2.0) + _lgam(0.5 * (q + 1.0)) - 0.5 * np.log(np.pi)))
 
 
 def _halfline_nodes(q, npts):
@@ -61,6 +109,8 @@ def _halfline_nodes(q, npts):
     u^{(q-1)/2} e^{-u}; the rule is exact whenever G(sqrt(2u)) is a
     polynomial in u of degree < npts.
     """
+    from scipy.special import roots_genlaguerre  # only the hermite kind gets here
+
     u, w = roots_genlaguerre(npts, 0.5 * (q - 1.0))
     x = np.sqrt(2.0 * u)
     scale = 2.0 ** (0.5 * (q - 1.0)) / _SQRT_2PI
@@ -155,8 +205,7 @@ class HermiteExpansion:
         return abs_moment(2.0 * self.p) - abs_moment(self.p) ** 2
 
     def partial_sums(self):
-        k = np.arange(self.alpha.size)
-        log_fact = gammaln(k + 1.0)
+        log_fact = np.array([_lgam(k + 1.0) for k in range(self.alpha.size)])
         terms = np.exp(2.0 * np.log(np.maximum(np.abs(self.alpha), 1e-300)) - log_fact)
         terms[self.alpha == 0.0] = 0.0
         terms[0] = 0.0  # alpha_0 is a ~1e-16 residual; k=0 is not part of the expansion
@@ -189,7 +238,7 @@ def up_hermite_coeffs(p, max_order=60, rtol=1e-10):
 
 def _panel_nodes(edges, npts):
     """Composite Gauss-Legendre nodes/weights over consecutive panel edges."""
-    xi, wi = roots_legendre(npts)
+    xi, wi = gl(npts)
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1], edges[1:]
     mid = 0.5 * (a + b)[:, None]
@@ -218,7 +267,7 @@ def _power_cov_quad(rho, p, npts):
     for side in (+1.0, -1.0):
         length = side * R - zstar  # signed distance from kink to box edge
         frac = _INNER_FRACTIONS if npts <= 24 else np.unique(np.concatenate([_INNER_FRACTIONS, 0.5 * (_INNER_FRACTIONS[:-1] + _INNER_FRACTIONS[1:])]))
-        xi, wi = roots_legendre(npts)
+        xi, wi = gl(npts)
         a = zstar[:, None] + length[:, None] * frac[None, :-1]
         b = zstar[:, None] + length[:, None] * frac[None, 1:]
         mid = 0.5 * (a + b)

@@ -26,7 +26,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .asymptotics import kappa_refusal
 from .errors import AdmissibilityError
@@ -482,7 +481,8 @@ def _shape_moments(z):
 def _kolmogorov_distance(z):
     """Largest gap between the empirical CDF of z and the normal CDF fitted to it."""
     x = np.sort(z)
-    cdf = ndtr((x - np.mean(z)) / np.std(z, ddof=1))
+    scaled = (x - np.mean(z)) / np.std(z, ddof=1)
+    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in scaled])
     n = x.size
     return float(max(np.max(np.arange(1.0, n + 1) / n - cdf), np.max(cdf - np.arange(0.0, n) / n)))
 

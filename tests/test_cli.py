@@ -435,12 +435,38 @@ def test_main_override_flag_unlocks_a_refused_run(tmp_path):
     assert unlocked == EXIT_OK
 
 
-def test_importing_the_cli_loads_neither_scipy_stats_nor_scipy_signal():
-    # each costs a fresh interpreter most of a second of start-up
+def _fresh_python(code, *args):
+    """Standard output of ``code`` run by a fresh interpreter that imports this ambitlab."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = ("import sys, ambitlab.cli; "
-             "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.signal'))))")
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                          check=True)
-    assert done.stdout.strip() == "[]"
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True)
+    return done.stdout
+
+
+def test_importing_the_cli_loads_no_scipy_module():
+    # scipy.special alone costs a fresh interpreter about a third of a second
+    probe = "import sys, ambitlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    assert _fresh_python(probe).strip() == "[]"
+
+
+def test_a_run_imports_no_module(tmp_path):
+    # numpy loads some submodules on first use; a run that did would time the import
+    probe = """
+import contextlib, io, json, sys
+from ambitlab import cli
+configs = [cli.ExperimentConfig.from_text(text).with_overrides(out=out)
+           for text, out in json.loads(sys.argv[1])]
+problems = [cli.validate(config) for config in configs]
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.run(config) for config in configs]
+print(json.dumps([problems, codes, sorted(set(sys.modules) - before)]))
+"""
+    lln = LLN_TEXT.replace("n = 16, 32", "n = 16")
+    clt = CLT_TEXT.replace("reps = 40", "reps = 8")
+    jobs = [(lln, str(tmp_path / "lln")), (clt, str(tmp_path / "clt"))]
+    problems, codes, loaded = json.loads(_fresh_python(probe, json.dumps(jobs)))
+    assert problems == [[], []]
+    assert codes == [EXIT_OK, EXIT_OK]
+    assert loaded == []

@@ -5,6 +5,7 @@ from scipy.special import gammaln
 
 from ambitlab.gaussian import (
     _he_values,
+    _lgam,
     abs_moment,
     abs_moment_quadrature,
     power_cov_probe,
@@ -24,6 +25,22 @@ def test_abs_moment_examples():
 @pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
 def test_abs_moment_closed_form_vs_quadrature(q):
     assert abs_moment(q) == pytest.approx(abs_moment_quadrature(q), rel=1e-10)
+
+
+def test_log_gamma_equals_scipy_bit_for_bit():
+    # the hermite kind pins alpha_0 ~ 1e-16 = E|X|^p - m_p: an ulp in m_p moves it
+    xs = np.concatenate([np.linspace(0.5, 2000.0, 40001), np.arange(1, 4001) * 0.5,
+                         np.random.default_rng(3).uniform(0.5, 20.0, 4000)])
+    mine = np.array([_lgam(float(x)) for x in xs])
+    differ = xs[mine != gammaln(xs)]
+    assert differ.size == 0, differ[:5]
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
+def test_abs_moment_equals_the_scipy_formula_bit_for_bit(q):
+    scipy_formula = float(np.exp(0.5 * q * np.log(2.0) + gammaln(0.5 * (q + 1.0))
+                                 - 0.5 * np.log(np.pi)))
+    assert abs_moment(q) == scipy_formula
 
 
 @pytest.mark.parametrize("q", [0.0, -1.0, -0.5])

@@ -2,14 +2,16 @@
 
 import re
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from ambitlab import quadrature
 from ambitlab.errors import QuadratureError
 from ambitlab.kernels import SingularWeight, mu_mass
 from ambitlab.quadrature import QuadratureConfig, integrate_pieces, make_pieces
-from ambitlab.regions import HalfPlane
+from ambitlab.regions import HalfPlane, Intersection, band
 from ambitlab.simulate import _G2_QUAD
 
 
@@ -84,3 +86,77 @@ def test_a_non_integrable_job_fails_by_name_beside_a_good_one():
                          labels=["mild", "steep"])
     good = integrate_pieces(_power_integrand(points[:1], alphas[:1]), jobs[:1], QuadratureConfig())
     assert good[0] == pytest.approx(0.8**0.5 / 0.5, rel=1e-8)
+
+
+# Node counts of the default configs (graded 10, adaptive 16, and the counts
+# the quadrature and simulation configs ask for), plus the 24 and 48 of
+# gaussian's tensor rule.
+RULE_SIZES = (10, 14, 16, 18, 20, 24, 28, 48)
+
+
+def _mpmath_rule(nodes):
+    """Gauss-Legendre nodes and weights at 40 digits: Newton on P_n from the cosine guesses."""
+    with mpmath.workdps(40):
+        xs, ws = [], []
+        for i in range(nodes):
+            x = mpmath.cos(mpmath.pi * (i + 0.75) / (nodes + 0.5))
+            while True:
+                p0, p1 = mpmath.mpf(1), x
+                for k in range(1, nodes):
+                    p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+                dp = nodes * (p0 - x * p1) / (1 - x * x)
+                step = p1 / dp
+                x -= step
+                if abs(step) < mpmath.mpf(10) ** -35:
+                    break
+            xs.append(x)
+            ws.append(2 / ((1 - x * x) * dp * dp))
+        return np.array([float(x) for x in xs[::-1]]), np.array([float(w) for w in ws[::-1]])
+
+
+@pytest.mark.parametrize("nodes", RULE_SIZES)
+def test_gauss_legendre_rule_matches_forty_digit_arithmetic(nodes):
+    x, w = quadrature.gl(nodes)
+    x_ref, w_ref = _mpmath_rule(nodes)
+    assert np.max(np.abs(x - x_ref)) <= 2e-16
+    np.testing.assert_allclose(w, w_ref, rtol=2e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("nodes", RULE_SIZES)
+def test_gauss_legendre_rule_matches_scipy(nodes):
+    # scipy's own end weight at 48 nodes is 1.09e-12 away from the 40-digit one
+    rtol = 1.5e-12 if nodes == 48 else 1e-12
+    x, w = quadrature.gl(nodes)
+    x_ref, w_ref = roots_legendre(nodes)
+    np.testing.assert_allclose(x, x_ref, rtol=rtol, atol=0.0)
+    np.testing.assert_allclose(w, w_ref, rtol=rtol, atol=0.0)
+
+
+def test_gauss_legendre_rule_is_symmetric_and_sums_to_two():
+    for nodes in (1, 2, 3, *RULE_SIZES):
+        x, w = quadrature.gl(nodes)
+        np.testing.assert_array_equal(x, -x[::-1])
+        np.testing.assert_array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+        assert abs(w.sum() - 2.0) <= 4e-16
+
+
+# Two singular masses that the engine cannot yet integrate (alpha = 0.6,
+# ell = one, n = 8).  Each must come out between 0 and the mass of its band.
+_SINGULAR = SingularWeight(alpha=0.6)
+
+
+@pytest.mark.xfail(strict=True, raises=QuadratureError,
+                   reason="the lower half's two resolutions disagree by 2e-6 relative")
+def test_singular_mass_of_a_band_cut_by_a_shallow_slant():
+    cut = Intersection((band(0.0, 1.0 / 16.0), HalfPlane(-0.5, 3.0, 0.25)))
+    mass = mu_mass(_SINGULAR, 8, cut)
+    assert 0.0 < mass < mu_mass(_SINGULAR, 8, band(0.0, 1.0 / 16.0))
+
+
+@pytest.mark.xfail(strict=True, raises=QuadratureError,
+                   reason="an edge at t = 8e-86 is graded toward as if it were singular")
+def test_singular_mass_of_a_band_cut_just_above_the_corner():
+    cut = Intersection((band(0.0, 1.0), HalfPlane(0.0, 0.5, 4e-86)))
+    mass = mu_mass(_SINGULAR, 8, cut)
+    assert 0.0 <= mass < mu_mass(_SINGULAR, 8, band(0.0, 1.0))
