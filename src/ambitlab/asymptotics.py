@@ -59,8 +59,7 @@ def admissible_kappa(spec):
     The range is the weight class's ``kappa_range()``: it depends on how fast
     the kernel's singularity spreads mass away from the concentration point,
     and it is empty for the rectangle indicator, whose mass sits on four
-    separated corners.  Grid kernels have no closed-form range (ValueError);
-    probe them empirically with ``assumption2_ratio``.
+    separated corners.
     """
     return kernels.require_weight(spec).kappa_range()
 
@@ -71,10 +70,7 @@ def kappa_refusal(spec, kappa):
     The one gate behind both ``cli.validate`` and the experiment harnesses;
     each caller appends its own override hint.
     """
-    try:
-        rng = admissible_kappa(spec)
-    except ValueError:
-        return "no admissible thinning range is known for this kernel"
+    rng = admissible_kappa(spec)
     if rng.contains(kappa):
         return None
     if rng.empty:

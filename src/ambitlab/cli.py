@@ -39,7 +39,6 @@ variant        keys read besides ``variant``
 uniform        weight.s1, weight.s2, weight.t1, weight.t2, weight.scale
 singular       weight.alpha, weight.ell, weight.scale
 triangle       weight.alpha, weight.ell, weight.scale
-grid           weight.path, weight.scale
 constant       volatility.sigma0
 deterministic  volatility.name
 log_gaussian   volatility.mean, volatility.variance, volatility.smooth_length
@@ -49,9 +48,10 @@ log_gaussian   volatility.mean, volatility.variance, volatility.smooth_length
 under any volatility and the singular weight under constant volatility; any
 other pairing is a violation.  ``p`` and ``n`` are comma-separated powers
 and resolutions; ``kappa`` is the thinning exponent and ``k`` a constant
-thinning count (one only); ``quad.*`` are the kernel-mass quadrature
-tolerances; and ``override_admissibility`` runs even when the thinning
-exponent fails the gate.  Unset keys take the defaults of
+thinning count (one only, at most the smallest n); ``eval_point`` must not
+lie before the first thinned increment k_n/n at any n; ``quad.*`` are the
+kernel-mass quadrature tolerances; and ``override_admissibility`` runs even
+when the thinning exponent fails the gate.  Unset keys take the defaults of
 ``LLNConfig``/``CLTConfig`` and ``QuadratureConfig``; ``simulate`` defaults
 to p = 2 and oversample = 1, and unthinned (k = 1) when neither kappa nor k
 is set, as ``kernel-report`` does.
@@ -336,7 +336,7 @@ def _parse(config):
                 else f"{group}." in row.reads):
             try:
                 settings[group] = build(entries)
-            except (ValueError, TypeError, OSError) as exc:
+            except (ValueError, TypeError) as exc:
                 violations.append(f"{group}: {exc}")
                 continue
             read = names(settings[group])
@@ -351,6 +351,19 @@ def _parse(config):
         if key in settings and len(settings[key]) != 1:
             violations.append(f"{kind} takes a single {_SINGLE[key]}, got "
                               f"{len(settings[key])}")
+    schedule = settings.get("n", [])
+    if "k" in settings and schedule and settings["k"] > min(schedule):
+        violations.append(f"constant thinning k={settings['k']} exceeds the smallest "
+                          f"resolution n={min(schedule)}")
+    if "kappa" in settings and "eval_point" in settings:
+        # clt_experiment keeps increment (i, j) when (i, j) k_n/n lies below
+        # the evaluation point, with this slack; the first is (1, 1)
+        first = {n: thinning_count(n, settings["kappa"]) / n for n in schedule}
+        empty = [f"n={n} (k_n/n = {eps:g})" for n, eps in first.items()
+                 if eps > min(settings["eval_point"]) + 1e-12]
+        if empty:
+            violations.append(f"eval_point {tuple(settings['eval_point'])} excludes every "
+                              f"retained increment at {', '.join(empty)}")
     weight, vol = settings.get("weight"), settings.get("volatility")
     if kind == "asymptotics" and weight is not None and weight.catalog_min_k is None:
         violations.append("region catalogs exist for the corner-singular and cone "
@@ -361,12 +374,6 @@ def _parse(config):
         violations.append(
             f"clt needs an exact increment covariance, which the {weight.variant} weight "
             f"lacks under {entries['volatility.variant']} volatility")
-    if kind == "lln" and weight is not None:
-        try:  # lln_experiment measures against these atoms
-            weight.limit_atoms()
-        except ValueError:
-            violations.append(f"lln needs a closed-form concentration limit, which the "
-                              f"{weight.variant} weight lacks")
 
     refusals = []
     if (row is not _ANY_KIND and "override_admissibility" in row.reads
@@ -602,12 +609,8 @@ def _run_asymptotics(settings):
         else:
             slopes[name] = {"exponent": fit.exponent, "intercept": fit.intercept,
                             "r_squared": fit.r_squared}
-    try:
-        admissible = str(admissible_kappa(weight))
-    except ValueError as exc:
-        admissible = f"unknown ({exc})"
     results = {
-        "admissible_kappa": admissible,
+        "admissible_kappa": str(admissible_kappa(weight)),
         "kappa": kappa,
         "per_n": {str(n): {name: float(v) for name, v in measures[n].items()}
                   for n in schedule},

@@ -18,7 +18,6 @@ Variants
                     square, algebraically singular along the axes' corner.
 ``TriangleWeight``  g(s,t) = t^{-alpha} ell(t) on the cone
                     {(1-t)/2 < s < (1+t)/2}, singular at the apex (1/2, 0).
-``GridWeight``      bilinear interpolation of sampled node values.
 
 Each variant's facts live on its class; the module-level functions and the
 other modules only read them.  The class holds the config name ``variant``
@@ -31,10 +30,9 @@ region ``catalog`` with ``catalog_min_k``, the exact routes
 ``config_names``, ``from_config``).  ``WeightSpec`` holds the defaults for
 the facts a variant lacks.
 
-Integration strategy: never brute-force 2-D quadrature.  Rows of the Uniform,
-Triangle, and Grid kernels have explicit one-dimensional structure (piecewise
-constant, resp. piecewise polynomial, in s for fixed t), so masses reduce to
-an outer 1-D integral of exact row integrals.  The Singular kernel is
+Integration strategy: never brute-force 2-D quadrature.  Rows of the Uniform
+and Triangle kernels are piecewise constant in s for fixed t, so masses reduce
+to an outer 1-D integral of exact row integrals.  The Singular kernel is
 symmetric, h(s,t) = h(t,s), and below the diagonal its only t-dependence sits
 in a single band, so masses reduce to column integrals over the lower
 triangle.  Outer integrals go through the batched engine of
@@ -76,7 +74,6 @@ __all__ = [
     "UniformWeight",
     "SingularWeight",
     "TriangleWeight",
-    "GridWeight",
     "KappaRange",
     "require_weight",
     "eval_g",
@@ -89,8 +86,6 @@ __all__ = [
     "thinning_count",
     "weight_to_config",
     "weight_from_config",
-    "save_grid_csv",
-    "load_grid_csv",
 ]
 
 
@@ -257,40 +252,6 @@ def _row_sections(region, ts, top):
     return np.nonzero(keep)[0], lo[keep], hi[keep]
 
 
-def _mu_rowwise(spec, n, region, quadcfg, piece_nodes):
-    """Integral of h_n^2 over a region for kernels with bounded rows.
-
-    Each row of h_n is a polynomial in s between the sorted s-breakpoints of
-    ``spec._row_breaks``: constant for the rectangle indicator, bilinear for
-    grid kernels.  Every section is cut at those breakpoints and each
-    nonempty piece integrated exactly with ``piece_nodes`` Gauss nodes; one
-    node is the midpoint rule.  The outer t-integral is adaptive.
-    """
-    d = 1.0 / n
-    sbreaks, t_edges = spec._row_breaks(n)
-    sbreaks = np.sort(sbreaks)
-    xi, wi = gl(piece_nodes)
-
-    def rows(ts, deltas, origin, job):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        row, a, b = _row_sections(region, ts, 1.0 + d)
-        a, b = a[:, None], b[:, None]
-        cuts = np.concatenate([a, np.clip(sbreaks, a, b), b], axis=1)
-        lo, hi = cuts[:, :-1], cuts[:, 1:]
-        keep = hi > lo
-        lo, hi, row = lo[keep], hi[keep], np.broadcast_to(row[:, None], keep.shape)[keep]
-        x = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * xi
-        vals = eval_h(spec, n, x.ravel(), np.repeat(ts[row], piece_nodes)) ** 2
-        contrib = 0.5 * (hi - lo) * (vals.reshape(x.shape) @ wi)
-        return np.bincount(row, weights=contrib, minlength=ts.size)
-
-    struct = [(1.0, 0.0, float(sv)) for sv in sbreaks]
-    edges = list(t_edges) + regions.t_breakpoints(region)
-    edges += crossing_edges(region, struct, axis=1)
-    pieces = make_pieces(edges, [], 0.0, 1.0 + d)
-    return integrate_pieces(rows, [pieces], quadcfg, [f"{spec.variant} mass at n={n}"])[0]
-
-
 @dataclass(frozen=True)
 class _ProfileWeight(WeightSpec):
     """The variants built on the profile r^(-alpha) ell(r): singular and cone."""
@@ -353,14 +314,36 @@ class UniformWeight(WeightSpec):
             0.0,
         )
 
-    def _row_breaks(self, n):
-        d = 1.0 / n
-        sb = np.array([self.s1, self.s1 + d, self.s2, self.s2 + d])
-        tb = [self.t1, self.t1 + d, self.t2, self.t2 + d]
-        return sb, tb
-
     def mass(self, n, region, quadcfg):
-        return _mu_rowwise(self, n, region, quadcfg, piece_nodes=1)
+        """Integral of h_n^2 over a region: an outer t-integral of exact row integrals.
+
+        Each row of h_n is constant in s between the sorted breakpoints s1,
+        s1 + 1/n, s2, s2 + 1/n.  Every row section is cut at those breakpoints
+        and each nonempty piece integrated exactly by the one-node Gauss rule,
+        the midpoint rule.  The outer t-integral is adaptive.
+        """
+        d = 1.0 / n
+        sbreaks = np.sort(np.array([self.s1, self.s1 + d, self.s2, self.s2 + d]))
+        xi, wi = gl(1)
+
+        def rows(ts, deltas, origin, job):
+            ts = np.atleast_1d(np.asarray(ts, dtype=float))
+            row, a, b = _row_sections(region, ts, 1.0 + d)
+            a, b = a[:, None], b[:, None]
+            cuts = np.concatenate([a, np.clip(sbreaks, a, b), b], axis=1)
+            lo, hi = cuts[:, :-1], cuts[:, 1:]
+            keep = hi > lo
+            lo, hi, row = lo[keep], hi[keep], np.broadcast_to(row[:, None], keep.shape)[keep]
+            x = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * xi
+            vals = eval_h(self, n, x.ravel(), ts[row]) ** 2
+            contrib = 0.5 * (hi - lo) * (vals.reshape(x.shape) @ wi)
+            return np.bincount(row, weights=contrib, minlength=ts.size)
+
+        struct = [(1.0, 0.0, float(sv)) for sv in sbreaks]
+        edges = [self.t1, self.t1 + d, self.t2, self.t2 + d] + regions.t_breakpoints(region)
+        edges += crossing_edges(region, struct, axis=1)
+        pieces = make_pieces(edges, [], 0.0, 1.0 + d)
+        return integrate_pieces(rows, [pieces], quadcfg, [f"uniform mass at n={n}"])[0]
 
     def corner_cells(self, n):
         """The four corner cells carrying the concentration mass."""
@@ -910,91 +893,7 @@ def _slant_band(b, lo, hi):
     ))
 
 
-@dataclass(frozen=True, eq=False)
-class GridWeight(WeightSpec):
-    """Bilinear interpolation of node samples g(i/M, j/M), zero outside [0,1]^2.
-
-    ``values[i, j]`` is the node value at (i/M, j/M); the array is read-only.
-    Instances hash by identity (the payload is an array), which is what the
-    per-spec caches rely on.
-    """
-
-    values: np.ndarray
-    scale: float = 1.0
-
-    variant = "grid"
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] < 2:
-            raise ValueError(f"grid values must be square (M+1, M+1) with M >= 1, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("grid values must be finite")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        if self.scale <= 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-
-    @property
-    def resolution(self):
-        return self.values.shape[0] - 1
-
-    def evaluate(self, s, t):
-        M = self.resolution
-        inside = (s >= 0.0) & (s <= 1.0) & (t >= 0.0) & (t <= 1.0)
-        out = np.zeros_like(s)
-        si = np.clip(s[inside] * M, 0.0, M)
-        ti = np.clip(t[inside] * M, 0.0, M)
-        i0 = np.minimum(si.astype(int), M - 1)
-        j0 = np.minimum(ti.astype(int), M - 1)
-        fs = si - i0
-        ft = ti - j0
-        v = self.values
-        out[inside] = self.scale * (
-            v[i0, j0] * (1 - fs) * (1 - ft)
-            + v[i0 + 1, j0] * fs * (1 - ft)
-            + v[i0, j0 + 1] * (1 - fs) * ft
-            + v[i0 + 1, j0 + 1] * fs * ft
-        )
-        return out
-
-    def _row_breaks(self, n):
-        d = 1.0 / n
-        M = self.resolution
-        base = np.arange(M + 1) / M
-        sb = np.unique(np.concatenate([base, base + d]))
-        return sb, list(sb)
-
-    def mass(self, n, region, quadcfg):
-        return _mu_rowwise(self, n, region, quadcfg, piece_nodes=5)
-
-    def limit_atoms(self):
-        raise ValueError(
-            "grid-sampled kernels have no closed-form concentration limit; "
-            "probe a candidate with assumption1_probe"
-        )
-
-    def kappa_range(self):
-        raise ValueError(
-            "no closed-form thinning range for grid-sampled kernels; "
-            "probe the window ratio empirically with assumption2_ratio"
-        )
-
-    def config_keys(self):
-        raise ValueError("grid-sampled weights serialize through CSV files; store the path instead")
-
-    def config_names(self):
-        return {"weight.variant", "weight.scale", "weight.path"}
-
-    @classmethod
-    def from_config(cls, mapping, scale):
-        if "weight.path" not in mapping:
-            raise ValueError("missing key weight.path for the grid variant")
-        return cls(values=load_grid_csv(mapping["weight.path"]), scale=scale)
-
-
-_VARIANTS = {cls.variant: cls for cls in (UniformWeight, SingularWeight, TriangleWeight, GridWeight)}
+_VARIANTS = {cls.variant: cls for cls in (UniformWeight, SingularWeight, TriangleWeight)}
 
 
 def require_weight(spec):
@@ -1108,7 +1007,7 @@ def weight_to_config(spec):
 
 
 def weight_from_config(mapping):
-    """Inverse of :func:`weight_to_config`; grid variants load their CSV path."""
+    """Inverse of :func:`weight_to_config`."""
     variant = mapping.get("weight.variant")
     if variant is None:
         raise ValueError("missing key weight.variant")
@@ -1116,30 +1015,3 @@ def weight_from_config(mapping):
     if variant not in _VARIANTS:
         raise ValueError(f"unknown weight variant {variant!r}")
     return _VARIANTS[variant].from_config(mapping, scale)
-
-
-def save_grid_csv(path, values):
-    """Write node samples with the `resolution=M` header line."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise ValueError(f"grid values must be square, got shape {v.shape}")
-    M = v.shape[0] - 1
-    with open(path, "w") as fh:
-        fh.write(f"resolution={M}\n")
-        for row in v:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def load_grid_csv(path):
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("resolution="):
-            raise ValueError(f"grid file {path!r} must start with a resolution=M header")
-        M = int(header.split("=", 1)[1])
-        rows = [[float(x) for x in line.strip().split(",")] for line in fh if line.strip()]
-    v = np.asarray(rows, dtype=float)
-    if v.shape != (M + 1, M + 1):
-        raise ValueError(
-            f"grid file {path!r} declares resolution {M} but carries shape {v.shape}"
-        )
-    return v

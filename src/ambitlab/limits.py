@@ -104,9 +104,7 @@ def limit_pi(spec):
     """Concentration limit of the squared differenced kernel's mass.
 
     The atoms are the weight class's ``limit_atoms()``: one atom makes a
-    ``DiracAt``, several a ``DiracMixture``.  Grid-sampled kernels have no
-    closed-form limit -- probe them with ``asymptotics.assumption1_probe``
-    against a candidate instead.
+    ``DiracAt``, several a ``DiracMixture``.
     """
     atoms = require_weight(spec).limit_atoms()
     if len(atoms) == 1:
@@ -506,10 +504,7 @@ def clt_experiment(config):
     sigma = sample_volatility(vol, config.sigma_resolution, seed=config.seed)
     s_eval, t_eval = config.eval_point
 
-    try:
-        pi = limit_pi(weight)
-    except ValueError:
-        pi = None
+    pi = limit_pi(weight)
     if isinstance(pi, DiracAt):
         asymptotic = clt_variance(sigma, p, pi.point, s_eval, t_eval)
     else:

@@ -15,13 +15,11 @@ from ambitlab.asymptotics import (
     slope_fit,
 )
 from ambitlab.kernels import (
-    GridWeight,
     SingularWeight,
     SlowFunction,
     TriangleWeight,
     UniformWeight,
     compute_cn,
-    eval_g,
 )
 from ambitlab.regions import Rect
 
@@ -69,12 +67,6 @@ def test_rectangle_indicator_range_is_empty_with_reason():
     assert not rng.contains(0.1)
     assert "four separated corner" in rng.note
     assert str(rng) == "empty"
-
-
-def test_grid_kernel_directed_to_empirical_probe():
-    grid = GridWeight(values=np.ones((3, 3)))
-    with pytest.raises(ValueError, match="assumption2_ratio"):
-        admissible_kappa(grid)
 
 
 def test_range_formulas_cross_over_at_one_half():
@@ -285,13 +277,11 @@ def test_window_ratio_frozen_value_and_trend():
     assert inadmissible[0] < inadmissible[1] < inadmissible[2]
 
 
-def test_window_ratio_refuses_a_grid_weight():
-    # a grid-sampled kernel has no single concentration point to build E around
-    xs = np.linspace(0.0, 1.0, 9)
-    vals = eval_g(singular(0.3), *np.meshgrid(xs, xs, indexing="ij"))
-    vals[0, 0] = vals[0, 1]  # clip the corner node the sampler cannot hold
+def test_window_ratio_refuses_a_uniform_weight():
+    # the rectangle indicator concentrates on four corners: no single point
+    # to build E around
     with pytest.raises(ValueError, match="no single concentration point"):
-        assumption2_ratio(GridWeight(values=vals), 16, 0.4)
+        assumption2_ratio(UniformWeight(), 16, 0.4)
 
 
 def test_corner_atom_probe_masses_vanish():

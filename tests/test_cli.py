@@ -5,7 +5,6 @@ import pathlib
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from ambitlab import cli, limits
@@ -20,7 +19,6 @@ from ambitlab.cli import (
     validate,
 )
 from ambitlab.errors import NotPSDError
-from ambitlab.kernels import save_grid_csv
 
 LLN_TEXT = """
 kind = lln
@@ -200,18 +198,42 @@ def test_clt_without_an_exact_covariance_is_a_config_error(tmp_path, text, pairi
 
 
 def test_lln_with_a_grid_weight_is_a_config_error(tmp_path):
-    # lln measures against the closed-form concentration limit a grid lacks
-    grid = tmp_path / "grid.csv"
-    save_grid_csv(grid, np.add.outer(np.linspace(1.0, 0.0, 9), np.linspace(1.0, 0.0, 9)))
     path = tmp_path / "lln.cfg"
-    path.write_text("kind = lln\nweight.variant = grid\nweight.path = {}\n"
-                    "volatility.variant = constant\nn = 8\nk = 1\np = 2\nreps = 2\n"
-                    .format(grid))
+    path.write_text("kind = lln\nweight.variant = grid\n"
+                    "volatility.variant = constant\nn = 8\nk = 1\np = 2\nreps = 2\n")
     assert validate(ExperimentConfig.from_file(path)) == [
-        "lln needs a closed-form concentration limit, which the grid weight lacks"]
+        "weight: unknown weight variant 'grid'"]
     out = tmp_path / "never"
     assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
+
+
+_READS_K = {
+    "lln": LLN_TEXT,
+    "simulate": "kind = simulate\nweight.variant = uniform\nvolatility.variant = constant\n"
+                "n = 16\n",
+    "kernel-report": "kind = kernel-report\nweight.variant = uniform\nn = 16, 32\n",
+}
+
+
+@pytest.mark.parametrize("kind", list(_READS_K))
+def test_a_constant_thinning_past_the_smallest_resolution_is_a_config_error(tmp_path, kind):
+    cfg = _config(_READS_K[kind], k=20)
+    assert validate(cfg) == ["constant thinning k=20 exceeds the smallest resolution n=16"]
+    out = tmp_path / "never"
+    assert run(cfg.with_overrides(out=out)) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_an_eval_point_before_the_first_increment_is_a_config_error(tmp_path):
+    # k_n/n is 4/8 at n = 8 and 13/64 at n = 64
+    cfg = _config(CLT_TEXT, n="8, 64", eval_point="0.3, 0.3")
+    assert validate(cfg) == [
+        "eval_point (0.3, 0.3) excludes every retained increment at n=8 (k_n/n = 0.5)"]
+    out = tmp_path / "never"
+    assert run(cfg.with_overrides(out=out)) == EXIT_CONFIG
+    assert not out.exists()
+    assert validate(_config(CLT_TEXT, n="8, 64", eval_point="0.5, 1")) == []
 
 
 # ------------------------------------------------------------ run: failures

@@ -4,10 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import roots_legendre
 
-from ambitlab import regions
+from ambitlab import kernels, regions
 from ambitlab.errors import QuadratureError
 from ambitlab.kernels import (
-    GridWeight,
+    KappaRange,
     SingularWeight,
     SlowFunction,
     TriangleWeight,
@@ -17,10 +17,8 @@ from ambitlab.kernels import (
     concentration_point,
     eval_g,
     eval_h,
-    load_grid_csv,
     mu_mass,
     near_region,
-    save_grid_csv,
     thinning_count,
     weight_from_config,
     weight_to_config,
@@ -57,16 +55,6 @@ def test_triangle_kernel_lives_on_the_cone():
     assert eval_g(w, 0.3, 0.39) == 0.0
 
 
-def test_grid_kernel_interpolates_bilinearly():
-    vals = np.zeros((3, 3))
-    vals[1, 1] = 4.0  # single interior node at (1/2, 1/2), M = 2
-    w = GridWeight(values=vals)
-    assert eval_g(w, 0.5, 0.5) == 4.0
-    assert eval_g(w, 0.25, 0.5) == 2.0
-    assert eval_g(w, 0.25, 0.25) == 1.0
-    assert eval_g(w, 1.2, 0.5) == 0.0
-
-
 # A coordinate outside [0,1], next to one anywhere on [-2,2], in either order.
 _below = st.floats(-2.0, 0.0, exclude_max=True)
 _above = st.floats(1.0, 2.0, exclude_min=True)
@@ -82,9 +70,8 @@ _off_square = st.tuples(st.one_of(_below, _above), _anywhere, st.booleans()).map
     SingularWeight(alpha=0.75, ell=SlowFunction.from_catalog("one")),
     SingularWeight(alpha=0.3),
     TriangleWeight(alpha=0.6, ell=SlowFunction.from_catalog("one")),
-    GridWeight(values=1.0 + np.random.default_rng(11).random((5, 5))),
 ], ids=["uniform", "uniform-unit-square", "uniform-to-the-edge", "singular-one",
-        "singular", "triangle", "grid"])
+        "singular", "triangle"])
 @given(st.lists(_off_square, min_size=1, max_size=20))
 def test_every_weight_vanishes_off_the_unit_square(spec, points):
     # the lattice simulation's M x M transform drops offsets above 1
@@ -139,17 +126,6 @@ def test_singular_weight_rejects_exponent_outside_unit_interval(alpha):
 def test_triangle_weight_needs_exponent_above_one_half(alpha):
     with pytest.raises(ValueError):
         TriangleWeight(alpha=alpha)
-
-
-def test_grid_weight_demands_square_finite_values():
-    with pytest.raises(ValueError):
-        GridWeight(values=np.ones((3, 4)))
-    with pytest.raises(ValueError):
-        GridWeight(values=np.array([[1.0, np.nan], [1.0, 1.0]]))
-    w = GridWeight(values=np.ones((3, 3)))
-    assert w.resolution == 2
-    with pytest.raises(ValueError):
-        w.values[0, 0] = 2.0  # stored read-only
 
 
 def test_slow_function_catalog_and_validation():
@@ -214,24 +190,17 @@ def test_triangle_total_mass_matches_quadrature_reference(alpha, expect, rtol):
     assert compute_cn(TriangleWeight(alpha=alpha), 8) == pytest.approx(expect, rel=rtol)
 
 
-def test_grid_total_mass_matches_quadrature_reference():
-    vals = 1.0 + np.random.default_rng(7).random((5, 5))
-    w = GridWeight(values=vals)
-    assert compute_cn(w, 8) == pytest.approx(0.14608305315602355, rel=1e-12)
-
-
 @pytest.mark.parametrize(
     "spec",
     [
         SingularWeight(alpha=0.6),
         TriangleWeight(alpha=0.75),
-        GridWeight(values=1.0 + np.random.default_rng(3).random((4, 4))),
     ],
 )
 def test_total_mass_scales_quadratically(spec):
     import dataclasses
 
-    scaled = dataclasses.replace(spec, scale=2.5) if not isinstance(spec, GridWeight) else GridWeight(values=spec.values, scale=2.5)
+    scaled = dataclasses.replace(spec, scale=2.5)
     assert compute_cn(scaled, 8) == pytest.approx(2.5**2 * compute_cn(spec, 8), rel=1e-12)
 
 
@@ -285,7 +254,6 @@ def test_triangle_halfplane_wedge_mass_matches_quadrature_reference():
         (UniformWeight(), 8),
         (SingularWeight(alpha=0.6), 16),
         (TriangleWeight(alpha=0.75), 8),
-        (GridWeight(values=1.0 + np.random.default_rng(5).random((4, 4))), 8),
     ],
 )
 def test_region_and_complement_masses_partition_the_total(spec, n):
@@ -661,33 +629,15 @@ def test_weight_config_rejects_incomplete_mappings():
         weight_from_config({"weight.variant": "banana"})
     with pytest.raises(ValueError):
         weight_from_config({"weight.variant": "singular"})  # no alpha
-    with pytest.raises(ValueError):
-        weight_from_config({"weight.variant": "grid"})  # no path
 
 
-def test_grid_weight_roundtrips_through_csv(tmp_path):
-    vals = np.arange(16.0).reshape(4, 4)
-    path = tmp_path / "weights.csv"
-    save_grid_csv(path, vals)
-    loaded = load_grid_csv(path)
-    np.testing.assert_array_equal(loaded, vals)
-    w = weight_from_config({"weight.variant": "grid", "weight.path": str(path)})
-    assert isinstance(w, GridWeight)
-    np.testing.assert_array_equal(w.values, vals)
+# The exponents each variant needs to build; every other key has a default.
+_VARIANT_KEYS = {"singular": {"weight.alpha": "0.6"}, "triangle": {"weight.alpha": "0.75"}}
 
 
-def test_grid_csv_rejects_malformed_files(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("1.0,2.0\n3.0,4.0\n")
-    with pytest.raises(ValueError):
-        load_grid_csv(bad)
-    mismatched = tmp_path / "mismatched.csv"
-    mismatched.write_text("resolution=5\n1.0,2.0\n3.0,4.0\n")
-    with pytest.raises(ValueError):
-        load_grid_csv(mismatched)
-
-
-def test_grid_weight_is_not_inline_serializable():
-    w = GridWeight(values=np.ones((3, 3)))
-    with pytest.raises(ValueError):
-        weight_to_config(w)
+@pytest.mark.parametrize("variant", sorted(kernels._VARIANTS))
+def test_every_variant_has_closed_form_atoms_and_a_thinning_range(variant):
+    # lln, clt and asymptotics call limit_atoms and kappa_range unguarded
+    spec = weight_from_config({"weight.variant": variant, **_VARIANT_KEYS.get(variant, {})})
+    assert sum(weight for weight, _ in spec.limit_atoms()) == pytest.approx(1.0, abs=1e-12)
+    assert isinstance(spec.kappa_range(), KappaRange)

@@ -1,10 +1,9 @@
 import math
 
-import numpy as np
 import pytest
 
 from ambitlab.errors import AdmissibilityError
-from ambitlab.kernels import GridWeight, SingularWeight, SlowFunction, TriangleWeight, UniformWeight
+from ambitlab.kernels import SingularWeight, SlowFunction, TriangleWeight, UniformWeight
 from ambitlab.limits import (
     CLTConfig,
     DiracAt,
@@ -49,10 +48,7 @@ def test_concentration_points_of_the_closed_form_kernels():
     assert limit_pi(TriangleWeight(alpha=0.75, ell=ONE)).point == (0.5, 0.0)
 
 
-def test_grid_kernel_has_no_closed_form_limit():
-    gw = GridWeight(values=np.ones((4, 4)))
-    with pytest.raises(ValueError, match="assumption1_probe"):
-        limit_pi(gw)
+def test_limit_pi_needs_a_weight_spec():
     with pytest.raises(TypeError, match="not a weight spec"):
         limit_pi("uniform")
 

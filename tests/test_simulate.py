@@ -4,7 +4,6 @@ import pytest
 from ambitlab import simulate
 from ambitlab.errors import QuadratureError
 from ambitlab.kernels import (
-    GridWeight,
     SingularWeight,
     SlowFunction,
     TriangleWeight,
@@ -102,7 +101,6 @@ _WEIGHTS = {
     "uniform": UniformWeight(s1=0.25, s2=1.0, t1=0.0, t2=0.75),
     "singular": SingularWeight(alpha=0.75, ell=_ONE),
     "triangle": TriangleWeight(alpha=0.6, ell=_ONE),
-    "grid": GridWeight(values=1.0 + np.random.default_rng(4).random((6, 6))),
 }
 
 
@@ -136,7 +134,7 @@ def test_a_different_key_builds_its_own_plan(spec, n, M):
 
 
 def test_cached_plan_arrays_are_read_only():
-    spectrum, checks = simulate._lattice_plan(_WEIGHTS["grid"], 4, 16)
+    spectrum, checks = simulate._lattice_plan(_WEIGHTS["uniform"], 4, 16)
     assert spectrum.shape == (16, 9)
     assert [point for point, _ in checks] == [(0, 0), (2, 2), (4, 4)]
     for arr in [spectrum] + [g for _, g in checks]:

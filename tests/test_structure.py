@@ -28,17 +28,16 @@ import pathlib
 import re
 import sys
 
-import numpy as np
 import pytest
 
-from ambitlab import cli
-from ambitlab.kernels import save_grid_csv
+from ambitlab import cli, kernels
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ambitlab"
 MODULES = sorted(SRC.glob("*.py"))
 TESTS = SRC.parents[1] / "tests"
 READERS = (SRC, TESTS, SRC.parents[1] / "perfbench")
-WEIGHT_CLASSES = {"UniformWeight", "SingularWeight", "TriangleWeight", "GridWeight"}
+# every class kernels registers as a variant, so a new one is guarded too
+WEIGHT_CLASSES = {cls.__name__ for cls in kernels._VARIANTS.values()}
 
 
 def _tree(path):
@@ -176,15 +175,10 @@ ORACLES = {
     "gaussian.abs_moment_quadrature":
         "test_gaussian.py::test_abs_moment_closed_form_vs_quadrature",
     "gaussian.power_cov_probe": "test_gaussian.py::test_power_cov_probe_matches_hermite_series",
-    "kernels.WeightSpec.window": "test_asymptotics.py::test_window_ratio_refuses_a_grid_weight",
+    "kernels.WeightSpec.window": "test_asymptotics.py::test_window_ratio_refuses_a_uniform_weight",
     "kernels.UniformWeight.lattice_autocorrelation":
         "test_simulate.py::test_strips_engine_agrees_with_stationary_engine",
-    "kernels.GridWeight.limit_atoms": "test_limits.py::test_grid_kernel_has_no_closed_form_limit",
-    "kernels.GridWeight.kappa_range":
-        "test_asymptotics.py::test_grid_kernel_directed_to_empirical_probe",
-    "kernels.GridWeight.config_keys": "test_kernels.py::test_grid_weight_is_not_inline_serializable",
     "kernels.weight_to_config": "test_kernels.py::test_weight_config_roundtrip",
-    "kernels.save_grid_csv": "test_kernels.py::test_grid_weight_roundtrips_through_csv",
     "regions.Difference": "test_regions.py::test_mass_is_additive_across_a_half_plane_cut",
     "variation.power_variation": "test_variation.py::test_field_matches_pointwise_statistic",
     "volatility.SigmaField.midpoints":
@@ -206,7 +200,6 @@ REACH_CONFIGS = (
     "kind = hermite\np = 1, 2\n",
     "kind = kernel-report\nn = 8, 16\nkappa = 0.4\n" + _UNIFORM,
     "kind = kernel-report\nn = 8\n" + _SINGULAR,
-    "kind = kernel-report\nn = 8\nweight.variant = grid\nweight.path = {grid}\n",
     "kind = lln\nn = 8, 16\nk = 2\np = 2\nreps = 2\n" + _UNIFORM + _SINE,
     "kind = lln\nn = 8\nkappa = 0.4\np = 1, 2\nreps = 2\n" + _SINGULAR + _CONSTANT,
     "kind = lln\nn = 8\nk = 1\np = 2\nreps = 2\n" + _UNIFORM + _LOG_GAUSSIAN,
@@ -215,8 +208,7 @@ REACH_CONFIGS = (
     "kind = asymptotics\nn = 4, 8, 16\nkappa = 0.4\n" + _SINGULAR,
     "kind = asymptotics\nn = 4\nkappa = 0.05\n" + _TRIANGLE,
     "kind = simulate\nn = 8\n" + _TRIANGLE + _SINE,
-    "kind = simulate\nn = 8\nk = 2\np = 1\nweight.variant = grid\n"
-    "weight.path = {grid}\n" + _LOG_GAUSSIAN,
+    "kind = simulate\nn = 8\nk = 2\np = 1\n" + _UNIFORM + _LOG_GAUSSIAN,
 )
 
 
@@ -249,9 +241,6 @@ def test_every_public_function_is_run_by_the_cli_or_is_a_test_reference(tmp_path
         for obj in vars(module).values():
             if callable(getattr(obj, "cache_clear", None)):
                 obj.cache_clear()
-    grid = tmp_path / "grid.csv"
-    save_grid_csv(grid, np.add.outer(np.linspace(1.0, 0.0, 5), np.linspace(1.0, 0.0, 5)) / 2)
-
     entered = set()
 
     def record(frame, event, arg):
@@ -261,7 +250,7 @@ def test_every_public_function_is_run_by_the_cli_or_is_a_test_reference(tmp_path
     statuses = []
     for i, text in enumerate(REACH_CONFIGS):
         path = tmp_path / f"{i}.cfg"
-        path.write_text(text.format(grid=grid))
+        path.write_text(text)
         argv = ["--config", str(path), "--out", str(tmp_path / f"out{i}")]
         if cli.validate(cli.ExperimentConfig.from_file(path)):
             argv.append("--override-admissibility")
