@@ -17,7 +17,8 @@ fresh kernel value stands alone, and edge bands ``B1``..``B4`` where shifted
 copies overlap or cancel.  Each band's mass decays polynomially in n with a
 known exponent, and the admissible thinning exponents fall out of comparing
 those rates.  This module builds the catalogs, measures the regions, fits
-the decay slopes, and reports the admissible thinning ranges.
+the decay slopes, and gates thinning exponents on each weight's admissible
+range.
 """
 
 import math
@@ -27,15 +28,12 @@ import numpy as np
 
 from . import kernels
 from .errors import QuadratureError
-from .kernels import KappaRange
 from .regions import Rect, Union
 
 __all__ = [
     "PROBE_RADII",
-    "KappaRange",
     "RegionCatalog",
     "SlopeFit",
-    "admissible_kappa",
     "assumption1_probe",
     "assumption2_ratio",
     "kappa_refusal",
@@ -53,24 +51,15 @@ PROBE_RADII = (0.2, 0.1, 0.05)
 # admissible thinning ranges
 # ---------------------------------------------------------------------------
 
-def admissible_kappa(spec):
-    """Thinning exponents for which both hypotheses are known to hold.
-
-    The range is the weight class's ``kappa_range()``: it depends on how fast
-    the kernel's singularity spreads mass away from the concentration point,
-    and it is empty for the rectangle indicator, whose mass sits on four
-    separated corners.
-    """
-    return kernels.require_weight(spec).kappa_range()
-
-
 def kappa_refusal(spec, kappa):
     """Why kappa fails the admissibility gate for this kernel; None if it passes.
 
-    The one gate behind both ``cli.validate`` and the experiment harnesses;
-    each caller appends its own override hint.
+    The gate is the weight's ``kappa_range()``, the thinning exponents for
+    which both hypotheses are known to hold.  It is the one gate behind both
+    ``cli.validate`` and the experiment harnesses; each caller appends its
+    own override hint.
     """
-    rng = admissible_kappa(spec)
+    rng = kernels.require_weight(spec).kappa_range()
     if rng.contains(kappa):
         return None
     if rng.empty:
@@ -120,7 +109,7 @@ def region_catalog(spec, n, kappa):
     if n < 2:
         raise ValueError(f"lattice resolution must be >= 2, got {n}")
     k = kernels.thinning_count(n, kappa)
-    if kernels.require_weight(spec).catalog_min_k is None:
+    if not kernels.require_weight(spec).has_catalog:
         raise ValueError(
             "region catalogs exist for the corner-singular and cone kernels only; "
             f"got {type(spec).__name__}"
@@ -233,17 +222,17 @@ def assumption2_ratio(spec, n, kappa, quadcfg=None):
     return float((1.0 - inside) / eps**2)
 
 
-def assumption1_probe(spec, n_schedule, pi, quadcfg=None):
+def assumption1_probe(spec, n_schedule, atoms, quadcfg=None):
     """Concentration mass escaping shrinking balls around the target atoms.
 
-    ``pi`` is any object with an ``atoms`` attribute listing (weight, (x, y))
-    pairs -- the purely atomic candidate limit.  For each n in the schedule
-    and each radius in ``PROBE_RADII``, reports the concentration mass outside
-    the union of radius-r sup-norm balls around the atoms.  Masses tending to
-    zero for every radius support weak convergence to the candidate; an atom
-    placed outside the kernel's support leaves the mass near 1 instead.
+    ``atoms`` is a tuple of (weight, (x, y)) pairs -- the purely atomic
+    candidate limit, as ``WeightSpec.limit_atoms()`` gives it, or any other
+    candidate to test against.  For each n in the schedule and each radius
+    in ``PROBE_RADII``, reports the concentration mass outside the union of
+    radius-r sup-norm balls around the atoms.  Masses tending to zero for
+    every radius support weak convergence to the candidate; an atom placed
+    outside the kernel's support leaves the mass near 1 instead.
     """
-    atoms = tuple(pi.atoms)
     if not atoms:
         raise ValueError("the candidate limit has no atoms")
     for w, point in atoms:

@@ -81,7 +81,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .asymptotics import (
-    admissible_kappa,
     assumption2_ratio,
     kappa_refusal,
     region_catalog,
@@ -94,8 +93,8 @@ from .gaussian import abs_moment, up_hermite_coeffs
 from .kernels import (
     compute_cn,
     concentration_mass,
-    concentration_point,
     near_region,
+    require_weight,
     thinning_count,
     weight_from_config,
 )
@@ -365,7 +364,7 @@ def _parse(config):
             violations.append(f"eval_point {tuple(settings['eval_point'])} excludes every "
                               f"retained increment at {', '.join(empty)}")
     weight, vol = settings.get("weight"), settings.get("volatility")
-    if kind == "asymptotics" and weight is not None and weight.catalog_min_k is None:
+    if kind == "asymptotics" and weight is not None and not weight.has_catalog:
         violations.append("region catalogs exist for the corner-singular and cone "
                           "kernels only")
     if (kind == "clt" and weight is not None and vol is not None and not weight.has_strips
@@ -515,7 +514,7 @@ def _run_kernel_report(settings):
         row = {"c_n": float(cn), "k": int(k), "eps": k / n}
         for name, cell in weight.corner_cells(n).items():
             row[name] = float(concentration_mass(weight, n, cell, quad))
-        if concentration_point(weight) is not None:
+        if weight.concentration_point is not None:
             row["near_mass"] = float(concentration_mass(
                 weight, n, near_region(weight, k / n), quad))
         per_n[str(n)] = row
@@ -610,7 +609,7 @@ def _run_asymptotics(settings):
             slopes[name] = {"exponent": fit.exponent, "intercept": fit.intercept,
                             "r_squared": fit.r_squared}
     results = {
-        "admissible_kappa": str(admissible_kappa(weight)),
+        "admissible_kappa": str(require_weight(weight).kappa_range()),
         "kappa": kappa,
         "per_n": {str(n): {name: float(v) for name, v in measures[n].items()}
                   for n in schedule},

@@ -24,7 +24,7 @@ other modules only read them.  The class holds the config name ``variant``
 (the registry key), ``evaluate`` and the mass reduction ``mass``, the
 concentration geometry (``concentration_point``, ``window``,
 ``corner_cells``, ``limit_atoms``), the admissible ``kappa_range``, the
-region ``catalog`` with ``catalog_min_k``, the exact routes
+region ``catalog`` where ``has_catalog``, the exact routes
 (``signed_strips`` where ``has_strips``, ``lattice_autocorrelation`` where
 ``has_autocorrelation``) and the config keys (``config_keys``,
 ``config_names``, ``from_config``).  ``WeightSpec`` holds the defaults for
@@ -81,7 +81,6 @@ __all__ = [
     "compute_cn",
     "mu_mass",
     "concentration_mass",
-    "concentration_point",
     "near_region",
     "thinning_count",
     "weight_to_config",
@@ -118,57 +117,32 @@ _ELL_CATALOG = {
 }
 
 
-_SCAN_POINTS = 4096  # grid on which SlowFunction.validate checks the declared flags
-
-
 @dataclass(frozen=True)
 class SlowFunction:
-    """A named slowly-varying factor on [0, 1] with declared boundary flags.
+    """A named slowly-varying factor on [0, 1] and its boundary flags.
 
-    The flags are declarations; ``validate()`` (run on construction) scans a
-    dense grid and rejects declarations the catalog closure contradicts.
-    ``derivative1_zero`` marks the optional extra smoothness at 1 that widens
-    the admissible thinning range; it is off for the default factor 1 - s.
+    ``name`` picks the factor from the catalog, which also fixes the flags:
+    whether it is nonzero at 0 and zero at 1, a bound on its slope, and
+    ``derivative1_zero``, the optional extra smoothness at 1 that widens the
+    admissible thinning range (off for the default factor 1 - s).  The flags
+    stay fields so that the weight's repr, which ``field.csv`` headers carry,
+    lists them.
     """
 
     name: str = "one_minus_s"
-    ell0_nonzero: bool = True
-    ell1_zero: bool = True
-    derivative_bound: float = 1.0
-    derivative1_zero: bool = False
+    ell0_nonzero: bool = field(init=False)
+    ell1_zero: bool = field(init=False)
+    derivative_bound: float = field(init=False)
+    derivative1_zero: bool = field(init=False)
 
     def __post_init__(self):
         if self.name not in _ELL_CATALOG:
             raise ValueError(f"unknown slow-function name {self.name!r}; catalog: {sorted(_ELL_CATALOG)}")
-        self.validate()
-
-    @classmethod
-    def from_catalog(cls, name):
-        if name not in _ELL_CATALOG:
-            raise ValueError(f"unknown slow-function name {name!r}; catalog: {sorted(_ELL_CATALOG)}")
-        return cls(name=name, **_ELL_CATALOG[name][1])
+        for flag, value in _ELL_CATALOG[self.name][1].items():
+            object.__setattr__(self, flag, value)
 
     def __call__(self, x):
         return _ELL_CATALOG[self.name][0](x)
-
-    def validate(self):
-        x = np.linspace(1.0 / _SCAN_POINTS, 1.0 - 1.0 / _SCAN_POINTS, _SCAN_POINTS)
-        vals = np.asarray(self(x), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"slow function {self.name!r} is not finite on (0,1)")
-        slope = np.max(np.abs(np.diff(vals) / np.diff(x)))
-        if slope > self.derivative_bound * (1.0 + 1e-6) + 1e-9:
-            raise ValueError(
-                f"declared derivative bound {self.derivative_bound} violated by "
-                f"{self.name!r} (observed slope {slope:.6g})"
-            )
-        if self.ell0_nonzero and abs(vals[0]) < 1e-6:
-            raise ValueError(f"{self.name!r} declared nonvanishing at 0 but evaluates to ~0")
-        if self.ell1_zero and abs(vals[-1]) > 1e-2:
-            raise ValueError(f"{self.name!r} declared vanishing at 1 but evaluates to {vals[-1]:.4g}")
-        if not self.ell1_zero and abs(vals[-1]) < 1e-6:
-            raise ValueError(f"{self.name!r} declared nonvanishing at 1 but evaluates to ~0")
-
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +193,7 @@ class WeightSpec:
 
     variant = None               # config name and registry key
     concentration_point = None   # single limit point of pi_n, if any
-    catalog_min_k = None         # smallest thinning count catalog() needs;
-                                 # None: the variant has no region catalog
+    has_catalog = False          # catalog() exists
     has_strips = False           # signed_strips() exists
     has_autocorrelation = False  # lattice_autocorrelation() exists
 
@@ -283,7 +256,7 @@ class _ProfileWeight(WeightSpec):
     def from_config(cls, mapping, scale):
         if "weight.alpha" not in mapping:
             raise ValueError(f"missing key weight.alpha for the {cls.variant} variant")
-        ell = SlowFunction.from_catalog(mapping.get("weight.ell", "one_minus_s"))
+        ell = SlowFunction(mapping.get("weight.ell", "one_minus_s"))
         return cls(alpha=float(mapping["weight.alpha"]), ell=ell, scale=scale)
 
 
@@ -429,7 +402,7 @@ class SingularWeight(_ProfileWeight):
 
     variant = "singular"
     concentration_point = (0.0, 0.0)
-    catalog_min_k = 2
+    has_catalog = True
     has_autocorrelation = True
 
     def __post_init__(self):
@@ -752,8 +725,7 @@ class TriangleWeight(_ProfileWeight):
 
     variant = "triangle"
     concentration_point = (0.5, 0.0)
-    # the edge-band anatomy needs the window taller than the sliver stack
-    catalog_min_k = 4
+    has_catalog = True
 
     def __post_init__(self):
         if not 0.5 < self.alpha < 1.0:
@@ -981,11 +953,6 @@ def concentration_mass(spec, n, region, quadcfg=None):
 # ---------------------------------------------------------------------------
 # concentration geometry
 # ---------------------------------------------------------------------------
-
-def concentration_point(spec):
-    """Limit point of the concentration measures, when there is a single one."""
-    return require_weight(spec).concentration_point
-
 
 def near_region(spec, eps):
     """The shrinking neighborhood E carrying the concentration mass."""

@@ -43,80 +43,16 @@ from .volatility import ConstantVol, LogGaussianVol, sample_volatility
 
 __all__ = [
     "CLTConfig",
-    "DiracAt",
-    "DiracMixture",
     "LLNConfig",
     "MonteCarloReport",
     "clt_experiment",
     "clt_variance",
-    "limit_pi",
     "lln_experiment",
     "save_report_csv",
     "sigma_functional",
 ]
 
 _REDRAW_STREAM = 4  # substream tag: per-replication volatility re-draw roots
-
-
-# ---------------------------------------------------------------------------
-# concentration limits
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DiracAt:
-    """Point mass at z0 = (s0, t0)."""
-
-    point: tuple
-
-    def __post_init__(self):
-        pt = tuple(float(x) for x in self.point)
-        if len(pt) != 2 or not all(math.isfinite(x) for x in pt):
-            raise ValueError(f"point mass needs a finite planar location, got {self.point!r}")
-        object.__setattr__(self, "point", pt)
-
-    @property
-    def atoms(self):
-        return ((1.0, self.point),)
-
-
-@dataclass(frozen=True)
-class DiracMixture:
-    """Finitely many point masses given as (weight, (x, y)) pairs."""
-
-    atoms: tuple
-
-    def __post_init__(self):
-        try:
-            atoms = tuple((float(w), (float(x), float(y))) for w, (x, y) in self.atoms)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"atoms must be (weight, (x, y)) pairs: {exc}") from exc
-        if not atoms:
-            raise ValueError("a mixture needs at least one atom")
-        weights = [w for w, _ in atoms]
-        if any(not (w > 0.0 and math.isfinite(w)) for w in weights):
-            raise ValueError(f"atom weights must be positive and finite, got {weights}")
-        if abs(sum(weights) - 1.0) > 1e-12:
-            raise ValueError(f"atom weights must sum to 1, got {sum(weights)!r}")
-        object.__setattr__(self, "atoms", atoms)
-
-
-def limit_pi(spec):
-    """Concentration limit of the squared differenced kernel's mass.
-
-    The atoms are the weight class's ``limit_atoms()``: one atom makes a
-    ``DiracAt``, several a ``DiracMixture``.
-    """
-    atoms = require_weight(spec).limit_atoms()
-    if len(atoms) == 1:
-        return DiracAt(point=atoms[0][1])
-    return DiracMixture(atoms=atoms)
-
-
-def _pi_atoms(pi):
-    atoms = getattr(pi, "atoms", None)
-    if atoms is None:
-        raise TypeError(f"not a concentration limit (needs .atoms): {pi!r}")
-    return tuple(atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -177,20 +113,21 @@ def _functional_on_grid(sigma, p, atoms, s_list, t_list):
     return wu @ F @ wv.T
 
 
-def sigma_functional(sigma, p, pi, s, t):
+def sigma_functional(sigma, p, atoms, s, t):
     """Limit of the scaled variation per unit m_p: Sigma^(p,pi) at (s, t).
 
-    Integrates (integral of sigma^2(u-xi, v-tau) against pi)^(p/2) over
-    [0,s] x [0,t], reading the realized grid cell-constantly -- the same
-    reading the simulation path uses, so comparisons are apples to apples.
-    For a point mass at (s0, t0) this is the plain integral of sigma^p over
+    ``atoms`` is the concentration limit pi as a tuple of (weight, (xi, tau))
+    pairs, the form ``WeightSpec.limit_atoms()`` returns.  Integrates
+    (integral of sigma^2(u-xi, v-tau) against pi)^(p/2) over [0,s] x [0,t],
+    reading the realized grid cell-constantly -- the same reading the
+    simulation path uses, so comparisons are apples to apples.  For a unit
+    atom at (s0, t0) this is the plain integral of sigma^p over
     [-s0, s-s0] x [-t0, t-t0].
     """
     if not (p > 0.0 and math.isfinite(p)):
         raise ValueError(f"power must be positive, got {p}")
     if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
         raise ValueError(f"evaluation point ({s}, {t}) outside the unit square")
-    atoms = _pi_atoms(pi)
     _check_shifted_domain(atoms, s, t)
     if s == 0.0 or t == 0.0:
         return 0.0
@@ -204,7 +141,7 @@ def clt_variance(sigma, p, z0, s, t):
     by z0; monotone nondecreasing in s and t since the integrand is positive.
     """
     spread = abs_moment(2.0 * p) - abs_moment(p) ** 2
-    return spread * sigma_functional(sigma, 2.0 * p, DiracAt(point=tuple(z0)), s, t)
+    return spread * sigma_functional(sigma, 2.0 * p, ((1.0, z0),), s, t)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +311,7 @@ def lln_experiment(config):
             flags=tuple(flags),
         )
 
-    atoms = limit_pi(weight).atoms
+    atoms = require_weight(weight).limit_atoms()
     grid = [i / config.grid_size for i in range(1, config.grid_size + 1)]
     redraw = isinstance(vol, LogGaussianVol)
     exact_mean_path = isinstance(vol, ConstantVol) or weight.has_strips
@@ -504,9 +441,8 @@ def clt_experiment(config):
     sigma = sample_volatility(vol, config.sigma_resolution, seed=config.seed)
     s_eval, t_eval = config.eval_point
 
-    pi = limit_pi(weight)
-    if isinstance(pi, DiracAt):
-        asymptotic = clt_variance(sigma, p, pi.point, s_eval, t_eval)
+    if weight.concentration_point is not None:
+        asymptotic = clt_variance(sigma, p, weight.concentration_point, s_eval, t_eval)
     else:
         asymptotic = None
         flags.append(

@@ -117,9 +117,17 @@ def _lattice_plan(spec, n, M):
     The spectrum is of g at the offsets ((2j+1)/M, (2l+1)/M), j, l < M/2,
     padded to M x M.  Each spot check pairs a lattice point with g at its
     offsets from every noise-cell midpoint, evaluated apart from the table.
+    A table that is zero throughout (a support between the midpoints) would
+    simulate the field as identically 0, so it raises QuadratureError.
     """
     offs = (2.0 * np.arange(M // 2) + 1.0) / M
-    spectrum = np.fft.rfft2(eval_g(spec, offs[:, None], offs[None, :]), (M, M))
+    table = eval_g(spec, offs[:, None], offs[None, :])
+    if not np.any(table):
+        raise QuadratureError(
+            f"the kernel is zero at every noise-cell midpoint offset at n={n}, M={M}, "
+            "so the simulated field would be identically 0; raise oversample")
+    spectrum = np.fft.rfft2(table, (M, M))
+    del table  # peak memory: not held while the spot-check kernels are built
     mid = _midpoints(M)
     checks = tuple(
         ((i, j), eval_g(spec, i / n - mid[:, None], j / n - mid[None, :]))

@@ -1,12 +1,10 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ambitlab.asymptotics import (
     PROBE_RADII,
-    admissible_kappa,
     assumption1_probe,
     assumption2_ratio,
     region_catalog,
@@ -25,17 +23,17 @@ from ambitlab.regions import Rect
 
 
 def singular(alpha, ell="one_minus_s"):
-    return SingularWeight(alpha=alpha, ell=SlowFunction.from_catalog(ell))
+    return SingularWeight(alpha=alpha, ell=SlowFunction(ell))
 
 
 def triangle(alpha, ell="one_minus_s"):
-    return TriangleWeight(alpha=alpha, ell=SlowFunction.from_catalog(ell))
+    return TriangleWeight(alpha=alpha, ell=SlowFunction(ell))
 
 
 # ------------------------------------------------------ admissible exponents
 
 def test_small_alpha_range_is_closed_at_alpha():
-    rng = admissible_kappa(singular(0.25))
+    rng = singular(0.25).kappa_range()
     assert rng.upper == 0.25
     assert rng.upper_inclusive
     assert rng.contains(0.25)
@@ -46,7 +44,7 @@ def test_small_alpha_range_is_closed_at_alpha():
 
 
 def test_large_alpha_range_is_open():
-    rng = admissible_kappa(singular(0.75))
+    rng = singular(0.75).kappa_range()
     np.testing.assert_allclose(rng.upper, 2.5 / 4.5, rtol=1e-15)
     assert not rng.upper_inclusive
     assert rng.contains(0.5555)
@@ -54,7 +52,7 @@ def test_large_alpha_range_is_open():
 
 
 def test_cone_range():
-    rng = admissible_kappa(triangle(0.75))
+    rng = triangle(0.75).kappa_range()
     np.testing.assert_allclose(rng.upper, 0.5 / 2.5, rtol=1e-15)
     assert not rng.upper_inclusive
     assert rng.contains(0.15)
@@ -62,7 +60,7 @@ def test_cone_range():
 
 
 def test_rectangle_indicator_range_is_empty_with_reason():
-    rng = admissible_kappa(UniformWeight())
+    rng = UniformWeight().kappa_range()
     assert rng.empty
     assert not rng.contains(0.1)
     assert "four separated corner" in rng.note
@@ -84,8 +82,8 @@ def test_range_formulas_cross_over_at_one_half():
 
 
 def test_range_is_continuous_across_the_switch():
-    below = admissible_kappa(singular(0.5 - 1e-9))
-    at = admissible_kappa(singular(0.5))
+    below = singular(0.5 - 1e-9).kappa_range()
+    at = singular(0.5).kappa_range()
     np.testing.assert_allclose(below.upper, at.upper, atol=2e-9)
     assert below.upper_inclusive and not at.upper_inclusive
 
@@ -285,12 +283,8 @@ def test_window_ratio_refuses_a_uniform_weight():
 
 
 def test_corner_atom_probe_masses_vanish():
-    w = UniformWeight()
-    corners = SimpleNamespace(atoms=(
-        (0.25, (0.25, 0.25)), (0.25, (0.25, 0.75)),
-        (0.25, (0.75, 0.25)), (0.25, (0.75, 0.75)),
-    ))
-    out = assumption1_probe(w, (16, 64), corners)
+    w = UniformWeight()  # atoms at the corners (0.25 or 0.75, 0.25 or 0.75)
+    out = assumption1_probe(w, (16, 64), w.limit_atoms())
     assert set(out) == {16, 64}
     assert set(out[16]) == set(PROBE_RADII)
     # at n=16 the corner cells have side 1/16 and the 0.05-balls cover a
@@ -301,8 +295,8 @@ def test_corner_atom_probe_masses_vanish():
 
 
 def test_point_mass_probe_decays_for_the_corner_kernel():
-    out = assumption1_probe(
-        singular(0.75), (16, 64), SimpleNamespace(atoms=((1.0, (0.0, 0.0)),)))
+    w = singular(0.75)
+    out = assumption1_probe(w, (16, 64), w.limit_atoms())
     np.testing.assert_allclose(out[16][0.05], 0.6636056332396907, rtol=1e-9)
     np.testing.assert_allclose(out[64][0.05], 0.005389345957913849, rtol=1e-9)
     for r in PROBE_RADII:
@@ -311,7 +305,7 @@ def test_point_mass_probe_decays_for_the_corner_kernel():
 
 def test_probe_atom_off_the_support_is_a_negative_control():
     out = assumption1_probe(
-        UniformWeight(), (64,), SimpleNamespace(atoms=((1.0, (0.02, 0.5)),)))
+        UniformWeight(), (64,), ((1.0, (0.02, 0.5)),))
     for r in PROBE_RADII:
         np.testing.assert_allclose(out[64][r], 1.0, atol=1e-12)
 
@@ -319,11 +313,11 @@ def test_probe_atom_off_the_support_is_a_negative_control():
 def test_probe_validates_atoms():
     w = UniformWeight()
     with pytest.raises(ValueError, match="no atoms"):
-        assumption1_probe(w, (16,), SimpleNamespace(atoms=()))
+        assumption1_probe(w, (16,), ())
     with pytest.raises(ValueError, match="weights must be positive"):
-        assumption1_probe(w, (16,), SimpleNamespace(atoms=((0.0, (0.5, 0.5)),)))
+        assumption1_probe(w, (16,), ((0.0, (0.5, 0.5)),))
     with pytest.raises(ValueError, match="planar points"):
-        assumption1_probe(w, (16,), SimpleNamespace(atoms=((1.0, (0.5, 0.5, 0.5)),)))
+        assumption1_probe(w, (16,), ((1.0, (0.5, 0.5, 0.5)),))
 
 
 # ------------------------------------------------------------------ exports

@@ -282,6 +282,17 @@ def test_indefinite_covariance_is_a_numerical_exit(tmp_path, monkeypatch):
     assert not (out / "report.json").exists()
 
 
+def test_a_window_narrower_than_a_noise_cell_is_a_numerical_exit(tmp_path, capsys):
+    # at n = 8 and oversample 1 no noise-cell midpoint offset lies in [0.5, 0.52]:
+    # the simulated field would be identically 0
+    out = tmp_path / "narrow"
+    cfg = _config(LLN_TEXT, n="8", out=str(out), **{"weight.s1": "0.5", "weight.s2": "0.52"})
+    assert run(cfg) == EXIT_NUMERICAL
+    assert list(out.iterdir()) == []
+    err = capsys.readouterr().err
+    assert "at n=8, M=16" in err and "raise oversample" in err
+
+
 # ------------------------------------------------------------- run: reports
 
 def test_run_builds_the_weight_and_the_volatility_once(tmp_path, monkeypatch):
@@ -317,10 +328,12 @@ def test_hermite_report_carries_the_rank_two_signature(tmp_path):
 
 def test_lln_with_a_window_narrower_than_a_cell_runs(tmp_path):
     # the s-strips are 0.02 wide, narrower than a cell, so c_n = 4 * (s2 - s1) * (1/n);
-    # the run divides by it
+    # the run divides by it.  At oversample 4 the noise-cell midpoint offset 33/64
+    # lies in the window (at oversample 1 none does, and the run is refused)
     path = tmp_path / "narrow.cfg"
     path.write_text("kind = lln\nweight.variant = uniform\nweight.s1 = 0.5\nweight.s2 = 0.52\n"
-                    "volatility.variant = constant\nn = 8\nk = 1\np = 2\nreps = 2\n")
+                    "volatility.variant = constant\nn = 8\nk = 1\np = 2\nreps = 2\n"
+                    "oversample = 4\n")
     out = tmp_path / "narrow"
     assert main(["--config", str(path), "--out", str(out)]) == EXIT_OK
     report = json.loads((out / "report.json").read_text())

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,7 +16,6 @@ from ambitlab.kernels import (
     UniformWeight,
     compute_cn,
     concentration_mass,
-    concentration_point,
     eval_g,
     eval_h,
     mu_mass,
@@ -38,7 +39,7 @@ def test_uniform_kernel_is_plain_indicator():
 
 
 def test_singular_kernel_uses_coordinate_maximum():
-    w = SingularWeight(alpha=0.5, ell=SlowFunction.from_catalog("one"))
+    w = SingularWeight(alpha=0.5, ell=SlowFunction("one"))
     # max(0.04, 0.01) = 0.04 -> 0.04^(-1/2) = 5
     assert eval_g(w, 0.04, 0.01) == pytest.approx(5.0, rel=1e-14)
     assert eval_g(w, 0.01, 0.04) == pytest.approx(5.0, rel=1e-14)
@@ -48,7 +49,7 @@ def test_singular_kernel_uses_coordinate_maximum():
 
 
 def test_triangle_kernel_lives_on_the_cone():
-    w = TriangleWeight(alpha=0.75, ell=SlowFunction.from_catalog("one"))
+    w = TriangleWeight(alpha=0.75, ell=SlowFunction("one"))
     assert eval_g(w, 0.5, 0.5) == pytest.approx(0.5 ** -0.75, rel=1e-14)
     assert eval_g(w, 0.8, 0.5) == 0.0  # |2s-1| = 0.6 >= t
     assert eval_g(w, 0.3, 0.5) == pytest.approx(0.5 ** -0.75, rel=1e-14)
@@ -67,9 +68,9 @@ _off_square = st.tuples(st.one_of(_below, _above), _anywhere, st.booleans()).map
     UniformWeight(),
     UniformWeight(s1=0.0, s2=1.0, t1=0.0, t2=1.0),
     UniformWeight(s1=0.5, s2=1.0, t1=0.25, t2=1.0, scale=3.0),
-    SingularWeight(alpha=0.75, ell=SlowFunction.from_catalog("one")),
+    SingularWeight(alpha=0.75, ell=SlowFunction("one")),
     SingularWeight(alpha=0.3),
-    TriangleWeight(alpha=0.6, ell=SlowFunction.from_catalog("one")),
+    TriangleWeight(alpha=0.6, ell=SlowFunction("one")),
 ], ids=["uniform", "uniform-unit-square", "uniform-to-the-edge", "singular-one",
         "singular", "triangle"])
 @given(st.lists(_off_square, min_size=1, max_size=20))
@@ -129,16 +130,36 @@ def test_triangle_weight_needs_exponent_above_one_half(alpha):
 
 
 def test_slow_function_catalog_and_validation():
-    ell = SlowFunction.from_catalog("smooth_cutoff")
+    ell = SlowFunction("smooth_cutoff")
     assert ell(0.5) == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        SlowFunction.from_catalog("no_such_factor")
-    # declaring the flat factor as vanishing at 1 contradicts its values
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown slow-function name"):
+        SlowFunction("no_such_factor")
+    # the flags come from the catalog: none can be declared
+    with pytest.raises(TypeError):
         SlowFunction(name="one", ell1_zero=True)
-    # declared slope bound smaller than the actual slope
-    with pytest.raises(ValueError):
-        SlowFunction(name="cos_quarter", derivative_bound=0.1)
+    assert SlowFunction() == SlowFunction("one_minus_s")
+
+
+def test_slow_function_repr_lists_the_catalog_flags():
+    # field.csv headers carry the weight repr, and with it this one
+    assert repr(SlowFunction("one")) == (
+        "SlowFunction(name='one', ell0_nonzero=True, ell1_zero=False, "
+        "derivative_bound=0.0, derivative1_zero=True)")
+
+
+_SCAN = np.linspace(1.0 / 4096, 1.0 - 1.0 / 4096, 4096)
+
+
+@pytest.mark.parametrize("name", sorted(kernels._ELL_CATALOG))
+def test_catalog_flags_hold_for_the_factor_values(name):
+    ell = SlowFunction(name)
+    vals = np.asarray(ell(_SCAN), dtype=float)
+    assert np.all(np.isfinite(vals))
+    slopes = np.abs(np.diff(vals) / np.diff(_SCAN))
+    assert np.max(slopes) <= ell.derivative_bound * (1.0 + 1e-6) + 1e-9
+    assert abs(vals[0]) >= 1e-6 if ell.ell0_nonzero else abs(vals[0]) < 1e-6
+    assert abs(vals[-1]) <= 1e-2 if ell.ell1_zero else abs(vals[-1]) >= 1e-6
+    assert (slopes[-1] < 1e-2) == ell.derivative1_zero
 
 
 # ---------------------------------------------------------------- total masses
@@ -229,7 +250,7 @@ def test_singular_cut_just_past_the_corner_lies_between_its_neighbours(ell, belo
     # {s - t < 0.01} cuts the column piece (0.01, 1/n) next to the s^(1 - 2 alpha)
     # singularity at 0; grading that piece toward 1/n used to fail the
     # two-resolution check there
-    w = SingularWeight(alpha=0.6, ell=SlowFunction.from_catalog(ell))
+    w = SingularWeight(alpha=0.6, ell=SlowFunction(ell))
     low, mid, high = (mu_mass(w, 8, HalfPlane(1.0, -1.0, c)) for c in (0.0, 0.01, 0.02))
     assert low == pytest.approx(below, rel=1e-5)
     assert high == pytest.approx(above, rel=1e-5)
@@ -416,7 +437,7 @@ def _column_nodes(n, rng):
 @pytest.mark.parametrize("ell", ["one", "one_minus_s", "smooth_cutoff"])
 @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.75])
 def test_batched_column_matches_the_scalar_definition(alpha, ell):
-    spec = SingularWeight(alpha=alpha, ell=SlowFunction.from_catalog(ell))
+    spec = SingularWeight(alpha=alpha, ell=SlowFunction(ell))
     rng = np.random.default_rng(int(alpha * 100))
     for n in (8, 32, 256):
         d = 1.0 / n
@@ -521,7 +542,7 @@ def _row_nodes(n, rng):
 @pytest.mark.parametrize("ell", ["one", "one_minus_s"])
 @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
 def test_array_cone_rows_match_the_scalar_definition(alpha, ell):
-    spec = TriangleWeight(alpha=alpha, ell=SlowFunction.from_catalog(ell))
+    spec = TriangleWeight(alpha=alpha, ell=SlowFunction(ell))
     rng = np.random.default_rng(int(alpha * 100))
     for n in (8, 64):
         d = 1.0 / n
@@ -571,9 +592,9 @@ def test_transpose_invariant_regions_integrate_one_half(monkeypatch):
 # ---------------------------------------------------------------- concentration geometry
 
 def test_concentration_points_per_variant():
-    assert concentration_point(SingularWeight(alpha=0.3)) == (0.0, 0.0)
-    assert concentration_point(TriangleWeight(alpha=0.75)) == (0.5, 0.0)
-    assert concentration_point(UniformWeight()) is None
+    assert SingularWeight(alpha=0.3).concentration_point == (0.0, 0.0)
+    assert TriangleWeight(alpha=0.75).concentration_point == (0.5, 0.0)
+    assert UniformWeight().concentration_point is None
 
 
 def test_near_region_shapes():
@@ -614,8 +635,8 @@ def test_thinning_count_rejects_bad_resolution():
         UniformWeight(),
         UniformWeight(s1=0.1, s2=0.9, t1=0.2, t2=0.8, scale=2.0),
         SingularWeight(alpha=0.3),
-        SingularWeight(alpha=0.75, ell=SlowFunction.from_catalog("smooth_cutoff"), scale=0.5),
-        TriangleWeight(alpha=0.8, ell=SlowFunction.from_catalog("one")),
+        SingularWeight(alpha=0.75, ell=SlowFunction("smooth_cutoff"), scale=0.5),
+        TriangleWeight(alpha=0.8, ell=SlowFunction("one")),
     ],
 )
 def test_weight_config_roundtrip(spec):
@@ -639,5 +660,12 @@ _VARIANT_KEYS = {"singular": {"weight.alpha": "0.6"}, "triangle": {"weight.alpha
 def test_every_variant_has_closed_form_atoms_and_a_thinning_range(variant):
     # lln, clt and asymptotics call limit_atoms and kappa_range unguarded
     spec = weight_from_config({"weight.variant": variant, **_VARIANT_KEYS.get(variant, {})})
-    assert sum(weight for weight, _ in spec.limit_atoms()) == pytest.approx(1.0, abs=1e-12)
+    atoms = spec.limit_atoms()
+    assert atoms
+    for weight, point in atoms:
+        assert math.isfinite(weight) and weight > 0.0
+        assert len(point) == 2 and all(math.isfinite(x) for x in point)
+    assert sum(weight for weight, _ in atoms) == pytest.approx(1.0, abs=1e-12)
+    if spec.concentration_point is not None:  # clt_experiment's single atom
+        assert atoms == ((1.0, spec.concentration_point),)
     assert isinstance(spec.kappa_range(), KappaRange)

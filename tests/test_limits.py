@@ -6,13 +6,10 @@ from ambitlab.errors import AdmissibilityError
 from ambitlab.kernels import SingularWeight, SlowFunction, TriangleWeight, UniformWeight
 from ambitlab.limits import (
     CLTConfig,
-    DiracAt,
-    DiracMixture,
     LLNConfig,
     MonteCarloReport,
     clt_experiment,
     clt_variance,
-    limit_pi,
     lln_experiment,
     report_to_dict,
     save_report_csv,
@@ -26,7 +23,7 @@ from ambitlab.volatility import (
     sample_volatility,
 )
 
-ONE = SlowFunction.from_catalog("one")
+ONE = SlowFunction("one")
 
 
 def singular(alpha):
@@ -36,47 +33,29 @@ def singular(alpha):
 # --------------------------------------------------------- point-mass limits
 
 def test_uniform_limit_splits_mass_over_the_window_corners():
-    pi = limit_pi(UniformWeight(s1=0.1, s2=0.6, t1=0.2, t2=0.9))
-    assert pi.atoms == (
+    assert UniformWeight(s1=0.1, s2=0.6, t1=0.2, t2=0.9).limit_atoms() == (
         (0.25, (0.1, 0.2)), (0.25, (0.1, 0.9)),
         (0.25, (0.6, 0.2)), (0.25, (0.6, 0.9)),
     )
 
 
 def test_concentration_points_of_the_closed_form_kernels():
-    assert limit_pi(singular(0.75)).point == (0.0, 0.0)
-    assert limit_pi(TriangleWeight(alpha=0.75, ell=ONE)).point == (0.5, 0.0)
+    assert singular(0.75).limit_atoms() == ((1.0, (0.0, 0.0)),)
+    assert TriangleWeight(alpha=0.75, ell=ONE).limit_atoms() == ((1.0, (0.5, 0.0)),)
 
 
-def test_limit_pi_needs_a_weight_spec():
+def test_lln_experiment_needs_a_weight_spec():
+    config = LLNConfig(weight="uniform", volatility=ConstantVol(), n_schedule=(8,), k=1, reps=1)
     with pytest.raises(TypeError, match="not a weight spec"):
-        limit_pi("uniform")
-
-
-def test_point_mass_wraps_a_single_unit_atom():
-    at = DiracAt(point=(0.5, 0.25))
-    assert at.atoms == ((1.0, (0.5, 0.25)),)
-    with pytest.raises(ValueError, match="planar"):
-        DiracAt(point=(0.5,))
-    with pytest.raises(ValueError, match="planar"):
-        DiracAt(point=(math.nan, 0.0))
-
-
-def test_mixture_rejects_malformed_atom_lists():
-    with pytest.raises(ValueError, match="sum to 1"):
-        DiracMixture(atoms=((0.5, (0.0, 0.0)), (0.4, (1.0, 1.0))))
-    with pytest.raises(ValueError, match="positive"):
-        DiracMixture(atoms=((-0.2, (0.0, 0.0)), (1.2, (1.0, 1.0))))
-    with pytest.raises(ValueError, match="at least one atom"):
-        DiracMixture(atoms=())
+        lln_experiment(config)
 
 
 # ------------------------------------------------------------ the functional
 
-QUARTERS = DiracMixture(atoms=(
+QUARTERS = (
     (0.25, (0.25, 0.25)), (0.25, (0.25, 0.75)),
     (0.25, (0.75, 0.25)), (0.25, (0.75, 0.75)),
-))
+)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
@@ -91,7 +70,7 @@ def test_constant_volatility_forgets_the_limit_measure():
     # functional cannot depend on where the atoms sit
     sig = sample_volatility(ConstantVol(sigma0=1.0), 64, seed=0)
     a = sigma_functional(sig, 2.0, QUARTERS, 1.0, 1.0)
-    b = sigma_functional(sig, 2.0, DiracAt(point=(0.25, 0.5)), 1.0, 1.0)
+    b = sigma_functional(sig, 2.0, ((1.0, (0.25, 0.5)),), 1.0, 1.0)
     assert a == b == pytest.approx(1.0, rel=1e-14)
 
 
@@ -103,7 +82,7 @@ def test_mixture_at_p_two_matches_the_shifted_integral_sum():
     got = sigma_functional(sig, 2.0, QUARTERS, 0.8, 0.6)
     oracle = sum(
         w * integrated_power(sig, 2.0, (-xi, 0.8 - xi, -tau, 0.6 - tau))
-        for w, (xi, tau) in QUARTERS.atoms
+        for w, (xi, tau) in QUARTERS
     )
     assert got == pytest.approx(oracle, rel=1e-12)
     assert got == pytest.approx(0.5634139601600087, rel=1e-9)
@@ -111,11 +90,11 @@ def test_mixture_at_p_two_matches_the_shifted_integral_sum():
 
 def test_uneven_mixture_at_p_two_keeps_the_linearity():
     sig = sample_volatility(LogGaussianVol(), 64, seed=7)
-    mix = DiracMixture(atoms=((0.7, (0.1, 0.2)), (0.3, (0.5, 0.4))))
+    mix = ((0.7, (0.1, 0.2)), (0.3, (0.5, 0.4)))
     got = sigma_functional(sig, 2.0, mix, 0.9, 0.9)
     oracle = sum(
         w * integrated_power(sig, 2.0, (-xi, 0.9 - xi, -tau, 0.9 - tau))
-        for w, (xi, tau) in mix.atoms
+        for w, (xi, tau) in mix
     )
     assert got == pytest.approx(oracle, rel=1e-12)
     assert got == pytest.approx(1.4361445875028944, rel=1e-9)
@@ -123,7 +102,7 @@ def test_uneven_mixture_at_p_two_keeps_the_linearity():
 
 def test_single_atom_reduces_to_a_shifted_power_integral():
     sig = sample_volatility(LogGaussianVol(), 64, seed=7)
-    got = sigma_functional(sig, 3.0, DiracAt(point=(0.25, 0.5)), 0.8, 0.6)
+    got = sigma_functional(sig, 3.0, ((1.0, (0.25, 0.5)),), 0.8, 0.6)
     oracle = integrated_power(sig, 3.0, (-0.25, 0.55, -0.5, 0.1))
     assert got == pytest.approx(oracle, rel=1e-12)
     assert got == pytest.approx(1.4361965286176854, rel=1e-9)
@@ -138,13 +117,11 @@ def test_degenerate_windows_carry_no_mass():
 def test_functional_rejects_bad_arguments():
     sig = sample_volatility(ConstantVol(), 16, seed=0)
     with pytest.raises(ValueError, match="escapes the sampled square"):
-        sigma_functional(sig, 2.0, DiracAt(point=(-0.5, 0.0)), 1.0, 1.0)
+        sigma_functional(sig, 2.0, ((1.0, (-0.5, 0.0)),), 1.0, 1.0)
     with pytest.raises(ValueError, match="power must be positive"):
         sigma_functional(sig, 0.0, QUARTERS, 0.5, 0.5)
     with pytest.raises(ValueError, match="outside the unit square"):
         sigma_functional(sig, 2.0, QUARTERS, 1.2, 0.5)
-    with pytest.raises(TypeError, match="needs .atoms"):
-        sigma_functional(sig, 2.0, (0.0, 0.0), 0.5, 0.5)
 
 
 # -------------------------------------------------------- fluctuation target

@@ -96,7 +96,7 @@ def test_simulate_variance_at_center_matches_window_area():
     assert abs(second - 0.25) < 5 * 0.25 * np.sqrt(2 / reps)
 
 
-_ONE = SlowFunction.from_catalog("one")
+_ONE = SlowFunction("one")
 _WEIGHTS = {
     "uniform": UniformWeight(s1=0.25, s2=1.0, t1=0.0, t2=0.75),
     "singular": SingularWeight(alpha=0.75, ell=_ONE),
@@ -303,7 +303,7 @@ def test_covariance_rejects_unsupported_combinations():
         increment_covariance(SingularWeight(alpha=0.75), sine, 8, 4)
     with pytest.raises(ValueError, match="antiderivative"):
         increment_covariance(
-            SingularWeight(alpha=0.75, ell=SlowFunction.from_catalog("cos_quarter")),
+            SingularWeight(alpha=0.75, ell=SlowFunction("cos_quarter")),
             const,
             8,
             4,

@@ -3,6 +3,7 @@
 Read with ``ast`` only:
 
 * no module imports another module's private name;
+* every name in a module's ``__all__`` is defined in that module;
 * only ``kernels`` knows the concrete weight classes: everyone else reads a
   variant's facts off the instance;
 * every imported name is used (a name listed in ``__all__`` counts), in the
@@ -76,6 +77,20 @@ def test_no_private_name_is_imported_across_modules(path):
                 and node.value.id in modules and node.attr.startswith("_")):
             bad.append(f"line {node.lineno}: uses {node.value.id}.{node.attr}")
     assert not bad, bad
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_exported_name_is_defined_in_its_module(path):
+    tree = _tree(path)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            defined.add(node.target.id)
+    assert sorted(_exported(tree) - defined) == []
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "kernels.py"],
