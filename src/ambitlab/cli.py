@@ -42,6 +42,7 @@ triangle       weight.alpha, weight.ell, weight.scale
 constant       volatility.sigma0
 deterministic  volatility.name
 log_gaussian   volatility.mean, volatility.variance, volatility.smooth_length
+               (at most 1, so the smoothing bump fits every grid)
 =============  ==============================================================
 
 ``clt`` also needs an exact increment covariance: the uniform weight has one
@@ -110,7 +111,6 @@ from .quadrature import QuadratureConfig
 from .simulate import increments, save_field_csv, simulate_lattice
 from .variation import save_variation_csv, scaled_power_variation, variation_field
 from .volatility import (
-    ConstantVol,
     sample_volatility,
     save_sigma_csv,
     vol_from_config,
@@ -368,7 +368,7 @@ def _parse(config):
         violations.append("region catalogs exist for the corner-singular and cone "
                           "kernels only")
     if (kind == "clt" and weight is not None and vol is not None and not weight.has_strips
-            and not (isinstance(vol, ConstantVol) and weight.has_autocorrelation)):
+            and not (vol.constant and weight.has_autocorrelation)):
         # the same routes increment_covariance takes
         violations.append(
             f"clt needs an exact increment covariance, which the {weight.variant} weight "

@@ -17,10 +17,6 @@ class AdmissibilityError(ValueError):
     and no explicit override was requested."""
 
 
-class ConfigError(ValueError):
-    """Raised for malformed experiment configuration input."""
-
-
 class NotPSDError(ValueError):
     """Raised when a covariance matrix has an eigenvalue below its negative
     floor, so no Gaussian vector can have it as covariance."""

@@ -109,11 +109,12 @@ def _ell_smooth_cutoff(x):
     return (1.0 - np.asarray(x, dtype=float)) ** 2
 
 
+# name -> (factor, its polynomial coefficients c_j of x^j or None, flags)
 _ELL_CATALOG = {
-    "one_minus_s": (_ell_one_minus_s, dict(ell0_nonzero=True, ell1_zero=True, derivative_bound=1.0, derivative1_zero=False)),
-    "one": (_ell_one, dict(ell0_nonzero=True, ell1_zero=False, derivative_bound=0.0, derivative1_zero=True)),
-    "cos_quarter": (_ell_cos_quarter, dict(ell0_nonzero=True, ell1_zero=True, derivative_bound=0.5 * np.pi, derivative1_zero=False)),
-    "smooth_cutoff": (_ell_smooth_cutoff, dict(ell0_nonzero=True, ell1_zero=True, derivative_bound=2.0, derivative1_zero=True)),
+    "one_minus_s": (_ell_one_minus_s, (1.0, -1.0), dict(ell0_nonzero=True, ell1_zero=True, derivative_bound=1.0, derivative1_zero=False)),
+    "one": (_ell_one, (1.0,), dict(ell0_nonzero=True, ell1_zero=False, derivative_bound=0.0, derivative1_zero=True)),
+    "cos_quarter": (_ell_cos_quarter, None, dict(ell0_nonzero=True, ell1_zero=True, derivative_bound=0.5 * np.pi, derivative1_zero=False)),
+    "smooth_cutoff": (_ell_smooth_cutoff, (1.0, -2.0, 1.0), dict(ell0_nonzero=True, ell1_zero=True, derivative_bound=2.0, derivative1_zero=True)),
 }
 
 
@@ -138,7 +139,7 @@ class SlowFunction:
     def __post_init__(self):
         if self.name not in _ELL_CATALOG:
             raise ValueError(f"unknown slow-function name {self.name!r}; catalog: {sorted(_ELL_CATALOG)}")
-        for flag, value in _ELL_CATALOG[self.name][1].items():
+        for flag, value in _ELL_CATALOG[self.name][2].items():
             object.__setattr__(self, flag, value)
 
     def __call__(self, x):
@@ -582,22 +583,19 @@ class SingularWeight(_ProfileWeight):
     def _profile_antiderivative(self):
         """Stable increment y -> F(y + w) - F(y) of the antiderivative F = int f.
 
-        Only slow factors whose profile integrates to a finite power sum admit
-        one; anything else raises ValueError and the caller falls back to the
+        Only polynomial slow factors sum_j c_j x^j admit one: the profile then
+        integrates to the power sum sum_j c_j x^(j+1-alpha) / (j+1-alpha).
+        Anything else raises ValueError and the caller falls back to the
         simulation route.
         """
         al, sc, name = self.alpha, self.scale, self.ell.name
-        if name == "one":
-            coef = [(1.0, 1.0 - al)]
-        elif name == "one_minus_s":
-            coef = [(1.0, 1.0 - al), (-1.0, 2.0 - al)]
-        elif name == "smooth_cutoff":
-            coef = [(1.0, 1.0 - al), (-2.0, 2.0 - al), (1.0, 3.0 - al)]
-        else:
+        poly = _ELL_CATALOG[name][1]
+        if poly is None:
             raise ValueError(
                 f"exact covariance needs a closed-form antiderivative; slow factor "
                 f"{name!r} has none (use the simulation route instead)"
             )
+        coef = [(c, j + 1.0 - al) for j, c in enumerate(poly)]
 
         def fdiff(y, w):
             """F(y + w) - F(y) for y >= 0, zero where w <= 0.

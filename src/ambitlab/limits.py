@@ -39,7 +39,7 @@ from .simulate import (
     simulate_lattice,
 )
 from .variation import expected_scaled_pv, scaled_power_variation, variation_field
-from .volatility import ConstantVol, LogGaussianVol, sample_volatility
+from .volatility import sample_volatility
 
 __all__ = [
     "CLTConfig",
@@ -99,10 +99,9 @@ def _functional_on_grid(sigma, p, atoms, s_list, t_list):
     """Sigma^(p,pi) at every (s_i, t_j) of a rectangular evaluation grid."""
     s_max, t_max = max(s_list), max(t_list)
     _check_shifted_domain(atoms, s_max, t_max)
-    vals0 = sigma.values
-    if np.all(vals0 == vals0.flat[0]):
+    if sigma.is_constant:
         # a probability measure integrates a constant to that constant
-        base = float(vals0.flat[0]) ** p
+        base = float(sigma.values.flat[0]) ** p
         return base * np.outer(s_list, t_list)
     cu, cv, mix = _mixture_cell_table(sigma, atoms, s_max, t_max)
     F = mix ** (0.5 * p)
@@ -313,13 +312,17 @@ def lln_experiment(config):
 
     atoms = require_weight(weight).limit_atoms()
     grid = [i / config.grid_size for i in range(1, config.grid_size + 1)]
-    redraw = isinstance(vol, LogGaussianVol)
-    exact_mean_path = isinstance(vol, ConstantVol) or weight.has_strips
-    per_rep_mean_path = exact_mean_path and not redraw
-    if exact_mean_path and redraw:
+    exact_mean_path = vol.constant or weight.has_strips
+    per_rep_mean_path = exact_mean_path and not vol.redrawn
+    if exact_mean_path and vol.redrawn:
         flags.append(
             "mean/stochastic split skipped: volatility re-draws per replication "
             "make the exact conditional expectation quadratic in the lattice"
+        )
+    elif not exact_mean_path:
+        flags.append(
+            f"mean/stochastic split skipped: the {weight.variant} weight has no exact "
+            f"conditional expectation under {vol.variant} volatility"
         )
 
     per_n = {}
@@ -330,7 +333,7 @@ def lln_experiment(config):
         eps = k / n
         cn = compute_cn(weight, n)
         M = 2 * n * config.oversample
-        sigma_shared = None if redraw else sample_volatility(vol, M, seed=config.seed)
+        sigma_shared = None if vol.redrawn else sample_volatility(vol, M, seed=config.seed)
 
         targets_shared = {}
         mean_field_shared = {}
@@ -348,7 +351,7 @@ def lln_experiment(config):
         stoch_part = {p: [] for p in config.p_values}
         raw_v = {p: [] for p in config.p_values}
         for rep in range(config.reps):
-            if redraw:
+            if vol.redrawn:
                 sigma = sample_volatility(vol, M, seed=_redraw_seed(config.seed, rep))
             else:
                 sigma = sigma_shared

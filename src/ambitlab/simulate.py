@@ -28,7 +28,7 @@ import numpy as np
 from .errors import NotPSDError, QuadratureError
 from .kernels import compute_cn, eval_g
 from .quadrature import QuadratureConfig
-from .volatility import rect_integral, squared_prefix_integral
+from .volatility import midpoints, rect_integral, squared_prefix_integral
 
 __all__ = [
     "NoiseGrid",
@@ -103,11 +103,6 @@ class LatticeField:
         self.values.setflags(write=False)
 
 
-def _midpoints(M):
-    """Midpoints of the M noise cells per axis of [-1,1]."""
-    return -1.0 + (2.0 * np.arange(M) + 1.0) / M
-
-
 # lln_experiment runs every replication of one n before the next n, so one
 # entry serves all of them, and a finished n's arrays are released.
 @lru_cache(maxsize=1)
@@ -128,7 +123,7 @@ def _lattice_plan(spec, n, M):
             "so the simulated field would be identically 0; raise oversample")
     spectrum = np.fft.rfft2(table, (M, M))
     del table  # peak memory: not held while the spot-check kernels are built
-    mid = _midpoints(M)
+    mid = midpoints(M)
     checks = tuple(
         ((i, j), eval_g(spec, i / n - mid[:, None], j / n - mid[None, :]))
         for i, j in sorted({(0, 0), (n // 2, n // 2), (n, n)}))
@@ -172,7 +167,7 @@ def simulate_lattice(spec, sigma, n, M, seed=0, rep=0):
     if sigma.resolution == M:
         sig = sigma.values
     else:
-        mid = _midpoints(M)
+        mid = midpoints(M)
         sig = sigma.at(mid[:, None], mid[None, :])
     weighted = sig * noise.values
 
@@ -339,7 +334,6 @@ def increment_covariance(spec, sigma, n, k, cap=32):
     idx = np.indices((m, m)).reshape(2, -1).T + 1  # row-major (i, j)
     cn = compute_cn(spec, n)
 
-    constant_sigma = np.all(sigma.values == sigma.values.flat[0])
     if spec.has_strips:
         strips = spec.signed_strips(n, eps, idx)
         pref = squared_prefix_integral(sigma)
@@ -361,7 +355,7 @@ def increment_covariance(spec, sigma, n, k, cap=32):
         mat = np.zeros((len(idx), len(idx)))
         mat[a, b] = mat[b, a] = spec.scale**2 * acc
         engine = "uniform-strips"
-    elif constant_sigma:
+    elif sigma.is_constant:
         s0sq = float(sigma.values.flat[0]) ** 2
         gam = _stationary_gamma(spec, n, k, m, _G2_QUAD)
         di = idx[:, None, 0] - idx[None, :, 0]

@@ -168,7 +168,7 @@ def expected_scaled_pv(spec, sigma, n, k, p, s, t):
     if ci == 0 or cj == 0:
         return 0.0
     mp = abs_moment(p)
-    if np.all(sigma.values == sigma.values.flat[0]):
+    if sigma.is_constant:
         sigma0 = float(sigma.values.flat[0])
         return mp * sigma0**p * eps**2 * ci * cj
     if spec.has_strips:

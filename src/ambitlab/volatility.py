@@ -1,26 +1,29 @@
 """Volatility fields on [-1,1]^2 and integrated powers of their realizations.
 
 Three models: a constant, a named deterministic closure, and a smoothed
-log-Gaussian draw.  Realizations are cell-midpoint grids that stay immutable
-once sampled; the random stream is derived from the caller's seed with a
-substream tag reserved for volatility, so fields never share randomness with
-the driving noise.
+log-Gaussian draw.  Each variant's facts live on its class, and the other
+modules only read them: the config name ``variant`` (the registry key), the
+flags ``constant`` and ``redrawn``, and ``realize``, its checked grid.
+Realizations are cell-midpoint grids that stay immutable once sampled; the
+random stream is derived from the caller's seed with a substream tag
+reserved for volatility, so fields never share randomness with the driving
+noise.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError
-
 __all__ = [
+    "VolatilityModel",
     "ConstantVol",
     "DeterministicVol",
     "LogGaussianVol",
     "SigmaField",
+    "midpoints",
     "sample_volatility",
     "integrated_power",
     "squared_prefix_integral",
@@ -31,6 +34,11 @@ __all__ = [
 ]
 
 _VOL_STREAM = 1  # substream tag: volatility draws (driving noise uses its own)
+
+
+def midpoints(m):
+    """Midpoints of the m cells per axis of [-1,1]."""
+    return -1.0 + (2.0 * np.arange(m) + 1.0) / m
 
 
 def _sine_product(u, v):
@@ -53,9 +61,55 @@ _DET_CATALOG = {
 }
 
 
+def _check_continuity(grid, bound):
+    """Continuity tripwire: adjacent cells must not jump past the model's modulus."""
+    jump = max(np.abs(np.diff(grid, axis=axis)).max() for axis in (0, 1))
+    if jump > bound:
+        raise ValueError(
+            f"realized volatility violates its continuity modulus: "
+            f"max adjacent jump {jump:.3e} > declared {bound:.3e}"
+        )
+
+
+def _bump_kernel(radius_cells):
+    """Quartic bump weights on integer offsets, unit Euclidean norm."""
+    r = max(int(np.ceil(radius_cells - 1e-12)) - 1, 0)
+    off = np.arange(-r, r + 1, dtype=float)
+    rr = np.hypot(off[:, None], off[None, :]) / radius_cells
+    w = np.where(rr < 1.0, (1.0 - rr**2) ** 2, 0.0)
+    return w / np.sqrt(np.sum(w * w))
+
+
+class VolatilityModel:
+    """Base of the volatility variants: the defaults for facts a variant lacks.
+
+    A variant is a frozen dataclass whose fields are its parameters, each
+    read from the config key ``volatility.<field>``.  It also defines
+    ``realize(m, seed)``: its m x m grid at the cell midpoints, checked
+    against its continuity bound.
+    """
+
+    variant = None    # config name and registry key
+    constant = False  # every realization is one constant grid
+    redrawn = False   # random: each replication draws its own realization
+
+    def config_keys(self):
+        """``volatility.<field>`` -> value as text, for every parameter."""
+        return {f"volatility.{f.name}": str(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_config(cls, mapping):
+        """Rebuild from ``volatility.*`` keys; an unset key keeps its default."""
+        return cls(**{f.name: type(f.default)(mapping[f"volatility.{f.name}"])
+                      for f in fields(cls) if f"volatility.{f.name}" in mapping})
+
+
 @dataclass(frozen=True)
-class ConstantVol:
+class ConstantVol(VolatilityModel):
     """Constant field sigma(u, v) = sigma0."""
+
+    variant = "constant"
+    constant = True
 
     sigma0: float = 1.0
 
@@ -63,10 +117,18 @@ class ConstantVol:
         if not (self.sigma0 > 0.0 and np.isfinite(self.sigma0)):
             raise ValueError(f"constant volatility must be positive, got {self.sigma0}")
 
+    def realize(self, m, seed):
+        """sigma0 in every cell: adjacent cells may not differ at all."""
+        vals = np.full((m, m), self.sigma0)
+        _check_continuity(vals, 1e-12)
+        return vals
+
 
 @dataclass(frozen=True)
-class DeterministicVol:
+class DeterministicVol(VolatilityModel):
     """Catalog closure selected by name; see keys of the module catalog."""
+
+    variant = "deterministic"
 
     name: str = "sine_product"
 
@@ -80,13 +142,25 @@ class DeterministicVol:
     def __call__(self, u, v):
         return _DET_CATALOG[self.name][0](u, v)
 
+    def realize(self, m, seed):
+        """The closure at the cell midpoints: adjacent cells differ by at most
+        its Lipschitz bound times the cell pitch 2/m."""
+        u = midpoints(m)
+        vals = self(u[:, None], u[None, :])
+        _check_continuity(vals, _DET_CATALOG[self.name][1] * (2.0 / m) * (1.0 + 1e-6) + 1e-12)
+        return vals
+
 
 @dataclass(frozen=True)
-class LogGaussianVol:
+class LogGaussianVol(VolatilityModel):
     """exp of a stationary Gaussian field: i.i.d. grid draws convolved with a
     compact bump of the given radius (domain units), rescaled to unit pointwise
-    variance before applying mean/variance.
+    variance before applying mean/variance.  The radius is at most 1, half the
+    width of the domain, so the bump fits the grid at every resolution.
     """
+
+    variant = "log_gaussian"
+    redrawn = True
 
     mean: float = 0.0
     variance: float = 0.25
@@ -95,18 +169,43 @@ class LogGaussianVol:
     def __post_init__(self):
         if not (self.variance > 0.0 and np.isfinite(self.variance)):
             raise ValueError(f"log-field variance must be positive, got {self.variance}")
-        if not (self.smooth_length > 0.0 and np.isfinite(self.smooth_length)):
+        if not 0.0 < self.smooth_length <= 1.0:
             raise ValueError(
-                f"smoothing length must be positive, got {self.smooth_length}"
+                f"smoothing length must lie in (0, 1], got {self.smooth_length}"
             )
+
+    def realize(self, m, seed):
+        """Draw an i.i.d. standard-normal grid from the volatility substream of
+        ``seed``, convolve it (periodically) with the unit-norm bump so every
+        point keeps exactly unit variance, then shift, scale and exponentiate.
+
+        The log-field's adjacent increments are Gaussian with the bump's
+        lag-one correlation; ten standard deviations clears any honest draw.
+        """
+        bump = _bump_kernel(max(self.smooth_length * m / 2.0, 1.0))
+        rng = np.random.default_rng(np.random.SeedSequence((int(seed), _VOL_STREAM)))
+        z = rng.standard_normal((m, m))
+        pad = np.zeros((m, m))
+        r = bump.shape[0] // 2
+        pad[: bump.shape[0], : bump.shape[1]] = bump
+        pad = np.roll(pad, (-r, -r), axis=(0, 1))
+        smooth = np.fft.irfft2(np.fft.rfft2(z) * np.fft.rfft2(pad), s=(m, m))
+        vals = np.exp(self.mean + np.sqrt(self.variance) * smooth)
+        rho1 = float(np.sum(bump[1:, :] * bump[:-1, :]))
+        sd = np.sqrt(max(2.0 * (1.0 - rho1), 0.0) * self.variance)
+        _check_continuity(np.log(vals), 10.0 * sd + 1e-9)
+        return vals
+
+
+_VARIANTS = {cls.variant: cls for cls in (ConstantVol, DeterministicVol, LogGaussianVol)}
 
 
 @dataclass(frozen=True, eq=False)
 class SigmaField:
     """Realized volatility values at the midpoints of an M x M cell grid.
 
-    values[i, j] = sigma(u_i, v_j) with u_i = -1 + (2i+1)/M; immutable and
-    safe to share.
+    values[i, j] = sigma(u_i, v_j) with u = v = ``midpoints(M)``; immutable
+    and safe to share.
     """
 
     values: np.ndarray
@@ -127,9 +226,10 @@ class SigmaField:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def midpoints(self):
-        u = -1.0 + (2.0 * np.arange(self.resolution) + 1.0) / self.resolution
-        return u, u.copy()
+    @property
+    def is_constant(self):
+        """Whether every cell holds the same value."""
+        return bool(np.all(self.values == self.values.flat[0]))
 
     def at(self, u, v):
         """Value of the covering cell (grids are cell-constant by convention)."""
@@ -146,83 +246,18 @@ class SigmaField:
         return SigmaField(values=c * self.values, resolution=self.resolution)
 
 
-def _bump_kernel(radius_cells):
-    """Quartic bump weights on integer offsets, unit Euclidean norm."""
-    r = max(int(np.ceil(radius_cells - 1e-12)) - 1, 0)
-    off = np.arange(-r, r + 1, dtype=float)
-    rr = np.hypot(off[:, None], off[None, :]) / radius_cells
-    w = np.where(rr < 1.0, (1.0 - rr**2) ** 2, 0.0)
-    return w / np.sqrt(np.sum(w * w))
-
-
-def _lag_one_correlation(w):
-    return float(np.sum(w[1:, :] * w[:-1, :]))
-
-
-def _check_realization(model, values, resolution):
-    """Continuity tripwire: adjacent cells must not jump past the model's modulus."""
-    du = np.abs(np.diff(values, axis=0))
-    dv = np.abs(np.diff(values, axis=1))
-    jump = max(du.max() if du.size else 0.0, dv.max() if dv.size else 0.0)
-    pitch = 2.0 / resolution
-    if isinstance(model, ConstantVol):
-        bound = 1e-12
-    elif isinstance(model, DeterministicVol):
-        bound = _DET_CATALOG[model.name][1] * pitch * (1.0 + 1e-6) + 1e-12
-    else:
-        # bound the log-field increments instead: Gaussian with known lag-one
-        # correlation, ten standard deviations clears any honest draw
-        radius = max(model.smooth_length * resolution / 2.0, 1.0)
-        rho1 = _lag_one_correlation(_bump_kernel(radius))
-        sd = np.sqrt(max(2.0 * (1.0 - rho1), 0.0) * model.variance)
-        dlog = np.log(values)
-        du = np.abs(np.diff(dlog, axis=0))
-        dv = np.abs(np.diff(dlog, axis=1))
-        jump = max(du.max() if du.size else 0.0, dv.max() if dv.size else 0.0)
-        bound = 10.0 * sd + 1e-9
-    if jump > bound:
-        raise ValueError(
-            f"realized volatility violates its continuity modulus: "
-            f"max adjacent jump {jump:.3e} > declared {bound:.3e}"
-        )
-
-
 def sample_volatility(model, resolution, seed=0):
     """Realize a volatility model on the M x M midpoint grid of [-1,1]^2.
 
-    Deterministic in (model, resolution, seed).  The log-Gaussian model draws
-    an i.i.d. standard-normal grid from the volatility substream of ``seed``,
-    convolves it (periodically) with a unit-norm bump of the declared radius
-    so every point keeps exactly unit variance, then shifts, scales and
-    exponentiates.
+    Deterministic in (model, resolution, seed); the model's ``realize`` draws
+    the grid and checks it against the model's continuity bound.
     """
     m = int(resolution)
     if m < 2 or m != resolution:
         raise ValueError(f"volatility grid resolution must be an integer >= 2, got {resolution}")
-    u = -1.0 + (2.0 * np.arange(m) + 1.0) / m
-    if isinstance(model, ConstantVol):
-        vals = np.full((m, m), model.sigma0)
-    elif isinstance(model, DeterministicVol):
-        vals = model(u[:, None], u[None, :])
-    elif isinstance(model, LogGaussianVol):
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), _VOL_STREAM)))
-        z = rng.standard_normal((m, m))
-        radius = max(model.smooth_length * m / 2.0, 1.0)
-        w = _bump_kernel(radius)
-        pad = np.zeros((m, m))
-        r = w.shape[0] // 2
-        if w.shape[0] > m:
-            raise ValueError(
-                f"smoothing length {model.smooth_length} too large for resolution {m}"
-            )
-        pad[: w.shape[0], : w.shape[1]] = w
-        pad = np.roll(pad, (-r, -r), axis=(0, 1))
-        smooth = np.fft.irfft2(np.fft.rfft2(z) * np.fft.rfft2(pad), s=(m, m))
-        vals = np.exp(model.mean + np.sqrt(model.variance) * smooth)
-    else:
+    if not hasattr(model, "realize"):
         raise TypeError(f"not a volatility model: {model!r}")
-    _check_realization(model, vals, m)
-    return SigmaField(values=vals, resolution=m, model=model, seed=int(seed))
+    return SigmaField(values=model.realize(m, seed), resolution=m, model=model, seed=int(seed))
 
 
 def _validate_rect(rect):
@@ -233,15 +268,6 @@ def _validate_rect(rect):
     if a < -1.0 - tol or b > 1.0 + tol or c < -1.0 - tol or d > 1.0 + tol:
         raise ValueError(f"rectangle {rect} leaves the sampled domain [-1,1]^2")
     return a, b, c, d
-
-
-def _grid_rect_sum(fieldvals, m, p, rect):
-    """Midpoint sum of sigma^p over rect, partial edge cells weighted by overlap."""
-    a, b, c, d = rect
-    edges = -1.0 + 2.0 * np.arange(m + 1) / m
-    wu = np.clip(np.minimum(b, edges[1:]) - np.maximum(a, edges[:-1]), 0.0, None)
-    wv = np.clip(np.minimum(d, edges[1:]) - np.maximum(c, edges[:-1]), 0.0, None)
-    return float(wu @ (fieldvals**p) @ wv)
 
 
 def integrated_power(sigma, p, rect=(0.0, 1.0, 0.0, 1.0)):
@@ -257,7 +283,11 @@ def integrated_power(sigma, p, rect=(0.0, 1.0, 0.0, 1.0)):
     if a == b or c == d:
         warnings.warn("integrated_power over a zero-area rectangle", stacklevel=2)
         return 0.0
-    return _grid_rect_sum(sigma.values, sigma.resolution, p, (a, b, c, d))
+    m = sigma.resolution
+    edges = -1.0 + 2.0 * np.arange(m + 1) / m
+    wu = np.clip(np.minimum(b, edges[1:]) - np.maximum(a, edges[:-1]), 0.0, None)
+    wv = np.clip(np.minimum(d, edges[1:]) - np.maximum(c, edges[:-1]), 0.0, None)
+    return float(wu @ (sigma.values**p) @ wv)
 
 
 def squared_prefix_integral(sigma):
@@ -314,41 +344,16 @@ def save_sigma_csv(sigma, path):
         np.savetxt(fh, sigma.values, delimiter=",", fmt="%.17g")
 
 
-def vol_to_config(model, prefix="volatility"):
+def vol_to_config(model):
     """Flatten a model into dotted config keys."""
-    if isinstance(model, ConstantVol):
-        return {f"{prefix}.variant": "constant", f"{prefix}.sigma0": repr(model.sigma0)}
-    if isinstance(model, DeterministicVol):
-        return {f"{prefix}.variant": "deterministic", f"{prefix}.name": model.name}
-    if isinstance(model, LogGaussianVol):
-        return {
-            f"{prefix}.variant": "log_gaussian",
-            f"{prefix}.mean": repr(model.mean),
-            f"{prefix}.variance": repr(model.variance),
-            f"{prefix}.smooth_length": repr(model.smooth_length),
-        }
-    raise TypeError(f"not a volatility model: {model!r}")
+    return {"volatility.variant": model.variant, **model.config_keys()}
 
 
-def vol_from_config(entries, prefix="volatility"):
+def vol_from_config(entries):
     """Rebuild a model from dotted config keys (inverse of vol_to_config)."""
-    def get(key, default=None):
-        return entries.get(f"{prefix}.{key}", default)
-
-    variant = get("variant")
+    variant = entries.get("volatility.variant")
     if variant is None:
-        raise ConfigError(f"missing {prefix}.variant")
-    try:
-        if variant == "constant":
-            return ConstantVol(sigma0=float(get("sigma0", 1.0)))
-        if variant == "deterministic":
-            return DeterministicVol(name=get("name", "sine_product"))
-        if variant == "log_gaussian":
-            return LogGaussianVol(
-                mean=float(get("mean", 0.0)),
-                variance=float(get("variance", 0.25)),
-                smooth_length=float(get("smooth_length", 0.25)),
-            )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad volatility parameters: {exc}") from exc
-    raise ConfigError(f"unknown volatility variant {variant!r}")
+        raise ValueError("missing key volatility.variant")
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown volatility variant {variant!r}")
+    return _VARIANTS[variant].from_config(entries)

@@ -197,6 +197,17 @@ def test_clt_without_an_exact_covariance_is_a_config_error(tmp_path, text, pairi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [LLN_TEXT, CLT_TEXT], ids=["lln", "clt"])
+def test_a_smoothing_length_past_one_is_a_config_error(tmp_path, text):
+    cfg = ExperimentConfig.from_text(text.replace(
+        "volatility.variant = constant",
+        "volatility.variant = log_gaussian\nvolatility.smooth_length = 5"))
+    assert validate(cfg) == ["volatility: smoothing length must lie in (0, 1], got 5.0"]
+    out = tmp_path / "never"
+    assert run(cfg.with_overrides(out=out)) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_lln_with_a_grid_weight_is_a_config_error(tmp_path):
     path = tmp_path / "lln.cfg"
     path.write_text("kind = lln\nweight.variant = grid\n"

@@ -162,6 +162,17 @@ def test_catalog_flags_hold_for_the_factor_values(name):
     assert (slopes[-1] < 1e-2) == ell.derivative1_zero
 
 
+@pytest.mark.parametrize("name", sorted(kernels._ELL_CATALOG))
+def test_catalog_coefficients_state_the_factor(name):
+    factor, poly, _ = kernels._ELL_CATALOG[name]
+    if poly is None:  # no closed-form antiderivative: the exact covariance refuses it
+        with pytest.raises(ValueError, match="closed-form antiderivative"):
+            SingularWeight(alpha=0.5, ell=SlowFunction(name)).autocorrelation(0.0, 0.0, None)
+        return
+    expected = sum(c * _SCAN**j for j, c in enumerate(poly))
+    assert np.allclose(factor(_SCAN), expected, rtol=1e-14, atol=1e-15)
+
+
 # ---------------------------------------------------------------- total masses
 
 @pytest.mark.parametrize("n", [2, 5, 8, 16, 37])

@@ -255,6 +255,15 @@ def test_lln_redraw_volatility_skips_the_split_with_a_flag():
     assert st["sup_error_median"] > 0.0
 
 
+def test_lln_without_an_exact_mean_flags_the_skipped_split():
+    rep = lln_experiment(_lln_uniform_config(
+        weight=singular(0.75), volatility=DeterministicVol("sine_product"),
+        n_schedule=(16,), reps=3))
+    assert rep.flags == ("mean/stochastic split skipped: the singular weight has no exact "
+                         "conditional expectation under deterministic volatility",)
+    assert rep.per_n[16]["2.0"]["mean_part_median"] is None
+
+
 def test_lln_empty_grid_is_flagged_not_fabricated():
     rep = lln_experiment(_lln_uniform_config(grid_size=0, reps=1))
     assert rep.per_n == {}

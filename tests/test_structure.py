@@ -4,7 +4,8 @@ Read with ``ast`` only:
 
 * no module imports another module's private name;
 * every name in a module's ``__all__`` is defined in that module;
-* only ``kernels`` knows the concrete weight classes: everyone else reads a
+* only ``kernels`` knows the concrete weight classes, and only
+  ``volatility`` the concrete volatility classes: everyone else reads a
   variant's facts off the instance;
 * every imported name is used (a name listed in ``__all__`` counts), in the
   package and in ``tests/``;
@@ -31,14 +32,16 @@ import sys
 
 import pytest
 
-from ambitlab import cli, kernels
+from ambitlab import cli, kernels, volatility
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ambitlab"
 MODULES = sorted(SRC.glob("*.py"))
 TESTS = SRC.parents[1] / "tests"
 READERS = (SRC, TESTS, SRC.parents[1] / "perfbench")
-# every class kernels registers as a variant, so a new one is guarded too
+# every class kernels or volatility registers as a variant, so a new one is
+# guarded too
 WEIGHT_CLASSES = {cls.__name__ for cls in kernels._VARIANTS.values()}
+VOLATILITY_CLASSES = {cls.__name__ for cls in volatility._VARIANTS.values()}
 
 
 def _tree(path):
@@ -93,17 +96,29 @@ def test_every_exported_name_is_defined_in_its_module(path):
     assert sorted(_exported(tree) - defined) == []
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "kernels.py"],
-                         ids=lambda p: p.name)
-def test_only_kernels_names_a_concrete_weight_class(path):
+def _names_a_class(path, classes):
     tree = _tree(path)
     bad = [f"line {node.lineno}: imports {name}"
-           for _, name, node in _package_imports(tree) if name in WEIGHT_CLASSES]
+           for _, name, node in _package_imports(tree) if name in classes]
     for node in ast.walk(tree):
         name = (node.id if isinstance(node, ast.Name)
                 else node.attr if isinstance(node, ast.Attribute) else None)
-        if name in WEIGHT_CLASSES:
+        if name in classes:
             bad.append(f"line {node.lineno}: names {name}")
+    return bad
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "kernels.py"],
+                         ids=lambda p: p.name)
+def test_only_kernels_names_a_concrete_weight_class(path):
+    bad = _names_a_class(path, WEIGHT_CLASSES)
+    assert not bad, bad
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "volatility.py"],
+                         ids=lambda p: p.name)
+def test_only_volatility_names_a_concrete_volatility_class(path):
+    bad = _names_a_class(path, VOLATILITY_CLASSES)
     assert not bad, bad
 
 
@@ -196,8 +211,6 @@ ORACLES = {
     "kernels.weight_to_config": "test_kernels.py::test_weight_config_roundtrip",
     "regions.Difference": "test_regions.py::test_mass_is_additive_across_a_half_plane_cut",
     "variation.power_variation": "test_variation.py::test_field_matches_pointwise_statistic",
-    "volatility.SigmaField.midpoints":
-        "test_volatility.py::test_deterministic_grid_matches_closure_at_midpoints",
     "volatility.SigmaField.scaled":
         "test_limits.py::test_fluctuation_variance_scales_like_sigma_to_the_2p",
     "volatility.integrated_power":

@@ -3,13 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from ambitlab.errors import ConfigError
+from ambitlab import volatility
 from ambitlab.volatility import (
     ConstantVol,
     DeterministicVol,
     LogGaussianVol,
     SigmaField,
     integrated_power,
+    midpoints,
     rect_integral,
     sample_volatility,
     save_sigma_csv,
@@ -35,8 +36,9 @@ def test_deterministic_hand_value():
 def test_deterministic_grid_matches_closure_at_midpoints():
     model = DeterministicVol("bowl")
     f = sample_volatility(model, 10, seed=0)
-    u, v = f.midpoints()
-    assert np.array_equal(f.values, model(u[:, None], v[None, :]))
+    u = midpoints(10)
+    assert np.array_equal(u, -1.0 + (2.0 * np.arange(10) + 1.0) / 10)
+    assert np.array_equal(f.values, model(u[:, None], u[None, :]))
 
 
 def test_log_gaussian_positive_and_deterministic():
@@ -64,6 +66,33 @@ def test_log_gaussian_rejects_bad_params():
         LogGaussianVol(variance=0.0)
     with pytest.raises(ValueError):
         LogGaussianVol(smooth_length=-0.1)
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        LogGaussianVol(smooth_length=1.01)
+
+
+@pytest.mark.parametrize("smooth_length", [0.01, 0.3, 0.99, 1.0])
+@pytest.mark.parametrize("m", [2, 3, 8, 63, 64])
+def test_every_admissible_smoothing_bump_fits_the_grid(smooth_length, m):
+    f = sample_volatility(LogGaussianVol(smooth_length=smooth_length), m, seed=0)
+    assert f.values.shape == (m, m)
+
+
+def test_a_realization_jumping_past_its_bound_trips_the_continuity_check(monkeypatch):
+    # a unit step declared 0.25-Lipschitz: the step between the two middle
+    # cells is 1, far past 0.25 times the pitch 2/8
+    def step(u, v):
+        return 1.0 + (u > 0.0) + 0.0 * v
+
+    monkeypatch.setitem(volatility._DET_CATALOG, "bowl", (step, 0.25))
+    with pytest.raises(ValueError, match="continuity modulus"):
+        sample_volatility(DeterministicVol("bowl"), 8, seed=0)
+
+
+def test_a_log_field_jumping_past_its_bound_trips_the_continuity_check(monkeypatch):
+    # a bump with lag-one correlation 1 declares the log-field increments 0
+    monkeypatch.setattr(volatility, "_bump_kernel", lambda radius: np.ones((2, 1)))
+    with pytest.raises(ValueError, match="continuity modulus"):
+        sample_volatility(LogGaussianVol(), 8, seed=0)
 
 
 def test_constant_rejects_nonpositive():
@@ -204,8 +233,8 @@ def test_sigma_field_validation():
 
 def test_at_looks_up_covering_cell():
     f = sample_volatility(DeterministicVol("gentle_slope"), 4, seed=0)
-    u, v = f.midpoints()
-    assert f.at(u[2], v[1]) == f.values[2, 1]
+    u = midpoints(4)
+    assert f.at(u[2], u[1]) == f.values[2, 1]
     assert f.at(-1.0, -1.0) == f.values[0, 0]  # clipped to the boundary cell
 
 
@@ -230,7 +259,7 @@ def test_config_roundtrip(model):
 
 
 def test_config_missing_variant():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="missing key volatility.variant"):
         vol_from_config({})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="unknown volatility variant 'mystery'"):
         vol_from_config({"volatility.variant": "mystery"})
