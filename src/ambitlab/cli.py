@@ -117,8 +117,9 @@ from .volatility import (
     vol_to_config,
 )
 
-# numpy loads these submodules on first use (np.unique touches numpy.ma):
-# load them with the CLI, so that a run imports nothing.
+# numpy loads these submodules on first use (np.percentile in the lln
+# summary, np.median in the clt summary and np.unique in the LLN limit's cell
+# table touch numpy.ma): load them with the CLI, so that a run imports nothing.
 for _submodule in ("numpy.fft", "numpy.ma", "numpy.random"):
     importlib.import_module(_submodule)
 

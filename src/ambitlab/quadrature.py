@@ -36,18 +36,21 @@ the job that failed, by the label the caller gave it.
 
 Summation order
 ---------------
-A job's result is independent of the jobs batched with it, bit for bit, as
-long as the integrand is pointwise.  The Gauss dot products of one job's
-panels are formed as one matrix-vector product per piece and half, with the
-shapes a lone job would use.  BLAS rounds a row differently depending on
-its neighbours, so grouping rows across jobs would break that.  Converged
-panels add up in bisection order, and piece totals add up in piece order.
+Each panel's Gauss sum is one fixed-order sum: its weighted node values add
+up one node at a time, in node order.  A panel's estimate thus depends on
+its own integrand values alone, and any split of a batch into integrand
+calls gives the same values.  Converged panels add up in bisection order,
+and piece totals add up in piece order.  A job's result is therefore
+independent of the jobs batched with it, bit for bit, when its integrand is
+pointwise: its value at a node depends on that node alone.
+``SingularWeight._column`` is not pointwise, as its inner panel count
+follows the largest one the nodes of a call ask for.
 
 Node cap
 --------
 No integrand call gets more than ``_NODE_CAP`` nodes.  Larger batches are
-split at job or piece boundaries.  This bounds the temporaries an integrand
-makes at a fixed size, whatever the number of jobs.
+split at panel boundaries by :func:`node_slices`.  This bounds the
+temporaries an integrand makes at a fixed size, whatever the number of jobs.
 """
 
 from __future__ import annotations
@@ -121,53 +124,31 @@ for _nodes in (1, 10, 14, 16, 18, 20, 24, 28):
     gl(_nodes)
 
 
-def _runs_by_size(counts):
-    """(size, run indices, first rows) for each nonzero run length in ``counts``."""
-    counts = np.asarray(counts, dtype=np.intp)
-    starts = np.cumsum(counts) - counts
-    for size in np.unique(counts):
-        if size:
-            runs = np.flatnonzero(counts == size)
-            yield int(size), runs, starts[runs]
+def _gauss_sums(f, lo, hi, job, nodes, origin=None):
+    """Gauss-Legendre estimate of each panel (lo, hi).
 
-
-def _gauss_sums(f, lo, hi, job, nodes, groupings, origin=None):
-    """Gauss-Legendre estimate of each panel (lo, hi), once per grouping.
-
-    The panels lie in consecutive runs.  Each grouping lists run lengths
-    that add up to the panel count, and each run's dot products are one
-    matrix-vector product.  Every run end of ``groupings[0]`` must be a run
-    end of each other grouping.  The integrand gets whole runs of
-    ``groupings[0]``, at most ``_NODE_CAP`` nodes a call unless one run alone
-    is larger.
+    Each panel adds its weighted node values one node at a time, in node
+    order, so its estimate depends on its own integrand values alone.  The
+    integrand gets at most ``_NODE_CAP`` nodes a call.
     """
     xi, wi = gl(nodes)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    groupings = [np.asarray(g, dtype=np.intp) for g in groupings]
-    ends = np.cumsum(groupings[0])
-    step = max(1, _NODE_CAP // nodes)  # panels a call
-    dots = [np.empty(lo.size) for _ in groupings]
-    start = 0
-    while start < lo.size:
-        # the last run end within the cap, else the first beyond it
-        fits = ends[(ends > start) & (ends <= start + step)]
-        stop = int(fits[-1]) if fits.size else int(ends[ends > start][0])
-        pts = mid[start:stop, None] + half[start:stop, None] * xi
-        ids = np.repeat(job[start:stop], nodes)
+    sums = np.empty(lo.size)
+    for part in node_slices(lo.size, nodes):
+        pts = mid[part, None] + half[part, None] * xi
+        ids = np.repeat(job[part], nodes)
         if origin is None:
             vals = f(pts.ravel(), None, None, ids)
         else:
-            at = origin[start:stop, None]
-            vals = f((at + pts).ravel(), pts.ravel(), np.repeat(origin[start:stop], nodes), ids)
-        vals = vals.reshape(stop - start, nodes)
-        for counts, out in zip(groupings, dots):
-            for size, _, first in _runs_by_size(counts):
-                first = first[(first >= start) & (first < stop)]
-                rows = first[:, None] - start + np.arange(size)
-                out[start + rows] = vals[rows] @ wi
-        start = stop
-    return [half * d for d in dots]
+            at = origin[part, None]
+            vals = f((at + pts).ravel(), pts.ravel(), np.repeat(origin[part], nodes), ids)
+        vals = vals.reshape(-1, nodes)
+        acc = vals[:, 0] * wi[0]
+        for k in range(1, nodes):
+            acc += vals[:, k] * wi[k]
+        sums[part] = acc
+    return half * sums
 
 
 def _graded_pass(f, job, a, b, levels, nodes, labels):
@@ -181,10 +162,8 @@ def _graded_pass(f, job, a, b, levels, nodes, labels):
     (which can exceed float resolution to a small power) is not negligible.
     """
     offs = (b - a)[:, None] * 2.0 ** (-np.arange(levels, -1.0, -1.0))  # ascending
-    (panels,) = _gauss_sums(
-        f, offs[:, :-1].ravel(), offs[:, 1:].ravel(), np.repeat(job, levels), nodes,
-        [np.full(a.size, levels)], origin=np.repeat(a, levels))
-    panels = panels.reshape(a.size, levels)
+    panels = _gauss_sums(f, offs[:, :-1].ravel(), offs[:, 1:].ravel(), np.repeat(job, levels),
+                         nodes, origin=np.repeat(a, levels)).reshape(a.size, levels)
     totals = np.sum(panels, axis=1)
     inner0, inner1 = panels[:, 0], panels[:, 1]
     both = (inner0 > 0.0) & (inner1 > 0.0)
@@ -200,7 +179,7 @@ def _graded_pass(f, job, a, b, levels, nodes, labels):
         )
     tail = both & (ratio > 1e-3)
     totals[tail] += inner0[tail] * ratio[tail] / (1.0 - ratio[tail])
-    return totals.tolist()
+    return totals
 
 
 def _adaptive_pass(f, job, a, b, est, tol, nodes, max_depth, labels):
@@ -216,16 +195,9 @@ def _adaptive_pass(f, job, a, b, est, tol, nodes, max_depth, labels):
     lo, hi, depth, piece = a, b, np.zeros(a.size, dtype=np.intp), np.arange(a.size)
     while lo.size:
         mid = 0.5 * (lo + hi)
-        counts = np.bincount(piece, minlength=a.size)
-        # each piece evaluates its left halves, then its right halves
-        left = (np.cumsum(counts) - counts)[piece] + np.arange(lo.size)
-        right = left + counts[piece]
-        elo, ehi = np.empty(2 * lo.size), np.empty(2 * lo.size)
-        elo[left], ehi[left], elo[right], ehi[right] = lo, mid, mid, hi
-        owner = np.empty(2 * lo.size, dtype=np.intp)
-        owner[left] = owner[right] = job[piece]
-        (sums,) = _gauss_sums(f, elo, ehi, owner, nodes, [np.repeat(counts[counts > 0], 2)])
-        lv, rv = sums[left], sums[right]
+        sums = _gauss_sums(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]),
+                           np.tile(job[piece], 2), nodes)
+        lv, rv = sums[:lo.size], sums[lo.size:]
         refined = lv + rv
         err = np.abs(refined - est)
         done = err <= tol[piece] + 1e-15 * np.abs(refined)
@@ -261,22 +233,15 @@ def _integrate_once(f, jobs, quadcfg, levels, nodes, smooth_nodes, labels):
     # scale pass: each job's span estimates set its tolerance; each span's
     # estimate alone seeds its bisection
     sm = np.flatnonzero(smooth)
-    spans = np.bincount(owner[sm], minlength=len(jobs))
-    per_job, seeds = _gauss_sums(f, a[sm], b[sm], owner[sm], smooth_nodes,
-                                 [spans, np.ones(sm.size, dtype=np.intp)])
-    scale = np.zeros(len(jobs))
-    for size, runs, first in _runs_by_size(spans):
-        scale[runs] = np.sum(np.abs(per_job[first[:, None] + np.arange(size)]), axis=1)
+    seeds = _gauss_sums(f, a[sm], b[sm], owner[sm], smooth_nodes)
+    scale = np.bincount(owner[sm], weights=np.abs(seeds), minlength=len(jobs))
     tol = c.rel_tol * np.maximum(scale, c.abs_tol) / 8.0 + c.abs_tol
 
     gr = np.flatnonzero(~smooth)
     value[gr] = _graded_pass(f, owner[gr], a[gr], b[gr], levels, nodes, labels)
     value[sm] = _adaptive_pass(f, owner[sm], a[sm], b[sm], seeds, tol[owner[sm]],
                                smooth_nodes, c.max_depth, labels)
-    totals = [0.0] * len(jobs)
-    for k, v in zip(owner.tolist(), value.tolist()):
-        totals[k] += v
-    return totals
+    return np.bincount(owner, weights=value, minlength=len(jobs))
 
 
 def integrate_pieces(f, jobs, quadcfg, labels=None, f_check=None):
@@ -294,11 +259,11 @@ def integrate_pieces(f, jobs, quadcfg, labels=None, f_check=None):
     first = _integrate_once(f, jobs, c, c.levels, c.nodes, c.smooth_nodes, labels)
     second = _integrate_once(f_check or f, jobs, c, c.levels + 6, c.nodes + 4,
                              c.smooth_nodes + 8, labels)
-    for label, v1, v2 in zip(labels, first, second):
+    for label, v1, v2 in zip(labels, first.tolist(), second.tolist()):
         if abs(v1 - v2) > c.rel_tol * max(abs(v1), abs(v2)) + c.abs_tol:
             raise QuadratureError(
                 f"{label}: quadrature did not stabilize: {v1!r} vs {v2!r}", estimate=v2)
-    return np.array(second)
+    return second
 
 
 def make_pieces(edges, singular_points, lo, hi):
@@ -340,8 +305,9 @@ def node_slices(count, width):
     """Slices of range(count) for items of ``width`` nodes each, at most
     ``_NODE_CAP`` nodes a slice (one item where a single item is larger).
 
-    For integrands that expand each outer node into an inner layout of their
-    own: evaluated one slice at a time, their temporaries stay bounded too.
+    The engine evaluates its panels one slice at a time.  Integrands that
+    expand each outer node into an inner layout of their own do the same, so
+    their temporaries stay bounded too.
     """
     step = max(1, _NODE_CAP // width)
     return [slice(at, at + step) for at in range(0, count, step)]

@@ -38,6 +38,7 @@ __all__ = [
     "sample_noise",
     "simulate_lattice",
     "increments",
+    "strip_covariances",
     "increment_covariance",
     "sample_increments_exact",
     "rho_bar",
@@ -310,12 +311,37 @@ class IncrementCovariance:
         return self.matrix / np.outer(sd, sd)
 
 
+def strip_covariances(spec, sigma, n, eps, idx, a, b):
+    """C_ab of the uniform weight for each index pair (idx[a], idx[b]).
+
+    The differenced window is +1 or -1 on two strips per axis, so C_ab is
+    a signed sum over the overlaps of the strips at a with those at b, each
+    the exact cell-wise integral of sigma^2 over a rectangle.  Each pair's
+    16 signed terms add up in a fixed order, empty overlaps left out; for
+    a = b only the four rectangles of the squared kernel are non-empty.
+    """
+    strips = spec.signed_strips(n, eps, idx)
+    # (axis, strip, lo/hi, index): u+ and u- on axis 0, v+ and v- on axis 1
+    ends = np.array([iv for iv, _ in strips]).reshape(2, 2, 2, -1)
+    sign = np.array([s for _, s in strips]).reshape(2, 2)
+    at_a, at_b = ends[..., a], ends[..., b]
+    # overlap of each strip at a with each at b: (axis, 4 strip pairs, pairs)
+    lo = np.maximum(at_a[:, :, None, 0], at_b[:, None, :, 0]).reshape(2, 4, -1)
+    hi = np.minimum(at_a[:, :, None, 1], at_b[:, None, :, 1]).reshape(2, 4, -1)
+    su, sv = (sign[:, :, None] * sign[:, None, :]).reshape(2, 4)
+    # the non-empty terms (ku, kv) of each pair, term by term
+    ku, kv, pair = np.nonzero((hi[0] > lo[0])[:, None] & (hi[1] > lo[1])[None])
+    rects = rect_integral(squared_prefix_integral(sigma), (lo[0, ku, pair], hi[0, ku, pair]),
+                          (lo[1, kv, pair], hi[1, kv, pair]))
+    # bincount adds the terms of each pair in that order
+    return spec.scale**2 * np.bincount(pair, weights=su[ku] * sv[kv] * rects, minlength=len(a))
+
+
 def increment_covariance(spec, sigma, n, k, cap=32):
     """Covariance C_ab = int h(eps*i_a - u, eps*j_a - v) h(...b...) sigma^2(u,v).
 
-    Engines: uniform weight with any volatility grid (signed strip overlaps
-    against the exact cell-wise integral of sigma^2, batched over the pairs
-    a <= b, each pair's 16 signed terms summed in a fixed order), or
+    Engines: uniform weight with any volatility grid
+    (:func:`strip_covariances`, batched over the pairs a <= b), or
     constant volatility with a uniform/singular weight (stationary
     autocorrelation on the 1/n lattice).  Other combinations have no exact
     route here and are rejected.
@@ -328,32 +354,14 @@ def increment_covariance(spec, sigma, n, k, cap=32):
         raise ValueError(
             f"thinned lattice {m} x {m} exceeds the dense-covariance cap {cap}"
         )
-    if m < 1:
-        raise ValueError("thinned lattice is empty")
     eps = k / n
     idx = np.indices((m, m)).reshape(2, -1).T + 1  # row-major (i, j)
     cn = compute_cn(spec, n)
 
     if spec.has_strips:
-        strips = spec.signed_strips(n, eps, idx)
-        pref = squared_prefix_integral(sigma)
         a, b = np.triu_indices(len(idx))
-
-        def overlaps(axis):
-            """Per pair (a, b): the overlap of each strip at a with each at b."""
-            for (lo1, hi1), s1 in strips[axis:axis + 2]:
-                for (lo2, hi2), s2 in strips[axis:axis + 2]:
-                    yield (np.maximum(lo1[a], lo2[b]), np.minimum(hi1[a], hi2[b])), s1 * s2
-
-        v_overlaps = list(overlaps(2))
-        acc = np.zeros(len(a))
-        for (ulo, uhi), su in overlaps(0):
-            for (vlo, vhi), sv in v_overlaps:
-                sel = (uhi > ulo) & (vhi > vlo)
-                acc[sel] = acc[sel] + su * sv * rect_integral(
-                    pref, (ulo[sel], uhi[sel]), (vlo[sel], vhi[sel]))
         mat = np.zeros((len(idx), len(idx)))
-        mat[a, b] = mat[b, a] = spec.scale**2 * acc
+        mat[a, b] = mat[b, a] = strip_covariances(spec, sigma, n, eps, idx, a, b)
         engine = "uniform-strips"
     elif sigma.is_constant:
         s0sq = float(sigma.values.flat[0]) ** 2

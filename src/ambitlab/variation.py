@@ -19,7 +19,7 @@ import numpy as np
 
 from .gaussian import abs_moment
 from .kernels import compute_cn
-from .volatility import rect_integral, squared_prefix_integral
+from .simulate import strip_covariances
 
 __all__ = [
     "PowerVariationField",
@@ -31,15 +31,17 @@ __all__ = [
 ]
 
 
-def _whole_cells(x, eps):
-    """Number of whole eps-cells inside [0, x].
+def _whole_cells(s, t, eps):
+    """Numbers of whole eps-cells inside [0, s] and [0, t].
 
     Single rounding point for every floor in this module: the expectation
     formula and the variation statistics must floor the same quotient the
     same way or they count different cells at arguments like 0.55/0.1 that
-    land on rounding boundaries.
+    land on rounding boundaries.  Points outside the unit square raise.
     """
-    return int(np.floor(x / eps))
+    if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
+        raise ValueError(f"evaluation point ({s}, {t}) outside the unit square")
+    return int(np.floor(float(s) / eps)), int(np.floor(float(t) / eps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,8 +81,7 @@ class PowerVariationField:
 
     def at(self, s, t):
         """Step-field evaluation: the value at the last corner inside [0,s]x[0,t]."""
-        i = _whole_cells(float(s), self.eps)
-        j = _whole_cells(float(t), self.eps)
+        i, j = _whole_cells(s, t, self.eps)
         m = self.values.shape[0] - 1
         return float(self.values[min(i, m), min(j, m)])
 
@@ -90,11 +91,7 @@ def power_variation(inc, p, s, t):
     p = float(p)
     if p <= 0.0:
         raise ValueError(f"power must be positive, got {p}")
-    if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
-        raise ValueError(f"evaluation point ({s}, {t}) outside the unit square")
-    eps = inc.k / inc.n
-    i = _whole_cells(float(s), eps)
-    j = _whole_cells(float(t), eps)
+    i, j = _whole_cells(s, t, inc.k / inc.n)
     if i == 0 or j == 0:
         return 0.0
     m = inc.values.shape[0]
@@ -130,23 +127,6 @@ def scaled_power_variation(V):
     )
 
 
-def _pi_average_sq_uniform(spec, sigma, n, eps, idx):
-    """int sigma^2(eps i - xi, eps j - tau) pi_n(dxi, dtau) for each (i, j).
-
-    The squared differenced kernel of the window weight is +1 on four
-    rectangles (products of two strips per axis), so the concentration
-    measure integrates sigma^2 as four prefix-integral rectangles over
-    scale^2 / c_n.  The 4 N rectangles go through one ``rect_integral`` call.
-    """
-    (up, _), (um, _), (vp, _), (vm, _) = spec.signed_strips(n, eps, idx)
-    u_iv = [np.concatenate(ends) for ends in zip(up, up, um, um)]
-    v_iv = [np.concatenate(ends) for ends in zip(vp, vm, vp, vm)]
-    pref = squared_prefix_integral(sigma)
-    r_pp, r_pm, r_mp, r_mm = rect_integral(pref, u_iv, v_iv).reshape(4, -1)
-    acc = ((r_pp + r_pm) + r_mp) + r_mm
-    return spec.scale**2 * acc / compute_cn(spec, n)
-
-
 def expected_scaled_pv(spec, sigma, n, k, p, s, t):
     """Exact conditional expectation of the scaled variation given sigma.
 
@@ -160,11 +140,8 @@ def expected_scaled_pv(spec, sigma, n, k, p, s, t):
         raise ValueError(f"power must be positive, got {p}")
     if not 1 <= k <= n:
         raise ValueError(f"thinning k must satisfy 1 <= k <= n, got {k}")
-    if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
-        raise ValueError(f"evaluation point ({s}, {t}) outside the unit square")
     eps = k / n
-    ci = _whole_cells(float(s), eps)
-    cj = _whole_cells(float(t), eps)
+    ci, cj = _whole_cells(s, t, eps)
     if ci == 0 or cj == 0:
         return 0.0
     mp = abs_moment(p)
@@ -173,7 +150,9 @@ def expected_scaled_pv(spec, sigma, n, k, p, s, t):
         return mp * sigma0**p * eps**2 * ci * cj
     if spec.has_strips:
         idx = np.indices((ci, cj)).reshape(2, -1).T + 1  # row-major (i, j)
-        avg = _pi_average_sq_uniform(spec, sigma, n, eps, idx)
+        # int sigma^2(eps i - xi, eps j - tau) pi_n(dxi, dtau) for each (i, j)
+        diag = np.arange(len(idx))
+        avg = strip_covariances(spec, sigma, n, eps, idx, diag, diag) / compute_cn(spec, n)
         return float(eps**2 * mp * np.sum(avg ** (p / 2.0)))
     raise ValueError(
         "exact conditional expectation is available for constant volatility "

@@ -13,7 +13,9 @@ Read with ``ast`` only:
   ``tests/`` or ``perfbench/`` outside its own definition (``__all__`` does
   not count);
 * one quadrature engine: only ``quadrature`` (and the ``gaussian`` test
-  oracles) builds Gauss-Legendre, adaptive or graded rules.
+  oracles) builds Gauss-Legendre, adaptive or graded rules;
+* ``quadrature`` forms no matrix product, so no panel's Gauss sum depends
+  on the panels beside it.
 
 Run through the CLI:
 
@@ -193,6 +195,23 @@ def test_only_the_quadrature_module_builds_quadrature_rules(path):
             bad.append(f"line {node.lineno}: uses .{node.attr}")
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _RULE_NAME.search(node.name):
             bad.append(f"line {node.lineno}: defines {node.name}")
+    assert not bad, bad
+
+
+_MATRIX_PRODUCTS = {"dot", "matmul", "einsum", "inner", "tensordot"}
+
+
+def test_the_quadrature_engine_forms_no_matrix_product():
+    # BLAS blocks a matrix product by its shape, which would make a panel's
+    # value depend on the panels batched beside it
+    bad = []
+    for node in ast.walk(_tree(SRC / "quadrature.py")):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            bad.append(f"line {node.lineno}: @")
+        elif isinstance(node, ast.Attribute) and node.attr in _MATRIX_PRODUCTS:
+            bad.append(f"line {node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in _MATRIX_PRODUCTS:
+            bad.append(f"line {node.lineno}: {node.id}")
     assert not bad, bad
 
 

@@ -3,7 +3,12 @@ import pytest
 
 from ambitlab.gaussian import abs_moment
 from ambitlab.kernels import SingularWeight, UniformWeight, compute_cn, eval_h
-from ambitlab.simulate import IncrementField, increment_covariance, simulate_lattice
+from ambitlab.simulate import (
+    IncrementField,
+    increment_covariance,
+    simulate_lattice,
+    strip_covariances,
+)
 from ambitlab.variation import (
     PowerVariationField,
     expected_scaled_pv,
@@ -72,6 +77,12 @@ def test_field_matches_pointwise_statistic():
             assert fld.at(s, t) == fld.values[i, j]
     # step-field convention between corners
     assert fld.at(0.3, 0.9) == fld.values[1, 3]
+    # off the unit square, as the pointwise statistic
+    for s, t in ((-0.1, 1.0), (0.5, 1.1)):
+        with pytest.raises(ValueError, match="outside the unit square"):
+            fld.at(s, t)
+        with pytest.raises(ValueError, match="outside the unit square"):
+            power_variation(inc, 1.5, s, t)
 
 
 def test_field_is_monotone_and_vanishes_on_axes():
@@ -147,18 +158,17 @@ def test_expected_constant_cases_from_closed_form():
 
 
 def test_expected_quadrature_path_agrees_with_closed_form():
-    from ambitlab.variation import _pi_average_sq_uniform
-
     # general route evaluated on a constant grid must reproduce the closed
     # form: the concentration measure has unit mass
-    sig = sample_volatility(ConstantVol(1.5), 16, seed=0)
+    spec, sig = UniformWeight(), sample_volatility(ConstantVol(1.5), 16, seed=0)
     n, k, p, s, t = 8, 2, 1.5, 0.8, 0.55
     eps = k / n
     ci, cj = int(s / eps), int(t / eps)
     idx = np.array([(i, j) for i in range(1, ci + 1) for j in range(1, cj + 1)])
-    avg = _pi_average_sq_uniform(UniformWeight(), sig, n, eps, idx)
+    diag = np.arange(len(idx))
+    avg = strip_covariances(spec, sig, n, eps, idx, diag, diag) / compute_cn(spec, n)
     quad = eps**2 * abs_moment(p) * np.sum(avg ** (p / 2))
-    closed = expected_scaled_pv(UniformWeight(), sig, n, k, p, s, t)
+    closed = expected_scaled_pv(spec, sig, n, k, p, s, t)
     assert quad == pytest.approx(closed, rel=1e-8)
 
 
