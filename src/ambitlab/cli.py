@@ -49,10 +49,11 @@ log_gaussian   volatility.mean, volatility.variance, volatility.smooth_length
 under any volatility and the singular weight under constant volatility; any
 other pairing is a violation.  ``p`` and ``n`` are comma-separated powers
 and resolutions; ``kappa`` is the thinning exponent and ``k`` a constant
-thinning count (one only, at most the smallest n); ``eval_point`` must not
-lie before the first thinned increment k_n/n at any n; ``quad.*`` are the
-kernel-mass quadrature tolerances; and ``override_admissibility`` runs even
-when the thinning exponent fails the gate.  Unset keys take the defaults of
+thinning count (one only, at most the smallest n); ``grid_size`` is the
+number of ``lln`` evaluation points per axis, at least 1; ``eval_point``
+must not lie before the first thinned increment k_n/n at any n; ``quad.*``
+are the kernel-mass quadrature tolerances; and ``override_admissibility``
+runs even when the thinning exponent fails the gate.  Unset keys take the defaults of
 ``LLNConfig``/``CLTConfig`` and ``QuadratureConfig``; ``simulate`` defaults
 to p = 2 and oversample = 1, and unthinned (k = 1) when neither kappa nor k
 is set, as ``kernel-report`` does.
@@ -109,7 +110,12 @@ from .limits import (
 )
 from .quadrature import QuadratureConfig
 from .simulate import increments, save_field_csv, simulate_lattice
-from .variation import save_variation_csv, scaled_power_variation, variation_field
+from .variation import (
+    retained_corners,
+    save_variation_csv,
+    scaled_power_variation,
+    variation_field,
+)
 from .volatility import (
     sample_volatility,
     save_sigma_csv,
@@ -312,7 +318,7 @@ def _parse(config):
          (lambda k: k >= 1, "constant thinning k must be >= 1, got {}"))
     take("reps", _parse_strict_int,
          (lambda reps: reps >= 1, "replications must be >= 1, got {}"))
-    for key, floor in (("grid_size", 0), ("oversample", 1), ("cap", 1),
+    for key, floor in (("grid_size", 1), ("oversample", 1), ("cap", 1),
                        ("sigma_resolution", 2), ("trend_batches", 2)):
         take(key, _parse_strict_int,
              (lambda val, floor=floor: val >= floor, f"{key} must be >= {floor}, got {{}}"))
@@ -356,11 +362,10 @@ def _parse(config):
         violations.append(f"constant thinning k={settings['k']} exceeds the smallest "
                           f"resolution n={min(schedule)}")
     if "kappa" in settings and "eval_point" in settings:
-        # clt_experiment keeps increment (i, j) when (i, j) k_n/n lies below
-        # the evaluation point, with this slack; the first is (1, 1)
+        # clt_experiment keeps the retained corners below the evaluation point
         first = {n: thinning_count(n, settings["kappa"]) / n for n in schedule}
         empty = [f"n={n} (k_n/n = {eps:g})" for n, eps in first.items()
-                 if eps > min(settings["eval_point"]) + 1e-12]
+                 if 0 in retained_corners(*settings["eval_point"], eps)]
         if empty:
             violations.append(f"eval_point {tuple(settings['eval_point'])} excludes every "
                               f"retained increment at {', '.join(empty)}")
@@ -535,8 +540,9 @@ def _lln_targets():
     return {
         "sup_error": "sup over the grid of |scaled variation - m_p * "
                      "Sigma^(p,pi)|, decreasing to 0 in n",
-        "mean_part": "|exact conditional mean - limit|; the deterministic "
-                     "floor-lattice bias share of the error",
+        "mean_part": "sup over the grid of |exact conditional mean - limit|, "
+                     "the deterministic bias share of the error, reported "
+                     "wherever the conditional mean is exact",
         "raw_v": "unscaled variation at (1,1); its expectation is the sum "
                  "of increment variances (n^2 c_n at k=1, unit volatility)",
     }

@@ -38,7 +38,12 @@ from .simulate import (
     sample_increments_exact,
     simulate_lattice,
 )
-from .variation import expected_scaled_pv, scaled_power_variation, variation_field
+from .variation import (
+    expected_scaled_pv,
+    retained_corners,
+    scaled_power_variation,
+    variation_field,
+)
 from .volatility import sample_volatility
 
 __all__ = [
@@ -186,7 +191,7 @@ class LLNConfig:
         if self.k is not None:
             _require(self.k >= 1, f"constant thinning k must be >= 1, got {self.k}")
         _require(self.reps >= 1, f"need at least one replication, got {self.reps}")
-        _require(self.grid_size >= 0, f"grid size must be >= 0, got {self.grid_size}")
+        _require(self.grid_size >= 1, f"grid size must be >= 1, got {self.grid_size}")
         _require(self.oversample >= 1, f"oversample must be >= 1, got {self.oversample}")
 
 
@@ -233,11 +238,11 @@ class CLTConfig:
 class MonteCarloReport:
     """Per-n summary of one experiment, JSON/CSV serializable.
 
-    ``per_n`` maps each resolution to its statistics: for the mean-convergence
-    kind one nested table per power p, for the fluctuation kind one flat
-    table.  ``flags`` records anything that kept an entry incomplete (empty
-    evaluation grid, single replication, skipped decompositions) -- a flagged
-    report is still a faithful account of what ran.
+    ``per_n`` maps every resolution of the schedule to its statistics: for
+    the mean-convergence kind one nested table per power p, for the
+    fluctuation kind one flat table.  ``flags`` records anything that kept an
+    entry incomplete (single replication, skipped decompositions) -- a
+    flagged report is still a faithful account of what ran.
     """
 
     kind: str
@@ -251,11 +256,8 @@ class MonteCarloReport:
     def __post_init__(self):
         if self.kind not in ("lln", "clt"):
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.per_n:
-            if set(self.per_n) != set(self.n_schedule):
-                raise ValueError("per-n entries do not cover the n schedule")
-        elif not self.flags:
-            raise ValueError("empty per-n table requires an explanatory flag")
+        if set(self.per_n) != set(self.n_schedule):
+            raise ValueError("per-n entries do not cover the n schedule")
         for entry in self.per_n.values():
             tables = entry.values() if self.kind == "lln" else [entry]
             for tab in tables:
@@ -264,9 +266,12 @@ class MonteCarloReport:
                         raise ValueError(f"negative sup-error {val} under {key}")
 
 
-def _quartiles(xs):
-    q1, q2, q3 = np.percentile(np.asarray(xs, dtype=float), [25.0, 50.0, 75.0])
-    return float(q1), float(q2), float(q3)
+def _quartile_stats(name, xs):
+    """The quartiles of xs under name_q1, name_median and name_q3; None if xs is empty."""
+    keys = (f"{name}_q1", f"{name}_median", f"{name}_q3")
+    if not xs:
+        return dict.fromkeys(keys)
+    return dict(zip(keys, np.percentile(xs, [25.0, 50.0, 75.0]).tolist()))
 
 
 def _gate_kappa(weight, kappa, override, flags):
@@ -292,34 +297,24 @@ def lln_experiment(config):
 
     Per resolution and power: the sup over the evaluation grid of
     |scaled variation - m_p * Sigma^(p,pi)| per replication, summarized by
-    quartiles, and -- where the exact conditional-expectation path exists --
-    the split into the deterministic mean part |E_W[scaled] - limit| and the
-    stochastic part |scaled - E_W[scaled]|.  The unscaled variation at (1,1)
-    is averaged as well, with its standard error, as a raw sanity anchor.
+    quartiles, and -- where the conditional expectation given sigma is exact
+    (constant volatility, or the uniform weight) -- the split into the
+    deterministic mean part |E_W[scaled] - limit| and the stochastic part
+    |scaled - E_W[scaled]|.  Shared and re-drawn volatility take one path:
+    the limit and the mean are built once per realized sigma.  The unscaled
+    variation at (1,1) is averaged as well, with its standard error, as a
+    raw sanity anchor.
     """
     t_start = time.perf_counter()
     flags = []
     weight, vol = config.weight, config.volatility
     if config.kappa is not None:
         _gate_kappa(weight, config.kappa, config.override_admissibility, flags)
-    if config.grid_size == 0:
-        flags.append("empty evaluation grid: nothing to measure")
-        return MonteCarloReport(
-            kind="lln", n_schedule=config.n_schedule, reps=config.reps, per_n={},
-            seed=config.seed, runtime_s=time.perf_counter() - t_start,
-            flags=tuple(flags),
-        )
 
     atoms = require_weight(weight).limit_atoms()
     grid = [i / config.grid_size for i in range(1, config.grid_size + 1)]
-    exact_mean_path = vol.constant or weight.has_strips
-    per_rep_mean_path = exact_mean_path and not vol.redrawn
-    if exact_mean_path and vol.redrawn:
-        flags.append(
-            "mean/stochastic split skipped: volatility re-draws per replication "
-            "make the exact conditional expectation quadratic in the lattice"
-        )
-    elif not exact_mean_path:
+    exact_mean = vol.constant or weight.has_strips
+    if not exact_mean:
         flags.append(
             f"mean/stochastic split skipped: the {weight.variant} weight has no exact "
             f"conditional expectation under {vol.variant} volatility"
@@ -333,69 +328,46 @@ def lln_experiment(config):
         eps = k / n
         cn = compute_cn(weight, n)
         M = 2 * n * config.oversample
-        sigma_shared = None if vol.redrawn else sample_volatility(vol, M, seed=config.seed)
 
-        targets_shared = {}
-        mean_field_shared = {}
-        if sigma_shared is not None:
-            for p in config.p_values:
-                targets_shared[p] = abs_moment(p) * _functional_on_grid(
-                    sigma_shared, p, atoms, grid, grid)
-                if per_rep_mean_path:
-                    mean_field_shared[p] = np.array([
-                        [expected_scaled_pv(weight, sigma_shared, n, k, p, s, t)
-                         for t in grid] for s in grid])
+        def limit_and_mean(sigma, p):
+            """m_p Sigma^(p,pi) on the grid, and E_W[scaled V_n | sigma] where exact."""
+            target = abs_moment(p) * _functional_on_grid(sigma, p, atoms, grid, grid)
+            if not exact_mean:
+                return target, None
+            return target, np.array([[expected_scaled_pv(weight, sigma, n, k, p, s, t)
+                                      for t in grid] for s in grid])
 
-        sup_err = {p: [] for p in config.p_values}
-        mean_part = {p: [] for p in config.p_values}
-        stoch_part = {p: [] for p in config.p_values}
-        raw_v = {p: [] for p in config.p_values}
+        if not vol.redrawn:
+            sigma = sample_volatility(vol, M, seed=config.seed)
+            shared = {p: limit_and_mean(sigma, p) for p in config.p_values}
+
+        sup_err, mean_part, stoch_part, raw_v = ({p: [] for p in config.p_values}
+                                                 for _ in range(4))
         for rep in range(config.reps):
             if vol.redrawn:
                 sigma = sample_volatility(vol, M, seed=_redraw_seed(config.seed, rep))
-            else:
-                sigma = sigma_shared
             fld = simulate_lattice(weight, sigma, n, M, seed=config.seed, rep=rep)
             inc = increments(fld, k)
             for p in config.p_values:
                 V = variation_field(inc, p, c_n=cn)
                 scaled = scaled_power_variation(V)
                 svals = np.array([[scaled.at(s, t) for t in grid] for s in grid])
-                if sigma_shared is not None:
-                    target = targets_shared[p]
-                else:
-                    target = abs_moment(p) * _functional_on_grid(sigma, p, atoms, grid, grid)
+                target, mean = limit_and_mean(sigma, p) if vol.redrawn else shared[p]
                 sup_err[p].append(float(np.max(np.abs(svals - target))))
                 raw_v[p].append(float(V.at(1.0, 1.0)))
-                if per_rep_mean_path:
-                    mean_field = mean_field_shared[p]  # the path never redraws sigma
-                    mean_part[p].append(float(np.max(np.abs(mean_field - target))))
-                    stoch_part[p].append(float(np.max(np.abs(svals - mean_field))))
+                if mean is not None:
+                    mean_part[p].append(float(np.max(np.abs(mean - target))))
+                    stoch_part[p].append(float(np.max(np.abs(svals - mean))))
 
-        entry = {}
-        for p in config.p_values:
-            q1, q2, q3 = _quartiles(sup_err[p])
-            stats_p = {
-                "k": k, "eps": eps, "c_n": float(cn),
-                "sup_error_q1": q1, "sup_error_median": q2, "sup_error_q3": q3,
-                "raw_v_mean": float(np.mean(raw_v[p])),
-                "raw_v_se": float(np.std(raw_v[p], ddof=1) / math.sqrt(config.reps))
-                if config.reps > 1 else None,
-            }
-            if per_rep_mean_path:
-                m1, m2, m3 = _quartiles(mean_part[p])
-                s1, s2, s3 = _quartiles(stoch_part[p])
-                stats_p.update({
-                    "mean_part_q1": m1, "mean_part_median": m2, "mean_part_q3": m3,
-                    "stoch_part_q1": s1, "stoch_part_median": s2, "stoch_part_q3": s3,
-                })
-            else:
-                stats_p.update({
-                    "mean_part_q1": None, "mean_part_median": None, "mean_part_q3": None,
-                    "stoch_part_q1": None, "stoch_part_median": None, "stoch_part_q3": None,
-                })
-            entry[repr(p)] = stats_p
-        per_n[n] = entry
+        per_n[n] = {repr(p): {
+            "k": k, "eps": eps, "c_n": float(cn),
+            **_quartile_stats("sup_error", sup_err[p]),
+            "raw_v_mean": float(np.mean(raw_v[p])),
+            "raw_v_se": float(np.std(raw_v[p], ddof=1) / math.sqrt(config.reps))
+            if config.reps > 1 else None,
+            **_quartile_stats("mean_part", mean_part[p]),
+            **_quartile_stats("stoch_part", stoch_part[p]),
+        } for p in config.p_values}
 
     if config.reps == 1:
         flags.append("single replication: dispersion statistics degenerate")
@@ -458,8 +430,8 @@ def clt_experiment(config):
         k = thinning_count(n, config.kappa)
         eps = k / n
         cov = increment_covariance(weight, sigma, n, k, cap=config.cap)
-        keep = np.where((cov.indices[:, 0] * eps <= s_eval + 1e-12)
-                        & (cov.indices[:, 1] * eps <= t_eval + 1e-12))[0]
+        keep = np.flatnonzero(np.all(cov.indices <= retained_corners(s_eval, t_eval, eps),
+                                     axis=1))
         if keep.size == 0:
             raise ValueError(
                 f"evaluation point {config.eval_point} excludes every retained "

@@ -5,15 +5,18 @@ cells whose upper corners fall inside [0, s] x [0, t]; the scaled version
 multiplies by eps_n^2 / c_n^(p/2) so that a law-of-large-numbers limit of
 order one emerges.
 
-Exact conditional expectations (given the volatility path) come in two
-flavours: a closed form for constant volatility, and a quadrature route for
-the uniform window weight where the kernel concentration measure is four
-rectangles and the volatility integrates in closed form cell by cell.
+The exact conditional expectation given the volatility path reads one
+table: the pi_n-average of sigma^2 seen from every retained corner.  It is
+sigma0^2 throughout for constant volatility (any weight); for the uniform
+window weight the concentration measure is four rectangles and the
+volatility integrates in closed form cell by cell.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from .simulate import strip_covariances
 
 __all__ = [
     "PowerVariationField",
+    "retained_corners",
     "power_variation",
     "variation_field",
     "scaled_power_variation",
@@ -31,17 +35,17 @@ __all__ = [
 ]
 
 
-def _whole_cells(s, t, eps):
-    """Numbers of whole eps-cells inside [0, s] and [0, t].
+def retained_corners(s, t, eps):
+    """Counts (i, j) of the retained corners (eps a, eps b), a, b >= 1, in [0, s] x [0, t].
 
-    Single rounding point for every floor in this module: the expectation
-    formula and the variation statistics must floor the same quotient the
-    same way or they count different cells at arguments like 0.55/0.1 that
-    land on rounding boundaries.  Points outside the unit square raise.
+    The one counting rule for every statistic, expectation and check on the
+    eps-lattice.  The quotient is floored with a slack, so a corner that lies
+    on the evaluation point counts even when s / eps rounds below it
+    (0.6 / 0.1 is 5.999...).  Points outside the unit square raise.
     """
     if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
         raise ValueError(f"evaluation point ({s}, {t}) outside the unit square")
-    return int(np.floor(float(s) / eps)), int(np.floor(float(t) / eps))
+    return math.floor(float(s) / eps + 1e-9), math.floor(float(t) / eps + 1e-9)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,9 +85,8 @@ class PowerVariationField:
 
     def at(self, s, t):
         """Step-field evaluation: the value at the last corner inside [0,s]x[0,t]."""
-        i, j = _whole_cells(s, t, self.eps)
-        m = self.values.shape[0] - 1
-        return float(self.values[min(i, m), min(j, m)])
+        i, j = retained_corners(s, t, self.eps)
+        return float(self.values[i, j])
 
 
 def power_variation(inc, p, s, t):
@@ -91,12 +94,8 @@ def power_variation(inc, p, s, t):
     p = float(p)
     if p <= 0.0:
         raise ValueError(f"power must be positive, got {p}")
-    i, j = _whole_cells(s, t, inc.k / inc.n)
-    if i == 0 or j == 0:
-        return 0.0
-    m = inc.values.shape[0]
-    block = np.abs(inc.values[: min(i, m), : min(j, m)])
-    return float(np.sum(block**p))
+    i, j = retained_corners(s, t, inc.k / inc.n)
+    return float(np.sum(np.abs(inc.values[:i, :j]) ** p))
 
 
 def variation_field(inc, p, c_n=None):
@@ -127,13 +126,40 @@ def scaled_power_variation(V):
     )
 
 
+# lln_experiment asks for every grid point of one (sigma, n) before it moves
+# on, so one entry serves all of them.  SigmaField hashes by identity, and
+# the cache keeps its key alive, so the identity cannot be reused.
+@lru_cache(maxsize=1)
+def _pi_averages(spec, sigma, n, k):
+    """(m, m) read-only table of int sigma^2 d pi_n seen from each retained corner.
+
+    Entry [i - 1, j - 1] belongs to the corner (eps i, eps j), m = n // k:
+    the conditional variance of that increment divided by c_n.
+    """
+    m, eps = n // k, k / n
+    if sigma.is_constant:
+        avg = np.full((m, m), float(sigma.values.flat[0]) ** 2)
+    elif spec.has_strips:
+        idx = np.indices((m, m)).reshape(2, -1).T + 1  # row-major (i, j)
+        diag = np.arange(m * m)
+        avg = strip_covariances(spec, sigma, n, eps, idx, diag, diag) / compute_cn(spec, n)
+        avg = avg.reshape(m, m)
+    else:
+        raise ValueError(
+            "exact conditional expectation is available for constant volatility "
+            "(any weight) or the uniform window weight (any volatility); use the "
+            "simulation route for other combinations"
+        )
+    avg.setflags(write=False)
+    return avg
+
+
 def expected_scaled_pv(spec, sigma, n, k, p, s, t):
     """Exact conditional expectation of the scaled variation given sigma.
 
     eps^2 sum_ij m_p (int sigma^2(eps i - xi, eps j - tau) pi_n)^{p/2} over
-    the retained corners in [0,s] x [0,t].  Constant volatility collapses to
-    m_p sigma^p eps^2 floor(s/eps) floor(t/eps) for every weight; otherwise
-    only the uniform window weight admits an exact route here.
+    the retained corners in [0,s] x [0,t]; for constant volatility that is
+    m_p sigma^p eps^2 times the number of corners, for every weight.
     """
     n, k, p = int(n), int(k), float(p)
     if p <= 0.0:
@@ -141,24 +167,9 @@ def expected_scaled_pv(spec, sigma, n, k, p, s, t):
     if not 1 <= k <= n:
         raise ValueError(f"thinning k must satisfy 1 <= k <= n, got {k}")
     eps = k / n
-    ci, cj = _whole_cells(s, t, eps)
-    if ci == 0 or cj == 0:
-        return 0.0
-    mp = abs_moment(p)
-    if sigma.is_constant:
-        sigma0 = float(sigma.values.flat[0])
-        return mp * sigma0**p * eps**2 * ci * cj
-    if spec.has_strips:
-        idx = np.indices((ci, cj)).reshape(2, -1).T + 1  # row-major (i, j)
-        # int sigma^2(eps i - xi, eps j - tau) pi_n(dxi, dtau) for each (i, j)
-        diag = np.arange(len(idx))
-        avg = strip_covariances(spec, sigma, n, eps, idx, diag, diag) / compute_cn(spec, n)
-        return float(eps**2 * mp * np.sum(avg ** (p / 2.0)))
-    raise ValueError(
-        "exact conditional expectation is available for constant volatility "
-        "(any weight) or the uniform window weight (any volatility); use the "
-        "simulation route for other combinations"
-    )
+    ci, cj = retained_corners(s, t, eps)
+    avg = _pi_averages(spec, sigma, n, k)
+    return float(eps**2 * abs_moment(p) * np.sum(avg[:ci, :cj].ravel() ** (p / 2.0)))
 
 
 def save_variation_csv(V, path):

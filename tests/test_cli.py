@@ -236,6 +236,14 @@ def test_a_constant_thinning_past_the_smallest_resolution_is_a_config_error(tmp_
     assert not out.exists()
 
 
+def test_an_empty_evaluation_grid_is_a_config_error(tmp_path):
+    cfg = _config(LLN_TEXT, grid_size=0)
+    assert validate(cfg) == ["grid_size must be >= 1, got 0"]
+    out = tmp_path / "never"
+    assert run(cfg.with_overrides(out=out)) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_an_eval_point_before_the_first_increment_is_a_config_error(tmp_path):
     # k_n/n is 4/8 at n = 8 and 13/64 at n = 64
     cfg = _config(CLT_TEXT, n="8, 64", eval_point="0.3, 0.3")

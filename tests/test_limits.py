@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from ambitlab import variation
 from ambitlab.errors import AdmissibilityError
 from ambitlab.kernels import SingularWeight, SlowFunction, TriangleWeight, UniformWeight
 from ambitlab.limits import (
@@ -15,6 +16,7 @@ from ambitlab.limits import (
     save_report_csv,
     sigma_functional,
 )
+from ambitlab.simulate import strip_covariances
 from ambitlab.volatility import (
     ConstantVol,
     DeterministicVol,
@@ -194,9 +196,6 @@ def test_report_invariants_guard_the_table_shape():
     with pytest.raises(ValueError, match="unknown experiment kind"):
         MonteCarloReport(kind="mcmc", n_schedule=(16,), reps=1, per_n={},
                          seed=0, runtime_s=0.0, flags=("x",))
-    with pytest.raises(ValueError, match="explanatory flag"):
-        MonteCarloReport(kind="lln", n_schedule=(16,), reps=1, per_n={},
-                         seed=0, runtime_s=0.0)
     with pytest.raises(ValueError, match="do not cover"):
         MonteCarloReport(kind="lln", n_schedule=(16, 32), reps=1,
                          per_n={16: {"2.0": {}}}, seed=0, runtime_s=0.0)
@@ -246,13 +245,49 @@ def test_lln_is_deterministic_given_the_config():
     assert a == b
 
 
-def test_lln_redraw_volatility_skips_the_split_with_a_flag():
+def test_lln_redraw_volatility_splits_each_replication_against_its_own_mean():
     rep = lln_experiment(_lln_uniform_config(
-        volatility=LogGaussianVol(), reps=3, n_schedule=(16,), grid_size=2, seed=1))
-    assert any("re-draws per replication" in f for f in rep.flags)
+        volatility=LogGaussianVol(), reps=1, n_schedule=(16,), grid_size=2, seed=1))
+    assert rep.flags == ("single replication: dispersion statistics degenerate",)
     st = rep.per_n[16]["2.0"]
-    assert st["mean_part_median"] is None
     assert st["sup_error_median"] > 0.0
+    # one replication: each median is that replication's sup, and the sup
+    # distance to the limit is at most the two parts' sum (up to rounding)
+    assert st["sup_error_median"] <= (
+        (st["mean_part_median"] + st["stoch_part_median"]) * (1.0 + 1e-12))
+
+
+def test_lln_builds_the_strip_integrals_once_per_resolution(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return strip_covariances(*args)
+
+    monkeypatch.setattr(variation, "strip_covariances", counted)
+    rep = lln_experiment(_lln_uniform_config(
+        volatility=DeterministicVol("sine_product"), p_values=(1.0, 2.0),
+        n_schedule=(16, 32), k=2, reps=2, grid_size=5))
+    assert calls == [16, 32]
+    assert rep.per_n[32]["1.0"]["mean_part_median"] is not None
+
+
+def test_lln_mean_part_vanishes_where_the_grid_lies_on_the_lattice():
+    # k = 1 and n a multiple of 5 put every grid point i/5 on a corner, and
+    # unit volatility makes the conditional mean there exactly the limit;
+    # 0.6 * 10 = 5.999... must still count six corners
+    rep = lln_experiment(_lln_uniform_config(n_schedule=(10, 20), reps=1, grid_size=5))
+    for n in (10, 20):
+        assert rep.per_n[n]["2.0"]["mean_part_median"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_clt_keeps_the_corners_on_the_evaluation_point():
+    # n = 25 at kappa 0.4 thins by k = 7 (eps = 0.28): three corners per axis
+    # lie in [0, 0.84], though 0.84 / 0.28 rounds to 2.999...
+    rep = clt_experiment(_clt_singular_config(n_schedule=(25,), eval_point=(0.84, 0.84),
+                                              reps=20))
+    assert rep.per_n[25]["k"] == 7
+    assert rep.per_n[25]["dim"] == 9
 
 
 def test_lln_without_an_exact_mean_flags_the_skipped_split():
@@ -264,10 +299,9 @@ def test_lln_without_an_exact_mean_flags_the_skipped_split():
     assert rep.per_n[16]["2.0"]["mean_part_median"] is None
 
 
-def test_lln_empty_grid_is_flagged_not_fabricated():
-    rep = lln_experiment(_lln_uniform_config(grid_size=0, reps=1))
-    assert rep.per_n == {}
-    assert any("empty evaluation grid" in f for f in rep.flags)
+def test_lln_config_refuses_an_empty_grid():
+    with pytest.raises(ValueError, match="grid size must be >= 1, got 0"):
+        _lln_uniform_config(grid_size=0)
 
 
 def test_lln_refuses_thinning_outside_the_known_range():

@@ -21,12 +21,18 @@ Run through the CLI:
 
 * every public function and method is entered by some CLI run, or is the
   reference a named test checks CLI code against (``ORACLES``).
+
+Loaded unchanged:
+
+* the benchmark tracer (``perfbench/tracing.py``) finds every function it
+  wraps, and every argument its work counts read.
 """
 
 import ast
 import collections
 import functools
 import importlib
+import importlib.util
 import inspect
 import pathlib
 import re
@@ -213,6 +219,30 @@ def test_the_quadrature_engine_forms_no_matrix_product():
         elif isinstance(node, ast.Name) and node.id in _MATRIX_PRODUCTS:
             bad.append(f"line {node.lineno}: {node.id}")
     assert not bad, bad
+
+
+def _load_tracer():
+    path = READERS[2] / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_the_benchmark_tracer_finds_what_it_wraps():
+    tracer = _load_tracer()
+    traced = {}
+    for module, functions in tracer.TRACED.items():
+        mod = importlib.import_module(f"ambitlab.{module}")
+        for fn in functions:
+            assert callable(getattr(mod, fn, None)), f"{module}.{fn}"
+            traced[f"{module}.{fn}"] = getattr(mod, fn)
+    for span, (_, count) in tracer.WORK.items():
+        params = inspect.signature(traced[span]).parameters
+        keys = {node.slice.value for node in ast.walk(ast.parse(inspect.getsource(count)))
+                if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id == "args" and isinstance(node.slice, ast.Constant)}
+        assert keys <= set(params), f"{span} has no parameter {sorted(keys - set(params))}"
 
 
 # Public names no CLI run enters, each mapped to a test that reads it: as the

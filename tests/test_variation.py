@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ambitlab.gaussian import abs_moment
 from ambitlab.kernels import SingularWeight, UniformWeight, compute_cn, eval_h
@@ -13,6 +15,7 @@ from ambitlab.variation import (
     PowerVariationField,
     expected_scaled_pv,
     power_variation,
+    retained_corners,
     save_variation_csv,
     scaled_power_variation,
     variation_field,
@@ -50,6 +53,25 @@ def test_empty_ranges_sum_to_zero():
     assert power_variation(inc, 2.0, 0.4, 1.0) == 0.0  # floor(ns/k) = 0
     assert power_variation(inc, 2.0, 0.0, 1.0) == 0.0
     assert power_variation(inc, 1.0, 1.0, 0.49) == 0.0
+
+
+def test_a_corner_on_the_evaluation_point_is_counted():
+    # 0.6 / 0.1 is 5.999..., yet the corner 0.6 lies in [0, 0.6]
+    inc = _inc(10, 1, np.ones((10, 10)))
+    assert retained_corners(0.6, 1.0, 0.1) == (6, 10)
+    assert power_variation(inc, 2.0, 0.6, 1.0) == 60.0
+    assert variation_field(inc, 2.0).at(0.6, 1.0) == 60.0
+    sig = sample_volatility(ConstantVol(1.0), 20, seed=0)
+    assert expected_scaled_pv(UniformWeight(), sig, 10, 1, 2.0, 0.6, 1.0) == pytest.approx(
+        0.6, rel=1e-14)
+
+
+@given(st.integers(2, 199), st.sampled_from((3, 4, 5, 6, 7, 10, 20)))
+def test_grid_points_count_the_corners_below_them_exactly(n, g):
+    # the grid point i/g lies at or above the corner eps j iff j k g <= i n
+    for k in range(1, n + 1):
+        for i in range(g + 1):
+            assert retained_corners(i / g, 1.0, k / n)[0] == (i * n) // (k * g), (k, i)
 
 
 def test_power_and_point_validation():
