@@ -39,7 +39,6 @@ __all__ = [
     "kappa_refusal",
     "region_catalog",
     "region_measures",
-    "save_measures_csv",
     "slope_fit",
 ]
 
@@ -250,17 +249,3 @@ def assumption1_probe(spec, n_schedule, atoms, quadcfg=None):
             per_radius[r] = float(1.0 - kernels.concentration_mass(spec, n, balls, quadcfg))
         out[int(n)] = per_radius
     return out
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-def save_measures_csv(measures, path):
-    """Write a {n: {region: mass}} table as `n,region,mass` rows."""
-    with open(path, "w") as fh:
-        fh.write("# squared-kernel mass by catalog region\n")
-        fh.write("n,region,mass\n")
-        for n in sorted(measures):
-            for name, mass in measures[n].items():
-                fh.write(f"{int(n)},{name},{float(mass)!r}\n")

@@ -19,8 +19,7 @@ hermite        p !
 lln            weight.* !, volatility.* !, p !, n !, kappa | k !, reps,
                grid_size, oversample, override_admissibility
 clt            weight.* !, volatility.* !, p ! (1), n !, kappa !, reps,
-               eval_point, cap, sigma_resolution, trend_batches,
-               override_admissibility
+               eval_point, sigma_resolution, override_admissibility
 asymptotics    weight.* !, n !, kappa !, quad.rel_tol, quad.abs_tol,
                override_admissibility
 simulate       weight.* !, volatility.* !, p (1), n ! (1), kappa | k,
@@ -46,19 +45,24 @@ log_gaussian   volatility.mean, volatility.variance, volatility.smooth_length
 =============  ==============================================================
 
 ``clt`` also needs an exact increment covariance: the uniform weight has one
-under any volatility and the singular weight under constant volatility; any
-other pairing is a violation.  ``p`` and ``n`` are comma-separated powers
-and resolutions; ``kappa`` is the thinning exponent and ``k`` a constant
-thinning count (one only, at most the smallest n); ``grid_size`` is the
-number of ``lln`` evaluation points per axis, at least 1; ``eval_point``
-must not lie before the first thinned increment k_n/n at any n; ``quad.*``
-are the kernel-mass quadrature tolerances; and ``override_admissibility``
-runs even when the thinning exponent fails the gate.  Unset keys take the defaults of
+under any volatility and the singular weight with a polynomial slow factor
+under constant volatility; any other pairing is a violation, as is a thinned
+lattice side n // k_n past ``simulate.DENSE_CAP``.  ``asymptotics`` needs a
+region catalog at every n.  ``p`` and ``n`` are comma-separated powers and
+resolutions; ``kappa`` is the thinning exponent and ``k`` a constant thinning
+count (one only, at most the smallest n); ``grid_size`` is the number of
+``lln`` evaluation points per axis, at least 1; ``eval_point`` must not lie
+before the first thinned increment k_n/n at any n; ``quad.*`` are the
+kernel-mass quadrature tolerances; and ``override_admissibility`` runs even
+when the thinning exponent fails the gate.  Unset keys take the defaults of
 ``LLNConfig``/``CLTConfig`` and ``QuadratureConfig``; ``simulate`` defaults
 to p = 2 and oversample = 1, and unthinned (k = 1) when neither kappa nor k
 is set, as ``kernel-report`` does.
 
 Every run writes ``report.json`` plus CSV tables into the output directory.
+A table is an optional ``#`` comment line, a comma-separated header and one
+line per row, a float cell as ``repr(float(v))`` and any other as ``str(v)``;
+``field.csv`` and ``sigma.csv`` are a ``#`` line over a ``%.17g`` matrix.
 The JSON embeds the fully resolved config and the master seed; all random
 streams derive from that one seed through fixed substream tags (volatility 1,
 lattice noise 2, exact-covariance draws 3, per-replication volatility
@@ -87,7 +91,6 @@ from .asymptotics import (
     kappa_refusal,
     region_catalog,
     region_measures,
-    save_measures_csv,
     slope_fit,
 )
 from .errors import AdmissibilityError, NotPSDError, QuadratureError
@@ -106,22 +109,11 @@ from .limits import (
     clt_experiment,
     lln_experiment,
     report_to_dict,
-    save_report_csv,
 )
 from .quadrature import QuadratureConfig
-from .simulate import increments, save_field_csv, simulate_lattice
-from .variation import (
-    retained_corners,
-    save_variation_csv,
-    scaled_power_variation,
-    variation_field,
-)
-from .volatility import (
-    sample_volatility,
-    save_sigma_csv,
-    vol_from_config,
-    vol_to_config,
-)
+from .simulate import DENSE_CAP, increments, simulate_lattice
+from .variation import retained_corners, scaled_power_variation, variation_field
+from .volatility import sample_volatility, vol_from_config, vol_to_config
 
 # numpy loads these submodules on first use (np.percentile in the lln
 # summary, np.median in the clt summary and np.unique in the LLN limit's cell
@@ -235,8 +227,8 @@ _KINDS = {
          "oversample", "override_admissibility"),
         needs=("n", "p", "kappa|k")),
     "clt": _KindKeys(
-        ("weight.", "volatility.", "p", "n", "kappa", "reps", "eval_point", "cap",
-         "sigma_resolution", "trend_batches", "override_admissibility"),
+        ("weight.", "volatility.", "p", "n", "kappa", "reps", "eval_point",
+         "sigma_resolution", "override_admissibility"),
         needs=("n", "p", "kappa"), single=("p",)),
     "asymptotics": _KindKeys(
         ("weight.", "n", "kappa", "quad.rel_tol", "quad.abs_tol",
@@ -318,8 +310,7 @@ def _parse(config):
          (lambda k: k >= 1, "constant thinning k must be >= 1, got {}"))
     take("reps", _parse_strict_int,
          (lambda reps: reps >= 1, "replications must be >= 1, got {}"))
-    for key, floor in (("grid_size", 1), ("oversample", 1), ("cap", 1),
-                       ("sigma_resolution", 2), ("trend_batches", 2)):
+    for key, floor in (("grid_size", 1), ("oversample", 1), ("sigma_resolution", 2)):
         take(key, _parse_strict_int,
              (lambda val, floor=floor: val >= floor, f"{key} must be >= {floor}, got {{}}"))
     take("eval_point", lambda raw: _parse_list(raw, float),
@@ -361,18 +352,34 @@ def _parse(config):
     if "k" in settings and schedule and settings["k"] > min(schedule):
         violations.append(f"constant thinning k={settings['k']} exceeds the smallest "
                           f"resolution n={min(schedule)}")
-    if "kappa" in settings and "eval_point" in settings:
+    thinned = ({n: thinning_count(n, settings["kappa"]) for n in schedule}
+               if "kappa" in settings else {})
+    if "eval_point" in settings:
         # clt_experiment keeps the retained corners below the evaluation point
-        first = {n: thinning_count(n, settings["kappa"]) / n for n in schedule}
-        empty = [f"n={n} (k_n/n = {eps:g})" for n, eps in first.items()
-                 if 0 in retained_corners(*settings["eval_point"], eps)]
+        empty = [f"n={n} (k_n/n = {k / n:g})" for n, k in thinned.items()
+                 if 0 in retained_corners(*settings["eval_point"], k / n)]
         if empty:
             violations.append(f"eval_point {tuple(settings['eval_point'])} excludes every "
                               f"retained increment at {', '.join(empty)}")
+    if kind == "clt":
+        # increment_covariance builds a dense matrix over the thinned lattice
+        over = [f"n={n} ({n // k} x {n // k})" for n, k in thinned.items()
+                if n // k > DENSE_CAP]
+        if over:
+            violations.append(f"the thinned lattice exceeds the dense-covariance cap "
+                              f"{DENSE_CAP} at {', '.join(over)}")
     weight, vol = settings.get("weight"), settings.get("volatility")
-    if kind == "asymptotics" and weight is not None and not weight.has_catalog:
-        violations.append("region catalogs exist for the corner-singular and cone "
-                          "kernels only")
+    if kind == "asymptotics" and weight is not None:
+        if not weight.has_catalog:
+            violations.append("region catalogs exist for the corner-singular and cone "
+                              "kernels only")
+        else:
+            # weight.catalog, not region_catalog: the benchmark counts the run's calls
+            for n, k in thinned.items():
+                try:
+                    weight.catalog(n, k / n)
+                except ValueError as exc:
+                    violations.append(f"region catalog at n={n}: {exc}")
     if (kind == "clt" and weight is not None and vol is not None and not weight.has_strips
             and not (vol.constant and weight.has_autocorrelation)):
         # the same routes increment_covariance takes
@@ -422,6 +429,26 @@ def _experiment_fields(settings, cls, **renamed):
 # ---------------------------------------------------------------------------
 # the runner
 # ---------------------------------------------------------------------------
+
+def _write_csv(out_dir, name, header, rows, comment=None):
+    """Write one table, in the format above, as ``out_dir/name``; return ``name``."""
+    with open(os.path.join(out_dir, name), "w") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+    return name
+
+
+def _write_matrix(out_dir, name, values, comment):
+    """Write a ``# comment`` line over a ``%.17g`` matrix; return ``name``."""
+    with open(os.path.join(out_dir, name), "w") as fh:
+        fh.write(f"# {comment}\n")
+        np.savetxt(fh, values, delimiter=",", fmt="%.17g")
+    return name
+
 
 def run(config):
     """Validate, execute, and write ``report.json`` plus CSV tables.
@@ -486,12 +513,9 @@ def _run_hermite(settings):
     for p in settings["p"]:
         exp = up_hermite_coeffs(p)
         sums = exp.partial_sums()
-        path = os.path.join(settings["out"], f"hermite_p{p:g}.csv")
-        with open(path, "w") as fh:
-            fh.write("k,alpha,partial_parseval\n")
-            for k, (a, s) in enumerate(zip(exp.alpha, sums)):
-                fh.write(f"{k},{float(a)!r},{float(s)!r}\n")
-        files.append(os.path.basename(path))
+        files.append(_write_csv(
+            settings["out"], f"hermite_p{p:g}.csv", ("k", "alpha", "partial_parseval"),
+            [(k, float(a), float(s)) for k, (a, s) in enumerate(zip(exp.alpha, sums))]))
         per_p[repr(float(p))] = {
             "m_p": float(abs_moment(p)),
             "m_2p": float(abs_moment(2.0 * p)),
@@ -513,7 +537,6 @@ def _run_kernel_report(settings):
     }
     weight, quad = settings["weight"], settings["quad"]
     per_n = {}
-    extra_cols = []
     for n in settings["n"]:
         cn = compute_cn(weight, n, quad)
         k = _thinning(settings, n)
@@ -524,16 +547,10 @@ def _run_kernel_report(settings):
             row["near_mass"] = float(concentration_mass(
                 weight, n, near_region(weight, k / n), quad))
         per_n[str(n)] = row
-        extra_cols = [key for key in row if key not in ("c_n", "k", "eps")]
-    path = os.path.join(settings["out"], "kernel_report.csv")
-    with open(path, "w") as fh:
-        fh.write("n,c_n,k,eps" + "".join(f",{c}" for c in extra_cols) + "\n")
-        for n in settings["n"]:
-            row = per_n[str(n)]
-            cells = [str(n), repr(row["c_n"]), str(row["k"]), repr(row["eps"])]
-            cells += [repr(row[c]) for c in extra_cols]
-            fh.write(",".join(cells) + "\n")
-    return targets, {"per_n": per_n}, [os.path.basename(path)]
+    # every n has the same columns, in the same order
+    name = _write_csv(settings["out"], "kernel_report.csv", ["n", *row],
+                      [(n, *per_n[str(n)].values()) for n in settings["n"]])
+    return targets, {"per_n": per_n}, [name]
 
 
 def _lln_targets():
@@ -551,9 +568,11 @@ def _lln_targets():
 def _run_lln(settings):
     cfg = _experiment_fields(settings, LLNConfig, p="p_values", n="n_schedule")
     report = lln_experiment(LLNConfig(**cfg))
-    path = os.path.join(settings["out"], "lln.csv")
-    save_report_csv(report, path)
-    return _lln_targets(), report_to_dict(report), [os.path.basename(path)]
+    rows = [(n, pkey, stat, float(val))
+            for n in sorted(report.per_n) for pkey in sorted(report.per_n[n])
+            for stat, val in report.per_n[n][pkey].items() if val is not None]
+    name = _write_csv(settings["out"], "lln.csv", ("n", "p", "stat", "value"), rows)
+    return _lln_targets(), report_to_dict(report), [name]
 
 
 def _run_clt(settings):
@@ -571,9 +590,10 @@ def _run_clt(settings):
     }
     cfg = _experiment_fields(dict(settings, p=settings["p"][0]), CLTConfig, n="n_schedule")
     report = clt_experiment(CLTConfig(**cfg))
-    path = os.path.join(settings["out"], "clt.csv")
-    save_report_csv(report, path)
-    return targets, report_to_dict(report), [os.path.basename(path)]
+    rows = [(n, stat, float(val)) for n in sorted(report.per_n)
+            for stat, val in report.per_n[n].items() if val is not None]
+    name = _write_csv(settings["out"], "clt.csv", ("n", "stat", "value"), rows)
+    return targets, report_to_dict(report), [name]
 
 
 def _run_asymptotics(settings):
@@ -596,13 +616,14 @@ def _run_asymptotics(settings):
                                       quadcfg=settings["quad"])
         ratios[str(n)] = float(assumption2_ratio(weight, n, kappa,
                                                  quadcfg=settings["quad"]))
-    csv_path = os.path.join(settings["out"], "region_measures.csv")
-    save_measures_csv(measures, csv_path)
-    ratio_path = os.path.join(settings["out"], "assumption2.csv")
-    with open(ratio_path, "w") as fh:
-        fh.write("n,ratio\n")
-        for n in schedule:
-            fh.write(f"{n},{ratios[str(n)]!r}\n")
+    files = [
+        _write_csv(settings["out"], "region_measures.csv", ("n", "region", "mass"),
+                   [(n, name, float(mass)) for n in schedule
+                    for name, mass in measures[n].items()],
+                   comment="squared-kernel mass by catalog region"),
+        _write_csv(settings["out"], "assumption2.csv", ("n", "ratio"),
+                   [(n, ratios[str(n)]) for n in schedule]),
+    ]
 
     slopes = {}
     region_names = sorted({name for table in measures.values() for name in table})
@@ -623,7 +644,7 @@ def _run_asymptotics(settings):
         "assumption2_ratio": ratios,
         "slopes": slopes,
     }
-    return targets, results, [os.path.basename(csv_path), os.path.basename(ratio_path)]
+    return targets, results, files
 
 
 def _run_simulate(settings):
@@ -642,13 +663,22 @@ def _run_simulate(settings):
     p = settings.get("p", [2.0])[0]
     V = variation_field(inc, p, c_n=compute_cn(settings["weight"], n, settings["quad"]))
     scaled = scaled_power_variation(V)
-    files = []
-    for name, saver, obj in (("field.csv", save_field_csv, fld),
-                             ("sigma.csv", save_sigma_csv, sigma),
-                             ("variation.csv", save_variation_csv, scaled)):
-        path = os.path.join(settings["out"], name)
-        saver(obj, path)
-        files.append(name)
+    provenance = "".join(f" {key}={val!r}" if isinstance(val, str) else f" {key}={val}"
+                         for key, val in fld.provenance.items())
+    ticks = [i * scaled.k / scaled.n for i in range(scaled.values.shape[0])]
+    files = [
+        _write_matrix(settings["out"], "field.csv", fld.values,
+                      f"lattice field: n={fld.n}{provenance}"),
+        _write_matrix(settings["out"], "sigma.csv", sigma.values,
+                      f"volatility grid: resolution={sigma.resolution} "
+                      f"model={type(sigma.model).__name__} seed={sigma.seed}"),
+        _write_csv(settings["out"], "variation.csv", ("s", "t", "value"),
+                   [(s, t, float(v)) for s, row in zip(ticks, scaled.values)
+                    for t, v in zip(ticks, row)],
+                   comment=f"power variation field: p={float(scaled.p)!r} k={scaled.k} "
+                           f"n={scaled.n} eps={float(scaled.eps)!r} "
+                           f"c_n={float(scaled.c_n)!r}"),
+    ]
     results = {
         "n": n, "M": M, "k": k, "p": p,
         "field_min": float(fld.values.min()),

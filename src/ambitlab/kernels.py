@@ -196,7 +196,7 @@ class WeightSpec:
     concentration_point = None   # single limit point of pi_n, if any
     has_catalog = False          # catalog() exists
     has_strips = False           # signed_strips() exists
-    has_autocorrelation = False  # lattice_autocorrelation() exists
+    has_autocorrelation = False  # lattice_autocorrelation() works
 
     def window(self, eps):
         """The shrinking neighborhood E carrying the concentration mass."""
@@ -404,7 +404,11 @@ class SingularWeight(_ProfileWeight):
     variant = "singular"
     concentration_point = (0.0, 0.0)
     has_catalog = True
-    has_autocorrelation = True
+
+    @property
+    def has_autocorrelation(self):
+        """Only a polynomial slow factor has the antiderivative it needs."""
+        return _ELL_CATALOG[self.ell.name][1] is not None
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -585,8 +589,8 @@ class SingularWeight(_ProfileWeight):
 
         Only polynomial slow factors sum_j c_j x^j admit one: the profile then
         integrates to the power sum sum_j c_j x^(j+1-alpha) / (j+1-alpha).
-        Anything else raises ValueError and the caller falls back to the
-        simulation route.
+        Anything else raises ValueError; ``has_autocorrelation`` is False for
+        it, so the exact routes never get here.
         """
         al, sc, name = self.alpha, self.scale, self.ell.name
         poly = _ELL_CATALOG[name][1]

@@ -53,11 +53,11 @@ __all__ = [
     "clt_experiment",
     "clt_variance",
     "lln_experiment",
-    "save_report_csv",
     "sigma_functional",
 ]
 
 _REDRAW_STREAM = 4  # substream tag: per-replication volatility re-draw roots
+_TREND_BATCHES = 8  # clt replication batches whose shape statistics take a median
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +207,7 @@ class CLTConfig:
     reps: int = 2000
     eval_point: tuple = (1.0, 1.0)
     seed: int = 0
-    cap: int = 32
     sigma_resolution: int = 64
-    trend_batches: int = 8
     override_admissibility: bool = False
 
     def __post_init__(self):
@@ -227,11 +225,8 @@ class CLTConfig:
         s, t = self.eval_point
         _require(0.0 < s <= 1.0 and 0.0 < t <= 1.0,
                  f"evaluation point {self.eval_point} outside (0,1]^2")
-        _require(self.cap >= 1, f"covariance cap must be >= 1, got {self.cap}")
         _require(self.sigma_resolution >= 2,
                  f"volatility resolution must be >= 2, got {self.sigma_resolution}")
-        _require(self.trend_batches >= 2,
-                 f"need >= 2 trend batches, got {self.trend_batches}")
 
 
 @dataclass(frozen=True)
@@ -429,7 +424,7 @@ def clt_experiment(config):
     for n in config.n_schedule:
         k = thinning_count(n, config.kappa)
         eps = k / n
-        cov = increment_covariance(weight, sigma, n, k, cap=config.cap)
+        cov = increment_covariance(weight, sigma, n, k)
         keep = np.flatnonzero(np.all(cov.indices <= retained_corners(s_eval, t_eval, eps),
                                      axis=1))
         if keep.size == 0:
@@ -478,9 +473,9 @@ def clt_experiment(config):
             for key in ("sample_variance", "variance_se", "skewness",
                         "excess_kurtosis", "kolmogorov_distance"):
                 entry[key] = None
-        if config.reps >= 2 * config.trend_batches:
-            batches = np.array_split(z[: config.reps - config.reps % config.trend_batches],
-                                     config.trend_batches)
+        if config.reps >= 2 * _TREND_BATCHES:
+            batches = np.array_split(z[: config.reps - config.reps % _TREND_BATCHES],
+                                     _TREND_BATCHES)
             shapes = np.abs([_shape_moments(b) for b in batches])
             entry["abs_skewness_median"] = float(np.median(shapes[:, 0]))
             entry["abs_excess_kurtosis_median"] = float(np.median(shapes[:, 1]))
@@ -498,7 +493,7 @@ def clt_experiment(config):
 
 
 # ---------------------------------------------------------------------------
-# report serialization
+# report dictionary
 # ---------------------------------------------------------------------------
 
 def report_to_dict(report):
@@ -518,21 +513,3 @@ def report_to_dict(report):
         "flags": list(report.flags),
         "per_n": per_n,
     }
-
-
-def save_report_csv(report, path):
-    """Long-format per-n table; None entries are skipped, not invented."""
-    with open(path, "w") as fh:
-        if report.kind == "lln":
-            fh.write("n,p,stat,value\n")
-            for n in sorted(report.per_n):
-                for pkey in sorted(report.per_n[n]):
-                    for stat, val in report.per_n[n][pkey].items():
-                        if val is not None:
-                            fh.write(f"{n},{pkey},{stat},{float(val)!r}\n")
-        else:
-            fh.write("n,stat,value\n")
-            for n in sorted(report.per_n):
-                for stat, val in report.per_n[n].items():
-                    if val is not None:
-                        fh.write(f"{n},{stat},{float(val)!r}\n")

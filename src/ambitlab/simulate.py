@@ -31,6 +31,7 @@ from .quadrature import QuadratureConfig
 from .volatility import midpoints, rect_integral, squared_prefix_integral
 
 __all__ = [
+    "DENSE_CAP",
     "NoiseGrid",
     "LatticeField",
     "IncrementField",
@@ -42,9 +43,9 @@ __all__ = [
     "increment_covariance",
     "sample_increments_exact",
     "rho_bar",
-    "save_field_csv",
 ]
 
+DENSE_CAP = 32  # largest thinned side m = n // k of increment_covariance's dense matrix
 _NOISE_STREAM = 2
 _EXACT_STREAM = 3
 
@@ -250,8 +251,9 @@ def _stationary_gamma(spec, n, k, m, quadcfg):
     """
     if not spec.has_autocorrelation:
         raise ValueError(
-            f"stationary exact covariance supports uniform and singular weights; "
-            f"got {type(spec).__name__} (use the simulation route)"
+            f"stationary exact covariance needs a closed-form lattice autocorrelation, "
+            f"which only the uniform weight and singular weights with a polynomial slow "
+            f"factor have; got {spec!r} (use the simulation route)"
         )
     di, dj = np.meshgrid(np.arange(m), np.arange(-(m - 1), m), indexing="ij")
     half = (di > 0) | (dj >= 0)
@@ -337,7 +339,7 @@ def strip_covariances(spec, sigma, n, eps, idx, a, b):
     return spec.scale**2 * np.bincount(pair, weights=su[ku] * sv[kv] * rects, minlength=len(a))
 
 
-def increment_covariance(spec, sigma, n, k, cap=32):
+def increment_covariance(spec, sigma, n, k):
     """Covariance C_ab = int h(eps*i_a - u, eps*j_a - v) h(...b...) sigma^2(u,v).
 
     Engines: uniform weight with any volatility grid
@@ -350,9 +352,9 @@ def increment_covariance(spec, sigma, n, k, cap=32):
     if not 1 <= k <= n:
         raise ValueError(f"thinning k must satisfy 1 <= k <= n, got {k}")
     m = n // k
-    if m > cap:
+    if m > DENSE_CAP:
         raise ValueError(
-            f"thinned lattice {m} x {m} exceeds the dense-covariance cap {cap}"
+            f"thinned lattice {m} x {m} exceeds the dense-covariance cap {DENSE_CAP}"
         )
     eps = k / n
     idx = np.indices((m, m)).reshape(2, -1).T + 1  # row-major (i, j)
@@ -405,14 +407,3 @@ def rho_bar(cov):
     corr = np.abs(cov.correlation())
     np.fill_diagonal(corr, 0.0)
     return float(corr.max())
-
-
-# ------------------------------------------------------------------ exports
-
-def save_field_csv(fld, path):
-    with open(path, "w") as fh:
-        fh.write(f"# lattice field: n={fld.n}")
-        for key, val in fld.provenance.items():
-            fh.write(f" {key}={val!r}" if isinstance(val, str) else f" {key}={val}")
-        fh.write("\n")
-        np.savetxt(fh, fld.values, delimiter=",", fmt="%.17g")

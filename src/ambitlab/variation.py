@@ -31,7 +31,6 @@ __all__ = [
     "variation_field",
     "scaled_power_variation",
     "expected_scaled_pv",
-    "save_variation_csv",
 ]
 
 
@@ -170,19 +169,3 @@ def expected_scaled_pv(spec, sigma, n, k, p, s, t):
     ci, cj = retained_corners(s, t, eps)
     avg = _pi_averages(spec, sigma, n, k)
     return float(eps**2 * abs_moment(p) * np.sum(avg[:ci, :cj].ravel() ** (p / 2.0)))
-
-
-def save_variation_csv(V, path):
-    m = V.values.shape[0] - 1
-    with open(path, "w") as fh:
-        fh.write(
-            f"# power variation field: p={float(V.p)!r} k={V.k} n={V.n} "
-            f"eps={float(V.eps)!r} c_n={None if V.c_n is None else float(V.c_n)!r}\n"
-        )
-        fh.write("s,t,value\n")
-        for i in range(m + 1):
-            for j in range(m + 1):
-                fh.write(
-                    f"{repr(i * V.k / V.n)},{repr(j * V.k / V.n)},"
-                    f"{repr(float(V.values[i, j]))}\n"
-                )

@@ -28,7 +28,6 @@ __all__ = [
     "integrated_power",
     "squared_prefix_integral",
     "rect_integral",
-    "save_sigma_csv",
     "vol_to_config",
     "vol_from_config",
 ]
@@ -332,16 +331,6 @@ def rect_integral(pref, u_iv, v_iv):
     va, vb = np.maximum(v_iv[0], -1.0), np.minimum(v_iv[1], 1.0)
     vals = pref(ub, vb) - pref(ub, va) - pref(ua, vb) + pref(ua, va)
     return np.where((ub <= ua) | (vb <= va), 0.0, vals)
-
-
-def save_sigma_csv(sigma, path):
-    """Write the realized grid row-major with a provenance header."""
-    model = sigma.model
-    tag = type(model).__name__ if model is not None else "scaled"
-    with open(path, "w") as fh:
-        fh.write(f"# volatility grid: resolution={sigma.resolution} model={tag} "
-                 f"seed={sigma.seed}\n")
-        np.savetxt(fh, sigma.values, delimiter=",", fmt="%.17g")
 
 
 def vol_to_config(model):

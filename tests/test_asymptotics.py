@@ -9,7 +9,6 @@ from ambitlab.asymptotics import (
     assumption2_ratio,
     region_catalog,
     region_measures,
-    save_measures_csv,
     slope_fit,
 )
 from ambitlab.kernels import (
@@ -318,15 +317,3 @@ def test_probe_validates_atoms():
         assumption1_probe(w, (16,), ((0.0, (0.5, 0.5)),))
     with pytest.raises(ValueError, match="planar points"):
         assumption1_probe(w, (16,), ((1.0, (0.5, 0.5, 0.5)),))
-
-
-# ------------------------------------------------------------------ exports
-
-def test_measures_csv_roundtrip(tmp_path):
-    path = tmp_path / "measures.csv"
-    save_measures_csv({16: {"E": 0.5, "B1": 0.25}, 8: {"E": 1.0}}, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# squared-kernel mass by catalog region"
-    assert lines[1] == "n,region,mass"
-    assert lines[2] == "8,E,1.0"
-    assert lines[3:] == ["16,E,0.5", "16,B1,0.25"]

@@ -5,9 +5,10 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from ambitlab import cli, limits
+from ambitlab import cli, limits, simulate
 from ambitlab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -19,6 +20,8 @@ from ambitlab.cli import (
     validate,
 )
 from ambitlab.errors import NotPSDError
+from ambitlab.kernels import weight_from_config
+from ambitlab.volatility import sample_volatility, vol_from_config
 
 LLN_TEXT = """
 kind = lln
@@ -43,6 +46,16 @@ n = 64
 kappa = 0.4
 reps = 40
 sigma_resolution = 8
+"""
+
+SIMULATE_TEXT = """
+kind = simulate
+weight.variant = uniform
+volatility.variant = deterministic
+volatility.name = sine_product
+p = 2.0
+n = 16
+seed = 3
 """
 
 BENCH_CONFIGS = sorted(
@@ -188,7 +201,11 @@ def test_a_key_the_variant_never_reads_is_a_config_error(tmp_path, text, message
     (CLT_TEXT.replace("variant = singular", "variant = triangle").replace(
         "kappa = 0.4", "kappa = 0.1"),
      "the triangle weight lacks under constant volatility"),
-], ids=["singular-deterministic", "triangle-constant"])
+    # a slow factor without a closed-form antiderivative has no lattice autocorrelation
+    (CLT_TEXT.replace("alpha = 0.75", "alpha = 0.3").replace("ell = one", "ell = cos_quarter")
+     .replace("kappa = 0.4", "kappa = 0.2").replace("n = 64", "n = 8"),
+     "the singular weight lacks under constant volatility"),
+], ids=["singular-deterministic", "triangle-constant", "singular-cos-quarter-constant"])
 def test_clt_without_an_exact_covariance_is_a_config_error(tmp_path, text, pairing):
     cfg = ExperimentConfig.from_text(text)
     assert validate(cfg) == [f"clt needs an exact increment covariance, which {pairing}"]
@@ -253,6 +270,31 @@ def test_an_eval_point_before_the_first_increment_is_a_config_error(tmp_path):
     assert run(cfg.with_overrides(out=out)) == EXIT_CONFIG
     assert not out.exists()
     assert validate(_config(CLT_TEXT, n="8, 64", eval_point="0.5, 1")) == []
+
+
+def test_a_thinned_lattice_past_the_dense_covariance_cap_is_a_config_error(tmp_path):
+    # k_n = ceil(sqrt(n)) at kappa = 0.5: n // k_n is 32 at n = 1024 and 44 at n = 2048
+    cfg = _config(CLT_TEXT, kappa="0.5", n="2048", **{"weight.alpha": "0.6"})
+    assert validate(cfg) == [f"the thinned lattice exceeds the dense-covariance cap "
+                             f"{simulate.DENSE_CAP} at n=2048 (44 x 44)"]
+    out = tmp_path / "never"
+    assert run(cfg.with_overrides(out=out)) == EXIT_CONFIG
+    assert not out.exists()
+    assert validate(_config(CLT_TEXT, kappa="0.5", n="1024", **{"weight.alpha": "0.6"})) == []
+
+
+def test_a_cone_window_narrower_than_its_edge_bands_is_a_config_error(tmp_path):
+    # k_n = n at kappa = 0.05 and n <= 8: the window edge sits at height 1/2,
+    # below the 2/n-deep edge bands at n = 2 only
+    path = tmp_path / "cone.cfg"
+    path.write_text("kind = asymptotics\nweight.variant = triangle\nweight.alpha = 0.6\n"
+                    "weight.ell = one\nkappa = 0.05\nn = 2, 4, 8\n")
+    messages = validate(ExperimentConfig.from_file(path))
+    assert len(messages) == 1
+    assert messages[0].startswith("region catalog at n=2: cone cross-section")
+    out = tmp_path / "never"
+    assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
 
 
 # ------------------------------------------------------------ run: failures
@@ -342,6 +384,7 @@ def test_hermite_report_carries_the_rank_two_signature(tmp_path):
     lines = (out / "hermite_p2.csv").read_text().splitlines()
     assert lines[0] == "k,alpha,partial_parseval"
     assert len(lines) == 62  # header + orders 0..60
+    assert lines[3].startswith(f"2,{table['alpha_2']!r},")
     assert report["files"] == ["hermite_p1.csv", "hermite_p2.csv"]
 
 
@@ -387,6 +430,11 @@ def test_lln_run_embeds_config_and_seed_and_writes_the_table(tmp_path):
     lines = (out / "lln.csv").read_text().splitlines()
     assert lines[0] == "n,p,stat,value"
     assert any(line.startswith("16,2.0,sup_error_median,") for line in lines)
+    assert "16,2.0,k,1.0" in lines  # the integer k is written as a float
+    per_n = report["results"]["per_n"]
+    assert sorted(lines[1:]) == sorted(
+        f"{n},{p},{stat},{float(val)!r}" for n, by_p in per_n.items()
+        for p, table in by_p.items() for stat, val in table.items() if val is not None)
 
 
 def test_clt_run_reports_the_variance_ladder(tmp_path):
@@ -399,6 +447,18 @@ def test_clt_run_reports_the_variance_ladder(tmp_path):
     assert row["asymptotic_variance"] == pytest.approx(2.0, rel=1e-9)
     assert abs(row["sample_variance"] - row["exact_variance"]) < 5 * row["variance_se"]
     assert (out / "clt.csv").read_text().splitlines()[0] == "n,stat,value"
+
+
+def test_clt_csv_skips_the_statistics_a_single_replication_lacks(tmp_path):
+    out = tmp_path / "clt"
+    assert run(_config(CLT_TEXT, reps="1", out=str(out))) == EXIT_OK
+    row = json.loads((out / "report.json").read_text())["results"]["per_n"]["64"]
+    assert row["sample_variance"] is None
+    lines = (out / "clt.csv").read_text().splitlines()
+    assert lines[0] == "n,stat,value"
+    assert sorted(lines[1:]) == sorted(
+        f"64,{stat},{float(val)!r}" for stat, val in row.items() if val is not None)
+    assert not any(",sample_variance," in line for line in lines)  # skipped, not invented
 
 
 def test_asymptotics_run_recovers_the_core_decay_rate(tmp_path):
@@ -417,33 +477,48 @@ def test_asymptotics_run_recovers_the_core_decay_rate(tmp_path):
     ratios = [report["results"]["assumption2_ratio"][str(n)]
               for n in (64, 128, 256, 512)]
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
-    text = (out / "region_measures.csv").read_text()
-    assert text.splitlines()[1] == "n,region,mass"
+    lines = (out / "region_measures.csv").read_text().splitlines()
+    assert lines[:2] == ["# squared-kernel mass by catalog region", "n,region,mass"]
+    assert f"64,Etilde,{report['results']['per_n']['64']['Etilde']!r}" in lines
     assert (out / "assumption2.csv").read_text().splitlines()[0] == "n,ratio"
 
 
 def test_simulate_run_writes_field_sigma_and_variation(tmp_path):
     out = tmp_path / "sim"
-    cfg = ExperimentConfig({
-        "kind": "simulate", "weight.variant": "uniform",
-        "volatility.variant": "deterministic", "volatility.name": "sine_product",
-        "p": "2.0", "n": "16", "seed": "3", "out": str(out),
-    })
+    cfg = _config(SIMULATE_TEXT, out=str(out))
     assert run(cfg) == EXIT_OK
-    for name in ("field.csv", "sigma.csv", "variation.csv", "report.json"):
-        assert (out / name).exists()
     report = json.loads((out / "report.json").read_text())
+    assert report["files"] == ["field.csv", "sigma.csv", "variation.csv"]
     assert report["results"]["n"] == 16 and report["results"]["M"] == 32
     assert report["results"]["field_min"] < report["results"]["field_max"]
+
+    # field.csv and sigma.csv load back to the arrays the run drew, bit for bit
+    sigma = sample_volatility(vol_from_config(cfg.entries), 32, seed=3)
+    field = simulate.simulate_lattice(weight_from_config(cfg.entries), sigma, 16, 32,
+                                      seed=3, rep=0)
+    for name, values, header in (
+            ("field.csv", field.values, "# lattice field: n=16 weight='UniformWeight("),
+            ("sigma.csv", sigma.values,
+             "# volatility grid: resolution=32 model=DeterministicVol seed=3")):
+        assert (out / name).read_text().startswith(header)
+        assert np.array_equal(np.loadtxt(out / name, delimiter=",", comments="#"), values)
+
+    lines = (out / "variation.csv").read_text().splitlines()
+    assert lines[0].startswith("# power variation field: p=2.0 k=1 n=16 eps=0.0625 c_n=")
+    assert lines[1] == "s,t,value"
+    assert len(lines) == 2 + 17 * 17
+    assert lines[-1] == f"1.0,1.0,{report['results']['scaled_variation_at_11']!r}"
 
 
 # ------------------------------------------------------------- determinism
 
 def test_identical_configs_reproduce_identical_csv_bytes(tmp_path):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert run(_config(LLN_TEXT, out=str(out_a))) == EXIT_OK
-    assert run(_config(LLN_TEXT, out=str(out_b))) == EXIT_OK
-    assert (out_a / "lln.csv").read_bytes() == (out_b / "lln.csv").read_bytes()
+    for kind, text in (("lln", LLN_TEXT), ("simulate", SIMULATE_TEXT)):
+        out_a, out_b = tmp_path / kind / "a", tmp_path / kind / "b"
+        assert run(_config(text, out=str(out_a))) == EXIT_OK
+        assert run(_config(text, out=str(out_b))) == EXIT_OK
+        for name in json.loads((out_a / "report.json").read_text())["files"]:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
 def test_seed_changes_the_numbers_and_is_echoed(tmp_path):

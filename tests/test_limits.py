@@ -13,7 +13,6 @@ from ambitlab.limits import (
     clt_variance,
     lln_experiment,
     report_to_dict,
-    save_report_csv,
     sigma_functional,
 )
 from ambitlab.simulate import strip_covariances
@@ -171,8 +170,6 @@ def test_clt_config_rejects_bad_geometry():
         CLTConfig(kappa=1.5, **kw)
     with pytest.raises(ValueError, match="outside \\(0,1\\]"):
         CLTConfig(eval_point=(0.0, 1.0), **kw)
-    with pytest.raises(ValueError, match="trend batches"):
-        CLTConfig(trend_batches=1, **kw)
 
 
 def test_lln_config_rejects_a_thinning_exponent_outside_the_unit_interval():
@@ -380,28 +377,3 @@ def test_clt_is_deterministic_given_the_config():
     b = report_to_dict(clt_experiment(_clt_singular_config(reps=50)))
     a.pop("runtime_s"), b.pop("runtime_s")
     assert a == b
-
-
-# ------------------------------------------------------------- serialization
-
-def test_report_csv_is_long_format_and_reproducible(tmp_path):
-    rep = lln_experiment(_lln_uniform_config(reps=2, n_schedule=(16,)))
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    save_report_csv(rep, a)
-    save_report_csv(lln_experiment(_lln_uniform_config(reps=2, n_schedule=(16,))), b)
-    assert a.read_bytes() == b.read_bytes()
-    lines = a.read_text().splitlines()
-    assert lines[0] == "n,p,stat,value"
-    assert all(line.startswith("16,2.0,") for line in lines[1:])
-    stats = {line.split(",")[2] for line in lines[1:]}
-    assert "sup_error_median" in stats and "raw_v_mean" in stats
-
-
-def test_clt_csv_skips_unavailable_statistics(tmp_path):
-    rep = clt_experiment(_clt_singular_config(reps=1))
-    path = tmp_path / "clt.csv"
-    save_report_csv(rep, path)
-    text = path.read_text()
-    assert text.splitlines()[0] == "n,stat,value"
-    assert "exact_variance" in text
-    assert "sample_variance" not in text  # None: skipped, not invented

@@ -21,7 +21,6 @@ from ambitlab.simulate import (
     rho_bar,
     sample_increments_exact,
     sample_noise,
-    save_field_csv,
     simulate_lattice,
 )
 from ambitlab.volatility import ConstantVol, DeterministicVol, LogGaussianVol, sample_volatility
@@ -301,7 +300,7 @@ def test_covariance_rejects_unsupported_combinations():
     const = sample_volatility(ConstantVol(1.0), 16, seed=0)
     with pytest.raises(ValueError, match="simulation route"):
         increment_covariance(SingularWeight(alpha=0.75), sine, 8, 4)
-    with pytest.raises(ValueError, match="antiderivative"):
+    with pytest.raises(ValueError, match="closed-form lattice autocorrelation"):
         increment_covariance(
             SingularWeight(alpha=0.75, ell=SlowFunction("cos_quarter")),
             const,
@@ -396,16 +395,3 @@ def test_exact_sampler_rejects_indefinite_matrices():
         sample_increments_exact(cov, seed=0, reps=10)
     with pytest.raises(ValueError, match="replication"):
         sample_increments_exact(cov, seed=0, reps=0)
-
-
-# ------------------------------------------------------------------- exports
-
-def test_field_csv_roundtrip(tmp_path):
-    sig = sample_volatility(ConstantVol(1.0), 32, seed=0)
-    fld = simulate_lattice(UniformWeight(), sig, 4, 32, seed=9)
-    path = tmp_path / "field.csv"
-    save_field_csv(fld, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# lattice field: n=4 weight='UniformWeight")
-    back = np.loadtxt(path, delimiter=",", comments="#")
-    assert np.array_equal(back, fld.values)

@@ -15,7 +15,9 @@ Read with ``ast`` only:
 * one quadrature engine: only ``quadrature`` (and the ``gaussian`` test
   oracles) builds Gauss-Legendre, adaptive or graded rules;
 * ``quadrature`` forms no matrix product, so no panel's Gauss sum depends
-  on the panels beside it.
+  on the panels beside it;
+* only ``cli`` opens files: the computation modules do no file I/O, and
+  every CSV table goes through the CLI's one writer.
 
 Run through the CLI:
 
@@ -218,6 +220,21 @@ def test_the_quadrature_engine_forms_no_matrix_product():
             bad.append(f"line {node.lineno}: .{node.attr}")
         elif isinstance(node, ast.Name) and node.id in _MATRIX_PRODUCTS:
             bad.append(f"line {node.lineno}: {node.id}")
+    assert not bad, bad
+
+
+_FILE_IO = {"open", "savetxt"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_only_the_cli_opens_files(path):
+    bad = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in _FILE_IO:
+                bad.append(f"line {node.lineno}: calls {name}")
     assert not bad, bad
 
 

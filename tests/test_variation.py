@@ -16,7 +16,6 @@ from ambitlab.variation import (
     expected_scaled_pv,
     power_variation,
     retained_corners,
-    save_variation_csv,
     scaled_power_variation,
     variation_field,
 )
@@ -274,18 +273,3 @@ def test_bias_identity_with_floor_product_is_exact():
         ci, cj = int(s / eps), int(t / eps)
         closed = abs_moment(p) * 2.0**p * (eps * ci) * (eps * cj)
         assert expect == pytest.approx(closed, rel=1e-12)
-
-
-# -------------------------------------------------------------------- export
-
-def test_variation_csv_export(tmp_path):
-    inc = _inc(2, 1, [[0.5, -0.5], [1.0, 2.0]])
-    fld = variation_field(inc, 2.0, c_n=0.25)
-    path = tmp_path / "variation.csv"
-    save_variation_csv(fld, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# power variation field: p=2.0 k=1 n=2 eps=0.5 c_n=0.25"
-    assert lines[1] == "s,t,value"
-    assert lines[-1] == "1.0,1.0,5.5"
-    data = np.loadtxt(path, delimiter=",", comments="#", skiprows=2)
-    assert data.shape == (9, 3)

@@ -13,7 +13,6 @@ from ambitlab.volatility import (
     midpoints,
     rect_integral,
     sample_volatility,
-    save_sigma_csv,
     squared_prefix_integral,
     vol_from_config,
     vol_to_config,
@@ -236,14 +235,6 @@ def test_at_looks_up_covering_cell():
     u = midpoints(4)
     assert f.at(u[2], u[1]) == f.values[2, 1]
     assert f.at(-1.0, -1.0) == f.values[0, 0]  # clipped to the boundary cell
-
-
-def test_csv_export_roundtrips_values(tmp_path):
-    f = sample_volatility(LogGaussianVol(variance=0.01, smooth_length=0.3), 12, seed=4)
-    path = tmp_path / "sig.csv"
-    save_sigma_csv(f, path)
-    back = np.loadtxt(path, delimiter=",", comments="#")
-    assert np.allclose(back, f.values, rtol=0, atol=1e-16)
 
 
 @pytest.mark.parametrize(
