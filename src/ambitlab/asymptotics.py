@@ -4,7 +4,8 @@ The limit theory implemented by this package rests on two numbered
 hypotheses about the concentration measures pi_n = h_n^2 dx / c_n:
 
 1. pi_n converges weakly to a fixed purely atomic probability measure pi
-   supported on finitely many points (checked here by shrinking-ball probes);
+   supported on finitely many points (checked by ``kernel-report``'s
+   ``near_mass`` and corner-cell columns);
 2. for the Gaussian fluctuation result, the pi_n-mass outside a window E_n
    of diameter ~eps_n around the concentration point must vanish faster
    than eps_n^2 (checked here as a ratio that should trend to zero).
@@ -28,22 +29,16 @@ import numpy as np
 
 from . import kernels
 from .errors import QuadratureError
-from .regions import Rect, Union
 
 __all__ = [
-    "PROBE_RADII",
-    "RegionCatalog",
+    "PARTITION",
     "SlopeFit",
-    "assumption1_probe",
     "assumption2_ratio",
     "kappa_refusal",
     "region_catalog",
     "region_measures",
     "slope_fit",
 ]
-
-#: Ball radii used by the weak-convergence probe, largest first.
-PROBE_RADII = (0.2, 0.1, 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -70,11 +65,15 @@ def kappa_refusal(spec, kappa):
 # region catalogs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegionCatalog:
+#: The catalog regions whose masses add up to c_n: the window once plus the bands.
+PARTITION = ("E", "B1", "B2", "B3", "B4")
+
+
+def region_catalog(spec, n, kappa):
     """Named regions splitting the squared differenced kernel's support.
 
-    ``regions`` maps names to geometric region descriptions:
+    The weight's ``catalog(n, eps)`` at the realized eps = k_n/n, a dict
+    from names to geometric region descriptions:
 
     * ``"E"`` -- the window of diameter ~eps around the concentration point;
     * ``"Etilde"`` -- the core below height 1/n where the fresh kernel value
@@ -85,58 +84,26 @@ class RegionCatalog:
 
     For the corner-singular kernel the band anatomy lives in the lower half
     and each ``Bi`` is stored together with its mirror image across t = s,
-    so that ``partition`` -- the window once plus the four bands -- adds up
-    to c_n exactly.  ``Etilde`` and ``T`` stay one-sided: their masses match
-    the exact one-dimensional formulas without a mirror factor.
-    """
-
-    variant: str
-    n: int
-    kappa: float
-    k: int
-    eps: float
-    regions: dict
-    partition: tuple
-
-
-def region_catalog(spec, n, kappa):
-    """Build the named-region catalog for one (kernel, resolution, thinning).
-
-    The regions come from the weight class's ``catalog(n, eps)``, which
-    describes its variant's anatomy.
+    so that the ``PARTITION`` regions add up to c_n exactly.  ``Etilde`` and
+    ``T`` stay one-sided: their masses match the exact one-dimensional
+    formulas without a mirror factor.
     """
     if n < 2:
         raise ValueError(f"lattice resolution must be >= 2, got {n}")
-    k = kernels.thinning_count(n, kappa)
-    if not kernels.require_weight(spec).has_catalog:
-        raise ValueError(
-            "region catalogs exist for the corner-singular and cone kernels only; "
-            f"got {type(spec).__name__}"
-        )
-    eps = k / n
-    return RegionCatalog(
-        variant=spec.variant, n=n, kappa=kappa, k=k, eps=eps,
-        regions=spec.catalog(n, eps), partition=("E", "B1", "B2", "B3", "B4"),
-    )
+    return kernels.require_weight(spec).catalog(n, kernels.thinning_count(n, kappa) / n)
 
 
-def region_measures(spec, n, catalog, names=None, quadcfg=None):
-    """Squared-kernel mass of each catalog region, by name.
+def region_measures(spec, n, regions, names=None, quadcfg=None):
+    """Squared-kernel mass of each region of a catalog built at n, by name.
 
     A quadrature failure is re-raised with the offending region's name so a
     long measurement run identifies which integral broke.
     """
-    if catalog.n != n:
-        raise ValueError(f"catalog was built for n={catalog.n}, asked to measure n={n}")
-    if kernels.require_weight(spec).variant != catalog.variant:
-        raise ValueError(
-            f"catalog variant {catalog.variant!r} does not match {type(spec).__name__}"
-        )
-    names = tuple(catalog.regions) if names is None else tuple(names)
+    names = tuple(regions) if names is None else tuple(names)
     out = {}
     for name in names:
         try:
-            out[name] = float(kernels.mu_mass(spec, n, catalog.regions[name], quadcfg))
+            out[name] = float(kernels.mu_mass(spec, n, regions[name], quadcfg))
         except QuadratureError as exc:
             raise QuadratureError(
                 f"region {name!r} at n={n}: {exc}", estimate=exc.estimate
@@ -201,7 +168,7 @@ def slope_fit(values):
 
 
 # ---------------------------------------------------------------------------
-# hypothesis probes
+# window decay
 # ---------------------------------------------------------------------------
 
 def assumption2_ratio(spec, n, kappa, quadcfg=None):
@@ -214,38 +181,8 @@ def assumption2_ratio(spec, n, kappa, quadcfg=None):
     against it (the known ranges are sufficient conditions, so a failure
     outside them is an observation, not a contradiction).
     """
-    k = kernels.thinning_count(n, kappa)
-    eps = k / n
+    eps = kernels.thinning_count(n, kappa) / n
     window = kernels.near_region(spec, eps)
     inside = kernels.concentration_mass(spec, n, window, quadcfg)
     return float((1.0 - inside) / eps**2)
 
-
-def assumption1_probe(spec, n_schedule, atoms, quadcfg=None):
-    """Concentration mass escaping shrinking balls around the target atoms.
-
-    ``atoms`` is a tuple of (weight, (x, y)) pairs -- the purely atomic
-    candidate limit, as ``WeightSpec.limit_atoms()`` gives it, or any other
-    candidate to test against.  For each n in the schedule and each radius
-    in ``PROBE_RADII``, reports the concentration mass outside the union of
-    radius-r sup-norm balls around the atoms.  Masses tending to zero for
-    every radius support weak convergence to the candidate; an atom placed
-    outside the kernel's support leaves the mass near 1 instead.
-    """
-    if not atoms:
-        raise ValueError("the candidate limit has no atoms")
-    for w, point in atoms:
-        if not w > 0.0:
-            raise ValueError(f"atom weights must be positive, got {w}")
-        if len(point) != 2:
-            raise ValueError(f"atom locations must be planar points, got {point!r}")
-    out = {}
-    for n in n_schedule:
-        per_radius = {}
-        for r in PROBE_RADII:
-            balls = Union(tuple(
-                Rect(x - r, x + r, y - r, y + r) for _, (x, y) in atoms
-            ))
-            per_radius[r] = float(1.0 - kernels.concentration_mass(spec, n, balls, quadcfg))
-        out[int(n)] = per_radius
-    return out

@@ -48,7 +48,8 @@ log_gaussian   volatility.mean, volatility.variance, volatility.smooth_length
 under any volatility and the singular weight with a polynomial slow factor
 under constant volatility; any other pairing is a violation, as is a thinned
 lattice side n // k_n past ``simulate.DENSE_CAP``.  ``asymptotics`` needs a
-region catalog at every n.  ``p`` and ``n`` are comma-separated powers and
+region catalog at every n.  ``p`` and ``n`` are comma-separated powers, no
+two alike (nor alike by ``%g``, which names ``hermite``'s tables), and
 resolutions; ``kappa`` is the thinning exponent and ``k`` a constant thinning
 count (one only, at most the smallest n); ``grid_size`` is the number of
 ``lln`` evaluation points per axis, at least 1; ``eval_point`` must not lie
@@ -87,6 +88,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .asymptotics import (
+    PARTITION,
     assumption2_ratio,
     kappa_refusal,
     region_catalog,
@@ -249,6 +251,7 @@ _NEEDED = {
     "kappa|k": "a thinning rule: kappa or k",
 }
 _SINGLE = {"p": "power", "n": "resolution"}
+_HERMITE_TABLE = "hermite_p{:g}.csv"  # hermite's table of one power
 
 
 def _reads(row, key):
@@ -299,7 +302,8 @@ def _parse(config):
     take("override_admissibility", _parse_bool)
     take("p", lambda raw: _parse_list(raw, float),
          (lambda ps: all(np.isfinite(p) and p > 0.0 for p in ps),
-          "powers must be positive, got {}"))
+          "powers must be positive, got {}"),
+         (lambda ps: len(set(ps)) == len(ps), "powers must not repeat, got {}"))
     take("n", lambda raw: _parse_list(raw, _parse_strict_int),
          (lambda ns: all(n >= 2 for n in ns), "resolutions must be >= 2, got {}"),
          (lambda ns: all(a < b for a, b in zip(ns, ns[1:])),
@@ -348,6 +352,11 @@ def _parse(config):
         if key in settings and len(settings[key]) != 1:
             violations.append(f"{kind} takes a single {_SINGLE[key]}, got "
                               f"{len(settings[key])}")
+    if kind == "hermite" and "p" in settings:
+        tables = [_HERMITE_TABLE.format(p) for p in settings["p"]]
+        shared = sorted({name for name in tables if tables.count(name) > 1})
+        if shared:
+            violations.append(f"powers {settings['p']} would share {', '.join(shared)}")
     schedule = settings.get("n", [])
     if "k" in settings and schedule and settings["k"] > min(schedule):
         violations.append(f"constant thinning k={settings['k']} exceeds the smallest "
@@ -370,16 +379,12 @@ def _parse(config):
                               f"{DENSE_CAP} at {', '.join(over)}")
     weight, vol = settings.get("weight"), settings.get("volatility")
     if kind == "asymptotics" and weight is not None:
-        if not weight.has_catalog:
-            violations.append("region catalogs exist for the corner-singular and cone "
-                              "kernels only")
-        else:
-            # weight.catalog, not region_catalog: the benchmark counts the run's calls
-            for n, k in thinned.items():
-                try:
-                    weight.catalog(n, k / n)
-                except ValueError as exc:
-                    violations.append(f"region catalog at n={n}: {exc}")
+        # weight.catalog, not region_catalog: the benchmark counts the run's calls
+        for n, k in thinned.items():
+            try:
+                weight.catalog(n, k / n)
+            except ValueError as exc:
+                violations.append(f"region catalog at n={n}: {exc}")
     if (kind == "clt" and weight is not None and vol is not None and not weight.has_strips
             and not (vol.constant and weight.has_autocorrelation)):
         # the same routes increment_covariance takes
@@ -514,7 +519,7 @@ def _run_hermite(settings):
         exp = up_hermite_coeffs(p)
         sums = exp.partial_sums()
         files.append(_write_csv(
-            settings["out"], f"hermite_p{p:g}.csv", ("k", "alpha", "partial_parseval"),
+            settings["out"], _HERMITE_TABLE.format(p), ("k", "alpha", "partial_parseval"),
             [(k, float(a), float(s)) for k, (a, s) in enumerate(zip(exp.alpha, sums))]))
         per_p[repr(float(p))] = {
             "m_p": float(abs_moment(p)),
@@ -608,12 +613,11 @@ def _run_asymptotics(settings):
                              "is admissible",
     }
     weight, kappa, schedule = settings["weight"], settings["kappa"], settings["n"]
+    names = PARTITION + ("Etilde",)
     measures, ratios = {}, {}
     for n in schedule:
-        catalog = region_catalog(weight, n, kappa)
-        names = tuple(dict.fromkeys(catalog.partition + ("Etilde",)))
-        measures[n] = region_measures(weight, n, catalog, names=names,
-                                      quadcfg=settings["quad"])
+        measures[n] = region_measures(weight, n, region_catalog(weight, n, kappa),
+                                      names=names, quadcfg=settings["quad"])
         ratios[str(n)] = float(assumption2_ratio(weight, n, kappa,
                                                  quadcfg=settings["quad"]))
     files = [
@@ -626,8 +630,7 @@ def _run_asymptotics(settings):
     ]
 
     slopes = {}
-    region_names = sorted({name for table in measures.values() for name in table})
-    for name in region_names:
+    for name in sorted(names):
         values = {n: measures[n][name] for n in schedule}
         try:
             fit = slope_fit(values)

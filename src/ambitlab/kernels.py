@@ -24,11 +24,11 @@ other modules only read them.  The class holds the config name ``variant``
 (the registry key), ``evaluate`` and the mass reduction ``mass``, the
 concentration geometry (``concentration_point``, ``window``,
 ``corner_cells``, ``limit_atoms``), the admissible ``kappa_range``, the
-region ``catalog`` where ``has_catalog``, the exact routes
-(``signed_strips`` where ``has_strips``, ``lattice_autocorrelation`` where
-``has_autocorrelation``) and the config keys (``config_keys``,
-``config_names``, ``from_config``).  ``WeightSpec`` holds the defaults for
-the facts a variant lacks.
+region ``catalog``, the exact routes (``signed_strips`` where
+``has_strips``, ``lattice_autocorrelation`` where ``has_autocorrelation``)
+and the config keys (``config_keys``, ``config_names``, ``from_config``).
+``WeightSpec`` holds the defaults for the facts a variant lacks: its ``window``
+and ``catalog`` refuse a kernel without a single concentration point.
 
 Integration strategy: never brute-force 2-D quadrature.  Rows of the Uniform
 and Triangle kernels are piecewise constant in s for fixed t, so masses reduce
@@ -189,12 +189,12 @@ class WeightSpec:
     """Base of the weight variants: the defaults for facts a variant lacks.
 
     Every variant also defines ``evaluate``, ``mass``, ``kappa_range``,
-    ``limit_atoms``, ``config_keys`` and ``from_config``.
+    ``limit_atoms``, ``config_keys`` and ``from_config``; ``window`` and
+    ``catalog`` refuse one without a single concentration point.
     """
 
     variant = None               # config name and registry key
     concentration_point = None   # single limit point of pi_n, if any
-    has_catalog = False          # catalog() exists
     has_strips = False           # signed_strips() exists
     has_autocorrelation = False  # lattice_autocorrelation() works
 
@@ -203,6 +203,13 @@ class WeightSpec:
         raise ValueError(
             f"{type(self).__name__} has no single concentration point, so "
             "there is no shrinking window around one"
+        )
+
+    def catalog(self, n, eps):
+        """Named regions splitting the squared differenced kernel's support."""
+        raise ValueError(
+            "region catalogs exist for the corner-singular and cone kernels only; "
+            f"got {type(self).__name__}"
         )
 
     def corner_cells(self, n):
@@ -235,9 +242,9 @@ class _ProfileWeight(WeightSpec):
     scale: float = 1.0
 
     def profile(self, r):
-        """The radial/height profile r^(-alpha) ell(r), zero outside (0,1).
+        """The radial/height profile r^(-alpha) ell(r) on (0,1), zero elsewhere.
 
-        Callers guarantee r != 0; accepts scalars or arrays.
+        Zero at r = 0 too, where the profile diverges; accepts scalars or arrays.
         """
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
@@ -403,7 +410,6 @@ class SingularWeight(_ProfileWeight):
 
     variant = "singular"
     concentration_point = (0.0, 0.0)
-    has_catalog = True
 
     @property
     def has_autocorrelation(self):
@@ -419,9 +425,7 @@ class SingularWeight(_ProfileWeight):
     def evaluate(self, s, t):
         r = np.maximum(s, t)
         quadrant = (s >= 0.0) & (t >= 0.0)
-        out = np.zeros_like(r)
-        pos = quadrant & (r > 0.0) & (r < 1.0)
-        out[pos] = self.scale * r[pos] ** (-self.alpha) * self.ell(r[pos])
+        out = np.where(quadrant, self.profile(r), 0.0)
         out[quadrant & (r == 0.0)] = np.inf
         return out
 
@@ -727,7 +731,6 @@ class TriangleWeight(_ProfileWeight):
 
     variant = "triangle"
     concentration_point = (0.5, 0.0)
-    has_catalog = True
 
     def __post_init__(self):
         if not 0.5 < self.alpha < 1.0:
@@ -736,11 +739,7 @@ class TriangleWeight(_ProfileWeight):
             raise ValueError(f"scale must be positive, got {self.scale}")
 
     def evaluate(self, s, t):
-        inside = (t > 0.0) & (t < 1.0) & (np.abs(2.0 * s - 1.0) < t)
-        out = np.zeros_like(t)
-        ti = t[inside]
-        out[inside] = self.scale * ti ** (-self.alpha) * self.ell(ti)
-        return out
+        return np.where(np.abs(2.0 * s - 1.0) < t, self.profile(t), 0.0)
 
     def _rows(self, n, region):
         """The row integral of h_n^2 over ``region`` at each height t.

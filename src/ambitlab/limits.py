@@ -179,6 +179,8 @@ class LLNConfig:
         _require(len(self.p_values) > 0, "need at least one power p")
         _require(all(p > 0.0 for p in self.p_values),
                  f"powers must be positive, got {self.p_values}")
+        _require(len(set(self.p_values)) == len(self.p_values),
+                 f"powers must not repeat, got {self.p_values}")
         _require(len(self.n_schedule) > 0, "need a nonempty n schedule")
         _require(all(n >= 2 for n in self.n_schedule),
                  f"resolutions must be >= 2, got {self.n_schedule}")

@@ -249,12 +249,6 @@ def _stationary_gamma(spec, n, k, m, quadcfg):
     The zero offset is replaced by the independently computed c_n and
     cross-checked against the stencil value.
     """
-    if not spec.has_autocorrelation:
-        raise ValueError(
-            f"stationary exact covariance needs a closed-form lattice autocorrelation, "
-            f"which only the uniform weight and singular weights with a polynomial slow "
-            f"factor have; got {spec!r} (use the simulation route)"
-        )
     di, dj = np.meshgrid(np.arange(m), np.arange(-(m - 1), m), indexing="ij")
     half = (di > 0) | (dj >= 0)
     di, dj = di[half], dj[half]
@@ -344,9 +338,9 @@ def increment_covariance(spec, sigma, n, k):
 
     Engines: uniform weight with any volatility grid
     (:func:`strip_covariances`, batched over the pairs a <= b), or
-    constant volatility with a uniform/singular weight (stationary
-    autocorrelation on the 1/n lattice).  Other combinations have no exact
-    route here and are rejected.
+    constant volatility with a weight that has a closed-form lattice
+    autocorrelation (stationary autocorrelation on the 1/n lattice).  Other
+    combinations have no exact route here and are rejected.
     """
     n, k = int(n), int(k)
     if not 1 <= k <= n:
@@ -365,7 +359,7 @@ def increment_covariance(spec, sigma, n, k):
         mat = np.zeros((len(idx), len(idx)))
         mat[a, b] = mat[b, a] = strip_covariances(spec, sigma, n, eps, idx, a, b)
         engine = "uniform-strips"
-    elif sigma.is_constant:
+    elif sigma.is_constant and spec.has_autocorrelation:
         s0sq = float(sigma.values.flat[0]) ** 2
         gam = _stationary_gamma(spec, n, k, m, _G2_QUAD)
         di = idx[:, None, 0] - idx[None, :, 0]
@@ -374,9 +368,10 @@ def increment_covariance(spec, sigma, n, k):
         engine = "stationary-autocorrelation"
     else:
         raise ValueError(
-            "exact increment covariance is implemented for uniform weights (any "
-            "volatility) and constant volatility (uniform/singular weights); "
-            "use the simulation route for other combinations"
+            f"no exact increment covariance for {spec!r} under {sigma.model!r}: it needs "
+            "the uniform weight, or constant volatility and a closed-form lattice "
+            "autocorrelation (singular weights with a polynomial slow factor); use the "
+            "simulation route instead"
         )
     return IncrementCovariance(matrix=mat, indices=idx, n=n, k=k, eps=eps,
                                c_n=cn, engine=engine)

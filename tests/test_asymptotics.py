@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from ambitlab.asymptotics import (
-    PROBE_RADII,
-    assumption1_probe,
+    PARTITION,
     assumption2_ratio,
     region_catalog,
     region_measures,
@@ -127,22 +126,18 @@ def test_slope_fit_rejects_thin_input():
 # ------------------------------------------------------------ region catalog
 
 def test_singular_catalog_geometry():
+    # kappa = 0.4 realizes k = 13 at n = 64
     cat = region_catalog(singular(0.75), 64, 0.4)
-    assert cat.variant == "singular"
-    assert (cat.k, cat.eps) == (13, 13 / 64)
-    assert cat.partition == ("E", "B1", "B2", "B3", "B4")
-    E = cat.regions["E"]
-    assert E == Rect(0.0, 13 / 64, 0.0, 13 / 64)
-    assert set(cat.regions) == {"E", "Etilde", "T", "B1", "B2", "B3", "B4"}
+    assert PARTITION == ("E", "B1", "B2", "B3", "B4")
+    assert cat["E"] == Rect(0.0, 13 / 64, 0.0, 13 / 64)
+    assert set(cat) == {"E", "Etilde", "T", "B1", "B2", "B3", "B4"}
 
 
 def test_triangle_catalog_geometry():
+    # kappa = 0.15 realizes k = 35 at n = 64
     cat = region_catalog(triangle(0.75), 64, 0.15)
-    assert cat.variant == "triangle"
-    assert (cat.k, cat.eps) == (35, 35 / 64)
-    E = cat.regions["E"]
-    assert E == Rect(0.5 - 35 / 128, 0.5 + 35 / 128, 0.0, 35 / 128)
-    assert "T" not in cat.regions
+    assert cat["E"] == Rect(0.5 - 35 / 128, 0.5 + 35 / 128, 0.0, 35 / 128)
+    assert set(cat) == {"E", "Etilde", "B1", "B2", "B3", "B4"}
 
 
 def test_triangle_catalog_needs_a_wide_enough_cone():
@@ -189,7 +184,7 @@ def test_singular_measures_match_one_dimensional_forms():
 def test_singular_partition_mass_accounting():
     spec = singular(0.75)
     cat = region_catalog(spec, 64, 0.4)
-    m = region_measures(spec, 64, cat, names=cat.partition)
+    m = region_measures(spec, 64, cat, names=PARTITION)
     cn = compute_cn(spec, 64)
     np.testing.assert_allclose(sum(m.values()), cn, rtol=1e-9)
 
@@ -206,7 +201,7 @@ def test_triangle_measures_match_closed_antiderivatives():
     n = 64
     cat = region_catalog(spec, n, 0.15)
     m = region_measures(spec, n, cat)
-    d, lo = 1.0 / n, cat.eps / 2
+    d, lo = 1.0 / n, 35 / 128  # eps/2: kappa = 0.15 realizes k = 35
 
     # f(t)^2 = t^-1.5 (1-t)^2 has the elementary antiderivative below
     def AD(t):
@@ -219,16 +214,7 @@ def test_triangle_measures_match_closed_antiderivatives():
     # mixed band, adaptive 1-D oracle d * int (f(t) - f(t-d))^2 dt, frozen:
     np.testing.assert_allclose(m["B2"], 2.9196443547772028e-05, rtol=1e-9)
     cn = compute_cn(spec, n)
-    np.testing.assert_allclose(sum(m[r] for r in cat.partition), cn, rtol=1e-12)
-
-
-def test_measures_validate_their_inputs():
-    spec = singular(0.75)
-    cat = region_catalog(spec, 64, 0.4)
-    with pytest.raises(ValueError, match="built for n=64"):
-        region_measures(spec, 128, cat)
-    with pytest.raises(ValueError, match="does not match TriangleWeight"):
-        region_measures(triangle(0.75), 64, cat)
+    np.testing.assert_allclose(sum(m[r] for r in PARTITION), cn, rtol=1e-12)
 
 
 def test_measure_subset_only_computes_requested_regions():
@@ -261,7 +247,7 @@ def test_leftover_band_decays_faster_than_n_minus_two():
     assert slope_fit(vals).exponent < -2.0
 
 
-# --------------------------------------------------------- hypothesis probes
+# ------------------------------------------------------------- window decay
 
 def test_window_ratio_frozen_value_and_trend():
     spec = singular(0.75)
@@ -280,40 +266,3 @@ def test_window_ratio_refuses_a_uniform_weight():
     with pytest.raises(ValueError, match="no single concentration point"):
         assumption2_ratio(UniformWeight(), 16, 0.4)
 
-
-def test_corner_atom_probe_masses_vanish():
-    w = UniformWeight()  # atoms at the corners (0.25 or 0.75, 0.25 or 0.75)
-    out = assumption1_probe(w, (16, 64), w.limit_atoms())
-    assert set(out) == {16, 64}
-    assert set(out[16]) == set(PROBE_RADII)
-    # at n=16 the corner cells have side 1/16 and the 0.05-balls cover a
-    # 0.05/0.0625 = 0.8 slice of each cell in both axes: 1 - 0.8^2 escapes
-    np.testing.assert_allclose(out[16][0.05], 0.36, rtol=1e-12)
-    for r in PROBE_RADII:
-        assert out[64][r] <= 1e-12
-
-
-def test_point_mass_probe_decays_for_the_corner_kernel():
-    w = singular(0.75)
-    out = assumption1_probe(w, (16, 64), w.limit_atoms())
-    np.testing.assert_allclose(out[16][0.05], 0.6636056332396907, rtol=1e-9)
-    np.testing.assert_allclose(out[64][0.05], 0.005389345957913849, rtol=1e-9)
-    for r in PROBE_RADII:
-        assert out[64][r] < out[16][r]
-
-
-def test_probe_atom_off_the_support_is_a_negative_control():
-    out = assumption1_probe(
-        UniformWeight(), (64,), ((1.0, (0.02, 0.5)),))
-    for r in PROBE_RADII:
-        np.testing.assert_allclose(out[64][r], 1.0, atol=1e-12)
-
-
-def test_probe_validates_atoms():
-    w = UniformWeight()
-    with pytest.raises(ValueError, match="no atoms"):
-        assumption1_probe(w, (16,), ())
-    with pytest.raises(ValueError, match="weights must be positive"):
-        assumption1_probe(w, (16,), ((0.0, (0.5, 0.5)),))
-    with pytest.raises(ValueError, match="planar points"):
-        assumption1_probe(w, (16,), ((1.0, (0.5, 0.5, 0.5)),))

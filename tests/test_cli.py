@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ambitlab import cli, limits, simulate
+from ambitlab.asymptotics import region_catalog
 from ambitlab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -297,6 +298,61 @@ def test_a_cone_window_narrower_than_its_edge_bands_is_a_config_error(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [LLN_TEXT, "kind = hermite\np = 2.0\n"], ids=["lln", "hermite"])
+def test_a_repeated_power_is_a_config_error(tmp_path, text):
+    # lln would append each replication's statistics twice, hermite would
+    # write both tables to one file
+    cfg = _config(text, p="2, 2.0")
+    assert validate(cfg) == ["powers must not repeat, got [2.0, 2.0]"]
+    out = tmp_path / "never"
+    assert run(cfg.with_overrides(out=out)) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_hermite_powers_sharing_a_table_name_are_a_config_error(tmp_path):
+    cfg = ExperimentConfig.from_text("kind = hermite\np = 1.0000001, 1.0000002, 2\n")
+    assert validate(cfg) == [
+        "powers [1.0000001, 1.0000002, 2.0] would share hermite_p1.csv"]
+    out = tmp_path / "never"
+    assert run(cfg.with_overrides(out=out)) == EXIT_CONFIG
+    assert not out.exists()
+    assert validate(ExperimentConfig.from_text("kind = hermite\np = 1, 1.5\n")) == []
+
+
+def test_an_asymptotics_config_is_refused_at_each_n_without_a_region_catalog(tmp_path):
+    cfg = ExperimentConfig({"kind": "asymptotics", "weight.variant": "uniform",
+                            "n": "8, 16", "kappa": "0.4", "override_admissibility": "true"})
+    assert validate(cfg) == [
+        f"region catalog at n={n}: region catalogs exist for the corner-singular and "
+        "cone kernels only; got UniformWeight" for n in (8, 16)]
+    out = tmp_path / "never"
+    assert run(cfg.with_overrides(out=out)) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_validate_flags_exactly_the_region_catalogs_that_cannot_be_built():
+    weights = {
+        "uniform": {"weight.variant": "uniform"},
+        "singular": {"weight.variant": "singular", "weight.alpha": "0.75"},
+        "triangle": {"weight.variant": "triangle", "weight.alpha": "0.6"},
+    }
+    refused = set()
+    for name, keys in weights.items():
+        for n, kappa in ((2, 0.05), (4, 0.05), (8, 0.4), (64, 0.15)):
+            entries = {"kind": "asymptotics", **keys, "n": str(n), "kappa": str(kappa)}
+            flagged = [message for message in validate(ExperimentConfig(entries))
+                       if message.startswith(f"region catalog at n={n}: ")]
+            try:
+                region_catalog(weight_from_config(entries), n, kappa)
+            except ValueError as exc:
+                assert flagged == [f"region catalog at n={n}: {exc}"]
+                refused.add((name, n))
+            else:
+                assert flagged == []
+    # the cone is too narrow for its edge bands at n = 2 only
+    assert refused == {("uniform", n) for n in (2, 4, 8, 64)} | {("triangle", 2)}
+
+
 # ------------------------------------------------------------ run: failures
 
 def test_invalid_config_exits_nonzero_and_writes_nothing(tmp_path):
@@ -415,6 +471,26 @@ def test_kernel_report_tabulates_the_exact_window_masses(tmp_path):
             assert row[corner] == pytest.approx(0.25, abs=1e-8)
     header = (out / "kernel_report.csv").read_text().splitlines()[0]
     assert header.startswith("n,c_n,k,eps,corner_")
+
+
+def test_kernel_report_near_mass_is_the_window_share_behind_the_assumption2_ratio(tmp_path):
+    # single-atom evidence for hypothesis 1: the window's share rises toward 1
+    weight = {"weight.variant": "singular", "weight.alpha": "0.75", "weight.ell": "one"}
+    schedule = (8, 16, 32, 64)
+    tables = {}
+    for kind in ("kernel-report", "asymptotics"):
+        out = tmp_path / kind
+        assert run(ExperimentConfig({"kind": kind, **weight, "kappa": "0.4", "out": str(out),
+                                     "n": ", ".join(map(str, schedule))})) == EXIT_OK
+        tables[kind] = json.loads((out / "report.json").read_text())["results"]
+    rows = tables["kernel-report"]["per_n"]
+    near = [rows[str(n)]["near_mass"] for n in schedule]
+    assert all(a < b < 1.0 for a, b in zip(near, near[1:]))
+    ratios = tables["asymptotics"]["assumption2_ratio"]
+    for n in schedule:
+        row = rows[str(n)]
+        assert (1.0 - row["near_mass"]) / row["eps"] ** 2 == ratios[str(n)]
+    assert ratios["32"] == pytest.approx(0.03209544412811027, rel=1e-9)
 
 
 def test_lln_run_embeds_config_and_seed_and_writes_the_table(tmp_path):

@@ -296,6 +296,12 @@ def test_lln_without_an_exact_mean_flags_the_skipped_split():
     assert rep.per_n[16]["2.0"]["mean_part_median"] is None
 
 
+def test_lln_config_refuses_a_repeated_power():
+    # one power twice would append each replication's statistics twice
+    with pytest.raises(ValueError, match="powers must not repeat, got \\(2.0, 2.0\\)"):
+        _lln_uniform_config(p_values=(2, 2.0))
+
+
 def test_lln_config_refuses_an_empty_grid():
     with pytest.raises(ValueError, match="grid size must be >= 1, got 0"):
         _lln_uniform_config(grid_size=0)

@@ -265,12 +265,12 @@ def test_the_benchmark_tracer_finds_what_it_wraps():
 # Public names no CLI run enters, each mapped to a test that reads it: as the
 # reference for code the CLI runs, or for the refusal it raises.
 ORACLES = {
-    "asymptotics.assumption1_probe":
-        "test_asymptotics.py::test_point_mass_probe_decays_for_the_corner_kernel",
     "cli.validate": "test_cli.py::test_well_formed_lln_config_has_no_violations",
     "gaussian.abs_moment_quadrature":
         "test_gaussian.py::test_abs_moment_closed_form_vs_quadrature",
     "gaussian.power_cov_probe": "test_gaussian.py::test_power_cov_probe_matches_hermite_series",
+    "kernels.WeightSpec.catalog":
+        "test_asymptotics.py::test_catalog_rejects_kernels_without_a_single_concentration_point",
     "kernels.WeightSpec.window": "test_asymptotics.py::test_window_ratio_refuses_a_uniform_weight",
     "kernels.UniformWeight.lattice_autocorrelation":
         "test_simulate.py::test_strips_engine_agrees_with_stationary_engine",
