@@ -110,7 +110,6 @@ from .limits import (
     LLNConfig,
     clt_experiment,
     lln_experiment,
-    report_to_dict,
 )
 from .quadrature import QuadratureConfig
 from .simulate import DENSE_CAP, increments, simulate_lattice
@@ -558,8 +557,8 @@ def _run_kernel_report(settings):
     return targets, {"per_n": per_n}, [name]
 
 
-def _lln_targets():
-    return {
+def _run_lln(settings):
+    targets = {
         "sup_error": "sup over the grid of |scaled variation - m_p * "
                      "Sigma^(p,pi)|, decreasing to 0 in n",
         "mean_part": "sup over the grid of |exact conditional mean - limit|, "
@@ -568,16 +567,13 @@ def _lln_targets():
         "raw_v": "unscaled variation at (1,1); its expectation is the sum "
                  "of increment variances (n^2 c_n at k=1, unit volatility)",
     }
-
-
-def _run_lln(settings):
     cfg = _experiment_fields(settings, LLNConfig, p="p_values", n="n_schedule")
     report = lln_experiment(LLNConfig(**cfg))
-    rows = [(n, pkey, stat, float(val))
-            for n in sorted(report.per_n) for pkey in sorted(report.per_n[n])
-            for stat, val in report.per_n[n][pkey].items() if val is not None]
+    rows = [(n, pkey, stat, float(val)) for n in report["n_schedule"]
+            for pkey, table in sorted(report["per_n"][str(n)].items())
+            for stat, val in table.items() if val is not None]
     name = _write_csv(settings["out"], "lln.csv", ("n", "p", "stat", "value"), rows)
-    return _lln_targets(), report_to_dict(report), [name]
+    return targets, report, [name]
 
 
 def _run_clt(settings):
@@ -595,10 +591,10 @@ def _run_clt(settings):
     }
     cfg = _experiment_fields(dict(settings, p=settings["p"][0]), CLTConfig, n="n_schedule")
     report = clt_experiment(CLTConfig(**cfg))
-    rows = [(n, stat, float(val)) for n in sorted(report.per_n)
-            for stat, val in report.per_n[n].items() if val is not None]
+    rows = [(n, stat, float(val)) for n in report["n_schedule"]
+            for stat, val in report["per_n"][str(n)].items() if val is not None]
     name = _write_csv(settings["out"], "clt.csv", ("n", "stat", "value"), rows)
-    return targets, report_to_dict(report), [name]
+    return targets, report, [name]
 
 
 def _run_asymptotics(settings):

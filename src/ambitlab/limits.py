@@ -49,7 +49,6 @@ from .volatility import sample_volatility
 __all__ = [
     "CLTConfig",
     "LLNConfig",
-    "MonteCarloReport",
     "clt_experiment",
     "clt_variance",
     "lln_experiment",
@@ -231,38 +230,6 @@ class CLTConfig:
                  f"volatility resolution must be >= 2, got {self.sigma_resolution}")
 
 
-@dataclass(frozen=True)
-class MonteCarloReport:
-    """Per-n summary of one experiment, JSON/CSV serializable.
-
-    ``per_n`` maps every resolution of the schedule to its statistics: for
-    the mean-convergence kind one nested table per power p, for the
-    fluctuation kind one flat table.  ``flags`` records anything that kept an
-    entry incomplete (single replication, skipped decompositions) -- a
-    flagged report is still a faithful account of what ran.
-    """
-
-    kind: str
-    n_schedule: tuple
-    reps: int
-    per_n: dict
-    seed: int
-    runtime_s: float
-    flags: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in ("lln", "clt"):
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if set(self.per_n) != set(self.n_schedule):
-            raise ValueError("per-n entries do not cover the n schedule")
-        for entry in self.per_n.values():
-            tables = entry.values() if self.kind == "lln" else [entry]
-            for tab in tables:
-                for key, val in tab.items():
-                    if "sup_error" in key and val is not None and val < 0.0:
-                        raise ValueError(f"negative sup-error {val} under {key}")
-
-
 def _quartile_stats(name, xs):
     """The quartiles of xs under name_q1, name_median and name_q3; None if xs is empty."""
     keys = (f"{name}_q1", f"{name}_median", f"{name}_q3")
@@ -301,6 +268,13 @@ def lln_experiment(config):
     the limit and the mean are built once per realized sigma.  The unscaled
     variation at (1,1) is averaged as well, with its standard error, as a
     raw sanity anchor.
+
+    Returns the JSON-ready dict with keys ``kind`` ("lln"), ``n_schedule``,
+    ``reps``, ``seed``, ``runtime_s``, ``flags`` and ``per_n``.  ``per_n``
+    maps ``str(n)`` to one table per power, keyed by ``repr(p)``; a statistic
+    that could not be formed is None.  ``flags`` lists what kept an entry
+    incomplete (a single replication, a skipped split) -- a flagged report is
+    still a faithful account of what ran.
     """
     t_start = time.perf_counter()
     flags = []
@@ -356,7 +330,7 @@ def lln_experiment(config):
                     mean_part[p].append(float(np.max(np.abs(mean - target))))
                     stoch_part[p].append(float(np.max(np.abs(svals - mean))))
 
-        per_n[n] = {repr(p): {
+        per_n[str(n)] = {repr(p): {
             "k": k, "eps": eps, "c_n": float(cn),
             **_quartile_stats("sup_error", sup_err[p]),
             "raw_v_mean": float(np.mean(raw_v[p])),
@@ -368,10 +342,11 @@ def lln_experiment(config):
 
     if config.reps == 1:
         flags.append("single replication: dispersion statistics degenerate")
-    return MonteCarloReport(
-        kind="lln", n_schedule=config.n_schedule, reps=config.reps, per_n=per_n,
-        seed=config.seed, runtime_s=time.perf_counter() - t_start, flags=tuple(flags),
-    )
+    return {
+        "kind": "lln", "n_schedule": list(config.n_schedule), "reps": config.reps,
+        "seed": config.seed, "runtime_s": time.perf_counter() - t_start,
+        "flags": flags, "per_n": per_n,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +379,9 @@ def clt_experiment(config):
     Skewness, excess kurtosis and the Kolmogorov distance to a fitted normal
     quantify the distributional trend; batch medians of the absolute moment
     diagnostics give a robust monotone-trend statistic.
+
+    Returns the dict ``lln_experiment`` describes, with kind "clt" and
+    ``per_n`` mapping ``str(n)`` to one flat table of statistics.
     """
     t_start = time.perf_counter()
     flags = []
@@ -443,27 +421,15 @@ def clt_experiment(config):
         draws = sample_increments_exact(cov, config.seed, config.reps)[:, keep]
         z = scale * (np.sum(np.abs(draws) ** p, axis=1) - expected_v)
 
-        rb = rho_bar(cov) if cov.dim >= 2 else 0.0
+        exact_var = 2.0 * float(np.sum((eps * mat / cn) ** 2)) if p == 2.0 else None
+        if exact_var is None and n == config.n_schedule[0]:
+            flags.append(f"exact finite-n variance in closed form needs p=2, got p={p}")
         entry = {
             "k": k, "eps": eps, "c_n": float(cn), "dim": int(keep.size),
-            "rho_bar": float(rb),
+            "rho_bar": float(rho_bar(cov)) if cov.dim >= 2 else 0.0,
             "asymptotic_variance": asymptotic,
+            "exact_variance": exact_var,
         }
-        if p == 2.0:
-            exact_var = 2.0 * float(np.sum((eps * mat / cn) ** 2))
-            envelope = (2.0 * eps**2 * float(np.sum((diag / cn) ** 2))
-                        * (1.0 + keep.size * rb**2))
-            if exact_var > envelope * (1.0 + 1e-12):
-                raise RuntimeError(
-                    f"exact variance {exact_var!r} exceeds its correlation "
-                    f"envelope {envelope!r}; covariance engine inconsistent"
-                )
-            entry["exact_variance"] = exact_var
-        else:
-            exact_var = None
-            entry["exact_variance"] = None
-            if n == config.n_schedule[0]:
-                flags.append(f"exact finite-n variance in closed form needs p=2, got p={p}")
 
         if config.reps > 1:
             entry["sample_variance"] = float(np.var(z, ddof=1))
@@ -484,34 +450,12 @@ def clt_experiment(config):
         else:
             entry["abs_skewness_median"] = None
             entry["abs_excess_kurtosis_median"] = None
-        per_n[n] = entry
+        per_n[str(n)] = entry
 
     if config.reps == 1:
         flags.append("single replication: sample variance undefined")
-    return MonteCarloReport(
-        kind="clt", n_schedule=config.n_schedule, reps=config.reps, per_n=per_n,
-        seed=config.seed, runtime_s=time.perf_counter() - t_start, flags=tuple(flags),
-    )
-
-
-# ---------------------------------------------------------------------------
-# report dictionary
-# ---------------------------------------------------------------------------
-
-def report_to_dict(report):
-    """JSON-ready dictionary with string keys throughout."""
-    per_n = {}
-    for n, entry in report.per_n.items():
-        if report.kind == "lln":
-            per_n[str(n)] = {pkey: dict(tab) for pkey, tab in entry.items()}
-        else:
-            per_n[str(n)] = dict(entry)
     return {
-        "kind": report.kind,
-        "n_schedule": list(report.n_schedule),
-        "reps": report.reps,
-        "seed": report.seed,
-        "runtime_s": report.runtime_s,
-        "flags": list(report.flags),
-        "per_n": per_n,
+        "kind": "clt", "n_schedule": list(config.n_schedule), "reps": config.reps,
+        "seed": config.seed, "runtime_s": time.perf_counter() - t_start,
+        "flags": flags, "per_n": per_n,
     }

@@ -32,7 +32,6 @@ from .volatility import midpoints, rect_integral, squared_prefix_integral
 
 __all__ = [
     "DENSE_CAP",
-    "NoiseGrid",
     "LatticeField",
     "IncrementField",
     "IncrementCovariance",
@@ -54,37 +53,20 @@ _EXACT_STREAM = 3
 _DIFF_STENCIL = np.outer([-1.0, 2.0, -1.0], [-1.0, 2.0, -1.0])
 
 
-@dataclass(frozen=True, eq=False)
-class NoiseGrid:
-    """White-noise cell sums on [-1,1]^2: values[c1, c2] ~ N(0, cell area)."""
-
-    values: np.ndarray
-    resolution: int
-    seed: int
-    rep: int = 0
-
-    def __post_init__(self):
-        m = self.resolution
-        if self.values.shape != (m, m):
-            raise ValueError(f"noise grid shape {self.values.shape} != ({m}, {m})")
-        cell = (2.0 / m) ** 2
-        emp = float(self.values.var())
-        # sample variance of m^2 iid draws: 5 standard errors
-        if abs(emp - cell) > 5.0 * cell * np.sqrt(2.0) / m:
-            raise ValueError(
-                f"noise grid variance {emp:.6e} too far from cell area {cell:.6e}"
-            )
-        self.values.setflags(write=False)
-
-
 def sample_noise(resolution, seed, rep=0):
-    """Draw a NoiseGrid; deterministic in (resolution, seed, rep)."""
+    """White-noise cell sums on [-1,1]^2, as a read-only m x m array.
+
+    Entry [c1, c2] is the noise mass of cell (c1, c2) of the m x m grid:
+    independent N(0, (2/m)^2), the cell's area.  Deterministic in
+    (resolution, seed, rep); each (seed, rep) pair draws its own substream.
+    """
     m = int(resolution)
     if m < 2:
         raise ValueError(f"noise resolution must be >= 2, got {resolution}")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), _NOISE_STREAM, int(rep))))
-    vals = rng.standard_normal((m, m)) * (2.0 / m)
-    return NoiseGrid(values=vals, resolution=m, seed=int(seed), rep=int(rep))
+    noise = rng.standard_normal((m, m)) * (2.0 / m)
+    noise.setflags(write=False)
+    return noise
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +153,7 @@ def simulate_lattice(spec, sigma, n, M, seed=0, rep=0):
     else:
         mid = midpoints(M)
         sig = sigma.at(mid[:, None], mid[None, :])
-    weighted = sig * noise.values
+    weighted = sig * noise
 
     conv = np.fft.irfft2(spectrum * np.fft.rfft2(weighted), (M, M))
     q = M // (2 * n)
@@ -190,8 +172,8 @@ def simulate_lattice(spec, sigma, n, M, seed=0, rep=0):
         "weight": repr(spec),
         "n": n,
         "M": M,
-        "noise_seed": noise.seed,
-        "noise_rep": noise.rep,
+        "noise_seed": int(seed),
+        "noise_rep": int(rep),
         "sigma_seed": sigma.seed,
         "direct_check_error": err,
     }

@@ -537,6 +537,28 @@ def test_clt_csv_skips_the_statistics_a_single_replication_lacks(tmp_path):
     assert not any(",sample_variance," in line for line in lines)  # skipped, not invented
 
 
+@pytest.mark.parametrize("kind, text, cls, experiment, fields", [
+    ("lln", LLN_TEXT, limits.LLNConfig, limits.lln_experiment,
+     dict(p_values=(2.0,), k=1, reps=3, grid_size=2, seed=0)),
+    ("clt", CLT_TEXT, limits.CLTConfig, limits.clt_experiment,
+     dict(p=2.0, kappa=0.4, reps=40, sigma_resolution=8, seed=0)),
+])
+def test_experiment_runs_write_the_experiment_dict_in_schedule_order(
+        tmp_path, kind, text, cls, experiment, fields):
+    out = tmp_path / kind
+    cfg = _config(text, n="8, 16", out=str(out))
+    assert run(cfg) == EXIT_OK
+    # string keys sort "16" before "8": the rows must follow the schedule
+    ns = [line.split(",")[0] for line in (out / f"{kind}.csv").read_text().splitlines()[1:]]
+    assert ns == sorted(ns, key=int) and set(ns) == {"8", "16"}
+    results = json.loads((out / "report.json").read_text())["results"]
+    expected = experiment(cls(weight=weight_from_config(cfg.entries),
+                              volatility=vol_from_config(cfg.entries),
+                              n_schedule=(8, 16), **fields))
+    results.pop("runtime_s"), expected.pop("runtime_s")
+    assert results == expected
+
+
 def test_asymptotics_run_recovers_the_core_decay_rate(tmp_path):
     out = tmp_path / "asym"
     cfg = ExperimentConfig({

@@ -8,11 +8,9 @@ from ambitlab.kernels import SingularWeight, SlowFunction, TriangleWeight, Unifo
 from ambitlab.limits import (
     CLTConfig,
     LLNConfig,
-    MonteCarloReport,
     clt_experiment,
     clt_variance,
     lln_experiment,
-    report_to_dict,
     sigma_functional,
 )
 from ambitlab.simulate import strip_covariances
@@ -189,18 +187,6 @@ def test_clt_config_rejects_a_resolution_below_two():
         CLTConfig(n_schedule=(0,), **kw)
 
 
-def test_report_invariants_guard_the_table_shape():
-    with pytest.raises(ValueError, match="unknown experiment kind"):
-        MonteCarloReport(kind="mcmc", n_schedule=(16,), reps=1, per_n={},
-                         seed=0, runtime_s=0.0, flags=("x",))
-    with pytest.raises(ValueError, match="do not cover"):
-        MonteCarloReport(kind="lln", n_schedule=(16, 32), reps=1,
-                         per_n={16: {"2.0": {}}}, seed=0, runtime_s=0.0)
-    with pytest.raises(ValueError, match="negative sup-error"):
-        MonteCarloReport(kind="clt", n_schedule=(16,), reps=1,
-                         per_n={16: {"sup_error_median": -0.1}}, seed=0, runtime_s=0.0)
-
-
 # --------------------------------------------------- mean-convergence runs
 
 def _lln_uniform_config(**overrides):
@@ -213,8 +199,8 @@ def _lln_uniform_config(**overrides):
 
 def test_lln_run_reproduces_the_frozen_summary():
     rep = lln_experiment(_lln_uniform_config())
-    assert rep.kind == "lln" and rep.flags == ()
-    st16, st32 = rep.per_n[16]["2.0"], rep.per_n[32]["2.0"]
+    assert rep["kind"] == "lln" and rep["flags"] == []
+    st16, st32 = rep["per_n"]["16"]["2.0"], rep["per_n"]["32"]["2.0"]
     assert st16["sup_error_median"] == pytest.approx(0.09676802833797052, rel=1e-7)
     assert st32["sup_error_median"] == pytest.approx(0.074258868846376, rel=1e-7)
     assert st32["sup_error_median"] < st16["sup_error_median"]
@@ -231,13 +217,13 @@ def test_lln_mean_part_is_the_floor_lattice_bias():
     # floor(s n)floor(t n)/n^2 against the limit s t; the sup over the grid
     # {1/3, 2/3, 1} has an exact rational value at each n
     rep = lln_experiment(_lln_uniform_config())
-    assert rep.per_n[16]["2.0"]["mean_part_median"] == pytest.approx(31.0 / 576.0, rel=1e-12)
-    assert rep.per_n[32]["2.0"]["mean_part_median"] == pytest.approx(1.0 / 48.0, rel=1e-12)
+    assert rep["per_n"]["16"]["2.0"]["mean_part_median"] == pytest.approx(31.0 / 576.0, rel=1e-12)
+    assert rep["per_n"]["32"]["2.0"]["mean_part_median"] == pytest.approx(1.0 / 48.0, rel=1e-12)
 
 
 def test_lln_is_deterministic_given_the_config():
-    a = report_to_dict(lln_experiment(_lln_uniform_config()))
-    b = report_to_dict(lln_experiment(_lln_uniform_config()))
+    a = lln_experiment(_lln_uniform_config())
+    b = lln_experiment(_lln_uniform_config())
     a.pop("runtime_s"), b.pop("runtime_s")
     assert a == b
 
@@ -245,8 +231,8 @@ def test_lln_is_deterministic_given_the_config():
 def test_lln_redraw_volatility_splits_each_replication_against_its_own_mean():
     rep = lln_experiment(_lln_uniform_config(
         volatility=LogGaussianVol(), reps=1, n_schedule=(16,), grid_size=2, seed=1))
-    assert rep.flags == ("single replication: dispersion statistics degenerate",)
-    st = rep.per_n[16]["2.0"]
+    assert rep["flags"] == ["single replication: dispersion statistics degenerate"]
+    st = rep["per_n"]["16"]["2.0"]
     assert st["sup_error_median"] > 0.0
     # one replication: each median is that replication's sup, and the sup
     # distance to the limit is at most the two parts' sum (up to rounding)
@@ -266,7 +252,7 @@ def test_lln_builds_the_strip_integrals_once_per_resolution(monkeypatch):
         volatility=DeterministicVol("sine_product"), p_values=(1.0, 2.0),
         n_schedule=(16, 32), k=2, reps=2, grid_size=5))
     assert calls == [16, 32]
-    assert rep.per_n[32]["1.0"]["mean_part_median"] is not None
+    assert rep["per_n"]["32"]["1.0"]["mean_part_median"] is not None
 
 
 def test_lln_mean_part_vanishes_where_the_grid_lies_on_the_lattice():
@@ -275,7 +261,7 @@ def test_lln_mean_part_vanishes_where_the_grid_lies_on_the_lattice():
     # 0.6 * 10 = 5.999... must still count six corners
     rep = lln_experiment(_lln_uniform_config(n_schedule=(10, 20), reps=1, grid_size=5))
     for n in (10, 20):
-        assert rep.per_n[n]["2.0"]["mean_part_median"] == pytest.approx(0.0, abs=1e-12)
+        assert rep["per_n"][str(n)]["2.0"]["mean_part_median"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_clt_keeps_the_corners_on_the_evaluation_point():
@@ -283,17 +269,17 @@ def test_clt_keeps_the_corners_on_the_evaluation_point():
     # lie in [0, 0.84], though 0.84 / 0.28 rounds to 2.999...
     rep = clt_experiment(_clt_singular_config(n_schedule=(25,), eval_point=(0.84, 0.84),
                                               reps=20))
-    assert rep.per_n[25]["k"] == 7
-    assert rep.per_n[25]["dim"] == 9
+    assert rep["per_n"]["25"]["k"] == 7
+    assert rep["per_n"]["25"]["dim"] == 9
 
 
 def test_lln_without_an_exact_mean_flags_the_skipped_split():
     rep = lln_experiment(_lln_uniform_config(
         weight=singular(0.75), volatility=DeterministicVol("sine_product"),
         n_schedule=(16,), reps=3))
-    assert rep.flags == ("mean/stochastic split skipped: the singular weight has no exact "
-                         "conditional expectation under deterministic volatility",)
-    assert rep.per_n[16]["2.0"]["mean_part_median"] is None
+    assert rep["flags"] == ["mean/stochastic split skipped: the singular weight has no exact "
+                            "conditional expectation under deterministic volatility"]
+    assert rep["per_n"]["16"]["2.0"]["mean_part_median"] is None
 
 
 def test_lln_config_refuses_a_repeated_power():
@@ -312,14 +298,14 @@ def test_lln_refuses_thinning_outside_the_known_range():
         lln_experiment(_lln_uniform_config(k=None, kappa=0.3))
     rep = lln_experiment(_lln_uniform_config(
         k=None, kappa=0.3, reps=1, grid_size=2, override_admissibility=True))
-    assert any("override" in f for f in rep.flags)
+    assert any("override" in f for f in rep["flags"])
 
 
 def test_lln_explicit_k_bypasses_the_exponent_gate():
     # a constant thinning count is a statement about the lattice, not about
     # the exponent range, so no admissibility question arises
     rep = lln_experiment(_lln_uniform_config(reps=1, grid_size=2))
-    assert rep.per_n[16]["2.0"]["k"] == 1
+    assert rep["per_n"]["16"]["2.0"]["k"] == 1
 
 
 # ------------------------------------------------------- fluctuation runs
@@ -334,7 +320,7 @@ def _clt_singular_config(**overrides):
 
 def test_clt_run_reproduces_the_frozen_summary():
     rep = clt_experiment(_clt_singular_config())
-    e = rep.per_n[64]
+    e = rep["per_n"]["64"]
     assert e["dim"] == 16 and e["k"] == 13
     assert e["exact_variance"] == pytest.approx(1.3203167326427208, rel=1e-9)
     assert e["asymptotic_variance"] == pytest.approx(2.0, rel=1e-9)
@@ -346,7 +332,7 @@ def test_clt_run_reproduces_the_frozen_summary():
 
 def test_clt_exact_variance_tightens_toward_the_limit():
     rep = clt_experiment(_clt_singular_config(n_schedule=(64, 128, 256), reps=2))
-    exact = [rep.per_n[n]["exact_variance"] for n in (64, 128, 256)]
+    exact = [rep["per_n"][str(n)]["exact_variance"] for n in (64, 128, 256)]
     assert all(a < b for a, b in zip(exact, exact[1:]))
     assert all(v < 2.0 for v in exact)
     gaps = [2.0 - v for v in exact]
@@ -355,16 +341,16 @@ def test_clt_exact_variance_tightens_toward_the_limit():
 
 def test_clt_off_quadratic_powers_lose_the_closed_form():
     rep = clt_experiment(_clt_singular_config(p=1.5, reps=50))
-    assert rep.per_n[64]["exact_variance"] is None
-    assert any("needs p=2" in f for f in rep.flags)
-    assert rep.per_n[64]["sample_variance"] > 0.0
+    assert rep["per_n"]["64"]["exact_variance"] is None
+    assert any("needs p=2" in f for f in rep["flags"])
+    assert rep["per_n"]["64"]["sample_variance"] > 0.0
 
 
 def test_clt_single_replication_degenerates_gracefully():
     rep = clt_experiment(_clt_singular_config(reps=1))
-    e = rep.per_n[64]
+    e = rep["per_n"]["64"]
     assert e["sample_variance"] is None and e["skewness"] is None
-    assert any("single replication" in f for f in rep.flags)
+    assert any("single replication" in f for f in rep["flags"])
 
 
 def test_clt_refuses_the_windowed_kernel():
@@ -379,7 +365,7 @@ def test_clt_eval_point_must_keep_some_increments():
 
 
 def test_clt_is_deterministic_given_the_config():
-    a = report_to_dict(clt_experiment(_clt_singular_config(reps=50)))
-    b = report_to_dict(clt_experiment(_clt_singular_config(reps=50)))
+    a = clt_experiment(_clt_singular_config(reps=50))
+    b = clt_experiment(_clt_singular_config(reps=50))
     a.pop("runtime_s"), b.pop("runtime_s")
     assert a == b

@@ -15,7 +15,6 @@ from ambitlab.simulate import (
     IncrementCovariance,
     IncrementField,
     LatticeField,
-    NoiseGrid,
     increment_covariance,
     increments,
     rho_bar,
@@ -32,8 +31,8 @@ def test_noise_is_deterministic_per_seed_and_rep():
     a = sample_noise(32, seed=5, rep=0)
     b = sample_noise(32, seed=5, rep=0)
     c = sample_noise(32, seed=5, rep=1)
-    assert np.array_equal(a.values, b.values)
-    assert not np.array_equal(a.values, c.values)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_noise_rejects_tiny_resolution():
@@ -41,16 +40,21 @@ def test_noise_rejects_tiny_resolution():
         sample_noise(1, seed=0)
 
 
-def test_noise_variance_tripwire():
-    # all-zero "noise" is nowhere near the cell-area variance
-    with pytest.raises(ValueError, match="variance"):
-        NoiseGrid(values=np.zeros((16, 16)), resolution=16, seed=0)
+def test_noise_cells_carry_the_cell_area_as_variance():
+    # each grid's sample variance of m^2 iid draws lies within 5 standard
+    # errors of the cell area, and the 50 grids pooled within 1%
+    m, cell = 64, (2.0 / 64) ** 2
+    grids = [sample_noise(m, seed=s) for s in range(50)]
+    for g in grids:
+        assert g.shape == (m, m)
+        assert abs(float(g.var()) - cell) < 5.0 * cell * np.sqrt(2.0) / m
+    assert abs(float(np.var(grids)) - cell) < 0.01 * cell
 
 
 def test_noise_grid_is_read_only():
     g = sample_noise(16, seed=3)
     with pytest.raises(ValueError):
-        g.values[0, 0] = 1.0
+        g[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------- simulation
@@ -111,7 +115,7 @@ def test_every_lattice_value_equals_the_direct_sum(name, oversample):
     sig = sample_volatility(LogGaussianVol(0.0, 0.25, 0.25), 4 * M, seed=2)
     fld = simulate_lattice(spec, sig, n, M, seed=5, rep=3)
     mid = -1.0 + (2.0 * np.arange(M) + 1.0) / M
-    weighted = sig.at(mid[:, None], mid[None, :]) * sample_noise(M, seed=5, rep=3).values
+    weighted = sig.at(mid[:, None], mid[None, :]) * sample_noise(M, seed=5, rep=3)
     x = np.arange(n + 1) / n
     g = eval_g(spec, (x[:, None] - mid[None, :])[:, None, :, None],
                (x[:, None] - mid[None, :])[None, :, None, :])
