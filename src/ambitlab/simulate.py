@@ -12,7 +12,11 @@ Two routes to the thinned increments:
 
 The end-to-end route convolves at M x M, not 2M x 2M: every weight vanishes
 outside [0,1]^2, so the lattice rows never meet the wrap-around (see
-``simulate_lattice``).  Its kernel spectrum is cached per (weight, n, M).
+``simulate_lattice``).  Its kernel spectrum and spot-check kernels are cached,
+read-only, per (weight, n, M).  Each replication draws, weights and
+transforms its noise in one scratch set per M that every call reuses, so a
+replication allocates no M x M array; only the n + 1 lattice rows are
+inverted, into a fresh array, so no result shares memory with the scratch.
 
 Random streams are tagged per purpose (volatility=1, noise=2, exact draws=3)
 so the three never overlap for a shared master seed.
@@ -53,19 +57,24 @@ _EXACT_STREAM = 3
 _DIFF_STENCIL = np.outer([-1.0, 2.0, -1.0], [-1.0, 2.0, -1.0])
 
 
-def sample_noise(resolution, seed, rep=0):
-    """White-noise cell sums on [-1,1]^2, as a read-only m x m array.
+def sample_noise(resolution, seed, rep=0, out=None):
+    """White-noise cell sums on [-1,1]^2, as an m x m array.
 
     Entry [c1, c2] is the noise mass of cell (c1, c2) of the m x m grid:
     independent N(0, (2/m)^2), the cell's area.  Deterministic in
     (resolution, seed, rep); each (seed, rep) pair draws its own substream.
+    Without ``out`` the grid is a fresh read-only array; with it, the grid
+    is drawn into ``out`` (float64, m x m) and ``out`` is returned, with the
+    same bits as the fresh draw.
     """
     m = int(resolution)
-    if m < 2:
-        raise ValueError(f"noise resolution must be >= 2, got {resolution}")
+    if m < 2 or m != resolution:
+        raise ValueError(f"noise resolution must be an integer >= 2, got {resolution}")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), _NOISE_STREAM, int(rep))))
-    noise = rng.standard_normal((m, m)) * (2.0 / m)
-    noise.setflags(write=False)
+    noise = rng.standard_normal((m, m), out=out)
+    noise *= 2.0 / m
+    if out is None:
+        noise.setflags(write=False)
     return noise
 
 
@@ -117,6 +126,14 @@ def _lattice_plan(spec, n, M):
     return spectrum, checks
 
 
+# Scratch for one replication, overwritten by the next; kept apart from the
+# plan so that the plan's arrays stay read-only.
+@lru_cache(maxsize=1)
+def _workspace(M):
+    """(noise, weighted, transform) buffers: two real M x M, one complex M x (M/2+1)."""
+    return np.empty((M, M)), np.empty((M, M)), np.empty((M, M // 2 + 1), dtype=complex)
+
+
 def simulate_lattice(spec, sigma, n, M, seed=0, rep=0):
     """Moving-average field on the lattice by discrete convolution.
 
@@ -131,38 +148,58 @@ def simulate_lattice(spec, sigma, n, M, seed=0, rep=0):
     offsets above 1; a weight that breaks it fails the spot check at (n, n),
     whose direct sum reaches offsets up to 2.  The table's spectrum and the
     spot-check kernels are cached per (spec, n, M).
+
+    The noise, the weighted noise and its transform are written into one
+    scratch set per M (``_workspace``) that every replication reuses: a
+    fresh M x M array page-faults on first touch, which costs more than the
+    transform.  The 2-D transforms run one axis at a time in numpy's own
+    order (``rfft`` on axis 1, ``fft`` on axis 0; then ``ifft`` on axis 0,
+    ``irfft`` on axis 1), so each 1-D transform sees the data ``rfft2`` and
+    ``irfft2`` would give it.  The last stage inverts only the n + 1 lattice
+    rows, into a fresh array, so no result shares memory with the scratch.
+    The product is ``conv *= spectrum`` because complex multiplication with
+    fused multiply-adds is not bit-commutative, and that is the order
+    numpy's temporary elision gave ``spectrum * rfft2(weighted)`` on grids
+    of 256 KiB and up.  The spot-check products go into the noise buffer,
+    which is free once the weighted noise is formed.
     """
-    n, M = int(n), int(M)
-    if n < 1:
-        raise ValueError(f"lattice resolution must be >= 1, got {n}")
-    if M % (2 * n) != 0:
+    if n != int(n) or n < 1:
+        raise ValueError(f"lattice resolution must be an integer >= 1, got {n}")
+    n = int(n)
+    if M != int(M) or M < 1 or M % (2 * n) != 0:
         raise ValueError(
-            f"noise resolution {M} must be a multiple of 2n = {2 * n} so lattice "
-            "points sit on cell corners"
+            f"noise resolution {M} must be a positive multiple of 2n = {2 * n} so "
+            "lattice points sit on cell corners"
         )
+    M = int(M)
     if sigma.resolution < M:
         raise ValueError(
             f"volatility grid (resolution {sigma.resolution}) is coarser than the "
             f"noise grid (resolution {M})"
         )
-    noise = sample_noise(M, seed, rep)
+    # the plan's build sets the peak memory, so it runs before the scratch is touched
     spectrum, checks = _lattice_plan(spec, n, M)
+    noise, weighted, conv = _workspace(M)
+    sample_noise(M, seed, rep, out=noise)
 
     if sigma.resolution == M:
         sig = sigma.values
     else:
         mid = midpoints(M)
         sig = sigma.at(mid[:, None], mid[None, :])
-    weighted = sig * noise
+    np.multiply(sig, noise, out=weighted)
 
-    conv = np.fft.irfft2(spectrum * np.fft.rfft2(weighted), (M, M))
+    np.fft.rfft(weighted, axis=1, out=conv)
+    np.fft.fft(conv, axis=0, out=conv)
+    conv *= spectrum
+    np.fft.ifft(conv, axis=0, out=conv)
     q = M // (2 * n)
     pick = np.arange(n + 1) * q + M // 2 - 1
-    vals = conv[np.ix_(pick, pick)]
+    vals = np.fft.irfft(conv[pick], M, axis=1)[:, pick]
 
     err = 0.0
     for (i, j), g in checks:
-        direct = float(np.sum(g * weighted))
+        direct = float(np.sum(np.multiply(g, weighted, out=noise)))
         err = max(err, abs(direct - vals[i, j]) / (1.0 + abs(direct)))
     if err > 1e-10:
         raise QuadratureError(
@@ -202,9 +239,9 @@ class IncrementField:
 
 def increments(fld, k):
     """Four-corner differences at lattice spacing, kept at every k-th point."""
+    if k != int(k) or not 1 <= k <= fld.n:
+        raise ValueError(f"thinning k must be an integer with 1 <= k <= n = {fld.n}, got {k}")
     k = int(k)
-    if not 1 <= k <= fld.n:
-        raise ValueError(f"thinning k must satisfy 1 <= k <= n = {fld.n}, got {k}")
     m = fld.n // k
     idx = np.arange(1, m + 1) * k
     v = fld.values

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,20 @@ def test_noise_grid_is_read_only():
         g[0, 0] = 1.0
 
 
+def test_noise_rejects_a_fractional_resolution():
+    with pytest.raises(ValueError, match="integer"):
+        sample_noise(32.7, seed=0)
+
+
+def test_noise_drawn_into_a_buffer_has_the_fresh_bits():
+    buf = np.empty((32, 32))
+    got = sample_noise(32, seed=4, rep=2, out=buf)
+    assert got is buf
+    assert np.array_equal(buf, sample_noise(32, seed=4, rep=2))
+    with pytest.raises(ValueError):
+        sample_noise(32, seed=4, out=np.empty((32, 33)))
+
+
 # ---------------------------------------------------------------- simulation
 
 def test_simulate_requires_aligned_resolutions():
@@ -65,6 +81,16 @@ def test_simulate_requires_aligned_resolutions():
         simulate_lattice(UniformWeight(), sig, 6, 64)
     with pytest.raises(ValueError, match="coarser"):
         simulate_lattice(UniformWeight(), sig, 4, 128)
+
+
+def test_simulate_rejects_fractional_resolutions():
+    sig = sample_volatility(ConstantVol(1.0), 32, seed=0)
+    with pytest.raises(ValueError, match="integer"):
+        simulate_lattice(UniformWeight(), sig, 4.9, 32.0)
+    with pytest.raises(ValueError, match="multiple of 2n"):
+        simulate_lattice(UniformWeight(), sig, 4, 32.5)
+    whole = simulate_lattice(UniformWeight(), sig, 4.0, 32.0, seed=1)
+    assert np.array_equal(whole.values, simulate_lattice(UniformWeight(), sig, 4, 32, seed=1).values)
 
 
 def test_simulate_is_deterministic_and_records_provenance():
@@ -136,6 +162,52 @@ def test_a_different_key_builds_its_own_plan(spec, n, M):
     assert np.array_equal(after_another, cold)
 
 
+@pytest.mark.parametrize("M", [64, 512])
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("vol", [ConstantVol(1.0), LogGaussianVol(0.0, 0.25, 0.25)],
+                         ids=["constant", "log_gaussian"])
+def test_staged_transform_equals_the_whole_grid_one(vol, q, M):
+    # one axis at a time and only the lattice rows inverted, bit for bit
+    spec, n = _WEIGHTS["singular"], M // (2 * q)
+    sig = sample_volatility(vol, M, seed=6)
+    fld = simulate_lattice(spec, sig, n, M, seed=8, rep=1)
+    spectrum, _ = simulate._lattice_plan(spec, n, M)
+    weighted = sig.values * sample_noise(M, seed=8, rep=1)
+    pick = np.arange(n + 1) * q + M // 2 - 1
+    whole = np.fft.irfft2(np.fft.rfft2(weighted) * spectrum, (M, M))[np.ix_(pick, pick)]
+    assert np.array_equal(fld.values, whole)
+
+
+def test_fields_do_not_share_the_scratch():
+    sig = sample_volatility(ConstantVol(1.0), 64, seed=0)
+    spec = _WEIGHTS["singular"]
+    first = simulate_lattice(spec, sig, 8, 32, seed=2, rep=0)
+    kept = first.values.copy()
+    simulate_lattice(spec, sig, 8, 32, seed=2, rep=1)
+    assert np.array_equal(first.values, kept)
+    simulate_lattice(spec, sig, 16, 64, seed=2, rep=0)
+    assert np.array_equal(first.values, kept)
+    for buf in simulate._workspace(64):
+        assert not np.shares_memory(first.values, buf)
+
+
+def test_a_warm_replication_allocates_no_grid_sized_temporaries():
+    # the scratch is reused, so a warm call allocates only the n + 1 lattice
+    # rows of the spectrum and their inverse, about M^2 / 2 doubles each at
+    # n = M / 2; an M x M temporary for the noise, a product or a transform
+    # stage would add M^2 more
+    spec, n, M = SingularWeight(alpha=0.75), 128, 256
+    sig = sample_volatility(ConstantVol(1.0), M, seed=0)
+    simulate_lattice(spec, sig, n, M, rep=0)
+    tracemalloc.start()
+    try:
+        simulate_lattice(spec, sig, n, M, rep=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * M * M * 8
+
+
 def test_cached_plan_arrays_are_read_only():
     spectrum, checks = simulate._lattice_plan(_WEIGHTS["uniform"], 4, 16)
     assert spectrum.shape == (16, 9)
@@ -195,6 +267,8 @@ def test_increments_validate_the_thinning():
         increments(fld, 0)
     with pytest.raises(ValueError, match="thinning"):
         increments(fld, 5)
+    with pytest.raises(ValueError, match="integer"):
+        increments(fld, 1.5)
     with pytest.raises(ValueError, match="shape"):
         IncrementField(n=4, k=2, values=np.zeros((3, 3)))
 
