@@ -152,11 +152,12 @@ def simulate_lattice(spec, sigma, n, M, seed=0, rep=0):
     The noise, the weighted noise and its transform are written into one
     scratch set per M (``_workspace``) that every replication reuses: a
     fresh M x M array page-faults on first touch, which costs more than the
-    transform.  The 2-D transforms run one axis at a time in numpy's own
-    order (``rfft`` on axis 1, ``fft`` on axis 0; then ``ifft`` on axis 0,
-    ``irfft`` on axis 1), so each 1-D transform sees the data ``rfft2`` and
-    ``irfft2`` would give it.  The last stage inverts only the n + 1 lattice
-    rows, into a fresh array, so no result shares memory with the scratch.
+    transform.  The forward transform is ``rfft2`` into the scratch; the
+    inverse runs one axis at a time in ``irfft2``'s order (``ifft`` on
+    axis 0, then ``irfft`` on axis 1), so each 1-D transform sees the data
+    ``irfft2`` would give it, but the last stage inverts only the n + 1
+    lattice rows, into a fresh array, so no result shares memory with the
+    scratch.
     The product is ``conv *= spectrum`` because complex multiplication with
     fused multiply-adds is not bit-commutative, and that is the order
     numpy's temporary elision gave ``spectrum * rfft2(weighted)`` on grids
@@ -189,8 +190,7 @@ def simulate_lattice(spec, sigma, n, M, seed=0, rep=0):
         sig = sigma.at(mid[:, None], mid[None, :])
     np.multiply(sig, noise, out=weighted)
 
-    np.fft.rfft(weighted, axis=1, out=conv)
-    np.fft.fft(conv, axis=0, out=conv)
+    np.fft.rfft2(weighted, out=conv)
     conv *= spectrum
     np.fft.ifft(conv, axis=0, out=conv)
     q = M // (2 * n)

@@ -40,6 +40,8 @@ def test_noise_is_deterministic_per_seed_and_rep():
 def test_noise_rejects_tiny_resolution():
     with pytest.raises(ValueError, match="resolution"):
         sample_noise(1, seed=0)
+    with pytest.raises(ValueError, match="integer"):
+        sample_noise(32.7, seed=0)
 
 
 def test_noise_cells_carry_the_cell_area_as_variance():
@@ -59,11 +61,6 @@ def test_noise_grid_is_read_only():
         g[0, 0] = 1.0
 
 
-def test_noise_rejects_a_fractional_resolution():
-    with pytest.raises(ValueError, match="integer"):
-        sample_noise(32.7, seed=0)
-
-
 def test_noise_drawn_into_a_buffer_has_the_fresh_bits():
     buf = np.empty((32, 32))
     got = sample_noise(32, seed=4, rep=2, out=buf)
@@ -81,10 +78,6 @@ def test_simulate_requires_aligned_resolutions():
         simulate_lattice(UniformWeight(), sig, 6, 64)
     with pytest.raises(ValueError, match="coarser"):
         simulate_lattice(UniformWeight(), sig, 4, 128)
-
-
-def test_simulate_rejects_fractional_resolutions():
-    sig = sample_volatility(ConstantVol(1.0), 32, seed=0)
     with pytest.raises(ValueError, match="integer"):
         simulate_lattice(UniformWeight(), sig, 4.9, 32.0)
     with pytest.raises(ValueError, match="multiple of 2n"):
