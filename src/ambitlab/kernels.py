@@ -245,12 +245,21 @@ class _ProfileWeight(WeightSpec):
         """The radial/height profile r^(-alpha) ell(r) on (0,1), zero elsewhere.
 
         Zero at r = 0 too, where the profile diverges; accepts scalars or arrays.
+        Where every point lies in (0, 1), as at the inner nodes of the mass
+        integrands, the product skips the mask and forms r^(-alpha) * scale *
+        ell(r) in place: float multiplication is commutative, so the bits are
+        those of the masked scale * r^(-alpha) * ell(r).
         """
         r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
         inside = (r > 0.0) & (r < 1.0)
-        ri = r[inside]
-        out[inside] = self.scale * ri ** (-self.alpha) * self.ell(ri)
+        if inside.all():
+            out = r ** (-self.alpha)
+            out *= self.scale
+            out *= self.ell(r)
+        else:
+            out = np.zeros_like(r)
+            ri = r[inside]
+            out[inside] = self.scale * ri ** (-self.alpha) * self.ell(ri)
         return out if out.ndim else float(out)
 
     def limit_atoms(self):
@@ -465,9 +474,9 @@ class SingularWeight(_ProfileWeight):
         to (0, min(s, 1 + 1/n)), and split against the table's cuts by
         clipping: constant pieces sum in closed form; pieces varying through
         f(t) join one batch of panels doubling geometrically in absolute t
-        from their lower end (as many doublings as the batch's largest hi/lo
-        needs, at most 64), so the per-panel relative variation stays bounded
-        however close that end sits to the origin.
+        from their lower end (each piece integrates only its own nonzero
+        doubling panels, at most 64), so the per-panel relative variation
+        stays bounded however close that end sits to the origin.
 
         Exact offsets: where the layout grades toward 1/n, sig is its offset,
         never s - 1/n.  For 0 < sig < 1/n the top band (1/n, s), where f is
@@ -537,10 +546,14 @@ class SingularWeight(_ProfileWeight):
                 for part in node_slices(own.size, growth.size * xi.size):
                     edges = np.minimum(vlo[part, None] * growth, vhi[part, None])
                     edges = np.concatenate([edges, vhi[part, None]], axis=1)
-                    a, b = edges[:, :-1], edges[:, 1:]
-                    x = 0.5 * (a + b)[:, :, None] + 0.5 * (b - a)[:, :, None] * xi
-                    hv = (amp[part, None, None] - self.profile(x.ravel()).reshape(x.shape)) ** 2
-                    contrib[part] = np.sum(0.5 * (b - a)[:, :, None] * wi * hv, axis=(1, 2))
+                    # panels past a piece's own vhi have zero width: skip them
+                    live = edges[:, 1:] > edges[:, :-1]
+                    row = np.nonzero(live)[0]
+                    a, b = edges[:, :-1][live], edges[:, 1:][live]
+                    x = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * xi
+                    hv = (amp[part][row, None] - self.profile(x)) ** 2
+                    panel = np.sum(0.5 * (b - a)[:, None] * wi * hv, axis=1)
+                    contrib[part] = np.bincount(row, panel, minlength=edges.shape[0])
                 out += np.bincount(own, contrib, minlength=ss.size)
             return out
 
