@@ -658,13 +658,13 @@ def _run_simulate(settings):
     sigma = sample_volatility(settings["volatility"], M, seed=settings["seed"])
     fld = simulate_lattice(settings["weight"], sigma, n, M, seed=settings["seed"], rep=0)
     k = _thinning(settings, n)
-    inc = increments(fld, k)
     p = settings.get("p", [2.0])[0]
-    V = variation_field(inc, p, c_n=compute_cn(settings["weight"], n, settings["quad"]))
-    scaled = scaled_power_variation(V)
+    eps = k / n
+    c_n = float(compute_cn(settings["weight"], n, settings["quad"]))
+    scaled = scaled_power_variation(variation_field(increments(fld, k), p), p, eps, c_n)
     provenance = "".join(f" {key}={val!r}" if isinstance(val, str) else f" {key}={val}"
                          for key, val in fld.provenance.items())
-    ticks = [i * scaled.k / scaled.n for i in range(scaled.values.shape[0])]
+    ticks = [i * k / n for i in range(scaled.shape[0])]
     files = [
         _write_matrix(settings["out"], "field.csv", fld.values,
                       f"lattice field: n={fld.n}{provenance}"),
@@ -672,17 +672,16 @@ def _run_simulate(settings):
                       f"volatility grid: resolution={sigma.resolution} "
                       f"model={type(sigma.model).__name__} seed={sigma.seed}"),
         _write_csv(settings["out"], "variation.csv", ("s", "t", "value"),
-                   [(s, t, float(v)) for s, row in zip(ticks, scaled.values)
+                   [(s, t, float(v)) for s, row in zip(ticks, scaled)
                     for t, v in zip(ticks, row)],
-                   comment=f"power variation field: p={float(scaled.p)!r} k={scaled.k} "
-                           f"n={scaled.n} eps={float(scaled.eps)!r} "
-                           f"c_n={float(scaled.c_n)!r}"),
+                   comment=f"power variation field: p={p!r} k={k} n={n} eps={eps!r} "
+                           f"c_n={c_n!r}"),
     ]
     results = {
         "n": n, "M": M, "k": k, "p": p,
         "field_min": float(fld.values.min()),
         "field_max": float(fld.values.max()),
-        "scaled_variation_at_11": float(scaled.at(1.0, 1.0)),
+        "scaled_variation_at_11": float(scaled[retained_corners(1.0, 1.0, eps)]),
     }
     return targets, results, files
 

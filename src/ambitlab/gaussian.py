@@ -90,15 +90,15 @@ def abs_moment(q):
     Parameters
     ----------
     q : float
-        Power, must be positive (m_q diverges as q -> -1 and the callers
-        never need q <= 0).
+        Power, must be positive and finite (m_q diverges as q -> -1 and the
+        callers never need q <= 0).
 
     Returns
     -------
     float
     """
-    if q <= 0.0:
-        raise ValueError(f"absolute-moment power must be positive, got q={q}")
+    if not (q > 0.0 and math.isfinite(q)):
+        raise ValueError(f"absolute-moment power must be positive and finite, got q={q}")
     return float(np.exp(0.5 * q * np.log(2.0) + _lgam(0.5 * (q + 1.0)) - 0.5 * np.log(np.pi)))
 
 

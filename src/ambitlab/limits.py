@@ -176,8 +176,8 @@ class LLNConfig:
         object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
         object.__setattr__(self, "n_schedule", tuple(int(n) for n in self.n_schedule))
         _require(len(self.p_values) > 0, "need at least one power p")
-        _require(all(p > 0.0 for p in self.p_values),
-                 f"powers must be positive, got {self.p_values}")
+        _require(all(p > 0.0 and math.isfinite(p) for p in self.p_values),
+                 f"powers must be positive and finite, got {self.p_values}")
         _require(len(set(self.p_values)) == len(self.p_values),
                  f"powers must not repeat, got {self.p_values}")
         _require(len(self.n_schedule) > 0, "need a nonempty n schedule")
@@ -214,7 +214,8 @@ class CLTConfig:
     def __post_init__(self):
         object.__setattr__(self, "n_schedule", tuple(int(n) for n in self.n_schedule))
         object.__setattr__(self, "eval_point", tuple(float(x) for x in self.eval_point))
-        _require(self.p > 0.0, f"power must be positive, got {self.p}")
+        _require(self.p > 0.0 and math.isfinite(self.p),
+                 f"power must be positive and finite, got {self.p}")
         _require(len(self.n_schedule) > 0, "need a nonempty n schedule")
         _require(all(n >= 2 for n in self.n_schedule),
                  f"resolutions must be >= 2, got {self.n_schedule}")
@@ -320,12 +321,13 @@ def lln_experiment(config):
             fld = simulate_lattice(weight, sigma, n, M, seed=config.seed, rep=rep)
             inc = increments(fld, k)
             for p in config.p_values:
-                V = variation_field(inc, p, c_n=cn)
-                scaled = scaled_power_variation(V)
-                svals = np.array([[scaled.at(s, t) for t in grid] for s in grid])
+                V = variation_field(inc, p)
+                scaled = scaled_power_variation(V, p, eps, cn)
+                svals = np.array([[scaled[retained_corners(s, t, eps)] for t in grid]
+                                  for s in grid])
                 target, mean = limit_and_mean(sigma, p) if vol.redrawn else shared[p]
                 sup_err[p].append(float(np.max(np.abs(svals - target))))
-                raw_v[p].append(float(V.at(1.0, 1.0)))
+                raw_v[p].append(float(V[retained_corners(1.0, 1.0, eps)]))
                 if mean is not None:
                     mean_part[p].append(float(np.max(np.abs(mean - target))))
                     stoch_part[p].append(float(np.max(np.abs(svals - mean))))

@@ -4,7 +4,8 @@ Two routes to the thinned increments:
 
 * end-to-end: draw a noise grid on [-1,1]^2, convolve with the weight, read
   the field off the lattice and difference it (``simulate_lattice`` +
-  ``increments``);
+  ``increments``, which returns the m x m increments, m = n // k, as a plain
+  read-only array for ``variation.variation_field``);
 * exact-in-law: build the Gaussian covariance of the thinned increment vector
   by quadrature and draw from it directly (``increment_covariance`` +
   ``sample_increments_exact``).  The second route has no discretization bias,
@@ -18,8 +19,9 @@ transforms its noise in one scratch set per M that every call reuses, so a
 replication allocates no M x M array; only the n + 1 lattice rows are
 inverted, into a fresh array, so no result shares memory with the scratch.
 
-Random streams are tagged per purpose (volatility=1, noise=2, exact draws=3)
-so the three never overlap for a shared master seed.
+Random streams are tagged per purpose (volatility=1, noise=2, exact draws=3,
+and 4 for the per-replication volatility re-draws of ``limits``) so no two
+overlap for a shared master seed.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .volatility import midpoints, rect_integral, squared_prefix_integral
 __all__ = [
     "DENSE_CAP",
     "LatticeField",
-    "IncrementField",
     "IncrementCovariance",
     "sample_noise",
     "simulate_lattice",
@@ -217,28 +218,13 @@ def simulate_lattice(spec, sigma, n, M, seed=0, rep=0):
     return LatticeField(n=n, values=vals, provenance=prov)
 
 
-@dataclass(frozen=True, eq=False)
-class IncrementField:
-    """Lattice-step four-corner differences retained at every k-th point.
-
-    values[i-1, j-1] is the difference over the single 1/n-cell whose upper
-    corner is (ik/n, jk/n); thinning drops the cells in between, it does not
-    widen them.  That keeps one normalization c_n valid for every k.
-    """
-
-    n: int
-    k: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        m = self.n // self.k
-        if self.values.shape != (m, m):
-            raise ValueError(f"increment matrix shape {self.values.shape} != ({m}, {m})")
-        self.values.setflags(write=False)
-
-
 def increments(fld, k):
-    """Four-corner differences at lattice spacing, kept at every k-th point."""
+    """Read-only m x m four-corner differences at lattice spacing, m = n // k.
+
+    Entry [i - 1, j - 1] is the difference over the single 1/n-cell whose
+    upper corner is (ik/n, jk/n); thinning drops the cells in between, it
+    does not widen them.  That keeps one normalization c_n valid for every k.
+    """
     if k != int(k) or not 1 <= k <= fld.n:
         raise ValueError(f"thinning k must be an integer with 1 <= k <= n = {fld.n}, got {k}")
     k = int(k)
@@ -247,7 +233,8 @@ def increments(fld, k):
     v = fld.values
     vals = (v[np.ix_(idx, idx)] - v[np.ix_(idx - 1, idx)]
             - v[np.ix_(idx, idx - 1)] + v[np.ix_(idx - 1, idx - 1)])
-    return IncrementField(n=fld.n, k=k, values=vals)
+    vals.setflags(write=False)
+    return vals
 
 
 # ------------------------------------------------------ exact covariance path
@@ -361,9 +348,10 @@ def increment_covariance(spec, sigma, n, k):
     autocorrelation (stationary autocorrelation on the 1/n lattice).  Other
     combinations have no exact route here and are rejected.
     """
+    if n != int(n) or k != int(k) or not 1 <= k <= n:
+        raise ValueError(f"n and the thinning k must be integers with 1 <= k <= n, "
+                         f"got n={n}, k={k}")
     n, k = int(n), int(k)
-    if not 1 <= k <= n:
-        raise ValueError(f"thinning k must satisfy 1 <= k <= n, got {k}")
     m = n // k
     if m > DENSE_CAP:
         raise ValueError(
@@ -398,9 +386,9 @@ def increment_covariance(spec, sigma, n, k):
 
 def sample_increments_exact(cov, seed, reps):
     """reps x dim Gaussian draws with covariance cov, symmetric square root."""
+    if reps != int(reps) or reps < 1:
+        raise ValueError(f"need an integer number of replications >= 1, got {reps}")
     reps = int(reps)
-    if reps < 1:
-        raise ValueError(f"need at least one replication, got {reps}")
     mat = cov.matrix
     w, v = np.linalg.eigh(mat)
     floor = 1e-12 * float(np.trace(mat)) / cov.dim

@@ -1,9 +1,11 @@
-"""Power-variation statistics of increment fields.
+"""Power-variation statistics of thinned increment arrays.
 
-The raw statistic at (s, t) sums |increment|^p over the retained lattice
-cells whose upper corners fall inside [0, s] x [0, t]; the scaled version
-multiplies by eps_n^2 / c_n^(p/2) so that a law-of-large-numbers limit of
-order one emerges.
+Every statistic is a plain read-only array.  ``simulate.increments`` gives
+the m x m increments, one per retained corner (eps i, eps j), eps = k / n.
+``variation_field`` sums |increment|^p cumulatively into the (m + 1) x
+(m + 1) array V, whose entry at ``retained_corners(s, t, eps)`` is the raw
+statistic at (s, t).  ``scaled_power_variation`` multiplies V by
+eps^2 / c_n^(p/2), so that a law-of-large-numbers limit of order one emerges.
 
 The exact conditional expectation given the volatility path reads one
 table: the pi_n-average of sigma^2 seen from every retained corner.  It is
@@ -15,7 +17,6 @@ volatility integrates in closed form cell by cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -25,7 +26,6 @@ from .kernels import compute_cn
 from .simulate import strip_covariances
 
 __all__ = [
-    "PowerVariationField",
     "retained_corners",
     "power_variation",
     "variation_field",
@@ -47,82 +47,42 @@ def retained_corners(s, t, eps):
     return math.floor(float(s) / eps + 1e-9), math.floor(float(t) / eps + 1e-9)
 
 
-@dataclass(frozen=True, eq=False)
-class PowerVariationField:
-    """Cumulative |increment|^p sums at the retained lattice corners.
+def power_variation(inc, p, eps, s, t):
+    """Sum of |increment|^p over the retained cells with corners in [0,s] x [0,t]."""
+    p = float(p)
+    if p <= 0.0:
+        raise ValueError(f"power must be positive, got {p}")
+    i, j = retained_corners(s, t, eps)
+    return float(np.sum(np.abs(inc[:i, :j]) ** p))
 
-    values[i, j] is the statistic at (ki/n, kj/n); row and column 0 are the
-    empty sums.  c_n is attached when known so the scaled field can be formed
-    later without the weight spec at hand.
+
+def variation_field(inc, p):
+    """Read-only (m + 1) x (m + 1) cumulative sums of |inc|^p over an m x m array.
+
+    Entry [i, j] is ``power_variation`` at the corner (eps i, eps j); row and
+    column 0 are the empty sums.
     """
-
-    p: float
-    k: int
-    n: int
-    values: np.ndarray
-    c_n: float | None = None
-
-    def __post_init__(self):
-        m = self.n // self.k
-        if self.values.shape != (m + 1, m + 1):
-            raise ValueError(
-                f"variation field shape {self.values.shape} != ({m + 1}, {m + 1})"
-            )
-        if np.any(self.values[0, :] != 0.0) or np.any(self.values[:, 0] != 0.0):
-            raise ValueError("variation field must vanish on the axes")
-        if np.any(self.values < 0.0):
-            raise ValueError("variation field must be nonnegative")
-        if np.any(np.diff(self.values, axis=0) < 0.0) or np.any(
-            np.diff(self.values, axis=1) < 0.0
-        ):
-            raise ValueError("variation field must be monotone in each coordinate")
-        self.values.setflags(write=False)
-
-    @property
-    def eps(self):
-        return self.k / self.n
-
-    def at(self, s, t):
-        """Step-field evaluation: the value at the last corner inside [0,s]x[0,t]."""
-        i, j = retained_corners(s, t, self.eps)
-        return float(self.values[i, j])
-
-
-def power_variation(inc, p, s, t):
-    """Sum of |increment|^p over retained cells with corners in [0,s] x [0,t]."""
     p = float(p)
     if p <= 0.0:
         raise ValueError(f"power must be positive, got {p}")
-    i, j = retained_corners(s, t, inc.k / inc.n)
-    return float(np.sum(np.abs(inc.values[:i, :j]) ** p))
-
-
-def variation_field(inc, p, c_n=None):
-    """The whole variation field at once, by cumulative sums."""
-    p = float(p)
-    if p <= 0.0:
-        raise ValueError(f"power must be positive, got {p}")
-    absp = np.abs(inc.values) ** p
+    if inc.ndim != 2 or inc.shape[0] != inc.shape[1]:
+        raise ValueError(f"increments must be a square 2-D array, got shape {inc.shape}")
+    absp = np.abs(inc) ** p
     m = absp.shape[0]
     vals = np.zeros((m + 1, m + 1))
     vals[1:, 1:] = np.cumsum(np.cumsum(absp, axis=0), axis=1)
-    return PowerVariationField(
-        p=p, k=inc.k, n=inc.n, values=vals,
-        c_n=None if c_n is None else float(c_n),
-    )
+    vals.setflags(write=False)
+    return vals
 
 
-def scaled_power_variation(V):
-    """Multiply by eps^2 / c_n^(p/2); requires c_n attached."""
-    if V.c_n is None:
-        raise ValueError(
-            "scaling needs the kernel normalization c_n; build the field with "
-            "c_n=compute_cn(spec, n)"
-        )
-    factor = V.eps**2 / V.c_n ** (V.p / 2.0)
-    return PowerVariationField(
-        p=V.p, k=V.k, n=V.n, values=factor * V.values, c_n=V.c_n
-    )
+def scaled_power_variation(V, p, eps, c_n):
+    """Read-only eps^2 / c_n^(p/2) * V, for the kernel normalization c_n."""
+    p, c_n = float(p), float(c_n)
+    if not (c_n > 0.0 and math.isfinite(c_n)):
+        raise ValueError(f"the kernel normalization c_n must be positive and finite, got {c_n}")
+    scaled = eps**2 / c_n ** (p / 2.0) * V
+    scaled.setflags(write=False)
+    return scaled
 
 
 # lln_experiment asks for every grid point of one (sigma, n) before it moves
@@ -160,11 +120,13 @@ def expected_scaled_pv(spec, sigma, n, k, p, s, t):
     the retained corners in [0,s] x [0,t]; for constant volatility that is
     m_p sigma^p eps^2 times the number of corners, for every weight.
     """
-    n, k, p = int(n), int(k), float(p)
+    p = float(p)
     if p <= 0.0:
         raise ValueError(f"power must be positive, got {p}")
-    if not 1 <= k <= n:
-        raise ValueError(f"thinning k must satisfy 1 <= k <= n, got {k}")
+    if n != int(n) or k != int(k) or not 1 <= k <= n:
+        raise ValueError(f"n and the thinning k must be integers with 1 <= k <= n, "
+                         f"got n={n}, k={k}")
+    n, k = int(n), int(k)
     eps = k / n
     ci, cj = retained_corners(s, t, eps)
     avg = _pi_averages(spec, sigma, n, k)

@@ -51,6 +51,12 @@ def test_abs_moment_rejects_nonpositive(q):
         abs_moment_quadrature(q)
 
 
+@pytest.mark.parametrize("q", [np.inf, np.nan])
+def test_abs_moment_rejects_a_non_finite_power(q):
+    with pytest.raises(ValueError, match="positive and finite"):
+        abs_moment(q)
+
+
 def test_even_integer_moments_match_double_factorial():
     # E|X|^{2m} = (2m-1)!!
     val = 1.0

@@ -160,6 +160,9 @@ def test_lln_config_rejects_contradictory_thinning():
         LLNConfig(k=1, reps=0, **kw)
     with pytest.raises(ValueError, match="powers must be positive"):
         LLNConfig(k=1, p_values=(2.0, -1.0), **kw)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            LLNConfig(k=1, p_values=(2.0, bad), **kw)
 
 
 def test_clt_config_rejects_bad_geometry():
@@ -168,6 +171,9 @@ def test_clt_config_rejects_bad_geometry():
         CLTConfig(kappa=1.5, **kw)
     with pytest.raises(ValueError, match="outside \\(0,1\\]"):
         CLTConfig(eval_point=(0.0, 1.0), **kw)
+    for bad in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="power must be positive and finite"):
+            CLTConfig(p=bad, **kw)
 
 
 def test_lln_config_rejects_a_thinning_exponent_outside_the_unit_interval():

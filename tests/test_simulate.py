@@ -15,7 +15,6 @@ from ambitlab.kernels import (
 )
 from ambitlab.simulate import (
     IncrementCovariance,
-    IncrementField,
     LatticeField,
     increment_covariance,
     increments,
@@ -53,6 +52,14 @@ def test_noise_cells_carry_the_cell_area_as_variance():
         assert g.shape == (m, m)
         assert abs(float(g.var()) - cell) < 5.0 * cell * np.sqrt(2.0) / m
     assert abs(float(np.var(grids)) - cell) < 0.01 * cell
+
+
+def test_random_stream_tags_are_pairwise_distinct():
+    from ambitlab.limits import _REDRAW_STREAM
+    from ambitlab.volatility import _VOL_STREAM
+
+    tags = (_VOL_STREAM, simulate._NOISE_STREAM, simulate._EXACT_STREAM, _REDRAW_STREAM)
+    assert len(set(tags)) == len(tags), tags
 
 
 def test_noise_grid_is_read_only():
@@ -242,15 +249,16 @@ def test_increments_of_product_field_are_cellwise_products():
     fld = LatticeField(n=n, values=np.outer(s, s))
     for k in (1, 2, 4):
         inc = increments(fld, k)
-        assert inc.values.shape == (n // k, n // k)
-        assert np.allclose(inc.values, 1.0 / n**2, rtol=0, atol=1e-16)
+        assert type(inc) is np.ndarray and not inc.flags.writeable
+        assert inc.shape == (n // k, n // k)
+        assert np.allclose(inc, 1.0 / n**2, rtol=0, atol=1e-16)
 
 
 def test_increments_kill_affine_fields():
     n = 6
     s = np.arange(n + 1) / n
     vals = 2.0 - 3.0 * s[:, None] + 0.5 * s[None, :]
-    got = increments(LatticeField(n=n, values=vals), 2).values
+    got = increments(LatticeField(n=n, values=vals), 2)
     assert np.allclose(got, 0.0, rtol=0, atol=1e-15)  # 1/6 is not dyadic
 
 
@@ -262,8 +270,6 @@ def test_increments_validate_the_thinning():
         increments(fld, 5)
     with pytest.raises(ValueError, match="integer"):
         increments(fld, 1.5)
-    with pytest.raises(ValueError, match="shape"):
-        IncrementField(n=4, k=2, values=np.zeros((3, 3)))
 
 
 # ---------------------------------------------------- exact covariance engine
@@ -382,6 +388,12 @@ def test_covariance_rejects_unsupported_combinations():
         increment_covariance(UniformWeight(), const, 256, 4)
     with pytest.raises(ValueError, match="thinning"):
         increment_covariance(UniformWeight(), const, 8, 0)
+    # fractional sizes are refused, not truncated; integer-valued floats pass
+    with pytest.raises(ValueError, match="integers"):
+        increment_covariance(UniformWeight(), const, 8.7, 2)
+    with pytest.raises(ValueError, match="integers"):
+        increment_covariance(UniformWeight(), const, 8, 2.5)
+    assert increment_covariance(UniformWeight(), const, 8.0, 2.0).dim == 16
     with pytest.raises(ValueError, match="simulation route"):
         increment_covariance(TriangleWeight(alpha=0.75), const, 8, 4)
 
@@ -452,7 +464,7 @@ def test_exact_sampler_reproduces_the_covariance():
     emp = draws.T @ draws / len(draws)
     scale = np.max(np.abs(cov.matrix))
     assert np.max(np.abs(emp - cov.matrix)) < 5 * scale * np.sqrt(2 / 40_000)
-    again = sample_increments_exact(cov, seed=3, reps=40_000)
+    again = sample_increments_exact(cov, seed=3, reps=40_000.0)  # an integer-valued float
     assert np.array_equal(draws, again)
 
 
@@ -466,3 +478,5 @@ def test_exact_sampler_rejects_indefinite_matrices():
         sample_increments_exact(cov, seed=0, reps=10)
     with pytest.raises(ValueError, match="replication"):
         sample_increments_exact(cov, seed=0, reps=0)
+    with pytest.raises(ValueError, match="integer number of replications"):
+        sample_increments_exact(cov, seed=0, reps=2.9)

@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 from ambitlab.gaussian import abs_moment
 from ambitlab.kernels import SingularWeight, UniformWeight, compute_cn, eval_h
 from ambitlab.simulate import (
-    IncrementField,
     increment_covariance,
     simulate_lattice,
     strip_covariances,
 )
 from ambitlab.variation import (
-    PowerVariationField,
     expected_scaled_pv,
     power_variation,
     retained_corners,
@@ -27,39 +25,35 @@ from ambitlab.volatility import (
 )
 
 
-def _inc(n, k, values):
-    return IncrementField(n=n, k=k, values=np.asarray(values, dtype=float))
-
-
 # ------------------------------------------------------------- raw statistic
 
 def test_unit_increments_count_the_cells():
-    inc = _inc(3, 1, np.ones((3, 3)))
-    assert power_variation(inc, 2.0, 1.0, 1.0) == 9.0
-    assert power_variation(inc, 0.5, 1.0, 1.0) == 9.0
+    inc = np.ones((3, 3))
+    assert power_variation(inc, 2.0, 1 / 3, 1.0, 1.0) == 9.0
+    assert power_variation(inc, 0.5, 1 / 3, 1.0, 1.0) == 9.0
 
 
 def test_hand_enumerated_square_sum():
-    inc = _inc(2, 1, [[0.5, -0.5], [1.0, 2.0]])
+    inc = np.array([[0.5, -0.5], [1.0, 2.0]])
     # 0.25 + 0.25 + 1 + 4
-    assert power_variation(inc, 2.0, 1.0, 1.0) == 5.5
-    assert power_variation(inc, 2.0, 0.5, 1.0) == 0.5
-    assert power_variation(inc, 2.0, 1.0, 0.5) == 1.25
+    assert power_variation(inc, 2.0, 0.5, 1.0, 1.0) == 5.5
+    assert power_variation(inc, 2.0, 0.5, 0.5, 1.0) == 0.5
+    assert power_variation(inc, 2.0, 0.5, 1.0, 0.5) == 1.25
 
 
 def test_empty_ranges_sum_to_zero():
-    inc = _inc(4, 2, np.ones((2, 2)))
-    assert power_variation(inc, 2.0, 0.4, 1.0) == 0.0  # floor(ns/k) = 0
-    assert power_variation(inc, 2.0, 0.0, 1.0) == 0.0
-    assert power_variation(inc, 1.0, 1.0, 0.49) == 0.0
+    inc = np.ones((2, 2))
+    assert power_variation(inc, 2.0, 0.5, 0.4, 1.0) == 0.0  # floor(ns/k) = 0
+    assert power_variation(inc, 2.0, 0.5, 0.0, 1.0) == 0.0
+    assert power_variation(inc, 1.0, 0.5, 1.0, 0.49) == 0.0
 
 
 def test_a_corner_on_the_evaluation_point_is_counted():
     # 0.6 / 0.1 is 5.999..., yet the corner 0.6 lies in [0, 0.6]
-    inc = _inc(10, 1, np.ones((10, 10)))
+    inc = np.ones((10, 10))
     assert retained_corners(0.6, 1.0, 0.1) == (6, 10)
-    assert power_variation(inc, 2.0, 0.6, 1.0) == 60.0
-    assert variation_field(inc, 2.0).at(0.6, 1.0) == 60.0
+    assert power_variation(inc, 2.0, 0.1, 0.6, 1.0) == 60.0
+    assert variation_field(inc, 2.0)[retained_corners(0.6, 1.0, 0.1)] == 60.0
     sig = sample_volatility(ConstantVol(1.0), 20, seed=0)
     assert expected_scaled_pv(UniformWeight(), sig, 10, 1, 2.0, 0.6, 1.0) == pytest.approx(
         0.6, rel=1e-14)
@@ -74,59 +68,63 @@ def test_grid_points_count_the_corners_below_them_exactly(n, g):
 
 
 def test_power_and_point_validation():
-    inc = _inc(2, 1, np.ones((2, 2)))
+    inc = np.ones((2, 2))
     with pytest.raises(ValueError, match="positive"):
-        power_variation(inc, 0.0, 1.0, 1.0)
+        power_variation(inc, 0.0, 0.5, 1.0, 1.0)
     with pytest.raises(ValueError, match="positive"):
-        power_variation(inc, -2.0, 1.0, 1.0)
+        power_variation(inc, -2.0, 0.5, 1.0, 1.0)
     with pytest.raises(ValueError, match="unit square"):
-        power_variation(inc, 2.0, 1.2, 0.5)
+        power_variation(inc, 2.0, 0.5, 1.2, 0.5)
+    with pytest.raises(ValueError, match="positive"):
+        variation_field(inc, 0.0)
 
 
 # ------------------------------------------------------------------ field
 
 def test_field_matches_pointwise_statistic():
     rng = np.random.default_rng(4)
-    inc = _inc(8, 2, rng.standard_normal((4, 4)))
+    inc = rng.standard_normal((4, 4))  # n = 8, k = 2
     fld = variation_field(inc, 1.5)
+    assert fld.shape == (5, 5)
     for i in range(5):
         for j in range(5):
             s, t = i * 0.25, j * 0.25
-            assert fld.values[i, j] == pytest.approx(
-                power_variation(inc, 1.5, s, t), rel=1e-13, abs=1e-300
+            assert fld[i, j] == pytest.approx(
+                power_variation(inc, 1.5, 0.25, s, t), rel=1e-13, abs=1e-300
             )
-            assert fld.at(s, t) == fld.values[i, j]
+            assert fld[retained_corners(s, t, 0.25)] == fld[i, j]
     # step-field convention between corners
-    assert fld.at(0.3, 0.9) == fld.values[1, 3]
+    assert fld[retained_corners(0.3, 0.9, 0.25)] == fld[1, 3]
     # off the unit square, as the pointwise statistic
     for s, t in ((-0.1, 1.0), (0.5, 1.1)):
         with pytest.raises(ValueError, match="outside the unit square"):
-            fld.at(s, t)
+            retained_corners(s, t, 0.25)
         with pytest.raises(ValueError, match="outside the unit square"):
-            power_variation(inc, 1.5, s, t)
+            power_variation(inc, 1.5, 0.25, s, t)
 
 
 def test_field_is_monotone_and_vanishes_on_axes():
     rng = np.random.default_rng(5)
-    inc = _inc(6, 1, rng.standard_normal((6, 6)))
-    fld = variation_field(inc, 2.0)
-    assert np.all(fld.values[0, :] == 0.0) and np.all(fld.values[:, 0] == 0.0)
-    assert np.all(np.diff(fld.values, axis=0) >= 0.0)
-    assert np.all(np.diff(fld.values, axis=1) >= 0.0)
-    assert np.all(fld.values >= 0.0)
+    fld = variation_field(rng.standard_normal((6, 6)), 2.0)
+    assert np.all(fld[0, :] == 0.0) and np.all(fld[:, 0] == 0.0)
+    assert np.all(np.diff(fld, axis=0) >= 0.0)
+    assert np.all(np.diff(fld, axis=1) >= 0.0)
+    assert np.all(fld >= 0.0)
 
 
-def test_field_constructor_rejects_bad_shapes_and_values():
-    with pytest.raises(ValueError, match="shape"):
-        PowerVariationField(p=2.0, k=1, n=2, values=np.zeros((2, 2)))
-    vals = np.zeros((3, 3))
-    vals[1, 1] = -1.0
-    with pytest.raises(ValueError):
-        PowerVariationField(p=2.0, k=1, n=2, values=vals)
-    vals = np.zeros((3, 3))
-    vals[0, 1] = 1.0
-    with pytest.raises(ValueError, match="axes"):
-        PowerVariationField(p=2.0, k=1, n=2, values=vals)
+def test_field_and_its_scaling_are_read_only_arrays():
+    fld = variation_field(np.ones((4, 4)), 2.0)
+    scaled = scaled_power_variation(fld, 2.0, 0.25, 0.25)
+    for arr in (fld, scaled):
+        assert type(arr) is np.ndarray and not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[1, 1] = 0.0
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4,), (2, 2, 2)])
+def test_field_refuses_an_input_that_is_not_a_square_matrix(shape):
+    with pytest.raises(ValueError, match="square 2-D array"):
+        variation_field(np.ones(shape), 2.0)
 
 
 # ----------------------------------------------------------------- scalings
@@ -134,21 +132,21 @@ def test_field_constructor_rejects_bad_shapes_and_values():
 def test_uniform_scaling_factor_is_one_quarter():
     # eps^2 / c_n = (1/n^2) / (4/n^2) for the window weight at k=1
     n = 8
-    inc = _inc(n, 1, np.ones((n, n)))
     cn = compute_cn(UniformWeight(), n)
-    scaled = scaled_power_variation(variation_field(inc, 2.0, c_n=cn))
-    assert scaled.values[-1, -1] == pytest.approx(64 * 0.25, rel=1e-12)
+    scaled = scaled_power_variation(variation_field(np.ones((n, n)), 2.0), 2.0, 1 / n, cn)
+    assert scaled[-1, -1] == pytest.approx(64 * 0.25, rel=1e-12)
 
 
 def test_scaling_requires_cn_and_respects_doubling():
-    inc = _inc(4, 1, np.ones((4, 4)))
-    with pytest.raises(ValueError, match="c_n"):
-        scaled_power_variation(variation_field(inc, 2.0))
-    a = scaled_power_variation(variation_field(inc, 2.0, c_n=0.25))
-    b = scaled_power_variation(variation_field(inc, 2.0, c_n=0.5))
-    assert np.allclose(a.values, 2.0 * b.values, rtol=0, atol=0)
-    zero = scaled_power_variation(variation_field(_inc(4, 1, np.zeros((4, 4))), 2.0, c_n=0.25))
-    assert np.all(zero.values == 0.0)
+    V = variation_field(np.ones((4, 4)), 2.0)
+    for bad in (0.0, -0.25, np.inf, np.nan):
+        with pytest.raises(ValueError, match="c_n must be positive and finite"):
+            scaled_power_variation(V, 2.0, 0.25, bad)
+    a = scaled_power_variation(V, 2.0, 0.25, 0.25)
+    b = scaled_power_variation(V, 2.0, 0.25, 0.5)
+    assert np.allclose(a, 2.0 * b, rtol=0, atol=0)
+    zero = scaled_power_variation(variation_field(np.zeros((4, 4)), 2.0), 2.0, 0.25, 0.25)
+    assert np.all(zero == 0.0)
 
 
 def test_relative_field_is_exactly_invariant_under_sigma_doubling():
@@ -260,6 +258,13 @@ def test_expected_rejects_what_it_cannot_do_exactly():
         expected_scaled_pv(UniformWeight(), const, 8, 1, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="thinning"):
         expected_scaled_pv(UniformWeight(), const, 8, 0, 2.0, 1.0, 1.0)
+    # fractional sizes are refused, not truncated; integer-valued floats pass
+    with pytest.raises(ValueError, match="integers"):
+        expected_scaled_pv(UniformWeight(), const, 8.7, 1, 2.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="integers"):
+        expected_scaled_pv(UniformWeight(), const, 8, 1.5, 2.0, 1.0, 1.0)
+    assert expected_scaled_pv(UniformWeight(), const, 8.0, 2.0, 2.0, 1.0, 1.0) == (
+        expected_scaled_pv(UniformWeight(), const, 8, 2, 2.0, 1.0, 1.0))
 
 
 # ----------------------------------------------------------------- lattice bias
