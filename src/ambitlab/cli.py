@@ -6,8 +6,9 @@ Usage::
              [--override-admissibility]
 
 The config file is plain ``key = value`` text (``#`` starts a comment).  The
-``kind`` key picks the experiment.  Every kind reads ``seed`` (master seed;
-``--seed`` overrides) and ``out`` (output directory; ``--out`` overrides).
+``kind`` key picks the experiment.  Every kind reads ``seed`` (master seed,
+a non-negative integer; ``--seed`` overrides) and ``out`` (output directory;
+``--out`` overrides).
 The other keys each kind reads, marked ``!`` where the kind cannot run
 without them and ``(1)`` where they must hold a single value:
 
@@ -297,7 +298,8 @@ def _parse(config):
         if not failed:
             settings[key] = value
 
-    take("seed", _parse_strict_int)
+    take("seed", _parse_strict_int,
+         (lambda seed: seed >= 0, "seed must be a non-negative integer, got {}"))
     take("override_admissibility", _parse_bool)
     take("p", lambda raw: _parse_list(raw, float),
          (lambda ps: all(np.isfinite(p) and p > 0.0 for p in ps),

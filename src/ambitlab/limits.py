@@ -156,6 +156,29 @@ def _require(cond, message):
         raise ValueError(message)
 
 
+def _integer(value, name):
+    _require(math.isfinite(value) and value == int(value),
+             f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _require_schedule_and_sizes(config, sizes):
+    """The checks both configs share.  The schedule and each named size that is
+    set become ints: a fractional value is refused, not truncated (8.0 passes)."""
+    object.__setattr__(config, "n_schedule",
+                       tuple(_integer(n, "each resolution") for n in config.n_schedule))
+    for name in sizes:
+        if getattr(config, name) is not None:
+            object.__setattr__(config, name, _integer(getattr(config, name), name))
+    _require(config.seed >= 0, f"seed must be a non-negative integer, got {config.seed}")
+    _require(len(config.n_schedule) > 0, "need a nonempty n schedule")
+    _require(all(n >= 2 for n in config.n_schedule),
+             f"resolutions must be >= 2, got {config.n_schedule}")
+    _require(all(a < b for a, b in zip(config.n_schedule, config.n_schedule[1:])),
+             "n schedule must be strictly increasing")
+    _require(config.reps >= 1, f"need at least one replication, got {config.reps}")
+
+
 @dataclass(frozen=True)
 class LLNConfig:
     """Settings for the convolution-path mean-convergence experiment."""
@@ -174,24 +197,18 @@ class LLNConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
-        object.__setattr__(self, "n_schedule", tuple(int(n) for n in self.n_schedule))
+        _require_schedule_and_sizes(self, ("k", "reps", "grid_size", "oversample", "seed"))
         _require(len(self.p_values) > 0, "need at least one power p")
         _require(all(p > 0.0 and math.isfinite(p) for p in self.p_values),
                  f"powers must be positive and finite, got {self.p_values}")
         _require(len(set(self.p_values)) == len(self.p_values),
                  f"powers must not repeat, got {self.p_values}")
-        _require(len(self.n_schedule) > 0, "need a nonempty n schedule")
-        _require(all(n >= 2 for n in self.n_schedule),
-                 f"resolutions must be >= 2, got {self.n_schedule}")
-        _require(all(a < b for a, b in zip(self.n_schedule, self.n_schedule[1:])),
-                 "n schedule must be strictly increasing")
         _require((self.k is None) != (self.kappa is None),
                  "thinning rule must set exactly one of k and kappa")
         _require(self.kappa is None or 0.0 < self.kappa < 1.0,
                  f"thinning exponent must lie in (0,1), got {self.kappa}")
         if self.k is not None:
             _require(self.k >= 1, f"constant thinning k must be >= 1, got {self.k}")
-        _require(self.reps >= 1, f"need at least one replication, got {self.reps}")
         _require(self.grid_size >= 1, f"grid size must be >= 1, got {self.grid_size}")
         _require(self.oversample >= 1, f"oversample must be >= 1, got {self.oversample}")
 
@@ -212,18 +229,12 @@ class CLTConfig:
     override_admissibility: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "n_schedule", tuple(int(n) for n in self.n_schedule))
+        _require_schedule_and_sizes(self, ("reps", "seed", "sigma_resolution"))
         object.__setattr__(self, "eval_point", tuple(float(x) for x in self.eval_point))
         _require(self.p > 0.0 and math.isfinite(self.p),
                  f"power must be positive and finite, got {self.p}")
-        _require(len(self.n_schedule) > 0, "need a nonempty n schedule")
-        _require(all(n >= 2 for n in self.n_schedule),
-                 f"resolutions must be >= 2, got {self.n_schedule}")
-        _require(all(a < b for a, b in zip(self.n_schedule, self.n_schedule[1:])),
-                 "n schedule must be strictly increasing")
         _require(0.0 < self.kappa < 1.0,
                  f"thinning exponent must lie in (0,1), got {self.kappa}")
-        _require(self.reps >= 1, f"need at least one replication, got {self.reps}")
         s, t = self.eval_point
         _require(0.0 < s <= 1.0 and 0.0 < t <= 1.0,
                  f"evaluation point {self.eval_point} outside (0,1]^2")

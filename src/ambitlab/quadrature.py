@@ -77,12 +77,25 @@ _NODE_CAP = 1 << 15  # most nodes per integrand call
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """Engine settings; the constructor refuses those the engine cannot run."""
+
     rel_tol: float = 1e-8
     abs_tol: float = 1e-14
     levels: int = 40          # dyadic grading levels toward a singular endpoint
     nodes: int = 10           # Gauss-Legendre nodes per graded panel
     smooth_nodes: int = 16    # Gauss-Legendre nodes per adaptive panel
     max_depth: int = 48
+
+    def __post_init__(self):
+        for name, low in (("levels", 1), ("nodes", 1), ("smooth_nodes", 1), ("max_depth", 0)):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value == int(value) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("rel_tol", "abs_tol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be a finite tolerance >= 0, got {value!r}")
 
 
 def _legendre(n, x):

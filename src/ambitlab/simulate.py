@@ -81,20 +81,21 @@ def sample_noise(resolution, seed, rep=0, out=None):
 
 @dataclass(frozen=True, eq=False)
 class LatticeField:
-    """Field values at the (n+1)^2 lattice points (i/n, j/n)."""
+    """Field values at the (n+1)^2 lattice points (i/n, j/n); n is read off the array."""
 
-    n: int
     values: np.ndarray
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.values.shape != (self.n + 1, self.n + 1):
-            raise ValueError(
-                f"lattice shape {self.values.shape} != ({self.n + 1}, {self.n + 1})"
-            )
+        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
+            raise ValueError(f"lattice values must be square 2-D, got shape {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("lattice field contains non-finite values")
         self.values.setflags(write=False)
+
+    @property
+    def n(self):
+        return self.values.shape[0] - 1
 
 
 # lln_experiment runs every replication of one n before the next n, so one
@@ -215,7 +216,7 @@ def simulate_lattice(spec, sigma, n, M, seed=0, rep=0):
         "sigma_seed": sigma.seed,
         "direct_check_error": err,
     }
-    return LatticeField(n=n, values=vals, provenance=prov)
+    return LatticeField(values=vals, provenance=prov)
 
 
 def increments(fld, k):
@@ -283,34 +284,22 @@ def _stationary_gamma(spec, n, k, m, quadcfg):
 
 @dataclass(frozen=True, eq=False)
 class IncrementCovariance:
-    """Dense covariance of the thinned increment vector, row-major indices."""
+    """Dense covariance of the thinned increment vector, row-major indices.
+
+    ``increment_covariance`` builds it symmetric, with a positive diagonal."""
 
     matrix: np.ndarray
     indices: np.ndarray  # (dim, 2) of 1-based (i, j)
-    n: int
-    k: int
-    eps: float
     c_n: float
     engine: str
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
         self.indices.setflags(write=False)
-        dim = self.indices.shape[0]
-        if self.matrix.shape != (dim, dim):
-            raise ValueError("covariance shape does not match index list")
-        if not np.allclose(self.matrix, self.matrix.T, rtol=0, atol=1e-12):
-            raise ValueError("covariance must be symmetric")
-        if np.any(np.diag(self.matrix) <= 0.0):
-            raise ValueError("covariance diagonal must be strictly positive")
 
     @property
     def dim(self):
         return self.indices.shape[0]
-
-    def correlation(self):
-        sd = np.sqrt(np.diag(self.matrix))
-        return self.matrix / np.outer(sd, sd)
 
 
 def strip_covariances(spec, sigma, n, eps, idx, a, b):
@@ -380,8 +369,7 @@ def increment_covariance(spec, sigma, n, k):
             "autocorrelation (singular weights with a polynomial slow factor); use the "
             "simulation route instead"
         )
-    return IncrementCovariance(matrix=mat, indices=idx, n=n, k=k, eps=eps,
-                               c_n=cn, engine=engine)
+    return IncrementCovariance(matrix=mat, indices=idx, c_n=cn, engine=engine)
 
 
 def sample_increments_exact(cov, seed, reps):
@@ -406,6 +394,7 @@ def rho_bar(cov):
     """Largest off-diagonal correlation magnitude."""
     if cov.dim < 2:
         raise ValueError("correlation extremum needs at least two increments")
-    corr = np.abs(cov.correlation())
+    sd = np.sqrt(np.diag(cov.matrix))
+    corr = np.abs(cov.matrix / np.outer(sd, sd))
     np.fill_diagonal(corr, 0.0)
     return float(corr.max())

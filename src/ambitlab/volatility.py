@@ -3,11 +3,11 @@
 Three models: a constant, a named deterministic closure, and a smoothed
 log-Gaussian draw.  Each variant's facts live on its class, and the other
 modules only read them: the config name ``variant`` (the registry key), the
-flags ``constant`` and ``redrawn``, and ``realize``, its checked grid.
-Realizations are cell-midpoint grids that stay immutable once sampled; the
-random stream is derived from the caller's seed with a substream tag
-reserved for volatility, so fields never share randomness with the driving
-noise.
+flags ``constant`` and ``redrawn``, and ``realize``, its grid, continuous by
+construction and so not checked again.  Realizations are cell-midpoint grids
+that stay immutable once sampled; the random stream is derived from the
+caller's seed with a substream tag reserved for volatility, so fields never
+share randomness with the driving noise.
 """
 
 from __future__ import annotations
@@ -52,22 +52,12 @@ def _bowl(u, v):
     return 0.75 + 0.125 * (u * u + v * v)
 
 
-# name -> (closure, per-coordinate Lipschitz bound on [-1,1]^2)
+# name -> closure; each is smooth on [-1,1]^2
 _DET_CATALOG = {
-    "sine_product": (_sine_product, np.pi),
-    "gentle_slope": (_gentle_slope, 0.125),
-    "bowl": (_bowl, 0.25),
+    "sine_product": _sine_product,
+    "gentle_slope": _gentle_slope,
+    "bowl": _bowl,
 }
-
-
-def _check_continuity(grid, bound):
-    """Continuity tripwire: adjacent cells must not jump past the model's modulus."""
-    jump = max(np.abs(np.diff(grid, axis=axis)).max() for axis in (0, 1))
-    if jump > bound:
-        raise ValueError(
-            f"realized volatility violates its continuity modulus: "
-            f"max adjacent jump {jump:.3e} > declared {bound:.3e}"
-        )
 
 
 def _bump_kernel(radius_cells):
@@ -84,8 +74,7 @@ class VolatilityModel:
 
     A variant is a frozen dataclass whose fields are its parameters, each
     read from the config key ``volatility.<field>``.  It also defines
-    ``realize(m, seed)``: its m x m grid at the cell midpoints, checked
-    against its continuity bound.
+    ``realize(m, seed)``: its m x m grid at the cell midpoints.
     """
 
     variant = None    # config name and registry key
@@ -117,10 +106,8 @@ class ConstantVol(VolatilityModel):
             raise ValueError(f"constant volatility must be positive, got {self.sigma0}")
 
     def realize(self, m, seed):
-        """sigma0 in every cell: adjacent cells may not differ at all."""
-        vals = np.full((m, m), self.sigma0)
-        _check_continuity(vals, 1e-12)
-        return vals
+        """sigma0 in every cell."""
+        return np.full((m, m), self.sigma0)
 
 
 @dataclass(frozen=True)
@@ -139,15 +126,12 @@ class DeterministicVol(VolatilityModel):
             )
 
     def __call__(self, u, v):
-        return _DET_CATALOG[self.name][0](u, v)
+        return _DET_CATALOG[self.name](u, v)
 
     def realize(self, m, seed):
-        """The closure at the cell midpoints: adjacent cells differ by at most
-        its Lipschitz bound times the cell pitch 2/m."""
+        """The closure at the cell midpoints."""
         u = midpoints(m)
-        vals = self(u[:, None], u[None, :])
-        _check_continuity(vals, _DET_CATALOG[self.name][1] * (2.0 / m) * (1.0 + 1e-6) + 1e-12)
-        return vals
+        return self(u[:, None], u[None, :])
 
 
 @dataclass(frozen=True)
@@ -177,9 +161,8 @@ class LogGaussianVol(VolatilityModel):
         """Draw an i.i.d. standard-normal grid from the volatility substream of
         ``seed``, convolve it (periodically) with the unit-norm bump so every
         point keeps exactly unit variance, then shift, scale and exponentiate.
-
-        The log-field's adjacent increments are Gaussian with the bump's
-        lag-one correlation; ten standard deviations clears any honest draw.
+        The difference of adjacent log-values is Gaussian with variance
+        ``2 * (1 - rho1) * variance``, rho1 the bump's lag-one autocorrelation.
         """
         bump = _bump_kernel(max(self.smooth_length * m / 2.0, 1.0))
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), _VOL_STREAM)))
@@ -189,11 +172,7 @@ class LogGaussianVol(VolatilityModel):
         pad[: bump.shape[0], : bump.shape[1]] = bump
         pad = np.roll(pad, (-r, -r), axis=(0, 1))
         smooth = np.fft.irfft2(np.fft.rfft2(z) * np.fft.rfft2(pad), s=(m, m))
-        vals = np.exp(self.mean + np.sqrt(self.variance) * smooth)
-        rho1 = float(np.sum(bump[1:, :] * bump[:-1, :]))
-        sd = np.sqrt(max(2.0 * (1.0 - rho1), 0.0) * self.variance)
-        _check_continuity(np.log(vals), 10.0 * sd + 1e-9)
-        return vals
+        return np.exp(self.mean + np.sqrt(self.variance) * smooth)
 
 
 _VARIANTS = {cls.variant: cls for cls in (ConstantVol, DeterministicVol, LogGaussianVol)}
@@ -204,11 +183,11 @@ class SigmaField:
     """Realized volatility values at the midpoints of an M x M cell grid.
 
     values[i, j] = sigma(u_i, v_j) with u = v = ``midpoints(M)``; immutable
-    and safe to share.
+    and safe to share.  A grid that is not square, finite and strictly
+    positive is refused; M is read off it as ``resolution``.
     """
 
     values: np.ndarray
-    resolution: int
     model: object = None
     seed: int | None = None
 
@@ -216,14 +195,14 @@ class SigmaField:
         vals = np.array(self.values, dtype=float)
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise ValueError(f"volatility grid must be square, got shape {vals.shape}")
-        if vals.shape[0] != self.resolution:
-            raise ValueError(
-                f"grid shape {vals.shape} does not match resolution {self.resolution}"
-            )
         if not np.all(np.isfinite(vals)) or not np.all(vals > 0.0):
             raise ValueError("volatility values must be finite and strictly positive")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @property
+    def resolution(self):
+        return self.values.shape[0]
 
     @property
     def is_constant(self):
@@ -240,23 +219,21 @@ class SigmaField:
 
     def scaled(self, c):
         """Field with values c*sigma; grid-backed, so powers scale exactly."""
-        if not (c > 0.0 and np.isfinite(c)):
-            raise ValueError(f"volatility scale factor must be positive, got {c}")
-        return SigmaField(values=c * self.values, resolution=self.resolution)
+        return SigmaField(values=c * self.values)
 
 
 def sample_volatility(model, resolution, seed=0):
     """Realize a volatility model on the M x M midpoint grid of [-1,1]^2.
 
     Deterministic in (model, resolution, seed); the model's ``realize`` draws
-    the grid and checks it against the model's continuity bound.
+    the grid, which is continuous by construction.
     """
     m = int(resolution)
     if m < 2 or m != resolution:
         raise ValueError(f"volatility grid resolution must be an integer >= 2, got {resolution}")
     if not hasattr(model, "realize"):
         raise TypeError(f"not a volatility model: {model!r}")
-    return SigmaField(values=model.realize(m, seed), resolution=m, model=model, seed=int(seed))
+    return SigmaField(values=model.realize(m, seed), model=model, seed=int(seed))
 
 
 def _validate_rect(rect):

@@ -362,6 +362,20 @@ def test_invalid_config_exits_nonzero_and_writes_nothing(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [LLN_TEXT, CLT_TEXT, SIMULATE_TEXT],
+                         ids=["lln", "clt", "simulate"])
+def test_a_negative_seed_is_a_config_error_in_the_file_and_on_the_command_line(tmp_path, text):
+    cfg = _config(text, seed=-1)
+    assert validate(cfg) == ["seed must be a non-negative integer, got -1"]
+    out = tmp_path / "never"
+    assert run(cfg.with_overrides(out=out)) == EXIT_CONFIG
+    assert not out.exists()
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    assert main(["--config", str(path), "--out", str(out), "--seed", "-1"]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_inadmissible_thinning_is_a_distinct_refusal_exit(tmp_path):
     out = tmp_path / "never"
     cfg = ExperimentConfig({

@@ -163,6 +163,21 @@ def test_lln_config_rejects_contradictory_thinning():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="positive and finite"):
             LLNConfig(k=1, p_values=(2.0, bad), **kw)
+    # fractional sizes and seeds are refused, not truncated
+    for schedule in ((8.7,), (16.9,), (8, math.inf)):
+        with pytest.raises(ValueError, match="each resolution must be an integer"):
+            LLNConfig(k=1, n_schedule=schedule, **kw)
+    for name in ("k", "reps", "grid_size", "oversample", "seed"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            LLNConfig(**{"k": 1, name: 1.5}, **kw)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        LLNConfig(k=1, seed=-1, **kw)
+    # integer-valued floats pass and are stored as ints
+    cfg = LLNConfig(k=2.0, n_schedule=(8.0, 16.0), reps=3.0, grid_size=2.0,
+                    oversample=1.0, seed=4.0, **kw)
+    assert (cfg.k, cfg.n_schedule, cfg.reps, cfg.grid_size, cfg.oversample, cfg.seed) \
+        == (2, (8, 16), 3, 2, 1, 4)
+    assert all(type(v) is int for v in (cfg.k, *cfg.n_schedule, cfg.reps, cfg.seed))
 
 
 def test_clt_config_rejects_bad_geometry():
@@ -174,6 +189,16 @@ def test_clt_config_rejects_bad_geometry():
     for bad in (math.inf, math.nan, 0.0):
         with pytest.raises(ValueError, match="power must be positive and finite"):
             CLTConfig(p=bad, **kw)
+    # fractional sizes and seeds are refused, not truncated
+    with pytest.raises(ValueError, match="each resolution must be an integer"):
+        CLTConfig(n_schedule=(64, 128.5), **kw)
+    for name in ("reps", "seed", "sigma_resolution"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            CLTConfig(**{name: 2.5}, **kw)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        CLTConfig(seed=-3, **kw)
+    cfg = CLTConfig(n_schedule=(64.0,), reps=10.0, seed=2.0, sigma_resolution=8.0, **kw)
+    assert (cfg.n_schedule, cfg.reps, cfg.seed, cfg.sigma_resolution) == ((64,), 10, 2, 8)
 
 
 def test_lln_config_rejects_a_thinning_exponent_outside_the_unit_interval():

@@ -1,5 +1,6 @@
 """The batched quadrature engine: per-job results, per-job checks, named failures."""
 
+import math
 import re
 
 import mpmath
@@ -88,6 +89,31 @@ def test_a_non_integrable_job_fails_by_name_beside_a_good_one():
                          labels=["mild", "steep"])
     good = integrate_pieces(_power_integrand(points[:1], alphas[:1]), jobs[:1], QuadratureConfig())
     assert good[0] == pytest.approx(0.8**0.5 / 0.5, rel=1e-8)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(levels=0), "levels must be an integer >= 1"),
+    (dict(nodes=0), "nodes must be an integer >= 1"),
+    (dict(smooth_nodes=0), "smooth_nodes must be an integer >= 1"),
+    (dict(levels=2.5), "levels must be an integer"),
+    (dict(nodes=1.5), "nodes must be an integer"),
+    (dict(max_depth=-1), "max_depth must be an integer >= 0"),
+    (dict(max_depth=math.inf), "max_depth must be an integer"),
+    (dict(rel_tol=-1.0), "rel_tol must be a finite tolerance >= 0"),
+    (dict(abs_tol=-1e-14), "abs_tol must be a finite tolerance >= 0"),
+    (dict(rel_tol=math.nan), "rel_tol must be a finite tolerance"),
+    (dict(abs_tol=math.inf), "abs_tol must be a finite tolerance"),
+])
+def test_config_refuses_settings_the_engine_cannot_run(bad, message):
+    # construction only: the negative tolerance would never finish integrating
+    with pytest.raises(ValueError, match=message):
+        QuadratureConfig(**bad)
+
+
+def test_config_keeps_zero_tolerances_and_depth_and_stores_integer_counts():
+    cfg = QuadratureConfig(rel_tol=0.0, abs_tol=0.0, levels=4.0, nodes=2, max_depth=0)
+    assert (cfg.levels, cfg.nodes, cfg.max_depth) == (4, 2, 0)
+    assert type(cfg.levels) is int
 
 
 # Node counts of the default configs (graded 10, adaptive 16, and the counts

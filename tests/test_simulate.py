@@ -231,12 +231,14 @@ def test_a_kernel_past_the_unit_square_fails_the_spot_check():
 
 
 def test_lattice_field_rejects_bad_values():
-    with pytest.raises(ValueError, match="shape"):
-        LatticeField(n=4, values=np.zeros((4, 4)))
+    for shape in ((4, 5), (5,), (2, 2, 2)):
+        with pytest.raises(ValueError, match="square 2-D"):
+            LatticeField(values=np.zeros(shape))
     bad = np.zeros((5, 5))
     bad[2, 2] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
-        LatticeField(n=4, values=bad)
+        LatticeField(values=bad)
+    assert LatticeField(values=np.zeros((5, 5))).n == 4
 
 
 # ---------------------------------------------------------------- increments
@@ -246,7 +248,7 @@ def test_increments_of_product_field_are_cellwise_products():
     # whichever k-th cells the thinning keeps
     n = 4
     s = np.arange(n + 1) / n
-    fld = LatticeField(n=n, values=np.outer(s, s))
+    fld = LatticeField(values=np.outer(s, s))
     for k in (1, 2, 4):
         inc = increments(fld, k)
         assert type(inc) is np.ndarray and not inc.flags.writeable
@@ -258,12 +260,12 @@ def test_increments_kill_affine_fields():
     n = 6
     s = np.arange(n + 1) / n
     vals = 2.0 - 3.0 * s[:, None] + 0.5 * s[None, :]
-    got = increments(LatticeField(n=n, values=vals), 2)
+    got = increments(LatticeField(values=vals), 2)
     assert np.allclose(got, 0.0, rtol=0, atol=1e-15)  # 1/6 is not dyadic
 
 
 def test_increments_validate_the_thinning():
-    fld = LatticeField(n=4, values=np.zeros((5, 5)))
+    fld = LatticeField(values=np.zeros((5, 5)))
     with pytest.raises(ValueError, match="thinning"):
         increments(fld, 0)
     with pytest.raises(ValueError, match="thinning"):
@@ -293,7 +295,18 @@ def test_uniform_covariance_matches_hand_derivation():
     assert np.allclose(cov.matrix, expected, rtol=0, atol=1e-15)
     assert rho_bar(cov) == pytest.approx(0.5, abs=1e-14)
     assert cov.c_n == pytest.approx(4.0 / 64, rel=1e-12)
-    assert np.allclose(np.diag(cov.correlation()), 1.0)
+
+
+@pytest.mark.parametrize("weight, vol", [
+    (UniformWeight(), DeterministicVol("sine_product")),
+    (SingularWeight(alpha=0.75), ConstantVol(1.5)),
+])
+def test_both_engines_build_a_symmetric_matrix_with_a_positive_diagonal(weight, vol):
+    # what IncrementCovariance relies on instead of checking it
+    cov = increment_covariance(weight, sample_volatility(vol, 16, seed=0), 8, 2)
+    assert cov.matrix.shape == (cov.dim, cov.dim) == (16, 16)
+    assert np.array_equal(cov.matrix, cov.matrix.T)
+    assert np.all(np.diag(cov.matrix) > 0.0)
 
 
 def test_strips_engine_agrees_with_stationary_engine():
@@ -399,22 +412,11 @@ def test_covariance_rejects_unsupported_combinations():
 
 
 def test_covariance_container_validation():
-    idx = np.array([[1, 1], [1, 2]])
-    with pytest.raises(ValueError, match="symmetric"):
-        IncrementCovariance(
-            matrix=np.array([[1.0, 0.5], [0.2, 1.0]]), indices=idx,
-            n=8, k=4, eps=0.5, c_n=0.0625, engine="x",
-        )
-    with pytest.raises(ValueError, match="diagonal"):
-        IncrementCovariance(
-            matrix=np.array([[1.0, 0.0], [0.0, -1.0]]), indices=idx,
-            n=8, k=4, eps=0.5, c_n=0.0625, engine="x",
-        )
     with pytest.raises(ValueError, match="needs at least two"):
         rho_bar(
             IncrementCovariance(
                 matrix=np.array([[1.0]]), indices=np.array([[1, 1]]),
-                n=8, k=8, eps=1.0, c_n=0.0625, engine="x",
+                c_n=0.0625, engine="x",
             )
         )
 
@@ -472,7 +474,7 @@ def test_exact_sampler_rejects_indefinite_matrices():
     cov = IncrementCovariance(
         matrix=np.array([[1.0, 2.0], [2.0, 1.0]]),  # eigenvalues 3 and -1
         indices=np.array([[1, 1], [1, 2]]),
-        n=8, k=4, eps=0.5, c_n=0.0625, engine="x",
+        c_n=0.0625, engine="x",
     )
     with pytest.raises(ValueError, match="PSD"):
         sample_increments_exact(cov, seed=0, reps=10)

@@ -293,7 +293,7 @@ _LOG_GAUSSIAN = "volatility.variant = log_gaussian\n"
 REACH_CONFIGS = (
     "kind = hermite\np = 1, 2\n",
     "kind = kernel-report\nn = 8, 16\nkappa = 0.4\n" + _UNIFORM,
-    "kind = kernel-report\nn = 8\n" + _SINGULAR,
+    "kind = kernel-report\nn = 8\nquad.rel_tol = 1e-8\n" + _SINGULAR,
     "kind = lln\nn = 8, 16\nk = 2\np = 2\nreps = 2\n" + _UNIFORM + _SINE,
     "kind = lln\nn = 8\nkappa = 0.4\np = 1, 2\nreps = 2\n" + _SINGULAR + _CONSTANT,
     "kind = lln\nn = 8\nk = 1\np = 2\nreps = 2\n" + _UNIFORM + _LOG_GAUSSIAN,
