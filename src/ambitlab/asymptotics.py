@@ -23,8 +23,6 @@ range.
 """
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels
@@ -32,7 +30,6 @@ from .errors import QuadratureError
 
 __all__ = [
     "PARTITION",
-    "SlopeFit",
     "assumption2_ratio",
     "kappa_refusal",
     "region_catalog",
@@ -115,27 +112,15 @@ def region_measures(spec, n, regions, names=None, quadcfg=None):
 # decay-slope fitting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SlopeFit:
-    """Least-squares fit of log(value) against log(n).
-
-    ``intercept`` is the fitted log-value at n = 1 (natural log); the
-    coefficient of determination is reported alongside, never hidden,
-    so a poor fit cannot masquerade as a measured exponent.
-    """
-
-    exponent: float
-    intercept: float
-    r_squared: float
-    n_range: tuple
-
-
 def slope_fit(values):
-    """Fit a decay exponent to a map {n: positive value}.
+    """Least-squares fit of log(value) against log(n), for a map {n: positive value}.
 
-    Requires at least four points spanning at least two octaves in n;
-    refuses nonpositive or non-finite values outright rather than dropping
-    them silently.
+    Returns the dict ``{"exponent", "intercept", "r_squared"}``: the slope,
+    the fitted log-value at n = 1 (natural log), and the coefficient of
+    determination, reported alongside so that a poor fit cannot masquerade
+    as a measured exponent.  Requires at least four points spanning at
+    least two octaves in n; refuses nonpositive or non-finite values
+    outright rather than dropping them silently.
     """
     items = sorted((int(n), float(v)) for n, v in values.items())
     if len(items) < 4:
@@ -159,12 +144,8 @@ def slope_fit(values):
     ss_tot = float(total @ total)
     ss_res = float(resid @ resid)
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return SlopeFit(
-        exponent=float(slope),
-        intercept=float(intercept),
-        r_squared=float(r_squared),
-        n_range=(items[0][0], items[-1][0]),
-    )
+    return {"exponent": float(slope), "intercept": float(intercept),
+            "r_squared": r_squared}
 
 
 # ---------------------------------------------------------------------------

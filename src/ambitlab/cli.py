@@ -64,7 +64,10 @@ is set, as ``kernel-report`` does.
 Every run writes ``report.json`` plus CSV tables into the output directory.
 A table is an optional ``#`` comment line, a comma-separated header and one
 line per row, a float cell as ``repr(float(v))`` and any other as ``str(v)``;
-``field.csv`` and ``sigma.csv`` are a ``#`` line over a ``%.17g`` matrix.
+``field.csv`` and ``sigma.csv`` are a ``#`` line over a ``%.17g`` matrix;
+``field.csv``'s line reads ``lattice field: n=<n> weight=<quoted repr>
+n=<n> M=<M> noise_seed=<seed> noise_rep=0 sigma_seed=<seed>
+direct_check_error=<e>``, e the spot-check gap ``simulate_lattice`` returns.
 The JSON embeds the fully resolved config and the master seed; all random
 streams derive from that one seed through fixed substream tags (volatility 1,
 lattice noise 2, exact-covariance draws 3, per-replication volatility
@@ -72,9 +75,11 @@ re-draws 4), so identical configs reproduce identical CSV numeric content
 byte for byte (wall-clock runtime lives only in the JSON).
 
 Exit statuses: 0 success; 2 invalid config (all violations listed, nothing
-written); 3 numerical failure (quadrature did not converge, covariance not
-positive semidefinite); 4 admissibility refusal (thinning exponent outside
-the known-good range and no override requested).
+written; a power whose absolute moment m_p, or m_2p where the kind reads it,
+overflows float counts); 3 numerical failure (quadrature did not converge,
+covariance not positive semidefinite, a volatility draw outside float
+range); 4 admissibility refusal (thinning exponent outside the known-good
+range and no override requested).
 """
 
 import argparse
@@ -96,7 +101,7 @@ from .asymptotics import (
     region_measures,
     slope_fit,
 )
-from .errors import AdmissibilityError, NotPSDError, QuadratureError
+from .errors import AdmissibilityError, FloatRangeError, NotPSDError, QuadratureError
 from .gaussian import abs_moment, up_hermite_coeffs
 from .kernels import (
     compute_cn,
@@ -251,6 +256,8 @@ _NEEDED = {
     "kappa|k": "a thinning rule: kappa or k",
 }
 _SINGLE = {"p": "power", "n": "resolution"}
+# the largest absolute moment m_q a kind reads is at q = p times this
+_MOMENT_MULTIPLE = {"hermite": 2.0, "lln": 1.0, "clt": 2.0}
 _HERMITE_TABLE = "hermite_p{:g}.csv"  # hermite's table of one power
 
 
@@ -358,6 +365,12 @@ def _parse(config):
         shared = sorted({name for name in tables if tables.count(name) > 1})
         if shared:
             violations.append(f"powers {settings['p']} would share {', '.join(shared)}")
+    if kind in _MOMENT_MULTIPLE:
+        for p in settings.get("p", ()):
+            try:
+                abs_moment(_MOMENT_MULTIPLE[kind] * p)
+            except FloatRangeError as exc:
+                violations.append(f"power {p:g}: {exc}")
     schedule = settings.get("n", [])
     if "k" in settings and schedule and settings["k"] > min(schedule):
         violations.append(f"constant thinning k={settings['k']} exceeds the smallest "
@@ -482,7 +495,7 @@ def run(config):
     }[settings["kind"]]
     try:
         targets, results, files = runner(settings)
-    except (QuadratureError, np.linalg.LinAlgError, NotPSDError) as exc:
+    except (QuadratureError, np.linalg.LinAlgError, NotPSDError, FloatRangeError) as exc:
         print(f"numerical: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except AdmissibilityError as exc:
@@ -631,12 +644,9 @@ def _run_asymptotics(settings):
     for name in sorted(names):
         values = {n: measures[n][name] for n in schedule}
         try:
-            fit = slope_fit(values)
+            slopes[name] = slope_fit(values)
         except ValueError as exc:
             slopes[name] = {"skipped": str(exc)}
-        else:
-            slopes[name] = {"exponent": fit.exponent, "intercept": fit.intercept,
-                            "r_squared": fit.r_squared}
     results = {
         "admissible_kappa": str(require_weight(weight).kappa_range()),
         "kappa": kappa,
@@ -658,18 +668,19 @@ def _run_simulate(settings):
     n = settings["n"][0]
     M = 2 * n * settings.get("oversample", 1)
     sigma = sample_volatility(settings["volatility"], M, seed=settings["seed"])
-    fld = simulate_lattice(settings["weight"], sigma, n, M, seed=settings["seed"], rep=0)
+    seed, weight = settings["seed"], settings["weight"]
+    values, check_error = simulate_lattice(weight, sigma, n, M, seed=seed, rep=0)
     k = _thinning(settings, n)
     p = settings.get("p", [2.0])[0]
     eps = k / n
-    c_n = float(compute_cn(settings["weight"], n, settings["quad"]))
-    scaled = scaled_power_variation(variation_field(increments(fld, k), p), p, eps, c_n)
-    provenance = "".join(f" {key}={val!r}" if isinstance(val, str) else f" {key}={val}"
-                         for key, val in fld.provenance.items())
+    c_n = float(compute_cn(weight, n, settings["quad"]))
+    scaled = scaled_power_variation(variation_field(increments(values, k), p), p, eps, c_n)
     ticks = [i * k / n for i in range(scaled.shape[0])]
     files = [
-        _write_matrix(settings["out"], "field.csv", fld.values,
-                      f"lattice field: n={fld.n}{provenance}"),
+        _write_matrix(settings["out"], "field.csv", values,
+                      f"lattice field: n={n} weight={repr(weight)!r} n={n} M={M} "
+                      f"noise_seed={seed} noise_rep=0 sigma_seed={sigma.seed} "
+                      f"direct_check_error={check_error}"),
         _write_matrix(settings["out"], "sigma.csv", sigma.values,
                       f"volatility grid: resolution={sigma.resolution} "
                       f"model={type(sigma.model).__name__} seed={sigma.seed}"),
@@ -681,8 +692,8 @@ def _run_simulate(settings):
     ]
     results = {
         "n": n, "M": M, "k": k, "p": p,
-        "field_min": float(fld.values.min()),
-        "field_max": float(fld.values.max()),
+        "field_min": float(values.min()),
+        "field_max": float(values.max()),
         "scaled_variation_at_11": float(scaled[retained_corners(1.0, 1.0, eps)]),
     }
     return targets, results, files

@@ -20,3 +20,8 @@ class AdmissibilityError(ValueError):
 class NotPSDError(ValueError):
     """Raised when a covariance matrix has an eigenvalue below its negative
     floor, so no Gaussian vector can have it as covariance."""
+
+
+class FloatRangeError(ArithmeticError):
+    """Raised when a computed value leaves the range of double precision:
+    it would overflow to inf, or a positive value would underflow to 0."""

@@ -19,11 +19,12 @@ and the module computes them rather than hard-coding zero.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import FloatRangeError, QuadratureError
 from .quadrature import gl
 
 __all__ = [
@@ -46,6 +47,7 @@ _LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.316129927388
 _LGAM_C = (1.0, -3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
            -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
 _LOG_SQRT_2PI = 0.91893853320467274178
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp at or above it may overflow
 
 
 def _polevl(x, coefs):
@@ -87,19 +89,16 @@ def _lgam(x):
 def abs_moment(q):
     """Absolute moment m_q = E|X|^q of a standard Gaussian, closed form.
 
-    Parameters
-    ----------
-    q : float
-        Power, must be positive and finite (m_q diverges as q -> -1 and the
-        callers never need q <= 0).
-
-    Returns
-    -------
-    float
+    q must be positive and finite: m_q diverges as q -> -1, and no caller
+    needs q <= 0.  From q near 301.5 on, m_q exceeds the largest float, and
+    FloatRangeError is raised rather than inf returned.
     """
     if not (q > 0.0 and math.isfinite(q)):
         raise ValueError(f"absolute-moment power must be positive and finite, got q={q}")
-    return float(np.exp(0.5 * q * np.log(2.0) + _lgam(0.5 * (q + 1.0)) - 0.5 * np.log(np.pi)))
+    log_m = 0.5 * q * np.log(2.0) + _lgam(0.5 * (q + 1.0)) - 0.5 * np.log(np.pi)
+    if log_m >= _LOG_FLOAT_MAX:
+        raise FloatRangeError(f"the absolute moment m_q overflows float at q={q:g}")
+    return float(np.exp(log_m))
 
 
 def _halfline_nodes(q, npts):

@@ -220,6 +220,11 @@ class WeightSpec:
         """Every ``weight.*`` key ``from_config`` reads for this variant."""
         return {"weight.variant", "weight.scale", *self.config_keys()}
 
+    def _check_scale(self):
+        """Refuse a ``scale`` that is not finite and positive (every variant's check)."""
+        if not (self.scale > 0.0 and math.isfinite(self.scale)):
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+
 
 def _row_sections(region, ts, top):
     """The nonempty slices of ``region`` at heights ``ts``, clipped to (0, top).
@@ -294,8 +299,7 @@ class UniformWeight(WeightSpec):
     def __post_init__(self):
         if not (0.0 <= self.s1 < self.s2 <= 1.0 and 0.0 <= self.t1 < self.t2 <= 1.0):
             raise ValueError(f"rectangle corners must satisfy 0 <= lo < hi <= 1, got {self!r}")
-        if self.scale <= 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        self._check_scale()
 
     def evaluate(self, s, t):
         return np.where(
@@ -428,8 +432,7 @@ class SingularWeight(_ProfileWeight):
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"singularity exponent must lie in (0,1), got {self.alpha}")
-        if self.scale <= 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        self._check_scale()
 
     def evaluate(self, s, t):
         r = np.maximum(s, t)
@@ -748,8 +751,7 @@ class TriangleWeight(_ProfileWeight):
     def __post_init__(self):
         if not 0.5 < self.alpha < 1.0:
             raise ValueError(f"cone exponent must lie in (1/2,1), got {self.alpha}")
-        if self.scale <= 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        self._check_scale()
 
     def evaluate(self, s, t):
         return np.where(np.abs(2.0 * s - 1.0) < t, self.profile(t), 0.0)

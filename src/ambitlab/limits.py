@@ -329,8 +329,8 @@ def lln_experiment(config):
         for rep in range(config.reps):
             if vol.redrawn:
                 sigma = sample_volatility(vol, M, seed=_redraw_seed(config.seed, rep))
-            fld = simulate_lattice(weight, sigma, n, M, seed=config.seed, rep=rep)
-            inc = increments(fld, k)
+            values, _ = simulate_lattice(weight, sigma, n, M, seed=config.seed, rep=rep)
+            inc = increments(values, k)
             for p in config.p_values:
                 V = variation_field(inc, p)
                 scaled = scaled_power_variation(V, p, eps, cn)

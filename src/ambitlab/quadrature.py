@@ -30,9 +30,11 @@ Per-job checks
 Batching changes no decision.  Each job has its own tolerance,
 ``rel_tol * scale / 8 + abs_tol``, where ``scale`` is the sum of its own
 span estimates.  Each graded piece must show decaying inner panels.  Each
-adaptive panel must converge before ``max_depth``.  Each job's two
-resolutions must agree.  A :class:`~ambitlab.errors.QuadratureError` names
-the job that failed, by the label the caller gave it.
+adaptive panel must converge before ``max_depth``.  Every estimate must be
+finite: a non-finite graded piece, seed or adaptive panel raises at once,
+rather than come back as NaN or bisect until memory runs out.  Each job's
+two resolutions must agree.  A :class:`~ambitlab.errors.QuadratureError`
+names the job that failed, by the label the caller gave it.
 
 Summation order
 ---------------
@@ -192,18 +194,31 @@ def _graded_pass(f, job, a, b, levels, nodes, labels):
         )
     tail = both & (ratio > 1e-3)
     totals[tail] += inner0[tail] * ratio[tail] / (1.0 - ratio[tail])
+    _refuse_non_finite(totals, job, a, b, labels, "graded piece")
     return totals
+
+
+def _refuse_non_finite(values, job, lo, hi, labels, what):
+    """Raise QuadratureError naming the job of the first non-finite value."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = bad[0]
+        raise QuadratureError(
+            f"{labels[job[i]]}: {what} ({float(lo[i])!r}, {float(hi[i])!r}) has the "
+            f"non-finite estimate {float(values[i])!r}", estimate=float(values[i]))
 
 
 def _adaptive_pass(f, job, a, b, est, tol, nodes, max_depth, labels):
     """Each smooth piece's integral by bisecting Gauss-Legendre panels.
 
     Panels whose two halves disagree with the parent estimate are split; a
-    panel still disagreeing at the depth cap raises.  Integrands here are
+    panel still disagreeing at the depth cap raises, as does a non-finite
+    seed or panel estimate, which could never agree.  Integrands here are
     piecewise smooth (kinks where moving region sections cross kernel
     breakpoints), which bisection localizes quickly.  The open panels of
     all pieces are kept grouped by piece, in bisection order.
     """
+    _refuse_non_finite(est, job, a, b, labels, "smooth piece")
     totals = [0.0] * a.size
     lo, hi, depth, piece = a, b, np.zeros(a.size, dtype=np.intp), np.arange(a.size)
     while lo.size:
@@ -212,6 +227,7 @@ def _adaptive_pass(f, job, a, b, est, tol, nodes, max_depth, labels):
                            np.tile(job[piece], 2), nodes)
         lv, rv = sums[:lo.size], sums[lo.size:]
         refined = lv + rv
+        _refuse_non_finite(refined, job[piece], lo, hi, labels, "adaptive panel")
         err = np.abs(refined - est)
         done = err <= tol[piece] + 1e-15 * np.abs(refined)
         for p, value in zip(piece[done].tolist(), refined[done].tolist()):

@@ -3,9 +3,9 @@
 Two routes to the thinned increments:
 
 * end-to-end: draw a noise grid on [-1,1]^2, convolve with the weight, read
-  the field off the lattice and difference it (``simulate_lattice`` +
-  ``increments``, which returns the m x m increments, m = n // k, as a plain
-  read-only array for ``variation.variation_field``);
+  the field off the lattice and difference it (``simulate_lattice`` and
+  ``increments`` return the field and its m x m increments, m = n // k, as
+  plain read-only arrays);
 * exact-in-law: build the Gaussian covariance of the thinned increment vector
   by quadrature and draw from it directly (``increment_covariance`` +
   ``sample_increments_exact``).  The second route has no discretization bias,
@@ -26,7 +26,7 @@ overlap for a shared master seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -38,7 +38,6 @@ from .volatility import midpoints, rect_integral, squared_prefix_integral
 
 __all__ = [
     "DENSE_CAP",
-    "LatticeField",
     "IncrementCovariance",
     "sample_noise",
     "simulate_lattice",
@@ -77,25 +76,6 @@ def sample_noise(resolution, seed, rep=0, out=None):
     if out is None:
         noise.setflags(write=False)
     return noise
-
-
-@dataclass(frozen=True, eq=False)
-class LatticeField:
-    """Field values at the (n+1)^2 lattice points (i/n, j/n); n is read off the array."""
-
-    values: np.ndarray
-    provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
-            raise ValueError(f"lattice values must be square 2-D, got shape {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("lattice field contains non-finite values")
-        self.values.setflags(write=False)
-
-    @property
-    def n(self):
-        return self.values.shape[0] - 1
 
 
 # lln_experiment runs every replication of one n before the next n, so one
@@ -142,6 +122,9 @@ def simulate_lattice(spec, sigma, n, M, seed=0, rep=0):
     Y(i/n, j/n) = sum over noise cells of g(i/n - u_c, j/n - v_c) sigma(u_c, v_c) W_c
     with (u_c, v_c) the cell midpoints.  Evaluated with one FFT convolution at
     M x M and spot-checked against the direct sum (three lattice points, 1e-10).
+    Returns ``(values, direct_check_error)``: the fresh, read-only
+    (n+1) x (n+1) array with values[i, j] = Y(i/n, j/n), and the largest
+    relative gap the spot check saw.  A non-finite value is refused.
 
     The linear convolution of the M/2 x M/2 kernel table with the M x M
     weighted noise spans indices [0, 3M/2 - 2]; the lattice reads indices
@@ -207,31 +190,30 @@ def simulate_lattice(spec, sigma, n, M, seed=0, rep=0):
         raise QuadratureError(
             f"FFT convolution disagrees with direct summation by {err:.3e}"
         )
-    prov = {
-        "weight": repr(spec),
-        "n": n,
-        "M": M,
-        "noise_seed": int(seed),
-        "noise_rep": int(rep),
-        "sigma_seed": sigma.seed,
-        "direct_check_error": err,
-    }
-    return LatticeField(values=vals, provenance=prov)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("lattice field contains non-finite values")
+    vals.setflags(write=False)
+    return vals, err
 
 
-def increments(fld, k):
+def increments(values, k):
     """Read-only m x m four-corner differences at lattice spacing, m = n // k.
 
-    Entry [i - 1, j - 1] is the difference over the single 1/n-cell whose
-    upper corner is (ik/n, jk/n); thinning drops the cells in between, it
-    does not widen them.  That keeps one normalization c_n valid for every k.
+    ``values`` holds the field at the (n+1)^2 lattice points, as
+    ``simulate_lattice`` returns it; n is read off its shape.  Entry
+    [i - 1, j - 1] is the difference over the single 1/n-cell whose upper
+    corner is (ik/n, jk/n); thinning drops the cells in between, it does not
+    widen them.  That keeps one normalization c_n valid for every k.
     """
-    if k != int(k) or not 1 <= k <= fld.n:
-        raise ValueError(f"thinning k must be an integer with 1 <= k <= n = {fld.n}, got {k}")
+    v = values
+    if v.ndim != 2 or v.shape[0] != v.shape[1]:
+        raise ValueError(f"lattice values must be square 2-D, got shape {v.shape}")
+    n = v.shape[0] - 1
+    if k != int(k) or not 1 <= k <= n:
+        raise ValueError(f"thinning k must be an integer with 1 <= k <= n = {n}, got {k}")
     k = int(k)
-    m = fld.n // k
+    m = n // k
     idx = np.arange(1, m + 1) * k
-    v = fld.values
     vals = (v[np.ix_(idx, idx)] - v[np.ix_(idx - 1, idx)]
             - v[np.ix_(idx, idx - 1)] + v[np.ix_(idx - 1, idx - 1)])
     vals.setflags(write=False)
@@ -286,16 +268,11 @@ def _stationary_gamma(spec, n, k, m, quadcfg):
 class IncrementCovariance:
     """Dense covariance of the thinned increment vector, row-major indices.
 
-    ``increment_covariance`` builds it symmetric, with a positive diagonal."""
+    Built by ``increment_covariance``: symmetric, positive diagonal, own read-only arrays."""
 
     matrix: np.ndarray
     indices: np.ndarray  # (dim, 2) of 1-based (i, j)
     c_n: float
-    engine: str
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-        self.indices.setflags(write=False)
 
     @property
     def dim(self):
@@ -354,14 +331,12 @@ def increment_covariance(spec, sigma, n, k):
         a, b = np.triu_indices(len(idx))
         mat = np.zeros((len(idx), len(idx)))
         mat[a, b] = mat[b, a] = strip_covariances(spec, sigma, n, eps, idx, a, b)
-        engine = "uniform-strips"
     elif sigma.is_constant and spec.has_autocorrelation:
         s0sq = float(sigma.values.flat[0]) ** 2
         gam = _stationary_gamma(spec, n, k, m, _G2_QUAD)
         di = idx[:, None, 0] - idx[None, :, 0]
         dj = idx[:, None, 1] - idx[None, :, 1]
         mat = s0sq * gam[di + m - 1, dj + m - 1]
-        engine = "stationary-autocorrelation"
     else:
         raise ValueError(
             f"no exact increment covariance for {spec!r} under {sigma.model!r}: it needs "
@@ -369,7 +344,9 @@ def increment_covariance(spec, sigma, n, k):
             "autocorrelation (singular weights with a polynomial slow factor); use the "
             "simulation route instead"
         )
-    return IncrementCovariance(matrix=mat, indices=idx, c_n=cn, engine=engine)
+    mat.setflags(write=False)
+    idx.setflags(write=False)
+    return IncrementCovariance(matrix=mat, indices=idx, c_n=cn)
 
 
 def sample_increments_exact(cov, seed, reps):

@@ -17,6 +17,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .errors import FloatRangeError
+
 __all__ = [
     "VolatilityModel",
     "ConstantVol",
@@ -150,6 +152,8 @@ class LogGaussianVol(VolatilityModel):
     smooth_length: float = 0.25
 
     def __post_init__(self):
+        if not np.isfinite(self.mean):
+            raise ValueError(f"log-field mean must be finite, got {self.mean}")
         if not (self.variance > 0.0 and np.isfinite(self.variance)):
             raise ValueError(f"log-field variance must be positive, got {self.variance}")
         if not 0.0 < self.smooth_length <= 1.0:
@@ -163,6 +167,8 @@ class LogGaussianVol(VolatilityModel):
         point keeps exactly unit variance, then shift, scale and exponentiate.
         The difference of adjacent log-values is Gaussian with variance
         ``2 * (1 - rho1) * variance``, rho1 the bump's lag-one autocorrelation.
+        A draw whose exponential overflows to inf or underflows to 0 raises
+        ``FloatRangeError``.
         """
         bump = _bump_kernel(max(self.smooth_length * m / 2.0, 1.0))
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), _VOL_STREAM)))
@@ -172,7 +178,13 @@ class LogGaussianVol(VolatilityModel):
         pad[: bump.shape[0], : bump.shape[1]] = bump
         pad = np.roll(pad, (-r, -r), axis=(0, 1))
         smooth = np.fft.irfft2(np.fft.rfft2(z) * np.fft.rfft2(pad), s=(m, m))
-        return np.exp(self.mean + np.sqrt(self.variance) * smooth)
+        with np.errstate(over="ignore"):
+            vals = np.exp(self.mean + np.sqrt(self.variance) * smooth)
+        if not (vals.min() > 0.0 and vals.max() < np.inf):
+            raise FloatRangeError(
+                f"log-Gaussian volatility (mean {self.mean}, variance {self.variance}) drew "
+                f"a value outside float range on the {m} x {m} grid at seed {seed}")
+        return vals
 
 
 _VARIANTS = {cls.variant: cls for cls in (ConstantVol, DeterministicVol, LogGaussianVol)}
@@ -216,10 +228,6 @@ class SigmaField:
         j = np.clip(((np.asarray(v) + 1.0) * 0.5 * m).astype(int), 0, m - 1)
         out = self.values[i, j]
         return float(out) if np.isscalar(u) and np.isscalar(v) else out
-
-    def scaled(self, c):
-        """Field with values c*sigma; grid-backed, so powers scale exactly."""
-        return SigmaField(values=c * self.values)
 
 
 def sample_volatility(model, resolution, seed=0):

@@ -402,6 +402,54 @@ def test_unreachable_quadrature_tolerance_is_a_numerical_exit(tmp_path, capsys):
     assert "did not stabilize" in err and "np.float64" not in err
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
+def test_a_weight_scale_that_is_not_finite_is_a_config_error(tmp_path, scale):
+    out = tmp_path / "scale"
+    cfg = _config(LLN_TEXT, n="8", out=str(out), **{"weight.scale": scale})
+    assert validate(cfg) == [f"weight: scale must be positive and finite, got {float(scale)}"]
+    assert run(cfg) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_a_log_field_mean_that_is_not_finite_is_a_config_error(tmp_path):
+    out = tmp_path / "mean"
+    cfg = _config(LLN_TEXT, n="8", out=str(out),
+                  **{"volatility.variant": "log_gaussian", "volatility.mean": "nan"})
+    assert validate(cfg) == ["volatility: log-field mean must be finite, got nan"]
+    assert run(cfg) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_a_volatility_draw_outside_float_range_is_a_numerical_exit(tmp_path, capsys):
+    out = tmp_path / "wide"
+    cfg = _config(LLN_TEXT, n="8", out=str(out),
+                  **{"volatility.variant": "log_gaussian", "volatility.variance": "1e6"})
+    assert validate(cfg) == []
+    assert run(cfg) == EXIT_NUMERICAL
+    assert not (out / "report.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("numerical: log-Gaussian volatility") and "float range" in err
+
+
+@pytest.mark.parametrize("text, p, refused", [
+    ("kind = hermite\n", "400", True),
+    ("kind = hermite\n", "160", True),   # m_2p overflows
+    ("kind = hermite\n", "150", False),
+    (CLT_TEXT, "160", True),
+    (LLN_TEXT, "302", True),
+    (LLN_TEXT, "160", False),             # lln reads m_p only
+], ids=["hermite-p", "hermite-2p", "hermite-ok", "clt-2p", "lln-p", "lln-ok"])
+def test_a_power_whose_moment_overflows_is_a_config_error(tmp_path, text, p, refused):
+    q = float(p) * (1.0 if text is LLN_TEXT else 2.0)
+    cfg = _config(text, p=p, out=str(tmp_path / "moment"))
+    if not refused:
+        assert validate(cfg) == []
+        return
+    assert validate(cfg) == [f"power {p}: the absolute moment m_q overflows float at q={q:g}"]
+    assert run(cfg) == EXIT_CONFIG
+    assert not (tmp_path / "moment").exists()
+
+
 def test_indefinite_covariance_is_a_numerical_exit(tmp_path, monkeypatch):
     # the exit status follows the exception type, whatever its message says
     def indefinite(cov, seed, reps):
@@ -606,10 +654,13 @@ def test_simulate_run_writes_field_sigma_and_variation(tmp_path):
 
     # field.csv and sigma.csv load back to the arrays the run drew, bit for bit
     sigma = sample_volatility(vol_from_config(cfg.entries), 32, seed=3)
-    field = simulate.simulate_lattice(weight_from_config(cfg.entries), sigma, 16, 32,
-                                      seed=3, rep=0)
+    weight = weight_from_config(cfg.entries)
+    field, check_error = simulate.simulate_lattice(weight, sigma, 16, 32, seed=3, rep=0)
+    assert (out / "field.csv").read_text().splitlines()[0] == (
+        f"# lattice field: n=16 weight={repr(weight)!r} n=16 M=32 noise_seed=3 noise_rep=0 "
+        f"sigma_seed=3 direct_check_error={check_error}")
     for name, values, header in (
-            ("field.csv", field.values, "# lattice field: n=16 weight='UniformWeight("),
+            ("field.csv", field, "# lattice field: n=16 weight='UniformWeight("),
             ("sigma.csv", sigma.values,
              "# volatility grid: resolution=32 model=DeterministicVol seed=3")):
         assert (out / name).read_text().startswith(header)

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import gammaln
 
+from ambitlab.errors import FloatRangeError
 from ambitlab.gaussian import (
     _he_values,
     _lgam,
@@ -49,6 +52,13 @@ def test_abs_moment_rejects_nonpositive(q):
         abs_moment(q)
     with pytest.raises(ValueError):
         abs_moment_quadrature(q)
+
+
+def test_abs_moment_raises_where_it_overflows_float():
+    assert abs_moment(301.0) == pytest.approx(6.506281088353494e307, rel=1e-13)
+    for q in (301.5, 400.0, 1e6):
+        with pytest.raises(FloatRangeError, match=re.escape(f"overflows float at q={q:g}")):
+            abs_moment(q)
 
 
 @pytest.mark.parametrize("q", [np.inf, np.nan])

@@ -156,6 +156,15 @@ def test_singular_weight_rejects_exponent_outside_unit_interval(alpha):
         SingularWeight(alpha=alpha)
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("variant", [UniformWeight, SingularWeight, TriangleWeight],
+                         ids=lambda cls: cls.variant)
+def test_every_variant_refuses_a_scale_that_is_not_finite_and_positive(variant, scale):
+    params = {} if variant is UniformWeight else {"alpha": 0.75}
+    with pytest.raises(ValueError, match="scale must be positive and finite"):
+        variant(scale=scale, **params)
+
+
 @pytest.mark.parametrize("alpha", [0.5, 0.3, 1.0])
 def test_triangle_weight_needs_exponent_above_one_half(alpha):
     with pytest.raises(ValueError):

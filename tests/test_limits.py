@@ -18,6 +18,7 @@ from ambitlab.volatility import (
     ConstantVol,
     DeterministicVol,
     LogGaussianVol,
+    SigmaField,
     integrated_power,
     sample_volatility,
 )
@@ -135,7 +136,7 @@ def test_fluctuation_variance_anchors_for_unit_volatility():
 def test_fluctuation_variance_scales_like_sigma_to_the_2p():
     base = sample_volatility(ConstantVol(sigma0=1.0), 16, seed=0)
     for p, c in [(2.0, 1.5), (1.0, 2.0)]:
-        got = clt_variance(base.scaled(c), p, (0.0, 0.0), 0.6, 0.8)
+        got = clt_variance(SigmaField(values=c * base.values), p, (0.0, 0.0), 0.6, 0.8)
         assert got == pytest.approx(c ** (2 * p) * clt_variance(base, p, (0.0, 0.0), 0.6, 0.8),
                                     rel=1e-14)
 

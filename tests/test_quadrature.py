@@ -91,6 +91,31 @@ def test_a_non_integrable_job_fails_by_name_beside_a_good_one():
     assert good[0] == pytest.approx(0.8**0.5 / 0.5, rel=1e-8)
 
 
+def _nan_after(calls):
+    """1 on job 0; on job 1, 1 for the first ``calls`` calls and NaN after them."""
+    seen = []
+
+    def f(x, delta, origin, job):
+        seen.append(x.size)
+        return np.where((job == 1) & (len(seen) > calls), np.nan, 1.0)
+
+    return f
+
+
+# each case would bisect until memory runs out without the check; the small
+# max_depth bounds it to a few panels there
+@pytest.mark.parametrize("pieces, calls, what", [
+    (make_pieces([], [0.0], 0.0, 1.0), 0, "graded piece"),
+    (make_pieces([], [], 0.0, 1.0), 0, "smooth piece"),
+    (make_pieces([], [], 0.0, 1.0), 1, "adaptive panel"),
+], ids=["graded", "seed", "bisection"])
+def test_a_non_finite_estimate_fails_by_name(pieces, calls, what):
+    good = make_pieces([], [], 0.0, 2.0)
+    with pytest.raises(QuadratureError, match=rf"^bad: {what} \(0\.0, .*\) has the non-finite"):
+        integrate_pieces(_nan_after(calls), [good, pieces], QuadratureConfig(max_depth=4),
+                         labels=["good", "bad"])
+
+
 @pytest.mark.parametrize("bad, message", [
     (dict(levels=0), "levels must be an integer >= 1"),
     (dict(nodes=0), "nodes must be an integer >= 1"),

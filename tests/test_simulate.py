@@ -15,7 +15,6 @@ from ambitlab.kernels import (
 )
 from ambitlab.simulate import (
     IncrementCovariance,
-    LatticeField,
     increment_covariance,
     increments,
     rho_bar,
@@ -89,27 +88,27 @@ def test_simulate_requires_aligned_resolutions():
         simulate_lattice(UniformWeight(), sig, 4.9, 32.0)
     with pytest.raises(ValueError, match="multiple of 2n"):
         simulate_lattice(UniformWeight(), sig, 4, 32.5)
-    whole = simulate_lattice(UniformWeight(), sig, 4.0, 32.0, seed=1)
-    assert np.array_equal(whole.values, simulate_lattice(UniformWeight(), sig, 4, 32, seed=1).values)
+    whole, _ = simulate_lattice(UniformWeight(), sig, 4.0, 32.0, seed=1)
+    assert np.array_equal(whole, simulate_lattice(UniformWeight(), sig, 4, 32, seed=1)[0])
 
 
-def test_simulate_is_deterministic_and_records_provenance():
+def test_simulate_is_deterministic_and_returns_its_check_error():
     simulate._lattice_plan.cache_clear()
     sig = sample_volatility(ConstantVol(1.0), 32, seed=0)
-    a = simulate_lattice(UniformWeight(), sig, 4, 32, seed=9)  # builds the plan
-    b = simulate_lattice(UniformWeight(), sig, 4, 32, seed=9)  # reuses it
+    a, a_err = simulate_lattice(UniformWeight(), sig, 4, 32, seed=9)  # builds the plan
+    b, b_err = simulate_lattice(UniformWeight(), sig, 4, 32, seed=9)  # reuses it
     assert simulate._lattice_plan.cache_info().hits == 1
-    assert np.array_equal(a.values, b.values)
-    assert a.provenance["direct_check_error"] < 1e-10
-    assert a.provenance["noise_seed"] == 9 and a.provenance["M"] == 32
+    assert type(a) is np.ndarray and a.shape == (5, 5) and not a.flags.writeable
+    assert np.array_equal(a, b) and a_err == b_err
+    assert a_err < 1e-10
 
 
 def test_simulate_spot_checks_the_convolution():
     # the FFT path and the direct sum are the same numbers by construction;
     # a finer sigma grid than the noise grid exercises the resampling branch
     sig = sample_volatility(LogGaussianVol(0.0, 0.25, 0.25), 128, seed=9)
-    fld = simulate_lattice(UniformWeight(), sig, 4, 64, seed=7)
-    assert fld.provenance["direct_check_error"] < 1e-12
+    _, err = simulate_lattice(UniformWeight(), sig, 4, 64, seed=7)
+    assert err < 1e-12
 
 
 def test_simulate_variance_at_center_matches_window_area():
@@ -118,7 +117,7 @@ def test_simulate_variance_at_center_matches_window_area():
     sig = sample_volatility(ConstantVol(1.0), 16, seed=0)
     reps = 400
     vals = [
-        simulate_lattice(UniformWeight(), sig, 2, 16, seed=21, rep=r).values[1, 1]
+        simulate_lattice(UniformWeight(), sig, 2, 16, seed=21, rep=r)[0][1, 1]
         for r in range(reps)
     ]
     second = np.mean(np.square(vals))
@@ -139,14 +138,14 @@ def test_every_lattice_value_equals_the_direct_sum(name, oversample):
     spec, n = _WEIGHTS[name], 4
     M = 2 * n * oversample
     sig = sample_volatility(LogGaussianVol(0.0, 0.25, 0.25), 4 * M, seed=2)
-    fld = simulate_lattice(spec, sig, n, M, seed=5, rep=3)
+    values, _ = simulate_lattice(spec, sig, n, M, seed=5, rep=3)
     mid = -1.0 + (2.0 * np.arange(M) + 1.0) / M
     weighted = sig.at(mid[:, None], mid[None, :]) * sample_noise(M, seed=5, rep=3)
     x = np.arange(n + 1) / n
     g = eval_g(spec, (x[:, None] - mid[None, :])[:, None, :, None],
                (x[:, None] - mid[None, :])[None, :, None, :])
     direct = np.einsum("ijuv,uv->ij", g, weighted)
-    assert np.all(np.abs(fld.values - direct) <= 1e-12 * (1.0 + np.abs(direct)))
+    assert np.all(np.abs(values - direct) <= 1e-12 * (1.0 + np.abs(direct)))
 
 
 @pytest.mark.parametrize("spec, n, M", [(_WEIGHTS["triangle"], 4, 16), (_WEIGHTS["singular"], 8, 16),
@@ -154,10 +153,10 @@ def test_every_lattice_value_equals_the_direct_sum(name, oversample):
 def test_a_different_key_builds_its_own_plan(spec, n, M):
     sig = sample_volatility(ConstantVol(1.0), 32, seed=0)
     simulate._lattice_plan.cache_clear()
-    cold = simulate_lattice(spec, sig, n, M).values
+    cold, _ = simulate_lattice(spec, sig, n, M)
     simulate._lattice_plan.cache_clear()
     simulate_lattice(_WEIGHTS["singular"], sig, 4, 16)
-    after_another = simulate_lattice(spec, sig, n, M).values
+    after_another, _ = simulate_lattice(spec, sig, n, M)
     assert simulate._lattice_plan.cache_info().misses == 2
     assert np.array_equal(after_another, cold)
 
@@ -170,25 +169,25 @@ def test_staged_transform_equals_the_whole_grid_one(vol, q, M):
     # one axis at a time and only the lattice rows inverted, bit for bit
     spec, n = _WEIGHTS["singular"], M // (2 * q)
     sig = sample_volatility(vol, M, seed=6)
-    fld = simulate_lattice(spec, sig, n, M, seed=8, rep=1)
+    values, _ = simulate_lattice(spec, sig, n, M, seed=8, rep=1)
     spectrum, _ = simulate._lattice_plan(spec, n, M)
     weighted = sig.values * sample_noise(M, seed=8, rep=1)
     pick = np.arange(n + 1) * q + M // 2 - 1
     whole = np.fft.irfft2(np.fft.rfft2(weighted) * spectrum, (M, M))[np.ix_(pick, pick)]
-    assert np.array_equal(fld.values, whole)
+    assert np.array_equal(values, whole)
 
 
 def test_fields_do_not_share_the_scratch():
     sig = sample_volatility(ConstantVol(1.0), 64, seed=0)
     spec = _WEIGHTS["singular"]
-    first = simulate_lattice(spec, sig, 8, 32, seed=2, rep=0)
-    kept = first.values.copy()
+    first, _ = simulate_lattice(spec, sig, 8, 32, seed=2, rep=0)
+    kept = first.copy()
     simulate_lattice(spec, sig, 8, 32, seed=2, rep=1)
-    assert np.array_equal(first.values, kept)
+    assert np.array_equal(first, kept)
     simulate_lattice(spec, sig, 16, 64, seed=2, rep=0)
-    assert np.array_equal(first.values, kept)
+    assert np.array_equal(first, kept)
     for buf in simulate._workspace(64):
-        assert not np.shares_memory(first.values, buf)
+        assert not np.shares_memory(first, buf)
 
 
 def test_a_warm_replication_allocates_no_grid_sized_temporaries():
@@ -230,15 +229,21 @@ def test_a_kernel_past_the_unit_square_fails_the_spot_check():
         simulate_lattice(_Overhanging(), sig, 4, 16)
 
 
-def test_lattice_field_rejects_bad_values():
+class _NotANumber(UniformWeight):
+    """An indicator whose value is NaN, which the spot check cannot see."""
+
+    def evaluate(self, s, t):
+        return np.where(super().evaluate(s, t) != 0.0, np.nan, 0.0)
+
+
+def test_lattice_values_are_refused_unless_square_and_finite():
     for shape in ((4, 5), (5,), (2, 2, 2)):
         with pytest.raises(ValueError, match="square 2-D"):
-            LatticeField(values=np.zeros(shape))
-    bad = np.zeros((5, 5))
-    bad[2, 2] = np.inf
+            increments(np.zeros(shape), 1)
+    assert increments(np.zeros((5, 5)), 4).shape == (1, 1)  # n = 4 is read off the array
+    sig = sample_volatility(ConstantVol(1.0), 16, seed=0)
     with pytest.raises(ValueError, match="non-finite"):
-        LatticeField(values=bad)
-    assert LatticeField(values=np.zeros((5, 5))).n == 4
+        simulate_lattice(_NotANumber(), sig, 4, 16)
 
 
 # ---------------------------------------------------------------- increments
@@ -248,9 +253,8 @@ def test_increments_of_product_field_are_cellwise_products():
     # whichever k-th cells the thinning keeps
     n = 4
     s = np.arange(n + 1) / n
-    fld = LatticeField(values=np.outer(s, s))
     for k in (1, 2, 4):
-        inc = increments(fld, k)
+        inc = increments(np.outer(s, s), k)
         assert type(inc) is np.ndarray and not inc.flags.writeable
         assert inc.shape == (n // k, n // k)
         assert np.allclose(inc, 1.0 / n**2, rtol=0, atol=1e-16)
@@ -260,18 +264,18 @@ def test_increments_kill_affine_fields():
     n = 6
     s = np.arange(n + 1) / n
     vals = 2.0 - 3.0 * s[:, None] + 0.5 * s[None, :]
-    got = increments(LatticeField(values=vals), 2)
+    got = increments(vals, 2)
     assert np.allclose(got, 0.0, rtol=0, atol=1e-15)  # 1/6 is not dyadic
 
 
 def test_increments_validate_the_thinning():
-    fld = LatticeField(values=np.zeros((5, 5)))
+    values = np.zeros((5, 5))
     with pytest.raises(ValueError, match="thinning"):
-        increments(fld, 0)
+        increments(values, 0)
     with pytest.raises(ValueError, match="thinning"):
-        increments(fld, 5)
+        increments(values, 5)
     with pytest.raises(ValueError, match="integer"):
-        increments(fld, 1.5)
+        increments(values, 1.5)
 
 
 # ---------------------------------------------------- exact covariance engine
@@ -291,7 +295,6 @@ def test_uniform_covariance_matches_hand_derivation():
             [0.0625, -0.125, -0.125, 0.25],
         ]
     )
-    assert cov.engine == "uniform-strips"
     assert np.allclose(cov.matrix, expected, rtol=0, atol=1e-15)
     assert rho_bar(cov) == pytest.approx(0.5, abs=1e-14)
     assert cov.c_n == pytest.approx(4.0 / 64, rel=1e-12)
@@ -307,6 +310,17 @@ def test_both_engines_build_a_symmetric_matrix_with_a_positive_diagonal(weight, 
     assert cov.matrix.shape == (cov.dim, cov.dim) == (16, 16)
     assert np.array_equal(cov.matrix, cov.matrix.T)
     assert np.all(np.diag(cov.matrix) > 0.0)
+
+
+def test_the_container_leaves_the_callers_arrays_writeable():
+    matrix, indices = np.eye(2), np.array([[1, 1], [1, 2]])
+    cov = IncrementCovariance(matrix=matrix, indices=indices, c_n=1.0)
+    assert matrix.flags.writeable and indices.flags.writeable
+    assert cov.matrix is matrix and cov.dim == 2
+    # increment_covariance marks the arrays it builds itself
+    built = increment_covariance(UniformWeight(), sample_volatility(ConstantVol(1.0), 16, seed=0),
+                                 8, 4)
+    assert not built.matrix.flags.writeable and not built.indices.flags.writeable
 
 
 def test_strips_engine_agrees_with_stationary_engine():
@@ -379,7 +393,6 @@ def test_singular_covariance_diagonal_is_cn():
     sig = sample_volatility(ConstantVol(1.0), 16, seed=0)
     sw = SingularWeight(alpha=0.75)
     cov = increment_covariance(sw, sig, 8, 4)
-    assert cov.engine == "stationary-autocorrelation"
     assert np.allclose(np.diag(cov.matrix), compute_cn(sw, 8), rtol=1e-12)
     # negative dependence dominates among thinned neighbours of this kernel
     assert rho_bar(cov) < 0.2
@@ -416,7 +429,7 @@ def test_covariance_container_validation():
         rho_bar(
             IncrementCovariance(
                 matrix=np.array([[1.0]]), indices=np.array([[1, 1]]),
-                c_n=0.0625, engine="x",
+                c_n=0.0625,
             )
         )
 
@@ -474,7 +487,7 @@ def test_exact_sampler_rejects_indefinite_matrices():
     cov = IncrementCovariance(
         matrix=np.array([[1.0, 2.0], [2.0, 1.0]]),  # eigenvalues 3 and -1
         indices=np.array([[1, 1], [1, 2]]),
-        c_n=0.0625, engine="x",
+        c_n=0.0625,
     )
     with pytest.raises(ValueError, match="PSD"):
         sample_increments_exact(cov, seed=0, reps=10)

@@ -277,8 +277,6 @@ ORACLES = {
     "kernels.weight_to_config": "test_kernels.py::test_weight_config_roundtrip",
     "regions.Difference": "test_regions.py::test_mass_is_additive_across_a_half_plane_cut",
     "variation.power_variation": "test_variation.py::test_field_matches_pointwise_statistic",
-    "volatility.SigmaField.scaled":
-        "test_limits.py::test_fluctuation_variance_scales_like_sigma_to_the_2p",
     "volatility.integrated_power":
         "test_limits.py::test_single_atom_reduces_to_a_shifted_power_integral",
 }

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ambitlab import volatility
+from ambitlab.errors import FloatRangeError
 from ambitlab.volatility import (
     ConstantVol,
     DeterministicVol,
@@ -101,6 +102,18 @@ def test_log_gaussian_rejects_bad_params():
         LogGaussianVol(smooth_length=-0.1)
     with pytest.raises(ValueError, match=r"\(0, 1\]"):
         LogGaussianVol(smooth_length=1.01)
+    for mean in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="mean must be finite"):
+            LogGaussianVol(mean=mean)
+
+
+@pytest.mark.parametrize("model", [LogGaussianVol(variance=1e6), LogGaussianVol(mean=800.0),
+                                   LogGaussianVol(mean=-800.0)],
+                         ids=["wide", "overflow", "underflow"])
+def test_a_log_gaussian_draw_outside_float_range_raises(model):
+    # exp overflows to inf, or underflows to 0, in some cell of the draw
+    with pytest.raises(FloatRangeError, match="outside float range on the 16 x 16 grid"):
+        sample_volatility(model, 16, seed=0)
 
 
 @pytest.mark.parametrize("smooth_length", [0.01, 0.3, 0.99, 1.0])
@@ -149,7 +162,7 @@ def test_sine_product_square_integral():
 
 def test_grid_path_positive_homogeneity_is_exact():
     f = sample_volatility(DeterministicVol("sine_product"), 32, seed=0)
-    base, scaledf = f.scaled(1.0), f.scaled(3.0)
+    base, scaledf = SigmaField(values=1.0 * f.values), SigmaField(values=3.0 * f.values)
     p = 2.5
     got = integrated_power(scaledf, p, (0.0, 1.0, 0.0, 1.0))
     want = 3.0**p * integrated_power(base, p, (0.0, 1.0, 0.0, 1.0))
