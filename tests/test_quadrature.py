@@ -93,17 +93,17 @@ def test_a_non_integrable_job_fails_by_name_beside_a_good_one():
 
 def _nan_after(calls):
     """1 on job 0; on job 1, 1 for the first ``calls`` calls and NaN after them."""
-    seen = []
+    count = [0]
 
     def f(x, delta, origin, job):
-        seen.append(x.size)
-        return np.where((job == 1) & (len(seen) > calls), np.nan, 1.0)
+        count[0] += 1
+        return np.where((job == 1) & (count[0] > calls), np.nan, 1.0)
 
     return f
 
 
-# each case would bisect until memory runs out without the check; the small
-# max_depth bounds it to a few panels there
+# without the check the graded case returns NaN and the others bisect until
+# memory runs out; the small max_depth stops those after a few levels
 @pytest.mark.parametrize("pieces, calls, what", [
     (make_pieces([], [0.0], 0.0, 1.0), 0, "graded piece"),
     (make_pieces([], [], 0.0, 1.0), 0, "smooth piece"),
