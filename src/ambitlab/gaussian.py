@@ -14,6 +14,11 @@ coefficients control the covariance decay of powered Gaussian increments:
 with Parseval identity :math:`\sum_{k\ge 2}\alpha_k^2/k! = m_{2p} - m_p^2`.
 The expansion starts at k = 2 (Hermite rank two): alpha_0 and alpha_1 vanish,
 and the module computes them rather than hard-coding zero.
+
+The references these are checked against live in ``tests/test_gaussian.py``,
+not here: m_q against a 40-digit ``mpmath`` quadrature of x^q phi(x), and the
+covariance series :math:`\sum_k \alpha_k^2\rho^k/k!` against the bivariate
+closed form :math:`m_p^2\,({}_2F_1(-p/2, -p/2; 1/2; \rho^2) - 1)` (Kamat 1953).
 """
 
 from __future__ import annotations
@@ -25,17 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FloatRangeError, QuadratureError
-from .quadrature import gl
 
 __all__ = [
     "HermiteExpansion",
     "abs_moment",
-    "abs_moment_quadrature",
     "up_hermite_coeffs",
-    "power_cov_probe",
 ]
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+_HERMITE_RTOL = 1e-10  # agreement the two Laguerre rules of a Hermite moment must reach
 
 
 # Polynomial coefficients of the cephes ``lgam`` approximations, highest first.
@@ -116,23 +119,6 @@ def _halfline_nodes(q, npts):
     return x, w * scale
 
 
-def abs_moment_quadrature(q, rtol=1e-10):
-    """m_q by the half-line Gauss rule with a node-doubling agreement check."""
-    if q <= 0.0:
-        raise ValueError(f"absolute-moment power must be positive, got q={q}")
-    vals = []
-    for npts in (24, 48):
-        x, w = _halfline_nodes(q, npts)
-        vals.append(2.0 * float(w.sum()))
-    if abs(vals[0] - vals[1]) > rtol * max(abs(vals[0]), abs(vals[1])):
-        raise QuadratureError(
-            f"half-line moment rule did not stabilize for q={q}: "
-            f"{vals[0]!r} vs {vals[1]!r}",
-            estimate=vals[1],
-        )
-    return vals[1]
-
-
 def _he_values(kmax, x):
     """He_0..He_kmax evaluated at x, shape (kmax+1,) + x.shape."""
     x = np.asarray(x, dtype=float)
@@ -145,7 +131,7 @@ def _he_values(kmax, x):
     return out
 
 
-def _abs_power_hermite_moment(q, m, rtol):
+def _abs_power_hermite_moment(q, m):
     """E[|X|^q He_m(X)] for q > 0, by exact reduction plus half-line quadrature.
 
     Integration by parts against phi^{(m)} lowers both indices exactly:
@@ -180,7 +166,7 @@ def _abs_power_hermite_moment(q, m, rtol):
         sym = he[: x.size] + he[x.size:]  # vanishes in floating point for odd m
         vals.append(float(np.dot(w, sym)))
     scale = max(abs(vals[0]), abs(vals[1]), 1e-300)
-    if abs(vals[0] - vals[1]) > max(rtol * scale, 1e-14):
+    if abs(vals[0] - vals[1]) > max(_HERMITE_RTOL * scale, 1e-14):
         raise QuadratureError(
             f"Hermite-moment rule did not stabilize for q={q}, m={m}: "
             f"{vals[0]!r} vs {vals[1]!r}",
@@ -214,7 +200,7 @@ class HermiteExpansion:
         return float(self.parseval_target() - self.partial_sums()[-1])
 
 
-def up_hermite_coeffs(p, max_order=60, rtol=1e-10):
+def up_hermite_coeffs(p, max_order=60):
     """Hermite coefficients of |x|^p - m_p up to ``max_order``.
 
     alpha_0 and alpha_1 are computed (quadrature residuals ~1e-16), not set to
@@ -228,91 +214,8 @@ def up_hermite_coeffs(p, max_order=60, rtol=1e-10):
     mp = abs_moment(p)
     alpha = np.empty(max_order + 1)
     for k in range(max_order + 1):
-        val = _abs_power_hermite_moment(p, k, rtol)
+        val = _abs_power_hermite_moment(p, k)
         if k == 0:
             val -= mp
         alpha[k] = val
     return HermiteExpansion(p=float(p), alpha=alpha)
-
-
-def _panel_nodes(edges, npts):
-    """Composite Gauss-Legendre nodes/weights over consecutive panel edges."""
-    xi, wi = gl(npts)
-    edges = np.asarray(edges, dtype=float)
-    a, b = edges[:-1], edges[1:]
-    mid = 0.5 * (a + b)[:, None]
-    half = 0.5 * (b - a)[:, None]
-    return (mid + half * xi).ravel(), (half * wi).ravel()
-
-
-_OUTER_EDGES = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.5, 8.0, 10.0, 13.0])
-_INNER_FRACTIONS = np.array([0.0, 1e-4, 1e-3, 0.01, 0.05, 0.15, 0.3, 0.5, 0.7, 1.0])
-
-
-def _power_cov_quad(rho, p, npts):
-    """E[|X|^p |Y|^p] for corr(X, Y) = rho by kink-split tensor quadrature.
-
-    Writes Y = rho X + c Z and integrates over (x, z).  The integrand is
-    smooth except along z = -rho x / c; for each outer x-node the inner line
-    is split exactly at that kink, so both sides are analytic and composite
-    Gauss-Legendre converges spectrally.
-    """
-    c = np.sqrt(1.0 - rho * rho)
-    x, wx = _panel_nodes(_OUTER_EDGES, npts)  # half-line; symmetry gives factor 2
-    zstar = -rho * x / c
-    R = 13.0
-
-    total = np.zeros_like(x)
-    for side in (+1.0, -1.0):
-        length = side * R - zstar  # signed distance from kink to box edge
-        frac = _INNER_FRACTIONS if npts <= 24 else np.unique(np.concatenate([_INNER_FRACTIONS, 0.5 * (_INNER_FRACTIONS[:-1] + _INNER_FRACTIONS[1:])]))
-        xi, wi = gl(npts)
-        a = zstar[:, None] + length[:, None] * frac[None, :-1]
-        b = zstar[:, None] + length[:, None] * frac[None, 1:]
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        z = mid[:, :, None] + half[:, :, None] * xi  # (nx, panels, npts)
-        wz = np.abs(half)[:, :, None] * wi
-        y = rho * x[:, None, None] + c * z
-        fz = np.abs(y) ** p * np.exp(-0.5 * z * z) / _SQRT_2PI
-        total += np.sum(fz * wz, axis=(1, 2))
-
-    fx = x ** p * np.exp(-0.5 * x * x) / _SQRT_2PI
-    return 2.0 * float(np.dot(wx, fx * total))
-
-
-def power_cov_probe(rho, p, q=2.0):
-    """Covariance of |X|^p and |Y|^p under correlation rho, plus |cov|/|rho|^q.
-
-    Returns
-    -------
-    (cov, bound_ratio) : tuple of float
-        ``bound_ratio`` probes the Hermite-rank-two bound: for q=2 it should
-        stay bounded by a single constant over all rho in [-1, 1].
-        ``rho = 0`` returns (~0, 0) by convention.
-
-    Notes
-    -----
-    Computed by genuine 2-D quadrature (not the Hermite series), so the
-    series sum_k alpha_k^2 rho^k / k! is available as an independent check.
-    """
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
-    if p <= 0.0:
-        raise ValueError(f"power must be positive, got p={p}")
-    mp = abs_moment(p)
-    if abs(rho) == 1.0:
-        cov = abs_moment(2.0 * p) - mp * mp
-    else:
-        vals = [_power_cov_quad(rho, p, n) - mp * mp for n in (24, 48)]
-        scale = max(abs(vals[0]), abs(vals[1]), 1.0)
-        if abs(vals[0] - vals[1]) > 1e-9 * scale:
-            raise QuadratureError(
-                f"power-covariance rule did not stabilize for rho={rho}, p={p}: "
-                f"{vals[0]!r} vs {vals[1]!r}",
-                estimate=vals[1],
-            )
-        cov = vals[1]
-    if rho == 0.0:
-        return cov, 0.0
-    return cov, abs(cov) / abs(rho) ** q

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import kappa_refusal
-from .errors import AdmissibilityError
+from .errors import AdmissibilityError, FloatRangeError
 from .gaussian import abs_moment
 from .kernels import compute_cn, require_weight, thinning_count
 from .simulate import (
@@ -209,6 +209,8 @@ class LLNConfig:
                  f"thinning exponent must lie in (0,1), got {self.kappa}")
         if self.k is not None:
             _require(self.k >= 1, f"constant thinning k must be >= 1, got {self.k}")
+            _require(self.k <= min(self.n_schedule), f"constant thinning k={self.k} exceeds "
+                     f"the smallest resolution n={min(self.n_schedule)}")
         _require(self.grid_size >= 1, f"grid size must be >= 1, got {self.grid_size}")
         _require(self.oversample >= 1, f"oversample must be >= 1, got {self.oversample}")
 
@@ -306,8 +308,6 @@ def lln_experiment(config):
     per_n = {}
     for n in config.n_schedule:
         k = config.k if config.k is not None else thinning_count(n, config.kappa)
-        if k > n:
-            raise ValueError(f"thinning k={k} exceeds n={n}")
         eps = k / n
         cn = compute_cn(weight, n)
         M = 2 * n * config.oversample
@@ -432,8 +432,6 @@ def clt_experiment(config):
         expected_v = mp * float(np.sum(diag ** (0.5 * p)))
 
         draws = sample_increments_exact(cov, config.seed, config.reps)[:, keep]
-        z = scale * (np.sum(np.abs(draws) ** p, axis=1) - expected_v)
-
         exact_var = 2.0 * float(np.sum((eps * mat / cn) ** 2)) if p == 2.0 else None
         if exact_var is None and n == config.n_schedule[0]:
             flags.append(f"exact finite-n variance in closed form needs p=2, got p={p}")
@@ -444,25 +442,32 @@ def clt_experiment(config):
             "exact_variance": exact_var,
         }
 
-        if config.reps > 1:
-            entry["sample_variance"] = float(np.var(z, ddof=1))
-            base = exact_var if exact_var is not None else entry["sample_variance"]
-            entry["variance_se"] = float(base * math.sqrt(2.0 / (config.reps - 1)))
-            entry["skewness"], entry["excess_kurtosis"] = _shape_moments(z)
-            entry["kolmogorov_distance"] = _kolmogorov_distance(z)
-        else:
-            for key in ("sample_variance", "variance_se", "skewness",
-                        "excess_kurtosis", "kolmogorov_distance"):
-                entry[key] = None
-        if config.reps >= 2 * _TREND_BATCHES:
-            batches = np.array_split(z[: config.reps - config.reps % _TREND_BATCHES],
-                                     _TREND_BATCHES)
-            shapes = np.abs([_shape_moments(b) for b in batches])
-            entry["abs_skewness_median"] = float(np.median(shapes[:, 0]))
-            entry["abs_excess_kurtosis_median"] = float(np.median(shapes[:, 1]))
-        else:
-            entry["abs_skewness_median"] = None
-            entry["abs_excess_kurtosis_median"] = None
+        # |increment|^p overflowing, or its spread rounding away, is refused below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            z = scale * (np.sum(np.abs(draws) ** p, axis=1) - expected_v)
+            if config.reps > 1:
+                entry["sample_variance"] = float(np.var(z, ddof=1))
+                base = exact_var if exact_var is not None else entry["sample_variance"]
+                entry["variance_se"] = float(base * math.sqrt(2.0 / (config.reps - 1)))
+                entry["skewness"], entry["excess_kurtosis"] = _shape_moments(z)
+                entry["kolmogorov_distance"] = _kolmogorov_distance(z)
+            else:
+                for key in ("sample_variance", "variance_se", "skewness",
+                            "excess_kurtosis", "kolmogorov_distance"):
+                    entry[key] = None
+            if config.reps >= 2 * _TREND_BATCHES:
+                batches = np.array_split(z[: config.reps - config.reps % _TREND_BATCHES],
+                                         _TREND_BATCHES)
+                shapes = np.abs([_shape_moments(b) for b in batches])
+                entry["abs_skewness_median"] = float(np.median(shapes[:, 0]))
+                entry["abs_excess_kurtosis_median"] = float(np.median(shapes[:, 1]))
+            else:
+                entry["abs_skewness_median"] = None
+                entry["abs_excess_kurtosis_median"] = None
+        bad = [key for key, v in entry.items() if isinstance(v, float) and not math.isfinite(v)]
+        if bad:
+            raise FloatRangeError(f"clt statistic {bad[0]} at n={n} is {entry[bad[0]]!r}: "
+                                  f"|increment|^{p:g} exceeds what double precision resolves")
         per_n[str(n)] = entry
 
     if config.reps == 1:

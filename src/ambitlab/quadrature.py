@@ -188,8 +188,9 @@ def _graded_pass(f, job, a, b, levels, nodes, labels):
     if rising.size:
         i = rising[0]
         raise QuadratureError(
-            f"{labels[job[i]]}: graded panels toward the left end of ({a[i]!r}, {b[i]!r}) "
-            f"do not decay (ratio {ratio[i]:.4g}); integrand looks non-integrable",
+            f"{labels[job[i]]}: graded panels toward the left end of "
+            f"({float(a[i])!r}, {float(b[i])!r}) do not decay (ratio {ratio[i]:.4g}); "
+            "integrand looks non-integrable",
             estimate=float(totals[i]),
         )
     tail = both & (ratio > 1e-3)
@@ -236,8 +237,8 @@ def _adaptive_pass(f, job, a, b, est, tol, nodes, max_depth, labels):
         if stuck.size:
             i = stuck[0]
             raise QuadratureError(
-                f"{labels[job[piece[i]]]}: adaptive panel ({lo[i]!r}, {hi[i]!r}) failed "
-                f"to converge (residual {err[i]:.3g} at depth {depth[i]})",
+                f"{labels[job[piece[i]]]}: adaptive panel ({float(lo[i])!r}, "
+                f"{float(hi[i])!r}) failed to converge (residual {err[i]:.3g} at depth {depth[i]})",
                 estimate=totals[piece[i]] + float(refined[i]),
             )
         split = ~done

@@ -472,6 +472,22 @@ def test_a_window_narrower_than_a_noise_cell_is_a_numerical_exit(tmp_path, capsy
     assert "at n=8, M=16" in err and "raise oversample" in err
 
 
+def test_a_clt_statistic_past_double_precision_is_a_numerical_exit(tmp_path, capsys):
+    # |increment|^100 spans more than double precision resolves: a batch of
+    # replications rounds to one value, and its shape moments are 0/0
+    out = tmp_path / "power"
+    cfg = ExperimentConfig({
+        "kind": "clt", "weight.variant": "uniform", "volatility.variant": "constant",
+        "n": "8", "kappa": "0.5", "p": "100", "reps": "20",
+        "override_admissibility": "true", "out": str(out),
+    })
+    assert validate(cfg) == []
+    assert run(cfg) == EXIT_NUMERICAL
+    assert list(out.iterdir()) == []
+    err = capsys.readouterr().err
+    assert "clt statistic abs_skewness_median at n=8 is nan" in err
+
+
 # ------------------------------------------------------------- run: reports
 
 def test_run_builds_the_weight_and_the_volatility_once(tmp_path, monkeypatch):

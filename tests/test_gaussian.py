@@ -1,5 +1,6 @@
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
@@ -10,10 +11,35 @@ from ambitlab.gaussian import (
     _he_values,
     _lgam,
     abs_moment,
-    abs_moment_quadrature,
-    power_cov_probe,
     up_hermite_coeffs,
 )
+
+
+# ---------------------------------------------------------------- references
+
+def _abs_moment_quadrature(q):
+    """m_q = 2 * integral of x^q phi(x) over the half-line, by mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        q = mpmath.mpf(q)
+        half = mpmath.quad(lambda x: x**q * mpmath.exp(-x * x / 2), [0, 1, mpmath.inf])
+        return float(2 * half / mpmath.sqrt(2 * mpmath.pi))
+
+
+def _power_cov_probe(rho, p):
+    """cov(|X|^p, |Y|^p) at corr(X, Y) = rho, at 40 digits, from the bivariate
+    closed form E|X|^p |Y|^p = m_p^2 2F1(-p/2, -p/2; 1/2; rho^2) (Kamat 1953)."""
+    with mpmath.workdps(40):
+        p, rho = mpmath.mpf(p), mpmath.mpf(rho)
+        mp = 2 ** (p / 2) * mpmath.gamma((p + 1) / 2) / mpmath.sqrt(mpmath.pi)
+        return float(mp * mp * (mpmath.hyp2f1(-p / 2, -p / 2, 0.5, rho * rho) - 1))
+
+
+def _hermite_series(p, rho, max_order=120):
+    """The production covariance: sum_k alpha_k^2 rho^k / k! over up_hermite_coeffs."""
+    ex = up_hermite_coeffs(p, max_order=max_order)
+    k = np.arange(ex.alpha.size)
+    return float(np.sum(ex.alpha**2 * np.sign(rho) ** k * np.abs(rho) ** k
+                        / np.exp(gammaln(k + 1.0))))
 
 
 # ---------------------------------------------------------------- moments
@@ -27,7 +53,7 @@ def test_abs_moment_examples():
 
 @pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
 def test_abs_moment_closed_form_vs_quadrature(q):
-    assert abs_moment(q) == pytest.approx(abs_moment_quadrature(q), rel=1e-10)
+    assert abs_moment(q) == pytest.approx(_abs_moment_quadrature(q), rel=1e-14)
 
 
 def test_log_gamma_equals_scipy_bit_for_bit():
@@ -50,8 +76,6 @@ def test_abs_moment_equals_the_scipy_formula_bit_for_bit(q):
 def test_abs_moment_rejects_nonpositive(q):
     with pytest.raises(ValueError):
         abs_moment(q)
-    with pytest.raises(ValueError):
-        abs_moment_quadrature(q)
 
 
 def test_abs_moment_raises_where_it_overflows_float():
@@ -145,44 +169,40 @@ def test_expansion_rejects_bad_input():
         up_hermite_coeffs(2.0, max_order=1)
 
 
-# ---------------------------------------------------------------- covariance probe
+# ---------------------------------------------------------------- covariance series
 
 def test_power_cov_probe_isserlis_p2():
     # For p=2 the covariance is exactly 2 rho^2 (fourth-moment identity).
     for rho in np.arange(-0.9, 0.95, 0.1):
         rho = round(float(rho), 10)
-        cov, ratio = power_cov_probe(rho, 2.0)
-        assert cov == pytest.approx(2.0 * rho * rho, abs=1e-8)
+        assert _hermite_series(2.0, rho, 60) == pytest.approx(2.0 * rho * rho, rel=1e-12, abs=1e-15)
+        assert _power_cov_probe(rho, 2.0) == pytest.approx(2.0 * rho * rho, rel=1e-15)
 
 
 def test_power_cov_probe_edge_cases():
-    cov0, ratio0 = power_cov_probe(0.0, 2.0)
-    assert abs(cov0) < 1e-12 and ratio0 == 0.0
-    cov1, _ = power_cov_probe(1.0, 2.0)
-    assert cov1 == pytest.approx(2.0, rel=1e-12)
-    covh, _ = power_cov_probe(0.5, 2.0)
-    assert covh == pytest.approx(0.5, abs=1e-10)
+    assert _power_cov_probe(0.0, 2.0) == 0.0
+    assert abs(_hermite_series(2.0, 0.0, 60)) < 1e-15
+    for rho, cov in ((1.0, 2.0), (0.5, 0.5)):
+        assert _hermite_series(2.0, rho, 60) == pytest.approx(cov, rel=1e-12)
+        assert _power_cov_probe(rho, 2.0) == pytest.approx(cov, rel=1e-15)
+    # at rho = +-1, Gauss's 2F1 sum gives the variance m_2p - m_p^2
+    for p in (1.0, 1.5, 3.0):
+        var = abs_moment(2 * p) - abs_moment(p) ** 2
+        for rho in (1.0, -1.0):
+            assert _power_cov_probe(rho, p) == pytest.approx(var, rel=1e-14)
 
 
 @pytest.mark.parametrize("p,rho", [(1.0, 0.5), (1.0, -0.3), (3.0, 0.7), (1.5, 0.9)])
 def test_power_cov_probe_matches_hermite_series(p, rho):
-    # Independent route: cov = sum_k alpha_k^2 rho^k / k!.
-    ex = up_hermite_coeffs(p, max_order=120)
-    k = np.arange(ex.alpha.size)
-    series = float(np.sum(ex.alpha**2 * np.sign(rho) ** k * np.abs(rho) ** k / np.exp(gammaln(k + 1.0))))
-    cov, _ = power_cov_probe(rho, p)
-    assert cov == pytest.approx(series, rel=1e-8, abs=1e-10)
+    assert _hermite_series(p, rho) == pytest.approx(_power_cov_probe(rho, p), rel=1e-10)
 
 
 def test_power_cov_probe_rank_two_ratio_bounded():
     for p in (1.0, 3.0):
-        ratios = [power_cov_probe(rho, p, 2.0)[1] for rho in (-0.9, -0.5, -0.1, 0.1, 0.5, 0.9)]
+        rhos = (-0.9, -0.5, -0.1, 0.1, 0.5, 0.9)
+        ratios = [_hermite_series(p, rho) / rho**2 for rho in rhos]
+        # the order-120 series trails the closed form by 1.3e-10 at p = 1, |rho| = 0.9
+        assert ratios == pytest.approx([_power_cov_probe(rho, p) / rho**2 for rho in rhos],
+                                       rel=1e-9)
         # one constant works for the whole correlation range
         assert max(ratios) < 2.0 * abs_moment(2 * p)
-
-
-def test_power_cov_probe_rejects_bad_input():
-    with pytest.raises(ValueError):
-        power_cov_probe(1.5, 2.0)
-    with pytest.raises(ValueError):
-        power_cov_probe(0.5, 0.0)

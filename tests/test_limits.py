@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -173,6 +174,10 @@ def test_lln_config_rejects_contradictory_thinning():
             LLNConfig(**{"k": 1, name: 1.5}, **kw)
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         LLNConfig(k=1, seed=-1, **kw)
+    # at construction, in the words of cli.validate, not midway through a run
+    with pytest.raises(ValueError, match=re.escape(
+            "constant thinning k=20 exceeds the smallest resolution n=16")):
+        LLNConfig(k=20, n_schedule=(16, 32), **kw)
     # integer-valued floats pass and are stored as ints
     cfg = LLNConfig(k=2.0, n_schedule=(8.0, 16.0), reps=3.0, grid_size=2.0,
                     oversample=1.0, seed=4.0, **kw)

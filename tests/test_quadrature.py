@@ -84,9 +84,11 @@ def test_a_failing_mass_names_its_n_and_half():
 def test_a_non_integrable_job_fails_by_name_beside_a_good_one():
     points, alphas = np.array([0.2, 0.4]), np.array([0.5, 1.5])
     jobs = [make_pieces([p], [p], 0.0, 1.0) for p in points]
-    with pytest.raises(QuadratureError, match=r"^steep: graded panels .* do not decay"):
+    with pytest.raises(QuadratureError, match=re.escape(
+            "steep: graded panels toward the left end of (0.4, 1.0) do not decay")) as failure:
         integrate_pieces(_power_integrand(points, alphas), jobs, QuadratureConfig(),
                          labels=["mild", "steep"])
+    assert "np.float64(" not in str(failure.value)
     good = integrate_pieces(_power_integrand(points[:1], alphas[:1]), jobs[:1], QuadratureConfig())
     assert good[0] == pytest.approx(0.8**0.5 / 0.5, rel=1e-8)
 
@@ -114,6 +116,15 @@ def test_a_non_finite_estimate_fails_by_name(pieces, calls, what):
     with pytest.raises(QuadratureError, match=rf"^bad: {what} \(0\.0, .*\) has the non-finite"):
         integrate_pieces(_nan_after(calls), [good, pieces], QuadratureConfig(max_depth=4),
                          labels=["good", "bad"])
+
+
+def test_a_panel_past_the_depth_cap_is_named_by_plain_floats():
+    step = lambda x, *_: np.where(x > 1.0 / 3.0, 1.0, 0.0)  # no dyadic panel isolates the jump
+    with pytest.raises(QuadratureError, match=re.escape(
+            "bad: adaptive panel (0.25, 0.5) failed to converge (residual ")) as failure:
+        integrate_pieces(step, [make_pieces([], [], 0.0, 1.0)], QuadratureConfig(max_depth=2),
+                         labels=["bad"])
+    assert str(failure.value).endswith(" at depth 2)") and "np.float64(" not in str(failure.value)
 
 
 @pytest.mark.parametrize("bad, message", [
