@@ -29,9 +29,11 @@ simulate       weight.* !, volatility.* !, p (1), n ! (1), kappa | k,
 
 A key that its kind does not read is a config violation, like an unknown
 key.  ``weight.*`` is the kernel spec and ``volatility.*`` the volatility
-model; within each group only the keys the chosen variant reads are
-accepted, so ``weight.alpha`` on a uniform weight or ``volatility.sigma0`` on
-a deterministic volatility is a violation too:
+model: ``<group>.variant`` names a class in ``kernels.VARIANTS`` or
+``volatility.VARIANTS``, and ``<group>.<field>`` sets that dataclass field,
+read as its declared type (unset, it keeps its default).  Any other key in
+the group is a violation too, such as ``weight.alpha`` on a uniform weight or
+``volatility.sigma0`` on a deterministic volatility:
 
 =============  ==============================================================
 variant        keys read besides ``variant``
@@ -89,7 +91,7 @@ import json
 import os
 import sys
 import time
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -104,12 +106,11 @@ from .asymptotics import (
 from .errors import AdmissibilityError, FloatRangeError, NotPSDError, QuadratureError
 from .gaussian import abs_moment, up_hermite_coeffs
 from .kernels import (
+    VARIANTS as WEIGHT_VARIANTS,
     compute_cn,
     concentration_mass,
     near_region,
-    require_weight,
     thinning_count,
-    weight_from_config,
 )
 from .limits import (
     CLTConfig,
@@ -120,7 +121,7 @@ from .limits import (
 from .quadrature import QuadratureConfig
 from .simulate import DENSE_CAP, increments, simulate_lattice
 from .variation import retained_corners, scaled_power_variation, variation_field
-from .volatility import sample_volatility, vol_from_config, vol_to_config
+from .volatility import VARIANTS as VOLATILITY_VARIANTS, sample_volatility
 
 # numpy loads these submodules on first use (np.percentile in the lln
 # summary, np.median in the clt summary and np.unique in the LLN limit's cell
@@ -266,6 +267,27 @@ def _reads(row, key):
         key == read or (read.endswith(".") and key.startswith(read)) for read in row.reads)
 
 
+def _build(group, registry, entries):
+    """(object, keys read) for the class in ``registry`` that ``<group>.variant`` names.
+
+    Each ``<group>.<field>`` set is read as its field's declared type.
+    """
+    variant = entries.get(f"{group}.variant")
+    if variant not in registry:
+        raise ValueError(f"missing key {group}.variant" if variant is None
+                         else f"unknown {group} variant {variant!r}")
+    cls = registry[variant]
+    types, values, read = get_type_hints(cls), {}, {f"{group}.variant"}
+    for field in dataclasses.fields(cls):
+        key = f"{group}.{field.name}"
+        read.add(key)
+        if key in entries:
+            values[field.name] = types[field.name](entries[key])
+        elif field.default is field.default_factory is dataclasses.MISSING:
+            raise ValueError(f"missing key {key} for the {variant} variant")
+    return cls(**values), read
+
+
 def _parse(config):
     """(settings, violations, refusals) for one config, in a single pass.
 
@@ -337,18 +359,15 @@ def _parse(config):
     if "kappa" in entries and "k" in entries:
         violations.append("set exactly one of kappa and k, not both")
 
-    for group, build, names in (
-            ("weight", weight_from_config, lambda weight: weight.config_names()),
-            ("volatility", vol_from_config, vol_to_config)):
+    for group, registry in (("weight", WEIGHT_VARIANTS), ("volatility", VOLATILITY_VARIANTS)):
         # a known kind that reads the group cannot run without it
         if (f"{group}.variant" in entries if row is _ANY_KIND
                 else f"{group}." in row.reads):
             try:
-                settings[group] = build(entries)
-            except (ValueError, TypeError) as exc:
+                settings[group], read = _build(group, registry, entries)
+            except ValueError as exc:
                 violations.append(f"{group}: {exc}")
                 continue
-            read = names(settings[group])
             violations.extend(
                 f"{group} variant {entries[f'{group}.variant']} does not read key {key!r}"
                 for key in entries if key.startswith(f"{group}.") and key not in read)
@@ -449,9 +468,15 @@ def _experiment_fields(settings, cls, **renamed):
 # the runner
 # ---------------------------------------------------------------------------
 
+def _create(out_dir, name):
+    """Open ``out_dir/name`` for writing, making ``out_dir`` for the first file."""
+    os.makedirs(out_dir, exist_ok=True)
+    return open(os.path.join(out_dir, name), "w")
+
+
 def _write_csv(out_dir, name, header, rows, comment=None):
     """Write one table, in the format above, as ``out_dir/name``; return ``name``."""
-    with open(os.path.join(out_dir, name), "w") as fh:
+    with _create(out_dir, name) as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
@@ -463,7 +488,7 @@ def _write_csv(out_dir, name, header, rows, comment=None):
 
 def _write_matrix(out_dir, name, values, comment):
     """Write a ``# comment`` line over a ``%.17g`` matrix; return ``name``."""
-    with open(os.path.join(out_dir, name), "w") as fh:
+    with _create(out_dir, name) as fh:
         fh.write(f"# {comment}\n")
         np.savetxt(fh, values, delimiter=",", fmt="%.17g")
     return name
@@ -472,9 +497,9 @@ def _write_matrix(out_dir, name, values, comment):
 def run(config):
     """Validate, execute, and write ``report.json`` plus CSV tables.
 
-    Returns the exit status.  Nothing is written unless validation passes;
-    the report lands last, so a ``report.json`` on disk certifies that every
-    CSV next to it is complete.
+    Returns the exit status.  Nothing is written unless validation passes,
+    the output directory being made with the first file; the report lands last,
+    so a ``report.json`` on disk certifies that every CSV next to it is complete.
     """
     settings, general, refusals = _parse(config)
     if general or refusals:
@@ -483,7 +508,6 @@ def run(config):
         return EXIT_REFUSED if not general else EXIT_CONFIG
 
     out_dir = settings["out"]
-    os.makedirs(out_dir, exist_ok=True)
     t_start = time.perf_counter()
     runner = {
         "hermite": _run_hermite,
@@ -514,8 +538,7 @@ def run(config):
         "files": sorted(files),
         "runtime_s": time.perf_counter() - t_start,
     }
-    path = os.path.join(out_dir, "report.json")
-    with open(path, "w") as fh:
+    with _create(out_dir, "report.json") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return EXIT_OK
@@ -557,14 +580,17 @@ def _run_kernel_report(settings):
     weight, quad = settings["weight"], settings["quad"]
     per_n = {}
     for n in settings["n"]:
-        cn = compute_cn(weight, n, quad)
         k = _thinning(settings, n)
-        row = {"c_n": float(cn), "k": int(k), "eps": k / n}
-        for name, cell in weight.corner_cells(n).items():
-            row[name] = float(concentration_mass(weight, n, cell, quad))
+        cells = dict(weight.corner_cells(n))
         if weight.concentration_point is not None:
-            row["near_mass"] = float(concentration_mass(
-                weight, n, near_region(weight, k / n), quad))
+            cells["near_mass"] = near_region(weight, k / n)
+        name = "c_n"  # the column being computed, named if it fails
+        try:
+            row = {"c_n": float(compute_cn(weight, n, quad)), "k": int(k), "eps": k / n}
+            for name, cell in cells.items():
+                row[name] = float(concentration_mass(weight, n, cell, quad))
+        except QuadratureError as exc:
+            raise QuadratureError(f"column {name!r} at n={n}: {exc}", exc.estimate) from exc
         per_n[str(n)] = row
     # every n has the same columns, in the same order
     name = _write_csv(settings["out"], "kernel_report.csv", ["n", *row],
@@ -648,7 +674,7 @@ def _run_asymptotics(settings):
         except ValueError as exc:
             slopes[name] = {"skipped": str(exc)}
     results = {
-        "admissible_kappa": str(require_weight(weight).kappa_range()),
+        "admissible_kappa": str(weight.kappa_range()),
         "kappa": kappa,
         "per_n": {str(n): {name: float(v) for name, v in measures[n].items()}
                   for n in schedule},

@@ -21,12 +21,12 @@ Variants
 
 Each variant's facts live on its class; the module-level functions and the
 other modules only read them.  The class holds the config name ``variant``
-(the registry key), ``evaluate`` and the mass reduction ``mass``, the
-concentration geometry (``concentration_point``, ``window``,
-``corner_cells``, ``limit_atoms``), the admissible ``kappa_range``, the
-region ``catalog``, the exact routes (``signed_strips`` where
-``has_strips``, ``lattice_autocorrelation`` where ``has_autocorrelation``)
-and the config keys (``config_keys``, ``config_names``, ``from_config``).
+(its key in ``VARIANTS``), its parameters as dataclass fields, ``evaluate``
+and the mass reduction ``mass``, the concentration geometry
+(``concentration_point``, ``window``, ``corner_cells``, ``limit_atoms``), the
+admissible ``kappa_range``, the region ``catalog`` and the exact routes
+(``signed_strips`` where ``has_strips``, ``lattice_autocorrelation`` where
+``has_autocorrelation``).
 ``WeightSpec`` holds the defaults for the facts a variant lacks: its ``window``
 and ``catalog`` refuse a kernel without a single concentration point.
 
@@ -69,6 +69,7 @@ from .regions import (
 )
 
 __all__ = [
+    "VARIANTS",
     "SlowFunction",
     "WeightSpec",
     "UniformWeight",
@@ -83,8 +84,6 @@ __all__ = [
     "concentration_mass",
     "near_region",
     "thinning_count",
-    "weight_to_config",
-    "weight_from_config",
 ]
 
 
@@ -188,9 +187,10 @@ class KappaRange:
 class WeightSpec:
     """Base of the weight variants: the defaults for facts a variant lacks.
 
-    Every variant also defines ``evaluate``, ``mass``, ``kappa_range``,
-    ``limit_atoms``, ``config_keys`` and ``from_config``; ``window`` and
-    ``catalog`` refuse one without a single concentration point.
+    A variant is a frozen dataclass whose fields are its parameters, each
+    read from the config key ``weight.<field>``.  Every variant also defines
+    ``evaluate``, ``mass``, ``kappa_range`` and ``limit_atoms``; ``window``
+    and ``catalog`` refuse one without a single concentration point.
     """
 
     variant = None               # config name and registry key
@@ -215,10 +215,6 @@ class WeightSpec:
     def corner_cells(self, n):
         """Named cells carrying a multi-atom concentration limit."""
         return {}
-
-    def config_names(self):
-        """Every ``weight.*`` key ``from_config`` reads for this variant."""
-        return {"weight.variant", "weight.scale", *self.config_keys()}
 
     def _check_scale(self):
         """Refuse a ``scale`` that is not finite and positive (every variant's check)."""
@@ -270,16 +266,6 @@ class _ProfileWeight(WeightSpec):
     def limit_atoms(self):
         """A unit point mass at the concentration point."""
         return ((1.0, self.concentration_point),)
-
-    def config_keys(self):
-        return {"weight.alpha": repr(self.alpha), "weight.ell": self.ell.name}
-
-    @classmethod
-    def from_config(cls, mapping, scale):
-        if "weight.alpha" not in mapping:
-            raise ValueError(f"missing key weight.alpha for the {cls.variant} variant")
-        ell = SlowFunction(mapping.get("weight.ell", "one_minus_s"))
-        return cls(alpha=float(mapping["weight.alpha"]), ell=ell, scale=scale)
 
 
 @dataclass(frozen=True)
@@ -397,24 +383,6 @@ class UniformWeight(WeightSpec):
         v_plus = (ej - self.t1 - wid_t, ej - self.t1)
         v_minus = (ej - self.t2 - d, ej - self.t2 - d + wid_t)
         return (u_plus, 1.0), (u_minus, -1.0), (v_plus, 1.0), (v_minus, -1.0)
-
-    def config_keys(self):
-        return {
-            "weight.s1": repr(self.s1),
-            "weight.s2": repr(self.s2),
-            "weight.t1": repr(self.t1),
-            "weight.t2": repr(self.t2),
-        }
-
-    @classmethod
-    def from_config(cls, mapping, scale):
-        return cls(
-            s1=float(mapping.get("weight.s1", 0.25)),
-            s2=float(mapping.get("weight.s2", 0.75)),
-            t1=float(mapping.get("weight.t1", 0.25)),
-            t2=float(mapping.get("weight.t2", 0.75)),
-            scale=scale,
-        )
 
 
 @dataclass(frozen=True)
@@ -881,7 +849,7 @@ def _slant_band(b, lo, hi):
     ))
 
 
-_VARIANTS = {cls.variant: cls for cls in (UniformWeight, SingularWeight, TriangleWeight)}
+VARIANTS = {cls.variant: cls for cls in (UniformWeight, SingularWeight, TriangleWeight)}
 
 
 def require_weight(spec):
@@ -975,26 +943,3 @@ def near_region(spec, eps):
     if eps <= 0.0:
         raise ValueError(f"neighborhood size must be positive, got {eps}")
     return require_weight(spec).window(eps)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def weight_to_config(spec):
-    """Flat key-value representation (values already stringified)."""
-    out = {"weight.variant": require_weight(spec).variant, **spec.config_keys()}
-    if spec.scale != 1.0:
-        out["weight.scale"] = repr(spec.scale)
-    return out
-
-
-def weight_from_config(mapping):
-    """Inverse of :func:`weight_to_config`."""
-    variant = mapping.get("weight.variant")
-    if variant is None:
-        raise ValueError("missing key weight.variant")
-    scale = float(mapping.get("weight.scale", 1.0))
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown weight variant {variant!r}")
-    return _VARIANTS[variant].from_config(mapping, scale)

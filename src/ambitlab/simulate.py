@@ -87,6 +87,7 @@ def _lattice_plan(spec, n, M):
     The spectrum is of g at the offsets ((2j+1)/M, (2l+1)/M), j, l < M/2,
     padded to M x M.  Each spot check pairs a lattice point with g at its
     offsets from every noise-cell midpoint, evaluated apart from the table.
+    Table and checks form offsets as integers over M, so both read an edge alike.
     A table that is zero throughout (a support between the midpoints) would
     simulate the field as identically 0, so it raises QuadratureError.
     """
@@ -98,10 +99,10 @@ def _lattice_plan(spec, n, M):
             "so the simulated field would be identically 0; raise oversample")
     spectrum = np.fft.rfft2(table, (M, M))
     del table  # peak memory: not held while the spot-check kernels are built
-    mid = midpoints(M)
+    offsets = {i: (i * (M // n) + M - 1 - 2 * np.arange(M)) / M for i in (0, n // 2, n)}
     checks = tuple(
-        ((i, j), eval_g(spec, i / n - mid[:, None], j / n - mid[None, :]))
-        for i, j in sorted({(0, 0), (n // 2, n // 2), (n, n)}))
+        ((i, i), eval_g(spec, offsets[i][:, None], offsets[i][None, :]))
+        for i in sorted(offsets))
     spectrum.setflags(write=False)
     for _, g in checks:
         g.setflags(write=False)

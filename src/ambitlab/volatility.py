@@ -2,24 +2,26 @@
 
 Three models: a constant, a named deterministic closure, and a smoothed
 log-Gaussian draw.  Each variant's facts live on its class, and the other
-modules only read them: the config name ``variant`` (the registry key), the
-flags ``constant`` and ``redrawn``, and ``realize``, its grid, continuous by
-construction and so not checked again.  Realizations are cell-midpoint grids
-that stay immutable once sampled; the random stream is derived from the
-caller's seed with a substream tag reserved for volatility, so fields never
-share randomness with the driving noise.
+modules only read them: the config name ``variant`` (its key in ``VARIANTS``),
+its parameters as dataclass fields, the flags ``constant`` and ``redrawn``,
+and ``realize``, its grid, continuous by construction and so not checked
+again.  Realizations are cell-midpoint grids that stay immutable once sampled;
+the random stream is derived from the caller's seed with a substream tag
+reserved for volatility, so fields never share randomness with the driving
+noise.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FloatRangeError
 
 __all__ = [
+    "VARIANTS",
     "VolatilityModel",
     "ConstantVol",
     "DeterministicVol",
@@ -30,8 +32,6 @@ __all__ = [
     "integrated_power",
     "squared_prefix_integral",
     "rect_integral",
-    "vol_to_config",
-    "vol_from_config",
 ]
 
 _VOL_STREAM = 1  # substream tag: volatility draws (driving noise uses its own)
@@ -82,16 +82,6 @@ class VolatilityModel:
     variant = None    # config name and registry key
     constant = False  # every realization is one constant grid
     redrawn = False   # random: each replication draws its own realization
-
-    def config_keys(self):
-        """``volatility.<field>`` -> value as text, for every parameter."""
-        return {f"volatility.{f.name}": str(getattr(self, f.name)) for f in fields(self)}
-
-    @classmethod
-    def from_config(cls, mapping):
-        """Rebuild from ``volatility.*`` keys; an unset key keeps its default."""
-        return cls(**{f.name: type(f.default)(mapping[f"volatility.{f.name}"])
-                      for f in fields(cls) if f"volatility.{f.name}" in mapping})
 
 
 @dataclass(frozen=True)
@@ -187,7 +177,7 @@ class LogGaussianVol(VolatilityModel):
         return vals
 
 
-_VARIANTS = {cls.variant: cls for cls in (ConstantVol, DeterministicVol, LogGaussianVol)}
+VARIANTS = {cls.variant: cls for cls in (ConstantVol, DeterministicVol, LogGaussianVol)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,8 +229,6 @@ def sample_volatility(model, resolution, seed=0):
     m = int(resolution)
     if m < 2 or m != resolution:
         raise ValueError(f"volatility grid resolution must be an integer >= 2, got {resolution}")
-    if not hasattr(model, "realize"):
-        raise TypeError(f"not a volatility model: {model!r}")
     return SigmaField(values=model.realize(m, seed), model=model, seed=int(seed))
 
 
@@ -316,18 +304,3 @@ def rect_integral(pref, u_iv, v_iv):
     va, vb = np.maximum(v_iv[0], -1.0), np.minimum(v_iv[1], 1.0)
     vals = pref(ub, vb) - pref(ub, va) - pref(ua, vb) + pref(ua, va)
     return np.where((ub <= ua) | (vb <= va), 0.0, vals)
-
-
-def vol_to_config(model):
-    """Flatten a model into dotted config keys."""
-    return {"volatility.variant": model.variant, **model.config_keys()}
-
-
-def vol_from_config(entries):
-    """Rebuild a model from dotted config keys (inverse of vol_to_config)."""
-    variant = entries.get("volatility.variant")
-    if variant is None:
-        raise ValueError("missing key volatility.variant")
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown volatility variant {variant!r}")
-    return _VARIANTS[variant].from_config(entries)

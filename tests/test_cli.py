@@ -1,14 +1,19 @@
+import dataclasses
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ambitlab import cli, limits, simulate
+from ambitlab import cli, kernels, limits, simulate, volatility
 from ambitlab.asymptotics import region_catalog
 from ambitlab.cli import (
     EXIT_CONFIG,
@@ -20,9 +25,9 @@ from ambitlab.cli import (
     run,
     validate,
 )
-from ambitlab.errors import NotPSDError
-from ambitlab.kernels import weight_from_config
-from ambitlab.volatility import sample_volatility, vol_from_config
+from ambitlab.errors import NotPSDError, QuadratureError
+from ambitlab.kernels import SlowFunction
+from ambitlab.volatility import sample_volatility
 
 LLN_TEXT = """
 kind = lln
@@ -68,6 +73,14 @@ def _config(text, **extra):
     entries = dict(cfg.entries)
     entries.update({k: str(v) for k, v in extra.items()})
     return ExperimentConfig(entries, cfg.problems)
+
+
+def _weight(entries):
+    return cli._build("weight", kernels.VARIANTS, entries)[0]
+
+
+def _volatility(entries):
+    return cli._build("volatility", volatility.VARIANTS, entries)[0]
 
 
 # -------------------------------------------------------------- config text
@@ -194,6 +207,55 @@ def test_a_key_the_variant_never_reads_is_a_config_error(tmp_path, text, message
     out = tmp_path / "never"
     assert run(cfg.with_overrides(out=out)) == EXIT_CONFIG
     assert not out.exists()
+
+
+# A value other than its default for every field of every registered variant.
+_FIELD_VALUES = {
+    "uniform": dict(s1=0.1, s2=0.9, t1=0.2, t2=0.8, scale=2.0),
+    "singular": dict(alpha=0.3, ell=SlowFunction("smooth_cutoff"), scale=0.5),
+    "triangle": dict(alpha=0.8, ell=SlowFunction("one"), scale=3.0),
+    "constant": dict(sigma0=1.5),
+    "deterministic": dict(name="bowl"),
+    "log_gaussian": dict(mean=-0.1, variance=0.16, smooth_length=0.4),
+}
+_REGISTRIES = {"weight": kernels.VARIANTS, "volatility": volatility.VARIANTS}
+_REGISTERED = [(group, variant) for group, registry in _REGISTRIES.items()
+               for variant in registry]
+
+
+def _build_every_field(group, variant):
+    """``_build`` on config text that sets every field of the variant."""
+    text = f"{group}.variant = {variant}\n" + "".join(
+        f"{group}.{name} = {value.name if isinstance(value, SlowFunction) else value}\n"
+        for name, value in _FIELD_VALUES[variant].items())
+    return cli._build(group, _REGISTRIES[group], ExperimentConfig.from_text(text).entries)
+
+
+@pytest.mark.parametrize("group, variant", _REGISTERED, ids=[v for _, v in _REGISTERED])
+def test_every_field_of_every_variant_is_read_from_its_key(group, variant):
+    built, read = _build_every_field(group, variant)
+    fields = dataclasses.fields(_REGISTRIES[group][variant])
+    assert sorted(_FIELD_VALUES[variant]) == sorted(field.name for field in fields)
+    assert read == {f"{group}.{name}" for name in ("variant", *_FIELD_VALUES[variant])}
+    for field in fields:
+        default = (field.default_factory() if field.default_factory is not dataclasses.MISSING
+                   else field.default)
+        assert _FIELD_VALUES[variant][field.name] != default, field.name
+        assert getattr(built, field.name) == _FIELD_VALUES[variant][field.name], field.name
+
+
+def test_the_docstring_variant_table_lists_the_keys_each_variant_reads():
+    table = cli.__doc__.split("variant        keys read besides ``variant``\n", 1)[1]
+    documented, variant = {}, None
+    for line in table.splitlines()[1:]:
+        if line.startswith("="):
+            break
+        if not line.startswith(" "):
+            variant = line.split()[0]
+            documented[variant] = set()
+        documented[variant] |= set(re.findall(r"(?:weight|volatility)\.\w+", line))
+    assert documented == {variant: _build_every_field(group, variant)[1] - {f"{group}.variant"}
+                          for group, variant in _REGISTERED}
 
 
 @pytest.mark.parametrize("text, pairing", [
@@ -343,7 +405,7 @@ def test_validate_flags_exactly_the_region_catalogs_that_cannot_be_built():
             flagged = [message for message in validate(ExperimentConfig(entries))
                        if message.startswith(f"region catalog at n={n}: ")]
             try:
-                region_catalog(weight_from_config(entries), n, kappa)
+                region_catalog(_weight(entries), n, kappa)
             except ValueError as exc:
                 assert flagged == [f"region catalog at n={n}: {exc}"]
                 refused.add((name, n))
@@ -467,7 +529,7 @@ def test_a_window_narrower_than_a_noise_cell_is_a_numerical_exit(tmp_path, capsy
     out = tmp_path / "narrow"
     cfg = _config(LLN_TEXT, n="8", out=str(out), **{"weight.s1": "0.5", "weight.s2": "0.52"})
     assert run(cfg) == EXIT_NUMERICAL
-    assert list(out.iterdir()) == []
+    assert not out.exists()
     err = capsys.readouterr().err
     assert "at n=8, M=16" in err and "raise oversample" in err
 
@@ -483,9 +545,29 @@ def test_a_clt_statistic_past_double_precision_is_a_numerical_exit(tmp_path, cap
     })
     assert validate(cfg) == []
     assert run(cfg) == EXIT_NUMERICAL
-    assert list(out.iterdir()) == []
+    assert not out.exists()
     err = capsys.readouterr().err
     assert "clt statistic abs_skewness_median at n=8 is nan" in err
+
+
+def _unstable(*args):
+    raise QuadratureError("mass did not stabilize")
+
+
+@pytest.mark.parametrize("weight, mass, column", [
+    ("variant = uniform", "compute_cn", "c_n"),
+    ("variant = uniform", "concentration_mass", "corner_11"),
+    ("variant = singular\nweight.alpha = 0.6", "concentration_mass", "near_mass"),
+], ids=["c_n", "corner", "near_mass"])
+def test_a_kernel_report_numerical_exit_names_its_column_and_n(
+        tmp_path, monkeypatch, capsys, weight, mass, column):
+    monkeypatch.setattr(cli, mass, _unstable)
+    out = tmp_path / "report"
+    cfg = ExperimentConfig.from_text(f"kind = kernel-report\nweight.{weight}\nn = 8\nkappa = 0.4\n")
+    assert run(cfg.with_overrides(out=out)) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        f"numerical: column {column!r} at n=8: mass did not stabilize\n")
+    assert not out.exists()
 
 
 # ------------------------------------------------------------- run: reports
@@ -493,14 +575,13 @@ def test_a_clt_statistic_past_double_precision_is_a_numerical_exit(tmp_path, cap
 def test_run_builds_the_weight_and_the_volatility_once(tmp_path, monkeypatch):
     calls = {"weight": 0, "volatility": 0}
 
-    def counted(name, build):
-        def wrapper(entries):
-            calls[name] += 1
-            return build(entries)
-        return wrapper
+    build = cli._build
 
-    monkeypatch.setattr(cli, "weight_from_config", counted("weight", cli.weight_from_config))
-    monkeypatch.setattr(cli, "vol_from_config", counted("volatility", cli.vol_from_config))
+    def counted(group, registry, entries):
+        calls[group] += 1
+        return build(group, registry, entries)
+
+    monkeypatch.setattr(cli, "_build", counted)
     assert run(_config(LLN_TEXT, n="16", out=str(tmp_path / "once"))) == EXIT_OK
     assert calls == {"weight": 1, "volatility": 1}
 
@@ -534,6 +615,13 @@ def test_lln_with_a_window_narrower_than_a_cell_runs(tmp_path):
     assert main(["--config", str(path), "--out", str(out)]) == EXIT_OK
     report = json.loads((out / "report.json").read_text())
     assert report["results"]["per_n"]["8"]["2.0"]["c_n"] == pytest.approx(4.0 * 0.02 / 8, rel=1e-13)
+
+
+def test_a_uniform_lln_with_a_midpoint_offset_on_the_window_edge_runs(tmp_path):
+    # at n = 17 and oversample 2 a noise-cell midpoint offset lands on the edge 0.25
+    out = tmp_path / "edge"
+    assert run(_config(LLN_TEXT, n="17", oversample=2, out=str(out))) == EXIT_OK
+    assert (out / "report.json").exists()
 
 
 def test_kernel_report_tabulates_the_exact_window_masses(tmp_path):
@@ -630,8 +718,8 @@ def test_experiment_runs_write_the_experiment_dict_in_schedule_order(
     ns = [line.split(",")[0] for line in (out / f"{kind}.csv").read_text().splitlines()[1:]]
     assert ns == sorted(ns, key=int) and set(ns) == {"8", "16"}
     results = json.loads((out / "report.json").read_text())["results"]
-    expected = experiment(cls(weight=weight_from_config(cfg.entries),
-                              volatility=vol_from_config(cfg.entries),
+    expected = experiment(cls(weight=_weight(cfg.entries),
+                              volatility=_volatility(cfg.entries),
                               n_schedule=(8, 16), **fields))
     results.pop("runtime_s"), expected.pop("runtime_s")
     assert results == expected
@@ -669,8 +757,8 @@ def test_simulate_run_writes_field_sigma_and_variation(tmp_path):
     assert report["results"]["field_min"] < report["results"]["field_max"]
 
     # field.csv and sigma.csv load back to the arrays the run drew, bit for bit
-    sigma = sample_volatility(vol_from_config(cfg.entries), 32, seed=3)
-    weight = weight_from_config(cfg.entries)
+    sigma = sample_volatility(_volatility(cfg.entries), 32, seed=3)
+    weight = _weight(cfg.entries)
     field, check_error = simulate.simulate_lattice(weight, sigma, 16, 32, seed=3, rep=0)
     assert (out / "field.csv").read_text().splitlines()[0] == (
         f"# lattice field: n=16 weight={repr(weight)!r} n=16 M=32 noise_seed=3 noise_rep=0 "
@@ -706,6 +794,115 @@ def test_seed_changes_the_numbers_and_is_echoed(tmp_path):
     assert run(_config(LLN_TEXT, out=str(out_b), seed="9")) == EXIT_OK
     assert (out_a / "lln.csv").read_bytes() != (out_b / "lln.csv").read_bytes()
     assert json.loads((out_b / "report.json").read_text())["seed"] == 9
+
+
+# ---------------------------------------------------- property: config text
+
+# (valid, invalid) choices for each key; n stays at most 16, so every run is
+# quick.  A valid choice can still break a rule that ties keys together.
+_CHOICES = {
+    "seed": (("0", "7"), ("-1", "x")),
+    "kappa": (("0.05", "0.2", "0.4", "0.6", "0.9"), ("0", "1.5")),
+    "k": (("1", "2", "3"), ("0", "20")),
+    "reps": (("1", "2", "5", "20"), ("0",)),
+    "grid_size": (("1", "2"), ("0",)),
+    "oversample": (("1", "2"), ("0",)),
+    "sigma_resolution": (("2", "8"), ("1",)),
+    "eval_point": (("1, 1", "0.5, 0.75", "0.01, 0.01"), ("2, 1",)),
+    "quad.rel_tol": (("1e-8", "1e-10", "1e-15"), ("0",)),
+    "quad.abs_tol": (("1e-12", "1e-300"), ("-1",)),
+    "override_admissibility": (("true", "false"), ("maybe",)),
+    "weight.variant": (tuple(kernels.VARIANTS), ("grid",)),
+    "volatility.variant": (tuple(volatility.VARIANTS), ("mystery",)),
+    # the variant fields, by field name
+    "s1": (("0", "0.25", "0.5"), ("-0.5",)),
+    "s2": (("0.52", "0.75", "1"), ("0.1",)),
+    "t1": (("0", "0.25", "0.5"), ("2",)),
+    "t2": (("0.6", "0.75", "1"), ("x",)),
+    "scale": (("1", "0.5", "3"), ("0", "nan")),
+    "alpha": (("0.3", "0.6", "0.75", "0.9"), ("1.2",)),
+    "ell": (("one", "one_minus_s", "cos_quarter", "smooth_cutoff"), ("bogus",)),
+    "sigma0": (("1", "2.5"), ("0",)),
+    "name": (("sine_product", "gentle_slope", "bowl"), ("nope",)),
+    "mean": (("0", "-0.5"), ("nan",)),
+    "variance": (("0.25", "1", "1e6"), ("0",)),
+    "smooth_length": (("0.05", "0.25", "1"), ("5",)),
+    "p": (("0.5", "1", "1.5", "2", "3", "1, 2"), ("-1", "nan", "160", "2, 2")),
+    "n": (("2", "4", "8", "16", "4, 8", "5, 11, 16", "7"), ("1", "8, 4")),
+}
+# keys some other kind or variant reads, and bare field names, which no config reads
+_STRAY_KEYS = (*_CHOICES, *dict.fromkeys(
+    f"{group}.{field.name}" for group, registry in _REGISTRIES.items()
+    for cls in registry.values() for field in dataclasses.fields(cls)))
+
+
+def _choice(draw, key, flawed):
+    """A valid choice for ``key``; in a flawed config, one time in four an invalid one."""
+    valid, invalid = _CHOICES[key]
+    return draw(st.sampled_from(invalid if flawed and draw(st.integers(0, 3)) == 0 else valid))
+
+
+@st.composite
+def _config_texts(draw):
+    """Config text for one kind: the keys it needs, some it reads, now and then
+    one it does not read."""
+    kind = draw(st.sampled_from((*cli._KINDS, "banana")))
+    row = cli._KINDS.get(kind, cli._KindKeys(()))
+    needed = {draw(st.sampled_from(need.split("|"))) for need in row.needs}
+    flawed = draw(st.booleans())
+    entries = {"kind": kind}
+    for key in ("seed", *row.reads):
+        if key in ("weight.", "volatility."):
+            group = key[:-1]
+            entries[f"{group}.variant"] = variant = _choice(draw, f"{group}.variant", flawed)
+            cls = _REGISTRIES[group].get(variant)
+            for field in dataclasses.fields(cls) if cls is not None else ():
+                required = field.default is field.default_factory is dataclasses.MISSING
+                if required or draw(st.booleans()):
+                    entries[f"{group}.{field.name}"] = _choice(draw, field.name, flawed)
+        elif key in needed or (key not in ("kappa", "k") and draw(st.booleans())):
+            entries[key] = _choice(draw, key, flawed)
+    if draw(st.integers(0, 7)) == 0:
+        stray = draw(st.sampled_from(_STRAY_KEYS))
+        name = stray if stray in _CHOICES else stray.rpartition(".")[2]
+        entries.setdefault(stray, _choice(draw, name, flawed))
+    return "".join(f"{key} = {value}\n" for key, value in entries.items())
+
+
+def _finite_cells(path):
+    """Whether every number in a table or matrix file is finite."""
+    for line in path.read_text().splitlines():
+        if line.startswith("#"):
+            continue
+        for cell in line.split(","):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue  # a header or a label
+            if not math.isfinite(value):
+                return False
+    return True
+
+
+@settings(max_examples=500, suppress_health_check=[HealthCheck.too_slow])
+@given(text=_config_texts())
+def test_every_config_text_exits_with_a_status_and_leaves_a_whole_report_or_nothing(text):
+    cfg = ExperimentConfig.from_text(text)
+    _, violations, refusals = cli._parse(cfg)
+    assert validate(cfg) == violations + refusals
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "out"
+        status = run(cfg.with_overrides(out=out))
+        assert status in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_REFUSED)
+        # validate is empty exactly when run passes validation; a refusal alone exits 4
+        assert (status == EXIT_CONFIG) == bool(violations)
+        assert not refusals or status in (EXIT_CONFIG, EXIT_REFUSED)
+        if status != EXIT_OK:
+            assert not out.exists()
+            return
+        files = json.loads((out / "report.json").read_text())["files"]
+        assert sorted(path.name for path in out.iterdir()) == sorted([*files, "report.json"])
+        assert all(_finite_cells(out / name) for name in files)
 
 
 # ------------------------------------------------------------- entry point

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import roots_legendre
 
-from ambitlab import kernels, regions
+from ambitlab import cli, kernels, regions
 from ambitlab.errors import QuadratureError
 from ambitlab.kernels import (
     KappaRange,
@@ -21,8 +21,6 @@ from ambitlab.kernels import (
     mu_mass,
     near_region,
     thinning_count,
-    weight_from_config,
-    weight_to_config,
 )
 from ambitlab.quadrature import QuadratureConfig
 from ambitlab.regions import Difference, Everything, HalfPlane, Intersection, Rect, band
@@ -694,39 +692,29 @@ def test_thinning_count_rejects_bad_resolution():
         thinning_count(0, 0.4)
 
 
-# ---------------------------------------------------------------- serialization
+# ---------------------------------------------------------------- config keys
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        UniformWeight(),
-        UniformWeight(s1=0.1, s2=0.9, t1=0.2, t2=0.8, scale=2.0),
-        SingularWeight(alpha=0.3),
-        SingularWeight(alpha=0.75, ell=SlowFunction("smooth_cutoff"), scale=0.5),
-        TriangleWeight(alpha=0.8, ell=SlowFunction("one")),
-    ],
-)
-def test_weight_config_roundtrip(spec):
-    assert weight_from_config(weight_to_config(spec)) == spec
+def _weight(entries):
+    return cli._build("weight", kernels.VARIANTS, entries)[0]
 
 
 def test_weight_config_rejects_incomplete_mappings():
-    with pytest.raises(ValueError):
-        weight_from_config({})
-    with pytest.raises(ValueError):
-        weight_from_config({"weight.variant": "banana"})
-    with pytest.raises(ValueError):
-        weight_from_config({"weight.variant": "singular"})  # no alpha
+    with pytest.raises(ValueError, match="missing key weight.variant"):
+        _weight({})
+    with pytest.raises(ValueError, match="unknown weight variant 'banana'"):
+        _weight({"weight.variant": "banana"})
+    with pytest.raises(ValueError, match="missing key weight.alpha for the singular variant"):
+        _weight({"weight.variant": "singular"})
 
 
 # The exponents each variant needs to build; every other key has a default.
 _VARIANT_KEYS = {"singular": {"weight.alpha": "0.6"}, "triangle": {"weight.alpha": "0.75"}}
 
 
-@pytest.mark.parametrize("variant", sorted(kernels._VARIANTS))
+@pytest.mark.parametrize("variant", sorted(kernels.VARIANTS))
 def test_every_variant_has_closed_form_atoms_and_a_thinning_range(variant):
     # lln, clt and asymptotics call limit_atoms and kappa_range unguarded
-    spec = weight_from_config({"weight.variant": variant, **_VARIANT_KEYS.get(variant, {})})
+    spec = _weight({"weight.variant": variant, **_VARIANT_KEYS.get(variant, {})})
     atoms = spec.limit_atoms()
     assert atoms
     for weight, point in atoms:

@@ -124,6 +124,14 @@ def test_simulate_variance_at_center_matches_window_area():
     assert abs(second - 0.25) < 5 * 0.25 * np.sqrt(2 / reps)
 
 
+@pytest.mark.parametrize("n", [7, 11, 17, 21, 29, 35, 39])
+def test_the_spot_check_reads_an_offset_on_the_edge_as_the_table_does(n):
+    # at M = 4n with n odd a midpoint offset lands on the rectangle's edge 0.25
+    sig = sample_volatility(ConstantVol(1.0), 4 * n, seed=0)
+    _, err = simulate_lattice(UniformWeight(), sig, n, 4 * n, seed=0)
+    assert err < 1e-12
+
+
 _ONE = SlowFunction("one")
 _WEIGHTS = {
     "uniform": UniformWeight(s1=0.25, s2=1.0, t1=0.0, t2=0.75),

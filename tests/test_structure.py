@@ -51,8 +51,8 @@ TESTS = SRC.parents[1] / "tests"
 READERS = (SRC, TESTS, SRC.parents[1] / "perfbench")
 # every class kernels or volatility registers as a variant, so a new one is
 # guarded too
-WEIGHT_CLASSES = {cls.__name__ for cls in kernels._VARIANTS.values()}
-VOLATILITY_CLASSES = {cls.__name__ for cls in volatility._VARIANTS.values()}
+WEIGHT_CLASSES = {cls.__name__ for cls in kernels.VARIANTS.values()}
+VOLATILITY_CLASSES = {cls.__name__ for cls in volatility.VARIANTS.values()}
 
 
 def _tree(path):
@@ -273,7 +273,6 @@ ORACLES = {
     "kernels.WeightSpec.window": "test_asymptotics.py::test_window_ratio_refuses_a_uniform_weight",
     "kernels.UniformWeight.lattice_autocorrelation":
         "test_simulate.py::test_strips_engine_agrees_with_stationary_engine",
-    "kernels.weight_to_config": "test_kernels.py::test_weight_config_roundtrip",
     "regions.Difference": "test_regions.py::test_mass_is_additive_across_a_half_plane_cut",
     "variation.power_variation": "test_variation.py::test_field_matches_pointwise_statistic",
     "volatility.integrated_power":

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ambitlab import volatility
+from ambitlab import cli, volatility
 from ambitlab.errors import FloatRangeError
 from ambitlab.volatility import (
     ConstantVol,
@@ -15,8 +15,6 @@ from ambitlab.volatility import (
     rect_integral,
     sample_volatility,
     squared_prefix_integral,
-    vol_from_config,
-    vol_to_config,
 )
 
 
@@ -265,20 +263,8 @@ def test_at_looks_up_covering_cell():
     assert f.at(-1.0, -1.0) == f.values[0, 0]  # clipped to the boundary cell
 
 
-@pytest.mark.parametrize(
-    "model",
-    [
-        ConstantVol(1.5),
-        DeterministicVol("bowl"),
-        LogGaussianVol(mean=-0.1, variance=0.16, smooth_length=0.4),
-    ],
-)
-def test_config_roundtrip(model):
-    assert vol_from_config(vol_to_config(model)) == model
-
-
 def test_config_missing_variant():
     with pytest.raises(ValueError, match="missing key volatility.variant"):
-        vol_from_config({})
+        cli._build("volatility", volatility.VARIANTS, {})
     with pytest.raises(ValueError, match="unknown volatility variant 'mystery'"):
-        vol_from_config({"volatility.variant": "mystery"})
+        cli._build("volatility", volatility.VARIANTS, {"volatility.variant": "mystery"})
