@@ -123,10 +123,9 @@ from .simulate import DENSE_CAP, increments, simulate_lattice
 from .variation import retained_corners, scaled_power_variation, variation_field
 from .volatility import VARIANTS as VOLATILITY_VARIANTS, sample_volatility
 
-# numpy loads these submodules on first use (np.percentile in the lln
-# summary, np.median in the clt summary and np.unique in the LLN limit's cell
-# table touch numpy.ma): load them with the CLI, so that a run imports nothing.
-for _submodule in ("numpy.fft", "numpy.ma", "numpy.random"):
+# numpy loads these submodules on first use: load them with the CLI, so that
+# a run imports nothing.
+for _submodule in ("numpy.fft", "numpy.random"):
     importlib.import_module(_submodule)
 
 __all__ = ["ExperimentConfig", "main", "run", "validate"]
@@ -699,7 +698,10 @@ def _run_simulate(settings):
     k = _thinning(settings, n)
     p = settings.get("p", [2.0])[0]
     eps = k / n
-    c_n = float(compute_cn(weight, n, settings["quad"]))
+    try:
+        c_n = float(compute_cn(weight, n, settings["quad"]))
+    except QuadratureError as exc:
+        raise QuadratureError(f"c_n at n={n}: {exc}", exc.estimate) from exc
     scaled = scaled_power_variation(variation_field(increments(values, k), p), p, eps, c_n)
     ticks = [i * k / n for i in range(scaled.shape[0])]
     files = [

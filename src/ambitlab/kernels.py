@@ -246,21 +246,24 @@ class _ProfileWeight(WeightSpec):
         """The radial/height profile r^(-alpha) ell(r) on (0,1), zero elsewhere.
 
         Zero at r = 0 too, where the profile diverges; accepts scalars or arrays.
-        Where every point lies in (0, 1), as at the inner nodes of the mass
-        integrands, the product skips the mask and forms r^(-alpha) * scale *
-        ell(r) in place: float multiplication is commutative, so the bits are
-        those of the masked scale * r^(-alpha) * ell(r).
+        The product is formed in place as r^(-alpha) * scale * ell(r), over
+        the points in (0, 1) alone where some lie outside, and skips ell where
+        it is identically one (x * 1.0 is x).  Float multiplication is
+        commutative, so the bits are those of scale * r^(-alpha) * ell(r).
         """
         r = np.asarray(r, dtype=float)
         inside = (r > 0.0) & (r < 1.0)
-        if inside.all():
-            out = r ** (-self.alpha)
-            out *= self.scale
-            out *= self.ell(r)
+        every = inside.all()
+        ri = r if every else r[inside]
+        vals = ri ** (-self.alpha)
+        vals *= self.scale
+        if self.ell.name != "one":
+            vals *= self.ell(ri)
+        if every:
+            out = vals
         else:
             out = np.zeros_like(r)
-            ri = r[inside]
-            out[inside] = self.scale * ri ** (-self.alpha) * self.ell(ri)
+            out[inside] = vals
         return out if out.ndim else float(out)
 
     def limit_atoms(self):
@@ -597,16 +600,16 @@ class SingularWeight(_ProfileWeight):
             widths w down to ~1e-17 next to a pinch of the wedge, where
             F(y + w) - F(y) computed literally is pure rounding staircase.
             """
-            y = np.asarray(y, dtype=float)
-            w = np.asarray(w, dtype=float)
+            y, w = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(w, dtype=float))
             live = w > 0.0
-            at0 = live & (y <= 0.0)
+            at0 = np.flatnonzero(live & (y <= 0.0))
+            w0 = w.ravel()[at0]  # F(w) - F(0) = sum_j c_j w^e / e there
             safe_y = np.where(y > 0.0, y, 1.0)
-            safe_w = np.where(live, w, 1.0)
             grow = np.log1p(np.where(live, w, 0.0) / safe_y)
-            out = np.zeros(np.broadcast(y, w).shape, dtype=float)
+            out = np.zeros(y.shape, dtype=float)
             for c, e in coef:
-                term = np.where(at0, safe_w**e, safe_y**e * np.expm1(e * grow))
+                term = safe_y**e * np.expm1(e * grow)
+                term.flat[at0] = w0**e
                 out += (c / e) * term
             return sc * np.where(live, out, 0.0)
 
@@ -625,40 +628,47 @@ class SingularWeight(_ProfileWeight):
         antiderivative.  Wedges a and b are the products, over the windows
         of x1 and x2; wedge c (w1 < w2) or d (w1 > w2) is the F-difference.
 
-        Each wedge of each offset is one job, and all of them go through one
-        :func:`~ambitlab.quadrature.integrate_pieces` call: a job's window
-        ends, wedge and singular abscissas {0, -w1, -w2} are read per node
-        from its job index.  An offset's value adds its wedges in the order
-        a, b, c/d.  Offsets from the singular abscissas arrive exact from the
-        graded layout.  A quadrature failure names the offset and the wedge.
+        Each wedge of each offset is one job.  The jobs go through two
+        :func:`~ambitlab.quadrature.integrate_pieces` calls, one batch of the
+        product wedges a and b and one of the F-difference wedges c and d,
+        each with a straight-line integrand that reads its job's window ends,
+        wedge and singular abscissas {0, -w1, -w2} per node by job index.  The
+        integrands are pointwise, so a job's value does not depend on its
+        batch.  An offset's value adds its wedges in the order a, b, c/d.
+        Offsets from the singular abscissas arrive exact from the graded
+        layout.  A quadrature failure names the offset and the wedge.  The
+        error raised is that of the first failing offset in order, and its
+        product wedges' before its F-difference's: a failed batch is redone
+        offset by offset, each raising as it would in the batch.
         """
         w1, w2 = np.broadcast_arrays(np.asarray(w1, dtype=float), np.asarray(w2, dtype=float))
         fdiff = self._profile_antiderivative()
-        jobs, labels, owner, params = [], [], [], []
+        # per batch, products then F-differences: jobs, labels, offsets, parameters
+        batches = ([], [], [], []), ([], [], [], [])
         for k, (x1, x2) in enumerate(zip(w1.ravel().tolist(), w2.ravel().tolist())):
             a1, b1 = max(0.0, -x1), min(1.0, 1.0 - x1)
             a2, b2 = max(0.0, -x2), min(1.0, 1.0 - x2)
             if b1 <= a1 or b2 <= a2:
                 continue
             c = x1 - x2
-            # (name, window, product?, shift, base, cap, far, floor): see the integrand
-            wedges = [("a", a1, b1, True, -x1, a2 - min(0.0, c), b2 - a2, 0.0, 0.0),
-                      ("b", a2, b2, True, -x2, a1 + max(0.0, c), b1 - a1, 0.0, 0.0)]
+            # (name, window, batch, (shift, base, cap[, far, floor])): see the integrands
+            wedges = [("a", a1, b1, 0, (-x1, a2 - min(0.0, c), b2 - a2)),
+                      ("b", a2, b2, 0, (-x2, a1 + max(0.0, c), b1 - a1))]
             if c < 0.0:
-                wedges.append(("c", a1, b1, False, -x1, a2, min(-c, b2 - a2), b2 - c, a2 + x2))
+                wedges.append(("c", a1, b1, 1, (-x1, a2, min(-c, b2 - a2), b2 - c, a2 + x2)))
             elif c > 0.0:
-                wedges.append(("d", a2, b2, False, -x2, a1, min(c, b1 - a1), b1 + c, a1 + x1))
+                wedges.append(("d", a2, b2, 1, (-x2, a1, min(c, b1 - a1), b1 + c, a1 + x1)))
             brks = [a1, b1, a2, b2, a2 - c, b2 - c, a1 + c, b1 + c,
                     -x1, -x2, 1.0 - x1, 1.0 - x2, 0.0, 1.0]
             sing = [0.0, -x1, -x2]
-            for name, lo, hi, *rest in wedges:
+            for name, lo, hi, batch, params in wedges:
+                jobs, labels, owner, rows = batches[batch]
                 jobs.append(make_pieces(brks + sing, sing, lo, hi))
                 labels.append(f"autocorrelation at w = ({x1!r}, {x2!r}), wedge {name}")
                 owner.append(k)
-                params.append(rest)
-        if not jobs:
+                rows.append(params)
+        if not batches[0][0]:
             return np.zeros(w1.shape)[()]
-        product, shift, base, cap, far, floor = (np.array(col) for col in zip(*params))
 
         # Every length/width below is a min over pairwise differences of the
         # window endpoints, each difference formed at its own best precision
@@ -667,29 +677,46 @@ class SingularWeight(_ProfileWeight):
         # endpoint values instead goes to rounding noise exactly where the
         # grading dives deepest.
 
-        def integrand(x, delta, origin, job):
-            def offs(at, point):
-                """x - point at the nodes ``at``, exact where the layout grades toward point."""
-                moved = x[at] - point
-                return moved if origin is None else np.where(origin[at] == point, delta[at], moved)
+        def offsets(x, delta, origin):
+            """point -> x - point, exact where the layout grades toward point."""
+            def offs(point):
+                moved = x - point
+                if origin is not None:
+                    np.copyto(moved, delta, where=origin == point)
+                return moved
+            return offs
 
-            out = self.profile(offs(slice(None), 0.0))  # f(x)
+        def products(shift, base, cap):
             # a, b: f(x) f(x + shift) times the clipped length of the other window
-            at = np.flatnonzero(product[job])
-            j = job[at]
-            out[at] = (out[at] * self.profile(offs(at, shift[j]))
-                       * np.clip(offs(at, base[j]), 0.0, cap[j]))
+            def integrand(x, delta, origin, job):
+                offs = offsets(x, delta, origin)
+                return (self.profile(offs(0.0)) * self.profile(offs(shift[job]))
+                        * np.clip(offs(base[job]), 0.0, cap[job]))
+            return integrand
+
+        def differences(shift, base, cap, far, floor):
             # c, d: f(x) times F over the other window from its moving floor
-            at = np.flatnonzero(~product[job])
-            j = job[at]
-            width = np.minimum(cap[j], np.minimum(offs(at, base[j]), -offs(at, far[j])))
-            low = np.maximum(offs(at, shift[j]), floor[j])
-            out[at] = out[at] * fdiff(low, width)
-            return out
+            def integrand(x, delta, origin, job):
+                offs = offsets(x, delta, origin)
+                width = np.minimum(cap[job], np.minimum(offs(base[job]), -offs(far[job])))
+                low = np.maximum(offs(shift[job]), floor[job])
+                return self.profile(offs(0.0)) * fdiff(low, width)
+            return integrand
 
         total = [0.0] * w1.size
-        for k, value in zip(owner, integrate_pieces(integrand, jobs, quadcfg, labels).tolist()):
-            total[k] += value
+        try:
+            for make, (jobs, labels, owner, rows) in zip((products, differences), batches):
+                if jobs:
+                    values = integrate_pieces(make(*(np.array(col) for col in zip(*rows))),
+                                              jobs, quadcfg, labels)
+                    for k, value in zip(owner, values.tolist()):
+                        total[k] += value
+        except QuadratureError:
+            # a job fails alone as it does in a batch: the first failing offset raises
+            if w1.size > 1:
+                for x1, x2 in zip(w1.ravel().tolist(), w2.ravel().tolist()):
+                    self.autocorrelation(x1, x2, quadcfg)
+            raise
         return np.array(total).reshape(w1.shape)[()]
 
     def lattice_autocorrelation(self, n, quadcfg, offsets):

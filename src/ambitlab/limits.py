@@ -72,6 +72,15 @@ def _check_shifted_domain(atoms, s, t):
             )
 
 
+def _unique(x):
+    """np.unique(x) of a 1-D array bit for bit, without the import of numpy.ma
+    that it makes; x holds no NaN."""
+    x = np.sort(x)
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
 def _mixture_cell_table(sigma, atoms, s_max, t_max):
     """Overlay cuts of [0,s]x[0,t] and the mixture of squared volatilities.
 
@@ -87,7 +96,7 @@ def _mixture_cell_table(sigma, atoms, s_max, t_max):
         for off in offsets:
             e = edges + off
             cs.append(e[(e > 0.0) & (e < limit)])
-        return np.unique(np.concatenate(cs))
+        return _unique(np.concatenate(cs))
 
     cu = cuts(s_max, [xi for _, (xi, _) in atoms])
     cv = cuts(t_max, [tau for _, (_, tau) in atoms])
@@ -244,12 +253,36 @@ class CLTConfig:
                  f"volatility resolution must be >= 2, got {self.sigma_resolution}")
 
 
+def _quartiles(xs):
+    """np.percentile(xs, [25, 50, 75]) bit for bit, without the import of
+    numpy.ma that it makes: a sort, then numpy's linear-method lerp."""
+    x = np.sort(np.asarray(xs, dtype=float))
+    at = (x.size - 1) * np.array([0.25, 0.5, 0.75])
+    below = np.floor(at)
+    below[at >= x.size - 1] = -1.0  # numpy reads a lone value as the last one
+    t = at - below
+    a = x[below.astype(np.intp)]
+    b = x[np.minimum(below + 1.0, x.size - 1).astype(np.intp)]
+    diff = b - a
+    q = a + diff * t
+    np.subtract(b, diff * (1.0 - t), out=q, where=t >= 0.5)
+    return np.where(np.isnan(x[-1]), x[-1], q)
+
+
+def _median(xs):
+    """np.median(xs) bit for bit, without the import of numpy.ma that it makes."""
+    x = np.sort(xs)
+    half = x.size // 2
+    middle = x[half:half + 1] if x.size % 2 else x[half - 1:half + 1]
+    return x[-1] if np.isnan(x[-1]) else np.mean(middle)
+
+
 def _quartile_stats(name, xs):
     """The quartiles of xs under name_q1, name_median and name_q3; None if xs is empty."""
     keys = (f"{name}_q1", f"{name}_median", f"{name}_q3")
     if not xs:
         return dict.fromkeys(keys)
-    return dict(zip(keys, np.percentile(xs, [25.0, 50.0, 75.0]).tolist()))
+    return dict(zip(keys, _quartiles(xs).tolist()))
 
 
 def _gate_kappa(weight, kappa, override, flags):
@@ -455,12 +488,13 @@ def clt_experiment(config):
                 for key in ("sample_variance", "variance_se", "skewness",
                             "excess_kurtosis", "kolmogorov_distance"):
                     entry[key] = None
-            if config.reps >= 2 * _TREND_BATCHES:
+            # batches of 2 or 3 draws give constant shape statistics
+            if config.reps >= 4 * _TREND_BATCHES:
                 batches = np.array_split(z[: config.reps - config.reps % _TREND_BATCHES],
                                          _TREND_BATCHES)
                 shapes = np.abs([_shape_moments(b) for b in batches])
-                entry["abs_skewness_median"] = float(np.median(shapes[:, 0]))
-                entry["abs_excess_kurtosis_median"] = float(np.median(shapes[:, 1]))
+                entry["abs_skewness_median"] = float(_median(shapes[:, 0]))
+                entry["abs_excess_kurtosis_median"] = float(_median(shapes[:, 1]))
             else:
                 entry["abs_skewness_median"] = None
                 entry["abs_excess_kurtosis_median"] = None

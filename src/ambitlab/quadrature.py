@@ -38,21 +38,25 @@ names the job that failed, by the label the caller gave it.
 
 Summation order
 ---------------
-Each panel's Gauss sum is one fixed-order sum: its weighted node values add
-up one node at a time, in node order.  A panel's estimate thus depends on
-its own integrand values alone, and any split of a batch into integrand
-calls gives the same values.  Converged panels add up in bisection order,
-and piece totals add up in piece order.  A job's result is therefore
-independent of the jobs batched with it, bit for bit, when its integrand is
-pointwise: its value at a node depends on that node alone.
+Nodes go to the integrand node-major: node 0 of every panel in the call,
+then node 1, and so on, so that each step of a Gauss sum reads one
+contiguous row of values.  Each panel's Gauss sum is one fixed-order sum:
+its weighted node values add up one node at a time, in node order.  A
+panel's estimate thus depends on its own integrand values alone, and any
+split of a batch into integrand calls gives the same values.  Converged
+panels add up in bisection order, and piece totals add up in piece order.
+A job's result is therefore independent of the jobs batched with it, bit
+for bit, when its integrand is pointwise: its value at a node depends on
+that node alone.
 ``SingularWeight._column`` is not pointwise, as its inner panel count
 follows the largest one the nodes of a call ask for.
 
 Node cap
 --------
 No integrand call gets more than ``_NODE_CAP`` nodes.  Larger batches are
-split at panel boundaries by :func:`node_slices`.  This bounds the
-temporaries an integrand makes at a fixed size, whatever the number of jobs.
+split at panel boundaries by :func:`node_slices`, and each slice is laid out
+node-major on its own.  This bounds the temporaries an integrand makes at a
+fixed size, whatever the number of jobs.
 """
 
 from __future__ import annotations
@@ -142,26 +146,28 @@ for _nodes in (1, 10, 14, 16, 18, 20, 24, 28):
 def _gauss_sums(f, lo, hi, job, nodes, origin=None):
     """Gauss-Legendre estimate of each panel (lo, hi).
 
-    Each panel adds its weighted node values one node at a time, in node
-    order, so its estimate depends on its own integrand values alone.  The
-    integrand gets at most ``_NODE_CAP`` nodes a call.
+    Nodes are laid out node-major, one row of panels per Gauss node, so the
+    integrand gets node 0 of every panel first.  Each panel adds its weighted
+    node values one node at a time, in node order, so its estimate depends
+    on its own integrand values alone.  The integrand gets at most
+    ``_NODE_CAP`` nodes a call.
     """
     xi, wi = gl(nodes)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     sums = np.empty(lo.size)
     for part in node_slices(lo.size, nodes):
-        pts = mid[part, None] + half[part, None] * xi
-        ids = np.repeat(job[part], nodes)
+        pts = mid[part] + half[part] * xi[:, None]
+        ids = np.tile(job[part], nodes)
         if origin is None:
             vals = f(pts.ravel(), None, None, ids)
         else:
-            at = origin[part, None]
-            vals = f((at + pts).ravel(), pts.ravel(), np.repeat(origin[part], nodes), ids)
-        vals = vals.reshape(-1, nodes)
-        acc = vals[:, 0] * wi[0]
+            at = origin[part]
+            vals = f((at + pts).ravel(), pts.ravel(), np.tile(at, nodes), ids)
+        vals = vals.reshape(nodes, -1)
+        acc = vals[0] * wi[0]
         for k in range(1, nodes):
-            acc += vals[:, k] * wi[k]
+            acc += vals[k] * wi[k]
         sums[part] = acc
     return half * sums
 

@@ -464,6 +464,20 @@ def test_unreachable_quadrature_tolerance_is_a_numerical_exit(tmp_path, capsys):
     assert "did not stabilize" in err and "np.float64" not in err
 
 
+def test_a_simulate_run_names_its_failing_c_n(tmp_path, capsys):
+    out = tmp_path / "tight"
+    cfg = ExperimentConfig({
+        "kind": "simulate", "weight.variant": "singular", "weight.alpha": "0.6",
+        "volatility.variant": "constant", "n": "16", "quad.rel_tol": "1e-15",
+        "out": str(out),
+    })
+    assert validate(cfg) == []
+    assert run(cfg) == EXIT_NUMERICAL
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("numerical: c_n at n=16: lower half {t < s}: singular mass at n=16: ")
+
+
 @pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
 def test_a_weight_scale_that_is_not_finite_is_a_config_error(tmp_path, scale):
     out = tmp_path / "scale"
@@ -536,11 +550,11 @@ def test_a_window_narrower_than_a_noise_cell_is_a_numerical_exit(tmp_path, capsy
 
 def test_a_clt_statistic_past_double_precision_is_a_numerical_exit(tmp_path, capsys):
     # |increment|^100 spans more than double precision resolves: a batch of
-    # replications rounds to one value, and its shape moments are 0/0
+    # eight replications rounds to one value, and its shape moments are 0/0
     out = tmp_path / "power"
     cfg = ExperimentConfig({
         "kind": "clt", "weight.variant": "uniform", "volatility.variant": "constant",
-        "n": "8", "kappa": "0.5", "p": "100", "reps": "20",
+        "n": "8", "kappa": "0.5", "p": "100", "reps": "64",
         "override_admissibility": "true", "out": str(out),
     })
     assert validate(cfg) == []
@@ -956,22 +970,34 @@ def test_importing_the_cli_loads_no_scipy_module():
 
 
 def test_a_run_imports_no_module(tmp_path):
-    # numpy loads some submodules on first use; a run that did would time the import
+    # numpy loads some submodules on first use; a run that did would time the
+    # import.  numpy.ma is not even loaded with the CLI: only hermite needs it,
+    # through scipy.special.
     probe = """
 import contextlib, io, json, sys
 from ambitlab import cli
+masked = ["numpy.ma" in sys.modules]
 configs = [cli.ExperimentConfig.from_text(text).with_overrides(out=out)
            for text, out in json.loads(sys.argv[1])]
 problems = [cli.validate(config) for config in configs]
 before = set(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.run(config) for config in configs]
-print(json.dumps([problems, codes, sorted(set(sys.modules) - before)]))
+masked.append("numpy.ma" in sys.modules)
+print(json.dumps([problems, codes, sorted(set(sys.modules) - before), masked]))
 """
     lln = LLN_TEXT.replace("n = 16, 32", "n = 16")
     clt = CLT_TEXT.replace("reps = 40", "reps = 8")
     jobs = [(lln, str(tmp_path / "lln")), (clt, str(tmp_path / "clt"))]
-    problems, codes, loaded = json.loads(_fresh_python(probe, json.dumps(jobs)))
-    assert problems == [[], []]
-    assert codes == [EXIT_OK, EXIT_OK]
+    # the benchmark configs of lln, clt, asymptotics, simulate and kernel-report:
+    # between them the LLN limit's cell table and the quartile and batch-median
+    # summaries
+    jobs += [(path.read_text(), str(tmp_path / path.stem))
+             for path in BENCH_CONFIGS if path.stem != "hermite"]
+    problems, codes, loaded, masked = json.loads(_fresh_python(probe, json.dumps(jobs)))
+    assert {ExperimentConfig.from_text(text).entries["kind"] for text, _ in jobs} == {
+        "lln", "clt", "asymptotics", "simulate", "kernel-report"}
+    assert problems == [[]] * len(jobs)
+    assert codes == [EXIT_OK] * len(jobs)
     assert loaded == []
+    assert masked == [False, False]

@@ -1,9 +1,10 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
-from ambitlab import variation
+from ambitlab import limits, variation
 from ambitlab.errors import AdmissibilityError
 from ambitlab.kernels import SingularWeight, SlowFunction, TriangleWeight, UniformWeight
 from ambitlab.limits import (
@@ -374,6 +375,39 @@ def test_clt_exact_variance_tightens_toward_the_limit():
     assert all(v < 2.0 for v in exact)
     gaps = [2.0 - v for v in exact]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
+
+
+@pytest.mark.parametrize("reps", [20, 24])
+def test_clt_batch_medians_need_four_draws_a_batch(reps):
+    # batches of two draws always read |skewness| 0 and excess kurtosis -2,
+    # of three draws excess kurtosis -1.5, whatever the law
+    e = clt_experiment(_clt_singular_config(reps=reps))["per_n"]["64"]
+    assert e["abs_skewness_median"] is None and e["abs_excess_kurtosis_median"] is None
+    assert e["skewness"] is not None
+
+
+def test_clt_batch_medians_of_four_draws_follow_the_sample():
+    keys = ("abs_skewness_median", "abs_excess_kurtosis_median")
+    medians = [tuple(clt_experiment(_clt_singular_config(reps=32, seed=seed))["per_n"]["64"][key]
+                     for key in keys) for seed in (0, 1)]
+    assert all(isinstance(v, float) for pair in medians for v in pair)
+    assert medians[0][0] != medians[1][0] and medians[0][1] != medians[1][1]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 8, 9, 40, 41])
+def test_sorted_statistics_match_numpy_bit_for_bit(size):
+    # np.unique, np.median and np.percentile import numpy.ma on first use
+    rng = np.random.default_rng(size)
+    for _ in range(40):
+        x = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9)
+        x = np.abs(x) if rng.random() < 0.5 else x
+        repeated = rng.choice(x, 2 * size)
+        assert limits._unique(repeated).tobytes() == np.unique(repeated).tobytes()
+        assert np.float64(limits._median(x)).tobytes() == np.float64(np.median(x)).tobytes()
+        quartiles = np.percentile(x.tolist(), [25.0, 50.0, 75.0])
+        assert limits._quartiles(x.tolist()).tobytes() == quartiles.tobytes()
+    with_nan = np.append(np.arange(size, dtype=float), np.nan)
+    assert np.isnan(limits._median(with_nan)) and np.all(np.isnan(limits._quartiles(with_nan)))
 
 
 def test_clt_off_quadratic_powers_lose_the_closed_form():

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
-from ambitlab import quadrature
+from ambitlab import kernels, quadrature
 from ambitlab.errors import QuadratureError
-from ambitlab.kernels import SingularWeight, mu_mass
+from ambitlab.kernels import SingularWeight, SlowFunction, mu_mass
 from ambitlab.quadrature import QuadratureConfig, integrate_pieces, make_pieces
 from ambitlab.regions import HalfPlane, Intersection, band
 from ambitlab.simulate import _G2_QUAD
@@ -50,6 +50,61 @@ def test_a_job_integrates_the_same_alone_as_in_a_batch():
     np.testing.assert_allclose(together, exact, rtol=1e-11)
 
 
+@pytest.mark.parametrize("graded", [False, True], ids=["smooth", "graded"])
+def test_gauss_sums_of_a_batch_are_its_panels_summed_alone(graded):
+    # node-major layout: node k of every panel, then node k + 1; a panel's sum
+    # still adds its own nodes in node order, whatever batch and slice it is in
+    points, alphas, _ = _power_jobs(5)
+    nodes, rng = 14, np.random.default_rng(11)
+    count = quadrature._NODE_CAP // nodes + 40  # two integrand calls
+    job = rng.integers(0, points.size, count)
+    if graded:  # offsets from each job's singular point, as the graded pass lays them out
+        origin = points[job]
+        lo = 0.5 ** rng.integers(1, 45, count)
+        hi = 2.0 * lo
+    else:
+        origin = None
+        lo = rng.uniform(-0.5, 1.5, count)
+        hi = lo + rng.uniform(1e-6, 0.5, count)
+    sizes = []
+    batch = quadrature._gauss_sums(_power_integrand(points, alphas, sizes), lo, hi, job, nodes,
+                                   origin)
+    assert len(sizes) == 2 and max(sizes) <= quadrature._NODE_CAP
+    f = _power_integrand(points, alphas)
+    alone = [quadrature._gauss_sums(f, lo[i:i + 1], hi[i:i + 1], job[i:i + 1], nodes,
+                                    None if origin is None else origin[i:i + 1])
+             for i in range(count)]
+    assert batch.tobytes() == np.concatenate(alone).tobytes()
+
+
+def _fdiff_two_branches(spec, y, w):
+    """F(y + w) - F(y) as both branches of each power term picked by np.where."""
+    coef = [(c, j + 1.0 - spec.alpha) for j, c in enumerate(kernels._ELL_CATALOG[spec.ell.name][1])]
+    live = w > 0.0
+    at0 = live & (y <= 0.0)
+    safe_y = np.where(y > 0.0, y, 1.0)
+    safe_w = np.where(live, w, 1.0)
+    grow = np.log1p(np.where(live, w, 0.0) / safe_y)
+    out = np.zeros(np.broadcast(y, w).shape)
+    for c, e in coef:
+        out += (c / e) * np.where(at0, safe_w**e, safe_y**e * np.expm1(e * grow))
+    return spec.scale * np.where(live, out, 0.0)
+
+
+@pytest.mark.parametrize("ell", [name for name, (_, poly, _) in kernels._ELL_CATALOG.items()
+                                 if poly is not None])
+def test_the_f_difference_equals_its_two_branch_formula_bit_for_bit(ell):
+    y, w = np.meshgrid([0.0, -0.0, -0.25, 1e-30, 1e-17, 3e-9, 0.3, 0.999],
+                       [-0.5, -0.0, 0.0, 5e-324, 1e-17, 1.1e-17, 2e-9, 0.4, 1.0], indexing="ij")
+    for alpha in (0.3, 0.75):
+        spec = SingularWeight(alpha=alpha, ell=SlowFunction(ell), scale=1.5)
+        fdiff = spec._profile_antiderivative()
+        assert fdiff(y, w).tobytes() == _fdiff_two_branches(spec, y, w).tobytes()
+        # a scalar floor against a row of widths broadcasts as the formula does
+        row = fdiff(0.0, w[0])
+        assert row.tobytes() == _fdiff_two_branches(spec, np.float64(0.0), w[0]).tobytes()
+
+
 def test_a_singular_point_grades_only_the_piece_to_its_right():
     assert make_pieces([0.25, 0.5, 2.0], [0.5], 0.0, 1.0) == [
         (0.0, 0.25, "smooth"), (0.25, 0.5, "smooth"), (0.5, 1.0, "graded")]
@@ -73,6 +128,16 @@ def test_a_failing_autocorrelation_names_its_offset_and_wedge():
     cfg = QuadratureConfig(rel_tol=1e-18, abs_tol=0.0)
     with pytest.raises(QuadratureError, match=re.escape("w = (0.25, -0.3), wedge ") + "[abd]: "):
         SingularWeight(alpha=0.75).autocorrelation(np.array([0.25, 0.5]), np.array([-0.3, 0.1]), cfg)
+
+
+def test_a_failing_autocorrelation_names_the_first_failing_offset():
+    # the two resolutions of these tiny offsets disagree past 1e-12: the first
+    # offset fails only in its F-difference wedge, the second in a product wedge
+    spec = SingularWeight(alpha=0.55, ell=SlowFunction("one"))
+    with pytest.raises(QuadratureError, match=re.escape("w = (1e-12, 0.0), wedge a: ")):
+        spec.autocorrelation(1e-12, 0.0, _G2_QUAD)
+    with pytest.raises(QuadratureError, match=re.escape("w = (0.0, -1e-12), wedge d: ")):
+        spec.autocorrelation(np.array([0.0, 1e-12]), np.array([-1e-12, 0.0]), _G2_QUAD)
 
 
 def test_a_failing_mass_names_its_n_and_half():

@@ -280,7 +280,8 @@ ORACLES = {
 }
 
 _SINGULAR = "weight.variant = singular\nweight.alpha = 0.6\nweight.ell = one\n"
-_TRIANGLE = "weight.variant = triangle\nweight.alpha = 0.6\nweight.ell = one\n"
+# the profile skips a slow factor of one: the cone's 1 - s runs SlowFunction
+_TRIANGLE = "weight.variant = triangle\nweight.alpha = 0.6\nweight.ell = one_minus_s\n"
 _UNIFORM = "weight.variant = uniform\n"
 _CONSTANT = "volatility.variant = constant\n"
 _SINE = "volatility.variant = deterministic\nvolatility.name = sine_product\n"
