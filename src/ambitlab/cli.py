@@ -58,8 +58,10 @@ count (one only, at most the smallest n); ``grid_size`` is the number of
 ``lln`` evaluation points per axis, at least 1; ``eval_point`` must not lie
 before the first thinned increment k_n/n at any n; ``quad.*`` are the
 kernel-mass quadrature tolerances; and ``override_admissibility`` runs even
-when the thinning exponent fails the gate.  Unset keys take the defaults of
-``LLNConfig``/``CLTConfig`` and ``QuadratureConfig``; ``simulate`` defaults
+when the thinning exponent fails the gate.  ``limits.setting_problems``
+holds these rules, for the experiments' keywords too.  Unset keys take the
+defaults of the keywords of ``limits.lln_experiment``/``clt_experiment`` and
+of ``QuadratureConfig``; ``simulate`` defaults
 to p = 2 and oversample = 1, and unthinned (k = 1) when neither kappa nor k
 is set, as ``kernel-report`` does.
 
@@ -112,14 +114,9 @@ from .kernels import (
     near_region,
     thinning_count,
 )
-from .limits import (
-    CLTConfig,
-    LLNConfig,
-    clt_experiment,
-    lln_experiment,
-)
+from .limits import clt_experiment, lln_experiment, setting_problems
 from .quadrature import QuadratureConfig
-from .simulate import DENSE_CAP, increments, simulate_lattice
+from .simulate import covariance_refusal, increments, simulate_lattice
 from .variation import retained_corners, scaled_power_variation, variation_field
 from .volatility import VARIANTS as VOLATILITY_VARIANTS, sample_volatility
 
@@ -314,49 +311,36 @@ def _parse(config):
     settings = {"kind": kind, "seed": 0, "out": entries.get("out", "reports")}
 
     def take(key, convert, *checks):
-        if key not in entries or not _reads(row, key):
+        if key not in entries or not _reads(_ANY_KIND, key):
             return
         try:
             value = convert(entries[key])
         except (TypeError, ValueError) as exc:
-            violations.append(f"{key}: {exc}")
-            return
-        failed = [message.format(value) for holds, message in checks if not holds(value)]
-        violations.extend(failed)
-        if not failed:
+            failed = [f"{key}: {exc}"]
+        else:
+            failed = setting_problems({key: value}) + [
+                message.format(value) for holds, message in checks if not holds(value)]
+        if _reads(row, key):
+            violations.extend(failed)
+        if not failed:  # a key the kind does not read is a violation already
             settings[key] = value
 
-    take("seed", _parse_strict_int,
-         (lambda seed: seed >= 0, "seed must be a non-negative integer, got {}"))
+    take("seed", _parse_strict_int)
     take("override_admissibility", _parse_bool)
-    take("p", lambda raw: _parse_list(raw, float),
-         (lambda ps: all(np.isfinite(p) and p > 0.0 for p in ps),
-          "powers must be positive, got {}"),
-         (lambda ps: len(set(ps)) == len(ps), "powers must not repeat, got {}"))
-    take("n", lambda raw: _parse_list(raw, _parse_strict_int),
-         (lambda ns: all(n >= 2 for n in ns), "resolutions must be >= 2, got {}"),
-         (lambda ns: all(a < b for a, b in zip(ns, ns[1:])),
-          "resolution schedule must be strictly increasing, got {}"))
-    take("kappa", float,
-         (lambda kappa: 0.0 < kappa < 1.0, "thinning exponent must lie in (0,1), got {}"))
-    take("k", _parse_strict_int,
-         (lambda k: k >= 1, "constant thinning k must be >= 1, got {}"))
-    take("reps", _parse_strict_int,
-         (lambda reps: reps >= 1, "replications must be >= 1, got {}"))
-    for key, floor in (("grid_size", 1), ("oversample", 1), ("sigma_resolution", 2)):
-        take(key, _parse_strict_int,
-             (lambda val, floor=floor: val >= floor, f"{key} must be >= {floor}, got {{}}"))
-    take("eval_point", lambda raw: _parse_list(raw, float),
-         (lambda xs: len(xs) == 2 and all(0.0 < x <= 1.0 for x in xs),
-          "eval_point must be two coordinates in (0,1], got {}"))
+    take("p", lambda raw: _parse_list(raw, float))
+    take("n", lambda raw: _parse_list(raw, _parse_strict_int))
+    take("kappa", float)
+    for key in ("k", "reps", "grid_size", "oversample", "sigma_resolution"):
+        take(key, _parse_strict_int)
+    take("eval_point", lambda raw: _parse_list(raw, float))
     for key in ("quad.rel_tol", "quad.abs_tol"):
         take(key, float, (lambda tol: np.isfinite(tol) and tol > 0.0,
                           f"{key} must be a positive tolerance, got {{}}"))
     tolerances = {key[len("quad."):]: settings.pop(key)
                   for key in ("quad.rel_tol", "quad.abs_tol") if key in settings}
     settings["quad"] = QuadratureConfig(**tolerances) if tolerances else None
-    if "kappa" in entries and "k" in entries:
-        violations.append("set exactly one of kappa and k, not both")
+    # every setting kept passed its own rules: only the joint rules can fail
+    violations.extend(setting_problems(settings))
 
     for group, registry in (("weight", WEIGHT_VARIANTS), ("volatility", VOLATILITY_VARIANTS)):
         # a known kind that reads the group cannot run without it
@@ -389,26 +373,8 @@ def _parse(config):
                 abs_moment(_MOMENT_MULTIPLE[kind] * p)
             except FloatRangeError as exc:
                 violations.append(f"power {p:g}: {exc}")
-    schedule = settings.get("n", [])
-    if "k" in settings and schedule and settings["k"] > min(schedule):
-        violations.append(f"constant thinning k={settings['k']} exceeds the smallest "
-                          f"resolution n={min(schedule)}")
-    thinned = ({n: thinning_count(n, settings["kappa"]) for n in schedule}
+    thinned = ({n: thinning_count(n, settings["kappa"]) for n in settings.get("n", [])}
                if "kappa" in settings else {})
-    if "eval_point" in settings:
-        # clt_experiment keeps the retained corners below the evaluation point
-        empty = [f"n={n} (k_n/n = {k / n:g})" for n, k in thinned.items()
-                 if 0 in retained_corners(*settings["eval_point"], k / n)]
-        if empty:
-            violations.append(f"eval_point {tuple(settings['eval_point'])} excludes every "
-                              f"retained increment at {', '.join(empty)}")
-    if kind == "clt":
-        # increment_covariance builds a dense matrix over the thinned lattice
-        over = [f"n={n} ({n // k} x {n // k})" for n, k in thinned.items()
-                if n // k > DENSE_CAP]
-        if over:
-            violations.append(f"the thinned lattice exceeds the dense-covariance cap "
-                              f"{DENSE_CAP} at {', '.join(over)}")
     weight, vol = settings.get("weight"), settings.get("volatility")
     if kind == "asymptotics" and weight is not None:
         # weight.catalog, not region_catalog: the benchmark counts the run's calls
@@ -417,12 +383,11 @@ def _parse(config):
                 weight.catalog(n, k / n)
             except ValueError as exc:
                 violations.append(f"region catalog at n={n}: {exc}")
-    if (kind == "clt" and weight is not None and vol is not None and not weight.has_strips
-            and not (vol.constant and weight.has_autocorrelation)):
-        # the same routes increment_covariance takes
-        violations.append(
-            f"clt needs an exact increment covariance, which the {weight.variant} weight "
-            f"lacks under {entries['volatility.variant']} volatility")
+    if kind == "clt" and weight is not None and vol is not None:
+        # what increment_covariance refuses, each reason once
+        violations.extend(dict.fromkeys(
+            reason for n, k in thinned.items()
+            if (reason := covariance_refusal(weight, vol.constant, n // k)) is not None))
 
     refusals = []
     if (row is not _ANY_KIND and "override_admissibility" in row.reads
@@ -452,15 +417,14 @@ def _thinning(settings, n):
     return thinning_count(n, settings["kappa"]) if "kappa" in settings else 1
 
 
-def _experiment_fields(settings, cls, **renamed):
-    """The settings ``cls`` has a field for, keyed by field name.
+def _keywords(settings, kind):
+    """The seed and the settings ``kind`` reads besides p, n and the groups.
 
-    Only keys the config sets are passed, so every other field keeps the
-    default declared on ``cls``.
+    Only keys the config sets are passed, so every other keyword keeps the
+    default of the experiment.
     """
-    fields = {field.name for field in dataclasses.fields(cls)}
-    named = {renamed.get(key, key): value for key, value in settings.items()}
-    return {name: value for name, value in named.items() if name in fields}
+    return {key: settings[key] for key in ("seed", *_KINDS[kind].reads)
+            if key in settings and key not in ("p", "n")}
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +571,9 @@ def _run_lln(settings):
         "raw_v": "unscaled variation at (1,1); its expectation is the sum "
                  "of increment variances (n^2 c_n at k=1, unit volatility)",
     }
-    cfg = _experiment_fields(settings, LLNConfig, p="p_values", n="n_schedule")
-    report = lln_experiment(LLNConfig(**cfg))
+    report = lln_experiment(settings["weight"], settings["volatility"],
+                            p_values=settings["p"], n_schedule=settings["n"],
+                            **_keywords(settings, "lln"))
     rows = [(n, pkey, stat, float(val)) for n in report["n_schedule"]
             for pkey, table in sorted(report["per_n"][str(n)].items())
             for stat, val in table.items() if val is not None]
@@ -629,8 +594,9 @@ def _run_clt(settings):
         "shape": "skewness, excess kurtosis and Kolmogorov distance to a "
                  "fitted normal, all decreasing toward 0",
     }
-    cfg = _experiment_fields(dict(settings, p=settings["p"][0]), CLTConfig, n="n_schedule")
-    report = clt_experiment(CLTConfig(**cfg))
+    report = clt_experiment(settings["weight"], settings["volatility"],
+                            p=settings["p"][0], n_schedule=settings["n"],
+                            **_keywords(settings, "clt"))
     rows = [(n, stat, float(val)) for n in report["n_schedule"]
             for stat, val in report["per_n"][str(n)].items() if val is not None]
     name = _write_csv(settings["out"], "clt.csv", ("n", "stat", "value"), rows)

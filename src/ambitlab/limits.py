@@ -16,14 +16,16 @@ runs the two reference Monte Carlo experiments:
   variation against its Gaussian limit, with moment and distribution-distance
   diagnostics.
 
-Both experiments derive every random stream from one master seed and refuse
-thinning exponents outside the kernel's admissible range unless explicitly
-overridden.
+Both experiments take their settings as keywords, named as the config keys
+of ``cli`` (but ``p_values``/``p`` for p and ``n_schedule`` for n), and
+check them against the one rule table that ``setting_problems`` applies --
+the table ``cli.validate`` reads too -- before any work.  They derive every
+random stream from one master seed and refuse thinning exponents outside the
+kernel's admissible range unless explicitly overridden.
 """
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,11 +49,10 @@ from .variation import (
 from .volatility import sample_volatility
 
 __all__ = [
-    "CLTConfig",
-    "LLNConfig",
     "clt_experiment",
     "clt_variance",
     "lln_experiment",
+    "setting_problems",
     "sigma_functional",
 ]
 
@@ -140,9 +141,6 @@ def sigma_functional(sigma, p, atoms, s, t):
         raise ValueError(f"power must be positive, got {p}")
     if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
         raise ValueError(f"evaluation point ({s}, {t}) outside the unit square")
-    _check_shifted_domain(atoms, s, t)
-    if s == 0.0 or t == 0.0:
-        return 0.0
     return float(_functional_on_grid(sigma, p, atoms, [s], [t])[0, 0])
 
 
@@ -157,100 +155,86 @@ def clt_variance(sigma, p, z0, s, t):
 
 
 # ---------------------------------------------------------------------------
-# experiment configuration and reports
+# experiment settings and reports
 # ---------------------------------------------------------------------------
 
-def _require(cond, message):
-    if not cond:
-        raise ValueError(message)
+# config key -> its rules, each (holds, message); the message's {} is the value
+_RULES = {
+    "seed": ((lambda seed: seed >= 0, "seed must be a non-negative integer, got {}"),),
+    "p": ((lambda ps: len(ps) > 0, "need at least one power, got {}"),
+          (lambda ps: all(math.isfinite(p) and p > 0.0 for p in ps),
+           "powers must be positive, got {}"),
+          (lambda ps: len(set(ps)) == len(ps), "powers must not repeat, got {}")),
+    "n": ((lambda ns: len(ns) > 0, "need at least one resolution, got {}"),
+          (lambda ns: all(n >= 2 for n in ns), "resolutions must be >= 2, got {}"),
+          (lambda ns: all(a < b for a, b in zip(ns, ns[1:])),
+           "resolution schedule must be strictly increasing, got {}")),
+    "kappa": ((lambda kappa: 0.0 < kappa < 1.0, "thinning exponent must lie in (0,1), got {}"),),
+    "k": ((lambda k: k >= 1, "constant thinning k must be >= 1, got {}"),),
+    "reps": ((lambda reps: reps >= 1, "replications must be >= 1, got {}"),),
+    **{key: ((lambda value, floor=floor: value >= floor, f"{key} must be >= {floor}, got {{}}"),)
+       for key, floor in (("grid_size", 1), ("oversample", 1), ("sigma_resolution", 2))},
+    "eval_point": ((lambda xs: len(xs) == 2 and all(0.0 < x <= 1.0 for x in xs),
+                    "eval_point must be two coordinates in (0,1], got {}"),),
+}
+_SIZES = ("seed", "n", "k", "reps", "grid_size", "oversample", "sigma_resolution")
 
 
-def _integer(value, name):
-    _require(math.isfinite(value) and value == int(value),
-             f"{name} must be an integer, got {value!r}")
-    return int(value)
+def setting_problems(settings):
+    """The message of every rule that ``settings``, config key -> value, breaks.
+
+    Each key is checked against its own rules (a key the table does not know
+    passes), and the joint rules read the keys that passed: a constant k past
+    the smallest n, kappa and k set together, and an ``eval_point`` that keeps
+    no thinned increment at some n.  ``p``, ``n`` and ``eval_point`` are lists.
+    """
+    problems, valid = [], {}
+    for key, value in settings.items():
+        failed = [message.format(value) for holds, message in _RULES.get(key, ())
+                  if not holds(value)]
+        problems += failed
+        if not failed:
+            valid[key] = value
+    if "kappa" in settings and "k" in settings:
+        problems.append("set exactly one of kappa and k, not both")
+    schedule = valid.get("n")
+    if schedule and "k" in valid and valid["k"] > min(schedule):
+        problems.append(f"constant thinning k={valid['k']} exceeds the smallest "
+                        f"resolution n={min(schedule)}")
+    if schedule and "kappa" in valid and "eval_point" in valid:
+        # clt_experiment keeps the retained corners below the evaluation point
+        empty = [f"n={n} (k_n/n = {k / n:g})" for n in schedule
+                 for k in [thinning_count(n, valid["kappa"])]
+                 if 0 in retained_corners(*valid["eval_point"], k / n)]
+        if empty:
+            problems.append(f"eval_point {tuple(valid['eval_point'])} excludes every "
+                            f"retained increment at {', '.join(empty)}")
+    return problems
 
 
-def _require_schedule_and_sizes(config, sizes):
-    """The checks both configs share.  The schedule and each named size that is
-    set become ints: a fractional value is refused, not truncated (8.0 passes)."""
-    object.__setattr__(config, "n_schedule",
-                       tuple(_integer(n, "each resolution") for n in config.n_schedule))
-    for name in sizes:
-        if getattr(config, name) is not None:
-            object.__setattr__(config, name, _integer(getattr(config, name), name))
-    _require(config.seed >= 0, f"seed must be a non-negative integer, got {config.seed}")
-    _require(len(config.n_schedule) > 0, "need a nonempty n schedule")
-    _require(all(n >= 2 for n in config.n_schedule),
-             f"resolutions must be >= 2, got {config.n_schedule}")
-    _require(all(a < b for a, b in zip(config.n_schedule, config.n_schedule[1:])),
-             "n schedule must be strictly increasing")
-    _require(config.reps >= 1, f"need at least one replication, got {config.reps}")
+def _checked(**settings):
+    """The values of ``settings``, in order, each size an int, once every rule holds.
 
-
-@dataclass(frozen=True)
-class LLNConfig:
-    """Settings for the convolution-path mean-convergence experiment."""
-
-    weight: object
-    volatility: object
-    p_values: tuple = (2.0,)
-    n_schedule: tuple = (64, 128, 256)
-    k: int | None = None
-    kappa: float | None = None
-    reps: int = 200
-    grid_size: int = 5
-    oversample: int = 1
-    seed: int = 0
-    override_admissibility: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
-        _require_schedule_and_sizes(self, ("k", "reps", "grid_size", "oversample", "seed"))
-        _require(len(self.p_values) > 0, "need at least one power p")
-        _require(all(p > 0.0 and math.isfinite(p) for p in self.p_values),
-                 f"powers must be positive and finite, got {self.p_values}")
-        _require(len(set(self.p_values)) == len(self.p_values),
-                 f"powers must not repeat, got {self.p_values}")
-        _require((self.k is None) != (self.kappa is None),
-                 "thinning rule must set exactly one of k and kappa")
-        _require(self.kappa is None or 0.0 < self.kappa < 1.0,
-                 f"thinning exponent must lie in (0,1), got {self.kappa}")
-        if self.k is not None:
-            _require(self.k >= 1, f"constant thinning k must be >= 1, got {self.k}")
-            _require(self.k <= min(self.n_schedule), f"constant thinning k={self.k} exceeds "
-                     f"the smallest resolution n={min(self.n_schedule)}")
-        _require(self.grid_size >= 1, f"grid size must be >= 1, got {self.grid_size}")
-        _require(self.oversample >= 1, f"oversample must be >= 1, got {self.oversample}")
-
-
-@dataclass(frozen=True)
-class CLTConfig:
-    """Settings for the exact-covariance fluctuation experiment."""
-
-    weight: object
-    volatility: object
-    p: float = 2.0
-    n_schedule: tuple = (200, 400, 600)
-    kappa: float = 0.4
-    reps: int = 2000
-    eval_point: tuple = (1.0, 1.0)
-    seed: int = 0
-    sigma_resolution: int = 64
-    override_admissibility: bool = False
-
-    def __post_init__(self):
-        _require_schedule_and_sizes(self, ("reps", "seed", "sigma_resolution"))
-        object.__setattr__(self, "eval_point", tuple(float(x) for x in self.eval_point))
-        _require(self.p > 0.0 and math.isfinite(self.p),
-                 f"power must be positive and finite, got {self.p}")
-        _require(0.0 < self.kappa < 1.0,
-                 f"thinning exponent must lie in (0,1), got {self.kappa}")
-        s, t = self.eval_point
-        _require(0.0 < s <= 1.0 and 0.0 < t <= 1.0,
-                 f"evaluation point {self.eval_point} outside (0,1]^2")
-        _require(self.sigma_resolution >= 2,
-                 f"volatility resolution must be >= 2, got {self.sigma_resolution}")
+    Keys are config keys, and None leaves a key unset.  A fractional size is
+    refused, not truncated (8.0 passes as 8).  Raises one ValueError that
+    names every broken rule.
+    """
+    problems, known = [], {}
+    for key, value in settings.items():
+        if value is None:
+            continue
+        if key in _SIZES:
+            items = value if key == "n" else [value]
+            if not all(math.isfinite(v) and v == int(v) for v in items):
+                problems.append(f"{key} must be {'integers' if key == 'n' else 'an integer'}, "
+                                f"got {value!r}")
+                continue
+            value = settings[key] = [int(v) for v in items] if key == "n" else int(value)
+        known[key] = value
+    problems += setting_problems(known)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return tuple(settings.values())
 
 
 def _quartiles(xs):
@@ -303,7 +287,9 @@ def _redraw_seed(seed, rep):
 # mean-convergence experiment
 # ---------------------------------------------------------------------------
 
-def lln_experiment(config):
+def lln_experiment(weight, volatility, p_values=(2.0,), n_schedule=(64, 128, 256), k=None,
+                   kappa=None, reps=200, grid_size=5, oversample=1, seed=0,
+                   override_admissibility=False):
     """Simulate, scale, and measure the distance to m_p * Sigma^(p,pi).
 
     Per resolution and power: the sup over the evaluation grid of
@@ -322,54 +308,62 @@ def lln_experiment(config):
     that could not be formed is None.  ``flags`` lists what kept an entry
     incomplete (a single replication, a skipped split) -- a flagged report is
     still a faithful account of what ran.
+
+    Exactly one thinning rule is set: the constant count ``k`` or the
+    exponent ``kappa``.  Every setting breaking a rule of ``setting_problems``
+    (or a fractional size) is named in one ValueError before any work.
     """
     t_start = time.perf_counter()
+    if k is None and kappa is None:
+        raise TypeError("lln_experiment needs a thinning rule: pass k or kappa")
+    p_values, n_schedule, k, kappa, reps, grid_size, oversample, seed = _checked(
+        p=[float(p) for p in p_values], n=n_schedule, k=k, kappa=kappa, reps=reps,
+        grid_size=grid_size, oversample=oversample, seed=seed)
     flags = []
-    weight, vol = config.weight, config.volatility
-    if config.kappa is not None:
-        _gate_kappa(weight, config.kappa, config.override_admissibility, flags)
+    if kappa is not None:
+        _gate_kappa(weight, kappa, override_admissibility, flags)
 
     atoms = require_weight(weight).limit_atoms()
-    grid = [i / config.grid_size for i in range(1, config.grid_size + 1)]
-    exact_mean = vol.constant or weight.has_strips
+    grid = [i / grid_size for i in range(1, grid_size + 1)]
+    exact_mean = volatility.constant or weight.has_strips
     if not exact_mean:
         flags.append(
             f"mean/stochastic split skipped: the {weight.variant} weight has no exact "
-            f"conditional expectation under {vol.variant} volatility"
+            f"conditional expectation under {volatility.variant} volatility"
         )
 
     per_n = {}
-    for n in config.n_schedule:
-        k = config.k if config.k is not None else thinning_count(n, config.kappa)
-        eps = k / n
+    for n in n_schedule:
+        k_n = k if k is not None else thinning_count(n, kappa)
+        eps = k_n / n
         cn = compute_cn(weight, n)
-        M = 2 * n * config.oversample
+        M = 2 * n * oversample
 
         def limit_and_mean(sigma, p):
             """m_p Sigma^(p,pi) on the grid, and E_W[scaled V_n | sigma] where exact."""
             target = abs_moment(p) * _functional_on_grid(sigma, p, atoms, grid, grid)
             if not exact_mean:
                 return target, None
-            return target, np.array([[expected_scaled_pv(weight, sigma, n, k, p, s, t)
+            return target, np.array([[expected_scaled_pv(weight, sigma, n, k_n, p, s, t)
                                       for t in grid] for s in grid])
 
-        if not vol.redrawn:
-            sigma = sample_volatility(vol, M, seed=config.seed)
-            shared = {p: limit_and_mean(sigma, p) for p in config.p_values}
+        if not volatility.redrawn:
+            sigma = sample_volatility(volatility, M, seed=seed)
+            shared = {p: limit_and_mean(sigma, p) for p in p_values}
 
-        sup_err, mean_part, stoch_part, raw_v = ({p: [] for p in config.p_values}
+        sup_err, mean_part, stoch_part, raw_v = ({p: [] for p in p_values}
                                                  for _ in range(4))
-        for rep in range(config.reps):
-            if vol.redrawn:
-                sigma = sample_volatility(vol, M, seed=_redraw_seed(config.seed, rep))
-            values, _ = simulate_lattice(weight, sigma, n, M, seed=config.seed, rep=rep)
-            inc = increments(values, k)
-            for p in config.p_values:
+        for rep in range(reps):
+            if volatility.redrawn:
+                sigma = sample_volatility(volatility, M, seed=_redraw_seed(seed, rep))
+            values, _ = simulate_lattice(weight, sigma, n, M, seed=seed, rep=rep)
+            inc = increments(values, k_n)
+            for p in p_values:
                 V = variation_field(inc, p)
                 scaled = scaled_power_variation(V, p, eps, cn)
                 svals = np.array([[scaled[retained_corners(s, t, eps)] for t in grid]
                                   for s in grid])
-                target, mean = limit_and_mean(sigma, p) if vol.redrawn else shared[p]
+                target, mean = limit_and_mean(sigma, p) if volatility.redrawn else shared[p]
                 sup_err[p].append(float(np.max(np.abs(svals - target))))
                 raw_v[p].append(float(V[retained_corners(1.0, 1.0, eps)]))
                 if mean is not None:
@@ -377,20 +371,20 @@ def lln_experiment(config):
                     stoch_part[p].append(float(np.max(np.abs(svals - mean))))
 
         per_n[str(n)] = {repr(p): {
-            "k": k, "eps": eps, "c_n": float(cn),
+            "k": k_n, "eps": eps, "c_n": float(cn),
             **_quartile_stats("sup_error", sup_err[p]),
             "raw_v_mean": float(np.mean(raw_v[p])),
-            "raw_v_se": float(np.std(raw_v[p], ddof=1) / math.sqrt(config.reps))
-            if config.reps > 1 else None,
+            "raw_v_se": float(np.std(raw_v[p], ddof=1) / math.sqrt(reps))
+            if reps > 1 else None,
             **_quartile_stats("mean_part", mean_part[p]),
             **_quartile_stats("stoch_part", stoch_part[p]),
-        } for p in config.p_values}
+        } for p in p_values}
 
-    if config.reps == 1:
+    if reps == 1:
         flags.append("single replication: dispersion statistics degenerate")
     return {
-        "kind": "lln", "n_schedule": list(config.n_schedule), "reps": config.reps,
-        "seed": config.seed, "runtime_s": time.perf_counter() - t_start,
+        "kind": "lln", "n_schedule": n_schedule, "reps": reps,
+        "seed": seed, "runtime_s": time.perf_counter() - t_start,
         "flags": flags, "per_n": per_n,
     }
 
@@ -415,7 +409,9 @@ def _kolmogorov_distance(z):
     return float(max(np.max(np.arange(1.0, n + 1) / n - cdf), np.max(cdf - np.arange(0.0, n) / n)))
 
 
-def clt_experiment(config):
+def clt_experiment(weight, volatility, p=2.0, n_schedule=(200, 400, 600), kappa=0.4, reps=2000,
+                   eval_point=(1.0, 1.0), seed=0, sigma_resolution=64,
+                   override_admissibility=False):
     """Exact-covariance fluctuations of the thinned variation.
 
     Per resolution: draw the thinned increment vector from its exact
@@ -427,15 +423,17 @@ def clt_experiment(config):
     diagnostics give a robust monotone-trend statistic.
 
     Returns the dict ``lln_experiment`` describes, with kind "clt" and
-    ``per_n`` mapping ``str(n)`` to one flat table of statistics.
+    ``per_n`` mapping ``str(n)`` to one flat table of statistics.  The
+    settings are checked as ``lln_experiment``'s are.
     """
     t_start = time.perf_counter()
+    [p], n_schedule, kappa, reps, (s_eval, t_eval), seed, sigma_resolution = _checked(
+        p=[float(p)], n=n_schedule, kappa=kappa, reps=reps,
+        eval_point=[float(x) for x in eval_point], seed=seed,
+        sigma_resolution=sigma_resolution)
     flags = []
-    weight, vol = config.weight, config.volatility
-    p = float(config.p)
-    _gate_kappa(weight, config.kappa, config.override_admissibility, flags)
-    sigma = sample_volatility(vol, config.sigma_resolution, seed=config.seed)
-    s_eval, t_eval = config.eval_point
+    _gate_kappa(weight, kappa, override_admissibility, flags)
+    sigma = sample_volatility(volatility, sigma_resolution, seed=seed)
 
     if weight.concentration_point is not None:
         asymptotic = clt_variance(sigma, p, weight.concentration_point, s_eval, t_eval)
@@ -447,26 +445,21 @@ def clt_experiment(config):
 
     mp = abs_moment(p)
     per_n = {}
-    for n in config.n_schedule:
-        k = thinning_count(n, config.kappa)
+    for n in n_schedule:
+        k = thinning_count(n, kappa)
         eps = k / n
         cov = increment_covariance(weight, sigma, n, k)
         keep = np.flatnonzero(np.all(cov.indices <= retained_corners(s_eval, t_eval, eps),
                                      axis=1))
-        if keep.size == 0:
-            raise ValueError(
-                f"evaluation point {config.eval_point} excludes every retained "
-                f"increment at n={n} (eps={eps:g})"
-            )
         mat = cov.matrix[np.ix_(keep, keep)]
         diag = np.diag(mat)
         cn = cov.c_n
         scale = eps / cn ** (0.5 * p)
         expected_v = mp * float(np.sum(diag ** (0.5 * p)))
 
-        draws = sample_increments_exact(cov, config.seed, config.reps)[:, keep]
+        draws = sample_increments_exact(cov, seed, reps)[:, keep]
         exact_var = 2.0 * float(np.sum((eps * mat / cn) ** 2)) if p == 2.0 else None
-        if exact_var is None and n == config.n_schedule[0]:
+        if exact_var is None and n == n_schedule[0]:
             flags.append(f"exact finite-n variance in closed form needs p=2, got p={p}")
         entry = {
             "k": k, "eps": eps, "c_n": float(cn), "dim": int(keep.size),
@@ -478,10 +471,10 @@ def clt_experiment(config):
         # |increment|^p overflowing, or its spread rounding away, is refused below
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             z = scale * (np.sum(np.abs(draws) ** p, axis=1) - expected_v)
-            if config.reps > 1:
+            if reps > 1:
                 entry["sample_variance"] = float(np.var(z, ddof=1))
                 base = exact_var if exact_var is not None else entry["sample_variance"]
-                entry["variance_se"] = float(base * math.sqrt(2.0 / (config.reps - 1)))
+                entry["variance_se"] = float(base * math.sqrt(2.0 / (reps - 1)))
                 entry["skewness"], entry["excess_kurtosis"] = _shape_moments(z)
                 entry["kolmogorov_distance"] = _kolmogorov_distance(z)
             else:
@@ -489,8 +482,8 @@ def clt_experiment(config):
                             "excess_kurtosis", "kolmogorov_distance"):
                     entry[key] = None
             # batches of 2 or 3 draws give constant shape statistics
-            if config.reps >= 4 * _TREND_BATCHES:
-                batches = np.array_split(z[: config.reps - config.reps % _TREND_BATCHES],
+            if reps >= 4 * _TREND_BATCHES:
+                batches = np.array_split(z[: reps - reps % _TREND_BATCHES],
                                          _TREND_BATCHES)
                 shapes = np.abs([_shape_moments(b) for b in batches])
                 entry["abs_skewness_median"] = float(_median(shapes[:, 0]))
@@ -504,10 +497,10 @@ def clt_experiment(config):
                                   f"|increment|^{p:g} exceeds what double precision resolves")
         per_n[str(n)] = entry
 
-    if config.reps == 1:
+    if reps == 1:
         flags.append("single replication: sample variance undefined")
     return {
-        "kind": "clt", "n_schedule": list(config.n_schedule), "reps": config.reps,
-        "seed": config.seed, "runtime_s": time.perf_counter() - t_start,
+        "kind": "clt", "n_schedule": n_schedule, "reps": reps,
+        "seed": seed, "runtime_s": time.perf_counter() - t_start,
         "flags": flags, "per_n": per_n,
     }

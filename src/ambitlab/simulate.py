@@ -43,6 +43,7 @@ __all__ = [
     "simulate_lattice",
     "increments",
     "strip_covariances",
+    "covariance_refusal",
     "increment_covariance",
     "sample_increments_exact",
     "rho_bar",
@@ -306,6 +307,21 @@ def strip_covariances(spec, sigma, n, eps, idx, a, b):
     return spec.scale**2 * np.bincount(pair, weights=su[ku] * sv[kv] * rects, minlength=len(a))
 
 
+def covariance_refusal(spec, constant, m):
+    """Why ``increment_covariance`` cannot build the covariance of the m x m
+    thinned increments of ``spec`` under a volatility that is ``constant`` or
+    not; None when it can."""
+    if not (spec.has_strips or (constant and spec.has_autocorrelation)):
+        return (f"no exact increment covariance for the {spec.variant} weight under "
+                f"{'constant' if constant else 'non-constant'} volatility: it needs the "
+                "uniform weight, or constant volatility and a closed-form lattice "
+                "autocorrelation (singular weights with a polynomial slow factor); use the "
+                "simulation route instead")
+    if m > DENSE_CAP:
+        return f"thinned lattice {m} x {m} exceeds the dense-covariance cap {DENSE_CAP}"
+    return None
+
+
 def increment_covariance(spec, sigma, n, k):
     """Covariance C_ab = int h(eps*i_a - u, eps*j_a - v) h(...b...) sigma^2(u,v).
 
@@ -313,17 +329,16 @@ def increment_covariance(spec, sigma, n, k):
     (:func:`strip_covariances`, batched over the pairs a <= b), or
     constant volatility with a weight that has a closed-form lattice
     autocorrelation (stationary autocorrelation on the 1/n lattice).  Other
-    combinations have no exact route here and are rejected.
+    combinations and lattices past the cap are refused (:func:`covariance_refusal`).
     """
     if n != int(n) or k != int(k) or not 1 <= k <= n:
         raise ValueError(f"n and the thinning k must be integers with 1 <= k <= n, "
                          f"got n={n}, k={k}")
     n, k = int(n), int(k)
     m = n // k
-    if m > DENSE_CAP:
-        raise ValueError(
-            f"thinned lattice {m} x {m} exceeds the dense-covariance cap {DENSE_CAP}"
-        )
+    reason = covariance_refusal(spec, sigma.is_constant, m)
+    if reason is not None:
+        raise ValueError(reason)
     eps = k / n
     idx = np.indices((m, m)).reshape(2, -1).T + 1  # row-major (i, j)
     cn = compute_cn(spec, n)
@@ -332,19 +347,12 @@ def increment_covariance(spec, sigma, n, k):
         a, b = np.triu_indices(len(idx))
         mat = np.zeros((len(idx), len(idx)))
         mat[a, b] = mat[b, a] = strip_covariances(spec, sigma, n, eps, idx, a, b)
-    elif sigma.is_constant and spec.has_autocorrelation:
+    else:
         s0sq = float(sigma.values.flat[0]) ** 2
         gam = _stationary_gamma(spec, n, k, m, _G2_QUAD)
         di = idx[:, None, 0] - idx[None, :, 0]
         dj = idx[:, None, 1] - idx[None, :, 1]
         mat = s0sq * gam[di + m - 1, dj + m - 1]
-    else:
-        raise ValueError(
-            f"no exact increment covariance for {spec!r} under {sigma.model!r}: it needs "
-            "the uniform weight, or constant volatility and a closed-form lattice "
-            "autocorrelation (singular weights with a polynomial slow factor); use the "
-            "simulation route instead"
-        )
     mat.setflags(write=False)
     idx.setflags(write=False)
     return IncrementCovariance(matrix=mat, indices=idx, c_n=cn)

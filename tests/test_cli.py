@@ -54,6 +54,10 @@ reps = 40
 sigma_resolution = 8
 """
 
+# the keywords of the experiment that LLN_TEXT and CLT_TEXT set
+LLN_KEYWORDS = dict(p_values=(2.0,), n_schedule=(16, 32), k=1, reps=3, grid_size=2, seed=0)
+CLT_KEYWORDS = dict(p=2.0, n_schedule=(64,), kappa=0.4, reps=40, sigma_resolution=8, seed=0)
+
 SIMULATE_TEXT = """
 kind = simulate
 weight.variant = uniform
@@ -260,18 +264,21 @@ def test_the_docstring_variant_table_lists_the_keys_each_variant_reads():
 
 @pytest.mark.parametrize("text, pairing", [
     (CLT_TEXT.replace("volatility.variant = constant", "volatility.variant = deterministic"),
-     "the singular weight lacks under deterministic volatility"),
+     "the singular weight under non-constant volatility"),
     (CLT_TEXT.replace("variant = singular", "variant = triangle").replace(
         "kappa = 0.4", "kappa = 0.1"),
-     "the triangle weight lacks under constant volatility"),
+     "the triangle weight under constant volatility"),
     # a slow factor without a closed-form antiderivative has no lattice autocorrelation
     (CLT_TEXT.replace("alpha = 0.75", "alpha = 0.3").replace("ell = one", "ell = cos_quarter")
      .replace("kappa = 0.4", "kappa = 0.2").replace("n = 64", "n = 8"),
-     "the singular weight lacks under constant volatility"),
+     "the singular weight under constant volatility"),
 ], ids=["singular-deterministic", "triangle-constant", "singular-cos-quarter-constant"])
 def test_clt_without_an_exact_covariance_is_a_config_error(tmp_path, text, pairing):
     cfg = ExperimentConfig.from_text(text)
-    assert validate(cfg) == [f"clt needs an exact increment covariance, which {pairing}"]
+    assert validate(cfg) == [
+        f"no exact increment covariance for {pairing}: it needs the uniform weight, or "
+        "constant volatility and a closed-form lattice autocorrelation (singular weights "
+        "with a polynomial slow factor); use the simulation route instead"]
     out = tmp_path / "never"
     assert run(cfg.with_overrides(out=out)) == EXIT_CONFIG
     assert not out.exists()
@@ -338,12 +345,50 @@ def test_an_eval_point_before_the_first_increment_is_a_config_error(tmp_path):
 def test_a_thinned_lattice_past_the_dense_covariance_cap_is_a_config_error(tmp_path):
     # k_n = ceil(sqrt(n)) at kappa = 0.5: n // k_n is 32 at n = 1024 and 44 at n = 2048
     cfg = _config(CLT_TEXT, kappa="0.5", n="2048", **{"weight.alpha": "0.6"})
-    assert validate(cfg) == [f"the thinned lattice exceeds the dense-covariance cap "
-                             f"{simulate.DENSE_CAP} at n=2048 (44 x 44)"]
+    assert validate(cfg) == [
+        f"thinned lattice 44 x 44 exceeds the dense-covariance cap {simulate.DENSE_CAP}"]
     out = tmp_path / "never"
     assert run(cfg.with_overrides(out=out)) == EXIT_CONFIG
     assert not out.exists()
     assert validate(_config(CLT_TEXT, kappa="0.5", n="1024", **{"weight.alpha": "0.6"})) == []
+
+
+# (kind, config entries, experiment keywords) breaking one rule: every key of
+# the rule table, then each joint rule
+_ONE_RULE = {
+    "seed": ("lln", dict(seed="-1"), dict(seed=-1)),
+    "p": ("lln", dict(p="2, -1"), dict(p_values=(2.0, -1.0))),
+    "n": ("lln", dict(n="32, 16"), dict(n_schedule=(32, 16))),
+    "kappa": ("clt", dict(kappa="1.5"), dict(kappa=1.5)),
+    "k": ("lln", dict(k="0"), dict(k=0)),
+    "reps": ("clt", dict(reps="0"), dict(reps=0)),
+    "grid_size": ("lln", dict(grid_size="0"), dict(grid_size=0)),
+    "oversample": ("lln", dict(oversample="0"), dict(oversample=0)),
+    "sigma_resolution": ("clt", dict(sigma_resolution="1"), dict(sigma_resolution=1)),
+    "eval_point": ("clt", dict(eval_point="2, 1"), dict(eval_point=(2.0, 1.0))),
+    "k past the smallest n": ("lln", dict(k="20"), dict(k=20)),
+    "kappa and k": ("lln", dict(kappa="0.4", override_admissibility="true"),
+                    dict(kappa=0.4, override_admissibility=True)),
+    "eval_point before the first increment": (
+        "clt", dict(n="8, 64", eval_point="0.3, 0.3"),
+        dict(n_schedule=(8, 64), eval_point=(0.3, 0.3))),
+}
+
+
+def test_the_one_rule_cases_cover_the_rule_table():
+    assert set(limits._RULES) <= set(_ONE_RULE)
+
+
+@pytest.mark.parametrize("rule", list(_ONE_RULE))
+def test_a_broken_rule_reads_the_same_in_validate_and_in_the_experiment(rule):
+    kind, entries, keywords = _ONE_RULE[rule]
+    text, base = {"lln": (LLN_TEXT, LLN_KEYWORDS), "clt": (CLT_TEXT, CLT_KEYWORDS)}[kind]
+    cfg = _config(text, **entries)
+    [message] = validate(cfg)
+    experiment = getattr(limits, f"{kind}_experiment")
+    with pytest.raises(ValueError) as caught:
+        experiment(_weight(cfg.entries), _volatility(cfg.entries), **dict(base, **keywords))
+    assert message in str(caught.value).split("; ")
 
 
 def test_a_cone_window_narrower_than_its_edge_bands_is_a_config_error(tmp_path):
@@ -717,14 +762,12 @@ def test_clt_csv_skips_the_statistics_a_single_replication_lacks(tmp_path):
     assert not any(",sample_variance," in line for line in lines)  # skipped, not invented
 
 
-@pytest.mark.parametrize("kind, text, cls, experiment, fields", [
-    ("lln", LLN_TEXT, limits.LLNConfig, limits.lln_experiment,
-     dict(p_values=(2.0,), k=1, reps=3, grid_size=2, seed=0)),
-    ("clt", CLT_TEXT, limits.CLTConfig, limits.clt_experiment,
-     dict(p=2.0, kappa=0.4, reps=40, sigma_resolution=8, seed=0)),
+@pytest.mark.parametrize("kind, text, experiment, keywords", [
+    ("lln", LLN_TEXT, limits.lln_experiment, LLN_KEYWORDS),
+    ("clt", CLT_TEXT, limits.clt_experiment, CLT_KEYWORDS),
 ])
 def test_experiment_runs_write_the_experiment_dict_in_schedule_order(
-        tmp_path, kind, text, cls, experiment, fields):
+        tmp_path, kind, text, experiment, keywords):
     out = tmp_path / kind
     cfg = _config(text, n="8, 16", out=str(out))
     assert run(cfg) == EXIT_OK
@@ -732,9 +775,8 @@ def test_experiment_runs_write_the_experiment_dict_in_schedule_order(
     ns = [line.split(",")[0] for line in (out / f"{kind}.csv").read_text().splitlines()[1:]]
     assert ns == sorted(ns, key=int) and set(ns) == {"8", "16"}
     results = json.loads((out / "report.json").read_text())["results"]
-    expected = experiment(cls(weight=_weight(cfg.entries),
-                              volatility=_volatility(cfg.entries),
-                              n_schedule=(8, 16), **fields))
+    expected = experiment(_weight(cfg.entries), _volatility(cfg.entries),
+                          **dict(keywords, n_schedule=(8, 16)))
     results.pop("runtime_s"), expected.pop("runtime_s")
     assert results == expected
 

@@ -8,8 +8,6 @@ from ambitlab import limits, variation
 from ambitlab.errors import AdmissibilityError
 from ambitlab.kernels import SingularWeight, SlowFunction, TriangleWeight, UniformWeight
 from ambitlab.limits import (
-    CLTConfig,
-    LLNConfig,
     clt_experiment,
     clt_variance,
     lln_experiment,
@@ -47,9 +45,8 @@ def test_concentration_points_of_the_closed_form_kernels():
 
 
 def test_lln_experiment_needs_a_weight_spec():
-    config = LLNConfig(weight="uniform", volatility=ConstantVol(), n_schedule=(8,), k=1, reps=1)
     with pytest.raises(TypeError, match="not a weight spec"):
-        lln_experiment(config)
+        lln_experiment("uniform", ConstantVol(), n_schedule=(8,), k=1, reps=1)
 
 
 # ------------------------------------------------------------ the functional
@@ -116,6 +113,21 @@ def test_degenerate_windows_carry_no_mass():
     assert sigma_functional(sig, 2.0, QUARTERS, 1.0, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("model", [ConstantVol(sigma0=1.5), DeterministicVol("bowl"),
+                                   LogGaussianVol()], ids=lambda m: m.variant)
+@pytest.mark.parametrize("atoms", [((1.0, (0.25, 0.5)),), QUARTERS], ids=["one", "four"])
+def test_a_window_of_zero_width_is_the_grid_functional_there(model, atoms):
+    sig = sample_volatility(model, 32, seed=3)
+    for p in (1.0, 2.0, 3.5):
+        for s, t in ((0.0, 0.7), (0.6, 0.0), (0.0, 0.0)):
+            got = sigma_functional(sig, p, atoms, s, t)
+            grid = float(limits._functional_on_grid(sig, p, atoms, [s], [t])[0, 0])
+            assert repr(got) == repr(grid) == "0.0"
+    # the shifted domain is still checked when the window is empty
+    with pytest.raises(ValueError, match="escapes the sampled square"):
+        sigma_functional(sig, 2.0, ((1.0, (-1.5, 0.0)),), 0.0, 1.0)
+
+
 def test_functional_rejects_bad_arguments():
     sig = sample_volatility(ConstantVol(), 16, seed=0)
     with pytest.raises(ValueError, match="escapes the sampled square"):
@@ -153,76 +165,96 @@ def test_fluctuation_variance_grows_with_the_window():
 
 def test_lln_config_rejects_contradictory_thinning():
     kw = dict(weight=UniformWeight(), volatility=ConstantVol())
-    with pytest.raises(ValueError, match="exactly one of k and kappa"):
-        LLNConfig(k=1, kappa=0.4, **kw)
-    with pytest.raises(ValueError, match="exactly one of k and kappa"):
-        LLNConfig(**kw)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        LLNConfig(k=1, n_schedule=(32, 16), **kw)
-    with pytest.raises(ValueError, match="at least one replication"):
-        LLNConfig(k=1, reps=0, **kw)
-    with pytest.raises(ValueError, match="powers must be positive"):
-        LLNConfig(k=1, p_values=(2.0, -1.0), **kw)
-    for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="positive and finite"):
-            LLNConfig(k=1, p_values=(2.0, bad), **kw)
+    with pytest.raises(ValueError, match="set exactly one of kappa and k, not both"):
+        lln_experiment(k=1, kappa=0.4, **kw)
+    with pytest.raises(TypeError, match="needs a thinning rule: pass k or kappa"):
+        lln_experiment(**kw)
+    with pytest.raises(ValueError, match="resolution schedule must be strictly increasing"):
+        lln_experiment(k=1, n_schedule=(32, 16), **kw)
+    with pytest.raises(ValueError, match="replications must be >= 1, got 0"):
+        lln_experiment(k=1, reps=0, **kw)
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=re.escape(f"powers must be positive, got [2.0, {bad}]")):
+            lln_experiment(k=1, p_values=(2.0, bad), **kw)
+    with pytest.raises(ValueError, match=re.escape("need at least one power, got []")):
+        lln_experiment(k=1, p_values=(), **kw)
+    with pytest.raises(ValueError, match=re.escape("need at least one resolution, got []")):
+        lln_experiment(k=1, n_schedule=(), **kw)
     # fractional sizes and seeds are refused, not truncated
     for schedule in ((8.7,), (16.9,), (8, math.inf)):
-        with pytest.raises(ValueError, match="each resolution must be an integer"):
-            LLNConfig(k=1, n_schedule=schedule, **kw)
+        with pytest.raises(ValueError, match="n must be integers"):
+            lln_experiment(k=1, n_schedule=schedule, **kw)
     for name in ("k", "reps", "grid_size", "oversample", "seed"):
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            LLNConfig(**{"k": 1, name: 1.5}, **kw)
-    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-        LLNConfig(k=1, seed=-1, **kw)
-    # at construction, in the words of cli.validate, not midway through a run
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got 1.5"):
+            lln_experiment(**{"k": 1, name: 1.5}, **kw)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        lln_experiment(k=1, seed=-1, **kw)
+    # before the run, in the words of cli.validate
     with pytest.raises(ValueError, match=re.escape(
             "constant thinning k=20 exceeds the smallest resolution n=16")):
-        LLNConfig(k=20, n_schedule=(16, 32), **kw)
-    # integer-valued floats pass and are stored as ints
-    cfg = LLNConfig(k=2.0, n_schedule=(8.0, 16.0), reps=3.0, grid_size=2.0,
-                    oversample=1.0, seed=4.0, **kw)
-    assert (cfg.k, cfg.n_schedule, cfg.reps, cfg.grid_size, cfg.oversample, cfg.seed) \
-        == (2, (8, 16), 3, 2, 1, 4)
-    assert all(type(v) is int for v in (cfg.k, *cfg.n_schedule, cfg.reps, cfg.seed))
+        lln_experiment(k=20, n_schedule=(16, 32), **kw)
+
+
+def test_one_error_names_every_broken_rule():
+    with pytest.raises(ValueError) as caught:
+        lln_experiment(UniformWeight(), ConstantVol(), k=0, reps=0, grid_size=2.5, seed=-1)
+    assert str(caught.value) == (
+        "grid_size must be an integer, got 2.5; constant thinning k must be >= 1, got 0; "
+        "replications must be >= 1, got 0; seed must be a non-negative integer, got -1")
 
 
 def test_clt_config_rejects_bad_geometry():
     kw = dict(weight=singular(0.75), volatility=ConstantVol())
-    with pytest.raises(ValueError, match="must lie in \\(0,1\\)"):
-        CLTConfig(kappa=1.5, **kw)
-    with pytest.raises(ValueError, match="outside \\(0,1\\]"):
-        CLTConfig(eval_point=(0.0, 1.0), **kw)
+    with pytest.raises(ValueError, match="thinning exponent must lie in \\(0,1\\), got 1.5"):
+        clt_experiment(kappa=1.5, **kw)
+    with pytest.raises(ValueError, match=re.escape(
+            "eval_point must be two coordinates in (0,1], got [0.0, 1.0]")):
+        clt_experiment(eval_point=(0.0, 1.0), **kw)
     for bad in (math.inf, math.nan, 0.0):
-        with pytest.raises(ValueError, match="power must be positive and finite"):
-            CLTConfig(p=bad, **kw)
+        with pytest.raises(ValueError, match=re.escape(f"powers must be positive, got [{bad}]")):
+            clt_experiment(p=bad, **kw)
     # fractional sizes and seeds are refused, not truncated
-    with pytest.raises(ValueError, match="each resolution must be an integer"):
-        CLTConfig(n_schedule=(64, 128.5), **kw)
+    with pytest.raises(ValueError, match=re.escape("n must be integers, got (64, 128.5)")):
+        clt_experiment(n_schedule=(64, 128.5), **kw)
     for name in ("reps", "seed", "sigma_resolution"):
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            CLTConfig(**{name: 2.5}, **kw)
-    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-        CLTConfig(seed=-3, **kw)
-    cfg = CLTConfig(n_schedule=(64.0,), reps=10.0, seed=2.0, sigma_resolution=8.0, **kw)
-    assert (cfg.n_schedule, cfg.reps, cfg.seed, cfg.sigma_resolution) == ((64,), 10, 2, 8)
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got 2.5"):
+            clt_experiment(**{name: 2.5}, **kw)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -3"):
+        clt_experiment(seed=-3, **kw)
+    with pytest.raises(ValueError, match="sigma_resolution must be >= 2, got 1"):
+        clt_experiment(sigma_resolution=1, **kw)
+
+
+@pytest.mark.parametrize("experiment, keywords, k_key", [
+    (lln_experiment, dict(weight=UniformWeight(), volatility=ConstantVol(), n_schedule=(8.0,),
+                          k=2.0, reps=2.0, grid_size=2.0, oversample=1.0, seed=4.0), "2.0"),
+    (clt_experiment, dict(weight=singular(0.75), volatility=ConstantVol(), n_schedule=(16.0,),
+                          reps=2.0, seed=2.0, sigma_resolution=8.0), None),
+], ids=["lln", "clt"])
+def test_integer_valued_sizes_come_back_as_ints(experiment, keywords, k_key):
+    rep = experiment(**keywords)
+    n = int(keywords["n_schedule"][0])
+    entry = rep["per_n"][str(n)]
+    k = entry[k_key]["k"] if k_key else entry["k"]
+    assert (rep["n_schedule"], rep["reps"], rep["seed"]) == ([n], 2, keywords["seed"])
+    assert all(type(v) is int for v in (*rep["n_schedule"], rep["reps"], rep["seed"], k))
 
 
 def test_lln_config_rejects_a_thinning_exponent_outside_the_unit_interval():
     kw = dict(weight=singular(0.75), volatility=ConstantVol())
     for kappa in (1.5, 1.0, 0.0, -0.2):
         with pytest.raises(ValueError, match="thinning exponent must lie in \\(0,1\\)"):
-            LLNConfig(kappa=kappa, **kw)
+            lln_experiment(kappa=kappa, **kw)
     with pytest.raises(ValueError, match="thinning exponent must lie in \\(0,1\\)"):
-        LLNConfig(kappa=1.5, override_admissibility=True, **kw)
+        lln_experiment(kappa=1.5, override_admissibility=True, **kw)
 
 
 def test_clt_config_rejects_a_resolution_below_two():
     kw = dict(weight=singular(0.75), volatility=ConstantVol())
     with pytest.raises(ValueError, match="resolutions must be >= 2"):
-        CLTConfig(n_schedule=(1, 8), **kw)
+        clt_experiment(n_schedule=(1, 8), **kw)
     with pytest.raises(ValueError, match="resolutions must be >= 2"):
-        CLTConfig(n_schedule=(0,), **kw)
+        clt_experiment(n_schedule=(0,), **kw)
 
 
 # --------------------------------------------------- mean-convergence runs
@@ -232,11 +264,11 @@ def _lln_uniform_config(**overrides):
                 p_values=(2.0,), n_schedule=(16, 32), k=1, reps=8,
                 grid_size=3, seed=0)
     base.update(overrides)
-    return LLNConfig(**base)
+    return base
 
 
 def test_lln_run_reproduces_the_frozen_summary():
-    rep = lln_experiment(_lln_uniform_config())
+    rep = lln_experiment(**_lln_uniform_config())
     assert rep["kind"] == "lln" and rep["flags"] == []
     st16, st32 = rep["per_n"]["16"]["2.0"], rep["per_n"]["32"]["2.0"]
     assert st16["sup_error_median"] == pytest.approx(0.09676802833797052, rel=1e-7)
@@ -254,20 +286,20 @@ def test_lln_mean_part_is_the_floor_lattice_bias():
     # constant volatility: the conditional mean of the scaled variation is
     # floor(s n)floor(t n)/n^2 against the limit s t; the sup over the grid
     # {1/3, 2/3, 1} has an exact rational value at each n
-    rep = lln_experiment(_lln_uniform_config())
+    rep = lln_experiment(**_lln_uniform_config())
     assert rep["per_n"]["16"]["2.0"]["mean_part_median"] == pytest.approx(31.0 / 576.0, rel=1e-12)
     assert rep["per_n"]["32"]["2.0"]["mean_part_median"] == pytest.approx(1.0 / 48.0, rel=1e-12)
 
 
 def test_lln_is_deterministic_given_the_config():
-    a = lln_experiment(_lln_uniform_config())
-    b = lln_experiment(_lln_uniform_config())
+    a = lln_experiment(**_lln_uniform_config())
+    b = lln_experiment(**_lln_uniform_config())
     a.pop("runtime_s"), b.pop("runtime_s")
     assert a == b
 
 
 def test_lln_redraw_volatility_splits_each_replication_against_its_own_mean():
-    rep = lln_experiment(_lln_uniform_config(
+    rep = lln_experiment(**_lln_uniform_config(
         volatility=LogGaussianVol(), reps=1, n_schedule=(16,), grid_size=2, seed=1))
     assert rep["flags"] == ["single replication: dispersion statistics degenerate"]
     st = rep["per_n"]["16"]["2.0"]
@@ -286,7 +318,7 @@ def test_lln_builds_the_strip_integrals_once_per_resolution(monkeypatch):
         return strip_covariances(*args)
 
     monkeypatch.setattr(variation, "strip_covariances", counted)
-    rep = lln_experiment(_lln_uniform_config(
+    rep = lln_experiment(**_lln_uniform_config(
         volatility=DeterministicVol("sine_product"), p_values=(1.0, 2.0),
         n_schedule=(16, 32), k=2, reps=2, grid_size=5))
     assert calls == [16, 32]
@@ -297,7 +329,7 @@ def test_lln_mean_part_vanishes_where_the_grid_lies_on_the_lattice():
     # k = 1 and n a multiple of 5 put every grid point i/5 on a corner, and
     # unit volatility makes the conditional mean there exactly the limit;
     # 0.6 * 10 = 5.999... must still count six corners
-    rep = lln_experiment(_lln_uniform_config(n_schedule=(10, 20), reps=1, grid_size=5))
+    rep = lln_experiment(**_lln_uniform_config(n_schedule=(10, 20), reps=1, grid_size=5))
     for n in (10, 20):
         assert rep["per_n"][str(n)]["2.0"]["mean_part_median"] == pytest.approx(0.0, abs=1e-12)
 
@@ -305,14 +337,14 @@ def test_lln_mean_part_vanishes_where_the_grid_lies_on_the_lattice():
 def test_clt_keeps_the_corners_on_the_evaluation_point():
     # n = 25 at kappa 0.4 thins by k = 7 (eps = 0.28): three corners per axis
     # lie in [0, 0.84], though 0.84 / 0.28 rounds to 2.999...
-    rep = clt_experiment(_clt_singular_config(n_schedule=(25,), eval_point=(0.84, 0.84),
+    rep = clt_experiment(**_clt_singular_config(n_schedule=(25,), eval_point=(0.84, 0.84),
                                               reps=20))
     assert rep["per_n"]["25"]["k"] == 7
     assert rep["per_n"]["25"]["dim"] == 9
 
 
 def test_lln_without_an_exact_mean_flags_the_skipped_split():
-    rep = lln_experiment(_lln_uniform_config(
+    rep = lln_experiment(**_lln_uniform_config(
         weight=singular(0.75), volatility=DeterministicVol("sine_product"),
         n_schedule=(16,), reps=3))
     assert rep["flags"] == ["mean/stochastic split skipped: the singular weight has no exact "
@@ -322,19 +354,19 @@ def test_lln_without_an_exact_mean_flags_the_skipped_split():
 
 def test_lln_config_refuses_a_repeated_power():
     # one power twice would append each replication's statistics twice
-    with pytest.raises(ValueError, match="powers must not repeat, got \\(2.0, 2.0\\)"):
-        _lln_uniform_config(p_values=(2, 2.0))
+    with pytest.raises(ValueError, match=re.escape("powers must not repeat, got [2.0, 2.0]")):
+        lln_experiment(**_lln_uniform_config(p_values=(2, 2.0)))
 
 
 def test_lln_config_refuses_an_empty_grid():
-    with pytest.raises(ValueError, match="grid size must be >= 1, got 0"):
-        _lln_uniform_config(grid_size=0)
+    with pytest.raises(ValueError, match="grid_size must be >= 1, got 0"):
+        lln_experiment(**_lln_uniform_config(grid_size=0))
 
 
 def test_lln_refuses_thinning_outside_the_known_range():
     with pytest.raises(AdmissibilityError, match="override_admissibility"):
-        lln_experiment(_lln_uniform_config(k=None, kappa=0.3))
-    rep = lln_experiment(_lln_uniform_config(
+        lln_experiment(**_lln_uniform_config(k=None, kappa=0.3))
+    rep = lln_experiment(**_lln_uniform_config(
         k=None, kappa=0.3, reps=1, grid_size=2, override_admissibility=True))
     assert any("override" in f for f in rep["flags"])
 
@@ -342,7 +374,7 @@ def test_lln_refuses_thinning_outside_the_known_range():
 def test_lln_explicit_k_bypasses_the_exponent_gate():
     # a constant thinning count is a statement about the lattice, not about
     # the exponent range, so no admissibility question arises
-    rep = lln_experiment(_lln_uniform_config(reps=1, grid_size=2))
+    rep = lln_experiment(**_lln_uniform_config(reps=1, grid_size=2))
     assert rep["per_n"]["16"]["2.0"]["k"] == 1
 
 
@@ -353,11 +385,11 @@ def _clt_singular_config(**overrides):
                 p=2.0, n_schedule=(64,), kappa=0.4, reps=400,
                 sigma_resolution=8, seed=0)
     base.update(overrides)
-    return CLTConfig(**base)
+    return base
 
 
 def test_clt_run_reproduces_the_frozen_summary():
-    rep = clt_experiment(_clt_singular_config())
+    rep = clt_experiment(**_clt_singular_config())
     e = rep["per_n"]["64"]
     assert e["dim"] == 16 and e["k"] == 13
     assert e["exact_variance"] == pytest.approx(1.3203167326427208, rel=1e-9)
@@ -369,7 +401,7 @@ def test_clt_run_reproduces_the_frozen_summary():
 
 
 def test_clt_exact_variance_tightens_toward_the_limit():
-    rep = clt_experiment(_clt_singular_config(n_schedule=(64, 128, 256), reps=2))
+    rep = clt_experiment(**_clt_singular_config(n_schedule=(64, 128, 256), reps=2))
     exact = [rep["per_n"][str(n)]["exact_variance"] for n in (64, 128, 256)]
     assert all(a < b for a, b in zip(exact, exact[1:]))
     assert all(v < 2.0 for v in exact)
@@ -381,14 +413,14 @@ def test_clt_exact_variance_tightens_toward_the_limit():
 def test_clt_batch_medians_need_four_draws_a_batch(reps):
     # batches of two draws always read |skewness| 0 and excess kurtosis -2,
     # of three draws excess kurtosis -1.5, whatever the law
-    e = clt_experiment(_clt_singular_config(reps=reps))["per_n"]["64"]
+    e = clt_experiment(**_clt_singular_config(reps=reps))["per_n"]["64"]
     assert e["abs_skewness_median"] is None and e["abs_excess_kurtosis_median"] is None
     assert e["skewness"] is not None
 
 
 def test_clt_batch_medians_of_four_draws_follow_the_sample():
     keys = ("abs_skewness_median", "abs_excess_kurtosis_median")
-    medians = [tuple(clt_experiment(_clt_singular_config(reps=32, seed=seed))["per_n"]["64"][key]
+    medians = [tuple(clt_experiment(**_clt_singular_config(reps=32, seed=seed))["per_n"]["64"][key]
                      for key in keys) for seed in (0, 1)]
     assert all(isinstance(v, float) for pair in medians for v in pair)
     assert medians[0][0] != medians[1][0] and medians[0][1] != medians[1][1]
@@ -411,14 +443,14 @@ def test_sorted_statistics_match_numpy_bit_for_bit(size):
 
 
 def test_clt_off_quadratic_powers_lose_the_closed_form():
-    rep = clt_experiment(_clt_singular_config(p=1.5, reps=50))
+    rep = clt_experiment(**_clt_singular_config(p=1.5, reps=50))
     assert rep["per_n"]["64"]["exact_variance"] is None
     assert any("needs p=2" in f for f in rep["flags"])
     assert rep["per_n"]["64"]["sample_variance"] > 0.0
 
 
 def test_clt_single_replication_degenerates_gracefully():
-    rep = clt_experiment(_clt_singular_config(reps=1))
+    rep = clt_experiment(**_clt_singular_config(reps=1))
     e = rep["per_n"]["64"]
     assert e["sample_variance"] is None and e["skewness"] is None
     assert any("single replication" in f for f in rep["flags"])
@@ -426,17 +458,18 @@ def test_clt_single_replication_degenerates_gracefully():
 
 def test_clt_refuses_the_windowed_kernel():
     with pytest.raises(AdmissibilityError, match="override_admissibility"):
-        clt_experiment(CLTConfig(weight=UniformWeight(), volatility=ConstantVol(),
-                                 n_schedule=(64,), reps=4, sigma_resolution=8))
+        clt_experiment(UniformWeight(), ConstantVol(), n_schedule=(64,), reps=4,
+                       sigma_resolution=8)
 
 
 def test_clt_eval_point_must_keep_some_increments():
-    with pytest.raises(ValueError, match="excludes every retained increment"):
-        clt_experiment(_clt_singular_config(eval_point=(0.1, 0.1), reps=2))
+    with pytest.raises(ValueError, match=re.escape(
+            "eval_point (0.1, 0.1) excludes every retained increment at n=64 (k_n/n = 0.203125)")):
+        clt_experiment(**_clt_singular_config(eval_point=(0.1, 0.1), reps=2))
 
 
 def test_clt_is_deterministic_given_the_config():
-    a = clt_experiment(_clt_singular_config(reps=50))
-    b = clt_experiment(_clt_singular_config(reps=50))
+    a = clt_experiment(**_clt_singular_config(reps=50))
+    b = clt_experiment(**_clt_singular_config(reps=50))
     a.pop("runtime_s"), b.pop("runtime_s")
     assert a == b

@@ -28,7 +28,9 @@ Run through the CLI:
 Loaded unchanged:
 
 * the benchmark tracer (``perfbench/tracing.py``) finds every function it
-  wraps, and every argument its work counts read.
+  wraps, and every argument its work counts read;
+* every key the experiments' rule table knows is read by some CLI kind, so
+  the table holds no dead rule.
 """
 
 import ast
@@ -43,7 +45,7 @@ import sys
 
 import pytest
 
-from ambitlab import cli, kernels, volatility
+from ambitlab import cli, kernels, limits, volatility
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ambitlab"
 MODULES = sorted(SRC.glob("*.py"))
@@ -262,6 +264,11 @@ def test_the_benchmark_tracer_finds_what_it_wraps():
                 if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
                 and node.value.id == "args" and isinstance(node.slice, ast.Constant)}
         assert keys <= set(params), f"{span} has no parameter {sorted(keys - set(params))}"
+
+
+def test_every_rule_table_key_is_read_by_some_kind():
+    # every kind reads the common keys, seed among them
+    assert [key for key in limits._RULES if not cli._reads(cli._ANY_KIND, key)] == []
 
 
 # Public names no CLI run enters, each mapped to a test that reads it: as the
