@@ -222,16 +222,18 @@ class WeightSpec:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
 
-def _row_sections(region, ts, top):
-    """The nonempty slices of ``region`` at heights ``ts``, clipped to (0, top).
+def _row_sections(region, ts, offsets, top):
+    """The nonempty slices of ``region`` at heights ``ts + offsets``, clipped to (0, top).
 
-    Returns flat arrays ``(row, lo, hi)``, one entry per slice: rows in
-    order and each row's slices ascending, the order a per-row loop visits.
+    Returns flat arrays ``(row, lo, lo_off, hi, hi_off)``, one entry per
+    slice, each end a base and an exact offset as ``row_sections_array``
+    gives them: rows in order and each row's slices ascending, the order a
+    per-row loop visits.
     """
-    lo, hi = regions.row_sections_array(region, ts)
-    lo, hi = np.maximum(lo.T, 0.0), np.minimum(hi.T, top)
-    keep = hi > lo
-    return np.nonzero(keep)[0], lo[keep], hi[keep]
+    strip = Intersection((region, HalfPlane(-1.0, 0.0, 0.0), HalfPlane(1.0, 0.0, top)))
+    lo, lo_off, hi, hi_off = (x.T for x in regions.row_sections_array(strip, ts, offsets))
+    keep = regions.before(lo, lo_off, hi, hi_off)
+    return np.nonzero(keep)[0], lo[keep], lo_off[keep], hi[keep], hi_off[keep]
 
 
 @dataclass(frozen=True)
@@ -311,8 +313,8 @@ class UniformWeight(WeightSpec):
 
         def rows(ts, deltas, origin, job):
             ts = np.atleast_1d(np.asarray(ts, dtype=float))
-            row, a, b = _row_sections(region, ts, 1.0 + d)
-            a, b = a[:, None], b[:, None]
+            row, a, a_off, b, b_off = _row_sections(region, ts, 0.0, 1.0 + d)
+            a, b = (a + a_off)[:, None], (b + b_off)[:, None]
             cuts = np.concatenate([a, np.clip(sbreaks, a, b), b], axis=1)
             lo, hi = cuts[:, :-1], cuts[:, 1:]
             keep = hi > lo
@@ -480,7 +482,7 @@ class SingularWeight(_ProfileWeight):
             ss = np.atleast_1d(np.asarray(ss, dtype=float))
             sig = ss - d if origin is None else np.where(origin == d, deltas, ss - d)
             top = np.minimum(ss, 1.0 + d)
-            lo, hi = regions.row_sections_array(flipped, ss)
+            lo, _, hi, _ = regions.row_sections_array(flipped, ss)
             lo, hi = np.maximum(lo, 0.0), np.minimum(hi, top)
             fs, fsig = self.profile(ss), self.profile(sig)
             flat = sig <= 0.0  # shifted copies fall outside: f(s) throughout
@@ -760,9 +762,13 @@ class TriangleWeight(_ProfileWeight):
         eight ends of those cross-sections sit at base + coeff*u, where u is
         the exact offset of t from the active singular height (0 or 1/n) and
         base a multiple of 1/n; keeping u apart keeps piece lengths of order u
-        exact however deep the outer grading goes.  Each row section is cut at
-        the ends strictly inside it, the cuts sorted by position (ties by
-        coeff*u), and each piece's value read off at its symbolic midpoint:
+        exact however deep the outer grading goes.  The region's section ends
+        come the same way, as a base and an exact offset from the graded
+        height (``regions.row_sections_array``), so a region cut through the
+        apex, where the cone is far narrower than the rounding of 1/2, keeps
+        its width too.  Each row section is cut at the kernel ends strictly
+        inside it, all ends sorted by position (ties by offset), and each
+        piece's value read off at its midpoint, kept as a base and an offset:
         all nodes and sections in one array pass.
         """
         d = 1.0 / n
@@ -772,36 +778,35 @@ class TriangleWeight(_ProfileWeight):
         above = np.array([-d, d, d, 3.0 * d, 0.0, 0.0, 2.0 * d, 2.0 * d])
         # t = u < 1/n: tau < 0, so the lower pair is empty and never cuts
         below = np.array([0.0, 0.0, 2.0 * d, 2.0 * d, 0.0, 0.0, 2.0 * d, 2.0 * d])
+        before = regions.before
 
         def rows(ts, deltas, origin, job):
             ts = np.atleast_1d(np.asarray(ts, dtype=float))
             if origin is None:
                 us, zero = ts - d, np.zeros(ts.size, dtype=bool)
+                heights, offsets = ts, 0.0
             else:
                 # graded toward 0: u == t, exact near zero; toward d: u == t - d
                 zero = origin == 0.0
                 us = np.where(zero | (origin == d), deltas, ts - d)
+                heights, offsets = origin, deltas
             ft, ftau = self.profile(ts), self.profile(np.where(zero, ts - d, us))
-            row, a, b = _row_sections(region, ts, 1.0 + d)
-            u, ft, ftau = us[row, None], ft[row, None], ftau[row, None]
-
-            def before(x0, x1, y0, y1):
-                # is x0 + x1*u strictly left of y0 + y1*u?
-                return np.where(x0 == y0, (x1 - y1) * u < 0.0, x0 + x1 * u < y0 + y1 * u)
+            row, a, a_off, b, b_off = _row_sections(region, heights, offsets, 1.0 + d)
+            ft, ftau = ft[row, None], ftau[row, None]
 
             ya, yb = 2.0 * a[:, None] - 1.0, 2.0 * b[:, None] - 1.0
-            base = np.where(zero[row, None], below, above)
-            cut = before(ya, 0.0, base, coeff) & before(base, coeff, yb, 0.0)
+            ya_off, yb_off = 2.0 * a_off[:, None], 2.0 * b_off[:, None]
+            base, off = np.where(zero[row, None], below, above), coeff * us[row, None]
+            cut = before(ya, ya_off, base, off) & before(base, off, yb, yb_off)
             cut[:, 4:] &= ftau != 0.0  # a zero lower pair changes no piece's value
-            fixed = np.zeros_like(ya)  # the section ends do not move with u
             cb = np.concatenate([ya, np.where(cut, base, ya), yb], axis=1)
-            cc = np.concatenate([fixed, np.where(cut, coeff, 0.0), fixed], axis=1)
-            order = np.lexsort((cc * u, cb + cc * u), axis=1)
-            cb, cc = np.take_along_axis(cb, order, 1), np.take_along_axis(cc, order, 1)
-            length = (cb[:, 1:] - cb[:, :-1]) + (cc[:, 1:] - cc[:, :-1]) * u
-            m0, m1 = 0.5 * (cb[:, :-1] + cb[:, 1:]), 0.5 * (cc[:, :-1] + cc[:, 1:])
-            inside = [(before(base[:, [k]], coeff[k], m0, m1)
-                       & before(m0, m1, base[:, [k + 1]], coeff[k + 1])).astype(float)
+            co = np.concatenate([ya_off, np.where(cut, off, ya_off), yb_off], axis=1)
+            order = np.lexsort((co, cb + co), axis=1)
+            cb, co = np.take_along_axis(cb, order, 1), np.take_along_axis(co, order, 1)
+            length = (cb[:, 1:] - cb[:, :-1]) + (co[:, 1:] - co[:, :-1])
+            m0, m1 = 0.5 * (cb[:, :-1] + cb[:, 1:]), 0.5 * (co[:, :-1] + co[:, 1:])
+            inside = [(before(base[:, [k]], off[:, [k]], m0, m1)
+                       & before(m0, m1, base[:, [k + 1]], off[:, [k + 1]])).astype(float)
                       for k in range(0, 8, 2)]
             v = ft * (inside[0] - inside[1]) - ftau * (inside[2] - inside[3])
             pieces = np.where(length > 0.0, length * v * v, 0.0)
@@ -820,8 +825,8 @@ class TriangleWeight(_ProfileWeight):
         edges = [0.0, d, 2.0 * d, 3.0 * d, 1.0, 1.0 + d] + regions.t_breakpoints(region)
         edges += crossing_edges(region, struct, axis=1)
         # opposite-family cone edges cross each other at multiples of d/2; rows
-        # kink there even without a region cut (the full-mass pieces happen to
-        # put dyadic panel edges on those heights, arbitrary regions do not)
+        # kink there even without a region cut, and no panel edge of the
+        # ratio-4 grading from 0 or d falls on those heights
         edges += [0.5 * d, 1.5 * d, 2.5 * d]
         pieces = make_pieces(edges, [0.0, d], 0.0, 1.0 + d)
         return integrate_pieces(self._rows(n, region), [pieces], quadcfg,

@@ -30,7 +30,7 @@ import time
 import numpy as np
 
 from .asymptotics import kappa_refusal
-from .errors import AdmissibilityError, FloatRangeError
+from .errors import AdmissibilityError, FloatRangeError, QuadratureError
 from .gaussian import abs_moment
 from .kernels import compute_cn, require_weight, thinning_count
 from .simulate import (
@@ -336,7 +336,10 @@ def lln_experiment(weight, volatility, p_values=(2.0,), n_schedule=(64, 128, 256
     for n in n_schedule:
         k_n = k if k is not None else thinning_count(n, kappa)
         eps = k_n / n
-        cn = compute_cn(weight, n)
+        try:
+            cn = compute_cn(weight, n)
+        except QuadratureError as exc:
+            raise QuadratureError(f"c_n at n={n}: {exc}", exc.estimate) from exc
         M = 2 * n * oversample
 
         def limit_and_mean(sigma, p):
@@ -448,7 +451,10 @@ def clt_experiment(weight, volatility, p=2.0, n_schedule=(200, 400, 600), kappa=
     for n in n_schedule:
         k = thinning_count(n, kappa)
         eps = k / n
-        cov = increment_covariance(weight, sigma, n, k)
+        try:
+            cov = increment_covariance(weight, sigma, n, k)
+        except QuadratureError as exc:
+            raise QuadratureError(f"increment covariance at n={n}: {exc}", exc.estimate) from exc
         keep = np.flatnonzero(np.all(cov.indices <= retained_corners(s_eval, t_eval, eps),
                                      axis=1))
         mat = cov.matrix[np.ix_(keep, keep)]

@@ -20,8 +20,9 @@ Each resolution makes, for all jobs together:
 
 * one scale pass: one Gauss-Legendre panel on each smooth piece, which sets
   each job's tolerance and seeds its adaptive pieces;
-* one graded pass: every graded piece split into ``levels`` panels
-  shrinking geometrically toward its left end;
+* one graded pass: every graded piece split into ``levels`` panels, each a
+  quarter of the width of the one to its right, so the innermost panel
+  reaches 4^-levels of the piece from its left end;
 * one adaptive pass: every smooth piece bisected, with one integrand call per
   bisection level for the open panels of all jobs.
 
@@ -87,7 +88,7 @@ class QuadratureConfig:
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-14
-    levels: int = 40          # dyadic grading levels toward a singular endpoint
+    levels: int = 20          # ratio-4 grading levels toward a singular endpoint: reach 4^-20
     nodes: int = 10           # Gauss-Legendre nodes per graded panel
     smooth_nodes: int = 16    # Gauss-Legendre nodes per adaptive panel
     max_depth: int = 48
@@ -175,14 +176,17 @@ def _gauss_sums(f, lo, hi, job, nodes, origin=None):
 def _graded_pass(f, job, a, b, levels, nodes, labels):
     """Each graded piece's integral, panels shrinking geometrically toward a.
 
-    The sliver of relative width 2^-levels next to the singular end is
-    estimated by geometric extrapolation of the innermost panel ratio: for an
-    algebraic singularity the panel masses decay geometrically and the slowly
-    varying factor is flat at that scale, so the extrapolated tail stays far
-    below the layout-agreement tolerance even when the sliver's true mass
-    (which can exceed float resolution to a small power) is not negligible.
+    Panel edges sit at a + (b - a) 4^-j for j = 0, ..., levels: each panel is
+    a quarter of the next one out, so the same reach takes half the levels
+    (and half the nodes) that halving would.  The sliver of relative width
+    4^-levels next to the singular end is estimated by geometric
+    extrapolation of the innermost panel ratio: for an algebraic singularity
+    the panel masses decay geometrically and the slowly varying factor is
+    flat at that scale, so the extrapolated tail stays far below the
+    layout-agreement tolerance even when the sliver's true mass (which can
+    exceed float resolution to a small power) is not negligible.
     """
-    offs = (b - a)[:, None] * 2.0 ** (-np.arange(levels, -1.0, -1.0))  # ascending
+    offs = (b - a)[:, None] * 4.0 ** (-np.arange(levels, -1.0, -1.0))  # ascending
     panels = _gauss_sums(f, offs[:, :-1].ravel(), offs[:, 1:].ravel(), np.repeat(job, levels),
                          nodes, origin=np.repeat(a, levels)).reshape(a.size, levels)
     totals = np.sum(panels, axis=1)
@@ -293,7 +297,8 @@ def integrate_pieces(f, jobs, quadcfg, labels=None, f_check=None):
     c = quadcfg
     labels = labels or [f"job {k}" for k in range(len(jobs))]
     first = _integrate_once(f, jobs, c, c.levels, c.nodes, c.smooth_nodes, labels)
-    second = _integrate_once(f_check or f, jobs, c, c.levels + 6, c.nodes + 4,
+    # the check layout reaches 4^-3 = 1/64 further toward each singular end
+    second = _integrate_once(f_check or f, jobs, c, c.levels + 3, c.nodes + 4,
                              c.smooth_nodes + 8, labels)
     for label, v1, v2 in zip(labels, first.tolist(), second.tolist()):
         if abs(v1 - v2) > c.rel_tol * max(abs(v1), abs(v2)) + c.abs_tol:

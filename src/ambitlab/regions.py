@@ -10,7 +10,10 @@ they ask for its cross-sections at many heights ``t`` at once
 (``row_sections_array``) as disjoint open intervals, which keeps the 1-D
 reductions of the kernel integrals exact: each half-plane cuts the row at
 ``(c - b*t)/a``, and a piece's interval is the max of its lower and the min
-of its upper cuts.  Columns are the rows of the ``transpose``.
+of its upper cuts.  A height may come as a base and an exact offset from it;
+the section ends then come the same way, so a graded integrator keeps
+sections far narrower than the rounding of the base.  Columns are the rows
+of the ``transpose``.
 ``boundary_lines`` lists the lines bounding a region so integrators can place
 outer breakpoints where a moving section endpoint passes a structural line of
 the integrand.
@@ -36,6 +39,7 @@ __all__ = [
     "Difference",
     "Everything",
     "band",
+    "before",
     "row_sections_array",
     "transpose",
     "transpose_invariant",
@@ -100,45 +104,82 @@ def band(lo, hi):
     return Intersection((HalfPlane(-1.0, 1.0, -lo), HalfPlane(1.0, -1.0, hi)))
 
 
-def row_sections_array(region, ts):
-    """The slices {s : (s, t) in region} at every height t of ``ts`` at once.
+def before(x, x_off, y, y_off):
+    """Is the end x + x_off strictly left of y + y_off?
 
-    Returns ``(lo, hi)`` of shape (pieces, len(ts)): column i holds the slice
-    at ``ts[i]`` as disjoint open intervals (lo, hi), ascending, and (0, 0)
-    in unused entries.  A piece's interval is the max of its lower and the
-    min of its upper cuts.  One sort on the lower cut and a sweep merge the
-    pieces: a piece opens an interval where its lower cut passes the running
-    maximum of the upper cuts before it; the interval ends at that maximum
-    before the next opening.
+    Ends come as a base and an offset from it (see ``row_sections_array``).
+    The test is the sign of (y - x) + (y_off - x_off): two ends on one base
+    compare by their offsets alone, exactly, where their rounded sums may
+    tie.  Broadcasts.
     """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    return (y - x) + (y_off - x_off) > 0.0
+
+
+@np.errstate(invalid="ignore")  # open sides are infinite: inf - inf reads as no order
+def row_sections_array(region, ts, offsets=0.0):
+    """The slices {s : (s, t) in region} at every height t = ts + offsets at once.
+
+    ``offsets`` holds each height's exact offset u from ``ts`` (0.0 for
+    heights given outright).  An integrator grading toward a height t0 passes
+    t0 and u, which it knows to full relative precision even where t0 + u
+    rounds back to t0.  A half-plane then cuts the row at base + off, with
+    base = (c - b*t0)/a and off = -(b/a)*u: the offset never joins the base,
+    so a slice as narrow as u, such as the cone's near its apex, keeps its
+    width however small u is.
+
+    ``offsets`` broadcasts against ``ts``.  Returns
+    ``(lo, lo_off, hi, hi_off)``, each of shape (pieces, heights): column i
+    holds the slice at height i as disjoint open intervals
+    (lo + lo_off, hi + hi_off), ascending, and zeros in unused entries.  Ends
+    compare by :func:`before`.  A piece's interval runs from the greatest of
+    its lower cuts to the least of its upper cuts.  One sort on the lower
+    ends and a sweep merge the pieces: a piece opens an interval where its
+    lower end passes the running greatest upper end before it; the interval
+    ends at that greatest end before the next opening.
+    """
+    ts, us = np.atleast_1d(np.asarray(ts, dtype=float)), np.asarray(offsets, dtype=float)
     pieces = _pieces(region)
-    lo = np.full((len(pieces), ts.size), -math.inf)
-    hi = np.full((len(pieces), ts.size), math.inf)
+    count, size = len(pieces), ts.size
+    # rows lo, lo_off, hi, hi_off of every piece, so one call moves all four
+    ends = np.zeros((4, count, size))
+    ends[0], ends[2] = -math.inf, math.inf
+    lo, lo_off, hi, hi_off = ends
     for p, piece in enumerate(pieces):
+        slanted = False  # has a cut with an offset been taken yet?
         for a, b, c in piece:
-            rhs = c - b * ts
-            if a > 0.0:
-                np.minimum(hi[p], rhs / a, out=hi[p])
-            elif a < 0.0:
-                np.maximum(lo[p], rhs / a, out=lo[p])
+            if a == 0.0:
+                hi[p][c - b * ts <= b * us] = -math.inf  # rows outside a horizontal half-plane
+                continue
+            end, end_off = (hi[p], hi_off[p]) if a > 0.0 else (lo[p], lo_off[p])
+            if b == 0.0 and not slanted:  # vertical cuts at offset-free ends: plain min / max
+                (np.minimum if a > 0.0 else np.maximum)(end, c / a, out=end)
             else:
-                hi[p][rhs <= 0.0] = -math.inf  # rows outside a horizontal half-plane
-    empty = hi <= lo
-    if len(pieces) == 1:  # a lone piece's interval needs no merging
-        return np.where(empty, 0.0, lo), np.where(empty, 0.0, hi)
-    lo[empty], hi[empty] = math.inf, -math.inf  # sort last, never raise the maximum
-    order = np.argsort(lo, axis=0, kind="stable")
-    lo, hi = np.take_along_axis(lo, order, 0), np.take_along_axis(hi, order, 0)
-    reach = np.maximum.accumulate(hi, axis=0)
-    opens = np.ones(lo.shape, dtype=bool)
-    opens[1:] = lo[1:] > reach[:-1]
-    rows = np.where(opens, np.arange(len(pieces))[:, None], len(pieces))
-    last = np.full(lo.shape, len(pieces) - 1)
+                slanted = True
+                cut, off = (c - b * ts) / a, us * (-b / a)
+                tighter = before(cut, off, end, end_off) if a > 0.0 else before(end, end_off, cut, off)
+                np.copyto(end, cut, where=tighter)
+                np.copyto(end_off, off, where=tighter)
+    empty = ~before(lo, lo_off, hi, hi_off)
+    if count == 1:  # a lone piece's interval needs no merging
+        np.copyto(ends, 0.0, where=empty)
+        return tuple(ends)
+    # empty pieces sort last and never raise the running greatest end
+    np.copyto(ends, np.array([math.inf, 0.0, -math.inf, 0.0])[:, None, None], where=empty)
+    column = np.arange(size)
+    order = np.lexsort((lo_off, lo + lo_off), axis=0) * size + column  # by end, then offset
+    lo, lo_off, hi, hi_off = ends = np.take(ends.reshape(4, -1), order, axis=1)
+    reach = ends[2:].copy()
+    for p in range(1, count):
+        held = before(hi[p], hi_off[p], reach[0, p - 1], reach[1, p - 1])
+        np.copyto(reach[:, p], reach[:, p - 1], where=held)
+    opens = np.ones((count, size), dtype=bool)
+    opens[1:] = before(reach[0, :-1], reach[1, :-1], lo[1:], lo_off[1:])
+    rows = np.where(opens, np.arange(count)[:, None], count)
+    last = np.full((count, size), count - 1)
     last[:-1] = np.minimum.accumulate(rows[::-1], axis=0)[::-1][1:] - 1
-    hi = np.take_along_axis(reach, last, 0)
-    keep = opens & (hi > lo)
-    return np.where(keep, lo, 0.0), np.where(keep, hi, 0.0)
+    ends[2:] = np.take(reach.reshape(2, -1), last * size + column, axis=1)
+    np.copyto(ends, 0.0, where=~(opens & before(lo, lo_off, hi, hi_off)))
+    return tuple(ends)
 
 
 def transpose(region):

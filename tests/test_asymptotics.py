@@ -208,7 +208,7 @@ def test_triangle_measures_match_closed_antiderivatives():
     def AD(t):
         return -2.0 / math.sqrt(t) - 4.0 * math.sqrt(t) + (2.0 / 3.0) * t**1.5
 
-    np.testing.assert_allclose(m["Etilde"], closed_corner_core(d, 0.75), rtol=1e-7)
+    np.testing.assert_allclose(m["Etilde"], closed_corner_core(d, 0.75), rtol=1e-12)
     np.testing.assert_allclose(m["B1"], d * (AD(1.0) - AD(lo)), rtol=1e-12)
     np.testing.assert_allclose(m["B3"], d * (AD(1.0 - d) - AD(lo - d)), rtol=1e-12)
     np.testing.assert_allclose(m["B4"], 2 * d * (AD(1.0) - AD(1.0 - d)), rtol=1e-9)
@@ -216,6 +216,21 @@ def test_triangle_measures_match_closed_antiderivatives():
     np.testing.assert_allclose(m["B2"], 2.9196443547772028e-05, rtol=1e-9)
     cn = compute_cn(spec, n)
     np.testing.assert_allclose(sum(m[r] for r in PARTITION), cn, rtol=1e-12)
+
+
+@pytest.mark.parametrize("ell", ["one", "one_minus_s"])
+@pytest.mark.parametrize("n", [16, 64, 256, 1024])
+@pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
+def test_cone_core_mass_matches_its_closed_form(alpha, n, ell):
+    # below height 1/n the cone's shifted copies miss it, so Etilde carries
+    # int_0^d t f(t)^2 dt = int_0^d t^(1 - 2 alpha) ell(t)^2 dt; the graded
+    # rows there are as narrow as the offsets from the apex
+    d = 1.0 / n
+    m = region_measures(triangle(alpha, ell), n, region_catalog(triangle(alpha, ell), n, 0.15),
+                        names=("Etilde",))
+    want = (closed_corner_core(d, alpha) if ell == "one_minus_s"
+            else d ** (2 - 2 * alpha) / (2 - 2 * alpha))
+    np.testing.assert_allclose(m["Etilde"], want, rtol=1e-12)
 
 
 def test_measure_subset_only_computes_requested_regions():

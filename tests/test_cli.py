@@ -629,6 +629,19 @@ def test_a_kernel_report_numerical_exit_names_its_column_and_n(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, module, stage", [
+    (LLN_TEXT, limits, "c_n"),
+    (CLT_TEXT, simulate, "increment covariance"),
+], ids=["lln", "clt"])
+def test_an_experiment_numerical_exit_names_its_stage_and_n(
+        tmp_path, monkeypatch, capsys, text, module, stage):
+    monkeypatch.setattr(module, "compute_cn", _unstable)
+    out = tmp_path / "stage"
+    assert run(_config(text, n="16", out=str(out))) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == f"numerical: {stage} at n=16: mass did not stabilize\n"
+    assert not out.exists()
+
+
 # ------------------------------------------------------------- run: reports
 
 def test_run_builds_the_weight_and_the_volatility_once(tmp_path, monkeypatch):
@@ -984,8 +997,7 @@ def test_main_override_flag_unlocks_a_refused_run(tmp_path):
     cfg_path = tmp_path / "tri.cfg"
     cfg_path.write_text(
         "kind = asymptotics\nweight.variant = triangle\nweight.alpha = 0.75\n"
-        "weight.ell = one\nn = 64, 128, 256, 512\nkappa = 0.15\n"
-        "quad.rel_tol = 1e-6\n")
+        "weight.ell = one\nn = 64, 128, 256, 512\nkappa = 0.15\n")
     out = tmp_path / "tri_out"
     refused = main(["--config", str(cfg_path), "--out", str(out)])
     assert refused == EXIT_OK  # kappa 0.15 is inside (0, 0.2): no refusal

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -382,7 +383,7 @@ def _clip(secs, lo, hi):
 
 def _sections(region, t, lo, hi):
     """The slice of ``region`` at height ``t``, clipped to (lo, hi), as float pairs."""
-    a, b = regions.row_sections_array(region, [t])
+    a, _, b, _ = regions.row_sections_array(region, [t])  # heights outright: no offsets
     return _clip(zip(a[:, 0].tolist(), b[:, 0].tolist()), lo, hi)
 
 
@@ -517,72 +518,76 @@ def test_column_evaluates_no_zero_width_panels(monkeypatch):
 
 # ---------------------------------------------------------------- cone row integrand
 
+def _exact_sections(region, t, top):
+    """The slice of ``region`` at the exact height ``t``, clipped to (0, top),
+    as merged Fraction pairs: no end is rounded, however narrow the slice."""
+    spans = []
+    for piece in region.pieces:
+        lo, hi = Fraction(0), Fraction(top)
+        for a, b, c in piece:
+            rhs = Fraction(c) - Fraction(b) * t
+            if a == 0.0:
+                if rhs <= 0:
+                    hi = lo  # the row lies outside a horizontal half-plane
+            elif a > 0.0:
+                hi = min(hi, rhs / Fraction(a))
+            else:
+                lo = max(lo, rhs / Fraction(a))
+        if hi > lo:
+            spans.append((lo, hi))
+    merged = []
+    for lo, hi in sorted(spans):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
 def _scalar_rows(spec, n, region):
-    """The cone row integrand one node at a time: the definition the array one must match."""
+    """The cone row integrand one node at a time, in exact arithmetic: the
+    definition the array one must match.
+
+    A graded node's height is its origin plus its offset, summed exactly.  In
+    y = 2s - 1 the row of h_n is f(t) (1{|y| < t} - 1{|y - 2d| < t}) minus
+    f(t - d) times the same pair at t - d; every cross-section end, region
+    section end and piece length is a Fraction.  Only the profile values are
+    floats, read at the heights the array form reads them.  Returns the rows
+    and, per row, how far it moves if every end moves by one unit: at most
+    the number of ends times half the largest h_n^2, (f(t) + f(t - d))^2 / 2.
+    """
     d = 1.0 / n
+    top = Fraction(1.0 + d)
 
     def rows(ts, deltas, origin):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if origin is None:
-            us, zero = ts - d, np.zeros(ts.size, dtype=bool)
-        else:
-            zero = origin == 0.0
-            us = np.where(zero | (origin == d), deltas, ts - d)
-        out = np.zeros_like(ts)
-        for i, (t, u, at_zero) in enumerate(zip(ts, us, zero)):
-            if t <= 0.0 or t >= 1.0 + d:
+        out, spread = np.zeros_like(ts), np.zeros_like(ts)
+        for i, t in enumerate(ts.tolist()):
+            at = None if origin is None else float(origin[i])
+            exact = Fraction(t) if at is None else Fraction(at) + Fraction(float(deltas[i]))
+            if not 0 < exact < top:
                 continue
-            ft = spec.profile(t)
-            tau = t - d if at_zero else u
-            ftau = spec.profile(tau) if tau > 0.0 else 0.0
+            tau = float(deltas[i]) if at == d else t - d
+            ft, ftau = spec.profile(t), spec.profile(tau) if tau > 0.0 else 0.0
             if ft == 0.0 and ftau == 0.0:
                 continue
-            # symbolic y-breakpoints (base, coeff): position = base + coeff*u
-            if at_zero:
-                cur = ((0.0, -1.0), (0.0, 1.0))              # (-t, t)
-                curs = ((2.0 * d, -1.0), (2.0 * d, 1.0))     # (2d-t, 2d+t)
-                old = olds = None                            # tau < 0 here
-            else:
-                cur = ((-d, -1.0), (d, 1.0))                 # t = d + u
-                curs = ((d, -1.0), (3.0 * d, 1.0))
-                old = ((0.0, -1.0), (0.0, 1.0))              # (-tau, tau)
-                olds = ((2.0 * d, -1.0), (2.0 * d, 1.0))
-            brks = [*cur, *curs]
-            if ftau != 0.0 and old is not None:
-                brks.extend((*old, *olds))
-
-            def pos(bk):
-                return bk[0] + bk[1] * u
-
-            def before(m, bk):
-                # is symbolic midpoint m strictly left of breakpoint bk?
-                if m[0] == bk[0]:
-                    return (m[1] - bk[1]) * u < 0.0
-                return pos(m) < pos(bk)
-
-            def inside(m, iv):
-                return bool(iv is not None and before(iv[0], m) and before(m, iv[1]))
-
+            # half-widths of I(t) and I(t - d), each centred at 0 and at 2d
+            pairs = [(exact, 2 * Fraction(d)), (exact - Fraction(d), 2 * Fraction(d))]
+            ends = {c + sign * w for w, moved in pairs if w > 0
+                    for c in (0, moved) for sign in (-1, 1)}
             acc = 0.0
-            for a, b in _sections(region, t, 0.0, 1.0 + d):
-                ya, yb = 2.0 * a - 1.0, 2.0 * b - 1.0
-                cuts = [(ya, 0.0)] + sorted(
-                    (bk for bk in brks if before((ya, 0.0), bk) and before(bk, (yb, 0.0))),
-                    key=pos,
-                ) + [(yb, 0.0)]
+            for a, b in _exact_sections(region, exact, top):
+                spread[i] += 0.5 * (2 + len(ends)) * (abs(ft) + abs(ftau)) ** 2
+                ya, yb = 2 * a - 1, 2 * b - 1
+                cuts = sorted({ya, yb, *(e for e in ends if ya < e < yb)})
                 for lo, hi in zip(cuts[:-1], cuts[1:]):
-                    length = (hi[0] - lo[0]) + (hi[1] - lo[1]) * u
-                    if length <= 0.0:
-                        continue
-                    m = (0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1]))
-                    v = 0.0
-                    if ft != 0.0:
-                        v += ft * (inside(m, cur) - inside(m, curs))
-                    if ftau != 0.0:
-                        v -= ftau * (inside(m, old) - inside(m, olds))
-                    acc += length * v * v
+                    m = (lo + hi) / 2
+                    inside = [float(w > 0 and abs(m - c) < w)
+                              for w, moved in pairs for c in (0, moved)]
+                    v = ft * (inside[0] - inside[1]) - ftau * (inside[2] - inside[3])
+                    acc += float(hi - lo) * v * v
             out[i] = 0.5 * acc  # ds = dy / 2
-        return out
+        return out, spread
 
     return rows
 
@@ -623,11 +628,26 @@ def test_array_cone_rows_match_the_scalar_definition(alpha, ell):
             for ts, deltas, origin in ((plain, None, None),
                                        (low, low, np.zeros(low.size)),
                                        (d + high, high, np.full(high.size, d))):
-                want = scalar(ts, deltas, origin)
-                np.testing.assert_allclose(array(ts, deltas, origin, None), want,
-                                           rtol=1e-13, atol=0.0, err_msg=f"{name} at n={n}")
+                want, spread = scalar(ts, deltas, origin)
+                # a plain height's ends are formed at its rounded position, each
+                # within a few ulp of unit; graded ends keep their offsets exact
+                slack = 8 * np.finfo(float).eps * spread if origin is None else 0.0
+                got = array(ts, deltas, origin, None)
+                assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want) + slack), \
+                    f"{name} at n={n}: worst {np.max(np.abs(got - want) - slack):.3g}"
                 nonzero += np.count_nonzero(want)
             assert nonzero >= 5, f"{name} at n={n}"
+
+
+def test_cone_rows_keep_the_region_section_at_the_apex():
+    # the cone is 1.68e-17 wide here, far below the rounding of its edges 1/2 -+ t/2;
+    # in the core Etilde the row of h_n^2 is t f(t)^2 = t^(1 - 2 alpha)
+    spec, n, t = TriangleWeight(alpha=0.75, ell=SlowFunction("one")), 64, 1.68e-17
+    etilde = spec.catalog(n, thinning_count(n, 0.15) / n)["Etilde"]
+    row = spec._rows(n, etilde)(np.array([t]), np.array([t]), np.zeros(1), None)
+    assert row[0] == pytest.approx(t ** -0.5, rel=1e-14)
+    assert _scalar_rows(spec, n, etilde)(np.array([t]), np.array([t]), np.zeros(1))[0][0] == \
+        pytest.approx(t ** -0.5, rel=1e-14)
 
 
 def test_transpose_invariant_regions_integrate_one_half(monkeypatch):

@@ -37,7 +37,7 @@ def _power_jobs(count, seed=7):
 
 
 def test_a_job_integrates_the_same_alone_as_in_a_batch():
-    points, alphas, jobs = _power_jobs(80)
+    points, alphas, jobs = _power_jobs(120)
     sizes = []
     together = integrate_pieces(_power_integrand(points, alphas, sizes), jobs, _G2_QUAD)
     # the batch outgrows one call, and no call outgrows the cap
@@ -48,6 +48,32 @@ def test_a_job_integrates_the_same_alone_as_in_a_batch():
         assert alone[0] == together[k], k
     exact = (1.5 - points) ** (1.0 - alphas) / (1.0 - alphas)
     np.testing.assert_allclose(together, exact, rtol=1e-11)
+
+
+@pytest.mark.parametrize("quadcfg, nodes, reaches", [(QuadratureConfig(), 522, (40, 46)),
+                                                     (_G2_QUAD, 822, (48, 54))],
+                         ids=["default", "covariance"])
+def test_a_graded_piece_takes_ratio_4_panels_to_its_reach(quadcfg, nodes, reaches):
+    # one graded piece alone: one integrand call per resolution, all graded nodes
+    offsets = []
+
+    def f(x, delta, origin, job):
+        offsets.append(delta)
+        return delta ** -0.5
+
+    total = integrate_pieces(f, [[(0.0, 1.0, "graded")]], quadcfg)
+    assert total[0] == pytest.approx(2.0, rel=quadcfg.rel_tol)
+    assert [d.size for d in offsets] == [quadcfg.levels * quadcfg.nodes,
+                                         (quadcfg.levels + 3) * (quadcfg.nodes + 4)]
+    assert sum(d.size for d in offsets) == nodes
+    for delta, count, bits in zip(offsets, (quadcfg.nodes, quadcfg.nodes + 4), reaches):
+        # the innermost panel is (r, 4r), r the reach past which the tail is
+        # extrapolated; its lowest node sits at r (1 + 3 (1 + x_0) / 2)
+        reach = delta.min() / (1.0 + 1.5 * (1.0 + quadrature.gl(count)[0][0]))
+        assert reach == pytest.approx(2.0 ** -bits, rel=1e-12)
+        # node-major: node 0 of every panel first, panels outward, each 4 times the last
+        first = delta[:delta.size // count]
+        np.testing.assert_allclose(first[1:] / first[:-1], 4.0, rtol=1e-12)
 
 
 @pytest.mark.parametrize("graded", [False, True], ids=["smooth", "graded"])

@@ -72,7 +72,7 @@ def _inner_point(lo, hi):
 def test_row_sections_agree_with_membership(region, seed):
     s, ts = _points(seed, 50)
     for t in ts[:10]:
-        left, right = regions.row_sections_array(region, [t])
+        left, _, right, _ = regions.row_sections_array(region, [t])
         secs = [(a, b) for a, b in zip(left[:, 0].tolist(), right[:, 0].tolist()) if b > a]
         for (lo, hi), (nxt, _) in zip(secs, secs[1:]):
             assert lo < hi < nxt
@@ -116,11 +116,52 @@ def _scalar_row_sections(region, t):
 def test_array_row_sections_equal_the_scalar_definition(region, seed):
     rng = np.random.default_rng(seed)
     ts = np.concatenate([rng.uniform(-0.5, 1.5, 40), rng.choice(np.linspace(-0.25, 1.25, 7), 8)])
-    lo, hi = regions.row_sections_array(region, ts)
-    assert lo.shape == hi.shape == (len(region.pieces), ts.size)
+    lo, lo_off, hi, hi_off = regions.row_sections_array(region, ts)
+    assert lo.shape == lo_off.shape == hi.shape == hi_off.shape == (len(region.pieces), ts.size)
+    assert not np.any(lo_off) and not np.any(hi_off)  # heights given outright
     for i, t in enumerate(ts):
         want = _scalar_row_sections(region, t)
         assert [(a, b) for a, b in zip(lo[:, i], hi[:, i]) if b > a] == want
+
+
+@given(shapes, seeds)
+def test_offset_row_sections_agree_with_membership(region, seed):
+    # heights t0 + u summed exactly, so membership can be asked at the sum
+    rng = np.random.default_rng(seed)
+    t0, u = rng.integers(-4, 12, 10) / 8.0, rng.integers(0, 1024, 10) / 8192.0
+    lo, lo_off, hi, hi_off = regions.row_sections_array(region, t0, u)
+    s = rng.uniform(-0.5, 1.5, 200)
+    for i, t in enumerate(t0 + u):
+        secs = [(a, b) for a, b in zip((lo + lo_off)[:, i].tolist(), (hi + hi_off)[:, i].tolist())
+                if b > a]
+        for (a, b), (nxt, _) in zip(secs, secs[1:]):
+            assert a < b < nxt
+        covered = np.zeros(s.shape, dtype=bool)
+        for a, b in secs:
+            covered |= (a < s) & (s < b)
+        keep = _off_boundary(region, s, np.full(s.shape, t))
+        np.testing.assert_array_equal(covered[keep], regions.contains(region, s[keep], t)[keep])
+
+
+def test_offset_heights_keep_sections_narrower_than_rounding():
+    # 1/2 -+ u/2 both round to 1/2 at u = 2^-60; from height 0 with offset u
+    # the cone's section, and those of unions through its apex, stay exact
+    u = 2.0**-60
+    cone = Intersection((HalfPlane(-2.0, -1.0, -1.0), HalfPlane(2.0, -1.0, 1.0)))
+    right = Intersection((HalfPlane(-2.0, 0.0, -1.0), HalfPlane(2.0, -1.0, 1.0)))  # 1 < 2s < 1 + t
+    left = Intersection((HalfPlane(-2.0, -1.0, -1.0), HalfPlane(2.0, 0.25, 1.0)))  # 1 - t < 2s < 1 - t/4
+    cases = {
+        "cone": (cone, [(-0.5, 0.5)]),
+        "apart": (Union((right, left)), [(-0.5, -0.125), (0.0, 0.5)]),
+        "merged": (Union((right, cone, left)), [(-0.5, 0.5)]),
+    }
+    for name, (region, want) in cases.items():
+        rounded, _, rounded_hi, _ = regions.row_sections_array(region, [u])
+        assert not np.any(rounded_hi > rounded), name  # at t = u outright: all empty
+        lo, lo_off, hi, hi_off = regions.row_sections_array(region, [0.0], [u])
+        used = hi[:, 0] != 0.0
+        assert np.all(lo[used, 0] == 0.5) and np.all(hi[used, 0] == 0.5), name
+        assert list(zip(lo_off[used, 0] / u, hi_off[used, 0] / u)) == want, name
 
 
 @given(shapes, seeds)
