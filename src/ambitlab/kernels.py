@@ -766,10 +766,12 @@ class TriangleWeight(_ProfileWeight):
         come the same way, as a base and an exact offset from the graded
         height (``regions.row_sections_array``), so a region cut through the
         apex, where the cone is far narrower than the rounding of 1/2, keeps
-        its width too.  Each row section is cut at the kernel ends strictly
-        inside it, all ends sorted by position (ties by offset), and each
-        piece's value read off at its midpoint, kept as a base and an offset:
-        all nodes and sections in one array pass.
+        its width too.  A plain height, given outright, has no exact offset
+        to keep: each of its ends is one float, base + coeff*u rounded once,
+        as its region ends are.  Each row section is cut at the kernel ends
+        strictly inside it, all ends sorted by position (ties by offset), and
+        each piece's value read off at its midpoint, kept as a base and an
+        offset: all nodes and sections in one array pass.
         """
         d = 1.0 / n
         coeff = np.array([-1.0, 1.0] * 4)
@@ -797,6 +799,8 @@ class TriangleWeight(_ProfileWeight):
             ya, yb = 2.0 * a[:, None] - 1.0, 2.0 * b[:, None] - 1.0
             ya_off, yb_off = 2.0 * a_off[:, None], 2.0 * b_off[:, None]
             base, off = np.where(zero[row, None], below, above), coeff * us[row, None]
+            if origin is None:  # no exact offset to keep: each end is one float
+                base, off = base + off, np.zeros_like(off)
             cut = before(ya, ya_off, base, off) & before(base, off, yb, yb_off)
             cut[:, 4:] &= ftau != 0.0  # a zero lower pair changes no piece's value
             cb = np.concatenate([ya, np.where(cut, base, ya), yb], axis=1)

@@ -132,8 +132,8 @@ def row_sections_array(region, ts, offsets=0.0):
     holds the slice at height i as disjoint open intervals
     (lo + lo_off, hi + hi_off), ascending, and zeros in unused entries.  Ends
     compare by :func:`before`.  A piece's interval runs from the greatest of
-    its lower cuts to the least of its upper cuts.  One sort on the lower
-    ends and a sweep merge the pieces: a piece opens an interval where its
+    its lower cuts to the least of its upper cuts.  A ranking by lower end
+    and two sweeps merge the pieces: a piece opens an interval where its
     lower end passes the running greatest upper end before it; the interval
     ends at that greatest end before the next opening.
     """
@@ -145,39 +145,40 @@ def row_sections_array(region, ts, offsets=0.0):
     ends[0], ends[2] = -math.inf, math.inf
     lo, lo_off, hi, hi_off = ends
     for p, piece in enumerate(pieces):
-        slanted = False  # has a cut with an offset been taken yet?
         for a, b, c in piece:
             if a == 0.0:
                 hi[p][c - b * ts <= b * us] = -math.inf  # rows outside a horizontal half-plane
                 continue
             end, end_off = (hi[p], hi_off[p]) if a > 0.0 else (lo[p], lo_off[p])
-            if b == 0.0 and not slanted:  # vertical cuts at offset-free ends: plain min / max
-                (np.minimum if a > 0.0 else np.maximum)(end, c / a, out=end)
-            else:
-                slanted = True
-                cut, off = (c - b * ts) / a, us * (-b / a)
-                tighter = before(cut, off, end, end_off) if a > 0.0 else before(end, end_off, cut, off)
-                np.copyto(end, cut, where=tighter)
-                np.copyto(end_off, off, where=tighter)
-    empty = ~before(lo, lo_off, hi, hi_off)
-    if count == 1:  # a lone piece's interval needs no merging
-        np.copyto(ends, 0.0, where=empty)
-        return tuple(ends)
+            cut, off = (c - b * ts) / a, us * (-b / a)
+            tighter = before(cut, off, end, end_off) if a > 0.0 else before(end, end_off, cut, off)
+            np.copyto(end, cut, where=tighter)
+            np.copyto(end_off, off, where=tighter)
     # empty pieces sort last and never raise the running greatest end
+    empty = ~before(lo, lo_off, hi, hi_off)
     np.copyto(ends, np.array([math.inf, 0.0, -math.inf, 0.0])[:, None, None], where=empty)
-    column = np.arange(size)
-    order = np.lexsort((lo_off, lo + lo_off), axis=0) * size + column  # by end, then offset
-    lo, lo_off, hi, hi_off = ends = np.take(ends.reshape(4, -1), order, axis=1)
-    reach = ends[2:].copy()
-    for p in range(1, count):
-        held = before(hi[p], hi_off[p], reach[0, p - 1], reach[1, p - 1])
-        np.copyto(reach[:, p], reach[:, p - 1], where=held)
+    # each piece's place in its column, by end, then offset, then piece order:
+    # pairwise counts, as few pieces and many heights make a sort per column slow
+    key, place = lo + lo_off, np.zeros((count, size), dtype=np.intp)
+    for p in range(count):
+        for q in range(p):
+            ahead = (key[p] < key[q]) | ((key[p] == key[q]) & (lo_off[p] < lo_off[q]))
+            place[q] += ahead
+            place[p] += ~ahead
+    order = np.empty(count * size, dtype=np.intp)
+    order[(place * size + np.arange(size)).ravel()] = np.arange(count * size)
+    ends = np.take(ends.reshape(4, -1), order, axis=1).reshape(4, count, size)
+    lo, lo_off, hi, hi_off = ends
+    # sweep up: a piece opens an interval where its lower end passes the
+    # running greatest upper end, which its own upper end may then raise
     opens = np.ones((count, size), dtype=bool)
-    opens[1:] = before(reach[0, :-1], reach[1, :-1], lo[1:], lo_off[1:])
-    rows = np.where(opens, np.arange(count)[:, None], count)
-    last = np.full((count, size), count - 1)
-    last[:-1] = np.minimum.accumulate(rows[::-1], axis=0)[::-1][1:] - 1
-    ends[2:] = np.take(reach.reshape(2, -1), last * size + column, axis=1)
+    for p in range(1, count):
+        opens[p] = before(hi[p - 1], hi_off[p - 1], lo[p], lo_off[p])
+        held = before(hi[p], hi_off[p], hi[p - 1], hi_off[p - 1])
+        np.copyto(ends[2:, p], ends[2:, p - 1], where=held)
+    # sweep down: an interval the next piece continues ends where that one does
+    for p in range(count - 2, -1, -1):
+        np.copyto(ends[2:, p], ends[2:, p + 1], where=~opens[p + 1])
     np.copyto(ends, 0.0, where=~(opens & before(lo, lo_off, hi, hi_off)))
     return tuple(ends)
 

@@ -509,6 +509,22 @@ def test_unreachable_quadrature_tolerance_is_a_numerical_exit(tmp_path, capsys):
     assert "did not stabilize" in err and "np.float64" not in err
 
 
+@pytest.mark.parametrize("text", [
+    "kind = asymptotics\nweight.variant = singular\nweight.alpha = 0.9\n"
+    "weight.ell = one_minus_s\nn = 4\nkappa = 0.2\n",
+    "kind = asymptotics\nweight.variant = singular\nweight.alpha = 0.9\nn = 2\nkappa = 0.4\n",
+    "kind = kernel-report\nweight.variant = triangle\nweight.alpha = 0.9\n"
+    "weight.ell = one_minus_s\nweight.scale = 3\nn = 5, 11, 16\nquad.abs_tol = 1e-12\n",
+], ids=["singular-region", "singular-plain", "triangle-c_n"])
+def test_a_tight_quadrature_tolerance_is_met(tmp_path, text):
+    # the graded panels take more nodes at a tolerance of 1e-10 than at the
+    # default, so the two resolutions agree to it
+    out = tmp_path / "tight"
+    cfg = _config(text, out=str(out), **{"quad.rel_tol": "1e-10"})
+    assert run(cfg) == EXIT_OK
+    assert (out / "report.json").exists()
+
+
 def test_a_simulate_run_names_its_failing_c_n(tmp_path, capsys):
     out = tmp_path / "tight"
     cfg = ExperimentConfig({

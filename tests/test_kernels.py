@@ -548,46 +548,53 @@ def _scalar_rows(spec, n, region):
     """The cone row integrand one node at a time, in exact arithmetic: the
     definition the array one must match.
 
-    A graded node's height is its origin plus its offset, summed exactly.  In
-    y = 2s - 1 the row of h_n is f(t) (1{|y| < t} - 1{|y - 2d| < t}) minus
-    f(t - d) times the same pair at t - d; every cross-section end, region
-    section end and piece length is a Fraction.  Only the profile values are
-    floats, read at the heights the array form reads them.  Returns the rows
-    and, per row, how far it moves if every end moves by one unit: at most
-    the number of ends times half the largest h_n^2, (f(t) + f(t - d))^2 / 2.
+    In y = 2s - 1 the row of h_n is f(t) (1{|y| < t} - 1{|y - 2d| < t})
+    minus f(t - d) times the same pair at t - d; every cross-section end,
+    region section end, piece length and midpoint is a Fraction.  A graded
+    node's height is its origin plus its offset, summed exactly, and its
+    region sections are exact.  A plain height t has no exact offset, so its
+    ends are the floats the array form computes, each then taken exactly:
+    the cross-section ends k d -+ (t - d), each rounded once, and the region
+    section ends 2 s - 1 at the rounded height.  Only the profile values are
+    floats, read at the heights the array form reads them.
     """
     d = 1.0 / n
     top = Fraction(1.0 + d)
 
     def rows(ts, deltas, origin):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out, spread = np.zeros_like(ts), np.zeros_like(ts)
+        out = np.zeros_like(ts)
         for i, t in enumerate(ts.tolist()):
             at = None if origin is None else float(origin[i])
-            exact = Fraction(t) if at is None else Fraction(at) + Fraction(float(deltas[i]))
-            if not 0 < exact < top:
+            if not 0 < (Fraction(t) if at is None else Fraction(at) + Fraction(deltas[i])) < top:
                 continue
             tau = float(deltas[i]) if at == d else t - d
             ft, ftau = spec.profile(t), spec.profile(tau) if tau > 0.0 else 0.0
             if ft == 0.0 and ftau == 0.0:
                 continue
-            # half-widths of I(t) and I(t - d), each centred at 0 and at 2d
-            pairs = [(exact, 2 * Fraction(d)), (exact - Fraction(d), 2 * Fraction(d))]
-            ends = {c + sign * w for w, moved in pairs if w > 0
-                    for c in (0, moved) for sign in (-1, 1)}
+            # I(t) and I(t - d), each centred at 0 and at 2d
+            if at is None:
+                u = t - d
+                spans = [(-d - u, d + u), (d - u, 3 * d + u), (-u, u), (2 * d - u, 2 * d + u)]
+                spans = [(Fraction(lo), Fraction(hi)) for lo, hi in spans]
+                sections = [(Fraction(2.0 * a - 1.0), Fraction(2.0 * b - 1.0))
+                            for a, b in _sections(region, t, 0.0, 1.0 + d)]
+            else:
+                h = Fraction(at) + Fraction(deltas[i])
+                spans = [(c - w, c + w) for w in (h, h - Fraction(d)) for c in (0, 2 * Fraction(d))]
+                sections = [(2 * a - 1, 2 * b - 1) for a, b in _exact_sections(region, h, top)]
+            spans = [span if span[0] < span[1] else None for span in spans]
+            ends = {e for span in spans if span for e in span}
             acc = 0.0
-            for a, b in _exact_sections(region, exact, top):
-                spread[i] += 0.5 * (2 + len(ends)) * (abs(ft) + abs(ftau)) ** 2
-                ya, yb = 2 * a - 1, 2 * b - 1
+            for ya, yb in sections:
                 cuts = sorted({ya, yb, *(e for e in ends if ya < e < yb)})
                 for lo, hi in zip(cuts[:-1], cuts[1:]):
                     m = (lo + hi) / 2
-                    inside = [float(w > 0 and abs(m - c) < w)
-                              for w, moved in pairs for c in (0, moved)]
+                    inside = [float(span is not None and span[0] < m < span[1]) for span in spans]
                     v = ft * (inside[0] - inside[1]) - ftau * (inside[2] - inside[3])
                     acc += float(hi - lo) * v * v
             out[i] = 0.5 * acc  # ds = dy / 2
-        return out, spread
+        return out
 
     return rows
 
@@ -628,13 +635,9 @@ def test_array_cone_rows_match_the_scalar_definition(alpha, ell):
             for ts, deltas, origin in ((plain, None, None),
                                        (low, low, np.zeros(low.size)),
                                        (d + high, high, np.full(high.size, d))):
-                want, spread = scalar(ts, deltas, origin)
-                # a plain height's ends are formed at its rounded position, each
-                # within a few ulp of unit; graded ends keep their offsets exact
-                slack = 8 * np.finfo(float).eps * spread if origin is None else 0.0
-                got = array(ts, deltas, origin, None)
-                assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want) + slack), \
-                    f"{name} at n={n}: worst {np.max(np.abs(got - want) - slack):.3g}"
+                want = scalar(ts, deltas, origin)
+                np.testing.assert_allclose(array(ts, deltas, origin, None), want,
+                                           rtol=1e-13, atol=0.0, err_msg=f"{name} at n={n}")
                 nonzero += np.count_nonzero(want)
             assert nonzero >= 5, f"{name} at n={n}"
 
@@ -646,7 +649,7 @@ def test_cone_rows_keep_the_region_section_at_the_apex():
     etilde = spec.catalog(n, thinning_count(n, 0.15) / n)["Etilde"]
     row = spec._rows(n, etilde)(np.array([t]), np.array([t]), np.zeros(1), None)
     assert row[0] == pytest.approx(t ** -0.5, rel=1e-14)
-    assert _scalar_rows(spec, n, etilde)(np.array([t]), np.array([t]), np.zeros(1))[0][0] == \
+    assert _scalar_rows(spec, n, etilde)(np.array([t]), np.array([t]), np.zeros(1))[0] == \
         pytest.approx(t ** -0.5, rel=1e-14)
 
 

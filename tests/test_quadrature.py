@@ -50,10 +50,12 @@ def test_a_job_integrates_the_same_alone_as_in_a_batch():
     np.testing.assert_allclose(together, exact, rtol=1e-11)
 
 
-@pytest.mark.parametrize("quadcfg, nodes, reaches", [(QuadratureConfig(), 522, (40, 46)),
-                                                     (_G2_QUAD, 822, (48, 54))],
-                         ids=["default", "covariance"])
-def test_a_graded_piece_takes_ratio_4_panels_to_its_reach(quadcfg, nodes, reaches):
+@pytest.mark.parametrize("quadcfg, per_panel, nodes, reaches",
+                         [(QuadratureConfig(), 10, 522, (40, 46)),
+                          (_G2_QUAD, 14, 822, (48, 54)),
+                          (QuadratureConfig(rel_tol=1e-10), 12, 608, (40, 46))],
+                         ids=["default", "covariance", "tight"])
+def test_a_graded_piece_takes_ratio_4_panels_to_its_reach(quadcfg, per_panel, nodes, reaches):
     # one graded piece alone: one integrand call per resolution, all graded nodes
     offsets = []
 
@@ -63,10 +65,10 @@ def test_a_graded_piece_takes_ratio_4_panels_to_its_reach(quadcfg, nodes, reache
 
     total = integrate_pieces(f, [[(0.0, 1.0, "graded")]], quadcfg)
     assert total[0] == pytest.approx(2.0, rel=quadcfg.rel_tol)
-    assert [d.size for d in offsets] == [quadcfg.levels * quadcfg.nodes,
-                                         (quadcfg.levels + 3) * (quadcfg.nodes + 4)]
+    assert [d.size for d in offsets] == [quadcfg.levels * per_panel,
+                                         (quadcfg.levels + 3) * (per_panel + 4)]
     assert sum(d.size for d in offsets) == nodes
-    for delta, count, bits in zip(offsets, (quadcfg.nodes, quadcfg.nodes + 4), reaches):
+    for delta, count, bits in zip(offsets, (per_panel, per_panel + 4), reaches):
         # the innermost panel is (r, 4r), r the reach past which the tail is
         # extrapolated; its lowest node sits at r (1 + 3 (1 + x_0) / 2)
         reach = delta.min() / (1.0 + 1.5 * (1.0 + quadrature.gl(count)[0][0]))
@@ -74,6 +76,22 @@ def test_a_graded_piece_takes_ratio_4_panels_to_its_reach(quadcfg, nodes, reache
         # node-major: node 0 of every panel first, panels outward, each 4 times the last
         first = delta[:delta.size // count]
         np.testing.assert_allclose(first[1:] / first[:-1], 4.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 0.95])
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12, 1e-14])
+def test_graded_panels_take_the_nodes_their_tolerance_needs(rel_tol, alpha):
+    # a panel (r, 4r) next to r^-alpha misses about 9^-n of its mass with n
+    # nodes; the count grows with the tolerance so that a panel stays well
+    # inside it, and never falls below the configured nodes
+    quadcfg = QuadratureConfig(rel_tol=rel_tol)
+    count = quadrature._graded_nodes(quadcfg)
+    xi, wi = quadrature.gl(count)
+    panel = 1.5 * np.sum(wi * (2.5 + 1.5 * xi) ** -alpha)
+    exact = (4.0 ** (1.0 - alpha) - 1.0) / (1.0 - alpha)
+    assert abs(panel - exact) <= rel_tol / 5.0 * exact
+    assert quadrature._graded_nodes(QuadratureConfig(rel_tol=rel_tol, nodes=30)) == 30
+    assert count == {1e-8: 10, 1e-10: 12, 1e-12: 14, 1e-14: 16}[rel_tol]
 
 
 @pytest.mark.parametrize("graded", [False, True], ids=["smooth", "graded"])
