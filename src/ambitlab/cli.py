@@ -61,7 +61,7 @@ kernel-mass quadrature tolerances; and ``override_admissibility`` runs even
 when the thinning exponent fails the gate.  ``limits.setting_problems``
 holds these rules, for the experiments' keywords too.  Unset keys take the
 defaults of the keywords of ``limits.lln_experiment``/``clt_experiment`` and
-of ``QuadratureConfig``; ``simulate`` defaults
+the tolerances of ``QuadratureConfig``; ``simulate`` defaults
 to p = 2 and oversample = 1, and unthinned (k = 1) when neither kappa nor k
 is set, as ``kernel-report`` does.
 

@@ -16,14 +16,15 @@ end a for each node, and ``delta``, the exact offset x - a of each node,
 which a profile singular at a needs at full relative precision.  On smooth
 pieces ``delta`` and ``origin`` are None.
 
-Each resolution makes, for all jobs together:
+Each resolution makes, for all jobs together, with the counts
+:class:`QuadratureConfig` derives from ``rel_tol``:
 
 * one scale pass: one Gauss-Legendre panel on each smooth piece, which sets
   each job's tolerance and seeds its adaptive pieces;
 * one graded pass: every graded piece split into ``levels`` panels, each a
   quarter of the width of the one to its right, so the innermost panel
-  reaches 4^-levels of the piece from its left end; each panel takes the
-  Gauss nodes ``rel_tol`` asks for, ``nodes`` at least;
+  reaches 4^-levels of the piece from its left end; each panel takes
+  ``nodes`` Gauss nodes;
 * one adaptive pass: every smooth piece bisected, with one integrand call per
   bisection level for the open panels of all jobs.
 
@@ -32,7 +33,7 @@ Per-job checks
 Batching changes no decision.  Each job has its own tolerance,
 ``rel_tol * scale / 8 + abs_tol``, where ``scale`` is the sum of its own
 span estimates.  Each graded piece must show decaying inner panels.  Each
-adaptive panel must converge before ``max_depth``.  Every estimate must be
+adaptive panel must converge within 48 bisections.  Every estimate must be
 finite: a non-finite graded piece, seed or adaptive panel raises at once,
 rather than come back as NaN or bisect until memory runs out.  Each job's
 two resolutions must agree.  A :class:`~ambitlab.errors.QuadratureError`
@@ -82,29 +83,45 @@ __all__ = [
 ]
 
 _NODE_CAP = 1 << 15  # most nodes per integrand call
+_MAX_DEPTH = 48  # most bisections of an adaptive panel
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Engine settings; the constructor refuses those the engine cannot run."""
+    """The engine's two tolerances, refused where it cannot run; the layout follows ``rel_tol``."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-14
-    levels: int = 20          # ratio-4 grading levels toward a singular endpoint: reach 4^-20
-    nodes: int = 10           # least Gauss-Legendre nodes per graded panel (see _graded_nodes)
-    smooth_nodes: int = 16    # Gauss-Legendre nodes per adaptive panel
-    max_depth: int = 48
 
     def __post_init__(self):
-        for name, low in (("levels", 1), ("nodes", 1), ("smooth_nodes", 1), ("max_depth", 0)):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value == int(value) and value >= low):
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-            object.__setattr__(self, name, int(value))
         for name in ("rel_tol", "abs_tol"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be a finite tolerance >= 0, got {value!r}")
+
+    @property
+    def nodes(self):
+        """Gauss-Legendre nodes per graded panel: the least n >= 10 with 9^-(n-1) <= ``rel_tol``.
+
+        A graded panel (r, 4r) has the singular end 0 on its Bernstein ellipse
+        of radius 3, so an n-node rule misses 9^-n of the panel's mass, times
+        0.2, 0.7 and 1.2 for x^-0.5, x^-0.8 and x^-0.95.  A piece's relative
+        error is about its panels' (Schwab, Computing 53, 1994), so this n
+        keeps it below a seventh of the two-resolution tolerance: 10 at 1e-8,
+        14 at 1e-12, and 18 at the float resolution, where it is clamped.
+        """
+        tol = max(self.rel_tol, np.finfo(float).eps)
+        return max(10, 1 + math.ceil(math.log(1.0 / tol) / math.log(9.0)))
+
+    @property
+    def levels(self):
+        """Ratio-4 grading levels, ``nodes + 10``: reach 4^-20 at 1e-8, a level further a node."""
+        return self.nodes + 10
+
+    @property
+    def smooth_nodes(self):
+        """Gauss-Legendre nodes per adaptive panel, ``nodes + 6``: 16 at 1e-8."""
+        return self.nodes + 6
 
 
 def _legendre(n, x):
@@ -211,23 +228,6 @@ def _graded_pass(f, job, a, b, levels, nodes, labels):
     return totals
 
 
-def _graded_nodes(quadcfg):
-    """Gauss-Legendre nodes per graded panel: ``nodes``, or more where ``rel_tol`` asks.
-
-    A graded panel (r, 4r) has the singular end 0 on its Bernstein ellipse
-    of radius 3, so an n-node rule misses the panel's mass by 9^-n of it
-    times a factor that stays near one for an integrable algebraic
-    singularity (0.2, 0.7 and 1.2 for x^-0.5, x^-0.8 and x^-0.95).  A
-    piece's relative error is about its panels' (Schwab, Computing 53,
-    1994), so the n with 9^-(n-1) at most ``rel_tol`` keeps it below a
-    seventh of the two-resolution tolerance, whatever that is: 10 nodes at
-    the default 1e-8, 12 at 1e-10, 14 at 1e-12 and 18 at the float
-    resolution.
-    """
-    tol = max(quadcfg.rel_tol, np.finfo(float).eps)
-    return max(quadcfg.nodes, 1 + math.ceil(math.log(1.0 / tol) / math.log(9.0)))
-
-
 def _refuse_non_finite(values, job, lo, hi, labels, what):
     """Raise QuadratureError naming the job of the first non-finite value."""
     bad = np.flatnonzero(~np.isfinite(values))
@@ -238,7 +238,7 @@ def _refuse_non_finite(values, job, lo, hi, labels, what):
             f"non-finite estimate {float(values[i])!r}", estimate=float(values[i]))
 
 
-def _adaptive_pass(f, job, a, b, est, tol, nodes, max_depth, labels):
+def _adaptive_pass(f, job, a, b, est, tol, nodes, labels):
     """Each smooth piece's integral by bisecting Gauss-Legendre panels.
 
     Panels whose two halves disagree with the parent estimate are split; a
@@ -262,7 +262,7 @@ def _adaptive_pass(f, job, a, b, est, tol, nodes, max_depth, labels):
         done = err <= tol[piece] + 1e-15 * np.abs(refined)
         for p, value in zip(piece[done].tolist(), refined[done].tolist()):
             totals[p] += value
-        stuck = np.flatnonzero(~done & (depth >= max_depth))
+        stuck = np.flatnonzero(~done & (depth >= _MAX_DEPTH))
         if stuck.size:
             i = stuck[0]
             raise QuadratureError(
@@ -299,7 +299,7 @@ def _integrate_once(f, jobs, quadcfg, levels, nodes, smooth_nodes, labels):
     gr = np.flatnonzero(~smooth)
     value[gr] = _graded_pass(f, owner[gr], a[gr], b[gr], levels, nodes, labels)
     value[sm] = _adaptive_pass(f, owner[sm], a[sm], b[sm], seeds, tol[owner[sm]],
-                               smooth_nodes, c.max_depth, labels)
+                               smooth_nodes, labels)
     return np.bincount(owner, weights=value, minlength=len(jobs))
 
 
@@ -315,10 +315,9 @@ def integrate_pieces(f, jobs, quadcfg, labels=None, f_check=None):
     """
     c = quadcfg
     labels = labels or [f"job {k}" for k in range(len(jobs))]
-    nodes = _graded_nodes(c)
-    first = _integrate_once(f, jobs, c, c.levels, nodes, c.smooth_nodes, labels)
+    first = _integrate_once(f, jobs, c, c.levels, c.nodes, c.smooth_nodes, labels)
     # the check layout reaches 4^-3 = 1/64 further toward each singular end
-    second = _integrate_once(f_check or f, jobs, c, c.levels + 3, nodes + 4,
+    second = _integrate_once(f_check or f, jobs, c, c.levels + 3, c.nodes + 4,
                              c.smooth_nodes + 8, labels)
     for label, v1, v2 in zip(labels, first.tolist(), second.tolist()):
         if abs(v1 - v2) > c.rel_tol * max(abs(v1), abs(v2)) + c.abs_tol:

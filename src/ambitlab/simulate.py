@@ -224,10 +224,9 @@ def increments(values, k):
 
 # ------------------------------------------------------ exact covariance path
 
-# tighter than the default: ratio-4 grading to 4^-24 = 2^-48 of a graded piece
-# (2^-54 at the check resolution), 14 and 18 nodes a graded panel
-_G2_QUAD = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16, levels=24, nodes=14,
-                            smooth_nodes=20)
+# tighter than the default; its rel_tol grades to 4^-24 = 2^-48 of a graded
+# piece (2^-54 at the check resolution), 14 and 18 nodes a graded panel
+_G2_QUAD = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16)
 
 
 def _stationary_gamma(spec, n, k, m, quadcfg):

@@ -525,11 +525,27 @@ def test_a_tight_quadrature_tolerance_is_met(tmp_path, text):
     assert (out / "report.json").exists()
 
 
-def test_a_simulate_run_names_its_failing_c_n(tmp_path, capsys):
+@pytest.mark.parametrize("variant, rel_tol", [
+    ("singular", "1e-12"), ("singular", "1e-14"), ("triangle", "1e-14"),
+])
+def test_a_kernel_report_meets_a_tolerance_near_the_float_resolution(tmp_path, variant, rel_tol):
+    # the grading reaches further as rel_tol falls; at a reach of 4^-20 each exits 3
     out = tmp_path / "tight"
     cfg = ExperimentConfig({
-        "kind": "simulate", "weight.variant": "singular", "weight.alpha": "0.6",
-        "volatility.variant": "constant", "n": "16", "quad.rel_tol": "1e-15",
+        "kind": "kernel-report", "weight.variant": variant, "weight.alpha": "0.75",
+        "weight.ell": "one", "n": "16, 32", "kappa": "0.4", "quad.rel_tol": rel_tol,
+        "out": str(out),
+    })
+    assert run(cfg) == EXIT_OK
+    assert (out / "report.json").exists()
+
+
+def test_a_simulate_run_names_its_failing_c_n(tmp_path, capsys):
+    # next to the integrability edge the graded tail past the reach misses 1e-12
+    out = tmp_path / "tight"
+    cfg = ExperimentConfig({
+        "kind": "simulate", "weight.variant": "singular", "weight.alpha": "0.99",
+        "volatility.variant": "constant", "n": "16", "quad.rel_tol": "1e-12",
         "out": str(out),
     })
     assert validate(cfg) == []

@@ -10,7 +10,7 @@ from scipy.special import roots_legendre
 
 from ambitlab import kernels, quadrature
 from ambitlab.errors import QuadratureError
-from ambitlab.kernels import SingularWeight, SlowFunction, mu_mass
+from ambitlab.kernels import SingularWeight, SlowFunction, compute_cn, mu_mass
 from ambitlab.quadrature import QuadratureConfig, integrate_pieces, make_pieces
 from ambitlab.regions import HalfPlane, Intersection, band
 from ambitlab.simulate import _G2_QUAD
@@ -50,12 +50,17 @@ def test_a_job_integrates_the_same_alone_as_in_a_batch():
     np.testing.assert_allclose(together, exact, rtol=1e-11)
 
 
-@pytest.mark.parametrize("quadcfg, per_panel, nodes, reaches",
-                         [(QuadratureConfig(), 10, 522, (40, 46)),
-                          (_G2_QUAD, 14, 822, (48, 54)),
-                          (QuadratureConfig(rel_tol=1e-10), 12, 608, (40, 46))],
-                         ids=["default", "covariance", "tight"])
-def test_a_graded_piece_takes_ratio_4_panels_to_its_reach(quadcfg, per_panel, nodes, reaches):
+@pytest.mark.parametrize("quadcfg, layout, reach", [
+    (QuadratureConfig(), (20, 10, 16), 40),
+    (QuadratureConfig(rel_tol=1e-6), (20, 10, 16), 40),
+    (_G2_QUAD, (24, 14, 20), 48),
+    (QuadratureConfig(rel_tol=1e-15), (27, 17, 23), 54),
+    # below the float resolution rel_tol is clamped there
+    (QuadratureConfig(rel_tol=0.0), (28, 18, 24), 56),
+], ids=["default", "loose", "covariance", "tight", "zero"])
+def test_a_graded_piece_takes_ratio_4_panels_to_its_reach(quadcfg, layout, reach):
+    # the layout follows rel_tol alone: (levels, nodes, smooth_nodes)
+    assert (quadcfg.levels, quadcfg.nodes, quadcfg.smooth_nodes) == layout
     # one graded piece alone: one integrand call per resolution, all graded nodes
     offsets = []
 
@@ -64,15 +69,14 @@ def test_a_graded_piece_takes_ratio_4_panels_to_its_reach(quadcfg, per_panel, no
         return delta ** -0.5
 
     total = integrate_pieces(f, [[(0.0, 1.0, "graded")]], quadcfg)
-    assert total[0] == pytest.approx(2.0, rel=quadcfg.rel_tol)
-    assert [d.size for d in offsets] == [quadcfg.levels * per_panel,
-                                         (quadcfg.levels + 3) * (per_panel + 4)]
-    assert sum(d.size for d in offsets) == nodes
-    for delta, count, bits in zip(offsets, (per_panel, per_panel + 4), reaches):
+    assert total[0] == pytest.approx(2.0, rel=max(quadcfg.rel_tol, 1e-15))
+    levels, per_panel = quadcfg.levels, quadcfg.nodes
+    assert [d.size for d in offsets] == [levels * per_panel, (levels + 3) * (per_panel + 4)]
+    for delta, count, bits in zip(offsets, (per_panel, per_panel + 4), (reach, reach + 6)):
         # the innermost panel is (r, 4r), r the reach past which the tail is
         # extrapolated; its lowest node sits at r (1 + 3 (1 + x_0) / 2)
-        reach = delta.min() / (1.0 + 1.5 * (1.0 + quadrature.gl(count)[0][0]))
-        assert reach == pytest.approx(2.0 ** -bits, rel=1e-12)
+        r = delta.min() / (1.0 + 1.5 * (1.0 + quadrature.gl(count)[0][0]))
+        assert r == pytest.approx(2.0 ** -bits, rel=1e-12)
         # node-major: node 0 of every panel first, panels outward, each 4 times the last
         first = delta[:delta.size // count]
         np.testing.assert_allclose(first[1:] / first[:-1], 4.0, rtol=1e-12)
@@ -83,14 +87,12 @@ def test_a_graded_piece_takes_ratio_4_panels_to_its_reach(quadcfg, per_panel, no
 def test_graded_panels_take_the_nodes_their_tolerance_needs(rel_tol, alpha):
     # a panel (r, 4r) next to r^-alpha misses about 9^-n of its mass with n
     # nodes; the count grows with the tolerance so that a panel stays well
-    # inside it, and never falls below the configured nodes
-    quadcfg = QuadratureConfig(rel_tol=rel_tol)
-    count = quadrature._graded_nodes(quadcfg)
+    # inside it, and never falls below 10
+    count = QuadratureConfig(rel_tol=rel_tol).nodes
     xi, wi = quadrature.gl(count)
     panel = 1.5 * np.sum(wi * (2.5 + 1.5 * xi) ** -alpha)
     exact = (4.0 ** (1.0 - alpha) - 1.0) / (1.0 - alpha)
     assert abs(panel - exact) <= rel_tol / 5.0 * exact
-    assert quadrature._graded_nodes(QuadratureConfig(rel_tol=rel_tol, nodes=30)) == 30
     assert count == {1e-8: 10, 1e-10: 12, 1e-12: 14, 1e-14: 16}[rel_tol]
 
 
@@ -185,9 +187,22 @@ def test_a_failing_autocorrelation_names_the_first_failing_offset():
 
 
 def test_a_failing_mass_names_its_n_and_half():
-    cfg = QuadratureConfig(rel_tol=1e-18, abs_tol=0.0)
+    # next to the integrability edge the panel masses decay so slowly that the
+    # tail extrapolated past the reach misses 1e-12: the two resolutions
+    # differ by 1.1e-11 of the mass, and ten more levels would agree
+    cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=0.0)
     with pytest.raises(QuadratureError, match=re.escape("lower half {t < s}: singular mass at n=8: ")):
-        mu_mass(SingularWeight(alpha=0.75), 8, HalfPlane(1.0, -2.0, 0.3), cfg)
+        mu_mass(SingularWeight(alpha=0.99), 8, HalfPlane(1.0, -2.0, 0.3), cfg)
+
+
+def test_a_singular_c_n_meets_a_tolerance_near_the_float_resolution():
+    # the reach grows with rel_tol, to 4^-27 at 1e-15: at 4^-20 the tail
+    # extrapolated past it misses this c_n by 2e-12, and the two resolutions
+    # disagree past the 1e-12 absolute tolerance
+    spec = SingularWeight(alpha=0.75, scale=0.5)
+    tight = compute_cn(spec, 16, QuadratureConfig(rel_tol=1e-15, abs_tol=1e-12))
+    assert tight == pytest.approx(compute_cn(spec, 16, QuadratureConfig(rel_tol=1e-12, abs_tol=1e-12)),
+                                  rel=1e-14, abs=0.0)
 
 
 def test_a_non_integrable_job_fails_by_name_beside_a_good_one():
@@ -214,51 +229,51 @@ def _nan_after(calls):
 
 
 # without the check the graded case returns NaN and the others bisect until
-# memory runs out; the small max_depth stops those after a few levels
+# memory runs out; a depth cap of 4 stops those after a few levels
 @pytest.mark.parametrize("pieces, calls, what", [
     (make_pieces([], [0.0], 0.0, 1.0), 0, "graded piece"),
     (make_pieces([], [], 0.0, 1.0), 0, "smooth piece"),
     (make_pieces([], [], 0.0, 1.0), 1, "adaptive panel"),
 ], ids=["graded", "seed", "bisection"])
-def test_a_non_finite_estimate_fails_by_name(pieces, calls, what):
+def test_a_non_finite_estimate_fails_by_name(pieces, calls, what, monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 4)
     good = make_pieces([], [], 0.0, 2.0)
     with pytest.raises(QuadratureError, match=rf"^bad: {what} \(0\.0, .*\) has the non-finite"):
-        integrate_pieces(_nan_after(calls), [good, pieces], QuadratureConfig(max_depth=4),
+        integrate_pieces(_nan_after(calls), [good, pieces], QuadratureConfig(),
                          labels=["good", "bad"])
 
 
-def test_a_panel_past_the_depth_cap_is_named_by_plain_floats():
+def test_a_panel_past_the_depth_cap_is_named_by_plain_floats(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 2)
     step = lambda x, *_: np.where(x > 1.0 / 3.0, 1.0, 0.0)  # no dyadic panel isolates the jump
     with pytest.raises(QuadratureError, match=re.escape(
             "bad: adaptive panel (0.25, 0.5) failed to converge (residual ")) as failure:
-        integrate_pieces(step, [make_pieces([], [], 0.0, 1.0)], QuadratureConfig(max_depth=2),
+        integrate_pieces(step, [make_pieces([], [], 0.0, 1.0)], QuadratureConfig(),
                          labels=["bad"])
     assert str(failure.value).endswith(" at depth 2)") and "np.float64(" not in str(failure.value)
 
 
-@pytest.mark.parametrize("bad, message", [
-    (dict(levels=0), "levels must be an integer >= 1"),
-    (dict(nodes=0), "nodes must be an integer >= 1"),
-    (dict(smooth_nodes=0), "smooth_nodes must be an integer >= 1"),
-    (dict(levels=2.5), "levels must be an integer"),
-    (dict(nodes=1.5), "nodes must be an integer"),
-    (dict(max_depth=-1), "max_depth must be an integer >= 0"),
-    (dict(max_depth=math.inf), "max_depth must be an integer"),
+REFUSED = [
     (dict(rel_tol=-1.0), "rel_tol must be a finite tolerance >= 0"),
     (dict(abs_tol=-1e-14), "abs_tol must be a finite tolerance >= 0"),
     (dict(rel_tol=math.nan), "rel_tol must be a finite tolerance"),
     (dict(abs_tol=math.inf), "abs_tol must be a finite tolerance"),
-])
+]
+
+
+# ids numbered from 7, the numbers these cases were first given
+@pytest.mark.parametrize("bad, message", REFUSED,
+                         ids=[f"bad{7 + i}-{message}" for i, (_, message) in enumerate(REFUSED)])
 def test_config_refuses_settings_the_engine_cannot_run(bad, message):
     # construction only: the negative tolerance would never finish integrating
     with pytest.raises(ValueError, match=message):
         QuadratureConfig(**bad)
 
 
-def test_config_keeps_zero_tolerances_and_depth_and_stores_integer_counts():
-    cfg = QuadratureConfig(rel_tol=0.0, abs_tol=0.0, levels=4.0, nodes=2, max_depth=0)
-    assert (cfg.levels, cfg.nodes, cfg.max_depth) == (4, 2, 0)
-    assert type(cfg.levels) is int
+def test_config_keeps_zero_tolerances_and_derives_integer_counts():
+    cfg = QuadratureConfig(rel_tol=0.0, abs_tol=0.0)
+    assert (cfg.rel_tol, cfg.abs_tol) == (0.0, 0.0)
+    assert [type(count) for count in (cfg.levels, cfg.nodes, cfg.smooth_nodes)] == [int] * 3
 
 
 # Node counts of the default configs (graded 10, adaptive 16, and the counts

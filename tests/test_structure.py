@@ -30,11 +30,14 @@ Loaded unchanged:
 * the benchmark tracer (``perfbench/tracing.py``) finds every function it
   wraps, and every argument its work counts read;
 * every key the experiments' rule table knows is read by some CLI kind, so
-  the table holds no dead rule.
+  the table holds no dead rule;
+* the fields of ``QuadratureConfig`` are the ``quad.*`` keys the CLI reads,
+  so no layout knob comes back beside the two tolerances unseen.
 """
 
 import ast
 import collections
+import dataclasses
 import functools
 import importlib
 import importlib.util
@@ -46,6 +49,7 @@ import sys
 import pytest
 
 from ambitlab import cli, kernels, limits, volatility
+from ambitlab.quadrature import QuadratureConfig
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ambitlab"
 MODULES = sorted(SRC.glob("*.py"))
@@ -269,6 +273,11 @@ def test_the_benchmark_tracer_finds_what_it_wraps():
 def test_every_rule_table_key_is_read_by_some_kind():
     # every kind reads the common keys, seed among them
     assert [key for key in limits._RULES if not cli._reads(cli._ANY_KIND, key)] == []
+
+
+def test_the_quadrature_config_holds_the_quad_keys_the_cli_reads():
+    keys = {key.removeprefix("quad.") for key in cli._ANY_KIND.reads if key.startswith("quad.")}
+    assert {field.name for field in dataclasses.fields(QuadratureConfig)} == keys
 
 
 # Public names no CLI run enters, each mapped to a test that reads it: as the
