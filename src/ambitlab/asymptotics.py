@@ -93,19 +93,29 @@ def region_catalog(spec, n, kappa):
 def region_measures(spec, n, regions, names=None, quadcfg=None):
     """Squared-kernel mass of each region of a catalog built at n, by name.
 
-    A quadrature failure is re-raised with the offending region's name so a
-    long measurement run identifies which integral broke.
+    The named regions and the whole plane, whose mass c_n every share of the
+    mass at this n divides by, are one ``kernels.mu_masses`` batch: one
+    engine call, whose masses stay cached, so that ``assumption2_ratio``
+    then integrates nothing.  Only if the batch fails are the named regions
+    redone one at a time, in name order, so that the error names the first
+    failing region, and its half, as a region-by-region run would: the
+    message starts ``region '<name>' at n=<n>: ``.  If none fails, c_n alone
+    did, and it raises for whoever asks for it.
     """
     names = tuple(regions) if names is None else tuple(names)
-    out = {}
-    for name in names:
-        try:
-            out[name] = float(kernels.mu_mass(spec, n, regions[name], quadcfg))
-        except QuadratureError as exc:
-            raise QuadratureError(
-                f"region {name!r} at n={n}: {exc}", estimate=exc.estimate
-            ) from exc
-    return out
+    try:
+        values = kernels.mu_masses(spec, n, [regions[name] for name in names] + [None],
+                                   quadcfg).tolist()
+    except QuadratureError:
+        values = []
+        for name in names:
+            try:
+                values.append(float(kernels.mu_mass(spec, n, regions[name], quadcfg)))
+            except QuadratureError as exc:
+                raise QuadratureError(
+                    f"region {name!r} at n={n}: {exc}", estimate=exc.estimate
+                ) from exc
+    return dict(zip(names, values))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +170,9 @@ def assumption2_ratio(spec, n, kappa, quadcfg=None):
     these ratios trending to zero over an n schedule supports the Gaussian
     fluctuation scaling at this kappa; a flat or growing tail is evidence
     against it (the known ranges are sufficient conditions, so a failure
-    outside them is an observation, not a contradiction).
+    outside them is an observation, not a contradiction).  The window is the
+    catalog's ``E``, so after ``region_measures`` its mass comes from the
+    mass cache and only c_n is integrated.
     """
     eps = kernels.thinning_count(n, kappa) / n
     window = kernels.near_region(spec, eps)

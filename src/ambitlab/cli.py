@@ -120,10 +120,11 @@ from .simulate import covariance_refusal, increments, simulate_lattice
 from .variation import retained_corners, scaled_power_variation, variation_field
 from .volatility import VARIANTS as VOLATILITY_VARIANTS, sample_volatility
 
-# numpy loads these submodules on first use: load them with the CLI, so that
-# a run imports nothing.
-for _submodule in ("numpy.fft", "numpy.random"):
-    importlib.import_module(_submodule)
+# numpy loads its submodules on first use: load them before a run, so that a
+# run imports nothing.  numpy.fft loads with the CLI; numpy.random, which
+# takes about 11 ms, loads in ``validate`` and only for the kinds that draw.
+importlib.import_module("numpy.fft")
+_DRAWING_KINDS = ("lln", "clt", "simulate")
 
 __all__ = ["ExperimentConfig", "main", "run", "validate"]
 
@@ -404,9 +405,12 @@ def validate(config):
 
     Never raises: an unreadable value becomes a message, and every message
     is collected so one round trip shows every problem at once.  An empty
-    list means ``run`` will accept the config.
+    list means ``run`` will accept the config.  For a kind that draws random
+    numbers it also loads ``numpy.random``, so that its run imports nothing.
     """
-    _, violations, refusals = _parse(config)
+    settings, violations, refusals = _parse(config)
+    if settings["kind"] in _DRAWING_KINDS:
+        importlib.import_module("numpy.random")
     return violations + refusals
 
 

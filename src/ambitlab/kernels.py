@@ -22,7 +22,7 @@ Variants
 Each variant's facts live on its class; the module-level functions and the
 other modules only read them.  The class holds the config name ``variant``
 (its key in ``VARIANTS``), its parameters as dataclass fields, ``evaluate``
-and the mass reduction ``mass``, the concentration geometry
+and the batched mass reduction ``masses``, the concentration geometry
 (``concentration_point``, ``window``, ``corner_cells``, ``limit_atoms``), the
 admissible ``kappa_range``, the region ``catalog`` and the exact routes
 (``signed_strips`` where ``has_strips``, ``lattice_autocorrelation`` where
@@ -38,14 +38,17 @@ in a single band, so masses reduce to column integrals over the lower
 triangle.  Outer integrals go through the batched engine of
 :mod:`ambitlab.quadrature` (graded Gauss-Legendre layouts toward algebraic
 singularities, adaptive bisection elsewhere, two resolutions); a failed check
-raises :class:`~ambitlab.errors.QuadratureError` naming the integral.
+raises :class:`~ambitlab.errors.QuadratureError` naming the integral.  The
+masses of many regions are one engine call: each region, or each half of a
+singular one, is a job, and one integrand reads each node's region by the
+node's job index.  The integrands are pointwise, so a region's mass is the
+same, bit for bit, in any batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -81,6 +84,7 @@ __all__ = [
     "eval_h",
     "compute_cn",
     "mu_mass",
+    "mu_masses",
     "concentration_mass",
     "near_region",
     "thinning_count",
@@ -189,7 +193,7 @@ class WeightSpec:
 
     A variant is a frozen dataclass whose fields are its parameters, each
     read from the config key ``weight.<field>``.  Every variant also defines
-    ``evaluate``, ``mass``, ``kappa_range`` and ``limit_atoms``; ``window``
+    ``evaluate``, ``masses``, ``kappa_range`` and ``limit_atoms``; ``window``
     and ``catalog`` refuse one without a single concentration point.
     """
 
@@ -222,16 +226,21 @@ class WeightSpec:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
 
-def _row_sections(region, ts, offsets, top):
-    """The nonempty slices of ``region`` at heights ``ts + offsets``, clipped to (0, top).
+def _strips(parts, top):
+    """The regions ``parts``, each clipped to the strip 0 < s < top."""
+    clip = (HalfPlane(-1.0, 0.0, 0.0), HalfPlane(1.0, 0.0, top))
+    return [Intersection((region, *clip)) for region in parts]
+
+
+def _row_sections(strips, ts, offsets, job):
+    """The nonempty slices at heights ``ts + offsets``, each of region ``job`` of ``strips``.
 
     Returns flat arrays ``(row, lo, lo_off, hi, hi_off)``, one entry per
     slice, each end a base and an exact offset as ``row_sections_array``
     gives them: rows in order and each row's slices ascending, the order a
     per-row loop visits.
     """
-    strip = Intersection((region, HalfPlane(-1.0, 0.0, 0.0), HalfPlane(1.0, 0.0, top)))
-    lo, lo_off, hi, hi_off = (x.T for x in regions.row_sections_array(strip, ts, offsets))
+    lo, lo_off, hi, hi_off = (x.T for x in regions.row_sections_array(strips, ts, offsets, job))
     keep = regions.before(lo, lo_off, hi, hi_off)
     return np.nonzero(keep)[0], lo[keep], lo_off[keep], hi[keep], hi_off[keep]
 
@@ -299,21 +308,24 @@ class UniformWeight(WeightSpec):
             0.0,
         )
 
-    def mass(self, n, region, quadcfg):
-        """Integral of h_n^2 over a region: an outer t-integral of exact row integrals.
+    def masses(self, n, parts, quadcfg):
+        """Integral of h_n^2 over each region of ``parts``, one job each: an
+        outer t-integral of exact row integrals.
 
         Each row of h_n is constant in s between the sorted breakpoints s1,
         s1 + 1/n, s2, s2 + 1/n.  Every row section is cut at those breakpoints
         and each nonempty piece integrated exactly by the one-node Gauss rule,
-        the midpoint rule.  The outer t-integral is adaptive.
+        the midpoint rule.  The outer t-integrals are adaptive, all of them in
+        one engine call.
         """
         d = 1.0 / n
         sbreaks = np.sort(np.array([self.s1, self.s1 + d, self.s2, self.s2 + d]))
         xi, wi = gl(1)
+        strips = _strips(parts, 1.0 + d)
 
         def rows(ts, deltas, origin, job):
             ts = np.atleast_1d(np.asarray(ts, dtype=float))
-            row, a, a_off, b, b_off = _row_sections(region, ts, 0.0, 1.0 + d)
+            row, a, a_off, b, b_off = _row_sections(strips, ts, 0.0, job)
             a, b = (a + a_off)[:, None], (b + b_off)[:, None]
             cuts = np.concatenate([a, np.clip(sbreaks, a, b), b], axis=1)
             lo, hi = cuts[:, :-1], cuts[:, 1:]
@@ -321,14 +333,16 @@ class UniformWeight(WeightSpec):
             lo, hi, row = lo[keep], hi[keep], np.broadcast_to(row[:, None], keep.shape)[keep]
             x = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * xi
             vals = eval_h(self, n, x.ravel(), ts[row]) ** 2
-            contrib = 0.5 * (hi - lo) * (vals.reshape(x.shape) @ wi)
+            contrib = 0.5 * (hi - lo) * np.sum(vals.reshape(x.shape) * wi, axis=1)
             return np.bincount(row, weights=contrib, minlength=ts.size)
 
         struct = [(1.0, 0.0, float(sv)) for sv in sbreaks]
-        edges = [self.t1, self.t1 + d, self.t2, self.t2 + d] + regions.t_breakpoints(region)
-        edges += crossing_edges(region, struct, axis=1)
-        pieces = make_pieces(edges, [], 0.0, 1.0 + d)
-        return integrate_pieces(rows, [pieces], quadcfg, [f"uniform mass at n={n}"])[0]
+        jobs = []
+        for region in parts:
+            edges = [self.t1, self.t1 + d, self.t2, self.t2 + d] + regions.t_breakpoints(region)
+            edges += crossing_edges(region, struct, axis=1)
+            jobs.append(make_pieces(edges, [], 0.0, 1.0 + d))
+        return integrate_pieces(rows, jobs, quadcfg, [f"uniform mass at n={n}"] * len(parts))
 
     def corner_cells(self, n):
         """The four corner cells carrying the concentration mass."""
@@ -414,23 +428,29 @@ class SingularWeight(_ProfileWeight):
         out[quadrant & (r == 0.0)] = np.inf
         return out
 
-    def mass(self, n, region, quadcfg):
-        """The lower half's mass plus the upper half's, the lower half of the
-        transposed region; a transpose-invariant region's halves are the same
-        integral, done once.  A quadrature failure names its half."""
-        halves = [("lower half {t < s}", region)]
-        if not regions.transpose_invariant(region):
-            halves.append(("upper half {t > s}", regions.transpose(region)))
-        masses = []
-        for name, part in halves:
-            try:
-                masses.append(self._mass_lower(n, part, quadcfg))
-            except QuadratureError as exc:
-                raise QuadratureError(f"{name}: {exc}", estimate=exc.estimate) from exc
-        return masses[0] + masses[-1]
+    def masses(self, n, parts, quadcfg):
+        """Each region's lower half's mass plus its upper half's, the lower
+        half of the transposed region; a transpose-invariant region's halves
+        are the same integral, done once.
 
-    def _mass_lower(self, n, region, quadcfg):
-        """Integral of h_n^2 over region intersected with the lower triangle {t < s}.
+        Every half of every region is one job of one engine call, labelled
+        with its half, so a quadrature failure names the half.  A failed
+        batch is redone half by half, so the first failing half in order
+        raises, as it would in a region-by-region, half-by-half run.
+        """
+        halves, spans = [], []
+        for region in parts:
+            first = len(halves)
+            halves.append(("lower half {t < s}", region))
+            if not regions.transpose_invariant(region):
+                halves.append(("upper half {t > s}", regions.transpose(region)))
+            spans.append((first, len(halves) - 1))
+        values = self._lower_masses(n, halves, quadcfg).tolist()
+        return np.array([values[first] + values[last] for first, last in spans])
+
+    def _lower_masses(self, n, halves, quadcfg):
+        """Integral of h_n^2 over each region of the (label, region) pairs
+        ``halves`` intersected with the lower triangle {t < s}, one job each.
 
         Below the diagonal the differenced kernel at fixed s > 1/n is built from
         three profile values: with sig = s - 1/n,
@@ -458,31 +478,46 @@ class SingularWeight(_ProfileWeight):
         never s - 1/n.  For 0 < sig < 1/n the top band (1/n, s), where f is
         smooth, is one Gauss panel per segment in offsets from 1/n (exact by
         Sterbenz), of true width sig even where s rounds back to 1/n; such a
-        column counts the band when (s, 1/n) lies in the region.
+        column counts the band when its section, read at height 1/n with the
+        exact offset sig, holds 1/n: a boundary through (1/n, 1/n), such as
+        the diagonal, keeps the band that the rounded point would lose.
         """
         d = 1.0 / n
         # inner formula changes on t in {0, 1/n, 1} and on the moving cuts
         # t = s and t = s - 1/n
         struct = [(0.0, 1.0, 0.0), (0.0, 1.0, d), (0.0, 1.0, 1.0),
                   (1.0, -1.0, 0.0), (1.0, -1.0, d)]
-        edges = [0.0, d, 2.0 * d, 1.0, 1.0 + d] + regions.t_breakpoints(regions.transpose(region))
-        edges += crossing_edges(region, struct, axis=0)
-        pieces = make_pieces(edges, [0.0, d], 0.0, 1.0 + d)
-        return integrate_pieces(self._column(n, region, quadcfg.nodes), [pieces], quadcfg,
-                                [f"singular mass at n={n}"],
-                                f_check=self._column(n, region, quadcfg.nodes + 4))[0]
+        jobs, labels, parts = [], [], []
+        for half, region in halves:
+            edges = [0.0, d, 2.0 * d, 1.0, 1.0 + d]
+            edges += regions.t_breakpoints(regions.transpose(region))
+            edges += crossing_edges(region, struct, axis=0)
+            jobs.append(make_pieces(edges, [0.0, d], 0.0, 1.0 + d))
+            labels.append(f"{half}: singular mass at n={n}")
+            parts.append(region)
+        try:
+            return integrate_pieces(self._column(n, parts, quadcfg.nodes), jobs, quadcfg, labels,
+                                    f_check=self._column(n, parts, quadcfg.nodes + 4))
+        except QuadratureError:
+            # a half fails alone as it does in a batch: the first failing half raises
+            if len(halves) > 1:
+                for half in halves:
+                    self._lower_masses(n, [half], quadcfg)
+            raise
 
-    def _column(self, n, region, nodes):
-        """The column integrand of ``_mass_lower``, ``nodes`` Gauss nodes per panel."""
+    def _column(self, n, parts, nodes):
+        """The column integrand of ``_lower_masses`` over the regions ``parts``,
+        ``nodes`` Gauss nodes per panel; a node of job j reads region j."""
         d = 1.0 / n
         xi, wi = gl(nodes)
-        flipped = regions.transpose(region)  # its rows are the region's columns
+        # the transposes' rows are the regions' columns
+        flipped = [regions.transpose(region) for region in parts]
 
-        def col(ss, deltas, origin, job=None):
+        def col(ss, deltas, origin, job):
             ss = np.atleast_1d(np.asarray(ss, dtype=float))
             sig = ss - d if origin is None else np.where(origin == d, deltas, ss - d)
             top = np.minimum(ss, 1.0 + d)
-            lo, _, hi, _ = regions.row_sections_array(flipped, ss)
+            lo, _, hi, _ = regions.row_sections_array(flipped, ss, job=job)
             lo, hi = np.maximum(lo, 0.0), np.minimum(hi, top)
             fs, fsig = self.profile(ss), self.profile(sig)
             flat = sig <= 0.0  # shifted copies fall outside: f(s) throughout
@@ -495,9 +530,12 @@ class SingularWeight(_ProfileWeight):
                        + np.where(beyond > 0.0, beyond * fsig * fsig, 0.0)).sum(axis=0)
 
             # top band for low columns, in offsets from 1/n; the last row holds
-            # the columns where s rounded back to 1/n
+            # the columns where s rounded back to 1/n, each read at 1/n + sig
             collapsed = low & (top <= d)
-            collapsed[collapsed] = regions.contains(region, ss[collapsed], d)
+            for i in np.flatnonzero(collapsed):
+                a, a_off, b, b_off = regions.row_sections_array(flipped[job[i]], d, sig[i])
+                inside = regions.before(a, a_off, d, 0.0) & regions.before(d, 0.0, b, b_off)
+                collapsed[i] = inside.any()
             above = np.maximum(lo, d)
             off_lo = np.vstack([above - d, np.zeros_like(ss)])
             off_hi = np.vstack([np.where(hi >= top, sig, hi - d), sig])
@@ -506,7 +544,7 @@ class SingularWeight(_ProfileWeight):
             w = (off_hi - off_lo)[tops]
             tq = d + (off_lo[tops][:, None] + 0.5 * w[:, None] * (1.0 + xi))
             vals = (fsig[own][:, None] - self.profile(tq)) ** 2
-            out += np.bincount(own, 0.5 * w * (vals @ wi), minlength=ss.size)
+            out += np.bincount(own, 0.5 * w * np.sum(vals * wi, axis=1), minlength=ss.size)
 
             # pieces varying through f(t)
             vlo = np.maximum(lo, sig)
@@ -753,8 +791,9 @@ class TriangleWeight(_ProfileWeight):
     def evaluate(self, s, t):
         return np.where(np.abs(2.0 * s - 1.0) < t, self.profile(t), 0.0)
 
-    def _rows(self, n, region):
-        """The row integral of h_n^2 over ``region`` at each height t.
+    def _rows(self, n, parts):
+        """The row integral of h_n^2 at each height t, over region j of
+        ``parts`` for a node of job j.
 
         For fixed t the differenced kernel is piecewise constant in s: a signed
         combination of the cone cross-section I(t), its 1/n-shift, and the same
@@ -781,6 +820,7 @@ class TriangleWeight(_ProfileWeight):
         # t = u < 1/n: tau < 0, so the lower pair is empty and never cuts
         below = np.array([0.0, 0.0, 2.0 * d, 2.0 * d, 0.0, 0.0, 2.0 * d, 2.0 * d])
         before = regions.before
+        strips = _strips(parts, 1.0 + d)
 
         def rows(ts, deltas, origin, job):
             ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -793,7 +833,7 @@ class TriangleWeight(_ProfileWeight):
                 us = np.where(zero | (origin == d), deltas, ts - d)
                 heights, offsets = origin, deltas
             ft, ftau = self.profile(ts), self.profile(np.where(zero, ts - d, us))
-            row, a, a_off, b, b_off = _row_sections(region, heights, offsets, 1.0 + d)
+            row, a, a_off, b, b_off = _row_sections(strips, heights, offsets, job)
             ft, ftau = ft[row, None], ftau[row, None]
 
             ya, yb = 2.0 * a[:, None] - 1.0, 2.0 * b[:, None] - 1.0
@@ -819,22 +859,25 @@ class TriangleWeight(_ProfileWeight):
 
         return rows
 
-    def mass(self, n, region, quadcfg):
-        """Integral of h_n^2 over a region for the cone kernel: an outer
-        t-integral of the exact row integrals of ``_rows``."""
+    def masses(self, n, parts, quadcfg):
+        """Integral of h_n^2 over each region of ``parts`` for the cone kernel,
+        one job each: an outer t-integral of the exact row integrals of
+        ``_rows``, all of them in one engine call."""
         d = 1.0 / n
         # cone edges 2s -+ t = 1 of all four shifted kernel copies
         struct = [(2.0, -1.0, v) for v in (1.0, 1.0 + 2.0 * d, 1.0 - d, 1.0 + d)]
         struct += [(2.0, 1.0, v) for v in (1.0, 1.0 + 2.0 * d, 1.0 + d, 1.0 + 3.0 * d)]
-        edges = [0.0, d, 2.0 * d, 3.0 * d, 1.0, 1.0 + d] + regions.t_breakpoints(region)
-        edges += crossing_edges(region, struct, axis=1)
-        # opposite-family cone edges cross each other at multiples of d/2; rows
-        # kink there even without a region cut, and no panel edge of the
-        # ratio-4 grading from 0 or d falls on those heights
-        edges += [0.5 * d, 1.5 * d, 2.5 * d]
-        pieces = make_pieces(edges, [0.0, d], 0.0, 1.0 + d)
-        return integrate_pieces(self._rows(n, region), [pieces], quadcfg,
-                                [f"triangle mass at n={n}"])[0]
+        jobs = []
+        for region in parts:
+            edges = [0.0, d, 2.0 * d, 3.0 * d, 1.0, 1.0 + d] + regions.t_breakpoints(region)
+            edges += crossing_edges(region, struct, axis=1)
+            # opposite-family cone edges cross each other at multiples of d/2;
+            # rows kink there even without a region cut, and no panel edge of
+            # the ratio-4 grading from 0 or d falls on those heights
+            edges += [0.5 * d, 1.5 * d, 2.5 * d]
+            jobs.append(make_pieces(edges, [0.0, d], 0.0, 1.0 + d))
+        return integrate_pieces(self._rows(n, parts), jobs, quadcfg,
+                                [f"triangle mass at n={n}"] * len(parts))
 
     def window(self, eps):
         return Rect(0.5 - 0.5 * eps, 0.5 + 0.5 * eps, 0.0, 0.5 * eps)
@@ -946,23 +989,52 @@ def thinning_count(n, kappa):
 _DEFAULT_QUAD = QuadratureConfig()
 
 
-def mu_mass(spec, n, region=None, quadcfg=None):
-    """mu_n(region) = integral of h_n^2 over the region (whole plane if None)."""
+_MASSES = {}  # (spec, n, region, quadcfg) -> mass, oldest first
+_MASSES_KEPT = 4096
+
+
+def mu_masses(spec, n, parts, quadcfg=None):
+    """mu_n of each region of ``parts`` (None is the whole plane), as an array.
+
+    The regions not in the mass cache go to the variant's ``masses`` as one
+    batch: one engine call, with a job per region, or per half of a singular
+    one.  The integrands are pointwise, so each mass equals its one-region
+    value bit for bit.  Every mass is cached by (spec, n, region, quadcfg),
+    so a region asked for again is not integrated again;
+    ``mu_masses.cache_clear()`` empties the cache.  A failed batch raises the
+    error of one failing job, for the singular kernel the first failing half
+    in order; ``asymptotics.region_measures`` redoes a failed batch region by
+    region to name the region.
+    """
     if n < 2:
         raise ValueError(f"lattice resolution must be >= 2 for mass integrals, got {n}")
-    region = Everything() if region is None else region
     quadcfg = quadcfg or _DEFAULT_QUAD
-    return require_weight(spec).mass(n, region, quadcfg)
+    require_weight(spec)
+    keys = [(spec, n, Everything() if region is None else region, quadcfg) for region in parts]
+    found = {key: _MASSES[key] for key in keys if key in _MASSES}
+    todo = [key for key in dict.fromkeys(keys) if key not in found]
+    if todo:
+        for key, value in zip(todo, spec.masses(n, [key[2] for key in todo], quadcfg).tolist()):
+            found[key] = _MASSES[key] = value
+        while len(_MASSES) > _MASSES_KEPT:
+            del _MASSES[next(iter(_MASSES))]
+    return np.array([found[key] for key in keys])
 
 
-@lru_cache(maxsize=4096)
-def _cn_cached(spec, n, quadcfg):
-    return mu_mass(spec, n, None, quadcfg)
+mu_masses.cache_clear = _MASSES.clear  # as an ``lru_cache``'s
+
+
+def mu_mass(spec, n, region=None, quadcfg=None):
+    """mu_n(region) = integral of h_n^2 over the region (whole plane if None).
+
+    The batch of one of :func:`mu_masses`, cached as every mass is.
+    """
+    return mu_masses(spec, n, (region,), quadcfg)[0]
 
 
 def compute_cn(spec, n, quadcfg=None):
-    """Squared mass c_n = integral of h_n^2 (cached per spec instance)."""
-    return _cn_cached(spec, n, quadcfg or _DEFAULT_QUAD)
+    """Squared mass c_n = integral of h_n^2, the whole plane's ``mu_mass``."""
+    return mu_mass(spec, n, None, quadcfg)
 
 
 def concentration_mass(spec, n, region, quadcfg=None):

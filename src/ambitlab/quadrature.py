@@ -50,9 +50,7 @@ split of a batch into integrand calls gives the same values.  Converged
 panels add up in bisection order, and piece totals add up in piece order.
 A job's result is therefore independent of the jobs batched with it, bit
 for bit, when its integrand is pointwise: its value at a node depends on
-that node alone.
-``SingularWeight._column`` is not pointwise, as its inner panel count
-follows the largest one the nodes of a call ask for.
+that node alone.  Every integrand in the package is.
 
 Node cap
 --------

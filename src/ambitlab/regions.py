@@ -17,9 +17,12 @@ of the ``transpose``.
 ``boundary_lines`` lists the lines bounding a region so integrators can place
 outer breakpoints where a moving section endpoint passes a structural line of
 the integrand.
+``row_sections_array`` also takes a sequence of regions and, for each
+height, the index of the one it reads: so a batch of mass integrals reads
+each job's own region.
 
-Conventions: coordinates are (s, t); all regions are open, a difference
-included; measure-zero boundary choices are irrelevant to every consumer.
+Conventions: coordinates are (s, t); all regions are open; measure-zero
+boundary choices are irrelevant to every consumer.
 """
 
 from __future__ import annotations
@@ -36,14 +39,12 @@ __all__ = [
     "HalfPlane",
     "Union",
     "Intersection",
-    "Difference",
     "Everything",
     "band",
     "before",
     "row_sections_array",
     "transpose",
     "transpose_invariant",
-    "contains",
     "t_breakpoints",
     "boundary_lines",
 ]
@@ -92,13 +93,6 @@ def Intersection(parts):
     return Region(tuple(tuple(h for piece in combo for h in piece) for combo in combos))
 
 
-def Difference(left, right):
-    """left minus right: cut left by the complement of each piece of right."""
-    for piece in _pieces(right):
-        left = Intersection((left, Region(tuple(((-a, -b, -c),) for a, b, c in piece))))
-    return left
-
-
 def band(lo, hi):
     """Diagonal band {lo < s - t < hi}."""
     return Intersection((HalfPlane(-1.0, 1.0, -lo), HalfPlane(1.0, -1.0, hi)))
@@ -115,8 +109,7 @@ def before(x, x_off, y, y_off):
     return (y - x) + (y_off - x_off) > 0.0
 
 
-@np.errstate(invalid="ignore")  # open sides are infinite: inf - inf reads as no order
-def row_sections_array(region, ts, offsets=0.0):
+def row_sections_array(region, ts, offsets=0.0, job=None):
     """The slices {s : (s, t) in region} at every height t = ts + offsets at once.
 
     ``offsets`` holds each height's exact offset u from ``ts`` (0.0 for
@@ -127,18 +120,41 @@ def row_sections_array(region, ts, offsets=0.0):
     so a slice as narrow as u, such as the cone's near its apex, keeps its
     width however small u is.
 
-    ``offsets`` broadcasts against ``ts``.  Returns
-    ``(lo, lo_off, hi, hi_off)``, each of shape (pieces, heights): column i
-    holds the slice at height i as disjoint open intervals
-    (lo + lo_off, hi + hi_off), ascending, and zeros in unused entries.  Ends
-    compare by :func:`before`.  A piece's interval runs from the greatest of
-    its lower cuts to the least of its upper cuts.  A ranking by lower end
-    and two sweeps merge the pieces: a piece opens an interval where its
-    lower end passes the running greatest upper end before it; the interval
-    ends at that greatest end before the next opening.
+    ``region`` is one region, or, where ``job`` is given, a sequence of them:
+    height i then reads region ``job[i]``, and the heights of each region go
+    through it together.  ``offsets`` broadcasts against ``ts``.  Returns
+    ``(lo, lo_off, hi, hi_off)``, each of shape (pieces, heights), pieces the
+    most any region has: column i holds the slice at height i as disjoint
+    open intervals (lo + lo_off, hi + hi_off), ascending, and zeros in unused
+    entries.  Ends compare by :func:`before`.  A column's values depend on
+    its own height and region alone.
     """
-    ts, us = np.atleast_1d(np.asarray(ts, dtype=float)), np.asarray(offsets, dtype=float)
-    pieces = _pieces(region)
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    us = np.asarray(offsets, dtype=float)
+    if job is not None and len(region) == 1:  # every height reads the one region
+        region, job = region[0], None
+    if job is None:
+        return tuple(_sections(_pieces(region), ts, us))
+    parts = [_pieces(part) for part in region]
+    us = np.broadcast_to(us, ts.shape)
+    out = np.zeros((4, max(map(len, parts)), ts.size))
+    for j, pieces in enumerate(parts):
+        at = np.flatnonzero(job == j)
+        if at.size:
+            out[:, :len(pieces), at] = _sections(pieces, ts[at], us[at])
+    return tuple(out)
+
+
+@np.errstate(invalid="ignore")  # open sides are infinite: inf - inf reads as no order
+def _sections(pieces, ts, us):
+    """``row_sections_array`` of one region's pieces, as one (4, pieces, heights) array.
+
+    A piece's interval runs from the greatest of its lower cuts to the least
+    of its upper cuts.  A ranking by lower end and two sweeps merge the
+    pieces: a piece opens an interval where its lower end passes the running
+    greatest upper end before it; the interval ends at that greatest end
+    before the next opening.
+    """
     count, size = len(pieces), ts.size
     # rows lo, lo_off, hi, hi_off of every piece, so one call moves all four
     ends = np.zeros((4, count, size))
@@ -180,7 +196,7 @@ def row_sections_array(region, ts, offsets=0.0):
     for p in range(count - 2, -1, -1):
         np.copyto(ends[2:, p], ends[2:, p + 1], where=~opens[p + 1])
     np.copyto(ends, 0.0, where=~(opens & before(lo, lo_off, hi, hi_off)))
-    return tuple(ends)
+    return ends
 
 
 def transpose(region):
@@ -197,17 +213,6 @@ def transpose_invariant(region):
     def as_set(r):
         return frozenset(frozenset(piece) for piece in _pieces(r))
     return as_set(region) == as_set(transpose(region))
-
-
-def contains(region, s, t):
-    """Strict-interior membership; broadcasts over array arguments."""
-    out = np.zeros(np.broadcast_shapes(np.shape(s), np.shape(t)), dtype=bool)
-    for piece in _pieces(region):
-        inside = True
-        for a, b, c in piece:
-            inside = inside & (a * s + b * t < c)
-        out = out | inside
-    return out[()]
 
 
 def t_breakpoints(region):

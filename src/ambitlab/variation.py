@@ -27,7 +27,6 @@ from .simulate import strip_covariances
 
 __all__ = [
     "retained_corners",
-    "power_variation",
     "variation_field",
     "scaled_power_variation",
     "expected_scaled_pv",
@@ -47,20 +46,11 @@ def retained_corners(s, t, eps):
     return math.floor(float(s) / eps + 1e-9), math.floor(float(t) / eps + 1e-9)
 
 
-def power_variation(inc, p, eps, s, t):
-    """Sum of |increment|^p over the retained cells with corners in [0,s] x [0,t]."""
-    p = float(p)
-    if p <= 0.0:
-        raise ValueError(f"power must be positive, got {p}")
-    i, j = retained_corners(s, t, eps)
-    return float(np.sum(np.abs(inc[:i, :j]) ** p))
-
-
 def variation_field(inc, p):
     """Read-only (m + 1) x (m + 1) cumulative sums of |inc|^p over an m x m array.
 
-    Entry [i, j] is ``power_variation`` at the corner (eps i, eps j); row and
-    column 0 are the empty sums.
+    Entry [i, j] is the sum of |inc|^p over the retained cells with corners
+    in [0, eps i] x [0, eps j]; row and column 0 are the empty sums.
     """
     p = float(p)
     if p <= 0.0:

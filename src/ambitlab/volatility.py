@@ -1,4 +1,4 @@
-"""Volatility fields on [-1,1]^2 and integrated powers of their realizations.
+"""Volatility fields on [-1,1]^2 and exact integrals of their squared realizations.
 
 Three models: a constant, a named deterministic closure, and a smoothed
 log-Gaussian draw.  Each variant's facts live on its class, and the other
@@ -13,7 +13,6 @@ noise.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ __all__ = [
     "SigmaField",
     "midpoints",
     "sample_volatility",
-    "integrated_power",
     "squared_prefix_integral",
     "rect_integral",
 ]
@@ -230,36 +228,6 @@ def sample_volatility(model, resolution, seed=0):
     if m < 2 or m != resolution:
         raise ValueError(f"volatility grid resolution must be an integer >= 2, got {resolution}")
     return SigmaField(values=model.realize(m, seed), model=model, seed=int(seed))
-
-
-def _validate_rect(rect):
-    a, b, c, d = (float(x) for x in rect)
-    tol = 1e-12
-    if not (a <= b and c <= d):
-        raise ValueError(f"rectangle has inverted sides: {rect}")
-    if a < -1.0 - tol or b > 1.0 + tol or c < -1.0 - tol or d > 1.0 + tol:
-        raise ValueError(f"rectangle {rect} leaves the sampled domain [-1,1]^2")
-    return a, b, c, d
-
-
-def integrated_power(sigma, p, rect=(0.0, 1.0, 0.0, 1.0)):
-    """integral of sigma(u,v)^p over [a,b] x [c,d], rect inside [-1,1]^2.
-
-    Reads the realized grid cell-constantly, as the simulation does: partial
-    edge cells count by their overlap, so the value is exact for that
-    reading.  Zero-area rectangles integrate to 0 and emit a warning.
-    """
-    if not (p > 0.0 and np.isfinite(p)):
-        raise ValueError(f"integrated power requires p > 0, got {p}")
-    a, b, c, d = _validate_rect(rect)
-    if a == b or c == d:
-        warnings.warn("integrated_power over a zero-area rectangle", stacklevel=2)
-        return 0.0
-    m = sigma.resolution
-    edges = -1.0 + 2.0 * np.arange(m + 1) / m
-    wu = np.clip(np.minimum(b, edges[1:]) - np.maximum(a, edges[:-1]), 0.0, None)
-    wv = np.clip(np.minimum(d, edges[1:]) - np.maximum(c, edges[:-1]), 0.0, None)
-    return float(wu @ (sigma.values**p) @ wv)
 
 
 def squared_prefix_integral(sigma):

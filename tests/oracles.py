@@ -1,0 +1,64 @@
+"""Reference implementations that only the tests call.
+
+Each one computes, by a plain route of its own, something the package
+computes another way, so a test can check the package against it.
+"""
+
+import warnings
+
+import numpy as np
+
+from ambitlab.regions import Intersection, Region, Union
+from ambitlab.variation import retained_corners
+
+
+def Difference(left, right):
+    """left minus right: cut left by the complement of each piece of right."""
+    for piece in Union((right,)).pieces:
+        left = Intersection((left, Region(tuple(((-a, -b, -c),) for a, b, c in piece))))
+    return left
+
+
+def contains(region, s, t):
+    """Strict-interior membership; broadcasts over array arguments."""
+    out = np.zeros(np.broadcast_shapes(np.shape(s), np.shape(t)), dtype=bool)
+    for piece in Union((region,)).pieces:
+        inside = True
+        for a, b, c in piece:
+            inside = inside & (a * s + b * t < c)
+        out = out | inside
+    return out[()]
+
+
+def power_variation(inc, p, eps, s, t):
+    """Sum of |increment|^p over the retained cells with corners in [0,s] x [0,t]."""
+    p = float(p)
+    if p <= 0.0:
+        raise ValueError(f"power must be positive, got {p}")
+    i, j = retained_corners(s, t, eps)
+    return float(np.sum(np.abs(inc[:i, :j]) ** p))
+
+
+def integrated_power(sigma, p, rect=(0.0, 1.0, 0.0, 1.0)):
+    """integral of sigma(u,v)^p over [a,b] x [c,d], rect inside [-1,1]^2.
+
+    Reads the realized grid cell-constantly, as the simulation does: partial
+    edge cells count by their overlap, so the value is exact for that
+    reading.  Zero-area rectangles integrate to 0 and emit a warning.
+    """
+    if not (p > 0.0 and np.isfinite(p)):
+        raise ValueError(f"integrated power requires p > 0, got {p}")
+    a, b, c, d = (float(x) for x in rect)
+    tol = 1e-12
+    if not (a <= b and c <= d):
+        raise ValueError(f"rectangle has inverted sides: {rect}")
+    if a < -1.0 - tol or b > 1.0 + tol or c < -1.0 - tol or d > 1.0 + tol:
+        raise ValueError(f"rectangle {rect} leaves the sampled domain [-1,1]^2")
+    if a == b or c == d:
+        warnings.warn("integrated_power over a zero-area rectangle", stacklevel=2)
+        return 0.0
+    m = sigma.resolution
+    edges = -1.0 + 2.0 * np.arange(m + 1) / m
+    wu = np.clip(np.minimum(b, edges[1:]) - np.maximum(a, edges[:-1]), 0.0, None)
+    wv = np.clip(np.minimum(d, edges[1:]) - np.maximum(c, edges[:-1]), 0.0, None)
+    return float(wu @ (sigma.values**p) @ wv)

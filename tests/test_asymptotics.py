@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from ambitlab import cli, kernels
 from ambitlab.asymptotics import (
     PARTITION,
     assumption2_ratio,
@@ -10,14 +12,18 @@ from ambitlab.asymptotics import (
     region_measures,
     slope_fit,
 )
+from ambitlab.errors import QuadratureError
 from ambitlab.kernels import (
     SingularWeight,
     SlowFunction,
     TriangleWeight,
     UniformWeight,
     compute_cn,
+    mu_mass,
+    thinning_count,
 )
-from ambitlab.regions import Rect
+from ambitlab.quadrature import QuadratureConfig
+from ambitlab.regions import Everything, HalfPlane, Rect, band
 
 
 def singular(alpha, ell="one_minus_s"):
@@ -197,6 +203,18 @@ def test_lower_half_carries_exactly_half_the_mass():
     np.testing.assert_allclose(m["T"], compute_cn(spec, 64) / 2, rtol=1e-12)
 
 
+@pytest.mark.parametrize("alpha, ell, rel_tol, n", [
+    (0.6, "one", 1e-15, 8), (0.75, "one", 1e-15, 32), (0.75, "one_minus_s", 1e-15, 8),
+    (0.9, "one_minus_s", 1e-12, 8), (0.9, "one", 1e-12, 16)])
+def test_lower_half_carries_half_the_mass_at_a_tight_tolerance(alpha, ell, rel_tol, n):
+    # past about 2^-53 of 1/n the graded columns at s = 1/n + sig round back to
+    # 1/n, where the diagonal bounding T passes: their top band (1/n, s) lies
+    # in T, which only the exact offset sig shows
+    spec, quad = singular(alpha, ell), QuadratureConfig(rel_tol=rel_tol, abs_tol=0.0)
+    m = region_measures(spec, n, region_catalog(spec, n, 0.4), names=("T",), quadcfg=quad)
+    np.testing.assert_allclose(m["T"], compute_cn(spec, n, quad) / 2, rtol=1e-14)
+
+
 def test_triangle_measures_match_closed_antiderivatives():
     spec = triangle(0.75)
     n = 64
@@ -261,6 +279,77 @@ def test_leftover_band_decays_faster_than_n_minus_two():
         cat = region_catalog(spec, n, 0.4)
         vals[n] = region_measures(spec, n, cat, names=("B4",))["B4"]
     assert slope_fit(vals)["exponent"] < -2.0
+
+
+def test_an_asymptotics_run_integrates_every_mass_once_in_one_engine_call(monkeypatch, tmp_path):
+    # the catalog, c_n and the window's E all come from one batch per n:
+    # assumption2_ratio reads E and c_n from the mass cache
+    spec = singular(0.75, "one")
+    batches, measured = [], []
+    integrate, masses = kernels.integrate_pieces, SingularWeight.masses
+
+    def counted(f, jobs, quadcfg, labels=None, f_check=None):
+        batches.append(len(jobs))
+        return integrate(f, jobs, quadcfg, labels, f_check)
+
+    def recorded(self, n, parts, quadcfg):
+        measured.extend(parts)
+        return masses(self, n, parts, quadcfg)
+
+    monkeypatch.setattr(kernels, "integrate_pieces", counted)
+    monkeypatch.setattr(SingularWeight, "masses", recorded)
+    kernels.mu_masses.cache_clear()
+    config = cli.ExperimentConfig.from_text(
+        "kind = asymptotics\nweight.variant = singular\nweight.alpha = 0.75\n"
+        "weight.ell = one\nn = 32\nkappa = 0.4\n").with_overrides(out=str(tmp_path))
+    assert cli.run(config) == cli.EXIT_OK
+    # E, B1-B4 and the whole plane one half each, Etilde two
+    assert batches == [8]
+    window = spec.window(thinning_count(32, 0.4) / 32)
+    assert measured.count(window) == 1 and measured.count(Everything()) == 1
+    assert len(measured) == len(set(measured)) == 7
+
+
+# at alpha = 0.99 the graded tail past the reach misses a rel_tol of 1e-12 in
+# some regions and not in others
+_EDGE, _TIGHT = SingularWeight(alpha=0.99), QuadratureConfig(rel_tol=1e-12, abs_tol=0.0)
+
+
+def test_a_failing_region_in_a_batch_raises_what_it_raises_alone():
+    cut = HalfPlane(1.0, -2.0, 0.3)
+    passing = [Rect(0.5, 0.9, 0.1, 0.4), HalfPlane(-1.0, 0.0, -0.5)]
+    kernels.mu_masses.cache_clear()
+    with pytest.raises(QuadratureError) as alone:
+        mu_mass(_EDGE, 8, cut, _TIGHT)
+    assert str(alone.value).startswith("lower half {t < s}: singular mass at n=8: ")
+    for batch in ([cut, *passing], [*passing, cut], [passing[0], cut, band(0.1, 0.3)]):
+        kernels.mu_masses.cache_clear()
+        with pytest.raises(QuadratureError) as failure:
+            kernels.mu_masses(_EDGE, 8, batch, _TIGHT)
+        assert str(failure.value) == str(alone.value)
+        assert failure.value.estimate == alone.value.estimate
+
+
+def test_region_measures_names_the_first_failing_region_in_name_order():
+    catalog = region_catalog(_EDGE, 8, 0.4)
+    for names in (("Etilde", "B1", "E", "T"), ("B4", "T", "E"), ("B2", "B3")):
+        kernels.mu_masses.cache_clear()
+        want = None  # what measuring one region at a time raises
+        for name in names:
+            try:
+                mu_mass(_EDGE, 8, catalog[name], _TIGHT)
+            except QuadratureError as exc:
+                want = f"region {name!r} at n=8: {exc}"
+                break
+        kernels.mu_masses.cache_clear()
+        if want is None:  # c_n fails in the batch, and raises only when asked for
+            masses = region_measures(_EDGE, 8, catalog, names, _TIGHT)
+            assert masses == {name: mu_mass(_EDGE, 8, catalog[name], _TIGHT) for name in names}
+            with pytest.raises(QuadratureError):
+                compute_cn(_EDGE, 8, _TIGHT)
+            continue
+        with pytest.raises(QuadratureError, match=re.escape(want) + "$"):
+            region_measures(_EDGE, 8, catalog, names, _TIGHT)
 
 
 # ------------------------------------------------------------- window decay

@@ -1087,3 +1087,28 @@ print(json.dumps([problems, codes, sorted(set(sys.modules) - before), masked]))
     assert codes == [EXIT_OK] * len(jobs)
     assert loaded == []
     assert masked == [False, False]
+
+
+@pytest.mark.parametrize("path", [p for p in BENCH_CONFIGS if p.stem != "hermite"],
+                         ids=lambda p: p.stem)
+def test_a_validated_benchmark_config_runs_without_importing(path, tmp_path):
+    # each config in a fresh interpreter, so no other run loads a module for
+    # it: the CLI's import and validate load all a run needs, and validate
+    # loads numpy.random, about 11 ms, only for the kinds that draw
+    probe = """
+import contextlib, io, json, sys
+from ambitlab import cli
+config = cli.ExperimentConfig.from_text(sys.argv[1]).with_overrides(out=sys.argv[2])
+problems = cli.validate(config)
+drawing = "numpy.random" in sys.modules
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(config)
+print(json.dumps([problems, code, sorted(set(sys.modules) - before), drawing]))
+"""
+    text = path.read_text()
+    problems, code, loaded, drawing = json.loads(_fresh_python(probe, text, str(tmp_path / "out")))
+    assert problems == [] and code == EXIT_OK
+    assert loaded == []
+    kind = ExperimentConfig.from_text(text).entries["kind"]
+    assert drawing == (kind in ("lln", "clt", "simulate"))

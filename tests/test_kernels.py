@@ -24,7 +24,8 @@ from ambitlab.kernels import (
     thinning_count,
 )
 from ambitlab.quadrature import QuadratureConfig
-from ambitlab.regions import Difference, Everything, HalfPlane, Intersection, Rect, band
+from ambitlab.regions import Everything, HalfPlane, Intersection, Rect, band
+from oracles import Difference
 
 
 # ---------------------------------------------------------------- evaluation
@@ -388,6 +389,12 @@ def _sections(region, t, lo, hi):
     return _clip(zip(a[:, 0].tolist(), b[:, 0].tolist()), lo, hi)
 
 
+def _holds(region, s, t):
+    """Does ``region`` hold the point (s, t), given exactly as Fractions?"""
+    return any(all(Fraction(a) * s + Fraction(b) * t < Fraction(c) for a, b, c in piece)
+               for piece in region.pieces)
+
+
 def _scalar_column(spec, n, region, nodes):
     """The column integrand one node at a time: the definition the batched one must match."""
     d = 1.0 / n
@@ -427,7 +434,7 @@ def _scalar_column(spec, n, region, nodes):
                             consts.append(fs)
                 if top > d:
                     trail = [(a - d, sig if b >= top else b - d) for a, b in _clip(secs, d, top)]
-                elif regions.contains(region, s, d):
+                elif _holds(region, Fraction(d) + Fraction(sig), Fraction(d)):  # s is d + sig
                     trail = [(0.0, sig)]
                 else:
                     trail = []
@@ -495,12 +502,17 @@ def test_batched_column_matches_the_scalar_definition(alpha, ell):
     for n in (8, 32, 256):
         d = 1.0 / n
         plain, deltas = _column_nodes(n, rng)
-        catalog = spec.catalog(n, thinning_count(n, 0.4) / n)
-        for name, region in {**catalog, "everything": Everything()}.items():
-            batched, scalar = spec._column(n, region, 14), _scalar_column(spec, n, region, 14)
-            for args in ((plain, None, None), (d + deltas, deltas, d)):
-                np.testing.assert_allclose(batched(*args), scalar(*args), rtol=1e-13, atol=0.0,
-                                           err_msg=f"{name} at n={n}")
+        parts = {**spec.catalog(n, thinning_count(n, 0.4) / n), "everything": Everything()}
+        batched = spec._column(n, list(parts.values()), 14)
+        for args in ((plain, None, None), (d + deltas, deltas, d)):
+            size, alone = args[0].size, []
+            for j, (name, region) in enumerate(parts.items()):
+                alone.append(batched(*args, np.full(size, j)))
+                np.testing.assert_allclose(alone[-1], _scalar_column(spec, n, region, 14)(*args),
+                                           rtol=1e-13, atol=0.0, err_msg=f"{name} at n={n}")
+            # every region's nodes in one call: each node reads its own, bit for bit
+            job = np.arange(size) % len(parts)
+            np.testing.assert_array_equal(batched(*args, job), np.choose(job, alone))
 
 
 def test_column_evaluates_no_zero_width_panels(monkeypatch):
@@ -513,7 +525,8 @@ def test_column_evaluates_no_zero_width_panels(monkeypatch):
         return original(self, r)
 
     monkeypatch.setattr(kernels._ProfileWeight, "profile", counted)
-    SingularWeight(alpha=0.75, ell=SlowFunction("one")).mass(32, Everything(), QuadratureConfig())
+    spec = SingularWeight(alpha=0.75, ell=SlowFunction("one"))
+    spec.masses(32, [Everything()], QuadratureConfig())
     assert sum(points) <= 330_000
 
 
@@ -630,17 +643,22 @@ def test_array_cone_rows_match_the_scalar_definition(alpha, ell):
                 "steep": HalfPlane(-2.0, 3.0, 0.1 - d),
                 "wedge": Intersection((HalfPlane(1.0, -1.0, 0.45), HalfPlane(-1.0, -0.7, -0.4)))}
         catalog = spec.catalog(n, thinning_count(n, 0.15) / n)
-        for name, region in {**catalog, **cuts, "everything": Everything()}.items():
-            array, scalar = spec._rows(n, region), _scalar_rows(spec, n, region)
-            nonzero = 0
-            for ts, deltas, origin in ((plain, None, None),
-                                       (low, low, np.zeros(low.size)),
-                                       (d + high, high, np.full(high.size, d))):
-                want = scalar(ts, deltas, origin)
-                np.testing.assert_allclose(array(ts, deltas, origin, None), want,
+        parts = {**catalog, **cuts, "everything": Everything()}
+        array, nonzero = spec._rows(n, list(parts.values())), dict.fromkeys(parts, 0)
+        for ts, deltas, origin in ((plain, None, None),
+                                   (low, low, np.zeros(low.size)),
+                                   (d + high, high, np.full(high.size, d))):
+            alone = []
+            for j, (name, region) in enumerate(parts.items()):
+                want = _scalar_rows(spec, n, region)(ts, deltas, origin)
+                alone.append(array(ts, deltas, origin, np.full(ts.size, j)))
+                np.testing.assert_allclose(alone[-1], want,
                                            rtol=1e-13, atol=0.0, err_msg=f"{name} at n={n}")
-                nonzero += np.count_nonzero(want)
-            assert nonzero >= 5, f"{name} at n={n}"
+                nonzero[name] += np.count_nonzero(want)
+            # every region's nodes in one call: each node reads its own, bit for bit
+            job = np.arange(ts.size) % len(parts)
+            np.testing.assert_array_equal(array(ts, deltas, origin, job), np.choose(job, alone))
+        assert min(nonzero.values()) >= 5, f"{nonzero} at n={n}"
 
 
 def test_cone_rows_keep_the_region_section_at_the_apex():
@@ -648,7 +666,7 @@ def test_cone_rows_keep_the_region_section_at_the_apex():
     # in the core Etilde the row of h_n^2 is t f(t)^2 = t^(1 - 2 alpha)
     spec, n, t = TriangleWeight(alpha=0.75, ell=SlowFunction("one")), 64, 1.68e-17
     etilde = spec.catalog(n, thinning_count(n, 0.15) / n)["Etilde"]
-    row = spec._rows(n, etilde)(np.array([t]), np.array([t]), np.zeros(1), None)
+    row = spec._rows(n, [etilde])(np.array([t]), np.array([t]), np.zeros(1), np.zeros(1, int))
     assert row[0] == pytest.approx(t ** -0.5, rel=1e-14)
     assert _scalar_rows(spec, n, etilde)(np.array([t]), np.array([t]), np.zeros(1))[0] == \
         pytest.approx(t ** -0.5, rel=1e-14)
@@ -661,21 +679,71 @@ def test_transpose_invariant_regions_integrate_one_half(monkeypatch):
     invariant["everything"] = Everything()
     other = {"Etilde": catalog["Etilde"], "band": band(0.1, 0.3),
              "half-plane": HalfPlane(1.0, -2.0, 0.3)}
-    calls, original, quad = [], SingularWeight._mass_lower, QuadratureConfig()
+    batches, original, quad = [], kernels.integrate_pieces, QuadratureConfig()
 
-    def counted(self, n, region, quadcfg):
-        calls.append(region)
-        return original(self, n, region, quadcfg)
+    def counted(f, jobs, quadcfg, labels=None, f_check=None):
+        batches.append(labels)
+        return original(f, jobs, quadcfg, labels, f_check)
 
-    monkeypatch.setattr(SingularWeight, "_mass_lower", counted)
+    monkeypatch.setattr(kernels, "integrate_pieces", counted)
+    lower = "lower half {t < s}: singular mass at n=32"
+    upper = "upper half {t > s}: singular mass at n=32"
     for name, region in {**invariant, **other}.items():
-        calls.clear()
-        value = mu_mass(spec, n, region)
-        assert len(calls) == (1 if name in invariant else 2), name
+        batches.clear()
+        value = spec.masses(n, [region], quad)[0]
+        assert batches == [[lower] if name in invariant else [lower, upper]], name
         if name in invariant:
-            both = (original(spec, n, region, quad)
-                    + original(spec, n, regions.transpose(region), quad))
-            assert value == both, name
+            both = [("lower", region), ("upper", regions.transpose(region))]
+            halves = spec._lower_masses(n, both, quad)
+            assert value == halves[0] + halves[1], name
+    # all of them in one engine call: a job per half, region by region
+    batches.clear()
+    spec.masses(n, [*invariant.values(), *other.values()], quad)
+    assert batches == [[lower] * len(invariant) + [lower, upper] * len(other)]
+
+
+_BATCH_CUTS = {"band": band(0.1, 0.3), "half-plane": HalfPlane(1.0, -2.0, 0.3)}
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("spec, kappa", [
+    (SingularWeight(alpha=0.3, ell=SlowFunction("one")), 0.25),
+    (SingularWeight(alpha=0.3, ell=SlowFunction("one_minus_s")), 0.25),
+    (SingularWeight(alpha=0.75, ell=SlowFunction("one")), 0.4),
+    (SingularWeight(alpha=0.75, ell=SlowFunction("one_minus_s")), 0.4),
+    (TriangleWeight(alpha=0.75), 0.15),
+    (UniformWeight(), None),
+], ids=["singular-0.3-one", "singular-0.3-one_minus_s", "singular-0.75-one",
+        "singular-0.75-one_minus_s", "cone-0.75", "uniform"])
+def test_batched_masses_equal_one_region_masses_bit_for_bit(spec, kappa, n):
+    # the catalog's Etilde and T, and the cuts, are not transpose-invariant
+    cells = (spec.corner_cells(n) if kappa is None
+             else spec.catalog(n, thinning_count(n, kappa) / n))
+    parts = list({**cells, **_BATCH_CUTS, "everything": Everything()}.values())
+    quad = QuadratureConfig()
+    alone = [spec.masses(n, [region], quad)[0] for region in parts]
+    np.testing.assert_array_equal(spec.masses(n, parts, quad), alone)
+    kernels.mu_masses.cache_clear()
+    np.testing.assert_array_equal(kernels.mu_masses(spec, n, parts + parts[:2]),
+                                  alone + alone[:2])
+
+
+def test_a_region_in_a_batch_is_integrated_once_and_then_cached(monkeypatch):
+    spec, n = TriangleWeight(alpha=0.75), 16
+    window = spec.window(0.5)
+    batches, original = [], TriangleWeight.masses
+
+    def counted(self, n, parts, quadcfg):
+        batches.append(list(parts))
+        return original(self, n, parts, quadcfg)
+
+    monkeypatch.setattr(TriangleWeight, "masses", counted)
+    kernels.mu_masses.cache_clear()
+    both = kernels.mu_masses(spec, n, [window, None, window])
+    assert batches == [[window, Everything()]]
+    assert both[0] == both[2] == mu_mass(spec, n, window)
+    assert concentration_mass(spec, n, window) == both[0] / both[1]
+    assert compute_cn(spec, n) == both[1] and len(batches) == 1
 
 
 # ---------------------------------------------------------------- concentration geometry

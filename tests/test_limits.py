@@ -19,9 +19,9 @@ from ambitlab.volatility import (
     DeterministicVol,
     LogGaussianVol,
     SigmaField,
-    integrated_power,
     sample_volatility,
 )
+from oracles import integrated_power
 
 ONE = SlowFunction("one")
 

@@ -12,7 +12,7 @@ from ambitlab import kernels, quadrature
 from ambitlab.errors import QuadratureError
 from ambitlab.kernels import SingularWeight, SlowFunction, compute_cn, mu_mass
 from ambitlab.quadrature import QuadratureConfig, integrate_pieces, make_pieces
-from ambitlab.regions import HalfPlane, Intersection, band
+from ambitlab.regions import HalfPlane, Intersection, Union, band, transpose
 from ambitlab.simulate import _G2_QUAD
 
 
@@ -348,3 +348,16 @@ def test_singular_mass_of_a_band_cut_just_above_the_corner():
     cut = Intersection((band(0.0, 1.0), HalfPlane(0.0, 0.5, 4e-86)))
     mass = mu_mass(_SINGULAR, 8, cut)
     assert 0.0 <= mass < mu_mass(_SINGULAR, 8, band(0.0, 1.0))
+
+
+def test_a_mass_names_its_first_failing_half_though_the_other_fails_sooner():
+    # the two shapes above: the slanted cut fails the lower half's final
+    # check, the transposed corner cut the upper half's graded pass, which
+    # the batch of both halves reaches first; redone half by half, the lower
+    # half raises, as it does when the halves are integrated in turn
+    slant = Intersection((band(0.0, 1.0 / 16.0), HalfPlane(-0.5, 3.0, 0.25)))
+    corner = Intersection((band(0.0, 1.0), HalfPlane(0.0, 0.5, 4e-86)))
+    for region in (Union((slant, transpose(corner))), Union((transpose(corner), slant))):
+        with pytest.raises(QuadratureError, match=re.escape(
+                "lower half {t < s}: singular mass at n=8: quadrature did not stabilize: ")):
+            mu_mass(_SINGULAR, 8, region)

@@ -289,10 +289,6 @@ ORACLES = {
     "kernels.WeightSpec.window": "test_asymptotics.py::test_window_ratio_refuses_a_uniform_weight",
     "kernels.UniformWeight.lattice_autocorrelation":
         "test_simulate.py::test_strips_engine_agrees_with_stationary_engine",
-    "regions.Difference": "test_regions.py::test_mass_is_additive_across_a_half_plane_cut",
-    "variation.power_variation": "test_variation.py::test_field_matches_pointwise_statistic",
-    "volatility.integrated_power":
-        "test_limits.py::test_single_atom_reduces_to_a_shifted_power_integral",
 }
 
 _SINGULAR = "weight.variant = singular\nweight.alpha = 0.6\nweight.ell = one\n"

@@ -12,7 +12,6 @@ from ambitlab.simulate import (
 )
 from ambitlab.variation import (
     expected_scaled_pv,
-    power_variation,
     retained_corners,
     scaled_power_variation,
     variation_field,
@@ -23,6 +22,7 @@ from ambitlab.volatility import (
     LogGaussianVol,
     sample_volatility,
 )
+from oracles import power_variation
 
 
 # ------------------------------------------------------------- raw statistic

@@ -10,12 +10,12 @@ from ambitlab.volatility import (
     DeterministicVol,
     LogGaussianVol,
     SigmaField,
-    integrated_power,
     midpoints,
     rect_integral,
     sample_volatility,
     squared_prefix_integral,
 )
+from oracles import integrated_power
 
 
 # ---------------------------------------------------------------- sampling
