@@ -96,25 +96,20 @@ def region_measures(spec, n, regions, names=None, quadcfg=None):
     The named regions and the whole plane, whose mass c_n every share of the
     mass at this n divides by, are one ``kernels.mu_masses`` batch: one
     engine call, whose masses stay cached, so that ``assumption2_ratio``
-    then integrates nothing.  Only if the batch fails are the named regions
-    redone one at a time, in name order, so that the error names the first
-    failing region, and its half, as a region-by-region run would: the
-    message starts ``region '<name>' at n=<n>: ``.  If none fails, c_n alone
-    did, and it raises for whoever asks for it.
+    then integrates nothing.  A failure names the first failing region in
+    name order, and its half, as a region-by-region run would: the message
+    starts ``region '<name>' at n=<n>: ``.  If only c_n fails, its error
+    raises unchanged.
     """
     names = tuple(regions) if names is None else tuple(names)
     try:
         values = kernels.mu_masses(spec, n, [regions[name] for name in names] + [None],
                                    quadcfg).tolist()
-    except QuadratureError:
-        values = []
-        for name in names:
-            try:
-                values.append(float(kernels.mu_mass(spec, n, regions[name], quadcfg)))
-            except QuadratureError as exc:
-                raise QuadratureError(
-                    f"region {name!r} at n={n}: {exc}", estimate=exc.estimate
-                ) from exc
+    except QuadratureError as exc:
+        if exc.job == len(names):
+            raise
+        message = f"region {names[exc.job]!r} at n={n}: {exc}"
+        raise QuadratureError(message, exc.estimate, exc.job) from exc
     return dict(zip(names, values))
 
 

@@ -4,12 +4,14 @@
 class QuadratureError(RuntimeError):
     """Raised when a quadrature rule fails its convergence/agreement check.
 
-    Carries the last estimate so callers can log it alongside the failure.
+    Carries the last estimate so callers can log it alongside the failure,
+    and as ``job`` the index of the failed job in the batch that raised it.
     """
 
-    def __init__(self, message, estimate=None):
+    def __init__(self, message, estimate=None, job=None):
         super().__init__(message)
         self.estimate = estimate
+        self.job = job
 
 
 class AdmissibilityError(ValueError):

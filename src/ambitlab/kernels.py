@@ -42,7 +42,7 @@ raises :class:`~ambitlab.errors.QuadratureError` naming the integral.  The
 masses of many regions are one engine call: each region, or each half of a
 singular one, is a job, and one integrand reads each node's region by the
 node's job index.  The integrands are pointwise, so a region's mass is the
-same, bit for bit, in any batch.
+same, bit for bit, in any batch, and so is a failing region's error.
 """
 
 from __future__ import annotations
@@ -434,9 +434,7 @@ class SingularWeight(_ProfileWeight):
         are the same integral, done once.
 
         Every half of every region is one job of one engine call, labelled
-        with its half, so a quadrature failure names the half.  A failed
-        batch is redone half by half, so the first failing half in order
-        raises, as it would in a region-by-region, half-by-half run.
+        with its half: the first failing half raises, with ``job`` its region's index.
         """
         halves, spans = [], []
         for region in parts:
@@ -445,7 +443,11 @@ class SingularWeight(_ProfileWeight):
             if not regions.transpose_invariant(region):
                 halves.append(("upper half {t > s}", regions.transpose(region)))
             spans.append((first, len(halves) - 1))
-        values = self._lower_masses(n, halves, quadcfg).tolist()
+        try:
+            values = self._lower_masses(n, halves, quadcfg).tolist()
+        except QuadratureError as exc:
+            exc.job = next(k for k, (_, last) in enumerate(spans) if exc.job <= last)
+            raise
         return np.array([values[first] + values[last] for first, last in spans])
 
     def _lower_masses(self, n, halves, quadcfg):
@@ -495,15 +497,8 @@ class SingularWeight(_ProfileWeight):
             jobs.append(make_pieces(edges, [0.0, d], 0.0, 1.0 + d))
             labels.append(f"{half}: singular mass at n={n}")
             parts.append(region)
-        try:
-            return integrate_pieces(self._column(n, parts, quadcfg.nodes), jobs, quadcfg, labels,
-                                    f_check=self._column(n, parts, quadcfg.nodes + 4))
-        except QuadratureError:
-            # a half fails alone as it does in a batch: the first failing half raises
-            if len(halves) > 1:
-                for half in halves:
-                    self._lower_masses(n, [half], quadcfg)
-            raise
+        return integrate_pieces(self._column(n, parts, quadcfg.nodes), jobs, quadcfg, labels,
+                                f_check=self._column(n, parts, quadcfg.nodes + 4))
 
     def _column(self, n, parts, nodes):
         """The column integrand of ``_lower_masses`` over the regions ``parts``,
@@ -532,10 +527,12 @@ class SingularWeight(_ProfileWeight):
             # top band for low columns, in offsets from 1/n; the last row holds
             # the columns where s rounded back to 1/n, each read at 1/n + sig
             collapsed = low & (top <= d)
-            for i in np.flatnonzero(collapsed):
-                a, a_off, b, b_off = regions.row_sections_array(flipped[job[i]], d, sig[i])
+            at = np.flatnonzero(collapsed)
+            if at.size:
+                a, a_off, b, b_off = regions.row_sections_array(
+                    flipped, np.full(at.size, d), sig[at], job[at])
                 inside = regions.before(a, a_off, d, 0.0) & regions.before(d, 0.0, b, b_off)
-                collapsed[i] = inside.any()
+                collapsed[at] = inside.any(axis=0)
             above = np.maximum(lo, d)
             off_lo = np.vstack([above - d, np.zeros_like(ss)])
             off_hi = np.vstack([np.where(hi >= top, sig, hi - d), sig])
@@ -676,10 +673,8 @@ class SingularWeight(_ProfileWeight):
         integrands are pointwise, so a job's value does not depend on its
         batch.  An offset's value adds its wedges in the order a, b, c/d.
         Offsets from the singular abscissas arrive exact from the graded
-        layout.  A quadrature failure names the offset and the wedge.  The
-        error raised is that of the first failing offset in order, and its
-        product wedges' before its F-difference's: a failed batch is redone
-        offset by offset, each raising as it would in the batch.
+        layout.  A quadrature failure names the offset and the wedge: the
+        first failing offset in order raises, its product wedges first.
         """
         w1, w2 = np.broadcast_arrays(np.asarray(w1, dtype=float), np.asarray(w2, dtype=float))
         fdiff = self._profile_antiderivative()
@@ -707,8 +702,6 @@ class SingularWeight(_ProfileWeight):
                 labels.append(f"autocorrelation at w = ({x1!r}, {x2!r}), wedge {name}")
                 owner.append(k)
                 rows.append(params)
-        if not batches[0][0]:
-            return np.zeros(w1.shape)[()]
 
         # Every length/width below is a min over pairwise differences of the
         # window endpoints, each difference formed at its own best precision
@@ -743,20 +736,19 @@ class SingularWeight(_ProfileWeight):
                 return self.profile(offs(0.0)) * fdiff(low, width)
             return integrand
 
-        total = [0.0] * w1.size
-        try:
-            for make, (jobs, labels, owner, rows) in zip((products, differences), batches):
-                if jobs:
+        total, failures = [0.0] * w1.size, {}  # offset -> its first failure
+        for make, (jobs, labels, owner, rows) in zip((products, differences), batches):
+            if jobs:
+                try:
                     values = integrate_pieces(make(*(np.array(col) for col in zip(*rows))),
                                               jobs, quadcfg, labels)
-                    for k, value in zip(owner, values.tolist()):
-                        total[k] += value
-        except QuadratureError:
-            # a job fails alone as it does in a batch: the first failing offset raises
-            if w1.size > 1:
-                for x1, x2 in zip(w1.ravel().tolist(), w2.ravel().tolist()):
-                    self.autocorrelation(x1, x2, quadcfg)
-            raise
+                except QuadratureError as exc:
+                    failures.setdefault(owner[exc.job], exc)
+                    continue
+                for k, value in zip(owner, values.tolist()):
+                    total[k] += value
+        if failures:
+            raise failures[min(failures)]
         return np.array(total).reshape(w1.shape)[()]
 
     def lattice_autocorrelation(self, n, quadcfg, offsets):
@@ -1002,9 +994,8 @@ def mu_masses(spec, n, parts, quadcfg=None):
     value bit for bit.  Every mass is cached by (spec, n, region, quadcfg),
     so a region asked for again is not integrated again;
     ``mu_masses.cache_clear()`` empties the cache.  A failed batch raises the
-    error of one failing job, for the singular kernel the first failing half
-    in order; ``asymptotics.region_measures`` redoes a failed batch region by
-    region to name the region.
+    error of the first failing region in ``parts``, as that region raises it
+    alone, with ``job`` the region's first position in ``parts``.
     """
     if n < 2:
         raise ValueError(f"lattice resolution must be >= 2 for mass integrals, got {n}")
@@ -1014,8 +1005,12 @@ def mu_masses(spec, n, parts, quadcfg=None):
     found = {key: _MASSES[key] for key in keys if key in _MASSES}
     todo = [key for key in dict.fromkeys(keys) if key not in found]
     if todo:
-        for key, value in zip(todo, spec.masses(n, [key[2] for key in todo], quadcfg).tolist()):
-            found[key] = _MASSES[key] = value
+        try:
+            for key, value in zip(todo, spec.masses(n, [key[2] for key in todo], quadcfg).tolist()):
+                found[key] = _MASSES[key] = value
+        except QuadratureError as exc:
+            exc.job = keys.index(todo[exc.job])
+            raise
         while len(_MASSES) > _MASSES_KEPT:
             del _MASSES[next(iter(_MASSES))]
     return np.array([found[key] for key in keys])

@@ -34,10 +34,14 @@ Batching changes no decision.  Each job has its own tolerance,
 ``rel_tol * scale / 8 + abs_tol``, where ``scale`` is the sum of its own
 span estimates.  Each graded piece must show decaying inner panels.  Each
 adaptive panel must converge within 48 bisections.  Every estimate must be
-finite: a non-finite graded piece, seed or adaptive panel raises at once,
+finite: a non-finite graded piece, seed or adaptive panel fails its job,
 rather than come back as NaN or bisect until memory runs out.  Each job's
-two resolutions must agree.  A :class:`~ambitlab.errors.QuadratureError`
-names the job that failed, by the label the caller gave it.
+two resolutions must agree.  A job keeps its first failure in the order a
+lone run meets them (each resolution's graded pass, seeds and bisection
+levels, then the agreement), and its panels go no further.  The call raises
+the :class:`~ambitlab.errors.QuadratureError` of the lowest-index failed
+job, named by its label and with its index as ``job``: the error, estimate
+and all, that the job raises alone.
 
 Summation order
 ---------------
@@ -190,7 +194,7 @@ def _gauss_sums(f, lo, hi, job, nodes, origin=None):
     return half * sums
 
 
-def _graded_pass(f, job, a, b, levels, nodes, labels):
+def _graded_pass(f, job, a, b, levels, nodes, failed):
     """Each graded piece's integral, panels shrinking geometrically toward a.
 
     Panel edges sit at a + (b - a) 4^-j for j = 0, ..., levels: each panel is
@@ -211,63 +215,61 @@ def _graded_pass(f, job, a, b, levels, nodes, labels):
     both = (inner0 > 0.0) & (inner1 > 0.0)
     ratio = np.zeros(a.size)
     ratio[both] = inner0[both] / inner1[both]
-    rising = np.flatnonzero(both & (ratio >= 1.0))
-    if rising.size:
-        i = rising[0]
-        raise QuadratureError(
-            f"{labels[job[i]]}: graded panels toward the left end of "
-            f"({float(a[i])!r}, {float(b[i])!r}) do not decay (ratio {ratio[i]:.4g}); "
-            "integrand looks non-integrable",
-            estimate=float(totals[i]),
-        )
-    tail = both & (ratio > 1e-3)
+    rising = both & (ratio >= 1.0)
+    _fail(failed, rising, job, lambda i: (
+        f"graded panels toward the left end of ({float(a[i])!r}, {float(b[i])!r}) do not "
+        f"decay (ratio {ratio[i]:.4g}); integrand looks non-integrable", float(totals[i])))
+    tail = both & (ratio > 1e-3) & ~rising
     totals[tail] += inner0[tail] * ratio[tail] / (1.0 - ratio[tail])
-    _refuse_non_finite(totals, job, a, b, labels, "graded piece")
+    _refuse_non_finite(failed, totals, job, a, b, "graded piece")
     return totals
 
 
-def _refuse_non_finite(values, job, lo, hi, labels, what):
-    """Raise QuadratureError naming the job of the first non-finite value."""
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        i = bad[0]
-        raise QuadratureError(
-            f"{labels[job[i]]}: {what} ({float(lo[i])!r}, {float(hi[i])!r}) has the "
-            f"non-finite estimate {float(values[i])!r}", estimate=float(values[i]))
+def _fail(failed, flagged, job, describe):
+    """Keep ``describe(i)``, a message and estimate, as the failure of the job of
+    each flagged row i that has none; rows come grouped by job, in piece order."""
+    for i in np.flatnonzero(flagged).tolist():
+        failed.setdefault(int(job[i]), describe(i))
 
 
-def _adaptive_pass(f, job, a, b, est, tol, nodes, labels):
+def _refuse_non_finite(failed, values, job, lo, hi, what):
+    """Fail the job of each non-finite value, naming its piece or panel (lo, hi)."""
+    _fail(failed, ~np.isfinite(values), job, lambda i: (
+        f"{what} ({float(lo[i])!r}, {float(hi[i])!r}) has the non-finite estimate "
+        f"{float(values[i])!r}", float(values[i])))
+
+
+def _adaptive_pass(f, job, a, b, est, tol, nodes, failed):
     """Each smooth piece's integral by bisecting Gauss-Legendre panels.
 
     Panels whose two halves disagree with the parent estimate are split; a
-    panel still disagreeing at the depth cap raises, as does a non-finite
-    seed or panel estimate, which could never agree.  Integrands here are
-    piecewise smooth (kinks where moving region sections cross kernel
-    breakpoints), which bisection localizes quickly.  The open panels of
-    all pieces are kept grouped by piece, in bisection order.
+    panel still disagreeing at the depth cap fails its job, as does a
+    non-finite seed or panel estimate, which could never agree.  Integrands
+    here are piecewise smooth (kinks where moving region sections cross
+    kernel breakpoints), which bisection localizes quickly.  The open panels
+    of all pieces are kept grouped by piece, in bisection order.
     """
-    _refuse_non_finite(est, job, a, b, labels, "smooth piece")
+    _refuse_non_finite(failed, est, job, a, b, "smooth piece")
     totals = [0.0] * a.size
     lo, hi, depth, piece = a, b, np.zeros(a.size, dtype=np.intp), np.arange(a.size)
     while lo.size:
+        if failed:  # a failed job's panels go no further
+            keep = ~np.isin(job[piece], list(failed))
+            lo, hi, est, depth, piece = lo[keep], hi[keep], est[keep], depth[keep], piece[keep]
         mid = 0.5 * (lo + hi)
+        owner = job[piece]
         sums = _gauss_sums(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]),
-                           np.tile(job[piece], 2), nodes)
+                           np.tile(owner, 2), nodes)
         lv, rv = sums[:lo.size], sums[lo.size:]
         refined = lv + rv
-        _refuse_non_finite(refined, job[piece], lo, hi, labels, "adaptive panel")
+        _refuse_non_finite(failed, refined, owner, lo, hi, "adaptive panel")
         err = np.abs(refined - est)
         done = err <= tol[piece] + 1e-15 * np.abs(refined)
         for p, value in zip(piece[done].tolist(), refined[done].tolist()):
             totals[p] += value
-        stuck = np.flatnonzero(~done & (depth >= _MAX_DEPTH))
-        if stuck.size:
-            i = stuck[0]
-            raise QuadratureError(
-                f"{labels[job[piece[i]]]}: adaptive panel ({float(lo[i])!r}, "
-                f"{float(hi[i])!r}) failed to converge (residual {err[i]:.3g} at depth {depth[i]})",
-                estimate=totals[piece[i]] + float(refined[i]),
-            )
+        _fail(failed, ~done & (depth >= _MAX_DEPTH), owner, lambda i: (
+            f"adaptive panel ({float(lo[i])!r}, {float(hi[i])!r}) failed to converge "
+            f"(residual {err[i]:.3g} at depth {depth[i]})", totals[piece[i]] + float(refined[i])))
         split = ~done
         lo = np.stack([lo[split], mid[split]], axis=1).ravel()
         hi = np.stack([mid[split], hi[split]], axis=1).ravel()
@@ -277,10 +279,11 @@ def _adaptive_pass(f, job, a, b, est, tol, nodes, labels):
     return totals
 
 
-def _integrate_once(f, jobs, quadcfg, levels, nodes, smooth_nodes, labels):
-    """Every job's integral at one resolution."""
+def _integrate_once(f, jobs, quadcfg, levels, nodes, smooth_nodes, failed):
+    """The integral of every job not in ``failed`` at one resolution; 0 for the others."""
     c = quadcfg
-    pieces = [(k, a, b, kind) for k, job in enumerate(jobs) for a, b, kind in job if b > a]
+    pieces = [(k, a, b, kind) for k, job in enumerate(jobs) if k not in failed
+              for a, b, kind in job if b > a]
     owner = np.array([p[0] for p in pieces], dtype=np.intp)
     a = np.array([p[1] for p in pieces], dtype=float)
     b = np.array([p[2] for p in pieces], dtype=float)
@@ -295,9 +298,9 @@ def _integrate_once(f, jobs, quadcfg, levels, nodes, smooth_nodes, labels):
     tol = c.rel_tol * np.maximum(scale, c.abs_tol) / 8.0 + c.abs_tol
 
     gr = np.flatnonzero(~smooth)
-    value[gr] = _graded_pass(f, owner[gr], a[gr], b[gr], levels, nodes, labels)
+    value[gr] = _graded_pass(f, owner[gr], a[gr], b[gr], levels, nodes, failed)
     value[sm] = _adaptive_pass(f, owner[sm], a[sm], b[sm], seeds, tol[owner[sm]],
-                               smooth_nodes, labels)
+                               smooth_nodes, failed)
     return np.bincount(owner, weights=value, minlength=len(jobs))
 
 
@@ -309,18 +312,22 @@ def integrate_pieces(f, jobs, quadcfg, labels=None, f_check=None):
     docstring.  ``labels`` names each job in error messages (default
     ``job <index>``).  ``f_check`` substitutes a higher-accuracy integrand
     for the second run (used when the integrand itself embeds a fixed inner
-    quadrature layout).  Returns the second-resolution values as an array.
+    quadrature layout).  Returns the second-resolution values as an array;
+    if a job fails, raises the error of the first that does.
     """
     c = quadcfg
-    labels = labels or [f"job {k}" for k in range(len(jobs))]
-    first = _integrate_once(f, jobs, c, c.levels, c.nodes, c.smooth_nodes, labels)
+    failed = {}  # job index -> the message and estimate of its first failure
+    first = _integrate_once(f, jobs, c, c.levels, c.nodes, c.smooth_nodes, failed)
     # the check layout reaches 4^-3 = 1/64 further toward each singular end
     second = _integrate_once(f_check or f, jobs, c, c.levels + 3, c.nodes + 4,
-                             c.smooth_nodes + 8, labels)
-    for label, v1, v2 in zip(labels, first.tolist(), second.tolist()):
-        if abs(v1 - v2) > c.rel_tol * max(abs(v1), abs(v2)) + c.abs_tol:
-            raise QuadratureError(
-                f"{label}: quadrature did not stabilize: {v1!r} vs {v2!r}", estimate=v2)
+                             c.smooth_nodes + 8, failed)
+    for k, (v1, v2) in enumerate(zip(first.tolist(), second.tolist())):
+        if k not in failed and abs(v1 - v2) > c.rel_tol * max(abs(v1), abs(v2)) + c.abs_tol:
+            failed[k] = f"quadrature did not stabilize: {v1!r} vs {v2!r}", v2
+    if failed:
+        k = min(failed)
+        label = labels[k] if labels else f"job {k}"
+        raise QuadratureError(f"{label}: {failed[k][0]}", estimate=failed[k][1], job=k)
     return second
 
 

@@ -341,15 +341,36 @@ def test_region_measures_names_the_first_failing_region_in_name_order():
             except QuadratureError as exc:
                 want = f"region {name!r} at n=8: {exc}"
                 break
-        kernels.mu_masses.cache_clear()
-        if want is None:  # c_n fails in the batch, and raises only when asked for
-            masses = region_measures(_EDGE, 8, catalog, names, _TIGHT)
-            assert masses == {name: mu_mass(_EDGE, 8, catalog[name], _TIGHT) for name in names}
-            with pytest.raises(QuadratureError):
+        if want is None:  # only c_n fails, and its own error raises unprefixed
+            with pytest.raises(QuadratureError) as alone:
                 compute_cn(_EDGE, 8, _TIGHT)
-            continue
+            want = str(alone.value)
+        kernels.mu_masses.cache_clear()
         with pytest.raises(QuadratureError, match=re.escape(want) + "$"):
             region_measures(_EDGE, 8, catalog, names, _TIGHT)
+
+
+def test_a_failing_mass_batch_is_one_engine_call(monkeypatch):
+    calls, integrate = [], kernels.integrate_pieces
+
+    def counted(f, jobs, quadcfg, labels=None, f_check=None):
+        calls.append(len(jobs))
+        return integrate(f, jobs, quadcfg, labels, f_check)
+
+    monkeypatch.setattr(kernels, "integrate_pieces", counted)
+    cut, passing = HalfPlane(1.0, -2.0, 0.3), Rect(0.5, 0.9, 0.1, 0.4)
+    kernels.mu_masses.cache_clear()
+    with pytest.raises(QuadratureError) as failure:
+        kernels.mu_masses(_EDGE, 8, [passing, passing, cut, passing, cut], _TIGHT)
+    assert len(calls) == 1 and failure.value.job == 2  # the cut's first position
+    catalog = region_catalog(_EDGE, 8, 0.4)
+    # E fails first in the one batch; of B2, B3 and the whole plane only c_n fails
+    for names, job in ((("Etilde", "B1", "E", "T"), 2), (("B2", "B3"), 2)):
+        calls.clear()
+        kernels.mu_masses.cache_clear()
+        with pytest.raises(QuadratureError) as failure:
+            region_measures(_EDGE, 8, catalog, names, _TIGHT)
+        assert len(calls) == 1 and failure.value.job == job, names
 
 
 # ------------------------------------------------------------- window decay

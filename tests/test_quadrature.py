@@ -1,5 +1,6 @@
 """The batched quadrature engine: per-job results, per-job checks, named failures."""
 
+import itertools
 import math
 import re
 
@@ -186,6 +187,21 @@ def test_a_failing_autocorrelation_names_the_first_failing_offset():
         spec.autocorrelation(np.array([0.0, 1e-12]), np.array([-1e-12, 0.0]), _G2_QUAD)
 
 
+def test_a_failing_autocorrelation_is_at_most_two_engine_calls(monkeypatch):
+    calls, integrate = [], kernels.integrate_pieces
+
+    def counted(f, jobs, quadcfg, labels=None, f_check=None):
+        calls.append(len(jobs))
+        return integrate(f, jobs, quadcfg, labels, f_check)
+
+    monkeypatch.setattr(kernels, "integrate_pieces", counted)
+    # only the tiny offset fails, in its product wedge a (see above)
+    w1 = np.concatenate([np.linspace(0.1, 0.5, 30), [1e-12], np.linspace(0.6, 0.9, 30)])
+    with pytest.raises(QuadratureError, match=re.escape("w = (1e-12, 0.0), wedge a: ")):
+        SingularWeight(alpha=0.55, ell=SlowFunction("one")).autocorrelation(w1, 0.0, _G2_QUAD)
+    assert len(calls) <= 2
+
+
 def test_a_failing_mass_names_its_n_and_half():
     # next to the integrability edge the panel masses decay so slowly that the
     # tail extrapolated past the reach misses 1e-12: the two resolutions
@@ -217,13 +233,14 @@ def test_a_non_integrable_job_fails_by_name_beside_a_good_one():
     assert good[0] == pytest.approx(0.8**0.5 / 0.5, rel=1e-8)
 
 
-def _nan_after(calls):
-    """1 on job 0; on job 1, 1 for the first ``calls`` calls and NaN after them."""
+def _nan_after(calls, bad=1):
+    """1 on every job but ``bad``; on that one, 1 for the first ``calls`` calls
+    and NaN after them."""
     count = [0]
 
     def f(x, delta, origin, job):
         count[0] += 1
-        return np.where((job == 1) & (count[0] > calls), np.nan, 1.0)
+        return np.where((job == bad) & (count[0] > calls), np.nan, 1.0)
 
     return f
 
@@ -243,6 +260,21 @@ def test_a_non_finite_estimate_fails_by_name(pieces, calls, what, monkeypatch):
                          labels=["good", "bad"])
 
 
+def test_a_failed_job_is_integrated_no_further(monkeypatch):
+    # bisecting its NaN panels would reach the depth cap, 2^48 of them by default
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 8)
+    nan, seen = _nan_after(0), []
+
+    def f(x, delta, origin, job):
+        seen.append(np.count_nonzero(job == 1))
+        return nan(x, delta, origin, job)
+
+    smooth = make_pieces([], [], 0.0, 1.0)
+    with pytest.raises(QuadratureError, match=r"^job 1: smooth piece \(0\.0, 1\.0\) has the non-finite"):
+        integrate_pieces(f, [smooth, smooth], QuadratureConfig())
+    assert sum(seen) == QuadratureConfig().smooth_nodes  # its seed, and nothing in either pass after
+
+
 def test_a_panel_past_the_depth_cap_is_named_by_plain_floats(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_DEPTH", 2)
     step = lambda x, *_: np.where(x > 1.0 / 3.0, 1.0, 0.0)  # no dyadic panel isolates the jump
@@ -251,6 +283,59 @@ def test_a_panel_past_the_depth_cap_is_named_by_plain_floats(monkeypatch):
         integrate_pieces(step, [make_pieces([], [], 0.0, 1.0)], QuadratureConfig(),
                          labels=["bad"])
     assert str(failure.value).endswith(" at depth 2)") and "np.float64(" not in str(failure.value)
+
+
+_KINDS = ("good", "steep", "nan", "step", "drift")
+
+
+def _failing_batch(kinds):
+    """Jobs of the named ``kinds``, with the integrand and check integrand that fail them.
+
+    A ``good`` job passes.  Each other kind fails one check: ``steep``'s
+    graded panels do not decay, ``nan`` has a non-finite graded piece,
+    ``step`` has an adaptive panel past a depth cap of 2, and ``drift``'s
+    two resolutions disagree by 1e-6.
+    """
+    at = {kind: kinds.index(kind) if kind in kinds else -1 for kind in _KINDS}
+    alphas = np.where(np.array(kinds) == "steep", 1.5, 0.5)
+    power, nan = _power_integrand(np.zeros(len(kinds)), alphas), _nan_after(0, bad=at["nan"])
+
+    def f(x, delta, origin, job):
+        values = np.where(job == at["step"], x > 1.0 / 3.0, power(x, delta, origin, job))
+        return values * nan(x, delta, origin, job)
+
+    def f_check(x, delta, origin, job):
+        return f(x, delta, origin, job) * np.where(job == at["drift"], 1.0 + 1e-6, 1.0)
+
+    jobs = [make_pieces([], [], 0.0, 1.0) if kind == "step" else make_pieces([0.5], [0.0], 0.0, 1.0)
+            for kind in kinds]
+    return jobs, f, f_check
+
+
+def test_a_batch_raises_the_error_its_first_failing_job_raises_alone(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 2)
+    cfg, alone = QuadratureConfig(), {}
+    checks = {"steep": "graded panels toward", "nan": "graded piece (0.0, 0.5) has the non-finite",
+              "step": "adaptive panel", "drift": "quadrature did not stabilize"}
+    for kind, check in checks.items():
+        jobs, f, f_check = _failing_batch((kind,))
+        with pytest.raises(QuadratureError) as failure:
+            integrate_pieces(f, jobs, cfg, [kind], f_check)
+        alone[kind] = failure.value
+        assert str(alone[kind]).startswith(f"{kind}: {check}") and alone[kind].job == 0
+    jobs, f, f_check = _failing_batch(("good",))
+    assert integrate_pieces(f, jobs, cfg, ["good"], f_check)[0] == pytest.approx(2.0, rel=1e-8)
+    # in a batch steep fails first, in the graded pass, and drift last, in the
+    # agreement check; whatever the order, the lowest-index failing job raises
+    for kinds in itertools.permutations(_KINDS):
+        jobs, f, f_check = _failing_batch(kinds)
+        with pytest.raises(QuadratureError) as failure:
+            integrate_pieces(f, jobs, cfg, list(kinds), f_check)
+        first = 1 if kinds[0] == "good" else 0
+        want = alone[kinds[first]]
+        assert str(failure.value) == str(want), kinds
+        assert repr(failure.value.estimate) == repr(want.estimate), kinds
+        assert failure.value.job == first, kinds
 
 
 REFUSED = [
