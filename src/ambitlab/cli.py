@@ -110,7 +110,7 @@ from .gaussian import abs_moment, up_hermite_coeffs
 from .kernels import (
     VARIANTS as WEIGHT_VARIANTS,
     compute_cn,
-    concentration_mass,
+    mu_masses,
     near_region,
     thinning_count,
 )
@@ -551,13 +551,14 @@ def _run_kernel_report(settings):
         cells = dict(weight.corner_cells(n))
         if weight.concentration_point is not None:
             cells["near_mass"] = near_region(weight, k / n)
-        name = "c_n"  # the column being computed, named if it fails
+        # c_n and every cell's mass in one batch; a failure names its column
         try:
-            row = {"c_n": float(compute_cn(weight, n, quad)), "k": int(k), "eps": k / n}
-            for name, cell in cells.items():
-                row[name] = float(concentration_mass(weight, n, cell, quad))
+            c_n, *masses = mu_masses(weight, n, [None, *cells.values()], quad).tolist()
         except QuadratureError as exc:
-            raise QuadratureError(f"column {name!r} at n={n}: {exc}", exc.estimate) from exc
+            column = ["c_n", *cells][exc.job]
+            raise QuadratureError(f"column {column!r} at n={n}: {exc}", exc.estimate) from exc
+        row = {"c_n": c_n, "k": int(k), "eps": k / n}
+        row.update((name, mass / c_n) for name, mass in zip(cells, masses))
         per_n[str(n)] = row
     # every n has the same columns, in the same order
     name = _write_csv(settings["out"], "kernel_report.csv", ["n", *row],

@@ -39,10 +39,10 @@ triangle.  Outer integrals go through the batched engine of
 :mod:`ambitlab.quadrature` (graded Gauss-Legendre layouts toward algebraic
 singularities, adaptive bisection elsewhere, two resolutions); a failed check
 raises :class:`~ambitlab.errors.QuadratureError` naming the integral.  The
-masses of many regions are one engine call: each region, or each half of a
-singular one, is a job, and one integrand reads each node's region by the
-node's job index.  The integrands are pointwise, so a region's mass is the
-same, bit for bit, in any batch, and so is a failing region's error.
+masses of many regions are one engine call: each region, or each nonempty
+half of a singular one, is a job, and one integrand reads each node's region
+by the node's job index.  The integrands are pointwise, so a region's mass is
+the same, bit for bit, in any batch, and so is a failing region's error.
 """
 
 from __future__ import annotations
@@ -431,24 +431,32 @@ class SingularWeight(_ProfileWeight):
     def masses(self, n, parts, quadcfg):
         """Each region's lower half's mass plus its upper half's, the lower
         half of the transposed region; a transpose-invariant region's halves
-        are the same integral, done once.
+        are the same integral, done once, and a half in {s < t}
+        (``regions.in_upper_half``) is 0.0, with no job.
 
-        Every half of every region is one job of one engine call, labelled
-        with its half: the first failing half raises, with ``job`` its region's index.
+        Every other half is one job of one engine call, labelled with its
+        half: the first failing half raises, with ``job`` its region's index.
         """
-        halves, spans = [], []
-        for region in parts:
-            first = len(halves)
-            halves.append(("lower half {t < s}", region))
-            if not regions.transpose_invariant(region):
-                halves.append(("upper half {t > s}", regions.transpose(region)))
-            spans.append((first, len(halves) - 1))
+        halves, owner, spans = [], [], []
+        for k, region in enumerate(parts):
+            span = []
+            for half, part in (("lower half {t < s}", region),
+                               ("upper half {t > s}", regions.transpose(region))):
+                if regions.in_upper_half(part):
+                    continue
+                span.append(len(halves))
+                halves.append((half, part))
+                owner.append(k)
+                if regions.transpose_invariant(region):
+                    span.append(span[0])
+                    break
+            spans.append(span)
         try:
             values = self._lower_masses(n, halves, quadcfg).tolist()
         except QuadratureError as exc:
-            exc.job = next(k for k, (_, last) in enumerate(spans) if exc.job <= last)
+            exc.job = owner[exc.job]
             raise
-        return np.array([values[first] + values[last] for first, last in spans])
+        return np.array([sum((values[i] for i in span), 0.0) for span in spans])
 
     def _lower_masses(self, n, halves, quadcfg):
         """Integral of h_n^2 over each region of the (label, region) pairs
@@ -466,15 +474,18 @@ class SingularWeight(_ProfileWeight):
         ========================  =======================
 
         (for s <= 1/n the whole column is the constant f(s)).  The outer
-        integral over s calls the column integrand (``_column``) on all its
-        nodes at once.  The columns' t-sections come from
-        ``row_sections_array`` as segments of shape (pieces, nodes), clipped
-        to (0, min(s, 1 + 1/n)), and split against the table's cuts by
-        clipping: constant pieces sum in closed form; pieces varying through
-        f(t) join one batch of panels doubling geometrically in absolute t
-        from their lower end (each piece integrates only its own nonzero
-        doubling panels, at most 64), so the per-panel relative variation
-        stays bounded however close that end sits to the origin.
+        integral over s grades toward 0 and 1/n and has edges at 2/n, 4/n,
+        ... below 1, so that each smooth piece, at most about twice as wide
+        as its distance from 1/n, converges at its first bisection.  It
+        calls the column integrand (``_column``) on all its nodes at once.
+        The columns' t-sections come from ``row_sections_array`` as segments
+        of shape (pieces, nodes), clipped to (0, min(s, 1 + 1/n)), and split
+        against the table's cuts by clipping: constant pieces sum in closed
+        form; pieces varying through f(t) join one batch of panels growing by
+        4 in absolute t from their lower end (each piece integrates only its
+        own nonzero panels, at most 32), so the per-panel relative variation
+        stays bounded however close that end sits to the origin: a panel
+        (r, 4r), like a graded panel, has 0 on its Bernstein ellipse of radius 3.
 
         Exact offsets: where the layout grades toward 1/n, sig is its offset,
         never s - 1/n.  For 0 < sig < 1/n the top band (1/n, s), where f is
@@ -489,9 +500,10 @@ class SingularWeight(_ProfileWeight):
         # t = s and t = s - 1/n
         struct = [(0.0, 1.0, 0.0), (0.0, 1.0, d), (0.0, 1.0, 1.0),
                   (1.0, -1.0, 0.0), (1.0, -1.0, d)]
+        geometric = [d * 2.0**k for k in range(1, int(n).bit_length())]
         jobs, labels, parts = [], [], []
         for half, region in halves:
-            edges = [0.0, d, 2.0 * d, 1.0, 1.0 + d]
+            edges = [0.0, d, *geometric, 1.0, 1.0 + d]
             edges += regions.t_breakpoints(regions.transpose(region))
             edges += crossing_edges(region, struct, axis=0)
             jobs.append(make_pieces(edges, [0.0, d], 0.0, 1.0 + d))
@@ -552,7 +564,7 @@ class SingularWeight(_ProfileWeight):
                 vlo, vhi = vlo[vary], vhi[vary]
                 amp = np.where(low, fs, fsig)[own]
                 _, most = np.frexp(np.max(vhi / vlo))
-                growth = 2.0 ** np.arange(min(64, int(most) + 1), dtype=float)
+                growth = 4.0 ** np.arange(min(32, int(most + 1) // 2 + 1), dtype=float)
                 contrib = np.empty(own.size)
                 for part in node_slices(own.size, growth.size * xi.size):
                     edges = np.minimum(vlo[part, None] * growth, vhi[part, None])

@@ -45,6 +45,7 @@ __all__ = [
     "row_sections_array",
     "transpose",
     "transpose_invariant",
+    "in_upper_half",
     "t_breakpoints",
     "boundary_lines",
 ]
@@ -213,6 +214,17 @@ def transpose_invariant(region):
     def as_set(r):
         return frozenset(frozenset(piece) for piece in _pieces(r))
     return as_set(region) == as_set(transpose(region))
+
+
+def in_upper_half(region):
+    """True when every piece holds a half-plane {a*s - a*t < c} with a > 0
+    and c <= 0, so the region lies in {s < t}.
+
+    Such a piece lies in that half-plane, so True is never wrong; a region
+    in {s < t} whose pieces bound it otherwise reads False.
+    """
+    return all(any(a > 0.0 and b == -a and c <= 0.0 for a, b, c in piece)
+               for piece in _pieces(region))
 
 
 def t_breakpoints(region):

@@ -645,20 +645,42 @@ def _unstable(*args):
     raise QuadratureError("mass did not stabilize")
 
 
-@pytest.mark.parametrize("weight, mass, column", [
-    ("variant = uniform", "compute_cn", "c_n"),
-    ("variant = uniform", "concentration_mass", "corner_11"),
-    ("variant = singular\nweight.alpha = 0.6", "concentration_mass", "near_mass"),
+@pytest.mark.parametrize("weight, job, column", [
+    ("variant = uniform", 0, "c_n"),
+    ("variant = uniform", 1, "corner_11"),
+    ("variant = singular\nweight.alpha = 0.6", 1, "near_mass"),
 ], ids=["c_n", "corner", "near_mass"])
 def test_a_kernel_report_numerical_exit_names_its_column_and_n(
-        tmp_path, monkeypatch, capsys, weight, mass, column):
-    monkeypatch.setattr(cli, mass, _unstable)
+        tmp_path, monkeypatch, capsys, weight, job, column):
+    # c_n and the cells are one batch, whose error names the failing job
+    def unstable(*args):
+        raise QuadratureError("mass did not stabilize", job=job)
+
+    monkeypatch.setattr(cli, "mu_masses", unstable)
     out = tmp_path / "report"
     cfg = ExperimentConfig.from_text(f"kind = kernel-report\nweight.{weight}\nn = 8\nkappa = 0.4\n")
     assert run(cfg.with_overrides(out=out)) == EXIT_NUMERICAL
     assert capsys.readouterr().err == (
         f"numerical: column {column!r} at n=8: mass did not stabilize\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("weight", [
+    "variant = uniform", "variant = singular\nweight.alpha = 0.6",
+    "variant = triangle\nweight.alpha = 0.75",
+], ids=["uniform", "singular", "triangle"])
+def test_a_kernel_report_integrates_each_n_in_one_engine_call(tmp_path, monkeypatch, weight):
+    calls, integrate = [], kernels.integrate_pieces
+
+    def counted(f, jobs, *args, **kwargs):
+        calls.append(len(jobs))
+        return integrate(f, jobs, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "integrate_pieces", counted)
+    kernels.mu_masses.cache_clear()
+    cfg = ExperimentConfig.from_text(f"kind = kernel-report\nweight.{weight}\nn = 8, 16\nkappa = 0.1\n")
+    assert run(cfg.with_overrides(out=tmp_path / "report")) == EXIT_OK
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("text, module, stage", [

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import roots_legendre
 
-from ambitlab import cli, kernels, regions
+from ambitlab import asymptotics, cli, kernels, quadrature, regions
 from ambitlab.errors import QuadratureError
 from ambitlab.kernels import (
     KappaRange,
@@ -25,6 +25,7 @@ from ambitlab.kernels import (
 )
 from ambitlab.quadrature import QuadratureConfig
 from ambitlab.regions import Everything, HalfPlane, Intersection, Rect, band
+from ambitlab.simulate import _G2_QUAD
 from oracles import Difference
 
 
@@ -399,7 +400,7 @@ def _scalar_column(spec, n, region, nodes):
     """The column integrand one node at a time: the definition the batched one must match."""
     d = 1.0 / n
     xi, wi = roots_legendre(nodes)
-    growth = 2.0 ** np.arange(64, dtype=float)
+    growth = 4.0 ** np.arange(32, dtype=float)
     flipped = regions.transpose(region)
 
     def col(ss, deltas, origin):
@@ -516,8 +517,8 @@ def test_batched_column_matches_the_scalar_definition(alpha, ell):
 
 
 def test_column_evaluates_no_zero_width_panels(monkeypatch):
-    # each varying piece integrates only its own nonzero doubling panels,
-    # 319,900 points here; padding every piece to the batch's widest needs 621,360
+    # each varying piece integrates only its own nonzero quarter-ratio panels:
+    # 92,332 points here (163,522 on doubling panels)
     points, original = [], kernels._ProfileWeight.profile
 
     def counted(self, r):
@@ -527,7 +528,66 @@ def test_column_evaluates_no_zero_width_panels(monkeypatch):
     monkeypatch.setattr(kernels._ProfileWeight, "profile", counted)
     spec = SingularWeight(alpha=0.75, ell=SlowFunction("one"))
     spec.masses(32, [Everything()], QuadratureConfig())
-    assert sum(points) <= 330_000
+    assert sum(points) <= 100_000
+
+
+def _counting_gauss_sums(monkeypatch):
+    calls, original = [], quadrature._gauss_sums
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_gauss_sums", counted)
+    kernels.mu_masses.cache_clear()
+    return calls
+
+
+@pytest.mark.parametrize("n", [8, 32, 256])
+@pytest.mark.parametrize("ell", ["one", "one_minus_s"])
+@pytest.mark.parametrize("alpha", [0.3, 0.75, 0.9])
+def test_a_singular_cn_takes_at_most_six_integrand_calls(monkeypatch, alpha, ell, n):
+    # per resolution a scale pass, a graded pass and one bisection level: the
+    # geometric outer edges 2/n, 4/n, ... leave no smooth piece to bisect again
+    calls = _counting_gauss_sums(monkeypatch)
+    compute_cn(SingularWeight(alpha=alpha, ell=SlowFunction(ell)), n)
+    assert len(calls) <= 6
+
+
+def test_the_asymptotics_region_batch_takes_six_integrand_calls(monkeypatch):
+    spec = SingularWeight(alpha=0.75, ell=SlowFunction("one"))
+    catalog = asymptotics.region_catalog(spec, 32, 0.4)
+    calls = _counting_gauss_sums(monkeypatch)
+    asymptotics.region_measures(spec, 32, catalog)
+    assert len(calls) == 6
+
+
+def _stencil_cn(spec, n):
+    """c_n as the 3x3 second-difference stencil of G2 at the lattice offsets
+    around 0, integrated on the autocorrelation path at the covariance config."""
+    i, j = np.meshgrid(np.arange(-1, 2), np.arange(-1, 2), indexing="ij")
+    g2 = spec.lattice_autocorrelation(n, _G2_QUAD, np.stack([i.ravel(), j.ravel()], axis=1))
+    stencil = np.array([-1.0, 2.0, -1.0])
+    return float(stencil @ g2.reshape(3, 3) @ stencil)
+
+
+@pytest.mark.parametrize("n", [8, 32, 128])
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.75, 0.9])
+def test_singular_cn_matches_the_autocorrelation_stencil(alpha, n):
+    spec = SingularWeight(alpha=alpha)
+    cn = compute_cn(spec, n)
+    assert cn == pytest.approx(_stencil_cn(spec, n), rel=2e-12, abs=0.0)
+    # the lower half T carries half of it by the swap symmetry
+    lower = mu_mass(spec, n, spec.catalog(n, 0.5)["T"])
+    assert lower == pytest.approx(0.5 * cn, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_a_tight_cn_next_to_the_integrability_edge_converges(n):
+    # next to alpha = 1 at rel_tol 1e-12 both resolutions must still agree
+    spec = SingularWeight(alpha=0.95, ell=SlowFunction("one"))
+    cn = compute_cn(spec, n, QuadratureConfig(rel_tol=1e-12))
+    assert cn == pytest.approx(_stencil_cn(spec, n), rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------- cone row integrand
@@ -677,8 +737,9 @@ def test_transpose_invariant_regions_integrate_one_half(monkeypatch):
     catalog = spec.catalog(n, thinning_count(n, 0.4) / n)
     invariant = {name: catalog[name] for name in ("E", "B1", "B2", "B3", "B4")}
     invariant["everything"] = Everything()
-    other = {"Etilde": catalog["Etilde"], "band": band(0.1, 0.3),
-             "half-plane": HalfPlane(1.0, -2.0, 0.3)}
+    # these upper halves lie in {s < t}: one job each, the lower half
+    lower_only = {"Etilde": catalog["Etilde"], "band": band(0.1, 0.3)}
+    other = {"crossing band": band(-0.1, 0.3), "half-plane": HalfPlane(1.0, -2.0, 0.3)}
     batches, original, quad = [], kernels.integrate_pieces, QuadratureConfig()
 
     def counted(f, jobs, quadcfg, labels=None, f_check=None):
@@ -688,18 +749,63 @@ def test_transpose_invariant_regions_integrate_one_half(monkeypatch):
     monkeypatch.setattr(kernels, "integrate_pieces", counted)
     lower = "lower half {t < s}: singular mass at n=32"
     upper = "upper half {t > s}: singular mass at n=32"
-    for name, region in {**invariant, **other}.items():
+    for name, region in {**invariant, **lower_only, **other}.items():
         batches.clear()
         value = spec.masses(n, [region], quad)[0]
-        assert batches == [[lower] if name in invariant else [lower, upper]], name
+        assert batches == [[lower] if name not in other else [lower, upper]], name
         if name in invariant:
             both = [("lower", region), ("upper", regions.transpose(region))]
             halves = spec._lower_masses(n, both, quad)
             assert value == halves[0] + halves[1], name
     # all of them in one engine call: a job per half, region by region
     batches.clear()
-    spec.masses(n, [*invariant.values(), *other.values()], quad)
-    assert batches == [[lower] * len(invariant) + [lower, upper] * len(other)]
+    spec.masses(n, [*invariant.values(), *lower_only.values(), *other.values()], quad)
+    assert batches == [[lower] * (len(invariant) + len(lower_only)) + [lower, upper] * len(other)]
+
+
+def test_a_half_in_the_other_triangle_makes_no_job(monkeypatch):
+    spec, n, quad = SingularWeight(alpha=0.6), 16, QuadratureConfig()
+    etilde = spec.catalog(n, 0.5)["Etilde"]  # inside {t < s}
+    batches, original = [], kernels.integrate_pieces
+
+    def counted(f, jobs, quadcfg, labels=None, f_check=None):
+        batches.append(labels)
+        return original(f, jobs, quadcfg, labels, f_check)
+
+    monkeypatch.setattr(kernels, "integrate_pieces", counted)
+    lower = "lower half {t < s}: singular mass at n=16"
+    upper = "upper half {t > s}: singular mass at n=16"
+    flipped = regions.transpose(etilde)  # inside {s < t}
+    nowhere = Intersection((HalfPlane(1.0, -1.0, 0.0), HalfPlane(-1.0, 1.0, 0.0)))
+    cases = [(etilde, [lower]), (flipped, [upper]), (nowhere, []),
+             # bands across the diagonal, or along it, keep both halves
+             (band(-0.1, 0.2), [lower, upper]), (band(-1e-300, 0.2), [lower, upper])]
+    values = []
+    for region, labels in cases:
+        batches.clear()
+        values.append(spec.masses(n, [region], quad)[0])
+        assert batches == [labels], region
+    lone = spec._lower_masses(n, [("lower", etilde)], quad)[0]
+    assert values[0] == values[1] == lone > 0.0
+    assert values[2] == 0.0
+    # one batch: the same masses, from the nonempty halves' jobs alone
+    batches.clear()
+    parts = [region for region, _ in cases]
+    np.testing.assert_array_equal(spec.masses(n, parts, quad), values)
+    assert batches == [[label for _, labels in cases for label in labels]]
+
+
+def test_a_failing_half_names_its_region_past_the_empty_halves():
+    spec, tight = SingularWeight(alpha=0.99), QuadratureConfig(rel_tol=1e-12, abs_tol=0.0)
+    etilde = spec.catalog(8, 0.5)["Etilde"]
+    cut = HalfPlane(1.0, -2.0, 0.3)
+    with pytest.raises(QuadratureError) as alone:
+        spec.masses(8, [cut], tight)
+    # two jobs, then one, then the failing region's: its lower half is job 3
+    parts = [Rect(0.5, 0.9, 0.1, 0.4), regions.transpose(etilde), cut]
+    with pytest.raises(QuadratureError) as batched:
+        spec.masses(8, parts, tight)
+    assert str(batched.value) == str(alone.value) and batched.value.job == 2
 
 
 _BATCH_CUTS = {"band": band(0.1, 0.3), "half-plane": HalfPlane(1.0, -2.0, 0.3)}
