@@ -11,9 +11,9 @@ what the limit theory runs on.
 
 Variants
 --------
-``UniformWeight``   indicator of a rectangle; h_n is a separable product of
-                    signed strips, so c_n = 4 w_s w_t with w the smaller of
-                    1/n and the side: 4/n^2 once both sides are >= 1/n.
+``UniformWeight``   indicator of a rectangle; h_n is +-scale on the products
+                    of its signed ``strips``, each as wide as the smaller of
+                    1/n and the side w: c_n = 4 scale^2 w_s w_t.
 ``SingularWeight``  g(s,t) = (s \vee t)^{-alpha} ell(s \vee t) on the unit
                     square, algebraically singular along the axes' corner.
 ``TriangleWeight``  g(s,t) = t^{-alpha} ell(t) on the cone
@@ -35,7 +35,8 @@ and Triangle kernels are piecewise constant in s for fixed t, so masses reduce
 to an outer 1-D integral of exact row integrals.  The Singular kernel is
 symmetric, h(s,t) = h(t,s), and below the diagonal its only t-dependence sits
 in a single band, so masses reduce to column integrals over the lower
-triangle.  Outer integrals go through the batched engine of
+triangle, the rows of the transposed regions.  One builder, ``_outer_jobs``,
+lays out every variant's outer integrals, which go through the batched engine of
 :mod:`ambitlab.quadrature` (graded Gauss-Legendre layouts toward algebraic
 singularities, adaptive bisection elsewhere, two resolutions); a failed check
 raises :class:`~ambitlab.errors.QuadratureError` naming the integral.  The
@@ -81,7 +82,6 @@ __all__ = [
     "KappaRange",
     "require_weight",
     "eval_g",
-    "eval_h",
     "compute_cn",
     "mu_mass",
     "mu_masses",
@@ -199,7 +199,7 @@ class WeightSpec:
 
     variant = None               # config name and registry key
     concentration_point = None   # single limit point of pi_n, if any
-    has_strips = False           # signed_strips() exists
+    has_strips = False           # strips() and signed_strips() exist
     has_autocorrelation = False  # lattice_autocorrelation() works
 
     def window(self, eps):
@@ -226,23 +226,16 @@ class WeightSpec:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
 
-def _strips(parts, top):
-    """The regions ``parts``, each clipped to the strip 0 < s < top."""
-    clip = (HalfPlane(-1.0, 0.0, 0.0), HalfPlane(1.0, 0.0, top))
-    return [Intersection((region, *clip)) for region in parts]
+def _outer_jobs(n, fixed, parts, struct, singular=()):
+    """One job per region of ``parts``: the outer integral of its rows over
+    heights in (0, 1 + 1/n), graded toward the heights ``singular``.
 
-
-def _row_sections(strips, ts, offsets, job):
-    """The nonempty slices at heights ``ts + offsets``, each of region ``job`` of ``strips``.
-
-    Returns flat arrays ``(row, lo, lo_off, hi, hi_off)``, one entry per
-    slice, each end a base and an exact offset as ``row_sections_array``
-    gives them: rows in order and each row's slices ascending, the order a
-    per-row loop visits.
+    The panels end at the ``fixed`` heights, at the region's
+    ``t_breakpoints`` and where its boundary crosses a line (a, b, c) of
+    ``struct``, a line on which the rows' formula changes.
     """
-    lo, lo_off, hi, hi_off = (x.T for x in regions.row_sections_array(strips, ts, offsets, job))
-    keep = regions.before(lo, lo_off, hi, hi_off)
-    return np.nonzero(keep)[0], lo[keep], lo_off[keep], hi[keep], hi_off[keep]
+    return [make_pieces(fixed + regions.t_breakpoints(region) + crossing_edges(region, struct),
+                        singular, 0.0, 1.0 + 1.0 / n) for region in parts]
 
 
 @dataclass(frozen=True)
@@ -284,7 +277,9 @@ class _ProfileWeight(WeightSpec):
 
 @dataclass(frozen=True)
 class UniformWeight(WeightSpec):
-    """Indicator of the rectangle [s1, s2] x [t1, t2], optionally scaled."""
+    """Indicator of the rectangle [s1, s2] x [t1, t2], optionally scaled.
+
+    ``masses``, ``corner_cells`` and ``signed_strips`` read h_n off ``strips``."""
 
     s1: float = 0.25
     s2: float = 0.75
@@ -308,51 +303,48 @@ class UniformWeight(WeightSpec):
             0.0,
         )
 
+    def strips(self, n):
+        """``(s_strips, t_strips)``, each ``((plus_lo, plus_hi), (minus_lo, minus_hi))``.
+
+        On an axis with window (lo, hi), 1(lo, hi)(x) - 1(lo, hi)(x - 1/n) is +1
+        on (lo, min(hi, lo + 1/n)), -1 on (max(hi, lo + 1/n), hi + 1/n) and 0
+        elsewhere; h_n is scale times the s-sign times the t-sign."""
+        d = 1.0 / n
+        return tuple(((lo, min(hi, lo + d)), (max(hi, lo + d), hi + d))
+                     for lo, hi in ((self.s1, self.s2), (self.t1, self.t2)))
+
     def masses(self, n, parts, quadcfg):
         """Integral of h_n^2 over each region of ``parts``, one job each: an
         outer t-integral of exact row integrals.
 
-        Each row of h_n is constant in s between the sorted breakpoints s1,
-        s1 + 1/n, s2, s2 + 1/n.  Every row section is cut at those breakpoints
-        and each nonempty piece integrated exactly by the one-node Gauss rule,
-        the midpoint rule.  The outer t-integrals are adaptive, all of them in
-        one engine call.
+        h_n^2 is scale^2 on the four strip products and 0 elsewhere, so at a
+        height inside a t-strip a row's integral is scale^2 times its
+        section's overlap with the two s-strips, and 0 at any other height.
+        The outer t-integrals are adaptive, all of them in one engine call.
         """
-        d = 1.0 / n
-        sbreaks = np.sort(np.array([self.s1, self.s1 + d, self.s2, self.s2 + d]))
-        xi, wi = gl(1)
-        strips = _strips(parts, 1.0 + d)
+        s_strips, t_strips = self.strips(n)
+        sq = self.scale * self.scale
 
         def rows(ts, deltas, origin, job):
-            ts = np.atleast_1d(np.asarray(ts, dtype=float))
-            row, a, a_off, b, b_off = _row_sections(strips, ts, 0.0, job)
-            a, b = (a + a_off)[:, None], (b + b_off)[:, None]
-            cuts = np.concatenate([a, np.clip(sbreaks, a, b), b], axis=1)
-            lo, hi = cuts[:, :-1], cuts[:, 1:]
-            keep = hi > lo
-            lo, hi, row = lo[keep], hi[keep], np.broadcast_to(row[:, None], keep.shape)[keep]
-            x = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * xi
-            vals = eval_h(self, n, x.ravel(), ts[row]) ** 2
-            contrib = 0.5 * (hi - lo) * np.sum(vals.reshape(x.shape) * wi, axis=1)
-            return np.bincount(row, weights=contrib, minlength=ts.size)
+            plus, minus = ((lo < ts) & (ts < hi) for lo, hi in t_strips)
+            at, out = np.flatnonzero(plus | minus), np.zeros(ts.size)
+            lo, _, hi, _ = regions.row_sections_array(parts, ts[at], job=job[at])
+            # section by section, its overlap with the plus strip, then the minus strip
+            over = np.stack([np.maximum(np.minimum(hi, b) - np.maximum(lo, a), 0.0)
+                             for a, b in s_strips], axis=1)
+            out[at] = (over * sq).reshape(-1, at.size).sum(axis=0)
+            return out
 
-        struct = [(1.0, 0.0, float(sv)) for sv in sbreaks]
-        jobs = []
-        for region in parts:
-            edges = [self.t1, self.t1 + d, self.t2, self.t2 + d] + regions.t_breakpoints(region)
-            edges += crossing_edges(region, struct, axis=1)
-            jobs.append(make_pieces(edges, [], 0.0, 1.0 + d))
+        # rows change formula where a section end passes an s-strip end
+        lines = [(1.0, 0.0, end) for strip in s_strips for end in strip]
+        jobs = _outer_jobs(n, [end for strip in t_strips for end in strip], parts, lines)
         return integrate_pieces(rows, jobs, quadcfg, [f"uniform mass at n={n}"] * len(parts))
 
     def corner_cells(self, n):
-        """The four corner cells carrying the concentration mass."""
-        d = 1.0 / n
-        return {
-            "corner_11": Rect(self.s1, self.s1 + d, self.t1, self.t1 + d),
-            "corner_21": Rect(self.s2, self.s2 + d, self.t1, self.t1 + d),
-            "corner_12": Rect(self.s1, self.s1 + d, self.t2, self.t2 + d),
-            "corner_22": Rect(self.s2, self.s2 + d, self.t2, self.t2 + d),
-        }
+        """The four strip products, which carry the concentration mass."""
+        (s_plus, s_minus), (t_plus, t_minus) = self.strips(n)
+        return {f"corner_{i}{j}": Rect(*s, *t) for j, t in ((1, t_plus), (2, t_minus))
+                for i, s in ((1, s_plus), (2, s_minus))}
 
     def limit_atoms(self):
         """The mass splits evenly over the four window corners."""
@@ -382,26 +374,18 @@ class UniformWeight(WeightSpec):
         return self.scale**2 * ov1 * ov2
 
     def signed_strips(self, n, eps, idx):
-        """Signed u- and v-intervals carrying the difference factors, per index.
+        """The ``strips`` in the lag variables, per lattice index.
 
-        The one-axis difference 1[s1,s2](x) - 1[s1,s2](x-d) is +1 on
-        [s1, s1+w) and -1 on [s2+d-w, s2+d) with w = min(d, s2-s1); in the u
-        variable (u = lattice coordinate minus x) both flip and translate.
-        ``idx`` is a (N, 2) array of lattice indices (i, j).  Returns
-        ``((u_plus, 1.0), (u_minus, -1.0), (v_plus, 1.0), (v_minus, -1.0))``
-        where each strip is a pair ``(lo, hi)`` of length-N arrays: element
-        a is the strip of index ``idx[a]``.
+        The increment at index (i, j) reads h_n(eps i - u, eps j - v), so a
+        strip (lo, hi) of an axis becomes (eps i - hi, eps i - lo) in u, or
+        the same in v with j.  ``idx`` is a (N, 2) array of lattice indices.
+        Returns ``((u_plus, 1.0), (u_minus, -1.0), (v_plus, 1.0), (v_minus,
+        -1.0))`` where each strip is a pair ``(lo, hi)`` of length-N arrays:
+        element a is the strip of index ``idx[a]``.
         """
-        d = 1.0 / n
-        wid_s = min(d, self.s2 - self.s1)
-        wid_t = min(d, self.t2 - self.t1)
-        ei = eps * idx[:, 0]
-        ej = eps * idx[:, 1]
-        u_plus = (ei - self.s1 - wid_s, ei - self.s1)
-        u_minus = (ei - self.s2 - d, ei - self.s2 - d + wid_s)
-        v_plus = (ej - self.t1 - wid_t, ej - self.t1)
-        v_minus = (ej - self.t2 - d, ej - self.t2 - d + wid_t)
-        return (u_plus, 1.0), (u_minus, -1.0), (v_plus, 1.0), (v_minus, -1.0)
+        return tuple(((eps * idx[:, axis] - hi, eps * idx[:, axis] - lo), sign)
+                     for axis, strips in enumerate(self.strips(n))
+                     for (lo, hi), sign in zip(strips, (1.0, -1.0)))
 
 
 @dataclass(frozen=True)
@@ -496,29 +480,24 @@ class SingularWeight(_ProfileWeight):
         the diagonal, keeps the band that the rounded point would lose.
         """
         d = 1.0 / n
-        # inner formula changes on t in {0, 1/n, 1} and on the moving cuts
-        # t = s and t = s - 1/n
-        struct = [(0.0, 1.0, 0.0), (0.0, 1.0, d), (0.0, 1.0, 1.0),
-                  (1.0, -1.0, 0.0), (1.0, -1.0, d)]
+        # the transposes' rows are the halves' columns, whose formula changes
+        # on t in {0, 1/n, 1} and on the moving cuts t = s and t = s - 1/n:
+        # transposed, on s in {0, 1/n, 1}, s = t and s = t - 1/n
+        flipped = [regions.transpose(region) for _, region in halves]
+        struct = [(1.0, 0.0, 0.0), (1.0, 0.0, d), (1.0, 0.0, 1.0),
+                  (-1.0, 1.0, 0.0), (-1.0, 1.0, d)]
         geometric = [d * 2.0**k for k in range(1, int(n).bit_length())]
-        jobs, labels, parts = [], [], []
-        for half, region in halves:
-            edges = [0.0, d, *geometric, 1.0, 1.0 + d]
-            edges += regions.t_breakpoints(regions.transpose(region))
-            edges += crossing_edges(region, struct, axis=0)
-            jobs.append(make_pieces(edges, [0.0, d], 0.0, 1.0 + d))
-            labels.append(f"{half}: singular mass at n={n}")
-            parts.append(region)
-        return integrate_pieces(self._column(n, parts, quadcfg.nodes), jobs, quadcfg, labels,
-                                f_check=self._column(n, parts, quadcfg.nodes + 4))
+        jobs = _outer_jobs(n, [0.0, d, *geometric, 1.0, 1.0 + d], flipped, struct, [0.0, d])
+        labels = [f"{half}: singular mass at n={n}" for half, _ in halves]
+        return integrate_pieces(self._column(n, flipped, quadcfg.nodes), jobs, quadcfg, labels,
+                                f_check=self._column(n, flipped, quadcfg.nodes + 4))
 
-    def _column(self, n, parts, nodes):
-        """The column integrand of ``_lower_masses`` over the regions ``parts``,
-        ``nodes`` Gauss nodes per panel; a node of job j reads region j."""
+    def _column(self, n, flipped, nodes):
+        """The column integrand of ``_lower_masses`` over the transposed
+        regions ``flipped``, whose rows are the regions' columns, ``nodes``
+        Gauss nodes per panel; a node of job j reads region j."""
         d = 1.0 / n
         xi, wi = gl(nodes)
-        # the transposes' rows are the regions' columns
-        flipped = [regions.transpose(region) for region in parts]
 
         def col(ss, deltas, origin, job):
             ss = np.atleast_1d(np.asarray(ss, dtype=float))
@@ -824,7 +803,8 @@ class TriangleWeight(_ProfileWeight):
         # t = u < 1/n: tau < 0, so the lower pair is empty and never cuts
         below = np.array([0.0, 0.0, 2.0 * d, 2.0 * d, 0.0, 0.0, 2.0 * d, 2.0 * d])
         before = regions.before
-        strips = _strips(parts, 1.0 + d)
+        clip = (HalfPlane(-1.0, 0.0, 0.0), HalfPlane(1.0, 0.0, 1.0 + d))  # 0 < s < 1 + 1/n
+        strips = [Intersection((region, *clip)) for region in parts]
 
         def rows(ts, deltas, origin, job):
             ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -837,7 +817,10 @@ class TriangleWeight(_ProfileWeight):
                 us = np.where(zero | (origin == d), deltas, ts - d)
                 heights, offsets = origin, deltas
             ft, ftau = self.profile(ts), self.profile(np.where(zero, ts - d, us))
-            row, a, a_off, b, b_off = _row_sections(strips, heights, offsets, job)
+            # the nonempty slices, flat: rows in order and each row's ascending
+            ends = [x.T for x in regions.row_sections_array(strips, heights, offsets, job)]
+            keep = before(*ends)
+            row, a, a_off, b, b_off = np.nonzero(keep)[0], *(x[keep] for x in ends)
             ft, ftau = ft[row, None], ftau[row, None]
 
             ya, yb = 2.0 * a[:, None] - 1.0, 2.0 * b[:, None] - 1.0
@@ -871,15 +854,11 @@ class TriangleWeight(_ProfileWeight):
         # cone edges 2s -+ t = 1 of all four shifted kernel copies
         struct = [(2.0, -1.0, v) for v in (1.0, 1.0 + 2.0 * d, 1.0 - d, 1.0 + d)]
         struct += [(2.0, 1.0, v) for v in (1.0, 1.0 + 2.0 * d, 1.0 + d, 1.0 + 3.0 * d)]
-        jobs = []
-        for region in parts:
-            edges = [0.0, d, 2.0 * d, 3.0 * d, 1.0, 1.0 + d] + regions.t_breakpoints(region)
-            edges += crossing_edges(region, struct, axis=1)
-            # opposite-family cone edges cross each other at multiples of d/2;
-            # rows kink there even without a region cut, and no panel edge of
-            # the ratio-4 grading from 0 or d falls on those heights
-            edges += [0.5 * d, 1.5 * d, 2.5 * d]
-            jobs.append(make_pieces(edges, [0.0, d], 0.0, 1.0 + d))
+        # opposite-family cone edges cross each other at multiples of d/2;
+        # rows kink there even without a region cut, and no panel edge of
+        # the ratio-4 grading from 0 or d falls on those heights
+        fixed = [0.0, 0.5 * d, d, 1.5 * d, 2.0 * d, 2.5 * d, 3.0 * d, 1.0, 1.0 + d]
+        jobs = _outer_jobs(n, fixed, parts, struct, [0.0, d])
         return integrate_pieces(self._rows(n, parts), jobs, quadcfg,
                                 [f"triangle mass at n={n}"] * len(parts))
 
@@ -962,19 +941,6 @@ def eval_g(spec, s, t):
     t = np.atleast_1d(t)
     out = spec.evaluate(s, t)
     return float(out[0]) if scalar else out
-
-
-def eval_h(spec, n, s, t):
-    """Differenced kernel h_n(s,t), supported in [0, 1+1/n]^2."""
-    if n < 1:
-        raise ValueError(f"lattice resolution must be >= 1, got {n}")
-    d = 1.0 / n
-    return (
-        eval_g(spec, s, t)
-        - eval_g(spec, np.asarray(s, dtype=float) - d, t)
-        - eval_g(spec, s, np.asarray(t, dtype=float) - d)
-        + eval_g(spec, np.asarray(s, dtype=float) - d, np.asarray(t, dtype=float) - d)
-    )
 
 
 def thinning_count(n, kappa):

@@ -42,6 +42,7 @@ from .simulate import (
 )
 from .variation import (
     expected_scaled_pv,
+    has_exact_mean,
     retained_corners,
     scaled_power_variation,
     variation_field,
@@ -325,7 +326,7 @@ def lln_experiment(weight, volatility, p_values=(2.0,), n_schedule=(64, 128, 256
 
     atoms = require_weight(weight).limit_atoms()
     grid = [i / grid_size for i in range(1, grid_size + 1)]
-    exact_mean = volatility.constant or weight.has_strips
+    exact_mean = has_exact_mean(weight, volatility.constant)
     if not exact_mean:
         flags.append(
             f"mean/stochastic split skipped: the {weight.variant} weight has no exact "

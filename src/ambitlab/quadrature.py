@@ -158,10 +158,9 @@ def gl(nodes):
     return x, w * (2.0 / w.sum())
 
 
-# Build in set-up, not in a run, the rules that runs use: the uniform rows'
-# midpoint rule, and both resolutions of the default config and of the
-# covariance config in ``simulate``.
-for _nodes in (1, 10, 14, 16, 18, 20, 24, 28):
+# Build in set-up, not in a run, the rules that runs use: both resolutions
+# of the default config and of the covariance config in ``simulate``.
+for _nodes in (10, 14, 16, 18, 20, 24, 28):
     gl(_nodes)
 
 
@@ -344,25 +343,22 @@ def make_pieces(edges, singular_points, lo, hi):
             for a, b in zip(pts[:-1], pts[1:])]
 
 
-def crossing_edges(region, struct_lines, axis):
-    """Outer-axis values where a region boundary meets a structural line.
+def crossing_edges(region, struct_lines):
+    """Heights t where a region boundary meets a structural line.
 
     The inner 1-D reductions are only piecewise smooth in the outer variable:
     a kink appears whenever a moving cross-section endpoint (traveling along a
     region boundary line) passes a line where the integrand itself changes
-    formula.  Returns the s-coordinates (``axis=0``) or t-coordinates
-    (``axis=1``) of all such intersection points so they can join the outer
-    panel edges.
+    formula.  Returns the t-coordinates of all such intersection points so
+    they can join the outer panel edges; an integrator whose outer variable
+    is s passes the transposed region and lines.
     """
     out = []
     for a1, b1, c1 in regions.boundary_lines(region):
         for a2, b2, c2 in struct_lines:
             det = a1 * b2 - a2 * b1
-            if abs(det) < 1e-12:
-                continue
-            s = (c1 * b2 - c2 * b1) / det
-            t = (a1 * c2 - a2 * c1) / det
-            out.append(s if axis == 0 else t)
+            if abs(det) >= 1e-12:
+                out.append((a1 * c2 - a2 * c1) / det)
     return out
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "variation_field",
     "scaled_power_variation",
     "expected_scaled_pv",
+    "has_exact_mean",
 ]
 
 
@@ -75,6 +76,11 @@ def scaled_power_variation(V, p, eps, c_n):
     return scaled
 
 
+def has_exact_mean(spec, constant):
+    """Is ``expected_scaled_pv`` exact for ``spec`` under a ``constant`` volatility or not?"""
+    return constant or spec.has_strips
+
+
 # lln_experiment asks for every grid point of one (sigma, n) before it moves
 # on, so one entry serves all of them.  SigmaField hashes by identity, and
 # the cache keeps its key alive, so the identity cannot be reused.
@@ -86,19 +92,19 @@ def _pi_averages(spec, sigma, n, k):
     the conditional variance of that increment divided by c_n.
     """
     m, eps = n // k, k / n
-    if sigma.is_constant:
-        avg = np.full((m, m), float(sigma.values.flat[0]) ** 2)
-    elif spec.has_strips:
-        idx = np.indices((m, m)).reshape(2, -1).T + 1  # row-major (i, j)
-        diag = np.arange(m * m)
-        avg = strip_covariances(spec, sigma, n, eps, idx, diag, diag) / compute_cn(spec, n)
-        avg = avg.reshape(m, m)
-    else:
+    if not has_exact_mean(spec, sigma.is_constant):
         raise ValueError(
             "exact conditional expectation is available for constant volatility "
             "(any weight) or the uniform window weight (any volatility); use the "
             "simulation route for other combinations"
         )
+    if sigma.is_constant:
+        avg = np.full((m, m), float(sigma.values.flat[0]) ** 2)
+    else:
+        idx = np.indices((m, m)).reshape(2, -1).T + 1  # row-major (i, j)
+        diag = np.arange(m * m)
+        avg = strip_covariances(spec, sigma, n, eps, idx, diag, diag) / compute_cn(spec, n)
+        avg = avg.reshape(m, m)
     avg.setflags(write=False)
     return avg
 

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 
+from ambitlab.kernels import eval_g
 from ambitlab.regions import Intersection, Region, Union
 from ambitlab.variation import retained_corners
 
@@ -17,6 +18,37 @@ def Difference(left, right):
     for piece in Union((right,)).pieces:
         left = Intersection((left, Region(tuple(((-a, -b, -c),) for a, b, c in piece))))
     return left
+
+
+def eval_h(spec, n, s, t):
+    """Differenced kernel h_n(s,t), supported in [0, 1+1/n]^2: the four-term
+    combination of ``eval_g`` at the corners of the cell below-left of (s, t)."""
+    if n < 1:
+        raise ValueError(f"lattice resolution must be >= 1, got {n}")
+    d = 1.0 / n
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    return eval_g(spec, s, t) - eval_g(spec, s - d, t) - eval_g(spec, s, t - d) + eval_g(spec, s - d, t - d)
+
+
+def uniform_mass(spec, n, rect):
+    """mu_n of the rectangle ``rect`` = (a, b, c, d) for the uniform weight, in
+    closed form.
+
+    h_n^2 = scale^2 D_s(s)^2 D_t(t)^2 with D(x) = 1_W(x) - 1_W(x - 1/n) on each
+    axis's window W, and (A - B)^2 = A + B - 2AB for indicators, so each
+    axis's factor is |I & W| + |I & (W + 1/n)| - 2 |I & W & (W + 1/n)| for
+    the rectangle's side I: the overlap of I with the axis's two strips.
+    """
+    def length(lo, hi):
+        return max(0.0, hi - lo)
+
+    def factor(a, b, lo, hi):
+        d = 1.0 / n
+        both = length(max(a, lo + d), min(b, hi))
+        return length(max(a, lo), min(b, hi)) + length(max(a, lo + d), min(b, hi + d)) - 2.0 * both
+
+    a, b, c, d = rect
+    return spec.scale**2 * factor(a, b, spec.s1, spec.s2) * factor(c, d, spec.t1, spec.t2)
 
 
 def contains(region, s, t):

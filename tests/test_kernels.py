@@ -18,7 +18,6 @@ from ambitlab.kernels import (
     compute_cn,
     concentration_mass,
     eval_g,
-    eval_h,
     mu_mass,
     near_region,
     thinning_count,
@@ -26,7 +25,7 @@ from ambitlab.kernels import (
 from ambitlab.quadrature import QuadratureConfig
 from ambitlab.regions import Everything, HalfPlane, Intersection, Rect, band
 from ambitlab.simulate import _G2_QUAD
-from oracles import Difference
+from oracles import Difference, eval_h, uniform_mass
 
 
 # ---------------------------------------------------------------- evaluation
@@ -237,6 +236,30 @@ def test_uniform_total_mass_of_a_window_narrower_than_a_cell(corners, n):
     spec = UniformWeight(scale=1.5, **corners)
     want = 4.0 * spec.scale**2 * min(1.0 / n, spec.s2 - spec.s1) * min(1.0 / n, spec.t2 - spec.t1)
     assert compute_cn(spec, n) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("corners", [{}, dict(s1=0.5, s2=0.52), dict(t1=0.3, t2=0.31),
+                                     dict(s1=0.5, s2=0.52, t1=0.3, t2=0.31)],
+                         ids=["wide", "narrow-s", "narrow-t", "narrow-both"])
+@pytest.mark.parametrize("n", [2, 5, 8, 37])
+def test_uniform_masses_of_rectangles_match_the_closed_form(corners, n):
+    # a rectangle's rows are constant in t between the strip ends, so the
+    # engine's outer integral is exact up to rounding
+    spec = UniformWeight(scale=1.5, **corners)
+    (s_plus, s_minus), (t_plus, t_minus) = spec.strips(n)
+    rng = np.random.default_rng(n)
+    bounds = [np.sort(rng.uniform(-0.1, 1.2, 2)) for _ in range(60)]
+    # rectangles around a window corner, so each cut meets the strips
+    near = [np.sort(rng.uniform(lo - 0.05, lo + 0.08, 2))
+            for lo in (spec.s1, spec.s2, spec.t1, spec.t2) for _ in range(10)]
+    rects = [(*bounds[k], *bounds[k + 1]) for k in range(0, len(bounds), 2)]
+    rects += [(*near[k], *near[k + 20]) for k in range(20)]
+    rects += [(*s_plus, *t_minus), (*s_minus, *t_plus), (0.0, 1.0 + 1.0 / n, 0.0, 1.0 + 1.0 / n)]
+    kernels.mu_masses.cache_clear()
+    got = kernels.mu_masses(spec, n, [Rect(*rect) for rect in rects])
+    want = [uniform_mass(spec, n, rect) for rect in rects]
+    assert max(want) > 0.0 and min(want) == 0.0
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 # references: outer scipy.integrate.quad over exact row/column reductions of
@@ -504,7 +527,8 @@ def test_batched_column_matches_the_scalar_definition(alpha, ell):
         d = 1.0 / n
         plain, deltas = _column_nodes(n, rng)
         parts = {**spec.catalog(n, thinning_count(n, 0.4) / n), "everything": Everything()}
-        batched = spec._column(n, list(parts.values()), 14)
+        # the column integrand reads the transposed regions, whose rows are the columns
+        batched = spec._column(n, [regions.transpose(r) for r in parts.values()], 14)
         for args in ((plain, None, None), (d + deltas, deltas, d)):
             size, alone = args[0].size, []
             for j, (name, region) in enumerate(parts.items()):

@@ -17,6 +17,8 @@ Read with ``ast`` only:
   Gauss-Laguerre nodes in ``gaussian``, which its Hermite moments use;
 * ``quadrature`` forms no matrix product, so no panel's Gauss sum depends
   on the panels beside it;
+* ``kernels`` lays out engine jobs in two places only: the one builder of
+  every variant's mass jobs and the singular autocorrelation;
 * only ``cli`` opens files: the computation modules do no file I/O, and
   every CSV table goes through the CLI's one writer.
 
@@ -229,6 +231,30 @@ def test_the_quadrature_engine_forms_no_matrix_product():
         elif isinstance(node, ast.Name) and node.id in _MATRIX_PRODUCTS:
             bad.append(f"line {node.lineno}: {node.id}")
     assert not bad, bad
+
+
+def _callers(tree, name):
+    """The innermost function around each call of ``name``, ``<module>`` outside any."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                      getattr(node.func, "attr", None)):
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_kernels_lays_out_engine_jobs_in_two_places():
+    # each variant's mass jobs come from one builder; a job loop of its own
+    # would state a layout twice
+    callers = _callers(_tree(SRC / "kernels.py"), "make_pieces")
+    assert sorted(callers) == ["_outer_jobs", "autocorrelation"]
 
 
 _FILE_IO = {"open", "savetxt"}

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ambitlab.gaussian import abs_moment
-from ambitlab.kernels import SingularWeight, UniformWeight, compute_cn, eval_h
+from ambitlab.kernels import SingularWeight, UniformWeight, compute_cn
 from ambitlab.simulate import (
     increment_covariance,
     simulate_lattice,
@@ -22,7 +22,7 @@ from ambitlab.volatility import (
     LogGaussianVol,
     sample_volatility,
 )
-from oracles import power_variation
+from oracles import eval_h, power_variation
 
 
 # ------------------------------------------------------------- raw statistic
