@@ -406,9 +406,14 @@ class SingularWeight(_ProfileWeight):
         self._check_scale()
 
     def evaluate(self, s, t):
+        """The profile at s v t on the closed quadrant, +inf at its corner.
+
+        r is set to 0 off the quadrant, where the profile is 0, so the
+        profile's power and slow factor run on quadrant points alone."""
         r = np.maximum(s, t)
         quadrant = (s >= 0.0) & (t >= 0.0)
-        out = np.where(quadrant, self.profile(r), 0.0)
+        r[~quadrant] = 0.0
+        out = self.profile(r)
         out[quadrant & (r == 0.0)] = np.inf
         return out
 
@@ -772,7 +777,11 @@ class TriangleWeight(_ProfileWeight):
         self._check_scale()
 
     def evaluate(self, s, t):
-        return np.where(np.abs(2.0 * s - 1.0) < t, self.profile(t), 0.0)
+        """The profile at t inside the open cone, called there alone."""
+        cone = np.abs(2.0 * s - 1.0) < t
+        out = np.zeros(cone.shape)
+        out[cone] = self.profile(np.broadcast_to(t, cone.shape)[cone])
+        return out
 
     def _rows(self, n, parts):
         """The row integral of h_n^2 at each height t, over region j of

@@ -13,11 +13,13 @@ Two routes to the thinned increments:
 
 The end-to-end route convolves at M x M, not 2M x 2M: every weight vanishes
 outside [0,1]^2, so the lattice rows never meet the wrap-around (see
-``simulate_lattice``).  Its kernel spectrum and spot-check kernels are cached,
-read-only, per (weight, n, M).  Each replication draws, weights and
-transforms its noise in one scratch set per M that every call reuses, so a
-replication allocates no M x M array; only the n + 1 lattice rows are
-inverted, into a fresh array, so no result shares memory with the scratch.
+``simulate_lattice``).  Its kernel spectrum and spot-check kernels, each cut
+to the box of its nonzero entries, are cached, read-only, per (weight, n, M).
+Each replication draws and weights its noise in place in one buffer, and
+transforms it into a second; the two are one scratch pair per M that every
+call reuses, so a replication allocates no M x M array.  Only the n + 1
+lattice rows are inverted, into a fresh array, so no result shares memory
+with the scratch.
 
 Random streams are tagged per purpose (volatility=1, noise=2, exact draws=3,
 and 4 for the per-replication volatility re-draws of ``limits``) so no two
@@ -87,7 +89,9 @@ def _lattice_plan(spec, n, M):
 
     The spectrum is of g at the offsets ((2j+1)/M, (2l+1)/M), j, l < M/2,
     padded to M x M.  Each spot check pairs a lattice point with g at its
-    offsets from every noise-cell midpoint, evaluated apart from the table.
+    offsets from every noise-cell midpoint, evaluated apart from the table
+    at all M x M offsets, so that a weight reaching past the unit square
+    still shows, and kept cut to its nonzero entries (``_spot_check``).
     Table and checks form offsets as integers over M, so both read an edge alike.
     A table that is zero throughout (a support between the midpoints) would
     simulate the field as identically 0, so it raises QuadratureError.
@@ -100,22 +104,33 @@ def _lattice_plan(spec, n, M):
             "so the simulated field would be identically 0; raise oversample")
     spectrum = np.fft.rfft2(table, (M, M))
     del table  # peak memory: not held while the spot-check kernels are built
-    offsets = {i: (i * (M // n) + M - 1 - 2 * np.arange(M)) / M for i in (0, n // 2, n)}
-    checks = tuple(
-        ((i, i), eval_g(spec, offsets[i][:, None], offsets[i][None, :]))
-        for i in sorted(offsets))
     spectrum.setflags(write=False)
-    for _, g in checks:
-        g.setflags(write=False)
-    return spectrum, checks
+    return spectrum, tuple(_spot_check(spec, n, M, i) for i in sorted({0, n // 2, n}))
+
+
+def _spot_check(spec, n, M, i):
+    """``((i, i), box, block)``: the spot-check kernel of lattice point (i, i)
+    inside ``box``, the pair of slices that bounds its nonzero entries.
+
+    The box is never empty: every check's offsets include the table's, where
+    g is not all zero.  The full M x M kernel is gone on return, so a plan
+    holds one at a time.
+    """
+    offsets = (i * (M // n) + M - 1 - 2 * np.arange(M)) / M
+    g = eval_g(spec, offsets[:, None], offsets[None, :])
+    box = tuple(slice(idx[0], idx[-1] + 1)
+                for idx in (np.flatnonzero(g.any(axis=1)), np.flatnonzero(g.any(axis=0))))
+    block = g[box].copy()
+    block.setflags(write=False)
+    return (i, i), box, block
 
 
 # Scratch for one replication, overwritten by the next; kept apart from the
 # plan so that the plan's arrays stay read-only.
 @lru_cache(maxsize=1)
 def _workspace(M):
-    """(noise, weighted, transform) buffers: two real M x M, one complex M x (M/2+1)."""
-    return np.empty((M, M)), np.empty((M, M)), np.empty((M, M // 2 + 1), dtype=complex)
+    """(noise, transform) buffers: one real M x M, weighted in place, one complex M x (M/2+1)."""
+    return np.empty((M, M)), np.empty((M, M // 2 + 1), dtype=complex)
 
 
 def simulate_lattice(spec, sigma, n, M, seed=0, rep=0):
@@ -136,8 +151,8 @@ def simulate_lattice(spec, sigma, n, M, seed=0, rep=0):
     whose direct sum reaches offsets up to 2.  The table's spectrum and the
     spot-check kernels are cached per (spec, n, M).
 
-    The noise, the weighted noise and its transform are written into one
-    scratch set per M (``_workspace``) that every replication reuses: a
+    The noise, weighted in place, and its transform are written into one
+    scratch pair per M (``_workspace``) that every replication reuses: a
     fresh M x M array page-faults on first touch, which costs more than the
     transform.  The forward transform is ``rfft2`` into the scratch; the
     inverse runs one axis at a time in ``irfft2``'s order (``ifft`` on
@@ -148,8 +163,13 @@ def simulate_lattice(spec, sigma, n, M, seed=0, rep=0):
     The product is ``conv *= spectrum`` because complex multiplication with
     fused multiply-adds is not bit-commutative, and that is the order
     numpy's temporary elision gave ``spectrum * rfft2(weighted)`` on grids
-    of 256 KiB and up.  The spot-check products go into the noise buffer,
-    which is free once the weighted noise is formed.
+    of 256 KiB and up.  Once the lattice rows are copied out, the transform
+    buffer, viewed as a contiguous M x M real array, holds each spot check's
+    product: zero, and the kernel's block times the weighted noise in its
+    box.  That is the full kernel's product up to the sign of its zeros,
+    and ``np.sum`` over the whole M x M array adds it in the same pairwise
+    order, so the direct sum keeps its bits; a sum over the box alone
+    would not.
     """
     if n != int(n) or n < 1:
         raise ValueError(f"lattice resolution must be an integer >= 1, got {n}")
@@ -167,15 +187,15 @@ def simulate_lattice(spec, sigma, n, M, seed=0, rep=0):
         )
     # the plan's build sets the peak memory, so it runs before the scratch is touched
     spectrum, checks = _lattice_plan(spec, n, M)
-    noise, weighted, conv = _workspace(M)
-    sample_noise(M, seed, rep, out=noise)
+    weighted, conv = _workspace(M)
+    sample_noise(M, seed, rep, out=weighted)
 
     if sigma.resolution == M:
         sig = sigma.values
     else:
         mid = midpoints(M)
         sig = sigma.at(mid[:, None], mid[None, :])
-    np.multiply(sig, noise, out=weighted)
+    np.multiply(sig, weighted, out=weighted)
 
     np.fft.rfft2(weighted, out=conv)
     conv *= spectrum
@@ -184,9 +204,13 @@ def simulate_lattice(spec, sigma, n, M, seed=0, rep=0):
     pick = np.arange(n + 1) * q + M // 2 - 1
     vals = np.fft.irfft(conv[pick], M, axis=1)[:, pick]
 
+    # the transform is spent: its first M^2 doubles hold each check's product
+    product = conv.view(np.float64).reshape(-1)[:M * M].reshape(M, M)
     err = 0.0
-    for (i, j), g in checks:
-        direct = float(np.sum(np.multiply(g, weighted, out=noise)))
+    for (i, j), box, block in checks:
+        product.fill(0.0)
+        np.multiply(block, weighted[box], out=product[box])
+        direct = float(np.sum(product))
         err = max(err, abs(direct - vals[i, j]) / (1.0 + abs(direct)))
     if err > 1e-10:
         raise QuadratureError(

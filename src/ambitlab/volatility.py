@@ -96,8 +96,9 @@ class ConstantVol(VolatilityModel):
             raise ValueError(f"constant volatility must be positive, got {self.sigma0}")
 
     def realize(self, m, seed):
-        """sigma0 in every cell."""
-        return np.full((m, m), self.sigma0)
+        """sigma0 in every cell, as a read-only broadcast of the one value:
+        the m x m grid takes no memory of its own."""
+        return np.broadcast_to(float(self.sigma0), (m, m))
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,10 @@ class SigmaField:
 
     values[i, j] = sigma(u_i, v_j) with u = v = ``midpoints(M)``; immutable
     and safe to share.  A grid that is not square, finite and strictly
-    positive is refused; M is read off it as ``resolution``.
+    positive is refused; M is read off it as ``resolution``.  The input is
+    copied, except a grid whose strides are all zero (one value repeated, as
+    ``ConstantVol.realize`` broadcasts it): only its value is copied, and
+    ``values`` is a read-only broadcast of that copy, with no M x M memory.
     """
 
     values: np.ndarray
@@ -192,12 +196,16 @@ class SigmaField:
     seed: int | None = None
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
+        vals = self.values
+        if isinstance(vals, np.ndarray) and vals.ndim == 2 and not any(vals.strides):
+            vals = np.broadcast_to(float(vals.flat[0]), vals.shape)
+        else:
+            vals = np.array(vals, dtype=float)
+            vals.setflags(write=False)
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise ValueError(f"volatility grid must be square, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)) or not np.all(vals > 0.0):
             raise ValueError("volatility values must be finite and strictly positive")
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @property

@@ -30,6 +30,21 @@ def eval_h(spec, n, s, t):
     return eval_g(spec, s, t) - eval_g(spec, s - d, t) - eval_g(spec, s, t - d) + eval_g(spec, s - d, t - d)
 
 
+def singular_g(spec, s, t):
+    """The singular kernel with its profile taken at every point, then masked
+    to the closed quadrant; +inf at the corner."""
+    r = np.maximum(s, t)
+    quadrant = (s >= 0.0) & (t >= 0.0)
+    out = np.where(quadrant, spec.profile(r), 0.0)
+    out[quadrant & (r == 0.0)] = np.inf
+    return out
+
+
+def triangle_g(spec, s, t):
+    """The cone kernel with its profile taken at every height, then masked to the open cone."""
+    return np.where(np.abs(2.0 * s - 1.0) < t, spec.profile(t), 0.0)
+
+
 def uniform_mass(spec, n, rect):
     """mu_n of the rectangle ``rect`` = (a, b, c, d) for the uniform weight, in
     closed form.

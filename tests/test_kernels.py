@@ -25,7 +25,7 @@ from ambitlab.kernels import (
 from ambitlab.quadrature import QuadratureConfig
 from ambitlab.regions import Everything, HalfPlane, Intersection, Rect, band
 from ambitlab.simulate import _G2_QUAD
-from oracles import Difference, eval_h, uniform_mass
+from oracles import Difference, eval_h, singular_g, triangle_g, uniform_mass
 
 
 # ---------------------------------------------------------------- evaluation
@@ -87,6 +87,21 @@ def test_profile_has_the_bits_of_the_masked_formula(spec):
         got = spec.profile(x)
         assert type(got) is float
         assert got == masked(np.array([x], dtype=float), np.array([0.0 < x < 1.0]))[0]
+
+
+@pytest.mark.parametrize("ell", ["one", "one_minus_s", "cos_quarter", "smooth_cutoff"])
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.75])
+def test_evaluate_has_the_bits_of_the_profile_masked_afterwards(alpha, ell):
+    # a dyadic grid on [-0.5, 1.5]^2 with -0.0 beside it: r = 0, the cone's
+    # apex (1/2, 0) and points on its edges |2s - 1| = t lie on it exactly
+    x = np.concatenate([[-0.0], np.arange(-16, 49) / 32.0])
+    s, t = np.broadcast_arrays(x[:, None], x[None, :])
+    cases = [(SingularWeight(alpha=alpha, ell=SlowFunction(ell)), singular_g)]
+    if alpha > 0.5:
+        cases.append((TriangleWeight(alpha=alpha, ell=SlowFunction(ell)), triangle_g))
+    for spec, oracle in cases:
+        got, want = spec.evaluate(s, t), oracle(spec, s, t)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))  # signbit included
 
 
 # A coordinate outside [0,1], next to one anywhere on [-2,2], in either order.

@@ -218,10 +218,63 @@ def test_a_warm_replication_allocates_no_grid_sized_temporaries():
 def test_cached_plan_arrays_are_read_only():
     spectrum, checks = simulate._lattice_plan(_WEIGHTS["uniform"], 4, 16)
     assert spectrum.shape == (16, 9)
-    assert [point for point, _ in checks] == [(0, 0), (2, 2), (4, 4)]
-    for arr in [spectrum] + [g for _, g in checks]:
+    assert [point for point, _, _ in checks] == [(0, 0), (2, 2), (4, 4)]
+    for arr in [spectrum] + [block for _, _, block in checks]:
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 1.0
+    # each block is its full kernel inside the box, and the kernel is 0 outside it
+    for spec in _WEIGHTS.values():
+        for n, M in ((4, 16), (5, 20)):
+            for (i, _), box, block in simulate._lattice_plan(spec, n, M)[1]:
+                offsets = (i * (M // n) + M - 1 - 2 * np.arange(M)) / M
+                full = eval_g(spec, offsets[:, None], offsets[None, :])
+                assert np.array_equal(block, full[box])
+                full[box] = 0.0
+                assert not np.any(full)
+
+
+def _full_kernel_spot_check_error(spec, sig, values, n, M, seed, rep):
+    """The spot-check error as the full M x M kernel times sigma * noise gives it."""
+    weighted = sig.values * sample_noise(M, seed=seed, rep=rep)
+    err = 0.0
+    for i in sorted({0, n // 2, n}):
+        offsets = (i * (M // n) + M - 1 - 2 * np.arange(M)) / M
+        direct = float(np.sum(eval_g(spec, offsets[:, None], offsets[None, :]) * weighted))
+        err = max(err, abs(direct - values[i, i]) / (1.0 + abs(direct)))
+    return err
+
+
+@pytest.mark.parametrize("n", [5, 7, 12, 32])
+@pytest.mark.parametrize("oversample", [1, 2])
+@pytest.mark.parametrize("name", list(_WEIGHTS))
+def test_the_boxed_spot_check_has_the_full_kernels_bits(name, oversample, n):
+    # odd and non-power-of-two M too, where a sum over the box alone would
+    # add in another order
+    spec, M = _WEIGHTS[name], 2 * n * oversample
+    sig = sample_volatility(LogGaussianVol(0.0, 0.25, 0.25), M, seed=3)
+    values, err = simulate_lattice(spec, sig, n, M, seed=4, rep=1)
+    assert err == _full_kernel_spot_check_error(spec, sig, values, n, M, 4, 1)
+
+
+def test_a_cold_call_under_constant_volatility_fits_its_memory_budget():
+    # the plan keeps the spectrum (M^2 doubles) and three kernel blocks of at
+    # most (M/2)^2, the workspace M^2 real and M (M/2 + 1) complex, and the
+    # constant sigma grid is one broadcast value
+    spec, n, M = SingularWeight(alpha=0.75), 128, 256
+    grid = M * M * 8
+    simulate_lattice(spec, sample_volatility(ConstantVol(1.0), 16, seed=0), 4, 16)  # lazy imports
+    simulate._lattice_plan.cache_clear()
+    simulate._workspace.cache_clear()
+    tracemalloc.start()
+    try:
+        simulate_lattice(spec, sample_volatility(ConstantVol(1.0), M, seed=0), n, M)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * grid  # 4.8 measured
+    spectrum, checks = simulate._lattice_plan(spec, n, M)
+    held = spectrum.nbytes + sum(block.nbytes for _, _, block in checks)
+    assert held + sum(buf.nbytes for buf in simulate._workspace(M)) <= 4 * grid
 
 
 class _Overhanging(UniformWeight):

@@ -248,6 +248,27 @@ def test_batched_rect_integral_equals_the_scalar_definition_bit_for_bit():
 
 # ---------------------------------------------------------------- plumbing
 
+def test_a_constant_field_is_one_read_only_broadcast_value():
+    f = sample_volatility(ConstantVol(2), 64, seed=0)
+    assert f.values.shape == (64, 64) and f.values.strides == (0, 0)
+    assert f.values.dtype == np.float64 and np.all(f.values == 2.0)
+    assert not f.values.flags.writeable and f.is_constant
+    with pytest.raises(ValueError, match="read-only"):
+        f.values[0, 0] = 1.0
+
+
+def test_a_field_keeps_no_view_of_the_callers_memory():
+    grid = np.full((8, 8), 1.5)
+    one = np.array(1.5)
+    copied, broadcast = SigmaField(values=grid), SigmaField(values=np.broadcast_to(one, (8, 8)))
+    grid[2, 3] = 4.0
+    one[()] = 4.0
+    for f in (copied, broadcast):
+        assert np.all(f.values == 1.5) and f.is_constant
+        assert not f.values.flags.writeable
+    assert copied.values.strides == (64, 8) and broadcast.values.strides == (0, 0)
+
+
 def test_sigma_field_validation():
     with pytest.raises(ValueError):
         SigmaField(values=np.ones((3, 4)))
