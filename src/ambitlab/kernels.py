@@ -39,7 +39,12 @@ triangle, the rows of the transposed regions.  One builder, ``_outer_jobs``,
 lays out every variant's outer integrals, which go through the batched engine of
 :mod:`ambitlab.quadrature` (graded Gauss-Legendre layouts toward algebraic
 singularities, adaptive bisection elsewhere, two resolutions); a failed check
-raises :class:`~ambitlab.errors.QuadratureError` naming the integral.  The
+raises :class:`~ambitlab.errors.QuadratureError` naming the integral.  Every
+job, outer or autocorrelation wedge, keeps only the pieces where its integrand
+can be nonzero (``_within``).  Each end of that support is a panel edge
+already, so a kept piece is a piece of the full range, and a dropped one
+would add exactly 0.0 unless it is a few ulps wide and its Gauss nodes round
+out of it: a clipped job keeps its bits, or loses that rounding error.  The
 masses of many regions are one engine call: each region, or each nonempty
 half of a singular one, is a job, and one integrand reads each node's region
 by the node's job index.  The integrands are pointwise, so a region's mass is
@@ -226,16 +231,34 @@ class WeightSpec:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
 
-def _outer_jobs(n, fixed, parts, struct, singular=()):
+def _within(pieces, support):
+    """The ``pieces`` that meet an open interval of ``support``, outside
+    which the integrand is exactly 0: a dropped piece would add 0.0."""
+    return [piece for piece in pieces
+            if any(piece[0] < top and bottom < piece[1] for bottom, top in support)]
+
+
+def _outer_jobs(n, fixed, parts, struct, singular=(), support=((-math.inf, math.inf),)):
     """One job per region of ``parts``: the outer integral of its rows over
     heights in (0, 1 + 1/n), graded toward the heights ``singular``.
 
     The panels end at the ``fixed`` heights, at the region's
     ``t_breakpoints`` and where its boundary crosses a line (a, b, c) of
-    ``struct``, a line on which the rows' formula changes.
+    ``struct``, a line on which the rows' formula changes.  A job keeps only
+    the panels inside ``support``, the heights where rows can be nonzero,
+    and inside the heights that some piece of its region lets through its
+    horizontal half-planes, c/b < t for b < 0 and t < c/b for b > 0: any
+    other row of the region is empty.  Those ends are ``fixed`` heights or
+    breakpoints, so each kept panel is a panel of the full range.
     """
-    return [make_pieces(fixed + regions.t_breakpoints(region) + crossing_edges(region, struct),
-                        singular, 0.0, 1.0 + 1.0 / n) for region in parts]
+    jobs = []
+    for region in parts:
+        edges = fixed + regions.t_breakpoints(region) + crossing_edges(region, struct)
+        heights = [(max([lo] + [c / b for a, b, c in piece if a == 0.0 and b < 0.0]),
+                    min([hi] + [c / b for a, b, c in piece if a == 0.0 and b > 0.0]))
+                   for piece in region.pieces for lo, hi in support]
+        jobs.append(_within(make_pieces(edges, singular, 0.0, 1.0 + 1.0 / n), heights))
+    return jobs
 
 
 @dataclass(frozen=True)
@@ -319,8 +342,9 @@ class UniformWeight(WeightSpec):
 
         h_n^2 is scale^2 on the four strip products and 0 elsewhere, so at a
         height inside a t-strip a row's integral is scale^2 times its
-        section's overlap with the two s-strips, and 0 at any other height.
-        The outer t-integrals are adaptive, all of them in one engine call.
+        section's overlap with the two s-strips, and 0 at any other height:
+        so the outer t-integrals, adaptive and all in one engine call, run
+        over the t-strips alone.
         """
         s_strips, t_strips = self.strips(n)
         sq = self.scale * self.scale
@@ -332,12 +356,13 @@ class UniformWeight(WeightSpec):
             # section by section, its overlap with the plus strip, then the minus strip
             over = np.stack([np.maximum(np.minimum(hi, b) - np.maximum(lo, a), 0.0)
                              for a, b in s_strips], axis=1)
-            out[at] = (over * sq).reshape(-1, at.size).sum(axis=0)
+            out[at] = (over * sq).reshape(2 * len(lo), at.size).sum(axis=0)
             return out
 
         # rows change formula where a section end passes an s-strip end
         lines = [(1.0, 0.0, end) for strip in s_strips for end in strip]
-        jobs = _outer_jobs(n, [end for strip in t_strips for end in strip], parts, lines)
+        jobs = _outer_jobs(n, [end for strip in t_strips for end in strip], parts, lines,
+                           support=t_strips)
         return integrate_pieces(rows, jobs, quadcfg, [f"uniform mass at n={n}"] * len(parts))
 
     def corner_cells(self, n):
@@ -661,16 +686,20 @@ class SingularWeight(_ProfileWeight):
         antiderivative.  Wedges a and b are the products, over the windows
         of x1 and x2; wedge c (w1 < w2) or d (w1 > w2) is the F-difference.
 
-        Each wedge of each offset is one job.  The jobs go through two
-        :func:`~ambitlab.quadrature.integrate_pieces` calls, one batch of the
-        product wedges a and b and one of the F-difference wedges c and d,
-        each with a straight-line integrand that reads its job's window ends,
-        wedge and singular abscissas {0, -w1, -w2} per node by job index.  The
-        integrands are pointwise, so a job's value does not depend on its
-        batch.  An offset's value adds its wedges in the order a, b, c/d.
-        Offsets from the singular abscissas arrive exact from the graded
-        layout.  A quadrature failure names the offset and the wedge: the
-        first failing offset in order raises, its product wedges first.
+        Each wedge of each offset is one job over the part of its window
+        where its integrand can be nonzero: x > base for a and b, where the
+        clipped length is positive, and base < x < far for c and d, where
+        the F-difference's width is.  Both ends are panel edges, so the clip
+        keeps the bits; a wedge left empty gets no job.  The jobs go through
+        two :func:`~ambitlab.quadrature.integrate_pieces` calls, one batch of
+        the product wedges a and b and one of the F-difference wedges c and
+        d, each with a straight-line integrand that reads its job's window
+        ends, wedge and singular abscissas {0, -w1, -w2} per node by job
+        index.  The integrands are pointwise, so a job's value does not
+        depend on its batch.  An offset's value adds its wedges in the order
+        a, b, c/d.  Offsets from the singular abscissas arrive exact from the
+        graded layout.  A quadrature failure names the offset and the wedge:
+        the first failing offset in order raises, its product wedges first.
         """
         w1, w2 = np.broadcast_arrays(np.asarray(w1, dtype=float), np.asarray(w2, dtype=float))
         fdiff = self._profile_antiderivative()
@@ -693,8 +722,13 @@ class SingularWeight(_ProfileWeight):
                     -x1, -x2, 1.0 - x1, 1.0 - x2, 0.0, 1.0]
             sing = [0.0, -x1, -x2]
             for name, lo, hi, batch, params in wedges:
+                # nonzero only for x > base, and x < far on c and d
+                pieces = _within(make_pieces(brks + sing, sing, lo, hi),
+                                 [(params[1], params[3] if batch else math.inf)])
+                if not pieces:
+                    continue
                 jobs, labels, owner, rows = batches[batch]
-                jobs.append(make_pieces(brks + sing, sing, lo, hi))
+                jobs.append(pieces)
                 labels.append(f"autocorrelation at w = ({x1!r}, {x2!r}), wedge {name}")
                 owner.append(k)
                 rows.append(params)

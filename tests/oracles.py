@@ -20,6 +20,13 @@ def Difference(left, right):
     return left
 
 
+def unclipped(pieces, support):
+    """Every piece, ``support`` ignored: patched over ``kernels._within``, it
+    gives the full-range layouts, the outer mass jobs over all of
+    (0, 1 + 1/n) and the autocorrelation wedges over their whole windows."""
+    return pieces
+
+
 def eval_h(spec, n, s, t):
     """Differenced kernel h_n(s,t), supported in [0, 1+1/n]^2: the four-term
     combination of ``eval_g`` at the corners of the cell below-left of (s, t)."""

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_legendre
 
-from ambitlab import asymptotics, cli, kernels, quadrature, regions
+from ambitlab import asymptotics, cli, kernels, quadrature, regions, simulate
 from ambitlab.errors import QuadratureError
 from ambitlab.kernels import (
     KappaRange,
@@ -25,7 +25,8 @@ from ambitlab.kernels import (
 from ambitlab.quadrature import QuadratureConfig
 from ambitlab.regions import Everything, HalfPlane, Intersection, Rect, band
 from ambitlab.simulate import _G2_QUAD
-from oracles import Difference, eval_h, singular_g, triangle_g, uniform_mass
+from oracles import Difference, eval_h, singular_g, triangle_g, uniform_mass, unclipped
+from test_regions import shapes
 
 
 # ---------------------------------------------------------------- evaluation
@@ -571,11 +572,12 @@ def test_column_evaluates_no_zero_width_panels(monkeypatch):
 
 
 def _counting_gauss_sums(monkeypatch):
+    """One entry per Gauss-sum pass: the number of nodes it sends to the integrand."""
     calls, original = [], quadrature._gauss_sums
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(f, lo, hi, job, nodes, origin=None):
+        calls.append(lo.size * nodes)
+        return original(f, lo, hi, job, nodes, origin)
 
     monkeypatch.setattr(quadrature, "_gauss_sums", counted)
     kernels.mu_masses.cache_clear()
@@ -889,6 +891,180 @@ def test_a_region_in_a_batch_is_integrated_once_and_then_cached(monkeypatch):
     assert both[0] == both[2] == mu_mass(spec, n, window)
     assert concentration_mass(spec, n, window) == both[0] / both[1]
     assert compute_cn(spec, n) == both[1] and len(batches) == 1
+
+
+# ---------------------------------------------------------------- support clip
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _cells(n):
+    """The (n + 1)^2 cells of side 1/n that tile the support [0, 1 + 1/n]^2."""
+    d = 1.0 / n
+    return [Rect(i * d, (i + 1) * d, j * d, (j + 1) * d) for i in range(n + 1) for j in range(n + 1)]
+
+
+_CLIP_SPECS = [
+    *((SingularWeight(alpha=a, ell=SlowFunction(ell)), 0.3)
+      for a in (0.3, 0.6, 0.75, 0.9) for ell in ("one", "one_minus_s")),
+    (TriangleWeight(alpha=0.75), 0.1),
+    (UniformWeight(s1=0.2, s2=0.7, t1=0.1, t2=0.9, scale=1.5), None),
+]
+
+
+def _mass_outcome(spec, n, parts):
+    """The batch's masses as int64 bits or, if it fails, its error's message,
+    estimate bits and job."""
+    try:
+        return _bits(spec.masses(n, parts, QuadratureConfig())).tolist()
+    except QuadratureError as exc:
+        return str(exc), int(_bits(exc.estimate)), exc.job
+
+
+@pytest.mark.parametrize("n", [5, 8, 16])
+@pytest.mark.parametrize("spec, kappa", _CLIP_SPECS, ids=[
+    *(f"singular-{a}-{ell}" for a in (0.3, 0.6, 0.75, 0.9) for ell in ("one", "one_minus_s")),
+    "cone-0.75", "uniform"])
+def test_masses_on_clipped_jobs_have_the_full_range_bits(monkeypatch, spec, kappa, n):
+    # each job keeps only the heights where its region's rows can be nonzero;
+    # the cone's table at n = 5 fails, at the same cell, on either layout
+    catalog = (spec.corner_cells(n) if kappa is None
+               else asymptotics.region_catalog(spec, n, kappa))
+    parts = _cells(n) + list(catalog.values()) + [Everything()]
+    clipped = _mass_outcome(spec, n, parts)
+    monkeypatch.setattr(kernels, "_within", unclipped)
+    assert clipped == _mass_outcome(spec, n, parts)
+
+
+def test_the_clip_drops_a_sliver_whose_nodes_round_into_the_cell(monkeypatch):
+    # the cone cell (1, 1.2) x (0.8, 1) at n = 5: its side s = 1.2 + 2e-16
+    # meets the cone edge 2s - t = 1.4 at t = 1 + 4e-16, so the full range
+    # has a piece (1, 1 + 4e-16) above the cell, where its rows are empty;
+    # but the midpoint of its bisected left half rounds to 1, so that
+    # half's left Gauss nodes round to 1 - 1.1e-16, inside the cell, and
+    # add 3e-19: the one mass the clip was seen to move
+    spec, n, d = TriangleWeight(alpha=0.75), 5, 0.2
+    cell, quad = Rect(5 * d, 6 * d, 4 * d, 5 * d), QuadratureConfig()
+    clipped = spec.masses(n, [cell], quad)[0]
+    (kept,), = kernels._outer_jobs(n, [1.0, 1.0 + d], [cell], [(2.0, -1.0, 1.0 + 2.0 * d)])
+    rows = spec._rows(n, [cell])
+    assert clipped == quadrature.integrate_pieces(rows, [[kept]], quad)[0]
+    sliver = quadrature.integrate_pieces(rows, [[(1.0, 1.0000000000000004, "smooth")]], quad)[0]
+    assert 0.0 < sliver < 1e-18
+    monkeypatch.setattr(kernels, "_within", unclipped)
+    assert spec.masses(n, [cell], quad)[0] == clipped + sliver != clipped
+
+
+@pytest.mark.parametrize("n, k", [(16, 2), (40, 10), (37, 5)])
+@pytest.mark.parametrize("ell", ["one", "one_minus_s"])
+@pytest.mark.parametrize("alpha", [0.3, 0.75])
+def test_gamma_on_clipped_wedges_has_the_full_range_bits(monkeypatch, alpha, ell, n, k):
+    spec = SingularWeight(alpha=alpha, ell=SlowFunction(ell))
+    clipped = simulate._stationary_gamma(spec, n, k, n // k, _G2_QUAD)
+    monkeypatch.setattr(kernels, "_within", unclipped)
+    kernels.mu_masses.cache_clear()
+    assert np.array_equal(_bits(clipped), _bits(simulate._stationary_gamma(spec, n, k, n // k, _G2_QUAD)))
+
+
+def _engine_jobs(run, full):
+    """Every job of the engine calls ``run`` makes, each call answered with
+    zeros: (label, how many jobs before it have that label) -> (integrand,
+    check integrand, config, job index, pieces).  ``full`` lays out the
+    full-range jobs."""
+    jobs = {}
+
+    def record(f, pieces, quadcfg, labels, f_check=None):
+        for k, (label, job) in enumerate(zip(labels, pieces)):
+            seen = sum(key[0] == label for key in jobs)
+            jobs[label, seen] = f, f_check or f, quadcfg, k, job
+        return np.zeros(len(pieces))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "integrate_pieces", record)
+        if full:
+            patch.setattr(kernels, "_within", unclipped)
+        run()
+    return jobs
+
+
+def _assert_the_clip_drops_only_zeros(run):
+    """Each kept piece is a piece of the full-range job, and each dropped
+    piece's integrand is exactly 0.0 at every node of both resolutions."""
+    kept, full = _engine_jobs(run, False), _engine_jobs(run, True)
+    assert set(kept) <= set(full)
+    calls = {}  # the full run's integrands -> its jobs less their kept pieces
+    for key, (f, f_check, quadcfg, k, pieces) in full.items():
+        keep = kept[key][4] if key in kept else []
+        assert all(piece in pieces for piece in keep)
+        calls.setdefault((f, f_check, quadcfg), {})[k] = [p for p in pieces if p not in keep]
+    for (f, f_check, quadcfg), dropped in calls.items():
+        values = []
+
+        def spy(g):
+            def spied(*args):
+                values.append(g(*args))
+                return values[-1]
+            return spied
+
+        jobs = [dropped.get(k, []) for k in range(max(dropped) + 1)]
+        assert not quadrature.integrate_pieces(spy(f), jobs, quadcfg, f_check=spy(f_check)).any()
+        assert not any(v.any() for v in values)
+
+
+@settings(max_examples=50)
+@given(shapes, st.integers(2, 12))
+@pytest.mark.parametrize("spec", [UniformWeight(s1=0.2, s2=0.7, t1=0.1, t2=0.9),
+                                  SingularWeight(alpha=0.6), TriangleWeight(alpha=0.75)],
+                         ids=["uniform", "singular", "cone"])
+def test_the_mass_clip_drops_only_pieces_of_zeros(spec, region, n):
+    _assert_the_clip_drops_only_zeros(
+        lambda: spec.masses(n, [region, regions.transpose(region)], QuadratureConfig()))
+
+
+@st.composite
+def _lattice_offsets(draw):
+    n = draw(st.integers(2, 40))
+    lag = st.integers(-(n + 1), n + 1)
+    return n, draw(st.lists(st.tuples(lag, lag), min_size=1, max_size=4))
+
+
+@settings(max_examples=30)
+@given(_lattice_offsets())
+@pytest.mark.parametrize("ell", ["one", "one_minus_s"])
+@pytest.mark.parametrize("alpha", [0.3, 0.9])
+def test_the_wedge_clip_drops_only_pieces_of_zeros(alpha, ell, offsets):
+    spec, (n, lags) = SingularWeight(alpha=alpha, ell=SlowFunction(ell)), offsets
+    i, j = np.array(lags, dtype=float).T
+    _assert_the_clip_drops_only_zeros(lambda: spec.autocorrelation(i / n, j / n, _G2_QUAD))
+
+
+_ONE = SingularWeight(alpha=0.75, ell=SlowFunction("one"))  # the benchmark configs' weight
+
+
+def _clt_gamma(nodes):
+    # the clt-singular-cov config: n = 40, k = ceil(40^0.6) = 10, m = 4
+    compute_cn(_ONE, 40)  # c_n comes from its own layout, not Gamma's
+    nodes.clear()
+    simulate._stationary_gamma(_ONE, 40, 10, 4, _G2_QUAD)
+
+
+def _asym_batch(nodes):
+    # the asym-singular-regions config: n = 32, kappa = 0.4
+    asymptotics.region_measures(_ONE, 32, asymptotics.region_catalog(_ONE, 32, 0.4))
+
+
+@pytest.mark.parametrize("work, least, most", [
+    (_clt_gamma, 0, 250_000),  # 387,604 on the full-range layouts
+    (_asym_batch, 0, 11_000),  # 13,992
+    (lambda nodes: kernels.mu_masses(_ONE, 32, _cells(32)), 0, 320_000),  # 4,509,180
+    (lambda nodes: compute_cn(UniformWeight(), 32), 0, 240),  # 600
+    (lambda nodes: compute_cn(_ONE, 256), 2_004, 2_004),  # the singular c_n layout is unclipped
+], ids=["clt-gamma", "asym-batch", "singular-cell-table-33", "uniform-cn-32", "singular-cn-256"])
+def test_the_clipped_layouts_send_at_most_their_pinned_node_counts(monkeypatch, work, least, most):
+    nodes = _counting_gauss_sums(monkeypatch)
+    work(nodes)
+    assert least <= sum(nodes) <= most
 
 
 # ---------------------------------------------------------------- concentration geometry
