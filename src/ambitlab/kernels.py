@@ -40,11 +40,12 @@ lays out every variant's outer integrals, which go through the batched engine of
 :mod:`ambitlab.quadrature` (graded Gauss-Legendre layouts toward algebraic
 singularities, adaptive bisection elsewhere, two resolutions); a failed check
 raises :class:`~ambitlab.errors.QuadratureError` naming the integral.  Every
-job, outer or autocorrelation wedge, keeps only the pieces where its integrand
-can be nonzero (``_within``).  Each end of that support is a panel edge
-already, so a kept piece is a piece of the full range, and a dropped one
-would add exactly 0.0 unless it is a few ulps wide and its Gauss nodes round
-out of it: a clipped job keeps its bits, or loses that rounding error.  The
+job keeps only the pieces where its integrand can be nonzero: a wedge its
+window's support (``_within``), an outer job each panel where some piece of
+its region is neither shut off nor inside a set where the variant's rows are
+0, such as the singular columns' t in (1/n, s - 1/n) (``_outer_jobs``).  A
+kept piece is a piece of the full range; a dropped one would add exactly 0.0
+unless it is a few ulps wide and its nodes round out of it.  The
 masses of many regions are one engine call: each region, or each nonempty
 half of a singular one, is a job, and one integrand reads each node's region
 by the node's job index.  The integrands are pointwise, so a region's mass is
@@ -238,27 +239,50 @@ def _within(pieces, support):
             if any(piece[0] < top and bottom < piece[1] for bottom, top in support)]
 
 
-def _outer_jobs(n, fixed, parts, struct, singular=(), support=((-math.inf, math.inf),)):
+def _outer_jobs(n, fixed, parts, struct, singular=(), zeros=()):
     """One job per region of ``parts``: the outer integral of its rows over
     heights in (0, 1 + 1/n), graded toward the heights ``singular``.
 
     The panels end at the ``fixed`` heights, at the region's
     ``t_breakpoints`` and where its boundary crosses a line (a, b, c) of
-    ``struct``, a line on which the rows' formula changes.  A job keeps only
-    the panels inside ``support``, the heights where rows can be nonzero,
-    and inside the heights that some piece of its region lets through its
-    horizontal half-planes, c/b < t for b < 0 and t < c/b for b > 0: any
-    other row of the region is empty.  Those ends are ``fixed`` heights or
-    breakpoints, so each kept panel is a panel of the full range.
+    ``struct``, a line on which the rows' formula changes.  A job drops a
+    panel where each piece of its region is shut off, a horizontal
+    half-plane of it excluding the whole panel, or lies inside a set of
+    ``zeros``, convex pieces in the same form where the rows are 0: inside
+    when the set's heights hold both panel ends, some lower section end
+    (c - b t)/a, a < 0, of the piece is at or above every lower end of the
+    set and some upper end, a > 0, at or below every upper one, each at
+    both ends.  The difference of two ends is linear in t, so its sign
+    holds across the panel.  The rows there read exactly 0.0 at every node,
+    so a dropped panel took a +0.0 from its job's sums and nothing from its
+    tolerance or checks; each kept panel is a panel of the full range.
     """
+    zeros = [_convex(zero) for zero in zeros]
     jobs = []
     for region in parts:
         edges = fixed + regions.t_breakpoints(region) + crossing_edges(region, struct)
-        heights = [(max([lo] + [c / b for a, b, c in piece if a == 0.0 and b < 0.0]),
-                    min([hi] + [c / b for a, b, c in piece if a == 0.0 and b > 0.0]))
-                   for piece in region.pieces for lo, hi in support]
-        jobs.append(_within(make_pieces(edges, singular, 0.0, 1.0 + 1.0 / n), heights))
+        pieces = [_convex(piece) for piece in region.pieces]
+        jobs.append([panel for panel in make_pieces(edges, singular, 0.0, 1.0 + 1.0 / n)
+                     if not all(_idle(piece, zeros, *panel[:2]) for piece in pieces)])
     return jobs
+
+
+def _convex(piece):
+    """A convex piece as its heights (lo, hi) and its lower and upper section ends."""
+    return ((max([-math.inf] + [c / b for a, b, c in piece if a == 0.0 and b < 0.0]),
+             min([math.inf] + [c / b for a, b, c in piece if a == 0.0 and b > 0.0])),
+            [h for h in piece if h[0] < 0.0], [h for h in piece if h[0] > 0.0])
+
+
+def _idle(piece, zeros, y0, y1):
+    """Is a ``_convex`` piece shut off on the panel (y0, y1), or inside a set of ``zeros``?"""
+    (lo, hi), lower, upper = piece
+    return y1 <= lo or y0 >= hi or any(
+        zlo <= y0 and y1 <= zhi and all(
+            not theirs or any(all(sign * (c - b * y) / a >= sign * (zc - zb * y) / za
+                                  for za, zb, zc in theirs for y in (y0, y1)) for a, b, c in ours)
+            for ours, theirs, sign in ((lower, zlower, 1.0), (upper, zupper, -1.0)))
+        for (zlo, zhi), zlower, zupper in zeros)
 
 
 @dataclass(frozen=True)
@@ -359,10 +383,11 @@ class UniformWeight(WeightSpec):
             out[at] = (over * sq).reshape(2 * len(lo), at.size).sum(axis=0)
             return out
 
-        # rows change formula where a section end passes an s-strip end
+        # rows change formula where a section end passes an s-strip end; 0 off the t-strips
         lines = [(1.0, 0.0, end) for strip in s_strips for end in strip]
-        jobs = _outer_jobs(n, [end for strip in t_strips for end in strip], parts, lines,
-                           support=t_strips)
+        (p0, p1), (m0, m1) = t_strips
+        zeros = ((0.0, 1.0, p0),), ((0.0, -1.0, -p1), (0.0, 1.0, m0)), ((0.0, -1.0, -m1),)
+        jobs = _outer_jobs(n, [p0, p1, m0, m1], parts, lines, zeros=zeros)
         return integrate_pieces(rows, jobs, quadcfg, [f"uniform mass at n={n}"] * len(parts))
 
     def corner_cells(self, n):
@@ -487,11 +512,14 @@ class SingularWeight(_ProfileWeight):
         t in (1, s)               f(sig)
         ========================  =======================
 
-        (for s <= 1/n the whole column is the constant f(s)).  The outer
-        integral over s grades toward 0 and 1/n and has edges at 2/n, 4/n,
-        ... below 1, so that each smooth piece, at most about twice as wide
-        as its distance from 1/n, converges at its first bisection.  It
-        calls the column integrand (``_column``) on all its nodes at once.
+        (for s <= 1/n the whole column is the constant f(s)).  The jobs skip
+        each panel where every piece of the columns lies in t in [1/n, s - 1/n],
+        where the table gives 0, or off the column's range (0, s): its zero
+        sets (``_outer_jobs``).  The outer integral over s grades toward 0 and
+        1/n and has edges at 2/n, 4/n, ... below 1, so that each smooth
+        piece, at most about twice as wide as its distance from 1/n,
+        converges at its first bisection.  It calls the column integrand
+        (``_column``) on all its nodes at once.
         The columns' t-sections come from ``row_sections_array`` as segments
         of shape (pieces, nodes), clipped to (0, min(s, 1 + 1/n)), and split
         against the table's cuts by clipping: constant pieces sum in closed
@@ -517,7 +545,8 @@ class SingularWeight(_ProfileWeight):
         struct = [(1.0, 0.0, 0.0), (1.0, 0.0, d), (1.0, 0.0, 1.0),
                   (-1.0, 1.0, 0.0), (-1.0, 1.0, d)]
         geometric = [d * 2.0**k for k in range(1, int(n).bit_length())]
-        jobs = _outer_jobs(n, [0.0, d, *geometric, 1.0, 1.0 + d], flipped, struct, [0.0, d])
+        zeros = ((-1.0, 0.0, -d), (1.0, -1.0, -d)), ((1.0, 0.0, 0.0),), ((-1.0, 1.0, 0.0),)
+        jobs = _outer_jobs(n, [0.0, d, *geometric, 1.0, 1.0 + d], flipped, struct, [0.0, d], zeros)
         labels = [f"{half}: singular mass at n={n}" for half, _ in halves]
         return integrate_pieces(self._column(n, flipped, quadcfg.nodes), jobs, quadcfg, labels,
                                 f_check=self._column(n, flipped, quadcfg.nodes + 4))

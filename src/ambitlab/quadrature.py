@@ -300,7 +300,8 @@ def _integrate_once(f, jobs, quadcfg, levels, nodes, smooth_nodes, failed):
     value[gr] = _graded_pass(f, owner[gr], a[gr], b[gr], levels, nodes, failed)
     value[sm] = _adaptive_pass(f, owner[sm], a[sm], b[sm], seeds, tol[owner[sm]],
                                smooth_nodes, failed)
-    return np.bincount(owner, weights=value, minlength=len(jobs))
+    # as float64: over no piece at all, bincount gives int64 zeros
+    return np.bincount(owner, weights=value, minlength=len(jobs)).astype(float, copy=False)
 
 
 def integrate_pieces(f, jobs, quadcfg, labels=None, f_check=None):

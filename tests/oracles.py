@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 
+from ambitlab import kernels
 from ambitlab.kernels import eval_g
 from ambitlab.regions import Intersection, Region, Union
 from ambitlab.variation import retained_corners
@@ -20,11 +21,13 @@ def Difference(left, right):
     return left
 
 
-def unclipped(pieces, support):
-    """Every piece, ``support`` ignored: patched over ``kernels._within``, it
-    gives the full-range layouts, the outer mass jobs over all of
-    (0, 1 + 1/n) and the autocorrelation wedges over their whole windows."""
-    return pieces
+def full_range(patch):
+    """Turn off, on the pytest ``MonkeyPatch`` ``patch``, every clip of the
+    quadrature jobs: the outer mass jobs then keep every panel of
+    (0, 1 + 1/n), none shut off or inside a zero set (``kernels._idle``),
+    and the autocorrelation wedges their whole windows (``kernels._within``)."""
+    patch.setattr(kernels, "_idle", lambda piece, zeros, y0, y1: False)
+    patch.setattr(kernels, "_within", lambda pieces, support: pieces)
 
 
 def eval_h(spec, n, s, t):

@@ -25,7 +25,7 @@ from ambitlab.kernels import (
 from ambitlab.quadrature import QuadratureConfig
 from ambitlab.regions import Everything, HalfPlane, Intersection, Rect, band
 from ambitlab.simulate import _G2_QUAD
-from oracles import Difference, eval_h, singular_g, triangle_g, uniform_mass, unclipped
+from oracles import Difference, eval_h, full_range, singular_g, triangle_g, uniform_mass
 from test_regions import shapes
 
 
@@ -927,14 +927,42 @@ def _mass_outcome(spec, n, parts):
     *(f"singular-{a}-{ell}" for a in (0.3, 0.6, 0.75, 0.9) for ell in ("one", "one_minus_s")),
     "cone-0.75", "uniform"])
 def test_masses_on_clipped_jobs_have_the_full_range_bits(monkeypatch, spec, kappa, n):
-    # each job keeps only the heights where its region's rows can be nonzero;
+    # each job keeps only the panels where its region's rows can be nonzero;
     # the cone's table at n = 5 fails, at the same cell, on either layout
     catalog = (spec.corner_cells(n) if kappa is None
                else asymptotics.region_catalog(spec, n, kappa))
     parts = _cells(n) + list(catalog.values()) + [Everything()]
     clipped = _mass_outcome(spec, n, parts)
-    monkeypatch.setattr(kernels, "_within", unclipped)
+    full_range(monkeypatch)
     assert clipped == _mass_outcome(spec, n, parts)
+
+
+def test_the_singular_table_at_n_32_has_the_full_range_bits(monkeypatch):
+    # the 33 x 33 cell table and the asym-singular-regions catalog, where most
+    # panels lie inside the column's zero sets; 930 of the cells' masses are 0
+    parts = _cells(32) + list(asymptotics.region_catalog(_ONE, 32, 0.4).values())
+    clipped = _mass_outcome(_ONE, 32, parts)
+    assert sum(bits == 0 for bits in clipped[:33 * 33]) == 930
+    full_range(monkeypatch)
+    assert clipped == _mass_outcome(_ONE, 32, parts)
+
+
+@pytest.mark.parametrize("spec", [UniformWeight(), SingularWeight(alpha=0.6), TriangleWeight(alpha=0.75)],
+                         ids=["uniform", "singular", "cone"])
+def test_a_batch_of_empty_jobs_gives_float_zeros(spec):
+    # regions off the support keep no panel at all; the engine's sum over
+    # no pieces still comes back as float64 +0.0, and a mixed batch keeps the
+    # bits of its region with mass
+    off = [Rect(3.0, 4.0, 3.0, 4.0), Rect(2.0, 3.0, -3.0, -2.0)]
+    kernels.mu_masses.cache_clear()
+    zeros = kernels.mu_masses(spec, 8, off)
+    assert zeros.dtype == np.float64 and _bits(zeros).tolist() == [0, 0]
+    kernels.mu_masses.cache_clear()
+    assert isinstance(mu_mass(spec, 8, off[0]), np.float64)
+    window = Rect(0.1, 0.6, 0.2, 0.7)
+    alone = mu_mass(spec, 8, window)
+    kernels.mu_masses.cache_clear()
+    assert _bits(kernels.mu_masses(spec, 8, [off[0], window, off[1]])).tolist() == [0, int(_bits(alone)), 0]
 
 
 def test_the_clip_drops_a_sliver_whose_nodes_round_into_the_cell(monkeypatch):
@@ -952,7 +980,7 @@ def test_the_clip_drops_a_sliver_whose_nodes_round_into_the_cell(monkeypatch):
     assert clipped == quadrature.integrate_pieces(rows, [[kept]], quad)[0]
     sliver = quadrature.integrate_pieces(rows, [[(1.0, 1.0000000000000004, "smooth")]], quad)[0]
     assert 0.0 < sliver < 1e-18
-    monkeypatch.setattr(kernels, "_within", unclipped)
+    full_range(monkeypatch)
     assert spec.masses(n, [cell], quad)[0] == clipped + sliver != clipped
 
 
@@ -962,7 +990,7 @@ def test_the_clip_drops_a_sliver_whose_nodes_round_into_the_cell(monkeypatch):
 def test_gamma_on_clipped_wedges_has_the_full_range_bits(monkeypatch, alpha, ell, n, k):
     spec = SingularWeight(alpha=alpha, ell=SlowFunction(ell))
     clipped = simulate._stationary_gamma(spec, n, k, n // k, _G2_QUAD)
-    monkeypatch.setattr(kernels, "_within", unclipped)
+    full_range(monkeypatch)
     kernels.mu_masses.cache_clear()
     assert np.array_equal(_bits(clipped), _bits(simulate._stationary_gamma(spec, n, k, n // k, _G2_QUAD)))
 
@@ -983,7 +1011,7 @@ def _engine_jobs(run, full):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "integrate_pieces", record)
         if full:
-            patch.setattr(kernels, "_within", unclipped)
+            full_range(patch)
         run()
     return jobs
 
@@ -1056,8 +1084,8 @@ def _asym_batch(nodes):
 
 @pytest.mark.parametrize("work, least, most", [
     (_clt_gamma, 0, 250_000),  # 387,604 on the full-range layouts
-    (_asym_batch, 0, 11_000),  # 13,992
-    (lambda nodes: kernels.mu_masses(_ONE, 32, _cells(32)), 0, 320_000),  # 4,509,180
+    (_asym_batch, 0, 6_100),  # 13,992; 10,866 before the column's zero sets
+    (lambda nodes: kernels.mu_masses(_ONE, 32, _cells(32)), 0, 21_000),  # 4,509,180; 309,660
     (lambda nodes: compute_cn(UniformWeight(), 32), 0, 240),  # 600
     (lambda nodes: compute_cn(_ONE, 256), 2_004, 2_004),  # the singular c_n layout is unclipped
 ], ids=["clt-gamma", "asym-batch", "singular-cell-table-33", "uniform-cn-32", "singular-cn-256"])
