@@ -344,11 +344,8 @@ class UniformWeight(WeightSpec):
         self._check_scale()
 
     def evaluate(self, s, t):
-        return np.where(
-            (self.s1 <= s) & (s <= self.s2) & (self.t1 <= t) & (t <= self.t2),
-            self.scale,
-            0.0,
-        )
+        return np.where(((self.s1 <= s) & (s <= self.s2)) & ((self.t1 <= t) & (t <= self.t2)),
+                        self.scale, 0.0)
 
     def strips(self, n):
         """``(s_strips, t_strips)``, each ``((plus_lo, plus_hi), (minus_lo, minus_hi))``.
@@ -458,13 +455,15 @@ class SingularWeight(_ProfileWeight):
     def evaluate(self, s, t):
         """The profile at s v t on the closed quadrant, +inf at its corner.
 
-        r is set to 0 off the quadrant, where the profile is 0, so the
-        profile's power and slow factor run on quadrant points alone."""
-        r = np.maximum(s, t)
-        quadrant = (s >= 0.0) & (t >= 0.0)
-        r[~quadrant] = 0.0
-        out = self.profile(r)
-        out[quadrant & (r == 0.0)] = np.inf
+        The profile, +inf at exactly 0, is taken of each coordinate on its
+        own axis, so on a grid of offsets s[:, None], t[None, :] the power
+        and slow factor run on the two axes alone; each cell takes the value
+        of its larger coordinate, and is then zeroed off the quadrant, one
+        coordinate's mask at a time."""
+        qs, qt = (np.where(x == 0.0, np.inf, self.profile(x)) for x in (s, t))
+        out = np.where(s >= t, qs, qt)
+        for x in (s, t):
+            np.copyto(out, 0.0, where=~(x >= 0.0))
         return out
 
     def masses(self, n, parts, quadcfg):
@@ -840,11 +839,8 @@ class TriangleWeight(_ProfileWeight):
         self._check_scale()
 
     def evaluate(self, s, t):
-        """The profile at t inside the open cone, called there alone."""
-        cone = np.abs(2.0 * s - 1.0) < t
-        out = np.zeros(cone.shape)
-        out[cone] = self.profile(np.broadcast_to(t, cone.shape)[cone])
-        return out
+        """The profile at t inside the open cone, taken on t's own axis."""
+        return np.where(np.abs(2.0 * s - 1.0) < t, self.profile(t), 0.0)
 
     def _rows(self, n, parts):
         """The row integral of h_n^2 at each height t, over region j of
@@ -1002,17 +998,18 @@ def eval_g(spec, s, t):
 
     Points where the kernel diverges (the singular corner of the Singular
     variant) return +inf -- the value is flagged rather than clamped, and no
-    quadrature rule in this module ever places a node there.
+    quadrature rule in this module ever places a node there.  The inputs
+    reach ``evaluate`` as given, which broadcasts them itself: offsets
+    s[:, None] and t[None, :] give the grid of every pair, while a variant
+    evaluates what depends on one coordinate on that coordinate's axis.  A
+    pair of scalars gives a float.
     """
     require_weight(spec)
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    s, t = np.broadcast_arrays(s, t)
-    scalar = s.ndim == 0
-    s = np.atleast_1d(s)
-    t = np.atleast_1d(t)
-    out = spec.evaluate(s, t)
-    return float(out[0]) if scalar else out
+    if s.ndim == 0 and t.ndim == 0:
+        return float(spec.evaluate(s[None], t[None])[0])
+    return spec.evaluate(s, t)
 
 
 def thinning_count(n, kappa):

@@ -342,6 +342,9 @@ def lln_experiment(weight, volatility, p_values=(2.0,), n_schedule=(64, 128, 256
         except QuadratureError as exc:
             raise QuadratureError(f"c_n at n={n}: {exc}", exc.estimate) from exc
         M = 2 * n * oversample
+        # the evaluation grid's retained-corner counts, [s, t] as svals reads them
+        rows, cols = np.moveaxis([[retained_corners(s, t, eps) for t in grid] for s in grid], -1, 0)
+        corner = retained_corners(1.0, 1.0, eps)
 
         def limit_and_mean(sigma, p):
             """m_p Sigma^(p,pi) on the grid, and E_W[scaled V_n | sigma] where exact."""
@@ -365,11 +368,10 @@ def lln_experiment(weight, volatility, p_values=(2.0,), n_schedule=(64, 128, 256
             for p in p_values:
                 V = variation_field(inc, p)
                 scaled = scaled_power_variation(V, p, eps, cn)
-                svals = np.array([[scaled[retained_corners(s, t, eps)] for t in grid]
-                                  for s in grid])
+                svals = scaled[rows, cols]
                 target, mean = limit_and_mean(sigma, p) if volatility.redrawn else shared[p]
                 sup_err[p].append(float(np.max(np.abs(svals - target))))
-                raw_v[p].append(float(V[retained_corners(1.0, 1.0, eps)]))
+                raw_v[p].append(float(V[corner]))
                 if mean is not None:
                     mean_part[p].append(float(np.max(np.abs(mean - target))))
                     stoch_part[p].append(float(np.max(np.abs(svals - mean))))

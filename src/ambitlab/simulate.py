@@ -15,11 +15,12 @@ The end-to-end route convolves at M x M, not 2M x 2M: every weight vanishes
 outside [0,1]^2, so the lattice rows never meet the wrap-around (see
 ``simulate_lattice``).  Its kernel spectrum and spot-check kernels, each cut
 to the box of its nonzero entries, are cached, read-only, per (weight, n, M).
+The spectrum is taken from the table's M/2 rows, transformed in place.
 Each replication draws and weights its noise in place in one buffer, and
 transforms it into a second; the two are one scratch pair per M that every
 call reuses, so a replication allocates no M x M array.  Only the n + 1
-lattice rows are inverted, into a fresh array, so no result shares memory
-with the scratch.
+lattice rows are inverted, read as a basic slice, and the lattice is copied
+out contiguous, so no result shares memory with the scratch.
 
 Random streams are tagged per purpose (volatility=1, noise=2, exact draws=3,
 and 4 for the per-replication volatility re-draws of ``limits``) so no two
@@ -88,10 +89,13 @@ def _lattice_plan(spec, n, M):
     """Read-only (kernel spectrum, spot checks) shared by every replication.
 
     The spectrum is of g at the offsets ((2j+1)/M, (2l+1)/M), j, l < M/2,
-    padded to M x M.  Each spot check pairs a lattice point with g at its
-    offsets from every noise-cell midpoint, evaluated apart from the table
-    at all M x M offsets, so that a weight reaching past the unit square
-    still shows, and kept cut to its nonzero entries (``_spot_check``).
+    padded to M x M: the ``rfft`` of the M/2 table rows at length M fills
+    the top half of a zeroed array, and a column ``fft`` runs on it in place.
+    That is ``rfft2(table, (M, M))`` bit for bit, without the padded copy.
+    Each spot check pairs a lattice point with g at its offsets from every
+    noise-cell midpoint, evaluated apart from the table at all M x M
+    offsets, so that a weight reaching past the unit square still shows,
+    and kept cut to its nonzero entries (``_spot_check``).
     Table and checks form offsets as integers over M, so both read an edge alike.
     A table that is zero throughout (a support between the midpoints) would
     simulate the field as identically 0, so it raises QuadratureError.
@@ -102,8 +106,10 @@ def _lattice_plan(spec, n, M):
         raise QuadratureError(
             f"the kernel is zero at every noise-cell midpoint offset at n={n}, M={M}, "
             "so the simulated field would be identically 0; raise oversample")
-    spectrum = np.fft.rfft2(table, (M, M))
+    spectrum = np.zeros((M, M // 2 + 1), dtype=complex)
+    np.fft.rfft(table, M, axis=1, out=spectrum[:M // 2])
     del table  # peak memory: not held while the spot-check kernels are built
+    np.fft.fft(spectrum, axis=0, out=spectrum)
     spectrum.setflags(write=False)
     return spectrum, tuple(_spot_check(spec, n, M, i) for i in sorted({0, n // 2, n}))
 
@@ -158,18 +164,20 @@ def simulate_lattice(spec, sigma, n, M, seed=0, rep=0):
     inverse runs one axis at a time in ``irfft2``'s order (``ifft`` on
     axis 0, then ``irfft`` on axis 1), so each 1-D transform sees the data
     ``irfft2`` would give it, but the last stage inverts only the n + 1
-    lattice rows, into a fresh array, so no result shares memory with the
-    scratch.
+    lattice rows, read with the basic slice M/2 - 1, M/2 - 1 + M/(2n), ...,
+    M - 1 of the scratch.  The lattice columns of the inverse are copied
+    out contiguous, so no result shares memory with the scratch.
     The product is ``conv *= spectrum`` because complex multiplication with
     fused multiply-adds is not bit-commutative, and that is the order
     numpy's temporary elision gave ``spectrum * rfft2(weighted)`` on grids
     of 256 KiB and up.  Once the lattice rows are copied out, the transform
     buffer, viewed as a contiguous M x M real array, holds each spot check's
     product: zero, and the kernel's block times the weighted noise in its
-    box.  That is the full kernel's product up to the sign of its zeros,
-    and ``np.sum`` over the whole M x M array adds it in the same pairwise
-    order, so the direct sum keeps its bits; a sum over the box alone
-    would not.
+    box: it is zeroed in full once a replication, and each check zeroes its
+    own box again after its sum.  That is the full kernel's product up to
+    the sign of its zeros, and ``np.sum`` over the whole M x M array adds
+    it in the same pairwise order, so the direct sum keeps its bits; a sum
+    over the box alone would not.
     """
     if n != int(n) or n < 1:
         raise ValueError(f"lattice resolution must be an integer >= 1, got {n}")
@@ -200,17 +208,17 @@ def simulate_lattice(spec, sigma, n, M, seed=0, rep=0):
     np.fft.rfft2(weighted, out=conv)
     conv *= spectrum
     np.fft.ifft(conv, axis=0, out=conv)
-    q = M // (2 * n)
-    pick = np.arange(n + 1) * q + M // 2 - 1
-    vals = np.fft.irfft(conv[pick], M, axis=1)[:, pick]
+    lattice = slice(M // 2 - 1, M, M // (2 * n))
+    vals = np.fft.irfft(conv[lattice], M, axis=1)[:, lattice].copy()
 
     # the transform is spent: its first M^2 doubles hold each check's product
     product = conv.view(np.float64).reshape(-1)[:M * M].reshape(M, M)
+    product.fill(0.0)
     err = 0.0
     for (i, j), box, block in checks:
-        product.fill(0.0)
         np.multiply(block, weighted[box], out=product[box])
         direct = float(np.sum(product))
+        product[box] = 0.0
         err = max(err, abs(direct - vals[i, j]) / (1.0 + abs(direct)))
     if err > 1e-10:
         raise QuadratureError(

@@ -214,8 +214,9 @@ class SigmaField:
 
     @property
     def is_constant(self):
-        """Whether every cell holds the same value."""
-        return bool(np.all(self.values == self.values.flat[0]))
+        """Whether every cell holds the same value: at once for a broadcast
+        of one value (``ConstantVol.realize``), else by scanning the cells."""
+        return not any(self.values.strides) or bool(np.all(self.values == self.values.flat[0]))
 
     def at(self, u, v):
         """Value of the covering cell (grids are cell-constant by convention)."""

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -255,6 +256,22 @@ def test_a_constant_field_is_one_read_only_broadcast_value():
     assert not f.values.flags.writeable and f.is_constant
     with pytest.raises(ValueError, match="read-only"):
         f.values[0, 0] = 1.0
+
+
+def test_a_broadcast_grid_reads_constant_at_once_and_a_varying_grid_does_not():
+    varying = np.full((8, 8), 1.5)
+    varying[7, 7] = 2.0
+    assert not SigmaField(values=varying).is_constant
+    assert not sample_volatility(DeterministicVol("bowl"), 8, seed=0).is_constant
+    assert SigmaField(values=np.full((8, 8), 1.5)).is_constant  # every cell scanned
+    big = sample_volatility(ConstantVol(1.5), 2048, seed=0)
+    tracemalloc.start()
+    try:
+        assert big.is_constant
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2048  # a scan's M x M comparison would take 4 MiB
 
 
 def test_a_field_keeps_no_view_of_the_callers_memory():
